@@ -1,7 +1,9 @@
 //! Static analysis results surfaced by [`Database::analyze`](crate::Database::analyze).
 
-use ioql_ast::{Qualifier, Query, Type};
-use ioql_effects::{infer_query, Effect, EffectEnv};
+use ioql_ast::{Qualifier, Query, Type, VarName};
+use ioql_effects::{Effect, EffectRules};
+use ioql_types::Judgement;
+use std::collections::BTreeMap;
 
 /// The verdict for one commutative set operator in a query: may its
 /// operands be commuted (Theorem 8's guard)?
@@ -25,8 +27,9 @@ pub struct Analysis {
     /// Figure 3 effect.
     pub effect: Effect,
     /// Whether the query is *functional* in the paper's §3.4 sense: no
-    /// `new`, transitively through the definitions it calls. Functional
-    /// queries are deterministic outright (Theorem 4).
+    /// `new`, transitively through the definitions and (§5) methods it
+    /// calls — i.e. no `A(C)` atom in `effect` (`Thm7::new_free`).
+    /// Functional queries are deterministic outright (Theorem 4).
     pub functional: bool,
     /// Whether the `⊢'` discipline accepts the query — if so it is
     /// deterministic up to oid bijection (Theorem 7) even when it
@@ -41,19 +44,22 @@ pub struct Analysis {
 /// Walks the (elaborated) query collecting a [`CommutationVerdict`] for
 /// every commutative set operator, with generator binders in scope.
 pub(crate) fn collect_commutations(
-    env: &EffectEnv<'_>,
+    judgement: &Judgement<'_, EffectRules<'_>>,
+    vars: &BTreeMap<VarName, Type>,
     q: &Query,
     out: &mut Vec<CommutationVerdict>,
 ) {
     match q {
         Query::SetBin(op, a, b) => {
-            collect_commutations(env, a, out);
-            collect_commutations(env, b, out);
+            collect_commutations(judgement, vars, a, out);
+            collect_commutations(judgement, vars, b, out);
             if op.is_commutative() {
-                if let (Ok((_, ea)), Ok((_, eb))) = (infer_query(env, a), infer_query(env, b)) {
+                if let (Ok((_, _, ea)), Ok((_, _, eb))) =
+                    (judgement.query(vars, a), judgement.query(vars, b))
+                {
                     out.push(CommutationVerdict {
                         expr: q.to_string(),
-                        safe: ea.noninterfering_with(&eb, env.schema),
+                        safe: ea.noninterfering_with(&eb, judgement.schema),
                         left: ea,
                         right: eb,
                     });
@@ -63,60 +69,60 @@ pub(crate) fn collect_commutations(
         Query::Lit(_) | Query::Var(_) | Query::Extent(_) => {}
         Query::SetLit(items) => {
             for i in items {
-                collect_commutations(env, i, out);
+                collect_commutations(judgement, vars, i, out);
             }
         }
         Query::IntBin(_, a, b) | Query::IntEq(a, b) | Query::ObjEq(a, b) => {
-            collect_commutations(env, a, out);
-            collect_commutations(env, b, out);
+            collect_commutations(judgement, vars, a, out);
+            collect_commutations(judgement, vars, b, out);
         }
         Query::Record(fields) => {
             for (_, fq) in fields {
-                collect_commutations(env, fq, out);
+                collect_commutations(judgement, vars, fq, out);
             }
         }
         Query::Field(inner, _)
         | Query::Size(inner)
         | Query::Sum(inner)
         | Query::Cast(_, inner)
-        | Query::Attr(inner, _) => collect_commutations(env, inner, out),
+        | Query::Attr(inner, _) => collect_commutations(judgement, vars, inner, out),
         Query::Call(_, args) => {
             for a in args {
-                collect_commutations(env, a, out);
+                collect_commutations(judgement, vars, a, out);
             }
         }
         Query::Invoke(recv, _, args) => {
-            collect_commutations(env, recv, out);
+            collect_commutations(judgement, vars, recv, out);
             for a in args {
-                collect_commutations(env, a, out);
+                collect_commutations(judgement, vars, a, out);
             }
         }
         Query::New(_, attrs) => {
             for (_, a) in attrs {
-                collect_commutations(env, a, out);
+                collect_commutations(judgement, vars, a, out);
             }
         }
         Query::If(c, t, e) => {
-            collect_commutations(env, c, out);
-            collect_commutations(env, t, out);
-            collect_commutations(env, e, out);
+            collect_commutations(judgement, vars, c, out);
+            collect_commutations(judgement, vars, t, out);
+            collect_commutations(judgement, vars, e, out);
         }
         Query::Comp(head, quals) => {
-            let mut inner = env.clone();
+            let mut inner = vars.clone();
             for cq in quals {
                 match cq {
-                    Qualifier::Pred(p) => collect_commutations(&inner, p, out),
+                    Qualifier::Pred(p) => collect_commutations(judgement, &inner, p, out),
                     Qualifier::Gen(x, src) => {
-                        collect_commutations(&inner, src, out);
-                        if let Ok((t, _)) = infer_query(&inner, src) {
+                        collect_commutations(judgement, &inner, src, out);
+                        if let Ok((_, t, _)) = judgement.query(&inner, src) {
                             if let Some(elem) = t.as_set_elem() {
-                                inner = inner.bind(x.clone(), elem.clone());
+                                inner.insert(x.clone(), elem.clone());
                             }
                         }
                     }
                 }
             }
-            collect_commutations(&inner, head, out);
+            collect_commutations(judgement, &inner, head, out);
         }
     }
 }

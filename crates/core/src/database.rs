@@ -1,6 +1,7 @@
 //! The embedded database facade: one handle over a shared
-//! [`DbKernel`], running text through parse → resolve →
-//! elaborate/type → effect-infer → (optionally optimize) → evaluate.
+//! [`DbKernel`], running text through parse → resolve → one
+//! type-and-effect pass (`σ ! ε` plus the Theorem 7 verdict) →
+//! (optionally optimize) → evaluate.
 //!
 //! [`Database`] is the *exclusive* handle — each query runs under the
 //! kernel's state write lock against the live store, exactly as the
@@ -13,11 +14,11 @@ use crate::analysis::{collect_commutations, Analysis};
 use crate::cache::CacheStats;
 use crate::cache::QueryCache;
 use crate::error::DbError;
-use crate::kernel::{DbKernel, ExecMode, KernelState};
+use crate::kernel::{Catalogue, DbKernel, ExecMode, KernelState, Prepared};
 use crate::sched::{Admitted, SchedMetrics};
 use crate::session::Session;
 use ioql_ast::{Definition, Query, Type, Value};
-use ioql_effects::{infer_query, Discipline, Effect, EffectError};
+use ioql_effects::{Discipline, Effect, EffectEnv, EffectError, Thm7};
 use ioql_eval::{
     evaluate, Chooser, DefEnv, EvalMetrics, Exploration, FirstChooser, Governor, GovernorMetrics,
     Limits,
@@ -33,7 +34,7 @@ use ioql_telemetry::{
 use ioql_types::TypeOptions;
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
+use std::sync::{Arc, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 /// Which evaluator runs the query.
@@ -111,8 +112,7 @@ pub struct DbOptions {
     /// parallelism contract is that **no observable changes** — results,
     /// effect traces, governor meters, chooser draw totals, and cache
     /// interactions are byte-identical to `parallelism = 0` (see
-    /// `tests/parallel.rs`). Defaults from the `IOQL_PARALLELISM`
-    /// environment variable when set to a valid integer.
+    /// `tests/parallel.rs`).
     pub parallelism: usize,
     /// Compile comprehension predicates and projection heads to the
     /// bytecode VM on the `Plan` engine. Lowering annotates each
@@ -123,8 +123,7 @@ pub struct DbOptions {
     /// parallelism one: **no observable changes** — values, stores,
     /// effect traces, governor meters, chooser draw totals, stuck
     /// messages, and cache interactions are byte-identical to
-    /// `compile = false` (see `tests/compile.rs`). Defaults from the
-    /// `IOQL_COMPILE` environment variable (`1`/`true` enables).
+    /// `compile = false` (see `tests/compile.rs`). Off by default.
     pub compile: bool,
     /// Write-ahead-log fsync policy for committed mutating queries, in
     /// force once a durable directory is attached
@@ -150,7 +149,7 @@ pub struct DbOptions {
     /// Capacity of the query flight recorder's in-memory ring: when
     /// non-zero, every query run through the kernel captures a structured
     /// [`TraceRecord`] — a span tree over
-    /// parse → typecheck → effect-infer → optimize → lower → execute
+    /// parse → typecheck → optimize → lower → execute
     /// plus scheduler wait, lock acquisition, cache probe, and WAL
     /// append, each span carrying the decision it witnessed (cache
     /// hit/miss with reason, admission mode with serialization witness,
@@ -187,13 +186,8 @@ impl Default for DbOptions {
             cache_capacity: 1024,
             telemetry: false,
             telemetry_jsonl: None,
-            parallelism: std::env::var("IOQL_PARALLELISM")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            compile: std::env::var("IOQL_COMPILE")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false),
+            parallelism: 0,
+            compile: false,
             durability: Durability::Off,
             session_budget: None,
             trace_capacity: 0,
@@ -228,7 +222,6 @@ pub struct DbMetrics {
     pub cache_evictions: Counter,
     pub(crate) phase_parse: Histogram,
     pub(crate) phase_typecheck: Histogram,
-    pub(crate) phase_effect: Histogram,
     pub(crate) phase_optimize: Histogram,
     pub(crate) phase_lower: Histogram,
     pub(crate) phase_execute: Histogram,
@@ -405,7 +398,6 @@ impl DbMetrics {
             cache_evictions: c("ioql_cache_evictions_total"),
             phase_parse: h("parse"),
             phase_typecheck: h("typecheck"),
-            phase_effect: h("effect-infer"),
             phase_optimize: h("optimize"),
             phase_lower: h("lower"),
             phase_execute: h("execute"),
@@ -601,9 +593,7 @@ impl Database {
         );
         let state = KernelState {
             store,
-            defs: Vec::new(),
-            def_types: BTreeMap::new(),
-            def_effects: BTreeMap::new(),
+            catalogue: Arc::new(Catalogue::default()),
         };
         let recorder = (options.trace_capacity > 0)
             .then(|| Arc::new(FlightRecorder::new(options.trace_capacity)));
@@ -677,7 +667,12 @@ impl Database {
 
     /// The registered definitions, in registration order.
     pub fn definitions(&self) -> Vec<Definition> {
-        self.kernel.read_state().defs.clone()
+        self.kernel
+            .read_state()
+            .catalogue
+            .ordered()
+            .cloned()
+            .collect()
     }
 
     pub(crate) fn durable_handle(
@@ -749,18 +744,27 @@ impl Database {
     }
 
     /// Registers `define …;` forms. Each definition is type-checked,
-    /// elaborated, and effect-annotated before being added to scope.
+    /// elaborated, and effect-annotated before being added to scope; a
+    /// call is all or nothing — if any form fails, none is registered.
     pub fn define(&mut self, src: &str) -> Result<(), DbError> {
         self.kernel.define(&self.options, src).map(|_| ())
     }
 
-    /// Parses, resolves, elaborates, and effect-checks a query without
-    /// running it. Returns the elaborated query, its type, and its
-    /// inferred effect.
-    pub fn prepare(&self, src: &str) -> Result<(Query, Type, Effect), DbError> {
+    /// Parses, resolves, and type-and-effect-checks a query without
+    /// running it: the elaborated query, its type, its inferred effect,
+    /// and the Theorem 7 verdict every later stage reads.
+    pub fn prepare(&self, src: &str) -> Result<Prepared, DbError> {
+        self.prepared(src).map(|(_, prepared)| prepared)
+    }
+
+    /// [`Database::prepare`], keeping the state read guard the query was
+    /// prepared under for the caller's next step.
+    fn prepared(&self, src: &str) -> Result<(RwLockReadGuard<'_, KernelState>, Prepared), DbError> {
         let state = self.kernel.read_state();
-        self.kernel
-            .prepare_in(&self.options, &state, src, &mut Tracer::off())
+        let prepared = self
+            .kernel
+            .prepare_in(&self.options, &state, src, &mut Tracer::off())?;
+        Ok((state, prepared))
     }
 
     /// Runs a query end-to-end with the canonical deterministic chooser.
@@ -848,7 +852,9 @@ impl Database {
         let checked =
             ioql_types::check_program(self.schema(), &resolved, self.options.type_options)?;
         let state = self.kernel.read_state();
-        let eenv = self.kernel.effect_env_in(Discipline::permissive(), &state);
+        let mut eenv =
+            EffectEnv::new(self.schema()).with_method_effects(self.kernel.method_effects.clone());
+        eenv.defs = state.catalogue.sigs.clone();
         let inferred = ioql_effects::infer_program(&eenv, &checked.program)?;
         let cfg = self.kernel.eval_config(&self.options);
         let defs = DefEnv::from_program(&checked.program);
@@ -881,14 +887,12 @@ impl Database {
     /// Static analysis of a query: type, effect, functional-ness, the
     /// `⊢'` determinism verdict, and per-operator commutation verdicts.
     pub fn analyze(&self, src: &str) -> Result<Analysis, DbError> {
-        let state = self.kernel.read_state();
-        let (elab, ty, effect) =
-            self.kernel
-                .prepare_in(&self.options, &state, src, &mut Tracer::off())?;
-        let det_env = self
+        let (state, prepared) = self.prepared(src)?;
+        let no_vars = BTreeMap::new();
+        let determinism = self
             .kernel
-            .effect_env_in(Discipline::deterministic(), &state);
-        let determinism = infer_query(&det_env, &elab);
+            .judgement(&self.options, Discipline::deterministic(), &state.catalogue)
+            .query(&no_vars, &prepared.elab);
         let (deterministic, diagnosis) = match determinism {
             Ok(_) => (true, None),
             Err(EffectError::InterferingComprehension { body_effect }) => (
@@ -899,20 +903,19 @@ impl Database {
             ),
             Err(e) => (false, Some(e.to_string())),
         };
-        let functional = !elab.contains_new()
-            && elab.called_defs().iter().all(|d| {
-                state
-                    .defs
-                    .iter()
-                    .any(|def| &def.name == d && !def.contains_new())
-            });
-        let eenv = self.kernel.effect_env_in(Discipline::permissive(), &state);
         let mut commutations = Vec::new();
-        collect_commutations(&eenv, &elab, &mut commutations);
+        collect_commutations(
+            &self
+                .kernel
+                .judgement(&self.options, Discipline::permissive(), &state.catalogue),
+            &no_vars,
+            &prepared.elab,
+            &mut commutations,
+        );
         Ok(Analysis {
-            ty,
-            effect,
-            functional,
+            ty: prepared.ty,
+            effect: prepared.effect,
+            functional: prepared.thm7.new_free,
             deterministic,
             determinism_diagnosis: diagnosis,
             commutations,
@@ -922,11 +925,8 @@ impl Database {
     /// Optimizes a query, returning the rewritten query and the applied
     /// rewrites. Statistics are seeded from the *current* extent sizes.
     pub fn optimize(&self, src: &str) -> Result<(Query, Vec<AppliedRewrite>), DbError> {
-        let state = self.kernel.read_state();
-        let (elab, _, _) =
-            self.kernel
-                .prepare_in(&self.options, &state, src, &mut Tracer::off())?;
-        Ok(self.kernel.optimize_in(&state, &elab))
+        let (state, prepared) = self.prepared(src)?;
+        Ok(self.kernel.optimize_in(&state, &prepared.elab))
     }
 
     /// Renders the physical plan the `Plan` engine would execute for a
@@ -936,21 +936,30 @@ impl Database {
     /// diagnosis of which condition failed. Respects
     /// [`DbOptions::optimize`], exactly as execution does.
     pub fn explain(&self, src: &str) -> Result<String, DbError> {
-        let state = self.kernel.read_state();
-        let (mut elab, _, static_effect) =
-            self.kernel
-                .prepare_in(&self.options, &state, src, &mut Tracer::off())?;
+        let (state, prepared) = self.prepared(src)?;
+        Ok(match self.plan_in(&state, prepared) {
+            Ok(plan) => plan.render(),
+            Err(refusal) => refusal,
+        })
+    }
+
+    /// The plan execution would run for `prepared`, or the refusal
+    /// diagnosis `explain` and `explain_analyze` share.
+    fn plan_in(&self, state: &KernelState, prepared: Prepared) -> Result<ioql_plan::Plan, String> {
+        let Prepared {
+            mut elab,
+            effect,
+            mut thm7,
+            ..
+        } = prepared;
         if self.options.optimize {
-            elab = self.kernel.optimize_in(&state, &elab).0;
+            elab = self.kernel.optimize_in(state, &elab).0;
+            // The lowering judges the query it is handed; so does this.
+            thm7 = Thm7::decide(&elab, &effect, |d| state.catalogue.env.get(d));
         }
-        let defs = DbKernel::def_env_in(&state);
-        if let Some(plan) =
-            self.kernel
-                .lower_in(&self.options, &state, &elab, &static_effect, &defs)
-        {
-            return Ok(plan.render());
-        }
-        Ok(explain_refusal(&elab, &static_effect, &defs))
+        self.kernel
+            .lower_in(&self.options, state, &elab, &effect)
+            .ok_or_else(|| explain_refusal(&effect, thm7))
     }
 
     /// As [`Database::explain`], but *runs* the plan — against a clone
@@ -961,19 +970,10 @@ impl Database {
     /// plan-ineligible queries get the same refusal diagnosis as
     /// `explain`.
     pub fn explain_analyze(&self, src: &str) -> Result<String, DbError> {
-        let state = self.kernel.read_state();
-        let (mut elab, _, static_effect) =
-            self.kernel
-                .prepare_in(&self.options, &state, src, &mut Tracer::off())?;
-        if self.options.optimize {
-            elab = self.kernel.optimize_in(&state, &elab).0;
-        }
-        let defs = DbKernel::def_env_in(&state);
-        let Some(plan) = self
-            .kernel
-            .lower_in(&self.options, &state, &elab, &static_effect, &defs)
-        else {
-            return Ok(explain_refusal(&elab, &static_effect, &defs));
+        let (state, prepared) = self.prepared(src)?;
+        let plan = match self.plan_in(&state, prepared) {
+            Ok(plan) => plan,
+            Err(refusal) => return Ok(refusal),
         };
         let governor = self.governor();
         let cfg = self
@@ -981,11 +981,12 @@ impl Database {
             .eval_config(&self.options)
             .with_governor(&governor);
         let mut store = state.store.clone();
+        let catalogue = Arc::clone(&state.catalogue);
         drop(state);
         let (result, profile) = ioql_plan::execute_with_profile(
             &plan,
             &cfg,
-            &defs,
+            &catalogue.env,
             &mut store,
             &mut FirstChooser,
             self.options.max_steps,
@@ -1001,17 +1002,13 @@ impl Database {
     /// snapshot of the store — the full outcome set of the paper's
     /// non-deterministic relation.
     pub fn explore(&self, src: &str, max_runs: usize) -> Result<Exploration, DbError> {
-        let state = self.kernel.read_state();
-        let (elab, _, _) =
-            self.kernel
-                .prepare_in(&self.options, &state, src, &mut Tracer::off())?;
+        let (state, prepared) = self.prepared(src)?;
         let cfg = self.kernel.eval_config(&self.options);
-        let defs = DbKernel::def_env_in(&state);
         Ok(ioql_eval::explore_outcomes(
             &cfg,
-            &defs,
+            &state.catalogue.env,
             &state.store,
-            &elab,
+            &prepared.elab,
             self.options.max_steps,
             max_runs,
         ))
@@ -1086,19 +1083,16 @@ impl Database {
     /// the store (the database itself is unchanged) — every rule
     /// application and effect label, ready for rendering.
     pub fn trace(&self, src: &str) -> Result<ioql_eval::Trace, DbError> {
-        let state = self.kernel.read_state();
-        let (elab, _, _) =
-            self.kernel
-                .prepare_in(&self.options, &state, src, &mut Tracer::off())?;
+        let (state, prepared) = self.prepared(src)?;
         let cfg = self.kernel.eval_config(&self.options);
-        let defs = DbKernel::def_env_in(&state);
         let mut store = state.store.clone();
+        let catalogue = Arc::clone(&state.catalogue);
         drop(state);
         Ok(ioql_eval::trace(
             &cfg,
-            &defs,
+            &catalogue.env,
             &mut store,
-            &elab,
+            &prepared.elab,
             &mut FirstChooser,
             self.options.max_steps,
         ))
@@ -1114,17 +1108,13 @@ impl Database {
         max_runs: usize,
         threads: usize,
     ) -> Result<Exploration, DbError> {
-        let state = self.kernel.read_state();
-        let (elab, _, _) =
-            self.kernel
-                .prepare_in(&self.options, &state, src, &mut Tracer::off())?;
+        let (state, prepared) = self.prepared(src)?;
         let cfg = self.kernel.eval_config(&self.options);
-        let defs = DbKernel::def_env_in(&state);
         Ok(ioql_eval::explore_outcomes_parallel(
             &cfg,
-            &defs,
+            &state.catalogue.env,
             &state.store,
-            &elab,
+            &prepared.elab,
             self.options.max_steps,
             max_runs,
             threads,
@@ -1142,15 +1132,10 @@ impl Database {
 }
 
 /// The shared `explain`/`explain_analyze` diagnosis of why a query has
-/// no physical plan.
-fn explain_refusal(elab: &Query, static_effect: &Effect, defs: &DefEnv) -> String {
+/// no physical plan: the Theorem 7 verdict the lowering read, field by
+/// field, and the condition it refused on.
+fn explain_refusal(static_effect: &Effect, thm7: Thm7) -> String {
     let yes_no = |b: bool| if b { "yes" } else { "no" };
-    let defs_ok = elab.called_defs().iter().all(|d| {
-        defs.get(d)
-            .is_some_and(|def| !def.body.contains_new() && !def.body.contains_invoke())
-    });
-    let guard_holds =
-        static_effect.is_read_only() && !elab.contains_new() && !elab.contains_invoke() && defs_ok;
     format!(
         "no physical plan — the interpreter executes this query\n  \
          Thm 7 guard:\n    \
@@ -1158,16 +1143,15 @@ fn explain_refusal(elab: &Query, static_effect: &Effect, defs: &DefEnv) -> Strin
          `new`-free: {}\n    \
          invocation-free: {}\n    \
          called defs pure: {}\n  \
-         root shape has a physical operator: {}\n",
-        yes_no(static_effect.is_read_only()),
-        yes_no(!elab.contains_new()),
-        yes_no(!elab.contains_invoke()),
-        yes_no(defs_ok),
-        // The guard held but `lower` still declined ⇒ shape.
-        if guard_holds {
-            "no"
-        } else {
-            "not evaluated (guard failed)"
+         {}\n",
+        yes_no(thm7.write_free),
+        yes_no(thm7.new_free),
+        yes_no(thm7.invoke_free),
+        yes_no(thm7.defs_pure),
+        match thm7.refusal() {
+            Some(reason) => format!("refused: {reason}"),
+            // The guard held but `lower` still declined ⇒ shape.
+            None => "root shape has a physical operator: no".to_string(),
         },
     )
 }
@@ -1340,15 +1324,10 @@ mod tests {
 
     #[test]
     fn explain_renders_plans_and_diagnoses_refusals() {
-        // Pinned to the interpreted tier: with compilation on (e.g. the
-        // CI pass that exports IOQL_COMPILE=1), a compiled Filter costs
-        // less than the index build + probe and the cost model rightly
-        // stops picking HashIndexProbe for this tiny extent.
-        let opts = DbOptions {
-            compile: false,
-            ..DbOptions::default()
-        };
-        let mut db = Database::from_ddl_with(DDL, opts).unwrap();
+        // On the interpreted tier (the default): a compiled Filter costs
+        // less than the index build + probe, and the cost model then
+        // rightly stops picking HashIndexProbe for this tiny extent.
+        let mut db = Database::from_ddl(DDL).unwrap();
         db.query("{ new Person(name: n, age: n + 20) | n <- {1, 2, 3} }")
             .unwrap();
         // Enough rows that the cost model picks the index over the scan.

@@ -252,12 +252,15 @@ impl Database {
             let line = rec.seq as usize + 1;
             match &rec.payload {
                 WalPayload::Define { text } => {
+                    // One record per `define` call, however many forms.
+                    let before = self.kernel().read_state().catalogue.order.len();
                     self.define(text).map_err(|e| WalError {
                         kind: WalErrorKind::Replay,
                         line,
                         message: format!("replaying definition failed: {e}"),
                     })?;
-                    replayed_defs += 1;
+                    let after = self.kernel().read_state().catalogue.order.len();
+                    replayed_defs += (after - before) as u64;
                 }
                 WalPayload::Query { text, draws } => {
                     self.replay_logged_query(text, draws)
@@ -391,7 +394,7 @@ impl DbKernel {
             .map_err(|e| io_wal(format!("open {}: {e}", next_log_path.display())))?;
         let mut next_wal = Wal::create_with_sink(sink, next, durability)
             .map_err(|e| io_wal(format!("write wal-{next} header: {e}")))?;
-        for def in &state.defs {
+        for def in state.catalogue.ordered() {
             next_wal
                 .append(&WalPayload::Define {
                     text: def.to_string(),

@@ -75,8 +75,13 @@ impl From<ioql_types::TypeError> for DbError {
 }
 
 impl From<ioql_effects::EffectError> for DbError {
+    /// The fused front end reports Figure 1 violations through the effect
+    /// judgement's error type; they are still type errors.
     fn from(e: ioql_effects::EffectError) -> Self {
-        DbError::Effect(e)
+        match e {
+            ioql_effects::EffectError::Type(t) => DbError::Type(t),
+            other => DbError::Effect(other),
+        }
     }
 }
 

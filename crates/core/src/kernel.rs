@@ -18,10 +18,23 @@
 //!   callers; the admission counters do not tick.
 //! * `ExecMode::Admission` — the session path, scheduled by the
 //!   admission controller ([`crate::sched`]): the query is prepared
-//!   under the state *read* lock, and its inferred effect decides
-//!   whether it runs concurrently against a version-stamped snapshot
-//!   (write-free queries — Theorem 7's guard) or serializes on the
-//!   write lock with a named interference witness.
+//!   under the state *read* lock, and the Theorem 7 verdict on its
+//!   inferred effect decides whether it runs concurrently against a
+//!   version-stamped snapshot (write-free queries) or serializes on
+//!   the write lock with a named interference witness.
+//!
+//! ## One pass, one `Prepared`, one catalogue
+//!
+//! The front end walks a query **once**: `DbKernel::prepare_in` parses,
+//! resolves, and instantiates the fused Figure 1/3 walker
+//! (`ioql_types::Judgement` over `ioql_effects::EffectRules`), then
+//! decides Theorem 7's guard with `Thm7::decide`. The result is one
+//! immutable [`Prepared`] `{ elab, ty, effect, thm7 }`; admission, the
+//! cache gate and its `ineligible(reason)` note, the WAL gate,
+//! `analyze`, and `explain` read `thm7`'s fields and never re-inspect
+//! the query. Registered definitions live in one `Arc`-shared
+//! `Catalogue` built at `define` time — a snapshot clones the pointer,
+//! and no request rebuilds an environment from it.
 //!
 //! ## Lock discipline
 //!
@@ -39,30 +52,65 @@ use crate::database::{DbMetrics, DbOptions, Engine, QueryResult};
 use crate::durable::DurableLog;
 use crate::error::DbError;
 use crate::sched::{Admitted, Sched};
-use ioql_ast::{DefName, Definition, FnType, Program, Query, Type, Value};
-use ioql_effects::{effect_extents, infer_query, Discipline, Effect, EffectEnv, MethodEffects};
+use ioql_ast::{DefName, Definition, FnType, Query, Type, Value};
+use ioql_effects::{effect_extents, Discipline, Effect, EffectRules, MethodEffects, Thm7};
 use ioql_eval::{
     eval_big, evaluate, Chooser, CountingChooser, DefEnv, EvalConfig, Governor, RecordingChooser,
 };
-use ioql_opt::{optimize as run_optimizer, AppliedRewrite, OptOptions, Stats};
+use ioql_opt::{AppliedRewrite, OptOptions, Optimizer, Stats};
 use ioql_schema::Schema;
 use ioql_store::{Durability, Store, WalPayload};
 use ioql_syntax::parse_definitions;
 use ioql_telemetry::{EventSink, FlightRecorder, Tracer};
-use ioql_types::{check_query, TypeEnv};
+use ioql_types::{Judgement, TypeError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
+/// The definition catalogue: every view of the registered definitions a
+/// request needs, built once at `define` time and shared by pointer.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Catalogue {
+    /// Registration order (a later definition may call an earlier one).
+    pub(crate) order: Vec<DefName>,
+    /// `DE`: the elaborated bodies by name — the only copy, shared by
+    /// pointer with every catalogue derived from this one.
+    pub(crate) env: DefEnv,
+    /// `D`: annotated function types `σ⃗ →ε σ'`, for the front end.
+    pub(crate) sigs: BTreeMap<DefName, (FnType, Effect)>,
+}
+
+impl Catalogue {
+    /// The definitions in registration order: what checkpoints re-log
+    /// and the optimizer brings into scope.
+    pub(crate) fn ordered(&self) -> impl Iterator<Item = &Definition> {
+        self.order.iter().filter_map(|d| self.env.get(d))
+    }
+}
+
 /// The mutable half of the kernel: everything a committed query or
 /// definition can change. Guarded by one `RwLock`; cloned wholesale to
-/// give a concurrently-admitted reader its snapshot.
+/// give a concurrently-admitted reader its snapshot — two pointer-ish
+/// clones: the store's chunk spines and the catalogue `Arc`.
 #[derive(Clone, Debug)]
 pub(crate) struct KernelState {
     pub(crate) store: Store,
-    pub(crate) defs: Vec<Definition>,
-    pub(crate) def_types: BTreeMap<DefName, FnType>,
-    pub(crate) def_effects: BTreeMap<DefName, (FnType, Effect)>,
+    pub(crate) catalogue: Arc<Catalogue>,
+}
+
+/// The front end's one artifact: what a single pass over the query text
+/// derives, and every static verdict later stages need.
+#[derive(Clone, Debug)]
+pub struct Prepared {
+    /// The elaborated query (projections resolved by subject type).
+    pub elab: Query,
+    /// Its Figure 1 type.
+    pub ty: Type,
+    /// Its Figure 3 effect.
+    pub effect: Effect,
+    /// The Theorem 7 verdict admission, the cache, the WAL gate,
+    /// `analyze` and `explain` read.
+    pub thm7: Thm7,
 }
 
 /// Which path a query takes through the kernel.
@@ -188,36 +236,30 @@ impl DbKernel {
     // Environments (parameterized by a state borrow, not `self` fields).
     // ------------------------------------------------------------------
 
-    pub(crate) fn type_env_in<'a>(&'a self, opts: &DbOptions, state: &KernelState) -> TypeEnv<'a> {
-        let mut env = TypeEnv::with_options(&self.schema, opts.type_options);
-        env.defs = state.def_types.clone();
-        env
-    }
-
-    pub(crate) fn effect_env_in<'a>(
+    /// The fused Figure 1/3 judgement under this handle's type options,
+    /// its algebra borrowing `D` from `catalogue` (nothing is cloned).
+    pub(crate) fn judgement<'a>(
         &'a self,
+        opts: &DbOptions,
         discipline: Discipline,
-        state: &KernelState,
-    ) -> EffectEnv<'a> {
-        let mut env = EffectEnv::new(&self.schema)
-            .with_discipline(discipline)
-            .with_method_effects(self.method_effects.clone());
-        env.defs = state.def_effects.clone();
-        env
+        catalogue: &'a Catalogue,
+    ) -> Judgement<'a, EffectRules<'a>> {
+        Judgement {
+            schema: &self.schema,
+            store: None,
+            options: opts.type_options,
+            algebra: EffectRules {
+                defs: &catalogue.sigs,
+                methods: &self.method_effects,
+                discipline,
+            },
+        }
     }
 
     pub(crate) fn eval_config<'a>(&'a self, opts: &DbOptions) -> EvalConfig<'a> {
         EvalConfig::new(&self.schema)
             .with_method_mode(opts.method_mode)
             .with_method_fuel(opts.method_fuel)
-    }
-
-    pub(crate) fn def_env_in(state: &KernelState) -> DefEnv {
-        let mut de = DefEnv::new();
-        for d in &state.defs {
-            de.insert(d.clone());
-        }
-        de
     }
 
     /// Catalogue statistics seeded from the current extent sizes —
@@ -230,42 +272,48 @@ impl DbKernel {
         stats
     }
 
-    /// Parses, resolves, elaborates, and effect-checks a query without
-    /// running it. The tracer (a no-op unless the caller is recording a
-    /// flight-recorder trace) gets one span per phase; spans left open
-    /// by an early error are closed when the trace is sealed.
+    /// Parses, resolves, and derives `q : σ ! ε` in one pass, without
+    /// running the query. The tracer (a no-op unless the caller is
+    /// recording a flight-recorder trace) gets one span per phase; spans
+    /// left open by an early error are closed when the trace is sealed.
     pub(crate) fn prepare_in(
         &self,
         opts: &DbOptions,
         state: &KernelState,
         src: &str,
         tracer: &mut Tracer,
-    ) -> Result<(Query, Type, Effect), DbError> {
+    ) -> Result<Prepared, DbError> {
         let t = self.metrics.phase_parse.start_timer();
         let sp = tracer.begin("parse", "");
         let raw = ioql_syntax::parse_query(src)?;
         let resolved = self.schema.resolve_query(&raw);
         self.metrics.phase_parse.observe_timer(t);
         tracer.end(sp);
-        let t = self.metrics.phase_typecheck.start_timer();
-        let sp = tracer.begin("typecheck", "");
-        let tenv = self.type_env_in(opts, state);
-        let (elab, ty) = check_query(&tenv, &resolved)?;
-        self.metrics.phase_typecheck.observe_timer(t);
-        tracer.end_with(sp, || Some(ty.to_string()));
         let discipline = if opts.require_deterministic {
             Discipline::deterministic()
         } else {
             Discipline::permissive()
         };
-        let t = self.metrics.phase_effect.start_timer();
-        let sp = tracer.begin("effect-infer", "");
-        let eenv = self.effect_env_in(discipline, state);
-        let (ty2, eff) = infer_query(&eenv, &elab)?;
-        self.metrics.phase_effect.observe_timer(t);
-        tracer.end_with(sp, || Some(format!("effect {{{eff}}}")));
-        debug_assert_eq!(ty, ty2, "Figure 1 and Figure 3 disagree on a type");
-        Ok((elab, ty, eff))
+        let t = self.metrics.phase_typecheck.start_timer();
+        let sp = tracer.begin("typecheck", "");
+        let judge = |discipline| {
+            self.judgement(opts, discipline, &state.catalogue)
+                .query(&BTreeMap::new(), &resolved)
+        };
+        // Error path only: a `⊢'` rejection fires mid-walk, so re-derive
+        // under `⊢` — a Figure 1 error anywhere in the query outranks it,
+        // as it did when the type checker ran to completion first.
+        let (elab, ty, effect) = judge(discipline)
+            .map_err(|rejected| judge(Discipline::permissive()).err().unwrap_or(rejected))?;
+        self.metrics.phase_typecheck.observe_timer(t);
+        tracer.end_with(sp, || Some(format!("{ty} ! {{{effect}}}")));
+        let thm7 = Thm7::decide(&elab, &effect, |d| state.catalogue.env.get(d));
+        Ok(Prepared {
+            elab,
+            ty,
+            effect,
+            thm7,
+        })
     }
 
     pub(crate) fn optimize_in(
@@ -274,10 +322,9 @@ impl DbKernel {
         elab: &Query,
     ) -> (Query, Vec<AppliedRewrite>) {
         let stats = DbKernel::stats_in(&state.store);
-        let program = Program::new(state.defs.clone(), elab.clone());
-        let (optimized, applied) =
-            run_optimizer(&self.schema, &program, stats, OptOptions::default());
-        (optimized.query, applied)
+        let mut optimizer = Optimizer::new(&self.schema, stats, OptOptions::default());
+        let optimized = optimizer.optimize_in_scope(state.catalogue.ordered(), elab);
+        (optimized, optimizer.applied().to_vec())
     }
 
     /// Lowers a prepared query to a physical plan under the configured
@@ -290,12 +337,10 @@ impl DbKernel {
         state: &KernelState,
         elab: &Query,
         static_effect: &Effect,
-        defs: &DefEnv,
     ) -> Option<ioql_plan::Plan> {
-        let branch_effect = |q: &Query| {
-            let eenv = self.effect_env_in(Discipline::permissive(), state);
-            infer_query(&eenv, q).ok().map(|(_, eff)| eff)
-        };
+        let judgement = self.judgement(opts, Discipline::permissive(), &state.catalogue);
+        let closed = BTreeMap::new();
+        let branch_effect = |q: &Query| judgement.query(&closed, q).ok().map(|(_, _, eff)| eff);
         let spec = ioql_plan::ParSpec {
             parallelism: opts.parallelism,
             compile: opts.compile,
@@ -305,7 +350,7 @@ impl DbKernel {
         ioql_plan::lower_with(
             elab,
             static_effect,
-            defs,
+            &state.catalogue.env,
             &DbKernel::stats_in(&state.store),
             &spec,
         )
@@ -394,10 +439,9 @@ impl DbKernel {
                 tracer.end(sp);
                 let wait = lock_started.elapsed();
                 tracer.set_wait_ns(wait.as_nanos().min(u64::MAX as u128) as u64);
-                let (elab, ty, eff) = self.prepare_in(opts, &state, src, tracer)?;
-                let (mut r, _) = self.execute_in(
-                    opts, &mut state, elab, ty, eff, chooser, governor, true, tracer,
-                )?;
+                let prepared = self.prepare_in(opts, &state, src, tracer)?;
+                let (mut r, _) =
+                    self.execute_in(opts, &mut state, prepared, chooser, governor, true, tracer)?;
                 r.wait = wait;
                 Ok(r)
             }
@@ -421,23 +465,11 @@ impl DbKernel {
         let lock_sp = tracer.begin("lock-acquire", "state-read");
         let state = self.read_state();
         tracer.end(lock_sp);
-        let (elab, ty, eff) = self.prepare_in(opts, &state, src, tracer)?;
-        // Theorem 7's guard, at query granularity: a write-free (no
-        // `A(C)`, no `U(C)`) and `new`-free query cannot interfere with
-        // any other such query — two read-only effects never produce an
-        // interference witness. The effect check is the sound one; the
-        // syntactic `new` checks are belt-and-braces, mirroring the
-        // cacheability guard.
-        let write_free = eff.adds.is_empty()
-            && eff.updates.is_empty()
-            && !elab.contains_new()
-            && elab.called_defs().iter().all(|d| {
-                state
-                    .defs
-                    .iter()
-                    .any(|def| &def.name == d && !def.contains_new())
-            });
-        if write_free {
+        let prepared = self.prepare_in(opts, &state, src, tracer)?;
+        // Theorem 7's guard, at query granularity: two write-free effects
+        // never produce an interference witness, so such a query may run
+        // beside any other admitted one.
+        if prepared.thm7.snapshot_admissible() {
             // Register in the scheduler and clone the snapshot while
             // still holding the read lock: no writer can commit between
             // the stamp and the clone, so the snapshot reflects exactly
@@ -448,7 +480,7 @@ impl DbKernel {
             // path-copies it.
             let snap_sp = tracer.begin("snapshot-acquire", "");
             let snap_timer = self.metrics.sched.snapshot_ns.start_timer();
-            let (rid, snapshot_seq) = self.sched.admit_reader(&eff);
+            let (rid, snapshot_seq) = self.sched.admit_reader(&prepared.effect);
             let mut snapshot = state.clone();
             self.metrics.sched.snapshot_ns.observe_timer(snap_timer);
             drop(state);
@@ -470,9 +502,7 @@ impl DbKernel {
             let result = self.execute_in(
                 opts,
                 &mut snapshot,
-                elab,
-                ty,
-                eff,
+                prepared,
                 chooser,
                 governor,
                 false,
@@ -489,7 +519,7 @@ impl DbKernel {
             // Refused concurrency: name the interfering atom pair
             // (against a live reader if one is in flight) and serialize
             // on the write lock in arrival order.
-            let witness = self.sched.writer_witness(&eff, &self.schema);
+            let witness = self.sched.writer_witness(&prepared.effect, &self.schema);
             self.metrics.sched.serialized.inc();
             self.metrics.sched.witnesses.inc();
             let lock_sp = tracer.begin("lock-acquire", "state-write");
@@ -508,14 +538,16 @@ impl DbKernel {
             // lock: sound because elaboration depends only on the
             // schema (fixed) and the def catalogue (append-only, and a
             // redefinition is rejected at `define` time).
-            let (mut r, seq) = self.execute_in(
-                opts, &mut state, elab, ty, eff, chooser, governor, true, tracer,
-            )?;
+            let (mut r, seq) =
+                self.execute_in(opts, &mut state, prepared, chooser, governor, true, tracer)?;
+            // Serialized means not write-free, and such a query takes a
+            // commit stamp whenever it succeeds on the live state; a
+            // missing stamp is a kernel bug, not commit 0.
+            let commit_seq = seq.ok_or_else(|| {
+                DbError::Internal("serialized query committed without a commit stamp".into())
+            })?;
             r.admitted = Some(Admitted::Serialized {
-                // A statically-mutating query always commits on success
-                // (`commit=true` above), so the stamp is present; 0 is
-                // unreachable but harmless.
-                commit_seq: seq.unwrap_or(0),
+                commit_seq,
                 witness,
             });
             r.wait = waited;
@@ -535,18 +567,22 @@ impl DbKernel {
         &self,
         opts: &DbOptions,
         state: &mut KernelState,
-        mut elab: Query,
-        ty: Type,
-        static_effect: Effect,
+        prepared: Prepared,
         chooser: &mut dyn Chooser,
         governor: &Governor,
         commit: bool,
         tracer: &mut Tracer,
     ) -> Result<(QueryResult, Option<u64>), DbError> {
+        let Prepared {
+            mut elab,
+            ty,
+            effect: static_effect,
+            thm7,
+        } = prepared;
         // The write-ahead-log gate: only queries the effect system says
         // can write (`A(C)`/`U(C)` non-empty) are logged — Theorem 7
         // write-free queries have nothing to persist and skip the log.
-        let mutating = !static_effect.adds.is_empty() || !static_effect.updates.is_empty();
+        let mutating = !thm7.write_free;
         let wal_active = self.wal_active(opts);
         let log_this = mutating && wal_active && commit;
         if wal_active && !mutating {
@@ -560,18 +596,9 @@ impl DbKernel {
         let mut recording = RecordingChooser::new(chooser, log_this);
         let mut chooser = CountingChooser::new(&mut recording, self.metrics.chooser_draws.clone());
         let chooser: &mut dyn Chooser = &mut chooser;
-        // Theorem 7 guard: only `new`-free queries with no `A(C)` (and,
-        // for the §5 extension, no `U(C)`) are deterministic, hence
-        // memoizable.
-        let cacheable = opts.cache_capacity > 0
-            && static_effect.is_read_only()
-            && !elab.contains_new()
-            && elab.called_defs().iter().all(|d| {
-                state
-                    .defs
-                    .iter()
-                    .any(|def| &def.name == d && !def.contains_new())
-            });
+        // Theorem 7 guard: only write-free queries (no `A(C)`; for the §5
+        // extension, no `U(C)`) are deterministic, hence memoizable.
+        let cacheable = opts.cache_capacity > 0 && thm7.cacheable();
         // Key on the *pre-optimization* elaborated query: the optimizer's
         // output drifts with catalogue statistics, the elaborated form
         // does not.
@@ -579,13 +606,14 @@ impl DbKernel {
         if !cacheable {
             tracer.note("cache-probe", || {
                 let reason = if opts.cache_capacity == 0 {
-                    "cache disabled (capacity 0)"
-                } else if !static_effect.is_read_only() {
-                    "effect not read-only"
+                    Some("cache disabled (capacity 0)")
                 } else {
-                    "query or called defs contain `new`"
+                    thm7.refusal()
                 };
-                (String::new(), format!("ineligible({reason})"))
+                (
+                    String::new(),
+                    format!("ineligible({})", reason.unwrap_or_default()),
+                )
             });
         }
         if let Some(key) = &cache_key {
@@ -671,7 +699,7 @@ impl DbKernel {
             .with_method_fuel(opts.method_fuel)
             .with_governor(governor)
             .with_metrics(&eval_metrics);
-        let defs = DbKernel::def_env_in(state);
+        let defs = &state.catalogue.env;
         let engine = opts.engine;
         let max_steps = opts.max_steps;
         // Lower to a physical plan before taking the store mutably (the
@@ -682,7 +710,7 @@ impl DbKernel {
             Engine::Plan => {
                 let t = self.metrics.phase_lower.start_timer();
                 let sp = tracer.begin("lower", "");
-                let plan = self.lower_in(opts, state, &elab, &static_effect, &defs);
+                let plan = self.lower_in(opts, state, &elab, &static_effect);
                 self.metrics.phase_lower.observe_timer(t);
                 tracer.end_with(sp, || {
                     Some(match &plan {
@@ -764,8 +792,8 @@ impl DbKernel {
         // on `Err` the only witness of the broken invariants — the
         // store — is discarded and replaced by the snapshot below.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match engine {
-            Engine::SmallStep => evaluate(&cfg, &defs, store, &elab, chooser, max_steps),
-            Engine::BigStep => eval_big(&cfg, &defs, store, &elab, chooser, max_steps).map(|r| {
+            Engine::SmallStep => evaluate(&cfg, defs, store, &elab, chooser, max_steps),
+            Engine::BigStep => eval_big(&cfg, defs, store, &elab, chooser, max_steps).map(|r| {
                 ioql_eval::Evaluated {
                     value: r.value,
                     effect: r.effect,
@@ -777,7 +805,7 @@ impl DbKernel {
                     Some(plan) => ioql_plan::execute_instrumented(
                         plan,
                         &cfg,
-                        &defs,
+                        defs,
                         store,
                         chooser,
                         max_steps,
@@ -793,7 +821,7 @@ impl DbKernel {
                     }),
                     // Ineligible or shape-unknown: the big-step evaluator is
                     // the plan engine's interpreter tier.
-                    None => eval_big(&cfg, &defs, store, &elab, chooser, max_steps).map(|r| {
+                    None => eval_big(&cfg, defs, store, &elab, chooser, max_steps).map(|r| {
                         ioql_eval::Evaluated {
                             value: r.value,
                             effect: r.effect,
@@ -919,42 +947,44 @@ impl DbKernel {
         ))
     }
 
-    /// Registers `define …;` forms. Each definition is type-checked,
-    /// elaborated, and effect-annotated before being added to scope.
-    /// A successful call that registered at least one definition takes
-    /// a commit-sequence slot (definitions are observable state).
+    /// Registers `define …;` forms, all or nothing: every form of the
+    /// batch is checked, elaborated, and effect-annotated against the
+    /// growing catalogue first; only then is the batch logged (as one
+    /// record) and the new catalogue swapped in. A successful call that
+    /// registered at least one definition takes a commit-sequence slot
+    /// (definitions are observable state); a failing one leaves the
+    /// catalogue, the log, and the commit sequence untouched.
     pub(crate) fn define(&self, opts: &DbOptions, src: &str) -> Result<Option<u64>, DbError> {
         let parsed = parse_definitions(src)?;
+        if parsed.is_empty() {
+            return Ok(None);
+        }
         let mut state = self.write_state();
-        let mut registered = 0usize;
+        let mut next = Catalogue::clone(&state.catalogue);
         for def in parsed {
-            if state.def_types.contains_key(&def.name) {
-                return Err(ioql_types::TypeError::DuplicateDef(def.name).into());
+            if next.sigs.contains_key(&def.name) {
+                return Err(TypeError::DuplicateDef(def.name).into());
             }
             let resolved = self.schema.resolve_def(&def);
-            let tenv = self.type_env_in(opts, &state);
-            let (elab, fnty) = ioql_types::check_definition(&tenv, &resolved)?;
-            let eenv = self.effect_env_in(Discipline::permissive(), &state);
-            let (_, eff) = ioql_effects::infer_definition(&eenv, &elab)?;
-            state.def_types.insert(elab.name.clone(), fnty.clone());
-            state.def_effects.insert(elab.name.clone(), (fnty, eff));
-            let text = elab.to_string();
-            let name = elab.name.clone();
-            state.defs.push(elab);
-            registered += 1;
-            // Definitions are replayable state: log each one like a
-            // committed mutation (checkpoints re-log the live set). If
-            // the append fails, unregister so the in-memory catalogue
-            // never runs ahead of the log.
-            if self.wal_active(opts) {
-                if let Err(e) = self.wal_append(&WalPayload::Define { text }) {
-                    state.defs.pop();
-                    state.def_types.remove(&name);
-                    state.def_effects.remove(&name);
-                    return Err(e);
-                }
-            }
+            let (elab, fnty, effect) = self
+                .judgement(opts, Discipline::permissive(), &next)
+                .definition(&BTreeMap::new(), &resolved)?;
+            next.sigs.insert(elab.name.clone(), (fnty, effect));
+            next.order.push(elab.name.clone());
+            next.env.insert(elab);
         }
-        Ok((registered > 0).then(|| self.sched.commit_writer()))
+        // Definitions are replayable state: the batch goes to the log
+        // like a committed mutation (checkpoints re-log the live set),
+        // and before the swap, so the in-memory catalogue never runs
+        // ahead of the log.
+        if self.wal_active(opts) {
+            let batch = next.ordered().skip(state.catalogue.order.len());
+            let text = batch.map(|d| d.to_string()).collect::<Vec<_>>();
+            self.wal_append(&WalPayload::Define {
+                text: text.join("\n"),
+            })?;
+        }
+        state.catalogue = Arc::new(next);
+        Ok(Some(self.sched.commit_writer()))
     }
 }

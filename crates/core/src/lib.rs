@@ -66,7 +66,7 @@ pub use cache::CacheStats;
 pub use database::{Database, DbMetrics, DbOptions, Engine, QueryResult, StoreRef, StoreRefMut};
 pub use durable::{RecoveryReport, SinkFactory, WalStatus};
 pub use error::DbError;
-pub use kernel::DbKernel;
+pub use kernel::{DbKernel, Prepared};
 pub use obs::{serve_obs, ObsHandle};
 pub use sched::{Admitted, SchedMetrics};
 pub use server::{serve, Client, Frame, ServerHandle};
@@ -87,7 +87,7 @@ pub use ioql_telemetry as telemetry;
 pub use ioql_types as types;
 
 pub use ioql_ast::{Program, Query, Type, Value};
-pub use ioql_effects::{Discipline, Effect};
+pub use ioql_effects::{Discipline, Effect, Thm7};
 pub use ioql_eval::{
     CancelToken, Chooser, EvalError, FirstChooser, Governor, LastChooser, Limits, RandomChooser,
     ResourceKind, ScriptedChooser,

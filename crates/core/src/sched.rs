@@ -5,11 +5,12 @@
 //! that license *inside* one query — chunked scans, partitioned hash
 //! builds. This module uses the same machinery **between whole queries
 //! from different sessions**: every query submitted through a
-//! [`Session`](crate::Session) is typechecked and effect-inferred, and
-//! the inferred effect decides its admission class:
+//! [`Session`](crate::Session) is type-and-effect checked in one pass,
+//! and the Theorem 7 verdict on its effect (`Thm7::snapshot_admissible`)
+//! decides its admission class:
 //!
-//! * **Concurrent** — a write-free, `new`-free query (no `A(C)`, no
-//!   `U(C)` atom; Theorem 7's guard) cannot interfere with any other
+//! * **Concurrent** — a write-free query (no `A(C)`, no `U(C)` atom;
+//!   Theorem 7's guard) cannot interfere with any other
 //!   write-free query: the interference witness between two read-only
 //!   effects is always `None` (reads commute with reads). Such queries
 //!   are admitted immediately against a **version-stamped snapshot** of

@@ -176,11 +176,9 @@ impl Effect {
         None
     }
 
-    /// Whether the effect licenses result caching: no `A(C)` and no
-    /// `U(C)` atom — the query may read extents and attributes but never
-    /// changes the store, so (by Theorem 7, whose `new`-freedom the
-    /// caller checks syntactically) its result is a pure function of the
-    /// versions of its read set.
+    /// No `A(C)` and no `U(C)` atom — the query may read extents and
+    /// attributes but never changes the store. This is the `write_free`
+    /// field of the [`Thm7`](crate::Thm7) verdict; guards read it there.
     pub fn is_read_only(&self) -> bool {
         self.adds.is_empty() && self.updates.is_empty()
     }

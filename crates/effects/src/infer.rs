@@ -2,71 +2,133 @@
 //! `⊢'` and `⊢''` refinements.
 //!
 //! Figure 3 restates every Figure 1 premise with effect accumulation, so
-//! this module is a full, standalone type-and-effect checker. A workspace
-//! property test cross-checks it against `ioql-types`: on every generated
-//! well-typed query the two systems derive identical types.
+//! the rules themselves live once, in `ioql-types`' [`Judgement`]; this
+//! module supplies the part that is Figure 3's own — [`EffectRules`], the
+//! `R(C)`/`A(C)` algebra that annotates each judgement — and the public
+//! entry points that instantiate the walker with it.
 //!
 //! The inference computes the *least* effect of a query; the paper's
 //! (Does) rule — weakening to any supereffect — corresponds to
 //! [`Effect::subeffect`] on the result.
 
 use crate::effect::Effect;
-use crate::env::EffectEnv;
-use ioql_ast::{
-    AttrName, ClassName, Definition, FnType, Label, Program, Qualifier, Query, Type, Value,
-};
+use crate::env::{Discipline, EffectEnv};
+use crate::error::EffectError;
+use crate::method_effects::MethodEffects;
+use ioql_ast::{ClassName, DefName, Definition, FnType, MethodName, Program, Query, SetOp, Type};
 use ioql_schema::Schema;
 use ioql_store::Store;
-use ioql_types::{type_of_value, TypeError};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use ioql_types::{EffectAlgebra, Judgement, TypeError, TypeOptions};
+use std::collections::BTreeMap;
 
-/// An effect-system failure: either an underlying type error, or one of
-/// the `⊢'`/`⊢''` interference checks firing.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum EffectError {
-    /// The query is ill-typed (the effect system includes the type
-    /// system's premises).
-    Type(TypeError),
-    /// `⊢'` rejected a comprehension whose body effect interferes with
-    /// itself — the statically detected non-determinism of Theorem 7.
-    InterferingComprehension {
-        /// The body's inferred effect (contains the clashing R/A pair).
-        body_effect: Effect,
-    },
-    /// `⊢''` rejected a commutative set operator whose operands interfere
-    /// — commuting them could change the result (paper §4's `∩` example).
-    InterferingOperands {
-        /// Left operand's effect.
-        left: Effect,
-        /// Right operand's effect.
-        right: Effect,
-    },
+/// Figure 3's annotation of the Figure 1 rules: `D` with its latent
+/// effects `σ⃗ →ε σ'`, the method-effect table behind (Method)'s `ε''`,
+/// and which of `⊢` / `⊢'` / `⊢''` is being derived.
+#[derive(Clone, Copy, Debug)]
+pub struct EffectRules<'a> {
+    /// Definitions with their types and latent effects.
+    pub defs: &'a BTreeMap<DefName, (FnType, Effect)>,
+    /// Latent effects of methods; the empty table is the paper's
+    /// read-only methods, all `∅`.
+    pub methods: &'a MethodEffects,
+    /// Which side conditions to enforce.
+    pub discipline: Discipline,
 }
 
-impl fmt::Display for EffectError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EffectError::Type(e) => write!(f, "{e}"),
-            EffectError::InterferingComprehension { body_effect } => write!(
-                f,
-                "comprehension body has interfering effect {{{body_effect}}}: evaluation \
-                 order is observable (potential non-determinism)"
-            ),
-            EffectError::InterferingOperands { left, right } => write!(
-                f,
-                "operand effects {{{left}}} and {{{right}}} interfere: operands may not be \
-                 commuted"
-            ),
+impl EffectAlgebra for EffectRules<'_> {
+    type Effect = Effect;
+    type Error = EffectError;
+
+    fn union(&self, into: &mut Effect, other: Effect) {
+        into.union_with(&other);
+    }
+
+    /// (Extent): `e : set(C) ! R(C)`.
+    fn on_extent(&self, c: &ClassName) -> Effect {
+        Effect::read(c.clone())
+    }
+
+    /// (New): `A(C)` for the object's own class, plus — under the ODMG
+    /// `inherited_extents` option — every superclass whose extent also
+    /// receives the object. Recording the closure at *inference* time
+    /// keeps `nonint` a plain per-class disjointness test.
+    fn on_new(&self, schema: &Schema, c: &ClassName) -> Effect {
+        let mut e = Effect::add(c.clone());
+        if schema.options().inherited_extents {
+            for sup in schema.proper_superclasses(c) {
+                if !sup.is_object() {
+                    e.adds.insert(sup);
+                }
+            }
         }
+        e
+    }
+
+    /// Attribute reads add `Ra(C)` — used only by the extended-mode
+    /// analyses.
+    fn on_attr(&self, c: &ClassName) -> Effect {
+        Effect::attr_read(c.clone())
+    }
+
+    fn def_sig(&self, d: &DefName) -> Option<(&FnType, Effect)> {
+        self.defs
+            .get(d)
+            .map(|(fnty, latent)| (fnty, latent.clone()))
+    }
+
+    fn method_latent(&self, schema: &Schema, c: &ClassName, m: &MethodName) -> Effect {
+        self.methods.effect_of(schema, c, m)
+    }
+
+    /// `⊢'`: a generator's body runs once per element in an unspecified
+    /// order, so its effect must be non-interfering.
+    fn check_comp_body(&self, body: &Effect) -> Result<(), EffectError> {
+        if self.discipline.deterministic_comprehensions && !body.nonint_extended() {
+            return Err(EffectError::InterferingComprehension {
+                body_effect: body.clone(),
+            });
+        }
+        Ok(())
+    }
+
+    /// `⊢''`: the operands of a commutative operator must not interfere.
+    fn check_set_operands(
+        &self,
+        schema: &Schema,
+        op: SetOp,
+        left: &Effect,
+        right: &Effect,
+    ) -> Result<(), EffectError> {
+        if self.discipline.safe_commutation
+            && op.is_commutative()
+            && !left.noninterfering_with(right, schema)
+        {
+            return Err(EffectError::InterferingOperands {
+                left: left.clone(),
+                right: right.clone(),
+            });
+        }
+        Ok(())
     }
 }
 
-impl std::error::Error for EffectError {}
-
-impl From<TypeError> for EffectError {
-    fn from(e: TypeError) -> Self {
-        EffectError::Type(e)
+impl EffectEnv<'_> {
+    /// The shared walker instantiated with this environment's rules. The
+    /// plain type system is the gatekeeper for downcasts; the effect system
+    /// only accumulates, so casts are accepted in either direction here.
+    fn judgement<'a>(&'a self, store: Option<&'a Store>) -> Judgement<'a, EffectRules<'a>> {
+        Judgement {
+            schema: self.schema,
+            store,
+            options: TypeOptions {
+                allow_downcast: true,
+            },
+            algebra: EffectRules {
+                defs: &self.defs,
+                methods: &self.methods,
+                discipline: self.discipline,
+            },
+        }
     }
 }
 
@@ -74,7 +136,7 @@ impl From<TypeError> for EffectError {
 #[derive(Clone, Debug)]
 pub struct InferredProgram {
     /// Each definition's annotated type `σ⃗ →ε σ'`.
-    pub def_sigs: BTreeMap<ioql_ast::DefName, (FnType, Effect)>,
+    pub def_sigs: BTreeMap<DefName, (FnType, Effect)>,
     /// The main query's type.
     pub ty: Type,
     /// The main query's effect.
@@ -83,7 +145,8 @@ pub struct InferredProgram {
 
 /// Infers the type and (least) effect of a query: `E; D; Q ⊢ q : σ ! ε`.
 pub fn infer_query(env: &EffectEnv<'_>, q: &Query) -> Result<(Type, Effect), EffectError> {
-    infer(env, None, q)
+    let (_, ty, effect) = env.judgement(None).query(&env.vars, q)?;
+    Ok((ty, effect))
 }
 
 /// As [`infer_query`] for runtime states (reduced values typed against a
@@ -93,7 +156,8 @@ pub fn infer_runtime_query(
     store: &Store,
     q: &Query,
 ) -> Result<(Type, Effect), EffectError> {
-    infer(env, Some(store), q)
+    let (_, ty, effect) = env.judgement(Some(store)).query(&env.vars, q)?;
+    Ok((ty, effect))
 }
 
 /// Infers a definition's annotated type `σ⃗ →ε σ'`.
@@ -101,19 +165,8 @@ pub fn infer_definition(
     env: &EffectEnv<'_>,
     def: &Definition,
 ) -> Result<(FnType, Effect), EffectError> {
-    let mut inner = env.clone();
-    let mut seen = BTreeSet::new();
-    for (x, t) in &def.params {
-        if !seen.insert(x.clone()) {
-            return Err(TypeError::DuplicateParam(x.clone()).into());
-        }
-        inner = inner.bind(x.clone(), t.clone());
-    }
-    let (result, eff) = infer(&inner, None, &def.body)?;
-    Ok((
-        FnType::new(def.params.iter().map(|(_, t)| t.clone()).collect(), result),
-        eff,
-    ))
+    let (_, fnty, effect) = env.judgement(None).definition(&env.vars, def)?;
+    Ok((fnty, effect))
 }
 
 /// Infers a whole program, threading annotated definition types.
@@ -127,12 +180,11 @@ pub fn infer_program(
         if cur.defs.contains_key(&def.name) {
             return Err(TypeError::DuplicateDef(def.name.clone()).into());
         }
-        let (fnty, eff) = infer_definition(&cur, def)?;
-        cur.defs
-            .insert(def.name.clone(), (fnty.clone(), eff.clone()));
-        def_sigs.insert(def.name.clone(), (fnty, eff));
+        let sig = infer_definition(&cur, def)?;
+        cur.defs.insert(def.name.clone(), sig.clone());
+        def_sigs.insert(def.name.clone(), sig);
     }
-    let (ty, effect) = infer(&cur, None, &program.query)?;
+    let (ty, effect) = infer_query(&cur, &program.query)?;
     Ok(InferredProgram {
         def_sigs,
         ty,
@@ -140,403 +192,11 @@ pub fn infer_program(
     })
 }
 
-fn as_set(t: &Type, context: &'static str) -> Result<Type, TypeError> {
-    match t {
-        Type::Set(inner) => Ok((**inner).clone()),
-        // ⊥ eliminates vacuously (see `ioql-types`).
-        Type::Bottom => Ok(Type::Bottom),
-        other => Err(TypeError::Mismatch {
-            expected: "a set type".into(),
-            got: other.clone(),
-            context,
-        }),
-    }
-}
-
-fn as_class(t: &Type, context: &'static str) -> Result<ClassName, TypeError> {
-    match t {
-        Type::Class(c) => Ok(c.clone()),
-        other => Err(TypeError::Mismatch {
-            expected: "an object (class) type".into(),
-            got: other.clone(),
-            context,
-        }),
-    }
-}
-
-fn require_subtype(
-    schema: &Schema,
-    got: &Type,
-    want: &Type,
-    context: &'static str,
-) -> Result<(), TypeError> {
-    if schema.subtype(got, want) {
-        Ok(())
-    } else {
-        Err(TypeError::Mismatch {
-            expected: format!("a subtype of `{want}`"),
-            got: got.clone(),
-            context,
-        })
-    }
-}
-
-/// The A-atoms generated by `new C(…)`: the object's own class, plus —
-/// under the ODMG `inherited_extents` option — every superclass whose
-/// extent also receives the object. Recording the closure at *inference*
-/// time keeps `nonint` a plain per-class disjointness test.
-fn new_effect(schema: &Schema, c: &ClassName) -> Effect {
-    let mut e = Effect::add(c.clone());
-    if schema.options().inherited_extents {
-        for sup in schema.proper_superclasses(c) {
-            if !sup.is_object() {
-                e.union_with(&Effect::add(sup));
-            }
-        }
-    }
-    e
-}
-
-fn infer(
-    env: &EffectEnv<'_>,
-    store: Option<&Store>,
-    q: &Query,
-) -> Result<(Type, Effect), EffectError> {
-    let schema = env.schema;
-    match q {
-        // Values have no effect (Lemma 2.1).
-        Query::Lit(v) => {
-            let t = match v {
-                Value::Int(_) => Type::Int,
-                Value::Bool(_) => Type::Bool,
-                other => match store {
-                    Some(st) => type_of_value(schema, st, other)?,
-                    None => {
-                        if let Some(o) = other.oids().first() {
-                            return Err(TypeError::OidNeedsStore(*o).into());
-                        }
-                        type_of_value(schema, &Store::new(), other)?
-                    }
-                },
-            };
-            Ok((t, Effect::empty()))
-        }
-
-        Query::Var(x) => match env.vars.get(x) {
-            Some(t) => Ok((t.clone(), Effect::empty())),
-            None => Err(TypeError::Unbound(x.clone()).into()),
-        },
-
-        // (Extent): e : set(C) ! R(C).
-        Query::Extent(e) => match schema.extent_class(e) {
-            Some(c) => Ok((Type::set(Type::Class(c.clone())), Effect::read(c.clone()))),
-            None => Err(TypeError::UnknownExtent(e.clone()).into()),
-        },
-
-        Query::SetLit(items) => {
-            let mut elem = Type::Bottom;
-            let mut eff = Effect::empty();
-            for item in items {
-                let (t, e) = infer(env, store, item)?;
-                elem = schema
-                    .lub(&elem, &t)
-                    .ok_or_else(|| TypeError::NoLub(elem.clone(), t.clone()))?;
-                eff.union_with(&e);
-            }
-            Ok((Type::set(elem), eff))
-        }
-
-        // (Sop) — with the ⊢'' commutation check on commutative operators.
-        Query::SetBin(op, a, b) => {
-            let (ta, ea) = infer(env, store, a)?;
-            let (tb, eb) = infer(env, store, b)?;
-            let elem_a = as_set(&ta, "set operator")?;
-            let elem_b = as_set(&tb, "set operator")?;
-            let elem = schema
-                .lub(&elem_a, &elem_b)
-                .ok_or(TypeError::NoLub(elem_a, elem_b))?;
-            if env.discipline.safe_commutation
-                && op.is_commutative()
-                && !ea.noninterfering_with(&eb, schema)
-            {
-                return Err(EffectError::InterferingOperands {
-                    left: ea,
-                    right: eb,
-                });
-            }
-            Ok((Type::set(elem), ea.union(&eb)))
-        }
-
-        Query::IntBin(op, a, b) => {
-            let (ta, ea) = infer(env, store, a)?;
-            let (tb, eb) = infer(env, store, b)?;
-            require_subtype(schema, &ta, &Type::Int, "integer operator")?;
-            require_subtype(schema, &tb, &Type::Int, "integer operator")?;
-            let t = if op.yields_bool() {
-                Type::Bool
-            } else {
-                Type::Int
-            };
-            Ok((t, ea.union(&eb)))
-        }
-
-        Query::IntEq(a, b) => {
-            let (ta, ea) = infer(env, store, a)?;
-            let (tb, eb) = infer(env, store, b)?;
-            require_subtype(schema, &ta, &Type::Int, "integer equality")?;
-            require_subtype(schema, &tb, &Type::Int, "integer equality")?;
-            Ok((Type::Bool, ea.union(&eb)))
-        }
-
-        Query::ObjEq(a, b) => {
-            let (ta, ea) = infer(env, store, a)?;
-            let (tb, eb) = infer(env, store, b)?;
-            for t in [&ta, &tb] {
-                if !matches!(t, Type::Class(_) | Type::Bottom) {
-                    return Err(TypeError::Mismatch {
-                        expected: "an object (class) type".into(),
-                        got: t.clone(),
-                        context: "object equality",
-                    }
-                    .into());
-                }
-            }
-            Ok((Type::Bool, ea.union(&eb)))
-        }
-
-        Query::Record(fields) => {
-            let mut seen = BTreeSet::new();
-            let mut tys = BTreeMap::new();
-            let mut eff = Effect::empty();
-            for (l, fq) in fields {
-                if !seen.insert(l.clone()) {
-                    return Err(TypeError::DuplicateLabel(l.clone()).into());
-                }
-                let (t, e) = infer(env, store, fq)?;
-                tys.insert(l.clone(), t);
-                eff.union_with(&e);
-            }
-            Ok((Type::Record(tys), eff))
-        }
-
-        // Projection: record field (no extra effect) or attribute read
-        // (adds Ra(C) — used only by the extended-mode analyses).
-        Query::Field(subject, l) => {
-            let (ts, es) = infer(env, store, subject)?;
-            project(schema, &ts, l, es)
-        }
-        Query::Attr(subject, a) => {
-            let (ts, es) = infer(env, store, subject)?;
-            project(schema, &ts, &Label::new(a.as_str()), es)
-        }
-
-        // (Defn): arguments' effects ∪ the definition's latent effect.
-        Query::Call(d, args) => {
-            let (fnty, latent) = env
-                .defs
-                .get(d)
-                .cloned()
-                .ok_or_else(|| TypeError::UnknownDef(d.clone()))?;
-            if fnty.params.len() != args.len() {
-                return Err(TypeError::Arity {
-                    expected: fnty.params.len(),
-                    got: args.len(),
-                    context: "definition call",
-                }
-                .into());
-            }
-            let mut eff = Effect::empty();
-            for (arg, want) in args.iter().zip(&fnty.params) {
-                let (t, e) = infer(env, store, arg)?;
-                require_subtype(schema, &t, want, "definition argument")?;
-                eff.union_with(&e);
-            }
-            Ok((fnty.result, eff.union(&latent)))
-        }
-
-        Query::Size(inner) => {
-            let (t, e) = infer(env, store, inner)?;
-            as_set(&t, "size")?;
-            Ok((Type::Int, e))
-        }
-
-        // (Sum) — extension; same effect shape as (Size).
-        Query::Sum(inner) => {
-            let (t, e) = infer(env, store, inner)?;
-            let elem = as_set(&t, "sum")?;
-            require_subtype(schema, &elem, &Type::Int, "sum")?;
-            Ok((Type::Int, e))
-        }
-
-        Query::Cast(c, inner) => {
-            if !schema.is_class(c) {
-                return Err(TypeError::UnknownClass(c.clone()).into());
-            }
-            let (t, e) = infer(env, store, inner)?;
-            if t == Type::Bottom {
-                return Ok((Type::Class(c.clone()), e));
-            }
-            let from = as_class(&t, "cast")?;
-            // Accept either direction here: the plain type system is the
-            // gatekeeper for downcasts; the effect system only accumulates.
-            if schema.extends(&from, c) || schema.extends(c, &from) {
-                Ok((Type::Class(c.clone()), e))
-            } else {
-                Err(TypeError::BadCast {
-                    to: c.clone(),
-                    from,
-                }
-                .into())
-            }
-        }
-
-        // (Method): receiver ∪ arguments ∪ ε'' (the method's latent
-        // effect — ∅ for the paper's read-only methods).
-        Query::Invoke(recv, m, args) => {
-            let (tr, er) = infer(env, store, recv)?;
-            if tr == Type::Bottom {
-                let mut eff = er;
-                for arg in args {
-                    let (_, e) = infer(env, store, arg)?;
-                    eff.union_with(&e);
-                }
-                return Ok((Type::Bottom, eff));
-            }
-            let c = as_class(&tr, "method receiver")?;
-            let fnty = schema
-                .mtype(&c, m)
-                .ok_or_else(|| TypeError::UnknownMethod(c.clone(), m.clone()))?;
-            if fnty.params.len() != args.len() {
-                return Err(TypeError::Arity {
-                    expected: fnty.params.len(),
-                    got: args.len(),
-                    context: "method call",
-                }
-                .into());
-            }
-            let mut eff = er;
-            for (arg, want) in args.iter().zip(&fnty.params) {
-                let (t, e) = infer(env, store, arg)?;
-                require_subtype(schema, &t, want, "method argument")?;
-                eff.union_with(&e);
-            }
-            let latent = env.methods.effect_of(schema, &c, m);
-            Ok((fnty.result, eff.union(&latent)))
-        }
-
-        // (New): attribute arguments ∪ A(C) (closed over superclasses when
-        // extents are inherited).
-        Query::New(c, attrs) => {
-            if c.is_object() || schema.class(c).is_none() {
-                return Err(TypeError::CannotInstantiate(c.clone()).into());
-            }
-            let declared: BTreeMap<AttrName, Type> = schema.atypes(c).into_iter().collect();
-            let mut supplied = BTreeSet::new();
-            let mut eff = Effect::empty();
-            for (a, aq) in attrs {
-                let want = declared
-                    .get(a)
-                    .ok_or_else(|| TypeError::UnexpectedAttr(c.clone(), a.clone()))?;
-                if !supplied.insert(a.clone()) {
-                    return Err(TypeError::UnexpectedAttr(c.clone(), a.clone()).into());
-                }
-                let (t, e) = infer(env, store, aq)?;
-                require_subtype(schema, &t, want, "new attribute")?;
-                eff.union_with(&e);
-            }
-            for a in declared.keys() {
-                if !supplied.contains(a) {
-                    return Err(TypeError::MissingAttr(c.clone(), a.clone()).into());
-                }
-            }
-            Ok((Type::Class(c.clone()), eff.union(&new_effect(schema, c))))
-        }
-
-        Query::If(cond, then, els) => {
-            let (tc, ec) = infer(env, store, cond)?;
-            require_subtype(schema, &tc, &Type::Bool, "if condition")?;
-            let (tt, et) = infer(env, store, then)?;
-            let (te, ee) = infer(env, store, els)?;
-            let t = schema.lub(&tt, &te).ok_or(TypeError::NoLub(tt, te))?;
-            Ok((t, ec.union(&et).union(&ee)))
-        }
-
-        // (Comp1)/(Comp2)/(Comp3), recursive on the qualifier list so the
-        // ⊢' premise "nonint(ε₁)" sees exactly the *body* effect — the
-        // effect of `{q₁ | cq⃗}` under the generator's binder.
-        Query::Comp(head, quals) => infer_comp(env, store, head, quals),
-    }
-}
-
-fn infer_comp(
-    env: &EffectEnv<'_>,
-    store: Option<&Store>,
-    head: &Query,
-    quals: &[Qualifier],
-) -> Result<(Type, Effect), EffectError> {
-    match quals.split_first() {
-        // (Comp1): { q | } : set(τ) ! ε.
-        None => {
-            let (t, e) = infer(env, store, head)?;
-            Ok((Type::set(t), e))
-        }
-        // Predicate qualifier: effect of the predicate joins the rest.
-        Some((Qualifier::Pred(p), rest)) => {
-            let (tp, ep) = infer(env, store, p)?;
-            require_subtype(env.schema, &tp, &Type::Bool, "comprehension predicate")?;
-            let (t, e) = infer_comp(env, store, head, rest)?;
-            Ok((t, ep.union(&e)))
-        }
-        // (Comp2): generator. Under ⊢', the body effect ε₁ must be
-        // non-interfering — the body runs once per element in an
-        // unspecified order.
-        Some((Qualifier::Gen(x, src), rest)) => {
-            let (ts, es) = infer(env, store, src)?;
-            let elem = as_set(&ts, "comprehension generator")?;
-            let inner = env.bind(x.clone(), elem);
-            let (t, body_eff) = infer_comp(&inner, store, head, rest)?;
-            if env.discipline.deterministic_comprehensions && !body_eff.nonint_extended() {
-                return Err(EffectError::InterferingComprehension {
-                    body_effect: body_eff,
-                });
-            }
-            Ok((t, body_eff.union(&es)))
-        }
-    }
-}
-
-/// Projection typing shared by `Field`/`Attr` nodes; object projections
-/// add the `Ra(C)` atom.
-fn project(
-    schema: &Schema,
-    subject_ty: &Type,
-    label: &Label,
-    subject_eff: Effect,
-) -> Result<(Type, Effect), EffectError> {
-    if *subject_ty == Type::Bottom {
-        return Ok((Type::Bottom, subject_eff));
-    }
-    match subject_ty {
-        Type::Record(fields) => match fields.get(label) {
-            Some(t) => Ok((t.clone(), subject_eff)),
-            None => Err(TypeError::UnknownField(subject_ty.clone(), label.clone()).into()),
-        },
-        Type::Class(c) => {
-            let a = AttrName::new(label.as_str());
-            match schema.atype(c, &a) {
-                Some(t) => Ok((t.clone(), subject_eff.union(&Effect::attr_read(c.clone())))),
-                None => Err(TypeError::UnknownAttr(c.clone(), a).into()),
-            }
-        }
-        other => Err(TypeError::BadProjection(other.clone()).into()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::Discipline;
-    use ioql_ast::{AttrDef, ClassDef, VarName};
+    use ioql_ast::{AttrDef, ClassDef, Qualifier, VarName};
 
     fn schema() -> Schema {
         Schema::new(vec![

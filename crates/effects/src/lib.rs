@@ -18,11 +18,13 @@
 //! in the read-only fragment, because `U` is uninhabited there).
 //!
 //! [`infer_query`] implements the effect typing judgement
-//! `E; D; Q ⊢ q : σ ! ε`. [`Discipline`] selects between the paper's three
-//! systems: `⊢` (permissive, Figure 3), `⊢'` (non-interfering
-//! comprehension bodies — Theorem 7's determinism), and `⊢''`
-//! (non-interfering commutative set operands — Theorem 8's safe
-//! commutation).
+//! `E; D; Q ⊢ q : σ ! ε` by instantiating the one syntax-directed walker
+//! (`ioql_types::Judgement`) with [`EffectRules`], the effect algebra.
+//! [`Discipline`] selects between the paper's three systems: `⊢`
+//! (permissive, Figure 3), `⊢'` (non-interfering comprehension bodies —
+//! Theorem 7's determinism), and `⊢''` (non-interfering commutative set
+//! operands — Theorem 8's safe commutation). [`Thm7`] is the one verdict
+//! every Theorem 7 consumer (admission, cache, WAL gate, lowering) reads.
 
 #![forbid(unsafe_code)]
 // Error enums carry rendered context (names, types, positions) by value;
@@ -32,14 +34,18 @@
 
 pub mod effect;
 pub mod env;
+pub mod error;
 pub mod infer;
 pub mod method_effects;
 pub mod read_sets;
+pub mod thm7;
 
 pub use effect::Effect;
 pub use env::{Discipline, EffectEnv};
+pub use error::EffectError;
 pub use infer::{
-    infer_definition, infer_program, infer_query, infer_runtime_query, EffectError, InferredProgram,
+    infer_definition, infer_program, infer_query, infer_runtime_query, EffectRules, InferredProgram,
 };
 pub use method_effects::MethodEffects;
 pub use read_sets::{effect_extents, EffectExtents};
+pub use thm7::Thm7;

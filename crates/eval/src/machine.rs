@@ -12,12 +12,14 @@ use ioql_schema::Schema;
 use ioql_store::Store;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The definition environment `DE`: definition identifiers to their
-/// λ-representations (paper §3.3).
+/// λ-representations (paper §3.3). Bodies are shared, so cloning an
+/// environment copies pointers, not query trees.
 #[derive(Clone, Debug, Default)]
 pub struct DefEnv {
-    map: BTreeMap<DefName, Definition>,
+    map: BTreeMap<DefName, Arc<Definition>>,
 }
 
 impl DefEnv {
@@ -37,12 +39,12 @@ impl DefEnv {
 
     /// Adds a definition.
     pub fn insert(&mut self, d: Definition) {
-        self.map.insert(d.name.clone(), d);
+        self.map.insert(d.name.clone(), Arc::new(d));
     }
 
     /// `DE(d)`.
     pub fn get(&self, d: &DefName) -> Option<&Definition> {
-        self.map.get(d)
+        self.map.get(d).map(|def| &**def)
     }
 
     /// Number of definitions.

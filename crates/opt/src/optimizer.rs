@@ -104,30 +104,48 @@ impl<'s> Optimizer<'s> {
     /// query with the definitions available for inlining.
     pub fn optimize_program(&mut self, program: &Program) -> Program {
         let mut env = EffectEnv::new(self.schema);
-        let mut defs_out = Vec::with_capacity(program.defs.len());
-        for def in &program.defs {
-            // Bind parameters for the body pass.
-            let mut inner = env.clone();
-            for (x, t) in &def.params {
-                inner = inner.bind(x.clone(), t.clone());
-            }
-            let body = self.rewrite(&inner, &def.body);
-            let optimized = Definition {
-                name: def.name.clone(),
-                params: def.params.clone(),
-                body,
-            };
-            if let Ok((fnty, eff)) = infer_definition(&env, &optimized) {
-                env.defs.insert(def.name.clone(), (fnty, eff));
-            }
-            self.defs.insert(def.name.clone(), optimized.clone());
-            defs_out.push(optimized);
-        }
+        let defs = program
+            .defs
+            .iter()
+            .map(|def| self.bring_into_scope(&mut env, def).clone())
+            .collect();
         let query = self.rewrite(&env, &program.query);
-        Program {
-            defs: defs_out,
-            query,
+        Program { defs, query }
+    }
+
+    /// As [`optimize_program`](Self::optimize_program) over borrowed
+    /// definitions (in scope order), keeping only the optimized query.
+    pub fn optimize_in_scope<'d>(
+        &mut self,
+        defs: impl IntoIterator<Item = &'d Definition>,
+        query: &Query,
+    ) -> Query {
+        let mut env = EffectEnv::new(self.schema);
+        for def in defs {
+            self.bring_into_scope(&mut env, def);
         }
+        self.rewrite(&env, query)
+    }
+
+    /// Optimizes `def`'s body under `env`, then adds the result to `env`
+    /// and to the definitions available for inlining.
+    fn bring_into_scope(&mut self, env: &mut EffectEnv<'s>, def: &Definition) -> &Definition {
+        // Bind parameters for the body pass.
+        let mut inner = env.clone();
+        for (x, t) in &def.params {
+            inner = inner.bind(x.clone(), t.clone());
+        }
+        let body = self.rewrite(&inner, &def.body);
+        let optimized = Definition {
+            name: def.name.clone(),
+            params: def.params.clone(),
+            body,
+        };
+        if let Ok((fnty, eff)) = infer_definition(env, &optimized) {
+            env.defs.insert(def.name.clone(), (fnty, eff));
+        }
+        self.defs.insert(def.name.clone(), optimized);
+        &self.defs[&def.name]
     }
 
     /// Optimizes a single query under the given environment.

@@ -1,8 +1,8 @@
 //! Lowering: elaborated query + inferred effect → physical plan.
 //!
 //! The pass is *guarded*, not total. [`lower`] emits a plan only when
-//! the Theorem 7 conditions hold for the whole query (read-only effect,
-//! `new`-free, invocation-free, called definitions likewise); every
+//! the Theorem 7 conditions hold for the whole query ([`Thm7::lowerable`]:
+//! write-free effect, invocation-free, called definitions pure); every
 //! other query — and every query whose root has no recognized physical
 //! shape — returns `None` and runs on the existing interpreters
 //! unchanged. Within an eligible query, scan-vs-index selection is
@@ -24,7 +24,7 @@ use crate::ir::{
     StageKind,
 };
 use ioql_ast::{Qualifier, Query, VarName};
-use ioql_effects::Effect;
+use ioql_effects::{Effect, Thm7};
 use ioql_eval::DefEnv;
 use ioql_opt::Stats;
 use ioql_schema::Schema;
@@ -80,10 +80,10 @@ impl ParSpec<'static> {
 /// Theorem 7 guard refuses or the root shape is not recognized.
 /// Equivalent to [`lower_with`] under [`ParSpec::off`].
 ///
-/// The guard mirrors the cacheability test in `Database::query`: the
-/// statically inferred `static_effect` must be read-only (no `A(C)`, no
-/// `U(C)`), the query must contain no `new` and no method invocation,
-/// and every called definition must exist and be `new`-free and
+/// The guard is [`Thm7::lowerable`], decided on the query handed in: the
+/// statically inferred `static_effect` must be write-free (no `A(C)`, no
+/// `U(C)`), the query must contain no method invocation, and every
+/// definition it reaches must exist and be `new`-free and
 /// invocation-free. Under those conditions the paper's Theorem 7 makes
 /// evaluation-order choices unobservable, which licenses the physical
 /// operators' deviations from naive qualifier-at-a-time interpretation
@@ -100,14 +100,7 @@ pub fn lower_with(
     stats: &Stats,
     spec: &ParSpec<'_>,
 ) -> Option<Plan> {
-    if !static_effect.is_read_only() || q.contains_new() || q.contains_invoke() {
-        return None;
-    }
-    let defs_ok = q.called_defs().iter().all(|d| {
-        defs.get(d)
-            .is_some_and(|def| !def.body.contains_new() && !def.body.contains_invoke())
-    });
-    if !defs_ok {
+    if !Thm7::decide(q, static_effect, |d| defs.get(d)).lowerable() {
         return None;
     }
     let root = lower_op(q, defs, stats, spec)?;
@@ -486,9 +479,9 @@ fn pred_compiles(pred: &Query, binders: &[VarName], x: &VarName) -> bool {
 /// semi-join case), and whose single ahead-of-time evaluation is
 /// indistinguishable from per-row re-evaluation: no comprehension (so no
 /// chooser draws or cell charges) and no definition calls (so no hidden
-/// recursion). `new`/`invoke`-freedom is already global from the
-/// Theorem 7 guard, but is re-checked locally so this function is safe
-/// in isolation.
+/// recursion). `new`/`invoke`-freedom here is a per-expression purity
+/// test, not the Theorem 7 guard: it keeps this function safe in
+/// isolation.
 fn probe_shape(
     x: &VarName,
     pred: &Query,

@@ -4,7 +4,7 @@
 //! answer "how often"; the flight recorder answers "why was *this*
 //! query slow / serialized / uncached". Every traced query produces one
 //! [`TraceRecord`] — a span tree over the pipeline phases (parse →
-//! typecheck → effect-infer → optimize → lower → execute) plus the
+//! typecheck → optimize → lower → execute) plus the
 //! scheduling events around them (scheduler wait, kernel lock
 //! acquisition, cache probe, WAL append/fsync), each span carrying the
 //! *verdict* the engine reached at that point: cache hit/miss with its

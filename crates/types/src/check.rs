@@ -1,14 +1,78 @@
-//! The Figure 1 typing rules, implemented as an elaborating checker.
+//! The syntax-directed rules of Figure 1 and Figure 3, as one elaborating
+//! walker.
+//!
+//! Figure 3 (§4) restates every Figure 1 (§3.2) premise and adds an effect
+//! annotation to each judgement. [`Judgement`] is therefore generic over an
+//! [`EffectAlgebra`]: it derives `E; D; Q ⊢ q : σ ! ε` with one match arm
+//! per rule, and the algebra says what `ε` is. The unit algebra (`ε = ()`,
+//! implemented by [`TypeEnv`]) is Figure 1; `ioql-effects` supplies the
+//! `R(C)`/`A(C)` algebra with the `⊢'`/`⊢''` disciplines.
 
 use crate::env::{TypeEnv, TypeOptions};
 use crate::error::TypeError;
 use crate::value_type::type_of_value;
 use ioql_ast::{
-    AttrName, ClassName, Definition, FnType, Label, Program, Qualifier, Query, Type, Value,
+    AttrName, ClassName, DefName, Definition, FnType, Label, MethodName, Program, Qualifier, Query,
+    SetOp, Type, Value, VarName,
 };
 use ioql_schema::Schema;
 use ioql_store::Store;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+
+/// What Figure 3 adds to Figure 1: the effect `ε` of a judgement (`∅` is
+/// its `Default`), where the axioms get theirs, how `D` annotates
+/// definitions, and the side conditions of the `⊢'` and `⊢''` refinements
+/// (which hold vacuously unless an algebra says otherwise).
+pub trait EffectAlgebra {
+    /// The annotation `ε`.
+    type Effect: Default;
+    /// What a rejected judgement reports: a type error, or a refinement's
+    /// side condition failing.
+    type Error: From<TypeError>;
+
+    /// Effect union, in place: `into := into ∪ other`.
+    fn union(&self, into: &mut Self::Effect, other: Self::Effect);
+    /// (Extent): reading the extent of class `c`.
+    fn on_extent(&self, c: &ClassName) -> Self::Effect;
+    /// (New): creating an object of class `c`.
+    fn on_new(&self, schema: &Schema, c: &ClassName) -> Self::Effect;
+    /// (Attribute access) on an object of static class `c`.
+    fn on_attr(&self, c: &ClassName) -> Self::Effect;
+    /// `D(d)`: the definition's annotated function type `σ⃗ →ε σ'`.
+    fn def_sig(&self, d: &DefName) -> Option<(&FnType, Self::Effect)>;
+    /// (Method): the latent effect `ε''` of `m` on a receiver of static
+    /// class `c`.
+    fn method_latent(&self, schema: &Schema, c: &ClassName, m: &MethodName) -> Self::Effect;
+    /// `⊢'` (Comp2)': the side condition on a generator's body effect.
+    fn check_comp_body(&self, _body: &Self::Effect) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    /// `⊢''`: the side condition on a set operator's operand effects.
+    fn check_set_operands(
+        &self,
+        _schema: &Schema,
+        _op: SetOp,
+        _left: &Self::Effect,
+        _right: &Self::Effect,
+    ) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// Figure 1 is Figure 3 with nothing to say about effects.
+impl EffectAlgebra for &TypeEnv<'_> {
+    type Effect = ();
+    type Error = TypeError;
+
+    fn union(&self, _: &mut (), _: ()) {}
+    fn on_extent(&self, _: &ClassName) {}
+    fn on_new(&self, _: &Schema, _: &ClassName) {}
+    fn on_attr(&self, _: &ClassName) {}
+    fn def_sig(&self, d: &DefName) -> Option<(&FnType, ())> {
+        self.defs.get(d).map(|fnty| (fnty, ()))
+    }
+    fn method_latent(&self, _: &Schema, _: &ClassName, _: &MethodName) {}
+}
 
 /// The result of checking a whole program.
 #[derive(Clone, Debug)]
@@ -16,7 +80,7 @@ pub struct CheckedProgram {
     /// The elaborated program (projections resolved, otherwise identical).
     pub program: Program,
     /// Each definition's function type, in scope order.
-    pub def_types: BTreeMap<ioql_ast::DefName, FnType>,
+    pub def_types: BTreeMap<DefName, FnType>,
     /// The main query's type.
     pub ty: Type,
 }
@@ -24,7 +88,8 @@ pub struct CheckedProgram {
 /// Types a *source* query (no reduced values): `E; D; Q ⊢ q : σ`.
 /// Returns the elaborated query alongside its type.
 pub fn check_query(env: &TypeEnv<'_>, q: &Query) -> Result<(Query, Type), TypeError> {
-    check(env, None, q)
+    let (elab, ty, ()) = env.judgement(None).query(&env.vars, q)?;
+    Ok((elab, ty))
 }
 
 /// Types a *runtime* query — an intermediate state of the reducer, which
@@ -32,7 +97,8 @@ pub fn check_query(env: &TypeEnv<'_>, q: &Query) -> Result<(Query, Type), TypeEr
 /// correspondence `E, D, Q ⊢ EE, DE, OE, q : σ` used by the soundness
 /// theorems.
 pub fn check_runtime_query(env: &TypeEnv<'_>, store: &Store, q: &Query) -> Result<Type, TypeError> {
-    check(env, Some(store), q).map(|(_, t)| t)
+    let (_, ty, ()) = env.judgement(Some(store)).query(&env.vars, q)?;
+    Ok(ty)
 }
 
 /// Types a definition: `E; D ⊢ define d(x⃗: σ⃗) as q : σ⃗ → σ'`.
@@ -40,25 +106,8 @@ pub fn check_definition(
     env: &TypeEnv<'_>,
     def: &Definition,
 ) -> Result<(Definition, FnType), TypeError> {
-    let mut seen = BTreeSet::new();
-    let mut inner = env.clone();
-    for (x, t) in &def.params {
-        if !seen.insert(x.clone()) {
-            return Err(TypeError::DuplicateParam(x.clone()));
-        }
-        check_type_wf(env.schema, t)?;
-        inner = inner.bind(x.clone(), t.clone());
-    }
-    let (body, result) = check(&inner, None, &def.body)?;
-    let fnty = FnType::new(def.params.iter().map(|(_, t)| t.clone()).collect(), result);
-    Ok((
-        Definition {
-            name: def.name.clone(),
-            params: def.params.clone(),
-            body,
-        },
-        fnty,
-    ))
+    let (elab, fnty, ()) = env.judgement(None).definition(&env.vars, def)?;
+    Ok((elab, fnty))
 }
 
 /// Types a program: `E ⊢ def₀ … def_k q : σ`, threading each definition's
@@ -70,22 +119,31 @@ pub fn check_program(
 ) -> Result<CheckedProgram, TypeError> {
     let mut env = TypeEnv::with_options(schema, options);
     let mut defs = Vec::with_capacity(program.defs.len());
-    let mut def_types = BTreeMap::new();
     for def in &program.defs {
         if env.defs.contains_key(&def.name) {
             return Err(TypeError::DuplicateDef(def.name.clone()));
         }
         let (elab, fnty) = check_definition(&env, def)?;
-        env.defs.insert(def.name.clone(), fnty.clone());
-        def_types.insert(def.name.clone(), fnty);
+        env.defs.insert(def.name.clone(), fnty);
         defs.push(elab);
     }
-    let (query, ty) = check(&env, None, &program.query)?;
+    let (query, ty) = check_query(&env, &program.query)?;
     Ok(CheckedProgram {
         program: Program { defs, query },
-        def_types,
+        def_types: env.defs,
         ty,
     })
+}
+
+impl<'s> TypeEnv<'s> {
+    fn judgement<'a>(&'a self, store: Option<&'a Store>) -> Judgement<'a, &'a TypeEnv<'s>> {
+        Judgement {
+            schema: self.schema,
+            store,
+            options: self.options,
+            algebra: self,
+        }
+    }
 }
 
 /// A declared parameter type must be well-formed over the schema: every
@@ -93,25 +151,20 @@ pub fn check_program(
 fn check_type_wf(schema: &Schema, t: &Type) -> Result<(), TypeError> {
     match t {
         Type::Int | Type::Bool => Ok(()),
-        Type::Class(c) => {
-            if schema.is_class(c) {
-                Ok(())
-            } else {
-                Err(TypeError::UnknownClass(c.clone()))
-            }
-        }
+        Type::Class(c) if schema.is_class(c) => Ok(()),
+        Type::Class(c) => Err(TypeError::UnknownClass(c.clone())),
         Type::Set(inner) => check_type_wf(schema, inner),
-        Type::Record(fields) => {
-            for ft in fields.values() {
-                check_type_wf(schema, ft)?;
-            }
-            Ok(())
-        }
-        Type::Bottom => Err(TypeError::Mismatch {
-            expected: "a surface type".into(),
-            got: Type::Bottom,
-            context: "parameter type",
-        }),
+        Type::Record(fields) => fields.values().try_for_each(|ft| check_type_wf(schema, ft)),
+        Type::Bottom => Err(mismatch("a surface type", t, "parameter type")),
+    }
+}
+
+/// `got` is not what the rule at `context` required.
+fn mismatch(expected: impl Into<String>, got: &Type, context: &'static str) -> TypeError {
+    TypeError::Mismatch {
+        expected: expected.into(),
+        got: got.clone(),
+        context,
     }
 }
 
@@ -124,11 +177,7 @@ fn require_subtype(
     if schema.subtype(got, want) {
         Ok(())
     } else {
-        Err(TypeError::Mismatch {
-            expected: format!("a subtype of `{want}`"),
-            got: got.clone(),
-            context,
-        })
+        Err(mismatch(format!("a subtype of `{want}`"), got, context))
     }
 }
 
@@ -138,353 +187,380 @@ fn as_set(t: &Type, context: &'static str) -> Result<Type, TypeError> {
         // ⊥ ≤ set(⊥): a ⊥-typed subject (drawn from an empty set, hence
         // never an actual value) eliminates vacuously.
         Type::Bottom => Ok(Type::Bottom),
-        other => Err(TypeError::Mismatch {
-            expected: "a set type".into(),
-            got: other.clone(),
-            context,
-        }),
+        other => Err(mismatch("a set type", other, context)),
     }
 }
 
 fn as_class(t: &Type, context: &'static str) -> Result<ClassName, TypeError> {
     match t {
         Type::Class(c) => Ok(c.clone()),
-        other => Err(TypeError::Mismatch {
-            expected: "an object (class) type".into(),
-            got: other.clone(),
-            context,
-        }),
+        other => Err(mismatch("an object (class) type", other, context)),
     }
 }
 
-/// The rule dispatcher. `store` is `Some` only when typing runtime states.
-fn check(env: &TypeEnv<'_>, store: Option<&Store>, q: &Query) -> Result<(Query, Type), TypeError> {
-    let schema = env.schema;
-    match q {
-        // (Int), (Bool) — and the runtime-value extension.
-        Query::Lit(v) => {
-            let t = match v {
-                Value::Int(_) => Type::Int,
-                Value::Bool(_) => Type::Bool,
-                other => match store {
-                    Some(st) => type_of_value(schema, st, other)?,
-                    None => {
-                        let mut bad = None;
-                        let mut probe = other.oids();
-                        if let Some(o) = probe.pop() {
-                            bad = Some(TypeError::OidNeedsStore(o));
-                        }
-                        match bad {
-                            Some(e) => return Err(e),
-                            // Oid-free composite literal (e.g. an already
-                            // realised set of ints): type it structurally
-                            // with a throwaway empty store.
-                            None => type_of_value(schema, &Store::new(), other)?,
-                        }
-                    }
-                },
-            };
-            Ok((q.clone(), t))
-        }
+/// `Q`: identifiers in scope, with their types.
+type Vars = BTreeMap<VarName, Type>;
 
-        // (Ident) — Q(x).
-        Query::Var(x) => match env.vars.get(x) {
-            Some(t) => Ok((q.clone(), t.clone())),
-            None => Err(TypeError::Unbound(x.clone())),
-        },
-
-        // (Extent) — E(e) = C gives e : set(C).
-        Query::Extent(e) => match schema.extent_class(e) {
-            Some(c) => Ok((q.clone(), Type::set(Type::Class(c.clone())))),
-            None => Err(TypeError::UnknownExtent(e.clone())),
-        },
-
-        // (Set) — elementwise, joined by lub; {} : set(⊥).
-        Query::SetLit(items) => {
-            let mut elab = Vec::with_capacity(items.len());
-            let mut elem = Type::Bottom;
-            for item in items {
-                let (e, t) = check(env, store, item)?;
-                elem = schema
-                    .lub(&elem, &t)
-                    .ok_or_else(|| TypeError::NoLub(elem.clone(), t.clone()))?;
-                elab.push(e);
-            }
-            Ok((Query::SetLit(elab), Type::set(elem)))
-        }
-
-        // (Sop) — both operands sets; result element type is the lub.
-        Query::SetBin(op, a, b) => {
-            let (ea, ta) = check(env, store, a)?;
-            let (eb, tb) = check(env, store, b)?;
-            let ea_t = as_set(&ta, "set operator")?;
-            let eb_t = as_set(&tb, "set operator")?;
-            let elem = schema
-                .lub(&ea_t, &eb_t)
-                .ok_or(TypeError::NoLub(ea_t, eb_t))?;
-            Ok((
-                Query::SetBin(*op, Box::new(ea), Box::new(eb)),
-                Type::set(elem),
-            ))
-        }
-
-        // (Iop) — int × int → int (comparisons → bool).
-        Query::IntBin(op, a, b) => {
-            let (ea, ta) = check(env, store, a)?;
-            let (eb, tb) = check(env, store, b)?;
-            require_subtype(schema, &ta, &Type::Int, "integer operator")?;
-            require_subtype(schema, &tb, &Type::Int, "integer operator")?;
-            let result = if op.yields_bool() {
-                Type::Bool
-            } else {
-                Type::Int
-            };
-            Ok((Query::IntBin(*op, Box::new(ea), Box::new(eb)), result))
-        }
-
-        // (IntEq).
-        Query::IntEq(a, b) => {
-            let (ea, ta) = check(env, store, a)?;
-            let (eb, tb) = check(env, store, b)?;
-            require_subtype(schema, &ta, &Type::Int, "integer equality")?;
-            require_subtype(schema, &tb, &Type::Int, "integer equality")?;
-            Ok((Query::IntEq(Box::new(ea), Box::new(eb)), Type::Bool))
-        }
-
-        // (ObjEq) — both operands object-typed (⊥ passes vacuously).
-        Query::ObjEq(a, b) => {
-            let (ea, ta) = check(env, store, a)?;
-            let (eb, tb) = check(env, store, b)?;
-            for t in [&ta, &tb] {
-                if !matches!(t, Type::Class(_) | Type::Bottom) {
-                    return Err(TypeError::Mismatch {
-                        expected: "an object (class) type".into(),
-                        got: t.clone(),
-                        context: "object equality",
-                    });
-                }
-            }
-            Ok((Query::ObjEq(Box::new(ea), Box::new(eb)), Type::Bool))
-        }
-
-        // (Record) — distinct labels, pointwise.
-        Query::Record(fields) => {
-            let mut seen = BTreeSet::new();
-            let mut elab = Vec::with_capacity(fields.len());
-            let mut tys = BTreeMap::new();
-            for (l, fq) in fields {
-                if !seen.insert(l.clone()) {
-                    return Err(TypeError::DuplicateLabel(l.clone()));
-                }
-                let (e, t) = check(env, store, fq)?;
-                tys.insert(l.clone(), t);
-                elab.push((l.clone(), e));
-            }
-            Ok((Query::Record(elab), Type::Record(tys)))
-        }
-
-        // (Field)/(Attr) — a projection, resolved by the subject's type.
-        Query::Field(subject, l) => {
-            let (es, ts) = check(env, store, subject)?;
-            project(schema, es, ts, l.clone())
-        }
-        Query::Attr(subject, a) => {
-            let (es, ts) = check(env, store, subject)?;
-            project(schema, es, ts, Label::new(a.as_str()))
-        }
-
-        // (Defn) — D(d), call-by-value argument subtyping.
-        Query::Call(d, args) => {
-            let fnty = env
-                .defs
-                .get(d)
-                .cloned()
-                .ok_or_else(|| TypeError::UnknownDef(d.clone()))?;
-            if fnty.params.len() != args.len() {
-                return Err(TypeError::Arity {
-                    expected: fnty.params.len(),
-                    got: args.len(),
-                    context: "definition call",
-                });
-            }
-            let mut elab = Vec::with_capacity(args.len());
-            for (arg, want) in args.iter().zip(&fnty.params) {
-                let (e, t) = check(env, store, arg)?;
-                require_subtype(schema, &t, want, "definition argument")?;
-                elab.push(e);
-            }
-            Ok((Query::Call(d.clone(), elab), fnty.result))
-        }
-
-        // (Size).
-        Query::Size(inner) => {
-            let (e, t) = check(env, store, inner)?;
-            as_set(&t, "size")?;
-            Ok((Query::Size(Box::new(e)), Type::Int))
-        }
-
-        // (Sum) — extension: the operand must be a set of integers.
-        Query::Sum(inner) => {
-            let (e, t) = check(env, store, inner)?;
-            let elem = as_set(&t, "sum")?;
-            require_subtype(schema, &elem, &Type::Int, "sum")?;
-            Ok((Query::Sum(Box::new(e)), Type::Int))
-        }
-
-        // (Cast) — upcast only (paper Note 2); downcast behind a flag.
-        Query::Cast(c, inner) => {
-            if !schema.is_class(c) {
-                return Err(TypeError::UnknownClass(c.clone()));
-            }
-            let (e, t) = check(env, store, inner)?;
-            if t == Type::Bottom {
-                return Ok((Query::Cast(c.clone(), Box::new(e)), Type::Class(c.clone())));
-            }
-            let from = as_class(&t, "cast")?;
-            let upcast = schema.extends(&from, c);
-            let downcast_ok = env.options.allow_downcast && schema.extends(c, &from);
-            if upcast || downcast_ok {
-                Ok((Query::Cast(c.clone(), Box::new(e)), Type::Class(c.clone())))
-            } else {
-                Err(TypeError::BadCast {
-                    to: c.clone(),
-                    from,
-                })
-            }
-        }
-
-        // (Method) — mtype(C, m) with call-by-value argument subtyping.
-        Query::Invoke(recv, m, args) => {
-            let (er, tr) = check(env, store, recv)?;
-            if tr == Type::Bottom {
-                // Vacuous receiver: type the arguments, result ⊥.
-                let mut elab = Vec::with_capacity(args.len());
-                for arg in args {
-                    elab.push(check(env, store, arg)?.0);
-                }
-                return Ok((Query::Invoke(Box::new(er), m.clone(), elab), Type::Bottom));
-            }
-            let c = as_class(&tr, "method receiver")?;
-            let fnty = schema
-                .mtype(&c, m)
-                .ok_or_else(|| TypeError::UnknownMethod(c.clone(), m.clone()))?;
-            if fnty.params.len() != args.len() {
-                return Err(TypeError::Arity {
-                    expected: fnty.params.len(),
-                    got: args.len(),
-                    context: "method call",
-                });
-            }
-            let mut elab = Vec::with_capacity(args.len());
-            for (arg, want) in args.iter().zip(&fnty.params) {
-                let (e, t) = check(env, store, arg)?;
-                require_subtype(schema, &t, want, "method argument")?;
-                elab.push(e);
-            }
-            Ok((Query::Invoke(Box::new(er), m.clone(), elab), fnty.result))
-        }
-
-        // (New) — every attribute (inherited included) initialised exactly
-        // once, at a subtype of its declared type.
-        Query::New(c, attrs) => {
-            if c.is_object() || schema.class(c).is_none() {
-                return Err(TypeError::CannotInstantiate(c.clone()));
-            }
-            let declared: BTreeMap<AttrName, Type> = schema.atypes(c).into_iter().collect();
-            let mut supplied = BTreeSet::new();
-            let mut elab = Vec::with_capacity(attrs.len());
-            for (a, aq) in attrs {
-                let want = declared
-                    .get(a)
-                    .ok_or_else(|| TypeError::UnexpectedAttr(c.clone(), a.clone()))?;
-                if !supplied.insert(a.clone()) {
-                    return Err(TypeError::UnexpectedAttr(c.clone(), a.clone()));
-                }
-                let (e, t) = check(env, store, aq)?;
-                require_subtype(schema, &t, want, "new attribute")?;
-                elab.push((a.clone(), e));
-            }
-            for a in declared.keys() {
-                if !supplied.contains(a) {
-                    return Err(TypeError::MissingAttr(c.clone(), a.clone()));
-                }
-            }
-            Ok((Query::New(c.clone(), elab), Type::Class(c.clone())))
-        }
-
-        // (Cond) — condition bool; branch types joined by lub, which is
-        // *partial* (the paper's §1 point about lubs).
-        Query::If(cond, then, els) => {
-            let (ec, tc) = check(env, store, cond)?;
-            require_subtype(schema, &tc, &Type::Bool, "if condition")?;
-            let (et, tt) = check(env, store, then)?;
-            let (ee, te) = check(env, store, els)?;
-            let t = schema.lub(&tt, &te).ok_or(TypeError::NoLub(tt, te))?;
-            Ok((Query::If(Box::new(ec), Box::new(et), Box::new(ee)), t))
-        }
-
-        // (Comp1)/(Comp2)/(Comp3) — qualifiers left-to-right; generators
-        // extend Q; the head is typed under all binders.
-        Query::Comp(head, quals) => {
-            let mut cur = env.clone();
-            let mut elab = Vec::with_capacity(quals.len());
-            for cq in quals {
-                match cq {
-                    Qualifier::Pred(p) => {
-                        let (e, t) = check(&cur, store, p)?;
-                        require_subtype(schema, &t, &Type::Bool, "comprehension predicate")?;
-                        elab.push(Qualifier::Pred(e));
-                    }
-                    Qualifier::Gen(x, src) => {
-                        let (e, t) = check(&cur, store, src)?;
-                        let elem = as_set(&t, "comprehension generator")?;
-                        cur = cur.bind(x.clone(), elem);
-                        elab.push(Qualifier::Gen(x.clone(), e));
-                    }
-                }
-            }
-            let (eh, th) = check(&cur, store, head)?;
-            Ok((Query::Comp(Box::new(eh), elab), Type::set(th)))
-        }
-    }
+/// The judgement form `E; D; Q ⊢ q : σ ! ε`: the schema `E`, the algebra
+/// carrying `D` and `ε`, the design-space options, and — when typing the
+/// reducer's intermediate states — the store their oids live in.
+pub struct Judgement<'a, A> {
+    /// The object schema (the paper's `E`, plus class information).
+    pub schema: &'a Schema,
+    /// `Some` only when typing runtime states (reduced values).
+    pub store: Option<&'a Store>,
+    /// Design-space options.
+    pub options: TypeOptions,
+    /// `D` and the effect annotation.
+    pub algebra: A,
 }
 
-/// Resolves a projection `subject.x` by the subject's type: record field
-/// or object attribute.
-fn project(
-    schema: &Schema,
-    subject: Query,
-    subject_ty: Type,
-    label: Label,
-) -> Result<(Query, Type), TypeError> {
-    if subject_ty == Type::Bottom {
-        // Vacuous projection: the subject was drawn from an empty set and
-        // this position will never be evaluated.
-        return Ok((Query::Field(Box::new(subject), label), Type::Bottom));
+impl<A: EffectAlgebra> Judgement<'_, A> {
+    /// Derives `q : σ ! ε` under `Q = vars`. The checker is an elaborating
+    /// one: each `.` projection comes back resolved to record or attribute
+    /// access by its subject's type.
+    pub fn query(&self, vars: &Vars, q: &Query) -> Result<(Query, Type, A::Effect), A::Error> {
+        let mut elab = q.clone();
+        let (ty, eff) = self.premise(vars, &mut elab)?;
+        Ok((elab, ty, eff))
     }
-    match &subject_ty {
-        Type::Record(fields) => match fields.get(&label) {
-            Some(t) => Ok((Query::Field(Box::new(subject), label), t.clone())),
-            None => Err(TypeError::UnknownField(subject_ty.clone(), label)),
-        },
-        Type::Class(c) => {
-            let a = AttrName::new(label.as_str());
-            match schema.atype(c, &a) {
-                Some(t) => {
-                    let t = t.clone();
-                    Ok((Query::Attr(Box::new(subject), a), t))
+
+    /// Derives `define d(x⃗: σ⃗) as q : σ⃗ →ε σ'`.
+    pub fn definition(
+        &self,
+        vars: &Vars,
+        def: &Definition,
+    ) -> Result<(Definition, FnType, A::Effect), A::Error> {
+        let mut inner = vars.clone();
+        for (i, (x, t)) in def.params.iter().enumerate() {
+            if def.params[..i].iter().any(|(y, _)| y == x) {
+                return Err(TypeError::DuplicateParam(x.clone()).into());
+            }
+            check_type_wf(self.schema, t)?;
+            inner.insert(x.clone(), t.clone());
+        }
+        let (body, result, effect) = self.query(&inner, &def.body)?;
+        let fnty = FnType::new(def.params.iter().map(|(_, t)| t.clone()).collect(), result);
+        let elab = Definition::new(def.name.clone(), def.params.clone(), body);
+        Ok((elab, fnty, effect))
+    }
+
+    /// A premise whose effect a side condition inspects: judged into a
+    /// fresh accumulator instead of the rule's own.
+    fn premise(&self, vars: &Vars, q: &mut Query) -> Result<(Type, A::Effect), A::Error> {
+        let mut eff = A::Effect::default();
+        let ty = self.judge(vars, q, &mut eff)?;
+        Ok((ty, eff))
+    }
+
+    /// Call-by-value application of `fnty` to `args`, shared by (Defn) and
+    /// (Method): arity, then each argument at a subtype of its parameter.
+    fn apply(
+        &self,
+        vars: &Vars,
+        fnty: &FnType,
+        args: &mut [Query],
+        (callee, argument): (&'static str, &'static str),
+        eff: &mut A::Effect,
+    ) -> Result<(), A::Error> {
+        if fnty.params.len() != args.len() {
+            return Err(TypeError::Arity {
+                expected: fnty.params.len(),
+                got: args.len(),
+                context: callee,
+            }
+            .into());
+        }
+        for (arg, want) in args.iter_mut().zip(&fnty.params) {
+            let t = self.judge(vars, arg, eff)?;
+            require_subtype(self.schema, &t, want, argument)?;
+        }
+        Ok(())
+    }
+
+    /// The rule dispatcher: one arm per Figure 1 / Figure 3 rule,
+    /// elaborating `q` in place (only projections change). A rule's effect
+    /// is the union of its premises' effects and its own, so every arm
+    /// accumulates into the caller's `eff`; the two rules with a side
+    /// condition on a *premise's* effect — (Sop) under `⊢''`, (Comp2)
+    /// under `⊢'` — judge that [`premise`](Self::premise) separately.
+    fn judge(&self, vars: &Vars, q: &mut Query, eff: &mut A::Effect) -> Result<Type, A::Error> {
+        let schema = self.schema;
+        let alg = &self.algebra;
+        match q {
+            // (Int), (Bool) — and the runtime-value extension. Values
+            // have no effect (Lemma 2.1).
+            Query::Lit(v) => Ok(type_of_value(schema, self.store, v)?),
+
+            // (Ident) — Q(x).
+            Query::Var(x) => match vars.get(x) {
+                Some(t) => Ok(t.clone()),
+                None => Err(TypeError::Unbound(x.clone()).into()),
+            },
+
+            // (Extent) — E(e) = C gives e : set(C) ! R(C).
+            Query::Extent(e) => match schema.extent_class(e) {
+                Some(c) => {
+                    alg.union(eff, alg.on_extent(c));
+                    Ok(Type::set(Type::Class(c.clone())))
                 }
-                None => Err(TypeError::UnknownAttr(c.clone(), a)),
+                None => Err(TypeError::UnknownExtent(e.clone()).into()),
+            },
+
+            // (Set) — elementwise, joined by lub; {} : set(⊥).
+            Query::SetLit(items) => {
+                let mut elem = Type::Bottom;
+                for item in items {
+                    let t = self.judge(vars, item, eff)?;
+                    elem = schema
+                        .lub(&elem, &t)
+                        .ok_or_else(|| TypeError::NoLub(elem.clone(), t.clone()))?;
+                }
+                Ok(Type::set(elem))
+            }
+
+            // (Sop) — both operands sets; result element type is the lub.
+            // Under ⊢'' the operands' effects must not interfere.
+            Query::SetBin(op, a, b) => {
+                let (ta, fa) = self.premise(vars, a)?;
+                let (tb, fb) = self.premise(vars, b)?;
+                let elem_a = as_set(&ta, "set operator")?;
+                let elem_b = as_set(&tb, "set operator")?;
+                let elem = schema
+                    .lub(&elem_a, &elem_b)
+                    .ok_or(TypeError::NoLub(elem_a, elem_b))?;
+                alg.check_set_operands(schema, *op, &fa, &fb)?;
+                alg.union(eff, fa);
+                alg.union(eff, fb);
+                Ok(Type::set(elem))
+            }
+
+            // (Iop) — int × int → int (comparisons → bool) — and (IntEq).
+            Query::IntBin(_, a, b) | Query::IntEq(a, b) => {
+                let ta = self.judge(vars, a, eff)?;
+                let tb = self.judge(vars, b, eff)?;
+                let (context, result) = match q {
+                    Query::IntBin(op, ..) if !op.yields_bool() => ("integer operator", Type::Int),
+                    Query::IntBin(..) => ("integer operator", Type::Bool),
+                    _ => ("integer equality", Type::Bool),
+                };
+                require_subtype(schema, &ta, &Type::Int, context)?;
+                require_subtype(schema, &tb, &Type::Int, context)?;
+                Ok(result)
+            }
+
+            // (ObjEq) — both operands object-typed (⊥ passes vacuously).
+            Query::ObjEq(a, b) => {
+                let ta = self.judge(vars, a, eff)?;
+                let tb = self.judge(vars, b, eff)?;
+                for t in [ta, tb] {
+                    if t != Type::Bottom {
+                        as_class(&t, "object equality")?;
+                    }
+                }
+                Ok(Type::Bool)
+            }
+
+            // (Record) — distinct labels, pointwise.
+            Query::Record(fields) => {
+                let mut tys = BTreeMap::new();
+                for (l, fq) in fields {
+                    if tys.contains_key(l) {
+                        return Err(TypeError::DuplicateLabel(l.clone()).into());
+                    }
+                    let t = self.judge(vars, fq, eff)?;
+                    tys.insert(l.clone(), t);
+                }
+                Ok(Type::Record(tys))
+            }
+
+            // (Field)/(Attr) — a projection, resolved by the subject's type.
+            Query::Field(subject, _) | Query::Attr(subject, _) => {
+                let subject_ty = self.judge(vars, subject, eff)?;
+                self.project(q, subject_ty, eff)
+            }
+
+            // (Defn) — D(d), call-by-value argument subtyping; the
+            // arguments' effects ∪ the definition's latent effect.
+            Query::Call(d, args) => {
+                let (fnty, latent) = alg
+                    .def_sig(d)
+                    .ok_or_else(|| TypeError::UnknownDef(d.clone()))?;
+                let context = ("definition call", "definition argument");
+                self.apply(vars, fnty, args, context, eff)?;
+                alg.union(eff, latent);
+                Ok(fnty.result.clone())
+            }
+
+            // (Size).
+            Query::Size(inner) => {
+                let t = self.judge(vars, inner, eff)?;
+                as_set(&t, "size")?;
+                Ok(Type::Int)
+            }
+
+            // (Sum) — extension: the operand must be a set of integers.
+            Query::Sum(inner) => {
+                let t = self.judge(vars, inner, eff)?;
+                let elem = as_set(&t, "sum")?;
+                require_subtype(schema, &elem, &Type::Int, "sum")?;
+                Ok(Type::Int)
+            }
+
+            // (Cast) — upcast only (paper Note 2); downcast behind a flag.
+            Query::Cast(c, inner) => {
+                if !schema.is_class(c) {
+                    return Err(TypeError::UnknownClass(c.clone()).into());
+                }
+                let t = self.judge(vars, inner, eff)?;
+                if t != Type::Bottom {
+                    let from = as_class(&t, "cast")?;
+                    let upcast = schema.extends(&from, c);
+                    let downcast_ok = self.options.allow_downcast && schema.extends(c, &from);
+                    if !upcast && !downcast_ok {
+                        return Err(TypeError::BadCast {
+                            to: c.clone(),
+                            from,
+                        }
+                        .into());
+                    }
+                }
+                Ok(Type::Class(c.clone()))
+            }
+
+            // (Method) — mtype(C, m) with call-by-value argument
+            // subtyping; receiver ∪ arguments ∪ the method's latent ε''.
+            Query::Invoke(recv, m, args) => {
+                let tr = self.judge(vars, recv, eff)?;
+                if tr == Type::Bottom {
+                    // Vacuous receiver: type the arguments, result ⊥.
+                    for arg in args {
+                        self.judge(vars, arg, eff)?;
+                    }
+                    return Ok(Type::Bottom);
+                }
+                let c = as_class(&tr, "method receiver")?;
+                let fnty = schema
+                    .mtype(&c, m)
+                    .ok_or_else(|| TypeError::UnknownMethod(c.clone(), m.clone()))?;
+                let context = ("method call", "method argument");
+                self.apply(vars, &fnty, args, context, eff)?;
+                alg.union(eff, alg.method_latent(schema, &c, m));
+                Ok(fnty.result)
+            }
+
+            // (New) — every attribute (inherited included) initialised
+            // exactly once, at a subtype of its declared type; the
+            // arguments' effects ∪ A(C).
+            Query::New(c, attrs) => {
+                if c.is_object() || schema.class(c).is_none() {
+                    return Err(TypeError::CannotInstantiate(c.clone()).into());
+                }
+                // Declared attributes not yet supplied: an initialiser
+                // that finds none is undeclared or a repeat.
+                let mut missing: BTreeMap<AttrName, Type> = schema.atypes(c).into_iter().collect();
+                for (a, aq) in attrs {
+                    let want = missing
+                        .remove(a)
+                        .ok_or_else(|| TypeError::UnexpectedAttr(c.clone(), a.clone()))?;
+                    let t = self.judge(vars, aq, eff)?;
+                    require_subtype(schema, &t, &want, "new attribute")?;
+                }
+                if let Some(a) = missing.into_keys().next() {
+                    return Err(TypeError::MissingAttr(c.clone(), a).into());
+                }
+                alg.union(eff, alg.on_new(schema, c));
+                Ok(Type::Class(c.clone()))
+            }
+
+            // (Cond) — condition bool; branch types joined by lub, which is
+            // *partial* (the paper's §1 point about lubs).
+            Query::If(cond, then, els) => {
+                let tc = self.judge(vars, cond, eff)?;
+                require_subtype(schema, &tc, &Type::Bool, "if condition")?;
+                let tt = self.judge(vars, then, eff)?;
+                let te = self.judge(vars, els, eff)?;
+                Ok(schema.lub(&tt, &te).ok_or(TypeError::NoLub(tt, te))?)
+            }
+
+            // (Comp1)/(Comp2)/(Comp3) — qualifiers left-to-right; generators
+            // extend Q; the head is typed under all binders.
+            Query::Comp(head, quals) => {
+                let mut inner = vars.clone();
+                let mut effects = Vec::with_capacity(quals.len());
+                for cq in quals.iter_mut() {
+                    match cq {
+                        Qualifier::Pred(p) => {
+                            let (t, f) = self.premise(&inner, p)?;
+                            require_subtype(schema, &t, &Type::Bool, "comprehension predicate")?;
+                            effects.push((false, f));
+                        }
+                        Qualifier::Gen(x, src) => {
+                            let (t, f) = self.premise(&inner, src)?;
+                            inner.insert(x.clone(), as_set(&t, "comprehension generator")?);
+                            effects.push((true, f));
+                        }
+                    }
+                }
+                let (th, mut body) = self.premise(&inner, head)?;
+                // Right to left, so the ⊢' premise nonint(ε₁) of (Comp2)'
+                // sees exactly each generator's *body* effect — everything
+                // to its right, which runs once per element in an
+                // unspecified order — and not the generator's own source.
+                for (is_generator, f) in effects.into_iter().rev() {
+                    if is_generator {
+                        alg.check_comp_body(&body)?;
+                    }
+                    alg.union(&mut body, f);
+                }
+                alg.union(eff, body);
+                Ok(Type::set(th))
             }
         }
-        other => Err(TypeError::BadProjection(other.clone())),
+    }
+
+    /// Resolves the projection `q = subject.x` by its subject's type:
+    /// record field, or object attribute (which the algebra may record).
+    fn project(
+        &self,
+        q: &mut Query,
+        subject_ty: Type,
+        eff: &mut A::Effect,
+    ) -> Result<Type, A::Error> {
+        let (subject, label) = match std::mem::replace(q, Query::Lit(Value::Bool(false))) {
+            Query::Field(subject, l) => (subject, l),
+            Query::Attr(subject, a) => (subject, Label::new(a.as_str())),
+            other => unreachable!("not a projection: {other}"),
+        };
+        let (resolved, ty) = match &subject_ty {
+            // Vacuous projection: the subject was drawn from an empty set
+            // and this position will never be evaluated.
+            Type::Bottom => (Query::Field(subject, label), Type::Bottom),
+            Type::Record(fields) => match fields.get(&label) {
+                Some(t) => (Query::Field(subject, label), t.clone()),
+                None => return Err(TypeError::UnknownField(subject_ty, label).into()),
+            },
+            Type::Class(c) => {
+                let a = AttrName::new(label.as_str());
+                match self.schema.atype(c, &a) {
+                    Some(t) => {
+                        self.algebra.union(eff, self.algebra.on_attr(c));
+                        (Query::Attr(subject, a), t.clone())
+                    }
+                    None => return Err(TypeError::UnknownAttr(c.clone(), a).into()),
+                }
+            }
+            other => return Err(TypeError::BadProjection(other.clone()).into()),
+        };
+        *q = resolved;
+        Ok(ty)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioql_ast::{AttrDef, ClassDef, IntOp, MethodDef, VarName};
+    use ioql_ast::{AttrDef, ClassDef, IntOp, MethodDef, Value, VarName};
     use ioql_ast::{MExpr, MStmt};
 
     fn schema() -> Schema {

@@ -1,4 +1,12 @@
-//! The IOQL type system (paper §3.2, Figure 1).
+//! The IOQL type system (paper §3.2, Figure 1) — and the rule walker it
+//! shares with the effect system (§4, Figure 3).
+//!
+//! Figure 3 is Figure 1 with an effect annotation on each judgement, so
+//! the syntax-directed rules live once, in [`Judgement`], generic over an
+//! [`EffectAlgebra`]. The unit algebra ([`TypeEnv`]) is the Figure 1
+//! checker exported here; `ioql-effects` supplies the `R(C)`/`A(C)`
+//! algebra, and the database kernel instantiates the walker once per
+//! request.
 //!
 //! Judgements implemented here:
 //!
@@ -32,6 +40,7 @@ pub mod value_type;
 
 pub use check::{
     check_definition, check_program, check_query, check_runtime_query, CheckedProgram,
+    EffectAlgebra, Judgement,
 };
 pub use env::{TypeEnv, TypeOptions};
 pub use error::TypeError;

@@ -11,12 +11,14 @@ use ioql_ast::{Type, Value};
 use ioql_schema::Schema;
 use ioql_store::Store;
 
-/// The type of a value, relative to a schema and a store.
-pub fn type_of_value(schema: &Schema, store: &Store, v: &Value) -> Result<Type, TypeError> {
+/// The type of a value, relative to a schema and — for the oids in it —
+/// a store. Source programs have none (`store = None`): their literals
+/// are oid-free, and an oid met without a store is an error.
+pub fn type_of_value(schema: &Schema, store: Option<&Store>, v: &Value) -> Result<Type, TypeError> {
     match v {
         Value::Int(_) => Ok(Type::Int),
         Value::Bool(_) => Ok(Type::Bool),
-        Value::Oid(o) => match store.objects.get(*o) {
+        Value::Oid(o) => match store.ok_or(TypeError::OidNeedsStore(*o))?.objects.get(*o) {
             Some(obj) => Ok(Type::Class(obj.class.clone())),
             None => Err(TypeError::DanglingOid(*o)),
         },
@@ -62,11 +64,11 @@ mod tests {
     fn primitives() {
         let (schema, store) = setup();
         assert_eq!(
-            type_of_value(&schema, &store, &Value::Int(1)).unwrap(),
+            type_of_value(&schema, Some(&store), &Value::Int(1)).unwrap(),
             Type::Int
         );
         assert_eq!(
-            type_of_value(&schema, &store, &Value::Bool(true)).unwrap(),
+            type_of_value(&schema, Some(&store), &Value::Bool(true)).unwrap(),
             Type::Bool
         );
     }
@@ -81,7 +83,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            type_of_value(&schema, &store, &Value::Oid(o)).unwrap(),
+            type_of_value(&schema, Some(&store), &Value::Oid(o)).unwrap(),
             Type::class("Employee")
         );
     }
@@ -90,7 +92,7 @@ mod tests {
     fn dangling_oid_rejected() {
         let (schema, store) = setup();
         assert!(matches!(
-            type_of_value(&schema, &store, &Value::Oid(Oid::from_raw(9))),
+            type_of_value(&schema, Some(&store), &Value::Oid(Oid::from_raw(9))),
             Err(TypeError::DanglingOid(_))
         ));
     }
@@ -112,7 +114,7 @@ mod tests {
             .unwrap();
         let v = Value::set([Value::Oid(p), Value::Oid(e)]);
         assert_eq!(
-            type_of_value(&schema, &store, &v).unwrap(),
+            type_of_value(&schema, Some(&store), &v).unwrap(),
             Type::set(Type::class("Person"))
         );
     }
@@ -121,7 +123,7 @@ mod tests {
     fn empty_set_is_bottom_set() {
         let (schema, store) = setup();
         assert_eq!(
-            type_of_value(&schema, &store, &Value::empty_set()).unwrap(),
+            type_of_value(&schema, Some(&store), &Value::empty_set()).unwrap(),
             Type::empty_set()
         );
     }
@@ -131,7 +133,7 @@ mod tests {
         let (schema, store) = setup();
         let v = Value::set([Value::Int(1), Value::Bool(true)]);
         assert!(matches!(
-            type_of_value(&schema, &store, &v),
+            type_of_value(&schema, Some(&store), &v),
             Err(TypeError::NoLub(_, _))
         ));
     }
@@ -141,7 +143,7 @@ mod tests {
         let (schema, store) = setup();
         let v = Value::record([("a", Value::Int(1)), ("b", Value::Bool(false))]);
         assert_eq!(
-            type_of_value(&schema, &store, &v).unwrap(),
+            type_of_value(&schema, Some(&store), &v).unwrap(),
             Type::record([("a", Type::Int), ("b", Type::Bool)])
         );
     }

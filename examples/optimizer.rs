@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Measure the difference in reduction steps (the interpreter's work
-    // unit — Criterion benches in crates/bench measure wall-clock).
+    // unit — `benchmark/run.sh` measures wall-clock).
     let naive_steps = {
         let mut fresh = big.clone();
         fresh.query(join)?.steps

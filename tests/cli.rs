@@ -162,13 +162,12 @@ fn explore_and_trace_commands() {
 #[test]
 fn plan_command_renders_operators_and_costs() {
     let schema = schema_file();
-    // Enough rows that the cost model picks the hash probe over a scan.
-    // `:compile off` pins the interpreted tier: under IOQL_COMPILE=1 a
-    // compiled Filter undercuts the index build + probe and the cost
-    // model rightly stops picking HashIndexProbe at this extent size.
+    // Enough rows that the cost model picks the hash probe over a scan —
+    // on the interpreted tier, the shell's default: a compiled Filter
+    // undercuts the index build + probe and the cost model then rightly
+    // stops picking HashIndexProbe at this extent size.
     let script = "\
 :help
-:compile off
 { new P(name: n) | n <- {1, 2, 3, 4, 5, 6} }
 :plan { p | p <- Ps, p.name = 2 }
 :plan { new P(name: 1) | n <- {1} }

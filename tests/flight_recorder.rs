@@ -203,6 +203,24 @@ fn cache_hit_and_miss_verdicts_are_recorded() {
         .is_some_and(|v| v.contains("cells_delta=")));
 }
 
+/// The front end is one pass, so it is one span: `typecheck` closes on
+/// the whole judgement `σ ! {ε}`, and no separate effect phase exists.
+#[test]
+fn the_front_end_is_one_typecheck_span() {
+    let mut db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 8)).unwrap();
+    db.query("{ p.age | p <- Persons }").unwrap();
+    let record = &db.traces_last(1)[0];
+    assert_eq!(
+        record.verdict_of("typecheck"),
+        Some("set(int) ! {R(Person), Ra(Person)}")
+    );
+    let names: Vec<&str> = record.spans.iter().map(|s| s.name.as_str()).collect();
+    assert!(!names.contains(&"effect-infer"), "{names:?}");
+    let metrics = db.metrics_text();
+    assert!(metrics.contains("phase=\"typecheck\""), "{metrics}");
+    assert!(!metrics.contains("effect-infer"), "{metrics}");
+}
+
 #[test]
 fn ring_keeps_only_the_newest_records() {
     let mut db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 2)).unwrap();

@@ -580,6 +580,66 @@ fn stale_previous_generation_files_are_ignored_and_cleaned() {
 }
 
 // ---------------------------------------------------------------------
+// `define` is all-or-nothing per call.
+
+const GOOD_THEN_BAD: &str = "define a() as 1; define b() as 1 + true;";
+
+#[test]
+fn a_failing_define_batch_registers_nothing() {
+    let mut db = db_with(Engine::BigStep, Durability::Off);
+    db.define("define zero() as 0;").unwrap();
+    let mut session = db.session("s");
+    let before = db.definitions();
+
+    assert!(matches!(db.define(GOOD_THEN_BAD), Err(DbError::Type(_))));
+    assert_eq!(db.definitions(), before);
+    assert!(db.query("a()").is_err(), "`a` must not be callable");
+    // The failed batch took no commit-sequence slot: the next successful
+    // one is stamped right after the first.
+    assert_eq!(session.define("define one() as 1;").unwrap(), Some(2));
+    // A redefinition inside a batch fails the whole batch too.
+    assert!(db.define("define two() as 2; define zero() as 9;").is_err());
+    assert!(db.query("two()").is_err());
+}
+
+#[test]
+fn a_failing_define_batch_logs_nothing() {
+    let dir = TempDir::new("define-batch");
+    let mut db = db_with(Engine::BigStep, Durability::Commit);
+    db.attach_durable(dir.path()).unwrap();
+    db.define("define zero() as 0;").unwrap();
+    assert!(db.define(GOOD_THEN_BAD).is_err());
+    assert_eq!(db.wal_status().unwrap().appended, 1);
+    // A good batch is one record, replayed as one.
+    db.define("define one() as 1; define two() as one() + 1;")
+        .unwrap();
+    assert_eq!(db.wal_status().unwrap().appended, 2);
+    let expected = db.definitions();
+    drop(db);
+
+    let (mut rec, report) = recover(Engine::BigStep, Durability::Commit, dir.path()).unwrap();
+    assert_eq!(report.replayed_defs, 3);
+    assert_eq!(rec.definitions(), expected);
+    assert!(rec.query("a()").is_err());
+    assert_eq!(rec.query("two()").unwrap().value, ioql::Value::Int(2));
+}
+
+#[test]
+fn a_define_whose_append_fails_is_not_registered() {
+    let dir = TempDir::new("define-append");
+    let mut db = db_with(Engine::BigStep, Durability::Commit);
+    db.attach_durable_with(dir.path(), CrashSink::factory(None, Some(1)))
+        .unwrap();
+    db.define("define zero() as 0;").unwrap(); // fsync #1 — acked
+    let err = db
+        .define("define one() as 1; define two() as 2;")
+        .unwrap_err(); // fsync #2 dies
+    assert!(err.to_string().contains("append failed"), "{err}");
+    assert_eq!(db.definitions().len(), 1);
+    assert!(db.query("one()").is_err());
+}
+
+// ---------------------------------------------------------------------
 // Poison protocol and transparency.
 
 #[test]
