@@ -23,6 +23,7 @@ use ioql_effects::Effect;
 use ioql_store::Store;
 use ioql_telemetry::Counter;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// One memoized result.
 #[derive(Clone, Debug)]
@@ -64,10 +65,11 @@ pub struct CacheStats {
 /// order bounds residency when many distinct queries flow through.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct QueryCache {
-    map: HashMap<Query, CacheEntry>,
-    /// Insertion order; may contain keys already removed from `map` by
-    /// lazy stale-eviction — skipped when they surface at the front.
-    order: VecDeque<Query>,
+    map: HashMap<Arc<Query>, CacheEntry>,
+    /// Insertion order, oldest first. Holds exactly the keys of `map`
+    /// (each AST stored once, shared by both): every removal from one is
+    /// a removal from the other, so neither can outgrow `capacity`.
+    order: VecDeque<Arc<Query>>,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -95,59 +97,62 @@ impl QueryCache {
         self
     }
 
+    fn evicted(&mut self) {
+        self.evictions += 1;
+        self.m_evictions.inc();
+    }
+
     /// Looks up `key`, validating the recorded version vector against
     /// `store`. A stale entry is removed and counted as a miss.
     pub fn lookup(&mut self, key: &Query, store: &Store) -> Option<CacheEntry> {
         if self.capacity == 0 {
             return None;
         }
-        match self.map.get(key) {
-            Some(entry)
-                if entry
-                    .versions
-                    .iter()
-                    .all(|(e, v)| store.extent_version(e) == *v) =>
+        if let Some(entry) = self.map.get(key) {
+            if entry
+                .versions
+                .iter()
+                .all(|(e, v)| store.extent_version(e) == *v)
             {
                 self.hits += 1;
                 self.m_hits.inc();
-                Some(entry.clone())
-            }
-            Some(_) => {
-                self.map.remove(key);
-                self.misses += 1;
-                self.m_misses.inc();
-                self.evictions += 1;
-                self.m_evictions.inc();
-                None
-            }
-            None => {
-                self.misses += 1;
-                self.m_misses.inc();
-                None
+                return Some(entry.clone());
             }
         }
+        self.misses += 1;
+        self.m_misses.inc();
+        if let Some((stale, _)) = self.map.remove_entry(key) {
+            // Its order slot goes with it, so the refreshing `insert`
+            // queues behind the entries that stayed valid. The scan is
+            // pointer compares over at most `capacity` slots, paid only
+            // ahead of a full re-evaluation.
+            if let Some(i) = self.order.iter().position(|k| Arc::ptr_eq(k, &stale)) {
+                self.order.remove(i);
+            }
+            self.evicted();
+        }
+        None
     }
 
-    /// Inserts (or refreshes) an entry, evicting oldest-first past
-    /// capacity.
+    /// Inserts (or refreshes) an entry, evicting the oldest one when a
+    /// new key would exceed capacity.
     pub fn insert(&mut self, key: Query, entry: CacheEntry) {
         if self.capacity == 0 {
             return;
         }
-        if self.map.insert(key.clone(), entry).is_none() {
-            self.order.push_back(key);
+        if let Some(slot) = self.map.get_mut(&key) {
+            *slot = entry;
+            return;
         }
-        while self.map.len() > self.capacity {
-            match self.order.pop_front() {
-                Some(old) => {
-                    if self.map.remove(&old).is_some() {
-                        self.evictions += 1;
-                        self.m_evictions.inc();
-                    }
-                }
-                None => break, // unreachable: map entries all pass through order
+        if self.map.len() == self.capacity {
+            if let Some(oldest) = self.order.pop_front() {
+                self.map.remove(&*oldest);
+                self.evicted();
             }
         }
+        let key = Arc::new(key);
+        self.map.insert(Arc::clone(&key), entry);
+        self.order.push_back(key);
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -220,6 +225,46 @@ mod tests {
         cache.insert(key(1), entry(&[]));
         assert!(cache.lookup(&key(1), &store).is_none());
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    /// Writers keep invalidating a hot set that readers keep refreshing:
+    /// the order queue must not keep the stale keys (it used to grow by
+    /// one deep-cloned AST per refresh), and a refreshed entry must not
+    /// be evicted by its own leftover slot.
+    #[test]
+    fn stale_refresh_cycles_keep_order_and_map_in_lock_step() {
+        let persons = ExtentName::new("Persons");
+        let mut store = Store::new();
+        store.declare_extent(persons.clone(), ioql_ast::ClassName::new("Person"));
+        let mut cache = QueryCache::new(4);
+        let now = |store: &Store| entry(&[("Persons", store.extent_version(&persons))]);
+        for cycle in 0..200 {
+            for k in 0..3 {
+                if cache.lookup(&key(k), &store).is_none() {
+                    cache.insert(key(k), now(&store));
+                }
+            }
+            assert_eq!(cache.order.len(), cache.map.len(), "cycle {cycle}");
+            assert_eq!(cache.map.len(), 3, "cycle {cycle}");
+            store.bump_version(&persons);
+        }
+        assert_eq!(cache.stats().evictions, 3 * 199);
+        // Refresh 0 and 1 only: new keys then fill the cache and push
+        // out the oldest slots — stale 2, then 0 — never the
+        // just-refreshed 1.
+        for k in 0..2 {
+            assert!(cache.lookup(&key(k), &store).is_none());
+            cache.insert(key(k), now(&store));
+        }
+        cache.insert(key(10), now(&store));
+        cache.insert(key(11), now(&store));
+        cache.insert(key(12), now(&store));
+        assert_eq!(cache.order.len(), cache.map.len());
+        assert_eq!(cache.map.len(), 4);
+        assert!(cache.lookup(&key(1), &store).is_some());
+        assert!(cache.lookup(&key(12), &store).is_some());
+        assert!(cache.lookup(&key(2), &store).is_none());
+        assert!(cache.lookup(&key(0), &store).is_none());
     }
 
     #[test]

@@ -1342,11 +1342,36 @@ mod tests {
             .unwrap();
         assert!(refused.contains("no physical plan"), "{refused}");
         assert!(refused.contains("`new`-free: no"), "{refused}");
-        let shape = db.explain("size(Persons)").unwrap();
+        let shape = db.explain("1 + 2").unwrap();
         assert!(
             shape.contains("root shape has a physical operator: no"),
             "{shape}"
         );
+        // Aggregate roots lower: one `Aggregate` over the child plan,
+        // under the same Thm 7 guard line.
+        for (src, root, child) in [
+            (
+                "size(Persons)",
+                "  Aggregate size\n",
+                "    ExtentScan Persons",
+            ),
+            (
+                "sum({ p.age | p <- Persons })",
+                "  Aggregate sum\n",
+                "    Distinct\n",
+            ),
+        ] {
+            let plan = db.explain(src).unwrap();
+            assert!(plan.starts_with("Plan  [guard: Thm 7"), "{plan}");
+            assert!(plan.contains(root) && plan.contains(child), "{plan}");
+            let analyzed = db.explain_analyze(src).unwrap();
+            let row = analyzed.lines().nth(1).unwrap_or_default();
+            assert!(
+                row.trim_start().starts_with("Aggregate") && row.contains("rows=1 calls=1"),
+                "{analyzed}"
+            );
+            assert!(analyzed.ends_with("returned 1 row(s)\n"), "{analyzed}");
+        }
     }
 
     #[test]

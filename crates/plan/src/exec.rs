@@ -58,19 +58,25 @@
 //! ([`execute_with_profile`]) are always sequential — the profile is a
 //! per-node diagnostic of the sequential cost model.
 //!
-//! Two caveats are accepted and tested for rather than hidden: workers
-//! snapshot the shared fuel cell before each delegated expression, so a
-//! run within ~`workers` fuel units of exhaustion may succeed in
-//! parallel where sequential exhausts (differential tests use budgets
-//! that are either ample or small enough that the per-draw burn trips
-//! both modes); and when several chunks fail, the *earliest chunk's*
-//! error wins, which matches sequential error identity because every
-//! error class reachable from a type-checked, Theorem-7-guarded query
-//! (fuel, cancellation, deadline) is partition-order-independent.
+//! Fuel stays one global budget without being a shared counter: every
+//! worker of a dispatch starts from the *whole* remaining budget,
+//! reports what it used, and the parent settles the parts in chunk
+//! order — tripping exactly when their sum exceeds the budget, which is
+//! when the sequential run over the same chunks would have. The verdict
+//! is therefore a function of the plan and the store, never of
+//! scheduling (at the price of a failing run doing up to `workers`
+//! budgets of work before it fails).
+//!
+//! One caveat is accepted and tested for rather than hidden: when
+//! several chunks fail, the *earliest chunk's* error wins, which
+//! matches sequential error identity because every error class
+//! reachable from a type-checked, Theorem-7-guarded query (fuel,
+//! cancellation, deadline) is partition-order-independent.
 
 use crate::bytecode::{CompileVerdict, Program, VmCtx, VmMetrics};
 use crate::ir::{
-    EqKind, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, ParVerdict, Plan, Stage, StageKind,
+    AggKind, EqKind, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, ParVerdict, Plan, Stage,
+    StageKind,
 };
 use crate::par::{chunk_bounds, ParMetrics};
 use ioql_ast::{ExtentName, Query, SetOp, Value, VarName};
@@ -79,7 +85,6 @@ use ioql_eval::{eval_expr, Chooser, DefEnv, EvalConfig, EvalError};
 use ioql_store::Store;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// The result of executing a [`Plan`].
@@ -202,7 +207,9 @@ impl Profiler {
                 self.walk_op(left, depth + 1);
                 self.walk_op(right, depth + 1);
             }
-            OpKind::Distinct { input } | OpKind::MapProject { input, .. } => {
+            OpKind::Distinct { input }
+            | OpKind::MapProject { input, .. }
+            | OpKind::Aggregate { input, .. } => {
                 self.walk_op(input, depth + 1);
             }
             OpKind::Pipeline { stages } => {
@@ -235,58 +242,31 @@ impl Profiler {
     }
 }
 
-/// The fuel meter: a plain counter in sequential execution, a shared
-/// atomic cell while a worker pool is live, so all workers burn from
-/// the one budget the sequential run would.
-enum Fuel<'f> {
-    /// Single-threaded budget (the normal mode).
-    Local(u64),
-    /// A pool-shared budget. Delegated expressions snapshot [`avail`]
-    /// and settle with [`spend`], so the cell can transiently read high
-    /// by at most the workers' in-flight spends — see the module docs'
-    /// near-exhaustion caveat.
-    ///
-    /// [`avail`]: Fuel::avail
-    /// [`spend`]: Fuel::spend
-    Shared(&'f AtomicU64),
-}
+/// The fuel meter: the executor's remaining step budget.
+struct Fuel(u64);
 
-impl Fuel<'_> {
+impl Fuel {
     fn avail(&self) -> u64 {
-        match self {
-            Fuel::Local(n) => *n,
-            Fuel::Shared(cell) => cell.load(Ordering::Relaxed),
-        }
+        self.0
     }
 
     /// Burns exactly one unit, failing when the budget is empty — the
-    /// per-draw/per-operator cadence, race-free in both variants.
+    /// per-draw/per-operator cadence.
     fn burn_one(&mut self) -> Result<(), EvalError> {
-        match self {
-            Fuel::Local(n) => {
-                if *n == 0 {
-                    return Err(EvalError::FuelExhausted);
-                }
-                *n -= 1;
-                Ok(())
-            }
-            Fuel::Shared(cell) => cell
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .map(|_| ())
-                .map_err(|_| EvalError::FuelExhausted),
-        }
+        self.settle(1)
     }
 
-    /// Settles a delegated evaluation's reported consumption.
+    /// Charges what a pool worker (which ran on a copy of this budget)
+    /// reports having used, failing when the parts no longer fit.
+    fn settle(&mut self, used: u64) -> Result<(), EvalError> {
+        self.0 = self.0.checked_sub(used).ok_or(EvalError::FuelExhausted)?;
+        Ok(())
+    }
+
+    /// Settles a delegated evaluation's reported consumption (bounded
+    /// by the [`avail`](Fuel::avail) it was handed).
     fn spend(&mut self, used: u64) {
-        match self {
-            Fuel::Local(n) => *n = n.saturating_sub(used),
-            Fuel::Shared(cell) => {
-                let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                    Some(n.saturating_sub(used))
-                });
-            }
-        }
+        self.0 = self.0.saturating_sub(used);
     }
 }
 
@@ -455,7 +435,7 @@ fn execute_inner<'a>(
         defs,
         chooser,
         effect: Effect::empty(),
-        fuel: Fuel::Local(max_steps),
+        fuel: Fuel(max_steps),
         binds: Vec::new(),
         prof,
         par,
@@ -484,6 +464,10 @@ type ProbeParts<'p> = (
 /// Both branch result sets of a Theorem-8 dispatch, or `None` when the
 /// branches must run sequentially.
 type BranchSets = Option<(BTreeSet<Value>, BTreeSet<Value>)>;
+
+/// What one pool worker hands back: its partial result set, its effect
+/// trace, and the fuel it used of the budget it was started on.
+type WorkerPart = Result<(BTreeSet<Value>, Effect, u64), EvalError>;
 
 /// Splits a probe stage fused with generator `var` off the front of
 /// `rest` (shared by the sequential and chunked generator drivers).
@@ -572,15 +556,14 @@ fn extract_keys(
 }
 
 /// Runs one scan chunk in a pool worker: a fresh [`Exec`] over the
-/// worker's store clone, drawing from the shared fuel cell, never
-/// re-dispatching. Returns the chunk's partial result set and effect
-/// trace.
+/// worker's store clone, started on the dispatcher's whole remaining
+/// fuel, never re-dispatching.
 #[allow(clippy::too_many_arguments)]
 fn run_chunk<'a>(
     cfg: &'a EvalConfig<'a>,
     defs: &'a DefEnv,
     mut chooser: Box<dyn Chooser + Send>,
-    fuel: &AtomicU64,
+    fuel: u64,
     binds: Vec<(VarName, Value)>,
     metrics: Option<&ParMetrics>,
     compiled: &'a BTreeMap<NodeId, CompileVerdict>,
@@ -590,14 +573,14 @@ fn run_chunk<'a>(
     slice: &[Value],
     rest: &[Stage],
     head: Head<'a>,
-) -> Result<(BTreeSet<Value>, Effect), EvalError> {
+) -> WorkerPart {
     let t = metrics.map(|m| m.worker_busy_ns.start_timer());
     let mut w = Exec {
         cfg,
         defs,
         chooser: &mut *chooser,
         effect: Effect::empty(),
-        fuel: Fuel::Shared(fuel),
+        fuel: Fuel(fuel),
         binds,
         prof: None,
         par: ParCtx {
@@ -616,32 +599,32 @@ fn run_chunk<'a>(
     if let Some(m) = metrics {
         m.worker_busy_ns.observe_timer(t.flatten());
     }
-    r.map(|()| (part, w.effect))
+    r.map(|()| (part, w.effect, fuel - w.fuel.avail()))
 }
 
 /// Runs one set-operator branch in a pool worker (Theorem 8 licensed):
 /// the branch subtree evaluates against the worker's store clone to a
-/// set, drawing from the shared fuel cell.
+/// set, started on the dispatcher's whole remaining fuel.
 #[allow(clippy::too_many_arguments)]
 fn run_branch<'a>(
     cfg: &'a EvalConfig<'a>,
     defs: &'a DefEnv,
     mut chooser: Box<dyn Chooser + Send>,
-    fuel: &AtomicU64,
+    fuel: u64,
     binds: Vec<(VarName, Value)>,
     metrics: Option<&ParMetrics>,
     compiled: &'a BTreeMap<NodeId, CompileVerdict>,
     vm_metrics: Option<&'a VmMetrics>,
     mut store: Store,
     subtree: &'a Op,
-) -> Result<(BTreeSet<Value>, Effect), EvalError> {
+) -> WorkerPart {
     let t = metrics.map(|m| m.worker_busy_ns.start_timer());
     let mut w = Exec {
         cfg,
         defs,
         chooser: &mut *chooser,
         effect: Effect::empty(),
-        fuel: Fuel::Shared(fuel),
+        fuel: Fuel(fuel),
         binds,
         prof: None,
         par: ParCtx {
@@ -658,15 +641,15 @@ fn run_branch<'a>(
     if let Some(m) = metrics {
         m.worker_busy_ns.observe_timer(t.flatten());
     }
-    r.map(|s| (s, w.effect))
+    r.map(|s| (s, w.effect, fuel - w.fuel.avail()))
 }
 
-struct Exec<'a, 'c, 'f> {
+struct Exec<'a, 'c> {
     cfg: &'a EvalConfig<'a>,
     defs: &'a DefEnv,
     chooser: &'c mut dyn Chooser,
     effect: Effect,
-    fuel: Fuel<'f>,
+    fuel: Fuel,
     /// In-scope generator bindings, outermost first. Substitution into a
     /// delegated expression applies them innermost-first, so a variable
     /// rebound by an inner generator resolves to the inner value —
@@ -695,7 +678,7 @@ struct Exec<'a, 'c, 'f> {
     extent_cache: HashMap<ExtentName, Rc<Vec<Value>>>,
 }
 
-impl<'a> Exec<'a, '_, '_> {
+impl<'a> Exec<'a, '_> {
     /// Starts a timer iff profiling — `execute` runs never touch the
     /// clock, which is what keeps telemetry out of deadline semantics.
     fn ptimer(&self) -> Option<Instant> {
@@ -850,6 +833,26 @@ impl<'a> Exec<'a, '_, '_> {
                 Ok(Value::Set(out))
             }
             OpKind::InlineDef { body, .. } => self.eval_op(store, body),
+            // The checkpoint above was big-step's pre-order `burn` for
+            // the `sum`/`size` node; the input then runs as any other
+            // sub-plan (VM, probes, worker pool) and only the finished
+            // set is folded — with the interpreter's own stuck state.
+            OpKind::Aggregate { kind, expr, input } => {
+                let set = self.op_set(store, input)?;
+                match kind {
+                    AggKind::Size => Ok(Value::Int(set.len() as i64)),
+                    AggKind::Sum => {
+                        let mut total = 0i64;
+                        for v in &set {
+                            match v {
+                                Value::Int(i) => total = total.wrapping_add(*i),
+                                _ => return self.stuck(expr, "sum over a non-integer set"),
+                            }
+                        }
+                        Ok(Value::Int(total))
+                    }
+                }
+            }
             OpKind::Eval { expr } => self.expr(store, expr),
             // Only meaningful inside `Distinct`; a bare occurrence is a
             // lowering bug.
@@ -1013,8 +1016,7 @@ impl<'a> Exec<'a, '_, '_> {
         };
         let store_l = store.clone();
         let store_r = store.clone();
-        let before = self.fuel.avail();
-        let fuel_cell = AtomicU64::new(before);
+        let fuel = self.fuel.avail();
         let cfg = self.cfg;
         let defs = self.defs;
         let binds_l = self.binds.clone();
@@ -1023,31 +1025,30 @@ impl<'a> Exec<'a, '_, '_> {
         let compiled = self.compiled;
         let vm_metrics = self.vm_metrics;
         let (ra, rb) = std::thread::scope(|scope| {
-            let cell = &fuel_cell;
             let hl = scope.spawn(move || {
                 run_branch(
-                    cfg, defs, fl, cell, binds_l, metrics, compiled, vm_metrics, store_l, left,
+                    cfg, defs, fl, fuel, binds_l, metrics, compiled, vm_metrics, store_l, left,
                 )
             });
             let hr = scope.spawn(move || {
                 run_branch(
-                    cfg, defs, fr, cell, binds_r, metrics, compiled, vm_metrics, store_r, right,
+                    cfg, defs, fr, fuel, binds_r, metrics, compiled, vm_metrics, store_r, right,
                 )
             });
             let ra = hl.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
             let rb = hr.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
             (ra, rb)
         });
-        self.fuel
-            .spend(before.saturating_sub(fuel_cell.load(Ordering::Relaxed)));
         if let Some(m) = metrics {
             m.par_set_ops.inc();
             m.chunks.add(2);
         }
         // Left branch's error wins, matching sequential left-to-right
         // evaluation.
-        let (sa, ea) = ra?;
-        let (sb, eb) = rb?;
+        let (sa, ea, used_a) = ra?;
+        self.fuel.settle(used_a)?;
+        let (sb, eb, used_b) = rb?;
+        self.fuel.settle(used_b)?;
         self.effect.union_with(&ea);
         self.effect.union_with(&eb);
         Ok(Some((sa, sb)))
@@ -1142,8 +1143,7 @@ impl<'a> Exec<'a, '_, '_> {
                 }
             }
         }
-        let before = self.fuel.avail();
-        let fuel_cell = AtomicU64::new(before);
+        let fuel = self.fuel.avail();
         let cfg = self.cfg;
         let defs = self.defs;
         let metrics = self.par.metrics;
@@ -1152,41 +1152,37 @@ impl<'a> Exec<'a, '_, '_> {
         let binds = &self.binds;
         let store_ref: &Store = store;
         let elems_ref: &[Value] = &elems;
-        let parts: Vec<Result<(BTreeSet<Value>, Effect), EvalError>> =
-            std::thread::scope(|scope| {
-                let cell = &fuel_cell;
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .zip(forks)
-                    .map(|(&(lo, hi), fork)| {
-                        let wstore = store_ref.clone();
-                        let wbinds = binds.clone();
-                        scope.spawn(move || {
-                            run_chunk(
-                                cfg,
-                                defs,
-                                fork,
-                                cell,
-                                wbinds,
-                                metrics,
-                                compiled,
-                                vm_metrics,
-                                wstore,
-                                var,
-                                &elems_ref[lo..hi],
-                                rest,
-                                head,
-                            )
-                        })
+        let parts: Vec<WorkerPart> = std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .iter()
+                .zip(forks)
+                .map(|(&(lo, hi), fork)| {
+                    let wstore = store_ref.clone();
+                    let wbinds = binds.clone();
+                    scope.spawn(move || {
+                        run_chunk(
+                            cfg,
+                            defs,
+                            fork,
+                            fuel,
+                            wbinds,
+                            metrics,
+                            compiled,
+                            vm_metrics,
+                            wstore,
+                            var,
+                            &elems_ref[lo..hi],
+                            rest,
+                            head,
+                        )
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            });
-        self.fuel
-            .spend(before.saturating_sub(fuel_cell.load(Ordering::Relaxed)));
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
         if let Some(m) = metrics {
             m.par_scans.inc();
             m.chunks.add(chunks.len() as u64);
@@ -1195,7 +1191,8 @@ impl<'a> Exec<'a, '_, '_> {
         // the module docs for why this matches sequential error
         // identity under the Theorem 7 guard).
         for part in parts {
-            let (set, eff) = part?;
+            let (set, eff, used) = part?;
+            self.fuel.settle(used)?;
             out.extend(set);
             self.effect.union_with(&eff);
         }

@@ -225,6 +225,24 @@ impl Op {
     }
 }
 
+/// Which fold an [`OpKind::Aggregate`] applies to its input set.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum AggKind {
+    /// `sum(q)` — wrapping integer sum of the set's elements.
+    Sum,
+    /// `size(q)` — the set's cardinality.
+    Size,
+}
+
+impl fmt::Display for AggKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AggKind::Sum => write!(f, "sum"),
+            AggKind::Size => write!(f, "size"),
+        }
+    }
+}
+
 /// The operator alternatives.
 #[derive(Clone, Debug)]
 pub enum OpKind {
@@ -283,6 +301,20 @@ pub enum OpKind {
         /// The lowered body after parameter substitution.
         body: Box<Op>,
     },
+    /// Fold a set-valued sub-plan to one integer — the only operator
+    /// whose result is not a set. The input is a *set* (a comprehension
+    /// arrives through its `Distinct`), so `sum` is over distinct values,
+    /// exactly as in the naive engines.
+    Aggregate {
+        /// The fold.
+        kind: AggKind,
+        /// The whole `sum(q)` / `size(q)` query, quoted by the fold's
+        /// stuck state (`sum` over a non-integer set) exactly as the
+        /// big-step evaluator quotes it.
+        expr: Query,
+        /// The set-valued input.
+        input: Box<Op>,
+    },
     /// Escape hatch: a pure set-valued operand with no recognized
     /// physical shape, evaluated wholesale through `eval_expr`. Never a
     /// plan root (the lowering returns `None` instead, leaving the whole
@@ -307,6 +339,7 @@ impl Op {
             OpKind::MapProject { head, .. } => format!("MapProject  head = {head}"),
             OpKind::Pipeline { .. } => "Pipeline".into(),
             OpKind::InlineDef { name, .. } => format!("InlineDef {name}"),
+            OpKind::Aggregate { kind, .. } => format!("Aggregate {kind}"),
             OpKind::Eval { expr } => format!("Eval  {expr}"),
         }
     }
@@ -419,7 +452,9 @@ fn number_op(op: &mut Op, next: &mut u32) {
             number_op(left, next);
             number_op(right, next);
         }
-        OpKind::Distinct { input } | OpKind::MapProject { input, .. } => {
+        OpKind::Distinct { input }
+        | OpKind::MapProject { input, .. }
+        | OpKind::Aggregate { input, .. } => {
             number_op(input, next);
         }
         OpKind::Pipeline { stages } => {
@@ -501,7 +536,9 @@ fn collect_op_verdicts(
             collect_op_verdicts(left, compiled, out);
             collect_op_verdicts(right, compiled, out);
         }
-        OpKind::Distinct { input } | OpKind::MapProject { input, .. } => {
+        OpKind::Distinct { input }
+        | OpKind::MapProject { input, .. }
+        | OpKind::Aggregate { input, .. } => {
             collect_op_verdicts(input, compiled, out);
         }
         OpKind::Pipeline { stages } => {
@@ -593,6 +630,10 @@ fn render_op(op: &Op, compiled: &BTreeMap<NodeId, CompileVerdict>, depth: usize,
         OpKind::InlineDef { name, body } => {
             out.push_str(&format!("InlineDef {name}  (literal args inlined){par}\n"));
             render_op(body, compiled, depth + 1, out);
+        }
+        OpKind::Aggregate { kind, input, .. } => {
+            out.push_str(&format!("Aggregate {kind}{par}\n"));
+            render_op(input, compiled, depth + 1, out);
         }
         OpKind::Eval { expr } => {
             out.push_str(&format!("Eval  {expr}  (pure operand, interpreted){par}\n"));

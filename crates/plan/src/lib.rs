@@ -10,8 +10,9 @@
 //!   `HashIndexProbe` (the generalization of the big-step evaluator's
 //!   former in-line fast path, including the cross-generator hash
 //!   semi-join), `Filter`, `MapProject`, `SetUnion` / `SetIntersect` /
-//!   `SetDiff`, `Distinct`, `InlineDef` — with a renderer for
-//!   `explain` / `:plan` output;
+//!   `SetDiff`, `Distinct`, `InlineDef`, and `Aggregate` (a `sum`/`size`
+//!   root over any of those) — with a renderer for `explain` / `:plan`
+//!   output;
 //! * a **guarded lowering** ([`lower()`]) consuming the elaborated
 //!   query *and its inferred Figure-3 effect*, emitting a plan only for
 //!   Theorem-7-eligible queries and choosing scan vs index cost-based
@@ -58,8 +59,8 @@ pub use exec::{
     PlanResult, ProfEntry,
 };
 pub use ir::{
-    EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, NodeVerdict, Op, OpKind, ParVerdict, Plan,
-    Stage, StageKind,
+    AggKind, EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, NodeVerdict, Op, OpKind, ParVerdict,
+    Plan, Stage, StageKind,
 };
 pub use lower::{lower, lower_with, set_op_verdict, BranchEffectFn, ParSpec};
 pub use par::ParMetrics;
@@ -171,12 +172,67 @@ mod tests {
         let stats = Stats::new();
         assert!(lower(&Query::int(3), &Effect::empty(), &defs, &stats).is_none());
         assert!(lower(
-            &Query::extent("Ps").size_of(),
-            &Effect::read("P"),
+            &Query::int(1).add(Query::int(2)),
+            &Effect::empty(),
             &defs,
             &stats
         )
         .is_none());
+        // An aggregate lowers exactly when its operand does.
+        let over_literal = Query::set_lit([Query::int(1)]).size_of();
+        assert!(lower(&over_literal, &Effect::empty(), &defs, &stats).is_none());
+        let plan = lower(
+            &Query::extent("Ps").size_of(),
+            &Effect::read("P"),
+            &defs,
+            &stats,
+        )
+        .expect("size over an extent lowers");
+        let rendered = plan.render();
+        assert!(
+            rendered.contains("  Aggregate size\n    ExtentScan Ps"),
+            "{rendered}"
+        );
+    }
+
+    /// The aggregate's own stuck case stays where the interpreter puts
+    /// it: same error, same quoted query.
+    #[test]
+    fn sum_over_a_non_integer_set_sticks_like_big_step() {
+        let (schema, store) = setup();
+        let cfg = EvalConfig::new(&schema);
+        let defs = DefEnv::new();
+        let q = Query::comp(
+            Query::var("x"),
+            [Qualifier::Gen(
+                VarName::new("x"),
+                Query::set_lit([Query::int(1), Query::bool(true)]),
+            )],
+        )
+        .sum_of();
+        let plan = lower(&q, &Effect::empty(), &defs, &Stats::new()).unwrap();
+        let p = execute(
+            &plan,
+            &cfg,
+            &defs,
+            &mut store.clone(),
+            &mut FirstChooser,
+            1_000,
+        );
+        let b = eval_big(
+            &cfg,
+            &defs,
+            &mut store.clone(),
+            &q,
+            &mut FirstChooser,
+            1_000,
+        );
+        let (pe, be) = (p.unwrap_err(), b.unwrap_err());
+        assert_eq!(pe, be);
+        assert!(
+            pe.to_string().contains("sum over a non-integer set"),
+            "{pe}"
+        );
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! the Theorem 7 conditions hold for the whole query ([`Thm7::lowerable`]:
 //! write-free effect, invocation-free, called definitions pure); every
 //! other query — and every query whose root has no recognized physical
-//! shape — returns `None` and runs on the existing interpreters
-//! unchanged. Within an eligible query, scan-vs-index selection is
-//! cost-based via [`Stats`]; the cost formulas are documented at the
-//! decision site.
+//! shape (a set-valued operator tree, or `sum`/`size` over one) —
+//! returns `None` and runs on the existing interpreters unchanged.
+//! Within an eligible query, scan-vs-index selection is cost-based via
+//! [`Stats`]; the cost formulas are documented at the decision site.
 //!
 //! When lowered through [`lower_with`] with a nonzero
 //! [`ParSpec::parallelism`], each parallel-capable node is additionally
@@ -20,7 +20,7 @@
 
 use crate::bytecode::{self, CompileVerdict};
 use crate::ir::{
-    EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, ParVerdict, Plan, Stage,
+    AggKind, EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, ParVerdict, Plan, Stage,
     StageKind,
 };
 use ioql_ast::{Qualifier, Query, VarName};
@@ -165,7 +165,9 @@ fn annotate_compile(op: &Op, compiled: &mut BTreeMap<NodeId, CompileVerdict>) {
             annotate_compile(left, compiled);
             annotate_compile(right, compiled);
         }
-        OpKind::Distinct { input } => annotate_compile(input, compiled),
+        OpKind::Distinct { input } | OpKind::Aggregate { input, .. } => {
+            annotate_compile(input, compiled)
+        }
         OpKind::InlineDef { body, .. } => annotate_compile(body, compiled),
         OpKind::ExtentScan { .. } | OpKind::Eval { .. } => {}
     }
@@ -200,12 +202,25 @@ pub fn set_op_verdict(left: &Effect, right: &Effect, schema: &Schema) -> ParVerd
     }
 }
 
-/// Lowers a set-shaped root (or set operand). `None` when the shape has
-/// no physical operator — callers either fall back to the interpreter
-/// (plan root) or wrap the expression in [`OpKind::Eval`] (set operand,
-/// which is safe because the whole query already passed the guard).
+/// Lowers a set-shaped root (or set operand), or a `sum`/`size` over
+/// one. `None` when the shape has no physical operator — callers either
+/// fall back to the interpreter (plan root) or wrap the expression in
+/// [`OpKind::Eval`] (set operand, which is safe because the whole query
+/// already passed the guard).
 fn lower_op(q: &Query, defs: &DefEnv, stats: &Stats, spec: &ParSpec<'_>) -> Option<Op> {
+    let aggregate = |kind, inner: &Query| {
+        Some(Op::new(OpKind::Aggregate {
+            kind,
+            expr: q.clone(),
+            input: Box::new(lower_op(inner, defs, stats, spec)?),
+        }))
+    };
     match q {
+        // An aggregate lowers exactly when its operand does; anything
+        // else (a set literal, a variable, an `if`) keeps the whole query
+        // on the interpreter.
+        Query::Sum(inner) => aggregate(AggKind::Sum, inner),
+        Query::Size(inner) => aggregate(AggKind::Size, inner),
         Query::Extent(e) => Some(Op::new(OpKind::ExtentScan {
             extent: e.clone(),
             est_rows: stats.extent_size(e),

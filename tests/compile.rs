@@ -217,10 +217,11 @@ fn fuel_verdicts_match_at_every_budget() {
         "{ p.name * p.name - 1 | p <- Ps, p.name < 3 }",
     ] {
         let (q, _) = check_query(&tenv, &fx.query(src)).unwrap();
-        // Baselines are compile-off at the *same* pool size: the
-        // parallel tier's trip positions under a shared fuel cell are
-        // its own (pre-existing, class-pinned) contract — this test
-        // isolates what *compilation* changes, which must be nothing.
+        // Baselines are compile-off at the *same* pool size: where a
+        // pooled run trips (each worker starts on the whole budget, the
+        // parts are settled in chunk order) is the parallel tier's own
+        // contract — this test isolates what *compilation* changes,
+        // which must be nothing.
         for max_steps in 0..=250u64 {
             for pool in POOLS {
                 let baseline = observe(

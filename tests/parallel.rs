@@ -217,7 +217,7 @@ fn fault_plans_hold_identically_under_parallelism() {
 }
 
 /// Fuel exhaustion: a step budget smaller than the extent must trip with
-/// the same error class whether or not workers share the fuel cell.
+/// the same error class whether or not a worker pool ran the scan.
 #[test]
 fn fuel_exhaustion_class_survives_parallel_dispatch() {
     let fx = jack_jill();

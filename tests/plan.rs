@@ -376,3 +376,167 @@ fn database_engine_plan_respects_budgets() {
     db.query_governed(q, &mut FirstChooser, &paying).unwrap();
     assert_eq!(paying.cells_spent(), price);
 }
+
+/// Aggregate roots (`sum`/`size` over anything that lowers) run on the
+/// `Aggregate` operator, not the interpreter fallback, and must stay
+/// observationally identical to both interpreters — with the compile
+/// tier on and off and worker pools 0 and 4, under every chooser, on
+/// every meter, and at every fuel budget.
+#[test]
+fn aggregate_roots_agree_on_every_engine() {
+    const DDL: &str = "
+        class Person extends Object (extent Persons) {
+            attribute int name;
+            attribute int age;
+        }
+        class Employee extends Person (extent Employees) {
+            attribute int dept;
+        }";
+    const MAX: &str = "9223372036854775807";
+    // Ages repeat across rows, so `sum` over the *set* of ages differs
+    // from a sum over rows: the fold must see the `Distinct` output.
+    let build = |opts: DbOptions| {
+        let mut db = Database::from_ddl_with(DDL, opts).unwrap();
+        db.define("define inDept(d: int) as { e | e <- Employees, e.dept = d };")
+            .unwrap();
+        db.query("{ new Person(name: n, age: 30) | n <- {1, 2, 3, 4} }")
+            .unwrap();
+        db.query("{ new Person(name: n, age: n + 30) | n <- {5, 6, 7, 8, 9, 10, 11, 12} }")
+            .unwrap();
+        db.query("{ new Employee(name: n, age: n + 20, dept: 3) | n <- {20, 21, 22} }")
+            .unwrap();
+        db.query("{ new Employee(name: n, age: 50, dept: 4) | n <- {30, 31} }")
+            .unwrap();
+        db
+    };
+    let with = |engine, compile, parallelism| DbOptions {
+        engine,
+        compile,
+        parallelism,
+        cache_capacity: 0,
+        ..DbOptions::default()
+    };
+    let family: Vec<String> = [
+        "sum({ p.age | p <- Persons, p.name <= 6 })",
+        "size({ p | p <- Persons, p.name = 2 })",
+        "sum({ p.age + e.dept | p <- Persons, e <- Employees, p.name = e.name })",
+        "size(Persons)",
+        "sum({ p.age | p <- Persons, p.name < 4 } union { e.dept | e <- Employees })",
+        "size({ p.name | p <- Persons } except { e.name | e <- Employees })",
+        "sum({ e.age | e <- inDept(3) })",
+        "size(inDept(3))",
+    ]
+    .into_iter()
+    .map(String::from)
+    // The `i64` boundaries of `sum_wraps_identically_at_integer_
+    // boundaries`, shaped so the operand lowers.
+    .chain([
+        format!("sum({{ x | x <- {{ {MAX}, 1 }} }})"),
+        format!("sum({{ x | x <- {{ 0 - {MAX} - 1, 0 - 1 }} }})"),
+    ])
+    .collect();
+    let plan_variants = [(false, 0), (true, 0), (false, 4), (true, 4)];
+    let mk_choosers: [fn() -> Box<dyn Chooser>; 3] = [
+        || Box::new(FirstChooser),
+        || Box::new(LastChooser),
+        || Box::new(RandomChooser::seeded(0xA66)),
+    ];
+    let observe = |db: &mut Database, q: &str, chooser: &mut dyn Chooser, limits: Limits| {
+        let governor = Governor::new(limits);
+        let r = db
+            .query_governed(q, chooser, &governor)
+            .map(|r| (r.value, r.runtime_effect, r.static_effect))
+            .map_err(|e| match e {
+                ioql::DbError::Eval(e) => e,
+                other => panic!("{q}: not an evaluation error: {other:?}"),
+            });
+        (r, governor.cells_spent())
+    };
+    let mut big = build(with(Engine::BigStep, false, 0));
+    let mut small = build(with(Engine::SmallStep, false, 0));
+    let mut plans: Vec<Database> = plan_variants
+        .iter()
+        .map(|&(compile, pool)| build(with(Engine::Plan, compile, pool)))
+        .collect();
+    for q in &family {
+        let rendered = plans[0].explain(q).unwrap();
+        assert!(
+            rendered.contains("  Aggregate s"),
+            "{q} must run on the Aggregate operator:\n{rendered}"
+        );
+        for mk in &mk_choosers {
+            let want = observe(&mut big, q, &mut *mk(), Limits::none());
+            assert!(want.0.is_ok(), "{q}: {want:?}");
+            assert_eq!(
+                observe(&mut small, q, &mut *mk(), Limits::none()),
+                want,
+                "small-step vs big-step on {q}"
+            );
+            for (db, variant) in plans.iter_mut().zip(plan_variants) {
+                assert_eq!(
+                    observe(db, q, &mut *mk(), Limits::none()),
+                    want,
+                    "plan (compile, pool) = {variant:?} vs big-step on {q}"
+                );
+            }
+        }
+        // A cardinality cap trips at the same observation (the error
+        // carries the observed cardinality), or not at all, everywhere.
+        for cap in [0, 2, 4, 11] {
+            let limits = Limits::none().with_max_set_card(cap);
+            let want = observe(&mut big, q, &mut FirstChooser, limits);
+            for (db, variant) in plans.iter_mut().zip(plan_variants) {
+                assert_eq!(
+                    observe(db, q, &mut FirstChooser, limits),
+                    want,
+                    "set-card cap {cap}, plan {variant:?} on {q}"
+                );
+            }
+        }
+    }
+    // Fuel. Below the root the plan path spends its budget on its own
+    // schedule (one unit per operator and per draw, the interpreter's
+    // count inside each delegated expression), so what is pinned is the
+    // aggregate node itself: on the plan path as on big-step it costs
+    // exactly one unit on top of its operand — big-step's pre-order
+    // `burn` — and every budget short of that trips with big-step's
+    // own error, never a wrong answer. Pools are swept too: a worker
+    // runs on a copy of the budget and the parts are settled in chunk
+    // order, so the verdict at a budget does not depend on scheduling.
+    let threshold = |db: &mut Database, opts: &DbOptions, q: &str| {
+        db.set_options(DbOptions {
+            max_steps: 10_000,
+            ..opts.clone()
+        });
+        let answer = observe(db, q, &mut FirstChooser, Limits::none()).0;
+        assert!(answer.is_ok(), "{q}: {answer:?}");
+        (0u64..)
+            .find(|&max_steps| {
+                db.set_options(DbOptions {
+                    max_steps,
+                    ..opts.clone()
+                });
+                let got = observe(db, q, &mut FirstChooser, Limits::none()).0;
+                assert!(
+                    got == answer || got == Err(EvalError::FuelExhausted),
+                    "budget {max_steps} on {q}: {got:?}"
+                );
+                got == answer
+            })
+            .unwrap()
+    };
+    for q in &family {
+        let operand = &q[q.find('(').unwrap() + 1..q.len() - 1];
+        let big_opts = with(Engine::BigStep, false, 0);
+        let big_cost = threshold(&mut big, &big_opts, q) - threshold(&mut big, &big_opts, operand);
+        assert_eq!(big_cost, 1, "big-step burns once for the root of {q}");
+        for (db, (compile, pool)) in plans.iter_mut().zip(plan_variants) {
+            let opts = with(Engine::Plan, compile, pool);
+            let cost = threshold(db, &opts, q) - threshold(db, &opts, operand);
+            assert_eq!(
+                cost, big_cost,
+                "aggregate node fuel, compile {compile} pool {pool}, on {q}"
+            );
+        }
+    }
+}
