@@ -48,6 +48,7 @@
 #![allow(clippy::result_large_err)] // cold-path REPL errors
 
 use ioql::{Database, DbError, DbOptions, Mode};
+use std::error::Error;
 use std::io::{BufRead, Write};
 
 const HELP: &str = "\
@@ -277,7 +278,18 @@ fn main() {
     }
 }
 
-fn run_line(db: &mut Database, line: &str) -> Result<(), DbError> {
+fn run_line(db: &mut Database, line: &str) -> Result<(), Box<dyn Error>> {
+    // The commands shared with the wire protocol: the kernel interprets
+    // them, the shell prints the text (or, for a silent one, its tag).
+    if let Some(reply) = db.kernel().admin(&db.options(), line) {
+        let (tag, text) = reply?;
+        if text.is_empty() {
+            println!("{tag}.");
+        } else {
+            print!("{text}");
+        }
+        return Ok(());
+    }
     if line == ":help" {
         println!("{HELP}");
         return Ok(());
@@ -317,18 +329,6 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), DbError> {
         // is rejected here and the current store stays as it was.
         db.load_from(std::path::Path::new(rest.trim()))?;
         println!("loaded.");
-        return Ok(());
-    }
-    if line == ":checkpoint" {
-        db.checkpoint()?;
-        println!("checkpointed.");
-        return Ok(());
-    }
-    if line == ":wal status" {
-        match db.wal_status() {
-            Some(status) => println!("{status}"),
-            None => println!("wal: off (start with --durable <dir> to enable)"),
-        }
         return Ok(());
     }
     if let Some(rest) = line.strip_prefix(":serve ") {
@@ -390,32 +390,6 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), DbError> {
         }
         return Ok(());
     }
-    // Flight-recorder retrieval — matched before the step-derivation
-    // `:trace <query>` form, which keeps everything else as a query.
-    if line == ":trace last" || line.starts_with(":trace last ") || line.starts_with(":trace seq ")
-    {
-        let records = if let Some(s) = line.strip_prefix(":trace seq ") {
-            let seq: u64 = s.trim().parse().map_err(|_| {
-                DbError::Internal(format!(":trace seq needs a number, got `{}`", s.trim()))
-            })?;
-            db.trace_by_seq(seq).into_iter().collect::<Vec<_>>()
-        } else {
-            let n: usize = match line.strip_prefix(":trace last").map(str::trim) {
-                Some("") | None => 1,
-                Some(s) => s.parse().map_err(|_| {
-                    DbError::Internal(format!(":trace last needs a count, got `{s}`"))
-                })?,
-            };
-            db.traces_last(n)
-        };
-        if records.is_empty() {
-            println!("no matching trace record");
-        }
-        for r in &records {
-            print!("{}", r.render());
-        }
-        return Ok(());
-    }
     if let Some(rest) = line.strip_prefix(":trace ") {
         let t = db.trace(rest)?;
         print!("{}", t.render(100));
@@ -465,7 +439,8 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), DbError> {
             other => {
                 return Err(DbError::Internal(format!(
                     ":compile needs `on` or `off`, got `{other}`"
-                )))
+                ))
+                .into())
             }
         };
         db.set_compile(on);
@@ -475,73 +450,6 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), DbError> {
             println!("compile on (engine: plan)");
         } else {
             println!("compile off");
-        }
-        return Ok(());
-    }
-    if line == ":metrics" {
-        print!("{}", db.metrics_text());
-        return Ok(());
-    }
-    if line == ":stats" {
-        let s = db.cache_stats();
-        println!(
-            "cache: {} hit(s), {} miss(es), {} eviction(s), {} live entr{}",
-            s.hits,
-            s.misses,
-            s.evictions,
-            s.entries,
-            if s.entries == 1 { "y" } else { "ies" }
-        );
-        let p = &db.metrics().parallel;
-        println!(
-            "parallel: pool {} — {} run(s) (scan {}, index build {}, set op {}), \
-             {} chunk(s), {} fallback(s) (chooser {}, budget {}, tiny {})",
-            db.parallelism(),
-            p.par_scans.get() + p.par_index_builds.get() + p.par_set_ops.get(),
-            p.par_scans.get(),
-            p.par_index_builds.get(),
-            p.par_set_ops.get(),
-            p.chunks.get(),
-            p.fallback_chooser.get() + p.fallback_budget.get() + p.fallback_tiny.get(),
-            p.fallback_chooser.get(),
-            p.fallback_budget.get(),
-            p.fallback_tiny.get()
-        );
-        let v = &db.metrics().vm;
-        println!(
-            "vm: compile {} — {} node(s) compiled, {} interpreted, {} row(s) dispatched",
-            if db.compile() { "on" } else { "off" },
-            v.compiles.get(),
-            v.fallbacks.get(),
-            v.dispatches.get()
-        );
-        let (commits, inflight, max_inflight, witnesses) = db.kernel().sched_snapshot();
-        let sm = &db.metrics().sched;
-        println!(
-            "sched: {} committed writer(s), {} in-flight reader(s), max concurrent {}, \
-             admitted {}, serialized {}",
-            commits,
-            inflight,
-            max_inflight,
-            sm.admitted.get(),
-            sm.serialized.get()
-        );
-        if !witnesses.is_empty() {
-            println!("recent witnesses: {}", witnesses.join(" "));
-        }
-        println!(
-            "snapshot: {} acquire(s) in {} ns, chunks shared {}, copied {}",
-            sm.snapshot_ns.count(),
-            sm.snapshot_ns.sum_ns(),
-            db.metrics().snapshot_chunks_shared.get(),
-            db.metrics().snapshot_chunks_copied.get()
-        );
-        for (e, _c) in db.schema().extents() {
-            println!(
-                "extent {e}: {} object(s), version {}",
-                db.extent_len(e.as_str()),
-                db.store().extent_version(e)
-            );
         }
         return Ok(());
     }

@@ -29,7 +29,8 @@ use ioql_schema::Schema;
 use ioql_store::{Durability, Store};
 use ioql_syntax::{parse_program, parse_schema};
 use ioql_telemetry::{
-    Counter, EventSink, FlightRecorder, Histogram, MetricsRegistry, TraceRecord, Tracer,
+    Counter, EventSink, FlightRecorder, Histogram, MetricsRegistry, Span, SpanHistograms,
+    TraceRecord, Tracer,
 };
 use ioql_types::TypeOptions;
 use std::collections::BTreeMap;
@@ -92,8 +93,10 @@ pub struct DbOptions {
     /// see [`crate::cache`].
     pub cache_capacity: usize,
     /// Enable the telemetry registry: cache/governor/engine counters,
-    /// per-phase lifecycle histograms, `:metrics` exposition. Off by
-    /// default; when off every handle is a no-op and no clock is read.
+    /// per-span lifecycle histograms, `:metrics` exposition. Off by
+    /// default; when off every handle is a no-op and (unless
+    /// [`DbOptions::trace_capacity`] asks for span trees) no span reads
+    /// a clock.
     /// Telemetry is **semantics-transparent** either way — nothing
     /// recorded feeds back into evaluation (see `tests/telemetry.rs`).
     pub telemetry: bool,
@@ -196,8 +199,10 @@ impl Default for DbOptions {
     }
 }
 
-/// The database's telemetry handles: one [`MetricsRegistry`] plus the
-/// pre-registered counters and histograms every subsystem writes into.
+/// The database's telemetry handles: one [`MetricsRegistry`] with the
+/// pre-registered counters every subsystem writes into, plus the three
+/// views a request's [`Tracer`] delivers its one measurement to — the
+/// per-[`Span`] histograms, the flight recorder, and the JSONL sink.
 ///
 /// All handles are **write-only from the engines' side**: no evaluation,
 /// chooser, governor, or cache decision ever reads a recorded value, so
@@ -208,6 +213,9 @@ impl Default for DbOptions {
 #[derive(Clone, Debug)]
 pub struct DbMetrics {
     registry: Arc<MetricsRegistry>,
+    spans: SpanHistograms,
+    sink: Option<Arc<EventSink>>,
+    recorder: Option<Arc<FlightRecorder>>,
     /// Queries started (any engine, cached or not).
     pub queries: Counter,
     /// Failed mutating queries rolled back to their snapshot.
@@ -220,11 +228,6 @@ pub struct DbMetrics {
     pub cache_misses: Counter,
     /// Query-cache evictions (capacity and staleness).
     pub cache_evictions: Counter,
-    pub(crate) phase_parse: Histogram,
-    pub(crate) phase_typecheck: Histogram,
-    pub(crate) phase_optimize: Histogram,
-    pub(crate) phase_lower: Histogram,
-    pub(crate) phase_execute: Histogram,
     /// Governor charge/trip counters (shared with every [`Governor`]
     /// built by [`Database::governor`]).
     pub governor: GovernorMetrics,
@@ -237,9 +240,10 @@ pub struct DbMetrics {
     /// Bytecode-VM counters: plan nodes compiled vs. kept interpreted,
     /// rows dispatched through the VM, and batch dispatch wall time.
     pub vm: ioql_plan::VmMetrics,
-    /// Admission-controller counters: queries admitted concurrently,
-    /// queries serialized (with their interference witnesses), and the
-    /// submission-to-admission wait histogram — see [`crate::sched`].
+    /// Admission-controller counters: queries admitted concurrently and
+    /// queries serialized (with their interference witnesses) — see
+    /// [`crate::sched`]. The wait and snapshot-acquire timings are the
+    /// [`Span::SchedWait`] / [`Span::SnapshotAcquire`] histograms.
     pub sched: SchedMetrics,
     /// Store chunks shared (not copied) by snapshot acquisition — the
     /// spine length at each admission. Together with
@@ -274,177 +278,172 @@ pub struct DbMetrics {
 }
 
 impl DbMetrics {
-    fn new(enabled: bool) -> DbMetrics {
-        let registry = Arc::new(MetricsRegistry::new(enabled));
-        for (family, help) in [
-            (
+    fn new(options: &DbOptions) -> Result<DbMetrics, DbError> {
+        let registry = Arc::new(MetricsRegistry::new(options.telemetry));
+        let sink = match &options.telemetry_jsonl {
+            Some(path) => Some(Arc::new(
+                EventSink::create(path, Arc::clone(&registry))
+                    .map_err(|e| DbError::Io(e.to_string()))?,
+            )),
+            None => None,
+        };
+        let recorder = (options.trace_capacity > 0)
+            .then(|| Arc::new(FlightRecorder::new(options.trace_capacity)));
+        let c = |name: &str, help: &str| registry.counter(name, help);
+        let charges = |kind: &str| {
+            c(
+                &format!("ioql_governor_charges_total{{kind=\"{kind}\"}}"),
+                "Governor charges by kind.",
+            )
+        };
+        let trips = |kind: &str| {
+            c(
+                &format!("ioql_governor_trips_total{{kind=\"{kind}\"}}"),
+                "Governor budget trips by kind.",
+            )
+        };
+        Ok(DbMetrics {
+            spans: Span::histograms(&registry),
+            sink,
+            recorder,
+            queries: c(
                 "ioql_queries_total",
                 "Queries started (any engine, cached or not).",
             ),
-            (
+            rollbacks: c(
                 "ioql_rollbacks_total",
                 "Failed mutating queries rolled back to their pre-query snapshot.",
             ),
-            (
+            chooser_draws: c(
                 "ioql_chooser_draws_total",
                 "Nondeterministic chooser draws across all queries.",
             ),
-            ("ioql_cache_hits_total", "Query-result cache hits."),
-            ("ioql_cache_misses_total", "Query-result cache misses."),
-            (
+            cache_hits: c("ioql_cache_hits_total", "Query-result cache hits."),
+            cache_misses: c("ioql_cache_misses_total", "Query-result cache misses."),
+            cache_evictions: c(
                 "ioql_cache_evictions_total",
                 "Query-result cache LRU evictions.",
             ),
-            (
-                "ioql_phase_duration_ns",
-                "Wall-clock nanoseconds per pipeline phase.",
-            ),
-            (
-                "ioql_governor_checkpoints_total",
-                "Governor budget checkpoints.",
-            ),
-            ("ioql_governor_charges_total", "Governor charges by kind."),
-            (
-                "ioql_governor_observations_total",
-                "Governor observations by kind.",
-            ),
-            (
-                "ioql_governor_cancellations_total",
-                "Queries cancelled via the governor's token.",
-            ),
-            (
-                "ioql_governor_trips_total",
-                "Governor budget trips by kind.",
-            ),
-            (
-                "ioql_eval_steps_total",
-                "Small-step machine reduction steps.",
-            ),
-            (
-                "ioql_eval_recursions_total",
-                "Named-definition recursive calls.",
-            ),
-            (
-                "ioql_sched_admitted_total",
-                "Write-free queries admitted concurrently against a snapshot.",
-            ),
-            (
-                "ioql_sched_serialized_total",
-                "Writing queries serialized into the kernel's commit order.",
-            ),
-            (
-                "ioql_sched_witnesses_total",
-                "Interference witnesses recorded at serialization.",
-            ),
-            (
-                "ioql_sched_wait_ns",
-                "Nanoseconds spent waiting for admission plus state-lock acquisition.",
-            ),
-            (
-                "ioql_sched_snapshot_ns",
-                "Nanoseconds spent acquiring the COW store snapshot under the read lock.",
-            ),
-            (
-                "ioql_snapshot_chunks_shared_total",
-                "Store chunks shared (not copied) by snapshot acquisition.",
-            ),
-            (
-                "ioql_snapshot_chunks_copied_total",
-                "Store chunks copied by writers because a live snapshot shared them.",
-            ),
-            (
-                "ioql_wal_appends_total",
-                "Committed records appended to the write-ahead log.",
-            ),
-            (
-                "ioql_wal_skipped_effect_total",
-                "Commits skipped by the WAL because the effect proved them write-free.",
-            ),
-            ("ioql_wal_fsyncs_total", "WAL fsync calls."),
-            (
-                "ioql_wal_group_commits_total",
-                "WAL fsyncs that covered more than one pending record.",
-            ),
-            (
-                "ioql_wal_checkpoints_total",
-                "Durable checkpoints (baseline rebuilds).",
-            ),
-            (
-                "ioql_wal_replayed_total",
-                "Records replayed during recovery.",
-            ),
-            (
-                "ioql_wal_torn_dropped_total",
-                "Torn tail records dropped during recovery.",
-            ),
-            ("ioql_store_saves_total", "Store snapshots saved to disk."),
-            (
-                "ioql_store_loads_total",
-                "Store snapshots loaded from disk.",
-            ),
-        ] {
-            registry.describe(family, help);
-        }
-        let c = |name: &str| registry.counter(name);
-        let h = |phase: &str| {
-            registry.histogram(&format!("ioql_phase_duration_ns{{phase=\"{phase}\"}}"))
-        };
-        DbMetrics {
-            queries: c("ioql_queries_total"),
-            rollbacks: c("ioql_rollbacks_total"),
-            chooser_draws: c("ioql_chooser_draws_total"),
-            cache_hits: c("ioql_cache_hits_total"),
-            cache_misses: c("ioql_cache_misses_total"),
-            cache_evictions: c("ioql_cache_evictions_total"),
-            phase_parse: h("parse"),
-            phase_typecheck: h("typecheck"),
-            phase_optimize: h("optimize"),
-            phase_lower: h("lower"),
-            phase_execute: h("execute"),
             governor: GovernorMetrics {
-                checkpoints: c("ioql_governor_checkpoints_total"),
-                cell_charges: c("ioql_governor_charges_total{kind=\"cells\"}"),
-                growth_charges: c("ioql_governor_charges_total{kind=\"store-growth\"}"),
+                checkpoints: c(
+                    "ioql_governor_checkpoints_total",
+                    "Governor budget checkpoints.",
+                ),
+                cell_charges: charges("cells"),
+                growth_charges: charges("store-growth"),
                 set_card_observations: c(
                     "ioql_governor_observations_total{kind=\"set-cardinality\"}",
+                    "Governor observations by kind.",
                 ),
-                cancellations: c("ioql_governor_cancellations_total"),
-                trips_wall_clock: c("ioql_governor_trips_total{kind=\"wall-clock\"}"),
-                trips_cells: c("ioql_governor_trips_total{kind=\"cells\"}"),
-                trips_set_card: c("ioql_governor_trips_total{kind=\"set-cardinality\"}"),
-                trips_growth: c("ioql_governor_trips_total{kind=\"store-growth\"}"),
+                cancellations: c(
+                    "ioql_governor_cancellations_total",
+                    "Queries cancelled via the governor's token.",
+                ),
+                trips_wall_clock: trips("wall-clock"),
+                trips_cells: trips("cells"),
+                trips_set_card: trips("set-cardinality"),
+                trips_growth: trips("store-growth"),
             },
             eval: EvalMetrics {
-                steps: c("ioql_eval_steps_total"),
-                recursions: c("ioql_eval_recursions_total"),
+                steps: c(
+                    "ioql_eval_steps_total",
+                    "Small-step machine reduction steps.",
+                ),
+                recursions: c(
+                    "ioql_eval_recursions_total",
+                    "Named-definition recursive calls.",
+                ),
             },
             parallel: ioql_plan::ParMetrics::new(&registry),
             vm: ioql_plan::VmMetrics::new(&registry),
             sched: SchedMetrics {
-                admitted: c("ioql_sched_admitted_total"),
-                serialized: c("ioql_sched_serialized_total"),
-                witnesses: c("ioql_sched_witnesses_total"),
-                wait_ns: registry.histogram("ioql_sched_wait_ns"),
-                snapshot_ns: registry.histogram("ioql_sched_snapshot_ns"),
+                admitted: c(
+                    "ioql_sched_admitted_total",
+                    "Write-free queries admitted concurrently against a snapshot.",
+                ),
+                serialized: c(
+                    "ioql_sched_serialized_total",
+                    "Writing queries serialized into the kernel's commit order.",
+                ),
+                witnesses: c(
+                    "ioql_sched_witnesses_total",
+                    "Interference witnesses recorded at serialization.",
+                ),
             },
-            snapshot_chunks_shared: c("ioql_snapshot_chunks_shared_total"),
-            snapshot_chunks_copied: c("ioql_snapshot_chunks_copied_total"),
-            wal_appends: c("ioql_wal_appends_total"),
-            wal_skipped_effect: c("ioql_wal_skipped_effect_total"),
-            wal_fsyncs: c("ioql_wal_fsyncs_total"),
-            wal_group_commits: c("ioql_wal_group_commits_total"),
-            wal_checkpoints: c("ioql_wal_checkpoints_total"),
-            wal_replayed: c("ioql_wal_replayed_total"),
-            wal_torn_dropped: c("ioql_wal_torn_dropped_total"),
-            store_saves: c("ioql_store_saves_total"),
-            store_loads: c("ioql_store_loads_total"),
+            snapshot_chunks_shared: c(
+                "ioql_snapshot_chunks_shared_total",
+                "Store chunks shared (not copied) by snapshot acquisition.",
+            ),
+            snapshot_chunks_copied: c(
+                "ioql_snapshot_chunks_copied_total",
+                "Store chunks copied by writers because a live snapshot shared them.",
+            ),
+            wal_appends: c(
+                "ioql_wal_appends_total",
+                "Committed records appended to the write-ahead log.",
+            ),
+            wal_skipped_effect: c(
+                "ioql_wal_skipped_effect_total",
+                "Commits skipped by the WAL because the effect proved them write-free.",
+            ),
+            wal_fsyncs: c("ioql_wal_fsyncs_total", "WAL fsync calls."),
+            wal_group_commits: c(
+                "ioql_wal_group_commits_total",
+                "WAL fsyncs that covered more than one pending record.",
+            ),
+            wal_checkpoints: c(
+                "ioql_wal_checkpoints_total",
+                "Durable checkpoints (baseline rebuilds).",
+            ),
+            wal_replayed: c(
+                "ioql_wal_replayed_total",
+                "Records replayed during recovery.",
+            ),
+            wal_torn_dropped: c(
+                "ioql_wal_torn_dropped_total",
+                "Torn tail records dropped during recovery.",
+            ),
+            store_saves: c("ioql_store_saves_total", "Store snapshots saved to disk."),
+            store_loads: c(
+                "ioql_store_loads_total",
+                "Store snapshots loaded from disk.",
+            ),
             registry,
-        }
+        })
     }
 
     /// The backing registry (counter reads, Prometheus rendering).
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
+    }
+
+    /// The histogram every duration of `span` is observed into (a
+    /// disabled handle for annotation-only spans, and for every span
+    /// when [`DbOptions::telemetry`] is off).
+    pub fn span(&self, span: Span) -> &Histogram {
+        &self.spans[span as usize]
+    }
+
+    pub(crate) fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
+        self.recorder.as_ref()
+    }
+
+    /// The one instrument a request holds: its clock, delivering to
+    /// whichever of the histograms, the recorder and the sink are on.
+    pub(crate) fn tracer<'a>(
+        &'a self,
+        src: &'a str,
+        trace_id: Option<&'a str>,
+        session: Option<&'a str>,
+    ) -> Tracer<'a> {
+        Tracer::start(
+            src,
+            trace_id,
+            session,
+            self.registry.is_enabled().then_some(&self.spans),
+            self.recorder.as_deref(),
+            self.sink.as_deref(),
+        )
     }
 }
 
@@ -549,8 +548,6 @@ impl Clone for Database {
                 state,
                 cache,
                 k.metrics.clone(),
-                k.sink.clone(),
-                k.recorder().cloned(),
                 k.durable_handle(),
             )),
             options: self.options.clone(),
@@ -579,13 +576,7 @@ impl Database {
         for (e, c) in schema.extents() {
             store.declare_extent(e.clone(), c.clone());
         }
-        let metrics = DbMetrics::new(options.telemetry);
-        let sink = match &options.telemetry_jsonl {
-            Some(path) => Some(Arc::new(
-                EventSink::create(path).map_err(|e| DbError::Io(e.to_string()))?,
-            )),
-            None => None,
-        };
+        let metrics = DbMetrics::new(&options)?;
         let cache = QueryCache::new(options.cache_capacity).with_metrics(
             metrics.cache_hits.clone(),
             metrics.cache_misses.clone(),
@@ -595,8 +586,6 @@ impl Database {
             store,
             catalogue: Arc::new(Catalogue::default()),
         };
-        let recorder = (options.trace_capacity > 0)
-            .then(|| Arc::new(FlightRecorder::new(options.trace_capacity)));
         Ok(Database {
             kernel: Arc::new(DbKernel::new(
                 schema,
@@ -604,8 +593,6 @@ impl Database {
                 state,
                 cache,
                 metrics,
-                sink,
-                recorder,
                 None,
             )),
             options,

@@ -61,11 +61,11 @@ use ioql_opt::{AppliedRewrite, OptOptions, Optimizer, Stats};
 use ioql_schema::Schema;
 use ioql_store::{Durability, Store, WalPayload};
 use ioql_syntax::parse_definitions;
-use ioql_telemetry::{EventSink, FlightRecorder, Tracer};
+use ioql_telemetry::{FlightRecorder, Span, Tracer};
 use ioql_types::{Judgement, TypeError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The definition catalogue: every view of the registered definitions a
 /// request needs, built once at `define` time and shared by pointer.
@@ -133,8 +133,6 @@ pub struct DbKernel {
     pub(crate) state: RwLock<KernelState>,
     pub(crate) cache: Mutex<QueryCache>,
     pub(crate) metrics: DbMetrics,
-    pub(crate) sink: Option<Arc<EventSink>>,
-    pub(crate) recorder: Option<Arc<FlightRecorder>>,
     pub(crate) durable: RwLock<Option<Arc<Mutex<DurableLog>>>>,
     pub(crate) sched: Sched,
 }
@@ -160,15 +158,12 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 }
 
 impl DbKernel {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         schema: Schema,
         method_effects: MethodEffects,
         state: KernelState,
         cache: QueryCache,
         metrics: DbMetrics,
-        sink: Option<Arc<EventSink>>,
-        recorder: Option<Arc<FlightRecorder>>,
         durable: Option<Arc<Mutex<DurableLog>>>,
     ) -> DbKernel {
         DbKernel {
@@ -177,8 +172,6 @@ impl DbKernel {
             state: RwLock::new(state),
             cache: Mutex::new(cache),
             metrics,
-            sink,
-            recorder,
             durable: RwLock::new(durable),
             sched: Sched::new(),
         }
@@ -192,7 +185,7 @@ impl DbKernel {
     /// The query flight recorder, when one is attached
     /// (`DbOptions::trace_capacity > 0` at construction).
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
+        self.metrics.recorder()
     }
 
     /// The telemetry handles.
@@ -273,9 +266,8 @@ impl DbKernel {
     }
 
     /// Parses, resolves, and derives `q : σ ! ε` in one pass, without
-    /// running the query. The tracer (a no-op unless the caller is
-    /// recording a flight-recorder trace) gets one span per phase; spans
-    /// left open by an early error are closed when the trace is sealed.
+    /// running the query. The tracer gets one span per phase; spans left
+    /// open by an early error are closed when the trace is sealed.
     pub(crate) fn prepare_in(
         &self,
         opts: &DbOptions,
@@ -283,19 +275,16 @@ impl DbKernel {
         src: &str,
         tracer: &mut Tracer,
     ) -> Result<Prepared, DbError> {
-        let t = self.metrics.phase_parse.start_timer();
-        let sp = tracer.begin("parse", "");
+        let sp = tracer.begin(Span::Parse, "");
         let raw = ioql_syntax::parse_query(src)?;
         let resolved = self.schema.resolve_query(&raw);
-        self.metrics.phase_parse.observe_timer(t);
         tracer.end(sp);
         let discipline = if opts.require_deterministic {
             Discipline::deterministic()
         } else {
             Discipline::permissive()
         };
-        let t = self.metrics.phase_typecheck.start_timer();
-        let sp = tracer.begin("typecheck", "");
+        let sp = tracer.begin(Span::Typecheck, "");
         let judge = |discipline| {
             self.judgement(opts, discipline, &state.catalogue)
                 .query(&BTreeMap::new(), &resolved)
@@ -305,7 +294,6 @@ impl DbKernel {
         // as it did when the type checker ran to completion first.
         let (elab, ty, effect) = judge(discipline)
             .map_err(|rejected| judge(Discipline::permissive()).err().unwrap_or(rejected))?;
-        self.metrics.phase_typecheck.observe_timer(t);
         tracer.end_with(sp, || Some(format!("{ty} ! {{{effect}}}")));
         let thm7 = Thm7::decide(&elab, &effect, |d| state.catalogue.env.get(d));
         Ok(Prepared {
@@ -360,12 +348,13 @@ impl DbKernel {
     // The query path.
     // ------------------------------------------------------------------
 
-    /// Runs a query end-to-end: telemetry span, flight-recorder trace,
-    /// mode dispatch, elapsed stamp. The single entry point for the
-    /// facade, sessions, and the durable-replay path. `trace_id` is the
-    /// caller's correlation ID (wire clients send `trace=ID`), `session`
-    /// the session label — both stamped into the trace record when a
-    /// recorder is attached, and both ignored otherwise.
+    /// Runs a query end-to-end under the request's one [`Tracer`]: mode
+    /// dispatch, then `elapsed`/`wait` read off the tracer's clock. The
+    /// single entry point for the facade, sessions, and the durable-replay
+    /// path. `trace_id` is the caller's correlation ID (wire clients send
+    /// `trace=ID`), `session` the session label — both stamped into the
+    /// trace record when a recorder is attached, and both ignored
+    /// otherwise.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_query(
         &self,
@@ -377,76 +366,43 @@ impl DbKernel {
         trace_id: Option<&str>,
         session: Option<&str>,
     ) -> Result<QueryResult, DbError> {
-        // The clock here feeds only `QueryResult::elapsed` and the JSONL
-        // span; the governor keeps its own deadline clock. Read
-        // unconditionally so the telemetry flag cannot shift behaviour.
-        let started = Instant::now();
         self.metrics.queries.inc();
-        let span = self
-            .sink
-            .as_ref()
-            .map(|s| (Arc::clone(s), s.span_begin_traced("query", src, trace_id)));
         // The tracer is write-only from the pipeline's view (the
-        // transparency guard extends to recording): when no recorder is
-        // attached every tracer call is one `Option` branch, no verdict
-        // string is built, and no extra clock is read.
-        let mut tracer = match &self.recorder {
-            Some(_) => Tracer::start(src, trace_id.map(String::from), session.map(String::from)),
-            None => Tracer::off(),
+        // transparency guard): it reads the clock unconditionally at
+        // its start, at admission and at its finish — `elapsed` and
+        // `wait` are observables of every result — and per span only
+        // when the registry or a recorder consumes the timing.
+        let mut tracer = self.metrics.tracer(src, trace_id, session);
+        let mut result = match mode {
+            ExecMode::Exclusive => self.run_exclusive(opts, src, chooser, governor, &mut tracer),
+            ExecMode::Admission => self.run_admitted(opts, src, chooser, governor, &mut tracer),
         };
-        let mut result = self.run_query_inner(opts, src, chooser, governor, mode, &mut tracer);
-        if let Some((sink, id)) = span {
-            sink.span_end(id, "query", result.is_ok());
-            sink.counters(self.metrics.registry());
-        }
+        let error = result.as_ref().err().map(|e| e as &dyn std::fmt::Display);
+        let (elapsed, wait) = tracer.finish(error, opts.slow_query_ms);
         if let Ok(r) = result.as_mut() {
-            r.elapsed = started.elapsed();
-        }
-        if let Some(recorder) = &self.recorder {
-            let error = result.as_ref().err().map(|e| e.to_string());
-            if let Some(record) = tracer.finish(error.is_none(), error) {
-                let seq = recorder.push(record);
-                // The threshold-gated slow-query log: the full record,
-                // as JSON, to the JSONL sink.
-                if let (Some(ms), Some(sink)) = (opts.slow_query_ms, &self.sink) {
-                    if started.elapsed() >= Duration::from_millis(ms) {
-                        if let Some(r) = recorder.by_seq(seq) {
-                            sink.slow_query(ms, &r);
-                        }
-                    }
-                }
-            }
+            r.elapsed = elapsed;
+            r.wait = wait;
         }
         result
     }
 
-    fn run_query_inner(
+    /// The embedded facade's path: the whole pipeline under the state
+    /// write lock; the lock acquisition is the request's wait.
+    fn run_exclusive(
         &self,
         opts: &DbOptions,
         src: &str,
         chooser: &mut dyn Chooser,
         governor: &Governor,
-        mode: ExecMode,
         tracer: &mut Tracer,
     ) -> Result<QueryResult, DbError> {
-        match mode {
-            ExecMode::Exclusive => {
-                // Unconditional clock read, like `elapsed`: `wait` is an
-                // observable on every result, not a telemetry artifact.
-                let lock_started = Instant::now();
-                let sp = tracer.begin("lock-acquire", "state-write");
-                let mut state = self.write_state();
-                tracer.end(sp);
-                let wait = lock_started.elapsed();
-                tracer.set_wait_ns(wait.as_nanos().min(u64::MAX as u128) as u64);
-                let prepared = self.prepare_in(opts, &state, src, tracer)?;
-                let (mut r, _) =
-                    self.execute_in(opts, &mut state, prepared, chooser, governor, true, tracer)?;
-                r.wait = wait;
-                Ok(r)
-            }
-            ExecMode::Admission => self.run_admitted(opts, src, chooser, governor, tracer),
-        }
+        let sp = tracer.begin(Span::LockAcquire, "state-write");
+        let mut state = self.write_state();
+        tracer.end_wait(sp, || None);
+        let prepared = self.prepare_in(opts, &state, src, tracer)?;
+        let (r, _) =
+            self.execute_in(opts, &mut state, prepared, chooser, governor, true, tracer)?;
+        Ok(r)
     }
 
     /// The admission-controlled path: prepare under the read lock, let
@@ -459,10 +415,8 @@ impl DbKernel {
         governor: &Governor,
         tracer: &mut Tracer,
     ) -> Result<QueryResult, DbError> {
-        let wait_started = Instant::now();
-        let wait = self.metrics.sched.wait_ns.start_timer();
-        let wait_sp = tracer.begin("sched-wait", "");
-        let lock_sp = tracer.begin("lock-acquire", "state-read");
+        let wait_sp = tracer.begin(Span::SchedWait, "");
+        let lock_sp = tracer.begin(Span::LockAcquire, "state-read");
         let state = self.read_state();
         tracer.end(lock_sp);
         let prepared = self.prepare_in(opts, &state, src, tracer)?;
@@ -478,11 +432,9 @@ impl DbKernel {
             // the chunk spines — admission cost is O(chunks), not
             // O(objects) — and every chunk stays shared until a writer
             // path-copies it.
-            let snap_sp = tracer.begin("snapshot-acquire", "");
-            let snap_timer = self.metrics.sched.snapshot_ns.start_timer();
+            let snap_sp = tracer.begin(Span::SnapshotAcquire, "");
             let (rid, snapshot_seq) = self.sched.admit_reader(&prepared.effect);
             let mut snapshot = state.clone();
-            self.metrics.sched.snapshot_ns.observe_timer(snap_timer);
             drop(state);
             let shared = snapshot.store.chunk_count();
             self.metrics.snapshot_chunks_shared.add(shared);
@@ -490,10 +442,7 @@ impl DbKernel {
                 Some(format!("seq={snapshot_seq} chunks_shared={shared}"))
             });
             self.metrics.sched.admitted.inc();
-            self.metrics.sched.wait_ns.observe_timer(wait);
-            let waited = wait_started.elapsed();
-            tracer.set_wait_ns(waited.as_nanos().min(u64::MAX as u128) as u64);
-            tracer.end_with(wait_sp, || {
+            tracer.end_wait(wait_sp, || {
                 Some(format!(
                     "admitted: {}",
                     Admitted::Concurrent { snapshot_seq }
@@ -511,7 +460,6 @@ impl DbKernel {
             self.sched.finish_reader(rid);
             result.map(|(mut r, _)| {
                 r.admitted = Some(Admitted::Concurrent { snapshot_seq });
-                r.wait = waited;
                 r
             })
         } else {
@@ -522,13 +470,10 @@ impl DbKernel {
             let witness = self.sched.writer_witness(&prepared.effect, &self.schema);
             self.metrics.sched.serialized.inc();
             self.metrics.sched.witnesses.inc();
-            let lock_sp = tracer.begin("lock-acquire", "state-write");
+            let lock_sp = tracer.begin(Span::LockAcquire, "state-write");
             let mut state = self.write_state();
             tracer.end(lock_sp);
-            self.metrics.sched.wait_ns.observe_timer(wait);
-            let waited = wait_started.elapsed();
-            tracer.set_wait_ns(waited.as_nanos().min(u64::MAX as u128) as u64);
-            tracer.end_with(wait_sp, || {
+            tracer.end_wait(wait_sp, || {
                 Some(format!(
                     "admitted: serialized witness=({}, {})",
                     witness.0, witness.1
@@ -550,7 +495,6 @@ impl DbKernel {
                 commit_seq,
                 witness,
             });
-            r.wait = waited;
             Ok(r)
         }
     }
@@ -604,7 +548,7 @@ impl DbKernel {
         // does not.
         let cache_key = cacheable.then(|| elab.clone());
         if !cacheable {
-            tracer.note("cache-probe", || {
+            tracer.note(Span::CacheProbe, || {
                 let reason = if opts.cache_capacity == 0 {
                     Some("cache disabled (capacity 0)")
                 } else {
@@ -625,7 +569,7 @@ impl DbKernel {
             // writer can never leak a too-new value into an old
             // snapshot (see `cache_isolated_from_concurrent_writers`
             // in tests/server.rs).
-            let probe_sp = tracer.begin("cache-probe", "");
+            let probe_sp = tracer.begin(Span::CacheProbe, "");
             let hit = self
                 .cache
                 .lock()
@@ -642,7 +586,7 @@ impl DbKernel {
                 if let Value::Set(s) = &entry.value {
                     governor.observe_set_card(s.len() as u64)?;
                 }
-                tracer.note("governor", || {
+                tracer.note(Span::Governor, || {
                     (
                         String::new(),
                         format!("cells_delta={} {}", entry.cells, governor.charges_report()),
@@ -656,8 +600,8 @@ impl DbKernel {
                         runtime_effect: entry.runtime_effect,
                         steps: 0,
                         cached: true,
-                        elapsed: Duration::ZERO, // overwritten by the wrapper
-                        wait: Duration::ZERO,    // stamped by the caller
+                        elapsed: Duration::ZERO, // stamped by `run_query`
+                        wait: Duration::ZERO,    // stamped by `run_query`
                         admitted: None,          // stamped by the caller
                     },
                     None,
@@ -678,10 +622,8 @@ impl DbKernel {
         });
         let cells_before = governor.cells_spent();
         if opts.optimize {
-            let t = self.metrics.phase_optimize.start_timer();
-            let sp = tracer.begin("optimize", "");
+            let sp = tracer.begin(Span::Optimize, "");
             let (optimized, applied) = self.optimize_in(state, &elab);
-            self.metrics.phase_optimize.observe_timer(t);
             tracer.end_with(sp, || Some(format!("{} rewrite(s)", applied.len())));
             elab = optimized;
         }
@@ -693,12 +635,11 @@ impl DbKernel {
         // from here each first write to a chunk is an `Arc::make_mut`
         // path copy — the delta at commit is this query's COW work.
         let copied_before = state.store.cow_copied_chunks();
-        let eval_metrics = self.metrics.eval.clone();
         let cfg = EvalConfig::new(&self.schema)
             .with_method_mode(opts.method_mode)
             .with_method_fuel(opts.method_fuel)
             .with_governor(governor)
-            .with_metrics(&eval_metrics);
+            .with_metrics(&self.metrics.eval);
         let defs = &state.catalogue.env;
         let engine = opts.engine;
         let max_steps = opts.max_steps;
@@ -708,10 +649,8 @@ impl DbKernel {
         // means the interpreters run the query as before.
         let plan = match engine {
             Engine::Plan => {
-                let t = self.metrics.phase_lower.start_timer();
-                let sp = tracer.begin("lower", "");
+                let sp = tracer.begin(Span::Lower, "");
                 let plan = self.lower_in(opts, state, &elab, &static_effect);
-                self.metrics.phase_lower.observe_timer(t);
                 tracer.end_with(sp, || {
                     Some(match &plan {
                         Some(_) => "physical plan".to_string(),
@@ -737,56 +676,35 @@ impl DbKernel {
         // kinds — a node-less outcome (interpreter engine, no plan,
         // tiers off) is itself a verdict with its reason.
         if tracer.is_on() {
-            match (engine, &plan) {
-                (Engine::Plan, Some(p)) => {
-                    let verdicts = p.verdicts();
-                    for v in &verdicts {
-                        if let Some(par) = &v.par {
-                            tracer.note("parallel", || {
-                                (format!("{} {}", v.id, v.label), par.clone())
-                            });
-                        }
-                        if let Some(c) = &v.compile {
-                            tracer.note("compile", || (format!("{} {}", v.id, v.label), c.clone()));
-                        }
-                    }
-                    if verdicts.iter().all(|v| v.par.is_none()) {
-                        tracer.note("parallel", || {
-                            (String::new(), "seq(parallelism off)".to_string())
-                        });
-                    }
-                    if verdicts.iter().all(|v| v.compile.is_none()) {
-                        tracer.note("compile", || {
-                            (String::new(), "interp(compile off)".to_string())
-                        });
-                    }
+            let (verdicts, no_par, no_vm) = match (engine, &plan) {
+                (Engine::Plan, Some(p)) => (p.verdicts(), "parallelism off", "compile off"),
+                (Engine::Plan, None) => (
+                    Vec::new(),
+                    "no physical plan — interpreter tier",
+                    "no physical plan",
+                ),
+                _ => (Vec::new(), "interpreter engine", "interpreter engine"),
+            };
+            for v in &verdicts {
+                let node = || format!("{} {}", v.id, v.label);
+                if let Some(par) = &v.par {
+                    tracer.note(Span::Parallel, || (node(), par.clone()));
                 }
-                (Engine::Plan, None) => {
-                    tracer.note("parallel", || {
-                        (
-                            String::new(),
-                            "seq(no physical plan — interpreter tier)".to_string(),
-                        )
-                    });
-                    tracer.note("compile", || {
-                        (String::new(), "interp(no physical plan)".to_string())
-                    });
-                }
-                _ => {
-                    tracer.note("parallel", || {
-                        (String::new(), "seq(interpreter engine)".to_string())
-                    });
-                    tracer.note("compile", || {
-                        (String::new(), "interp(interpreter engine)".to_string())
-                    });
+                if let Some(c) = &v.compile {
+                    tracer.note(Span::Compile, || (node(), c.clone()));
                 }
             }
+            if verdicts.iter().all(|v| v.par.is_none()) {
+                tracer.note(Span::Parallel, || (String::new(), format!("seq({no_par})")));
+            }
+            if verdicts.iter().all(|v| v.compile.is_none()) {
+                tracer.note(Span::Compile, || {
+                    (String::new(), format!("interp({no_vm})"))
+                });
+            }
         }
-        let par_metrics = self.metrics.parallel.clone();
-        let vm_metrics = self.metrics.vm.clone();
         let store = &mut state.store;
-        let exec_timer = self.metrics.phase_execute.start_timer();
-        let exec_sp = tracer.begin("execute", "");
+        let exec_sp = tracer.begin(Span::Execute, "");
         // Contain engine panics: a bug in either evaluator must not
         // tear down the caller. `AssertUnwindSafe` is justified because
         // on `Err` the only witness of the broken invariants — the
@@ -810,8 +728,8 @@ impl DbKernel {
                         chooser,
                         max_steps,
                         ioql_plan::ExecMetrics {
-                            par: Some(&par_metrics),
-                            vm: Some(&vm_metrics),
+                            par: Some(&self.metrics.parallel),
+                            vm: Some(&self.metrics.vm),
                         },
                     )
                     .map(|r| ioql_eval::Evaluated {
@@ -831,7 +749,6 @@ impl DbKernel {
                 }
             }
         }));
-        self.metrics.phase_execute.observe_timer(exec_timer);
         tracer.end_with(exec_sp, || Some(format!("{engine:?}")));
         let result = match outcome {
             Ok(r) => r.map_err(DbError::from),
@@ -867,7 +784,7 @@ impl DbKernel {
             "Theorem 5 violated: runtime effect {{{}}} escapes static {{{static_effect}}}",
             out.effect
         );
-        tracer.note("governor", || {
+        tracer.note(Span::Governor, || {
             (
                 String::new(),
                 format!(
@@ -887,7 +804,7 @@ impl DbKernel {
                 text: elab.to_string(),
                 draws: recording.trace().to_vec(),
             };
-            let wal_sp = tracer.begin("wal-append", "");
+            let wal_sp = tracer.begin(Span::WalAppend, "");
             match self.wal_append(&payload) {
                 Ok(ack) => tracer.end_with(wal_sp, || {
                     let group = if ack.grouped > 1 {
@@ -939,8 +856,8 @@ impl DbKernel {
                 runtime_effect: out.effect,
                 steps: out.steps,
                 cached: false,
-                elapsed: Duration::ZERO, // overwritten by the wrapper
-                wait: Duration::ZERO,    // stamped by the caller
+                elapsed: Duration::ZERO, // stamped by `run_query`
+                wait: Duration::ZERO,    // stamped by `run_query`
                 admitted: None,          // stamped by the caller
             },
             seq,

@@ -50,6 +50,7 @@
 #![allow(clippy::result_large_err)]
 #![warn(missing_docs)]
 
+mod admin;
 pub mod analysis;
 pub mod cache;
 pub mod database;

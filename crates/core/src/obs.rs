@@ -28,56 +28,26 @@
 //!   is 0).
 //!
 //! Anything else is a `404`. Only `GET` is served — the plane observes;
-//! it never mutates.
+//! it never mutates. A request head (request line plus headers) over
+//! 8 KiB or 64 header lines is refused with `431` without being buffered.
 
+use crate::admin::RECORDER_OFF;
 use crate::database::{Database, DbOptions};
 use crate::kernel::DbKernel;
+use crate::server::{linger_close, listen, read_line_capped, Line};
+use ioql_telemetry::JsonObject;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-/// A running observability listener: its bound address and
-/// shutdown/join controls. Dropping the handle shuts the listener down.
-#[derive(Debug)]
-pub struct ObsHandle {
-    addr: SocketAddr,
-    running: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-}
+/// A running observability listener is the same handle the query server
+/// returns: bound address, shutdown, wait, shutdown on drop.
+pub use crate::server::ServerHandle as ObsHandle;
 
-impl ObsHandle {
-    /// The address the listener actually bound (port 0 resolves here).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting requests and joins the accept loop.
-    pub fn shutdown(&mut self) {
-        self.running.store(false, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-    }
-
-    /// Blocks until the listener stops.
-    pub fn wait(&mut self) {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ObsHandle {
-    fn drop(&mut self) {
-        if self.accept.is_some() {
-            self.shutdown();
-        }
-    }
-}
+/// The request line and header block together may take this many bytes…
+const MAX_HEAD_BYTES: usize = 8 * 1024;
+/// …and this many header lines.
+const MAX_HEADERS: usize = 64;
 
 /// Starts the observability listener over `kernel` on `addr` (e.g.
 /// `127.0.0.1:9090`, or port `0` to pick a free one — read it back from
@@ -88,29 +58,8 @@ pub fn serve_obs(
     options: DbOptions,
     addr: &str,
 ) -> std::io::Result<ObsHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let running = Arc::new(AtomicBool::new(true));
-    let accept = {
-        let running = Arc::clone(&running);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if !running.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let kernel = Arc::clone(&kernel);
-                let options = options.clone();
-                std::thread::spawn(move || {
-                    let _ = handle_request(stream, &kernel, &options);
-                });
-            }
-        })
-    };
-    Ok(ObsHandle {
-        addr,
-        running,
-        accept: Some(accept),
+    listen(addr, move |_, stream| {
+        let _ = handle_request(stream, &kernel, &options);
     })
 }
 
@@ -137,6 +86,39 @@ impl Response {
             body,
         }
     }
+
+    fn error(status: &'static str, message: &str) -> Response {
+        Response::json(status, JsonObject::new().string("error", message).finish())
+    }
+}
+
+/// Reads the request line and drains the headers (nothing in them
+/// changes what we serve) under the head bounds. Answers as
+/// [`read_line_capped`] does: the request line, `Eof` for a peer that
+/// closed without sending anything, `TooLong` for a head that outgrew
+/// `MAX_HEAD_BYTES` / `MAX_HEADERS`.
+fn read_head(reader: &mut impl BufRead) -> std::io::Result<Line> {
+    let mut budget = MAX_HEAD_BYTES;
+    let mut request = None;
+    // The request line, at most MAX_HEADERS headers, the blank line.
+    for _ in 0..MAX_HEADERS + 2 {
+        let line = match read_line_capped(reader, budget)? {
+            Line::Text(line) => line,
+            // A peer that stops sending mid-head has said all it will.
+            Line::Eof => return Ok(request.map_or(Line::Eof, Line::Text)),
+            Line::TooLong => return Ok(Line::TooLong),
+        };
+        budget -= line.len();
+        match request {
+            None => request = Some(line),
+            Some(request) if line.trim_end().is_empty() => return Ok(Line::Text(request)),
+            Some(_) => {}
+        }
+        if budget == 0 {
+            return Ok(Line::TooLong);
+        }
+    }
+    Ok(Line::TooLong) // more than MAX_HEADERS header lines
 }
 
 fn handle_request(
@@ -145,40 +127,14 @@ fn handle_request(
     options: &DbOptions,
 ) -> std::io::Result<()> {
     let mut out = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut request = String::new();
-    if reader.read_line(&mut request)? == 0 {
-        return Ok(());
-    }
-    // Drain the headers; nothing in them changes what we serve.
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header.trim_end().is_empty() {
-            break;
-        }
-    }
-    let mut parts = request.split_whitespace();
-    let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let response = if method != "GET" {
-        Response::json(
-            "405 Method Not Allowed",
-            "{\"error\":\"only GET is served\"}".into(),
-        )
-    } else {
-        let (path, query) = match target.split_once('?') {
-            Some((p, q)) => (p, Some(q)),
-            None => (target, None),
-        };
-        match path {
-            "/metrics" => Response {
-                status: "200 OK",
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                body: kernel.metrics().registry().render_prometheus(),
-            },
-            "/healthz" => healthz(kernel, options),
-            "/traces" => traces(kernel, query),
-            _ => Response::json("404 Not Found", "{\"error\":\"no such endpoint\"}".into()),
-        }
+    let head = read_head(&mut BufReader::new(stream))?;
+    let response = match &head {
+        Line::Text(request) => route(request, kernel, options),
+        Line::Eof => return Ok(()),
+        Line::TooLong => Response::error(
+            "431 Request Header Fields Too Large",
+            "request head too large",
+        ),
     };
     write!(
         out,
@@ -188,7 +144,33 @@ fn handle_request(
         response.body.len(),
     )?;
     out.write_all(response.body.as_bytes())?;
-    out.flush()
+    out.flush()?;
+    if matches!(head, Line::TooLong) {
+        linger_close(&out);
+    }
+    Ok(())
+}
+
+fn route(request: &str, kernel: &Arc<DbKernel>, options: &DbOptions) -> Response {
+    let mut parts = request.split_whitespace();
+    let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    if method != "GET" {
+        return Response::error("405 Method Not Allowed", "only GET is served");
+    }
+    let (path, query) = match target.split_once('?') {
+        Some((p, q)) => (p, Some(q)),
+        None => (target, None),
+    };
+    match path {
+        "/metrics" => Response {
+            status: "200 OK",
+            content_type: "text/plain; version=0.0.4; charset=utf-8",
+            body: kernel.metrics().registry().render_prometheus(),
+        },
+        "/healthz" => healthz(kernel, options),
+        "/traces" => traces(kernel, query),
+        _ => Response::error("404 Not Found", "no such endpoint"),
+    }
 }
 
 /// The liveness report: scheduler commit/in-flight counts plus the
@@ -197,23 +179,27 @@ fn handle_request(
 /// should know.
 fn healthz(kernel: &Arc<DbKernel>, options: &DbOptions) -> Response {
     let (commits, inflight, _, _) = kernel.sched_snapshot();
-    let (wal, poisoned) = match kernel.wal_status(options.durability) {
-        Some(s) => (
-            format!(
-                "{{\"mode\":\"{}\",\"generation\":{},\"appended\":{},\"pending\":{},\
-                 \"poisoned\":{}}}",
-                s.mode, s.generation, s.appended, s.pending, s.poisoned,
-            ),
-            s.poisoned,
-        ),
-        None => ("null".to_string(), false),
-    };
-    let traces = kernel.recorder().map_or(0, |r| r.recorded());
-    let body = format!(
-        "{{\"status\":\"{}\",\"commits\":{commits},\"inflight\":{inflight},\
-         \"traces_recorded\":{traces},\"wal\":{wal}}}",
-        if poisoned { "poisoned" } else { "ok" },
-    );
+    let status = kernel.wal_status(options.durability);
+    let poisoned = status.as_ref().is_some_and(|s| s.poisoned);
+    let wal = status.map_or("null".to_string(), |s| {
+        JsonObject::new()
+            .string("mode", &s.mode.to_string())
+            .number("generation", s.generation)
+            .number("appended", s.appended)
+            .number("pending", s.pending)
+            .boolean("poisoned", s.poisoned)
+            .finish()
+    });
+    let body = JsonObject::new()
+        .string("status", if poisoned { "poisoned" } else { "ok" })
+        .number("commits", commits)
+        .number("inflight", inflight as u64)
+        .number(
+            "traces_recorded",
+            kernel.recorder().map_or(0, |r| r.recorded()),
+        )
+        .raw("wal", &wal)
+        .finish();
     if poisoned {
         Response::json("503 Service Unavailable", body)
     } else {
@@ -225,10 +211,7 @@ fn healthz(kernel: &Arc<DbKernel>, options: &DbOptions) -> Response {
 /// array, oldest first.
 fn traces(kernel: &Arc<DbKernel>, query: Option<&str>) -> Response {
     let Some(recorder) = kernel.recorder() else {
-        return Response::json(
-            "404 Not Found",
-            "{\"error\":\"flight recorder off (trace_capacity is 0)\"}".into(),
-        );
+        return Response::error("404 Not Found", RECORDER_OFF);
     };
     let n = query
         .iter()

@@ -38,7 +38,7 @@
 
 use ioql_effects::Effect;
 use ioql_schema::Schema;
-use ioql_telemetry::{Counter, Histogram};
+use ioql_telemetry::Counter;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +46,10 @@ use std::sync::Mutex;
 
 /// The admission controller's telemetry handles (registered in
 /// [`DbMetrics`](crate::DbMetrics)). Write-only from the scheduler's
-/// side, like every other metric group.
+/// side, like every other metric group. The admission *timings* —
+/// `ioql_sched_wait_ns`, `ioql_sched_snapshot_ns` — are not handles the
+/// kernel writes: they are the `sched-wait` and `snapshot-acquire`
+/// spans' histograms, fed by the request's `Tracer`.
 #[derive(Clone, Debug)]
 pub struct SchedMetrics {
     /// Queries admitted concurrently against a snapshot
@@ -58,15 +61,6 @@ pub struct SchedMetrics {
     /// Interference witnesses recorded — one per serialization
     /// (`ioql_sched_witnesses_total`).
     pub witnesses: Counter,
-    /// Submission-to-admission wait (`ioql_sched_wait_ns`): the time a
-    /// query spent in preparation plus (for writers) blocked on the
-    /// state write lock.
-    pub wait_ns: Histogram,
-    /// Snapshot-acquire time (`ioql_sched_snapshot_ns`): the time spent
-    /// stamping and spine-cloning the COW store under the read lock.
-    /// With persistent extents this is `O(chunks)`, not `O(objects)` —
-    /// this histogram is where that claim is checked in production.
-    pub snapshot_ns: Histogram,
 }
 
 /// How the admission controller scheduled a query — stamped onto

@@ -42,6 +42,8 @@
 //!   untraced traffic stays byte-identical run to run.)
 //! * `ok <word>` — an admin command succeeded; payload varies.
 //! * `err <message>` — the request failed; the session stays usable.
+//!   The one exception is `err request too long`: a request line over
+//!   1 MiB is never buffered — the server answers and closes.
 //!
 //! The greeting on connect is a frame too:
 //! `ok ioql-server proto=1 session=<label>`.
@@ -51,14 +53,20 @@ use crate::kernel::DbKernel;
 use crate::sched::Admitted;
 use crate::session::Session;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-/// A running server: its bound address and shutdown/join controls.
-/// Dropping the handle shuts the server down.
+/// The longest request line the wire protocol accepts, terminator
+/// included.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// A running listener — the query server or the observability plane:
+/// its bound address and shutdown/join controls. Dropping the handle
+/// shuts the listener down.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -100,6 +108,95 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Binds `addr` and runs the accept loop both listeners share: every
+/// connection gets its own thread running `on_conn(n, stream)`, where `n`
+/// counts connections from 1 in accept order.
+pub(crate) fn listen(
+    addr: &str,
+    on_conn: impl Fn(u64, TcpStream) + Send + Sync + 'static,
+) -> std::io::Result<ServerHandle> {
+    let listener = TcpListener::bind(addr)?;
+    let addr = listener.local_addr()?;
+    let running = Arc::new(AtomicBool::new(true));
+    let on_conn = Arc::new(on_conn);
+    let accept = {
+        let running = Arc::clone(&running);
+        std::thread::spawn(move || {
+            let mut n = 0;
+            for stream in listener.incoming() {
+                if !running.load(Ordering::Acquire) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                n += 1;
+                let on_conn = Arc::clone(&on_conn);
+                // Connection threads are not joined: they exit when
+                // their peer disconnects, and they touch nothing the
+                // accept loop owns.
+                std::thread::spawn(move || on_conn(n, stream));
+            }
+        })
+    };
+    Ok(ServerHandle {
+        addr,
+        running,
+        accept: Some(accept),
+    })
+}
+
+/// What [`read_line_capped`] found.
+pub(crate) enum Line {
+    /// A line, terminator included (absent only on a final line cut
+    /// short by end of stream).
+    Text(String),
+    /// End of stream before any byte.
+    Eof,
+    /// `cap` bytes arrived without a line terminator.
+    TooLong,
+}
+
+/// Reads one `\n`-terminated line of at most `cap` bytes — the bounded
+/// read both listeners take peer input through: whatever the peer
+/// sends, no more than `cap` bytes of it are ever buffered.
+pub(crate) fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> std::io::Result<Line> {
+    let mut buf = Vec::new();
+    reader.take(cap as u64).read_until(b'\n', &mut buf)?;
+    if buf.is_empty() {
+        return Ok(Line::Eof);
+    }
+    if buf.len() == cap && !buf.ends_with(b"\n") {
+        return Ok(Line::TooLong);
+    }
+    String::from_utf8(buf)
+        .map(Line::Text)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
+/// How long a refused peer's remaining input is discarded before the
+/// connection is dropped.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// Hangs up on a peer whose request was refused for its size, without
+/// losing the refusal: closing a socket that still has unread input
+/// resets the connection, and a reset discards whatever the peer has
+/// not read yet — the error reply included. So: half-close, discard what
+/// the peer is still sending (nothing is buffered) until it closes or
+/// `LINGER` is up, then drop.
+pub(crate) fn linger_close(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut discard = [0u8; 8192];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        if matches!((&*stream).read(&mut discard), Ok(0) | Err(_)) {
+            return;
+        }
+    }
+}
+
 /// Per-connection bookkeeping shared with `:stats`: the latest
 /// [`Session::describe`] line of every session this server has seen.
 type SessionBoard = Arc<Mutex<BTreeMap<String, String>>>;
@@ -113,36 +210,10 @@ pub fn serve(
     options: DbOptions,
     addr: &str,
 ) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let running = Arc::new(AtomicBool::new(true));
     let board: SessionBoard = Arc::new(Mutex::new(BTreeMap::new()));
-    let next_client = Arc::new(AtomicU64::new(0));
-    let accept = {
-        let running = Arc::clone(&running);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if !running.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let n = next_client.fetch_add(1, Ordering::Relaxed) + 1;
-                let session =
-                    Session::new(Arc::clone(&kernel), options.clone(), format!("client-{n}"));
-                let board = Arc::clone(&board);
-                // Connection threads are not joined: they exit when
-                // their client disconnects, and they touch nothing the
-                // accept loop owns.
-                std::thread::spawn(move || {
-                    let _ = handle_client(stream, session, board);
-                });
-            }
-        })
-    };
-    Ok(ServerHandle {
-        addr,
-        running,
-        accept: Some(accept),
+    listen(addr, move |n, stream| {
+        let session = Session::new(Arc::clone(&kernel), options.clone(), format!("client-{n}"));
+        let _ = handle_client(stream, session, Arc::clone(&board));
     })
 }
 
@@ -179,14 +250,22 @@ fn handle_client(
     board: SessionBoard,
 ) -> std::io::Result<()> {
     let mut out = stream.try_clone()?;
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
     frame(
         &mut out,
         &format!("ok ioql-server proto=1 session={}", session.label()),
         "",
     )?;
-    for line in reader.lines() {
-        let line = line?;
+    loop {
+        let line = match read_line_capped(&mut reader, MAX_REQUEST_BYTES)? {
+            Line::Text(line) => line,
+            Line::Eof => break,
+            Line::TooLong => {
+                frame(&mut out, "err request too long", "")?;
+                linger_close(&out);
+                break;
+            }
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -215,84 +294,21 @@ fn run_request(
     board: &SessionBoard,
     line: &str,
 ) -> Result<(String, String), String> {
-    if line == ":stats" {
-        let kernel = Arc::clone(session.kernel());
-        let (commits, inflight, max_inflight, witnesses) = kernel.sched_snapshot();
-        let m = &kernel.metrics().sched;
-        let mut payload = format!(
-            "sched: {} committed writer(s), {} in-flight reader(s), max concurrent {}, \
-             admitted {}, serialized {}\n",
-            commits,
-            inflight,
-            max_inflight,
-            m.admitted.get(),
-            m.serialized.get(),
-        );
-        if !witnesses.is_empty() {
-            payload.push_str(&format!("recent witnesses: {}\n", witnesses.join(" ")));
-        }
-        let dm = kernel.metrics();
-        payload.push_str(&format!(
-            "snapshot: {} acquire(s) in {} ns, chunks shared {}, copied {}\n",
-            m.snapshot_ns.count(),
-            m.snapshot_ns.sum_ns(),
-            dm.snapshot_chunks_shared.get(),
-            dm.snapshot_chunks_copied.get(),
-        ));
-        // Every session this server has seen, own line freshest.
-        let mut entries = board.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        entries.insert(session.label().to_string(), session.describe());
-        for line in entries.values() {
-            payload.push_str(line);
-            payload.push('\n');
-        }
-        return Ok(("ok stats".into(), payload));
-    }
-    if line == ":metrics" {
-        let text = session.kernel().metrics().registry().render_prometheus();
-        return Ok(("ok metrics".into(), text));
-    }
-    if line == ":wal status" {
-        let durability = session.options().durability;
-        let payload = match session.kernel().wal_status(durability) {
-            Some(status) => format!("{status}\n"),
-            None => "wal: off (start with --durable <dir> to enable)\n".into(),
-        };
-        return Ok(("ok wal".into(), payload));
-    }
-    if line == ":checkpoint" {
-        let durability = session.options().durability;
-        session.kernel().checkpoint(durability).map_err(one_line)?;
-        return Ok(("ok checkpointed".into(), String::new()));
-    }
-    if let Some(rest) = line.strip_prefix(":trace") {
-        let rest = rest.trim();
-        if rest == "last" || rest.starts_with("last ") || rest.starts_with("seq ") {
-            let Some(recorder) = session.kernel().recorder() else {
-                return Err("flight recorder off (start the server with tracing on)".into());
-            };
-            let records = if let Some(s) = rest.strip_prefix("seq ") {
-                let seq: u64 = s
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad sequence number {:?}", s.trim()))?;
-                recorder.by_seq(seq).into_iter().collect::<Vec<_>>()
-            } else {
-                let n: usize = match rest.strip_prefix("last").map(str::trim) {
-                    Some("") | None => 1,
-                    Some(s) => s.parse().map_err(|_| format!("bad count {s:?}"))?,
-                };
-                recorder.last(n)
-            };
-            if records.is_empty() {
-                return Err("no matching trace record".into());
+    // Only a `:` line can be an admin command; queries skip the probe
+    // (and its options clone).
+    if line.starts_with(':') {
+        if let Some(reply) = session.kernel().admin(&session.options(), line) {
+            let (tag, mut payload) = reply?;
+            if line == ":stats" {
+                // Every session this server has seen, own line freshest.
+                let mut entries = board.lock().unwrap_or_else(|e| e.into_inner()).clone();
+                entries.insert(session.label().to_string(), session.describe());
+                for line in entries.values() {
+                    payload.push_str(line);
+                    payload.push('\n');
+                }
             }
-            let payload = records
-                .iter()
-                .map(|r| r.render())
-                .collect::<Vec<_>>()
-                .join("\n");
-            return Ok((format!("ok traces count={}", records.len()), payload));
+            return Ok((format!("ok {tag}"), payload));
         }
     }
     // A `trace=<id>` prefix stamps the client's trace ID into the

@@ -302,7 +302,7 @@ mod tests {
     #[test]
     fn counting_chooser_delegates_and_counts() {
         let reg = ioql_telemetry::MetricsRegistry::new(true);
-        let draws = reg.counter("draws");
+        let draws = reg.counter("draws", "Chooser draws.");
         let mut inner = ScriptedChooser::new(vec![2, 0, 1]);
         let mut counting = CountingChooser::new(&mut inner, draws.clone());
         assert_eq!(counting.choose(4), 2);
@@ -328,7 +328,7 @@ mod tests {
     #[test]
     fn counting_fork_shares_the_counter() {
         let reg = ioql_telemetry::MetricsRegistry::new(true);
-        let draws = reg.counter("draws");
+        let draws = reg.counter("draws", "Chooser draws.");
         let mut first = FirstChooser;
         let counting = CountingChooser::new(&mut first, draws.clone());
         let mut fork = counting.parallel_fork().expect("First is forkable");

@@ -452,9 +452,9 @@ mod tests {
     fn metrics_report_charges_and_trips_without_changing_verdicts() {
         let reg = ioql_telemetry::MetricsRegistry::new(true);
         let m = GovernorMetrics {
-            cell_charges: reg.counter("cells"),
-            trips_cells: reg.counter("trips"),
-            cancellations: reg.counter("cancels"),
+            cell_charges: reg.counter("cells", "Cell charges."),
+            trips_cells: reg.counter("trips", "Cell trips."),
+            cancellations: reg.counter("cancels", "Cancellations."),
             ..GovernorMetrics::default()
         };
         let g = Governor::new(Limits::none().with_max_cells(2)).with_metrics(m);

@@ -591,27 +591,23 @@ pub struct VmMetrics {
 impl VmMetrics {
     /// Handles registered under the canonical `ioql_vm_*` names.
     pub fn new(registry: &MetricsRegistry) -> VmMetrics {
-        registry.describe(
-            "ioql_vm_compiles_total",
-            "Plan nodes compiled to bytecode at lowering.",
-        );
-        registry.describe(
-            "ioql_vm_fallbacks_total",
-            "Plan nodes kept on the interpreter at lowering.",
-        );
-        registry.describe(
-            "ioql_vm_dispatches_total",
-            "Batched VM dispatch loops executed.",
-        );
-        registry.describe(
-            "ioql_vm_dispatch_ns",
-            "Wall time of batched VM dispatch loops.",
-        );
         VmMetrics {
-            compiles: registry.counter("ioql_vm_compiles_total"),
-            fallbacks: registry.counter("ioql_vm_fallbacks_total"),
-            dispatches: registry.counter("ioql_vm_dispatches_total"),
-            dispatch_ns: registry.histogram("ioql_vm_dispatch_ns"),
+            compiles: registry.counter(
+                "ioql_vm_compiles_total",
+                "Plan nodes compiled to bytecode at lowering.",
+            ),
+            fallbacks: registry.counter(
+                "ioql_vm_fallbacks_total",
+                "Plan nodes kept on the interpreter at lowering.",
+            ),
+            dispatches: registry.counter(
+                "ioql_vm_dispatches_total",
+                "Batched VM dispatch loops executed.",
+            ),
+            dispatch_ns: registry.histogram(
+                "ioql_vm_dispatch_ns",
+                "Wall time of batched VM dispatch loops.",
+            ),
         }
     }
 }

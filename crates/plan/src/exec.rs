@@ -24,7 +24,7 @@
 //! # Parallel execution
 //!
 //! When a plan was lowered with `parallelism ≥ 2` and a node carries a
-//! licensed [`ParVerdict`], [`execute_metered`] dispatches a
+//! licensed [`ParVerdict`], [`execute`] dispatches a
 //! dependency-free worker pool (`std::thread::scope` — no queues, no
 //! persistent threads):
 //!
@@ -315,44 +315,18 @@ pub fn execute(
     chooser: &mut dyn Chooser,
     max_steps: u64,
 ) -> Result<PlanResult, EvalError> {
-    execute_metered(plan, cfg, defs, store, chooser, max_steps, None)
+    let none = ExecMetrics::default();
+    execute_instrumented(plan, cfg, defs, store, chooser, max_steps, none)
 }
 
-/// [`execute`], with parallel-execution telemetry handles attached.
+/// [`execute`], with telemetry handles attached — parallel dispatch
+/// and compiled-tier counters.
 ///
 /// The handles are write-only (the transparency guard): dispatch and
 /// fallback decisions never read them, so a metered run and a bare one
 /// execute identically. Parallel dispatch itself is controlled by the
 /// *plan* (`plan.parallelism`, set at lowering) and each node's
 /// [`ParVerdict`], re-gated at run time as described in the module docs.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_metered(
-    plan: &Plan,
-    cfg: &EvalConfig<'_>,
-    defs: &DefEnv,
-    store: &mut Store,
-    chooser: &mut dyn Chooser,
-    max_steps: u64,
-    metrics: Option<&ParMetrics>,
-) -> Result<PlanResult, EvalError> {
-    execute_instrumented(
-        plan,
-        cfg,
-        defs,
-        store,
-        chooser,
-        max_steps,
-        ExecMetrics {
-            par: metrics,
-            vm: None,
-        },
-    )
-}
-
-/// [`execute`], with the full set of telemetry handles — parallel
-/// dispatch *and* compiled-tier counters. The superset of
-/// [`execute_metered`], which predates the compile tier and is kept for
-/// callers that only meter parallelism.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_instrumented(
     plan: &Plan,

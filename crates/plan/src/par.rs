@@ -38,31 +38,33 @@ pub struct ParMetrics {
 impl ParMetrics {
     /// Handles registered under the canonical `ioql_parallel_*` names.
     pub fn new(registry: &MetricsRegistry) -> ParMetrics {
-        registry.describe(
-            "ioql_parallel_chunks_total",
-            "Work chunks dispatched to parallel workers.",
-        );
-        registry.describe(
-            "ioql_parallel_worker_busy_ns",
-            "Nanoseconds each parallel worker spent executing a chunk.",
-        );
-        registry.describe(
-            "ioql_parallel_runs_total",
-            "Plan nodes executed in parallel, by operator.",
-        );
-        registry.describe(
-            "ioql_parallel_fallbacks_total",
-            "Licensed parallel dispatches refused at run time, by reason.",
-        );
+        let runs = |op: &str| {
+            registry.counter(
+                &format!("ioql_parallel_runs_total{{op=\"{op}\"}}"),
+                "Plan nodes executed in parallel, by operator.",
+            )
+        };
+        let fallbacks = |reason: &str| {
+            registry.counter(
+                &format!("ioql_parallel_fallbacks_total{{reason=\"{reason}\"}}"),
+                "Licensed parallel dispatches refused at run time, by reason.",
+            )
+        };
         ParMetrics {
-            chunks: registry.counter("ioql_parallel_chunks_total"),
-            worker_busy_ns: registry.histogram("ioql_parallel_worker_busy_ns"),
-            par_scans: registry.counter("ioql_parallel_runs_total{op=\"scan\"}"),
-            par_index_builds: registry.counter("ioql_parallel_runs_total{op=\"index_build\"}"),
-            par_set_ops: registry.counter("ioql_parallel_runs_total{op=\"set_op\"}"),
-            fallback_chooser: registry.counter("ioql_parallel_fallbacks_total{reason=\"chooser\"}"),
-            fallback_budget: registry.counter("ioql_parallel_fallbacks_total{reason=\"budget\"}"),
-            fallback_tiny: registry.counter("ioql_parallel_fallbacks_total{reason=\"tiny\"}"),
+            chunks: registry.counter(
+                "ioql_parallel_chunks_total",
+                "Work chunks dispatched to parallel workers.",
+            ),
+            worker_busy_ns: registry.histogram(
+                "ioql_parallel_worker_busy_ns",
+                "Nanoseconds each parallel worker spent executing a chunk.",
+            ),
+            par_scans: runs("scan"),
+            par_index_builds: runs("index_build"),
+            par_set_ops: runs("set_op"),
+            fallback_chooser: fallbacks("chooser"),
+            fallback_budget: fallbacks("budget"),
+            fallback_tiny: fallbacks("tiny"),
         }
     }
 }

@@ -13,25 +13,31 @@
 //! workloads with telemetry off and on and asserting byte-identical
 //! values, stores, effect traces, and governor meters.
 //!
-//! Three pieces:
+//! One instrument, three views. The request path holds a [`Tracer`]
+//! and nothing else: it owns the request's one clock, and each span it
+//! closes is measured once and handed, as the same `dur_ns`, to
 //!
-//! * [`Counter`] / [`Histogram`] — lock-free atomic handles, cheap to
-//!   clone (an `Arc` each), no-ops when obtained from a disabled
-//!   registry. Histograms use fixed logarithmic nanosecond buckets so
-//!   recording is two `fetch_add`s, never an allocation.
-//! * [`MetricsRegistry`] — names to handles. Labels are encoded in the
-//!   stored name (`ioql_governor_trips_total{kind="cells"}`), which
-//!   keeps registration a single map probe and still renders as valid
-//!   Prometheus text exposition.
-//! * [`EventSink`] — a line-delimited JSON event stream (span begin/end
-//!   plus counter snapshots) with hand-rolled serialization, flushed per
-//!   event so `std::process::exit` cannot lose the tail.
+//! * the span's [`Histogram`] in the [`MetricsRegistry`] (the [`Span`]
+//!   table says which family — `docs/TELEMETRY.md` prints it),
+//! * the [`TraceRecord`] span tree kept by the [`FlightRecorder`], and
+//! * the [`EventSink`]'s JSONL lines (`span_begin`/`span_end` around
+//!   the whole request, a counter snapshot, the slow-query record).
+//!
+//! Underneath: [`Counter`] / [`Histogram`] are lock-free atomic
+//! handles, cheap to clone (an `Arc` each), no-ops when obtained from a
+//! disabled registry; histograms use fixed logarithmic nanosecond
+//! buckets so recording is two `fetch_add`s, never an allocation. The
+//! registry maps names to handles, labels encoded in the stored name
+//! (`ioql_governor_trips_total{kind="cells"}`), and renders Prometheus
+//! text exposition. All JSON goes through [`JsonObject`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod json;
 mod trace;
-pub use trace::{FlightRecorder, TraceRecord, TraceSpan, Tracer};
+pub use json::JsonObject;
+pub use trace::{FlightRecorder, Span, SpanHistograms, TraceRecord, TraceSpan, Tracer};
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -154,7 +160,7 @@ impl Histogram {
     /// handle) records nothing.
     pub fn observe_timer(&self, started: Option<Instant>) {
         if let (Some(h), Some(t)) = (&self.0, started) {
-            h.observe_ns(t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+            h.observe_ns(saturating_ns(t.elapsed()));
         }
     }
 
@@ -178,17 +184,19 @@ impl Histogram {
 /// A registry of named counters and histograms.
 ///
 /// Series names carry their labels inline, Prometheus-style:
-/// `ioql_governor_trips_total{kind="cells"}`. Registration is
-/// idempotent — asking twice for one name returns handles over the same
-/// storage — and a registry built disabled hands out no-op handles, so
-/// instrumented code is written once and costs one branch when
-/// telemetry is off.
+/// `ioql_governor_trips_total{kind="cells"}`. Registration takes the
+/// family's `# HELP` text — there is no way to register a series the
+/// exposition cannot describe — and is idempotent: asking twice for one
+/// name returns handles over the same storage (and keeps the first help
+/// text). A registry built disabled hands out no-op
+/// handles, so instrumented code is written once and costs one branch
+/// when telemetry is off.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     enabled: bool,
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<BTreeMap<String, Arc<HistogramInner>>>,
-    help: Mutex<BTreeMap<String, String>>,
+    /// Series name → (its family's help text, storage).
+    counters: Mutex<BTreeMap<String, (String, Arc<AtomicU64>)>>,
+    histograms: Mutex<BTreeMap<String, (String, Arc<HistogramInner>)>>,
 }
 
 impl MetricsRegistry {
@@ -198,7 +206,6 @@ impl MetricsRegistry {
             enabled,
             counters: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            help: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -212,45 +219,30 @@ impl MetricsRegistry {
         self.enabled
     }
 
-    /// Registers (or retrieves) the counter `name`.
-    pub fn counter(&self, name: &str) -> Counter {
+    /// Registers (or retrieves) the counter `name`; `help` is its
+    /// family's `# HELP` text.
+    pub fn counter(&self, name: &str, help: &str) -> Counter {
         if !self.enabled {
             return Counter::disabled();
         }
         let mut map = self.counters.lock().expect("counter map poisoned");
-        let cell = map.entry(name.to_string()).or_default();
+        let (_, cell) = map
+            .entry(name.to_string())
+            .or_insert_with(|| (help.to_string(), Arc::default()));
         Counter(Some(Arc::clone(cell)))
     }
 
-    /// Registers (or retrieves) the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    /// Registers (or retrieves) the histogram `name`; `help` is its
+    /// family's `# HELP` text.
+    pub fn histogram(&self, name: &str, help: &str) -> Histogram {
         if !self.enabled {
             return Histogram::disabled();
         }
         let mut map = self.histograms.lock().expect("histogram map poisoned");
-        let cell = map.entry(name.to_string()).or_default();
+        let (_, cell) = map
+            .entry(name.to_string())
+            .or_insert_with(|| (help.to_string(), Arc::default()));
         Histogram(Some(Arc::clone(cell)))
-    }
-
-    /// Attaches a `# HELP` string to the metric family `family`
-    /// (the name without its label braces). Rendered before the
-    /// family's `# TYPE` line in the Prometheus exposition.
-    pub fn describe(&self, family: &str, help: &str) {
-        if !self.enabled {
-            return;
-        }
-        self.help
-            .lock()
-            .expect("help map poisoned")
-            .insert(family.to_string(), help.to_string());
-    }
-
-    fn help_lines(&self, family: &str, kind: &str, out: &mut String) {
-        let help = self.help.lock().expect("help map poisoned");
-        if let Some(h) = help.get(family) {
-            out.push_str(&format!("# HELP {family} {}\n", help_escape(h)));
-        }
-        out.push_str(&format!("# TYPE {family} {kind}\n"));
     }
 
     /// The current value of counter `name`, if registered.
@@ -259,7 +251,7 @@ impl MetricsRegistry {
             .lock()
             .expect("counter map poisoned")
             .get(name)
-            .map(|c| c.load(Ordering::Relaxed))
+            .map(|(_, c)| c.load(Ordering::Relaxed))
     }
 
     /// A snapshot of every registered counter, name-sorted.
@@ -268,14 +260,13 @@ impl MetricsRegistry {
             .lock()
             .expect("counter map poisoned")
             .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+            .map(|(k, (_, v))| (k.clone(), v.load(Ordering::Relaxed)))
             .collect()
     }
 
     /// Renders every series as Prometheus text exposition: `# HELP`
-    /// (when [`describe`](MetricsRegistry::describe)d) and `# TYPE`
-    /// lines per metric family, counters as `name value`, histograms as
-    /// cumulative `_bucket{le=…}` series ending in `+Inf` plus
+    /// and `# TYPE` lines per metric family, counters as `name value`,
+    /// histograms as cumulative `_bucket{le=…}` series ending in `+Inf` plus
     /// `_sum`/`_count`, with the stored labels preserved. Output is
     /// name-sorted (the maps are `BTreeMap`s), so two renders of the
     /// same state are byte-identical.
@@ -283,22 +274,22 @@ impl MetricsRegistry {
         let mut out = String::new();
         let counters = self.counters.lock().expect("counter map poisoned");
         let mut last_family = String::new();
-        for (name, value) in counters.iter() {
+        for (name, (help, value)) in counters.iter() {
             let family = family_of(name);
             if family != last_family {
                 last_family = family.to_string();
-                self.help_lines(family, "counter", &mut out);
+                family_header(family, help, "counter", &mut out);
             }
             out.push_str(&format!("{name} {}\n", value.load(Ordering::Relaxed)));
         }
         drop(counters);
         let histograms = self.histograms.lock().expect("histogram map poisoned");
         let mut last_family = String::new();
-        for (name, h) in histograms.iter() {
+        for (name, (help, h)) in histograms.iter() {
             let family = family_of(name);
             if family != last_family {
                 last_family = family.to_string();
-                self.help_lines(family, "histogram", &mut out);
+                family_header(family, help, "histogram", &mut out);
             }
             let labels = labels_of(name);
             let mut cumulative = 0u64;
@@ -331,6 +322,12 @@ impl MetricsRegistry {
     }
 }
 
+/// A family's `# HELP` (from its first series) and `# TYPE` lines.
+fn family_header(family: &str, help: &str, kind: &str, out: &mut String) {
+    out.push_str(&format!("# HELP {family} {}\n", help_escape(help)));
+    out.push_str(&format!("# TYPE {family} {kind}\n"));
+}
+
 /// The metric family: the stored name up to its label braces.
 fn family_of(name: &str) -> &str {
     name.split('{').next().unwrap_or(name)
@@ -361,29 +358,13 @@ fn help_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// Escapes `s` for inclusion inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A structured JSONL event sink: one JSON object per line.
 ///
-/// Event schema (all timestamps are monotonic nanoseconds since the
-/// sink was created; `span` numbers pair a `span_begin` with its
-/// `span_end`; `trace` carries the caller's correlation ID when one was
-/// propagated — full schema in `docs/TELEMETRY.md`):
+/// Written by the [`Tracer`] — the sink keeps no clock of its own beyond
+/// the creation instant every `t_ns` is relative to. Event schema (`span`
+/// numbers pair a `span_begin` with its `span_end`; `trace` carries the
+/// caller's correlation ID when one was propagated — full schema in
+/// `docs/TELEMETRY.md`):
 ///
 /// ```text
 /// {"event":"span_begin","span":1,"t_ns":..,"name":"query","detail":"size(Ps)","trace":"req-7"}
@@ -399,84 +380,88 @@ pub struct EventSink {
     out: Mutex<std::io::BufWriter<std::fs::File>>,
     epoch: Instant,
     next_span: AtomicU64,
+    registry: Arc<MetricsRegistry>,
 }
 
 impl EventSink {
-    /// Creates (truncating) the sink file at `path`.
-    pub fn create(path: &std::path::Path) -> std::io::Result<EventSink> {
+    /// Creates (truncating) the sink file at `path`. `registry` is what
+    /// the `counters` events snapshot.
+    pub fn create(
+        path: &std::path::Path,
+        registry: Arc<MetricsRegistry>,
+    ) -> std::io::Result<EventSink> {
         let file = std::fs::File::create(path)?;
         Ok(EventSink {
             out: Mutex::new(std::io::BufWriter::new(file)),
             epoch: Instant::now(),
             next_span: AtomicU64::new(1),
+            registry,
         })
     }
 
-    fn t_ns(&self) -> u128 {
-        self.epoch.elapsed().as_nanos()
-    }
-
-    fn emit(&self, line: String) {
+    fn emit(&self, event: JsonObject) {
         if let Ok(mut w) = self.out.lock() {
-            let _ = writeln!(w, "{line}");
+            let _ = writeln!(w, "{}", event.finish());
             let _ = w.flush();
         }
     }
 
-    /// Opens a span; the returned id pairs the eventual
-    /// [`span_end`](EventSink::span_end) with this begin.
-    pub fn span_begin(&self, name: &str, detail: &str) -> u64 {
-        self.span_begin_traced(name, detail, None)
-    }
-
-    /// Opens a span carrying a caller-propagated trace ID, recorded as
-    /// a `"trace"` field on the `span_begin` event.
-    pub fn span_begin_traced(&self, name: &str, detail: &str, trace: Option<&str>) -> u64 {
+    /// Opens the `query` span of a request that started at `at`; returns
+    /// the span id and the begin `t_ns` for [`EventSink::span_end`].
+    pub(crate) fn span_begin(&self, at: Instant, detail: &str, trace: Option<&str>) -> (u64, u64) {
         let span = self.next_span.fetch_add(1, Ordering::Relaxed);
-        let trace_field = trace
-            .map(|t| format!(",\"trace\":\"{}\"", json_escape(t)))
-            .unwrap_or_default();
-        self.emit(format!(
-            "{{\"event\":\"span_begin\",\"span\":{span},\"t_ns\":{},\"name\":\"{}\",\"detail\":\"{}\"{trace_field}}}",
-            self.t_ns(),
-            json_escape(name),
-            json_escape(detail),
-        ));
-        span
+        let t_ns = saturating_ns(at.saturating_duration_since(self.epoch));
+        let mut event = JsonObject::new()
+            .string("event", "span_begin")
+            .number("span", span)
+            .number("t_ns", t_ns)
+            .string("name", "query")
+            .string("detail", detail);
+        if let Some(id) = trace {
+            event = event.string("trace", id);
+        }
+        self.emit(event);
+        (span, t_ns)
     }
 
-    /// Emits a full flight-recorder record for a query whose total time
-    /// crossed the slow-query threshold (`DbOptions::slow_query_ms`).
-    pub fn slow_query(&self, threshold_ms: u64, record: &TraceRecord) {
-        self.emit(format!(
-            "{{\"event\":\"slow_query\",\"t_ns\":{},\"threshold_ms\":{threshold_ms},\"record\":{}}}",
-            self.t_ns(),
-            record.to_json(),
-        ));
-    }
-
-    /// Closes span `span`.
-    pub fn span_end(&self, span: u64, name: &str, ok: bool) {
-        self.emit(format!(
-            "{{\"event\":\"span_end\",\"span\":{span},\"t_ns\":{},\"name\":\"{}\",\"ok\":{ok}}}",
-            self.t_ns(),
-            json_escape(name),
-        ));
-    }
-
-    /// Emits a snapshot of every counter in `registry`.
-    pub fn counters(&self, registry: &MetricsRegistry) {
-        let body: Vec<String> = registry
+    /// Closes span `span`, then snapshots every counter.
+    pub(crate) fn span_end(&self, span: u64, t_ns: u64, ok: bool) {
+        self.emit(
+            JsonObject::new()
+                .string("event", "span_end")
+                .number("span", span)
+                .number("t_ns", t_ns)
+                .string("name", "query")
+                .boolean("ok", ok),
+        );
+        let counters = self
+            .registry
             .counter_values()
             .into_iter()
-            .map(|(k, v)| format!("\"{}\":{v}", json_escape(&k)))
-            .collect();
-        self.emit(format!(
-            "{{\"event\":\"counters\",\"t_ns\":{},\"counters\":{{{}}}}}",
-            self.t_ns(),
-            body.join(",")
-        ));
+            .fold(JsonObject::new(), |o, (name, v)| o.number(&name, v));
+        self.emit(
+            JsonObject::new()
+                .string("event", "counters")
+                .number("t_ns", t_ns)
+                .raw("counters", &counters.finish()),
+        );
     }
+
+    /// Emits the full record of a query whose total time crossed the
+    /// slow-query threshold (`DbOptions::slow_query_ms`).
+    pub(crate) fn slow_query(&self, t_ns: u64, threshold_ms: u64, record: &TraceRecord) {
+        self.emit(
+            JsonObject::new()
+                .string("event", "slow_query")
+                .number("t_ns", t_ns)
+                .number("threshold_ms", threshold_ms)
+                .raw("record", &record.to_json()),
+        );
+    }
+}
+
+fn saturating_ns(d: std::time::Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 #[cfg(test)]
@@ -486,8 +471,8 @@ mod tests {
     #[test]
     fn disabled_handles_are_inert() {
         let reg = MetricsRegistry::disabled();
-        let c = reg.counter("x_total");
-        let h = reg.histogram("y_ns");
+        let c = reg.counter("x_total", "X.");
+        let h = reg.histogram("y_ns", "Y.");
         c.inc();
         c.add(10);
         h.observe_ns(5);
@@ -503,18 +488,21 @@ mod tests {
     #[test]
     fn counters_share_storage_by_name() {
         let reg = MetricsRegistry::new(true);
-        let a = reg.counter("hits_total");
-        let b = reg.counter("hits_total");
+        let a = reg.counter("hits_total", "Hits.");
+        let b = reg.counter("hits_total", "ignored: the first help stands");
         a.inc();
         b.add(2);
         assert_eq!(a.get(), 3);
         assert_eq!(reg.counter_value("hits_total"), Some(3));
+        assert!(reg
+            .render_prometheus()
+            .starts_with("# HELP hits_total Hits.\n"));
     }
 
     #[test]
     fn histogram_buckets_are_cumulative_in_exposition() {
         let reg = MetricsRegistry::new(true);
-        let h = reg.histogram("lat_ns{phase=\"parse\"}");
+        let h = reg.histogram("lat_ns{phase=\"parse\"}", "Latency.");
         h.observe_ns(500); // ≤ 1_000
         h.observe_ns(5_000); // ≤ 10_000
         h.observe_ns(u64::MAX); // +Inf
@@ -539,9 +527,10 @@ mod tests {
     #[test]
     fn prometheus_groups_families_and_keeps_labels() {
         let reg = MetricsRegistry::new(true);
-        reg.counter("trips_total{kind=\"cells\"}").inc();
-        reg.counter("trips_total{kind=\"wall-clock\"}").add(2);
-        reg.counter("draws_total").add(7);
+        reg.counter("trips_total{kind=\"cells\"}", "Trips.").inc();
+        reg.counter("trips_total{kind=\"wall-clock\"}", "Trips.")
+            .add(2);
+        reg.counter("draws_total", "Draws.").add(7);
         let text = reg.render_prometheus();
         assert_eq!(
             text.matches("# TYPE trips_total counter").count(),
@@ -558,17 +547,18 @@ mod tests {
 
     #[test]
     fn prometheus_golden_exposition() {
-        // Pins the full text format: HELP before TYPE, cumulative
-        // buckets ending in +Inf, stable name-sorted output.
+        // Pins the full text format: HELP before TYPE (every family has
+        // one — registration takes the text), cumulative buckets ending
+        // in +Inf, stable name-sorted output.
         let reg = MetricsRegistry::new(true);
-        reg.describe("lat_ns", "Phase latency\nby phase");
-        reg.describe("trips_total", "Governor trips");
-        reg.counter("trips_total{kind=\"cells\"}").inc();
-        reg.counter("draws_total").add(7);
-        let h = reg.histogram("lat_ns{phase=\"parse\"}");
+        reg.counter("trips_total{kind=\"cells\"}", "Governor trips")
+            .inc();
+        reg.counter("draws_total", "Chooser draws").add(7);
+        let h = reg.histogram("lat_ns{phase=\"parse\"}", "Phase latency\nby phase");
         h.observe_ns(500);
         h.observe_ns(5_000);
         let expected = "\
+# HELP draws_total Chooser draws
 # TYPE draws_total counter
 draws_total 7
 # HELP trips_total Governor trips
@@ -596,8 +586,13 @@ lat_ns_count{phase=\"parse\"} 2
 
     #[test]
     fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            json::json_escape(s, &mut out);
+            out
+        };
+        assert_eq!(escaped("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escaped("\u{1}"), "\\u0001");
     }
 
     #[test]
@@ -610,24 +605,27 @@ lat_ns_count{phase=\"parse\"} 2
                 .unwrap()
                 .as_nanos()
         ));
-        let reg = MetricsRegistry::new(true);
-        reg.counter("q_total").inc();
+        let reg = Arc::new(MetricsRegistry::new(true));
+        reg.counter("q_total", "Queries.").inc();
         {
-            let sink = EventSink::create(&path).unwrap();
-            let span = sink.span_begin("query", "size(Ps) \"quoted\"");
-            sink.span_end(span, "query", true);
-            let traced = sink.span_begin_traced("query", "size(Qs)", Some("req-42"));
-            sink.span_end(traced, "query", true);
-            sink.counters(&reg);
-            let mut t = Tracer::start("size(Ps)", Some("req-42".into()), None);
-            let p = t.begin("parse", "");
-            t.end(p);
-            sink.slow_query(250, &t.finish(true, None).unwrap());
+            let sink = EventSink::create(&path, Arc::clone(&reg)).unwrap();
+            let rec = FlightRecorder::new(1);
+            let run = |query, trace, recorder, error: Option<&dyn std::fmt::Display>, slow| {
+                Tracer::start(query, trace, None, None, recorder, Some(&sink)).finish(error, slow)
+            };
+            run("size(Ps) \"quoted\"", None, None, None, None);
+            run(
+                "size(Qs)",
+                Some("req-42"),
+                Some(&rec),
+                Some(&"boom"),
+                Some(0),
+            );
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 6, "{text}");
+        assert_eq!(lines.len(), 7, "{text}");
         assert!(
             lines[0].contains("\"event\":\"span_begin\"") && lines[0].contains("\\\"quoted\\\"")
         );
@@ -637,17 +635,20 @@ lat_ns_count{phase=\"parse\"} 2
             lines[0]
         );
         assert!(lines[1].contains("\"event\":\"span_end\"") && lines[1].contains("\"ok\":true"));
-        assert!(lines[2].contains("\"trace\":\"req-42\""), "{}", lines[2]);
-        assert!(lines[4].contains("\"counters\":{\"q_total\":1}"));
+        assert!(lines[2].contains("\"counters\":{\"q_total\":1}"));
+        assert!(lines[3].contains("\"trace\":\"req-42\""), "{}", lines[3]);
+        assert!(lines[4].contains("\"ok\":false"), "{}", lines[4]);
         assert!(
-            lines[5].contains("\"event\":\"slow_query\"")
-                && lines[5].contains("\"threshold_ms\":250")
-                && lines[5].contains("\"trace_id\":\"req-42\""),
+            lines[6].contains("\"event\":\"slow_query\"")
+                && lines[6].contains("\"threshold_ms\":0")
+                && lines[6].contains("\"seq\":1")
+                && lines[6].contains("\"trace_id\":\"req-42\"")
+                && lines[6].contains("\"error\":\"boom\""),
             "{}",
-            lines[5]
+            lines[6]
         );
-        // Span ids keep increasing and timestamps are monotonic.
-        assert!(lines[2].contains("\"span\":2"), "{}", lines[2]);
+        // Span ids keep increasing.
+        assert!(lines[3].contains("\"span\":2"), "{}", lines[3]);
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'), "not an object: {l}");
         }

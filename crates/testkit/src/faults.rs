@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn chaos_chooser_counts_one_injection() {
         let reg = ioql_telemetry::MetricsRegistry::new(true);
-        let injections = reg.counter("ioql_fault_injections_total");
+        let injections = reg.counter("ioql_fault_injections_total", "Injected faults.");
         let token = CancelToken::new();
         let mut c = ChaosChooser::new(1, Some((1, token.clone()))).with_metrics(injections.clone());
         c.choose(3);

@@ -11,7 +11,7 @@
 
 #![allow(clippy::result_large_err)]
 
-use ioql::plan::{execute_metered, lower_with, ParSpec, Plan};
+use ioql::plan::{execute, lower_with, ParSpec, Plan};
 use ioql::{Database, DbOptions, Engine};
 use ioql_ast::Query;
 use ioql_effects::{infer_query, EffectEnv};
@@ -101,14 +101,14 @@ fn observe(
     max_steps: u64,
 ) -> Observed {
     let reg = MetricsRegistry::new(true);
-    let draws = reg.counter("draws");
+    let draws = reg.counter("draws", "Chooser draws.");
     let governor = Governor::new(limits);
     let cfg = EvalConfig::new(&fx.schema).with_governor(&governor);
     let defs = DefEnv::new();
     let mut store = fx.store.clone();
     let mut inner = mk();
     let mut chooser = CountingChooser::new(&mut *inner, draws.clone());
-    let r = execute_metered(plan, &cfg, &defs, &mut store, &mut chooser, max_steps, None);
+    let r = execute(plan, &cfg, &defs, &mut store, &mut chooser, max_steps);
     let outcome = r.map(|r| (r.value.to_string(), r.effect.to_string()));
     assert_eq!(store, fx.store, "a licensed run mutated the store");
     Observed {
@@ -189,7 +189,7 @@ fn fault_plans_hold_identically_when_compiled() {
             let defs = DefEnv::new();
             let mut store = fx.store.clone();
             let mut chooser = spec.chooser(governor.cancel_token());
-            let r = execute_metered(plan, &cfg, &defs, &mut store, &mut chooser, 1_000_000, None)
+            let r = execute(plan, &cfg, &defs, &mut store, &mut chooser, 1_000_000)
                 .map(|r| (r.value.to_string(), r.effect.to_string()));
             (r, governor.cells_spent())
         };
@@ -268,8 +268,7 @@ fn dangling_oid_stuck_message_is_identical_compiled() {
             let defs = DefEnv::new();
             let mut store = fx.store.clone();
             let mut ch = FirstChooser;
-            execute_metered(&plan, &cfg, &defs, &mut store, &mut ch, 1_000_000, None)
-                .map(|r| r.value)
+            execute(&plan, &cfg, &defs, &mut store, &mut ch, 1_000_000).map(|r| r.value)
         };
         let interp = run(false);
         let compiled = run(true);

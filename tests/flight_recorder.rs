@@ -386,3 +386,59 @@ fn recording_changes_no_wire_observable() {
         assert!(db_off.flight_recorder().is_none());
     }
 }
+
+// ---------------------------------------------------------------------
+// Hostile HTTP peers: the request head is read under a bound.
+
+/// Sends `head` (ignoring write errors — the server may hang up first)
+/// and returns the status line, or `None` if the connection was reset
+/// before a response could be read.
+fn http_raw(addr: SocketAddr, head: impl IntoIterator<Item = String>) -> Option<String> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    for chunk in head {
+        if stream.write_all(chunk.as_bytes()).is_err() {
+            break;
+        }
+    }
+    let mut response = String::new();
+    let _ = stream.read_to_string(&mut response);
+    response.lines().next().map(String::from)
+}
+
+#[test]
+fn oversized_http_heads_are_refused_not_buffered() {
+    let db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 0)).unwrap();
+    let obs = db.serve_obs("127.0.0.1:0").unwrap();
+    let too_large = "HTTP/1.0 431 Request Header Fields Too Large";
+
+    // A request line past the 8 KiB head budget.
+    let long_line = format!("GET /{} HTTP/1.0\r\n\r\n", "a".repeat(9 * 1024));
+    assert_eq!(
+        http_raw(obs.addr(), [long_line]).as_deref(),
+        Some(too_large)
+    );
+    // More than 64 header lines, each small.
+    let many = std::iter::once("GET /healthz HTTP/1.0\r\n".to_string())
+        .chain((0..80).map(|i| format!("X-{i}: y\r\n")))
+        .chain(["\r\n".to_string()]);
+    assert_eq!(http_raw(obs.addr(), many).as_deref(), Some(too_large));
+    // An endless header stream (no blank line, ever): refused after 8 KiB,
+    // then dropped — the peer's writes start failing.
+    let endless = std::iter::once("GET /healthz HTTP/1.0\r\n".to_string())
+        .chain((0..).map(|i| format!("X-Endless-{i}: {}\r\n", "z".repeat(100))));
+    let status = http_raw(obs.addr(), endless);
+    assert!(
+        status.is_none() || status.as_deref() == Some(too_large),
+        "{status:?}"
+    );
+
+    // A head at the limits is served, and the listener is still up.
+    let at_limit = std::iter::once("GET /healthz HTTP/1.0\r\n".to_string())
+        .chain((0..64).map(|i| format!("X-{i}: y\r\n")))
+        .chain(["\r\n".to_string()]);
+    assert_eq!(
+        http_raw(obs.addr(), at_limit).as_deref(),
+        Some("HTTP/1.0 200 OK")
+    );
+    assert_eq!(http_get(obs.addr(), "/healthz").0, "HTTP/1.0 200 OK");
+}

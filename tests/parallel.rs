@@ -11,7 +11,8 @@
 #![allow(clippy::result_large_err)]
 
 use ioql::plan::{
-    execute_metered, lower_with, set_op_verdict, ParMetrics, ParSpec, ParVerdict, Plan,
+    execute, execute_instrumented, lower_with, set_op_verdict, ExecMetrics, ParMetrics, ParSpec,
+    ParVerdict, Plan,
 };
 use ioql::{Database, DbOptions, Engine};
 use ioql_ast::Query;
@@ -98,7 +99,7 @@ fn observe(
     max_steps: u64,
 ) -> Observed {
     let reg = MetricsRegistry::new(true);
-    let draws = reg.counter("draws");
+    let draws = reg.counter("draws", "Chooser draws.");
     let metrics = ParMetrics::new(&reg);
     let governor = Governor::new(limits);
     let cfg = EvalConfig::new(&fx.schema).with_governor(&governor);
@@ -106,14 +107,17 @@ fn observe(
     let mut store = fx.store.clone();
     let mut inner = mk();
     let mut chooser = CountingChooser::new(&mut *inner, draws.clone());
-    let r = execute_metered(
+    let r = execute_instrumented(
         plan,
         &cfg,
         &defs,
         &mut store,
         &mut chooser,
         max_steps,
-        Some(&metrics),
+        ExecMetrics {
+            par: Some(&metrics),
+            vm: None,
+        },
     );
     let outcome = r
         .map(|r| (r.value.to_string(), r.effect.to_string()))
@@ -199,7 +203,7 @@ fn fault_plans_hold_identically_under_parallelism() {
             let defs = DefEnv::new();
             let mut store = fx.store.clone();
             let mut chooser = spec.chooser(governor.cancel_token());
-            let r = execute_metered(plan, &cfg, &defs, &mut store, &mut chooser, 1_000_000, None)
+            let r = execute(plan, &cfg, &defs, &mut store, &mut chooser, 1_000_000)
                 .map(|r| (r.value.to_string(), r.effect.to_string()))
                 .map_err(|e| class(&e));
             (r, governor.cells_spent())
@@ -273,14 +277,17 @@ fn finite_cell_budget_falls_back_and_counts_it() {
     let cfg = EvalConfig::new(&fx.schema).with_governor(&governor);
     let defs = DefEnv::new();
     let mut store = fx.store.clone();
-    let r = execute_metered(
+    let r = execute_instrumented(
         &plan,
         &cfg,
         &defs,
         &mut store,
         &mut FirstChooser,
         1_000_000,
-        Some(&metrics),
+        ExecMetrics {
+            par: Some(&metrics),
+            vm: None,
+        },
     )
     .map(|r| (r.value.to_string(), r.effect.to_string()))
     .map_err(|e| class(&e));
@@ -312,14 +319,17 @@ fn unforkable_chooser_is_counted_as_the_fallback_reason() {
     let defs = DefEnv::new();
     let mut store = fx.store.clone();
     let mut chooser = RandomChooser::seeded(3);
-    execute_metered(
+    execute_instrumented(
         &plan,
         &cfg,
         &defs,
         &mut store,
         &mut chooser,
         1_000_000,
-        Some(&metrics),
+        ExecMetrics {
+            par: Some(&metrics),
+            vm: None,
+        },
     )
     .unwrap();
     assert!(metrics.fallback_chooser.get() >= 1, "refusal not recorded");

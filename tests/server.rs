@@ -252,7 +252,7 @@ fn cache_isolated_from_concurrent_writers() {
         "the concurrent writer's COW path copies went unrecorded"
     );
     assert!(
-        m.sched.snapshot_ns.count() >= 3,
+        m.span(ioql::telemetry::Span::SnapshotAcquire).count() >= 3,
         "each reader admission must observe a snapshot-acquire timing"
     );
 }
@@ -586,4 +586,49 @@ fn multi_client_writes_compose_with_group_commit() {
     assert_eq!(report.generation, 1);
     assert!(report.checkpoint_loaded);
     assert_eq!(rec.extent_len("Persons"), 24);
+}
+
+/// A peer that never sends a newline cannot make the server buffer its
+/// input: past the 1 MiB request-line cap the server answers `err request
+/// too long` and closes — and only that connection; the other sessions
+/// keep answering.
+#[test]
+fn oversized_request_line_is_refused_not_buffered() {
+    use std::io::{BufRead, BufReader, Write};
+    let db = db_with(Engine::BigStep);
+    let mut server = db.serve("127.0.0.1:0").unwrap();
+    let mut neighbour = Client::connect(server.addr()).unwrap();
+    assert!(neighbour.request(WRITES[0]).unwrap().is_ok());
+
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut lines = std::iter::from_fn(move || {
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(n) if n > 0 => Some(line.trim_end().to_string()),
+            _ => None, // closed (or reset) by the server
+        }
+    });
+    assert!(lines.next().unwrap().starts_with("ok ioql-server"));
+    assert_eq!(lines.next().as_deref(), Some("."));
+    // 2 MiB, no newline. The server stops reading half way, so the tail
+    // of the write may fail — that is the point.
+    let writer = std::thread::spawn(move || {
+        let mut stream = stream;
+        let _ = stream.write_all(&vec![b'x'; 2 << 20]);
+    });
+    assert_eq!(lines.next().as_deref(), Some("err request too long"));
+    assert_eq!(lines.next().as_deref(), Some("."));
+    assert_eq!(lines.next(), None, "the connection must be closed");
+    writer.join().unwrap();
+
+    // A line just under the cap is still a request (here: a parse error).
+    let mut big = Client::connect(server.addr()).unwrap();
+    let nearly = format!("1 + {}", "x".repeat((1 << 20) - 16));
+    assert!(big.request(&nearly).unwrap().status.starts_with("err "));
+    assert!(big.request(READS[0]).unwrap().is_ok());
+
+    let r = neighbour.request(READS[0]).unwrap();
+    assert_eq!(r.lines[0], "3");
+    server.shutdown();
 }

@@ -291,3 +291,123 @@ fn elapsed_is_reported_outside_the_governor_path() {
     // Cached results still report a (small) wall-clock elapsed.
     assert!(hit.elapsed.as_nanos() > 0);
 }
+
+// ---------------------------------------------------------------------
+// One span, one clock, one record.
+
+/// A fresh, empty directory for a durable log.
+fn temp_dir(name: &str) -> PathBuf {
+    let dir = temp_path(name).with_extension("d");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The one-clock proof. Every span the kernel closes is measured once:
+/// the histogram of a span name and the recorded span trees are two
+/// views of the same `dur_ns`, so they agree *to the nanosecond* — which
+/// two clocks bracketing the same phase never do.
+#[test]
+fn histograms_and_span_trees_are_views_of_one_measurement() {
+    use ioql::telemetry::Span;
+    let dir = temp_dir("one-clock");
+    let opts = DbOptions {
+        engine: Engine::Plan,
+        optimize: true,
+        telemetry: true,
+        trace_capacity: 8,
+        durability: ioql::Durability::Commit,
+        ..DbOptions::default()
+    };
+    let mut db = db_with(opts, 6, 5);
+    db.attach_durable(&dir).unwrap();
+    let mut session = db.session("one-clock");
+    // Serialized durable writes, snapshot reads, a cache hit, and an
+    // interpreter-tier query: every timed span occurs at least once, and
+    // the ring (capacity 8) still holds every record.
+    for q in [
+        "size({ new P(name: x.name + 100) | x <- Ps, x.name < 3 })",
+        "{ x.name | x <- Ps, x.name < 7 }",
+        "{ x.name | x <- Ps, x.name < 7 }",
+        "sum({ x.name | x <- Ps })",
+        "(new P(name: 999)).name",
+        "1 + 2",
+    ] {
+        session.query(q).unwrap();
+    }
+    let records = db.traces_last(8);
+    assert_eq!(records.len(), 6);
+    let mut timed = 0;
+    for span in Span::ALL {
+        let h = db.metrics().span(span);
+        let durs: Vec<u64> = records
+            .iter()
+            .flat_map(|r| &r.spans)
+            .filter(|s| s.name == span.name())
+            .map(|s| s.dur_ns)
+            .collect();
+        if span.series().is_none() {
+            assert!(!h.is_enabled(), "{span:?} is annotation-only");
+            continue;
+        }
+        assert!(!durs.is_empty(), "the workload never opened {span:?}");
+        assert_eq!(h.count(), durs.len() as u64, "{span:?} count");
+        assert_eq!(h.sum_ns(), durs.iter().sum::<u64>(), "{span:?} sum");
+        timed += 1;
+    }
+    assert_eq!(timed, 10);
+    // The same clock stamps the result: `wait` is the reading that closed
+    // the sched-wait span, `elapsed` the one that sealed the record.
+    let r = session.query("size(Ps)").unwrap();
+    let record = &db.traces_last(1)[0];
+    assert_eq!(r.elapsed.as_nanos(), record.total_ns as u128);
+    assert_eq!(r.wait.as_nanos(), record.wait_ns as u128);
+    let wait = &record.spans[0];
+    assert_eq!(wait.name, "sched-wait");
+    assert_eq!(record.wait_ns, wait.start_ns + wait.dur_ns);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Spans that never had a hand-registered histogram get one from the
+/// span table: a cached read times its cache probe, a durable write its
+/// WAL append — and every family the database registers is described,
+/// because registration takes the help text.
+#[test]
+fn every_timed_span_is_a_described_series() {
+    let dir = temp_dir("for-free");
+    let opts = DbOptions {
+        telemetry: true,
+        durability: ioql::Durability::Commit,
+        ..DbOptions::default()
+    };
+    let mut db = db_with(opts, 4, 2);
+    db.attach_durable(&dir).unwrap();
+    db.query("size({ new P(name: 50) | x <- {1} })").unwrap();
+    db.query("size(Ps)").unwrap();
+    assert!(db.query("size(Ps)").unwrap().cached);
+    let text = db.metrics_text();
+    for phase in ["cache-probe", "wal-append", "lock-acquire"] {
+        let series = format!("ioql_phase_duration_ns_count{{phase=\"{phase}\"}} ");
+        let count: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(&series))
+            .unwrap_or_else(|| panic!("no {series} in:\n{text}"))
+            .parse()
+            .unwrap();
+        assert!(count > 0, "{series}is zero");
+    }
+    let lines: Vec<&str> = text.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let family = rest.split(' ').next().unwrap();
+            let help = format!("# HELP {family} ");
+            assert!(
+                i > 0 && lines[i - 1].len() > help.len() && lines[i - 1].starts_with(&help),
+                "family {family} has no help text"
+            );
+        }
+    }
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
