@@ -47,7 +47,7 @@ impl DbKernel {
         }
     }
 
-    /// `:stats`: cache, parallel, VM, scheduler and snapshot counters,
+    /// `:stats`: cache, VM, scheduler and snapshot counters,
     /// then every extent's size and version.
     fn stats(&self, opts: &DbOptions) -> String {
         let m = self.metrics();
@@ -60,21 +60,6 @@ impl DbKernel {
             s.entries,
             if s.entries == 1 { "y" } else { "ies" }
         );
-        let p = &m.parallel;
-        out.push_str(&format!(
-            "parallel: pool {} — {} run(s) (scan {}, index build {}, set op {}), \
-             {} chunk(s), {} fallback(s) (chooser {}, budget {}, tiny {})\n",
-            opts.parallelism,
-            p.par_scans.get() + p.par_index_builds.get() + p.par_set_ops.get(),
-            p.par_scans.get(),
-            p.par_index_builds.get(),
-            p.par_set_ops.get(),
-            p.chunks.get(),
-            p.fallback_chooser.get() + p.fallback_budget.get() + p.fallback_tiny.get(),
-            p.fallback_chooser.get(),
-            p.fallback_budget.get(),
-            p.fallback_tiny.get()
-        ));
         out.push_str(&format!(
             "vm: compile {} — {} node(s) compiled, {} interpreted, {} row(s) dispatched\n",
             if opts.compile { "on" } else { "off" },

@@ -5,7 +5,6 @@
 //! ioql schema.odl --extended   # §5 extended methods
 //! ioql schema.odl -e '{ p.name | p <- Ps }'   # one-shot query
 //! ioql schema.odl --telemetry-jsonl events.jsonl   # structured event log
-//! ioql schema.odl --parallelism 4   # effect-licensed parallel execution
 //! ioql schema.odl --compile    # bytecode VM for predicates and heads
 //! ioql schema.odl --durable state/  # crash-safe: WAL + checkpoints, recovery on start
 //! ioql schema.odl --serve 127.0.0.1:7583   # multi-client TCP server (line protocol)
@@ -27,8 +26,7 @@
 //! :plan <query>      show the physical plan (operators, costs, guard)
 //! :plan analyze <query>  run the plan; per-operator est vs actual rows/time
 //! :metrics           Prometheus-style dump of the telemetry registry
-//! :stats             cache/parallel counters and per-extent sizes/versions
-//! :parallel <n>      set the parallel worker-pool size (0 = off)
+//! :stats             cache/VM/scheduler counters and per-extent sizes/versions
 //! :compile <on|off>  toggle the bytecode compile tier (plan engine)
 //! :save <file>       dump the store to a file (atomic write + checksum)
 //! :load <file>       load a store dump (replaces current contents)
@@ -51,6 +49,10 @@ use ioql::{Database, DbError, DbOptions, Mode};
 use std::error::Error;
 use std::io::{BufRead, Write};
 
+const USAGE: &str = "usage: ioql [SCHEMA.odl] [--extended] [--telemetry-jsonl FILE] \
+                     [--compile] [--durable DIR] [--serve ADDR] [--obs ADDR] \
+                     [--slow-query MS] [-e QUERY]";
+
 const HELP: &str = "\
 commands:
   <query>            evaluate (type- and effect-checked first)
@@ -64,8 +66,7 @@ commands:
   :plan <query>      show the physical plan (operators, costs, guard)
   :plan analyze <query>  run the plan; per-operator est vs actual rows/time
   :metrics           Prometheus-style dump of the telemetry registry
-  :stats             cache/parallel counters and per-extent sizes/versions
-  :parallel <n>      set the parallel worker-pool size (0 = off)
+  :stats             cache/VM/scheduler counters and per-extent sizes/versions
   :compile <on|off>  toggle the bytecode compile tier (plan engine)
   :save <file>       dump the store to a file (atomic write + checksum)
   :load <file>       load a store dump (replaces current contents)
@@ -84,7 +85,6 @@ fn main() {
     let mut one_shot: Option<String> = None;
     let mut extended = false;
     let mut jsonl: Option<String> = None;
-    let mut parallelism: Option<usize> = None;
     let mut compile = false;
     let mut durable: Option<String> = None;
     let mut serve: Option<String> = None;
@@ -132,28 +132,15 @@ fn main() {
                     }
                 };
             }
-            "--parallelism" => {
-                let raw = args.next();
-                parallelism = match raw.as_deref().map(str::parse) {
-                    Some(Ok(n)) => Some(n),
-                    _ => {
-                        eprintln!(
-                            "--parallelism needs a non-negative integer, got {}",
-                            raw.as_deref()
-                                .map(|v| format!("`{v}`"))
-                                .unwrap_or_else(|| "nothing".into())
-                        );
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--help" | "-h" => {
-                println!(
-                    "usage: ioql [SCHEMA.odl] [--extended] [--telemetry-jsonl FILE] \
-                     [--parallelism N] [--compile] [--durable DIR] [--serve ADDR] \
-                     [--obs ADDR] [--slow-query MS] [-e QUERY]\n\n{HELP}"
-                );
+                println!("{USAGE}\n\n{HELP}");
                 return;
+            }
+            // A misspelt or removed flag must not be read as the schema
+            // path.
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown option `{flag}`\n{USAGE}");
+                std::process::exit(2);
             }
             other => ddl_path = Some(other.to_string()),
         }
@@ -173,17 +160,9 @@ fn main() {
     if extended {
         opts.method_mode = Mode::Extended;
     }
-    if let Some(n) = parallelism {
-        opts.parallelism = n;
-        // Parallel execution lives in the plan executor; the
-        // interpreters ignore the pool size entirely.
-        if n >= 2 {
-            opts.engine = ioql::Engine::Plan;
-        }
-    }
     if compile {
         opts.compile = true;
-        // Compilation lives in the plan executor, like parallelism.
+        // Compilation lives in the plan executor.
         opts.engine = ioql::Engine::Plan;
     }
     let ddl = match &ddl_path {
@@ -414,24 +393,6 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), Box<dyn Error>> {
         print!("{}", db.explain(rest)?);
         return Ok(());
     }
-    if let Some(rest) = line.strip_prefix(":parallel ") {
-        let n: usize = rest.trim().parse().map_err(|_| {
-            DbError::Internal(format!(
-                ":parallel needs a non-negative integer, got `{}`",
-                rest.trim()
-            ))
-        })?;
-        db.set_parallelism(n);
-        if n >= 2 {
-            // Parallel execution only exists on the plan engine; the
-            // interpreters ignore the pool size.
-            db.set_engine(ioql::Engine::Plan);
-            println!("parallelism set to {n} (engine: plan)");
-        } else {
-            println!("parallelism set to {n} (off)");
-        }
-        return Ok(());
-    }
     if let Some(rest) = line.strip_prefix(":compile ") {
         let on = match rest.trim() {
             "on" => true,
@@ -457,6 +418,12 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), Box<dyn Error>> {
         db.define(line)?;
         println!("defined.");
         return Ok(());
+    }
+    // No query starts with `:`, so what is left is a misspelt or removed
+    // command, or one missing its argument.
+    if line.starts_with(':') {
+        let name = line.split_whitespace().next().unwrap_or(line);
+        return Err(format!("unknown command `{name}` — :help lists the commands").into());
     }
     // A plain query.
     let r = db.query(line)?;

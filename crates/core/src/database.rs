@@ -46,10 +46,11 @@ pub enum Engine {
     /// ground truth; reports a step count.
     #[default]
     SmallStep,
-    /// The independent big-step evaluator — the production-engine floor,
-    /// 10–1000× faster on scans (see EXPERIMENTS.md B4/D1). Agrees with
-    /// the machine on value, store, and effect trace; the differential
-    /// suite keeps it honest. Step counts are not reported (0).
+    /// The independent big-step evaluator — the tree-walking
+    /// interpreter the `Plan` engine falls back to for queries it does
+    /// not lower. Agrees with the machine on value, store, and effect
+    /// trace; `tests/differential.rs` keeps it honest. Step counts are
+    /// not reported (0).
     BigStep,
     /// The physical-plan executor (`ioql-plan`): Theorem-7-eligible
     /// queries are lowered to a costed operator pipeline (scans, hash
@@ -57,8 +58,6 @@ pub enum Engine {
     /// falls back to the big-step evaluator. Observationally identical
     /// to the interpreters — same chooser draws, governor charges, and
     /// effects — see `tests/plan.rs`. Step counts are not reported (0).
-    /// The only engine with a parallel mode: see
-    /// [`DbOptions::parallelism`] and `tests/parallel.rs`.
     Plan,
 }
 
@@ -104,29 +103,24 @@ pub struct DbOptions {
     /// snapshots) to this path. Implies nothing about `telemetry`; the
     /// counter snapshots are only non-zero when it is on.
     pub telemetry_jsonl: Option<std::path::PathBuf>,
-    /// Worker-pool size for effect-licensed parallel execution on the
-    /// `Plan` engine (`0` = off, the default; `1` = a degenerate pool —
-    /// every node refuses). When ≥ 2, lowering annotates each
-    /// parallel-capable plan node with a Theorem 7/8 verdict and the
-    /// executor dispatches scoped worker threads for licensed nodes,
-    /// falling back to sequential execution whenever a run-time gate
-    /// (unforkable chooser, finite budget on a charged axis, tiny
-    /// input) would make an observable scheduling-dependent. The
-    /// parallelism contract is that **no observable changes** — results,
-    /// effect traces, governor meters, chooser draw totals, and cache
-    /// interactions are byte-identical to `parallelism = 0` (see
-    /// `tests/parallel.rs`).
+    /// Ignored. This sized the plan engine's worker pool, which is
+    /// gone (EXPERIMENTS.md B10); its contract was "no observable
+    /// changes", so every value now behaves as `0` always did. The
+    /// benchmark harness spells the field in a struct literal
+    /// (DESIGN.md §6); a `benchmark` change that drops it from that
+    /// literal releases the declaration.
+    #[deprecated(note = "the worker pool is gone; the value is ignored")]
     pub parallelism: usize,
     /// Compile comprehension predicates and projection heads to the
     /// bytecode VM on the `Plan` engine. Lowering annotates each
     /// eligible plan node with a compile verdict — `[vm]` in `:plan`
     /// output, or `[interp(reason)]` naming the construct that kept it
     /// interpreted — and the executor dispatches compiled rows through
-    /// the VM in batch. The compilation contract matches the
-    /// parallelism one: **no observable changes** — values, stores,
-    /// effect traces, governor meters, chooser draw totals, stuck
-    /// messages, and cache interactions are byte-identical to
-    /// `compile = false` (see `tests/compile.rs`). Off by default.
+    /// the VM in batch. The compilation contract is **no observable
+    /// changes** — values, stores, effect traces, governor meters,
+    /// chooser draw totals, stuck messages, and cache interactions are
+    /// byte-identical to `compile = false` (see `tests/compile.rs`).
+    /// Off by default.
     pub compile: bool,
     /// Write-ahead-log fsync policy for committed mutating queries, in
     /// force once a durable directory is attached
@@ -156,7 +150,7 @@ pub struct DbOptions {
     /// plus scheduler wait, lock acquisition, cache probe, and WAL
     /// append, each span carrying the decision it witnessed (cache
     /// hit/miss with reason, admission mode with serialization witness,
-    /// per-node parallel/compile verdicts, governor charges). The last
+    /// per-node compile verdicts, governor charges). The last
     /// `trace_capacity` records are retrievable via
     /// [`Database::traces_last`], the `:trace last`/`:trace seq` wire
     /// commands, and `GET /traces` on the observability listener.
@@ -176,6 +170,7 @@ pub struct DbOptions {
 }
 
 impl Default for DbOptions {
+    #[allow(deprecated)]
     fn default() -> Self {
         DbOptions {
             type_options: TypeOptions::default(),
@@ -234,9 +229,6 @@ pub struct DbMetrics {
     /// Engine work-volume counters (small-step steps, big-step
     /// recursions).
     pub eval: EvalMetrics,
-    /// Parallel-executor counters: chunks dispatched, worker busy time,
-    /// licensed runs by mechanism, and run-time fallbacks by reason.
-    pub parallel: ioql_plan::ParMetrics,
     /// Bytecode-VM counters: plan nodes compiled vs. kept interpreted,
     /// rows dispatched through the VM, and batch dispatch wall time.
     pub vm: ioql_plan::VmMetrics,
@@ -354,7 +346,6 @@ impl DbMetrics {
                     "Named-definition recursive calls.",
                 ),
             },
-            parallel: ioql_plan::ParMetrics::new(&registry),
             vm: ioql_plan::VmMetrics::new(&registry),
             sched: SchedMetrics {
                 admitted: c(
@@ -675,17 +666,6 @@ impl Database {
         self.kernel.set_durable_handle(handle);
     }
 
-    /// Sets the worker-pool size for effect-licensed parallel execution
-    /// (see [`DbOptions::parallelism`]); takes effect on the next query.
-    pub fn set_parallelism(&mut self, n: usize) {
-        self.options.parallelism = n;
-    }
-
-    /// The current parallel worker-pool size (`0` = off).
-    pub fn parallelism(&self) -> usize {
-        self.options.parallelism
-    }
-
     /// Enables or disables bytecode compilation of predicates and
     /// projection heads (see [`DbOptions::compile`]); takes effect on
     /// the next query.
@@ -698,9 +678,7 @@ impl Database {
         self.options.compile
     }
 
-    /// Selects which evaluator runs subsequent queries. Parallel
-    /// execution only exists on [`Engine::Plan`]; the interpreters
-    /// ignore [`DbOptions::parallelism`] entirely.
+    /// Selects which evaluator runs subsequent queries.
     pub fn set_engine(&mut self, engine: Engine) {
         self.options.engine = engine;
     }
@@ -1082,29 +1060,6 @@ impl Database {
             &prepared.elab,
             &mut FirstChooser,
             self.options.max_steps,
-        ))
-    }
-
-    /// As [`Database::explore`], but partitioning the reduction tree at
-    /// the first choice point across worker threads. Same outcome set;
-    /// useful when the extent sizes push the factorial enumeration into
-    /// seconds.
-    pub fn explore_parallel(
-        &self,
-        src: &str,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Exploration, DbError> {
-        let (state, prepared) = self.prepared(src)?;
-        let cfg = self.kernel.eval_config(&self.options);
-        Ok(ioql_eval::explore_outcomes_parallel(
-            &cfg,
-            &state.catalogue.env,
-            &state.store,
-            &prepared.elab,
-            self.options.max_steps,
-            max_runs,
-            threads,
         ))
     }
 

@@ -24,7 +24,11 @@
 //!   commit is acknowledged to the caller. If the append or its fsync
 //!   fails, the commit is rolled back and the log is **poisoned**:
 //!   subsequent mutating queries fail fast (the on-disk tail is
-//!   suspect) until a checkpoint rebuilds the baseline from memory.
+//!   suspect) until a checkpoint rebuilds the baseline from memory. A
+//!   sink that *panics* poisons the log the same way: the flag is raised
+//!   before each sink call and lowered only when it returns `Ok`, so the
+//!   durable mutex's own (sticky) poison bit carries no information and
+//!   every lock site recovers the guard.
 //!
 //! The recovery guarantee, checked by `tests/recovery.rs` across crash
 //! points × choosers × engines: the recovered store is oid-bijection-
@@ -369,7 +373,7 @@ impl DbKernel {
         let Some(handle) = self.durable_handle() else {
             return Err(io_wal("no durable directory attached").into());
         };
-        let mut log = handle.lock().expect("durable lock");
+        let mut log = handle.lock().unwrap_or_else(|e| e.into_inner());
         let gen = log.wal.generation();
         let next = gen + 1;
 
@@ -377,10 +381,12 @@ impl DbKernel {
         // record (Batch mode) becomes durable before we move on, so a
         // crash during the checkpoint cannot lose it.
         if !log.poisoned {
-            let covered = log.wal.flush().map_err(|e| {
-                log.poisoned = true;
-                io_wal(format!("flush wal-{gen}: {e}"))
-            })?;
+            log.poisoned = true; // until the flush returns `Ok`
+            let covered = log
+                .wal
+                .flush()
+                .map_err(|e| io_wal(format!("flush wal-{gen}: {e}")))?;
+            log.poisoned = false;
             self.note_wal_sync(covered);
         }
 
@@ -427,7 +433,7 @@ impl DbKernel {
     /// (options are per-handle; the log itself is shared).
     pub(crate) fn wal_status(&self, durability: Durability) -> Option<WalStatus> {
         let handle = self.durable_handle()?;
-        let log = handle.lock().expect("durable lock");
+        let log = handle.lock().unwrap_or_else(|e| e.into_inner());
         Some(WalStatus {
             mode: durability,
             dir: log.dir.clone(),
@@ -451,7 +457,7 @@ impl DbKernel {
                 grouped: 0,
             });
         };
-        let mut log = handle.lock().expect("durable lock");
+        let mut log = handle.lock().unwrap_or_else(|e| e.into_inner());
         if log.poisoned {
             return Err(io_wal(
                 "write-ahead log poisoned by an earlier append failure; \
@@ -459,25 +465,24 @@ impl DbKernel {
             )
             .into());
         }
-        match log.wal.append(payload) {
-            Ok(ack) => {
-                self.metrics().wal_appends.inc();
-                if ack.synced {
-                    self.note_wal_sync(ack.grouped);
-                }
-                Ok(WalAppendAck {
-                    synced: ack.synced,
-                    grouped: ack.grouped,
-                })
-            }
-            Err(e) => {
-                // The failed write may be partially on disk; nothing
-                // after it can be trusted to append cleanly. Fail every
-                // later mutation fast until a checkpoint rebuilds.
-                log.poisoned = true;
-                Err(io_wal(format!("wal append failed: {e}")).into())
-            }
+        // Poisoned until the append returns `Ok`: after an error — or a
+        // panic in the sink — the write may be partially on disk and
+        // nothing after it can be trusted to append cleanly. Fail every
+        // later mutation fast until a checkpoint rebuilds.
+        log.poisoned = true;
+        let ack = log
+            .wal
+            .append(payload)
+            .map_err(|e| io_wal(format!("wal append failed: {e}")))?;
+        log.poisoned = false;
+        self.metrics().wal_appends.inc();
+        if ack.synced {
+            self.note_wal_sync(ack.grouped);
         }
+        Ok(WalAppendAck {
+            synced: ack.synced,
+            grouped: ack.grouped,
+        })
     }
 
     /// Records an fsync that covered `covered` pending records.

@@ -315,10 +315,9 @@ impl DbKernel {
         (optimized, optimizer.applied().to_vec())
     }
 
-    /// Lowers a prepared query to a physical plan under the configured
-    /// parallelism — shared by execution, `explain`, and
-    /// `explain analyze` so the plan the user sees is the plan that
-    /// runs.
+    /// Lowers a prepared query to a physical plan — shared by execution,
+    /// `explain`, and `explain analyze` so the plan the user sees is the
+    /// plan that runs.
     pub(crate) fn lower_in(
         &self,
         opts: &DbOptions,
@@ -326,14 +325,12 @@ impl DbKernel {
         elab: &Query,
         static_effect: &Effect,
     ) -> Option<ioql_plan::Plan> {
-        let judgement = self.judgement(opts, Discipline::permissive(), &state.catalogue);
-        let closed = BTreeMap::new();
-        let branch_effect = |q: &Query| judgement.query(&closed, q).ok().map(|(_, _, eff)| eff);
+        #[allow(deprecated)] // the three inert fields; see `ParSpec`
         let spec = ioql_plan::ParSpec {
-            parallelism: opts.parallelism,
+            parallelism: 0,
             compile: opts.compile,
-            schema: Some(&self.schema),
-            branch_effect: Some(&branch_effect),
+            schema: None,
+            branch_effect: None,
         };
         ioql_plan::lower_with(
             elab,
@@ -671,33 +668,22 @@ impl DbKernel {
                 }
             }
         }
-        // The verdict bridge: per-node parallel and compile decisions
-        // into the trace. Every traced query gets all four verdict
-        // kinds — a node-less outcome (interpreter engine, no plan,
-        // tiers off) is itself a verdict with its reason.
+        // The verdict bridge: per-node compile decisions into the trace.
+        // Every traced query gets a compile verdict — a node-less
+        // outcome (interpreter engine, no plan, tier off) is itself a
+        // verdict with its reason.
         if tracer.is_on() {
-            let (verdicts, no_par, no_vm) = match (engine, &plan) {
-                (Engine::Plan, Some(p)) => (p.verdicts(), "parallelism off", "compile off"),
-                (Engine::Plan, None) => (
-                    Vec::new(),
-                    "no physical plan — interpreter tier",
-                    "no physical plan",
-                ),
-                _ => (Vec::new(), "interpreter engine", "interpreter engine"),
+            let (verdicts, no_vm) = match (engine, &plan) {
+                (Engine::Plan, Some(p)) => (p.verdicts(), "compile off"),
+                (Engine::Plan, None) => (Vec::new(), "no physical plan"),
+                _ => (Vec::new(), "interpreter engine"),
             };
             for v in &verdicts {
-                let node = || format!("{} {}", v.id, v.label);
-                if let Some(par) = &v.par {
-                    tracer.note(Span::Parallel, || (node(), par.clone()));
-                }
-                if let Some(c) = &v.compile {
-                    tracer.note(Span::Compile, || (node(), c.clone()));
-                }
+                tracer.note(Span::Compile, || {
+                    (format!("{} {}", v.id, v.label), v.compile.clone())
+                });
             }
-            if verdicts.iter().all(|v| v.par.is_none()) {
-                tracer.note(Span::Parallel, || (String::new(), format!("seq({no_par})")));
-            }
-            if verdicts.iter().all(|v| v.compile.is_none()) {
+            if verdicts.is_empty() {
                 tracer.note(Span::Compile, || {
                     (String::new(), format!("interp({no_vm})"))
                 });
@@ -727,10 +713,7 @@ impl DbKernel {
                         store,
                         chooser,
                         max_steps,
-                        ioql_plan::ExecMetrics {
-                            par: Some(&self.metrics.parallel),
-                            vm: Some(&self.metrics.vm),
-                        },
+                        Some(&self.metrics.vm),
                     )
                     .map(|r| ioql_eval::Evaluated {
                         value: r.value,

@@ -1,10 +1,9 @@
 //! The effect-scheduled admission controller.
 //!
 //! The paper's effect system proves when two computations cannot
-//! interfere (`Effect::interference_witness`, Theorems 7/8). PR 5 used
-//! that license *inside* one query — chunked scans, partitioned hash
-//! builds. This module uses the same machinery **between whole queries
-//! from different sessions**: every query submitted through a
+//! interfere (`Effect::interference_witness`, Theorems 7/8). This
+//! module uses that licence **between whole queries from different
+//! sessions**: every query submitted through a
 //! [`Session`](crate::Session) is type-and-effect checked in one pass,
 //! and the Theorem 7 verdict on its effect (`Thm7::snapshot_admissible`)
 //! decides its admission class:

@@ -146,8 +146,7 @@ impl Effect {
     /// interfere, names one interfering atom pair — `(atom from self,
     /// atom from other)`, rendered as in [`Effect`]'s `Display`, e.g.
     /// `("R(C)", "A(C)")`. `None` means the computations commute. The
-    /// plan layer quotes the witness in its `seq(interfering effects: …)`
-    /// parallelism refusals.
+    /// scheduler quotes the witness when it serializes a writer.
     pub fn interference_witness(
         &self,
         other: &Effect,

@@ -14,21 +14,6 @@ use ioql_telemetry::Counter;
 pub trait Chooser {
     /// Picks one of `n` candidates.
     fn choose(&mut self, n: usize) -> usize;
-
-    /// Forks an equivalent chooser for a parallel worker, or `None` when
-    /// this strategy cannot be split across workers.
-    ///
-    /// Forking is sound only for strategies whose picks are a pure
-    /// function of the arity — stateless, order-insensitive strategies
-    /// like [`FirstChooser`]/[`LastChooser`] — so that partitioning a
-    /// draw sequence across workers selects exactly the elements the
-    /// unsplit chooser would have selected. Stateful or seeded
-    /// strategies ([`ScriptedChooser`], [`RandomChooser`], fault
-    /// injectors) return `None`, the default, and a parallel executor
-    /// seeing `None` must fall back to sequential execution.
-    fn parallel_fork(&self) -> Option<Box<dyn Chooser + Send>> {
-        None
-    }
 }
 
 /// Always picks the first element (in the canonical value order) — a
@@ -41,10 +26,6 @@ impl Chooser for FirstChooser {
     fn choose(&mut self, _n: usize) -> usize {
         0
     }
-
-    fn parallel_fork(&self) -> Option<Box<dyn Chooser + Send>> {
-        Some(Box::new(FirstChooser))
-    }
 }
 
 /// Always picks the last element — the "opposite order" strategy, handy
@@ -55,10 +36,6 @@ pub struct LastChooser;
 impl Chooser for LastChooser {
     fn choose(&mut self, n: usize) -> usize {
         n - 1
-    }
-
-    fn parallel_fork(&self) -> Option<Box<dyn Chooser + Send>> {
-        Some(Box::new(LastChooser))
     }
 }
 
@@ -159,17 +136,6 @@ impl Chooser for CountingChooser<'_> {
         self.draws.inc();
         self.inner.choose(n)
     }
-
-    fn parallel_fork(&self) -> Option<Box<dyn Chooser + Send>> {
-        // Forkable exactly when the wrapped strategy is; the fork keeps
-        // counting into the *same* counter (it is atomic and shared), so
-        // the draw total stays byte-identical to a sequential run.
-        let inner = self.inner.parallel_fork()?;
-        Some(Box::new(ForkedCounting {
-            inner,
-            draws: self.draws.clone(),
-        }))
-    }
 }
 
 /// Wraps any chooser, recording the picks it returns — the draw trace a
@@ -181,13 +147,9 @@ impl Chooser for CountingChooser<'_> {
 /// so it has an `active` switch:
 ///
 /// * **inactive** (write-free query, or durability off): records
-///   nothing and delegates *everything*, including `parallel_fork` —
-///   byte-identical behaviour to the bare chooser, keeping the
-///   transparency guard intact.
-/// * **active** (the commit will be logged): records each returned pick
-///   and refuses to fork. Refusal costs nothing real: only mutating
-///   queries are recorded, and the Theorem 7 guard already bars those
-///   from the parallel executor.
+///   nothing — byte-identical behaviour to the bare chooser, keeping
+///   the transparency guard intact.
+/// * **active** (the commit will be logged): records each returned pick.
 pub struct RecordingChooser<'a> {
     inner: &'a mut dyn Chooser,
     active: bool,
@@ -220,38 +182,6 @@ impl Chooser for RecordingChooser<'_> {
             self.trace.push(pick);
         }
         pick
-    }
-
-    fn parallel_fork(&self) -> Option<Box<dyn Chooser + Send>> {
-        if self.active {
-            // A forked worker's picks would bypass this trace; refuse,
-            // forcing the sequential path, so the log sees every draw.
-            return None;
-        }
-        self.inner.parallel_fork()
-    }
-}
-
-/// An owned [`CountingChooser`] produced by [`Chooser::parallel_fork`]:
-/// same delegation + shared counter, but holds its inner chooser by value
-/// so it can move into a worker thread.
-struct ForkedCounting {
-    inner: Box<dyn Chooser + Send>,
-    draws: Counter,
-}
-
-impl Chooser for ForkedCounting {
-    fn choose(&mut self, n: usize) -> usize {
-        self.draws.inc();
-        self.inner.choose(n)
-    }
-
-    fn parallel_fork(&self) -> Option<Box<dyn Chooser + Send>> {
-        let inner = self.inner.parallel_fork()?;
-        Some(Box::new(ForkedCounting {
-            inner,
-            draws: self.draws.clone(),
-        }))
     }
 }
 
@@ -314,37 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn only_order_insensitive_choosers_fork() {
-        // First/Last pick as a pure function of arity — forkable.
-        let mut f = FirstChooser.parallel_fork().expect("First forks");
-        assert_eq!(f.choose(5), 0);
-        let mut l = LastChooser.parallel_fork().expect("Last forks");
-        assert_eq!(l.choose(5), 4);
-        // Stateful/seeded strategies must refuse.
-        assert!(RandomChooser::seeded(7).parallel_fork().is_none());
-        assert!(ScriptedChooser::new(vec![1]).parallel_fork().is_none());
-    }
-
-    #[test]
-    fn counting_fork_shares_the_counter() {
-        let reg = ioql_telemetry::MetricsRegistry::new(true);
-        let draws = reg.counter("draws", "Chooser draws.");
-        let mut first = FirstChooser;
-        let counting = CountingChooser::new(&mut first, draws.clone());
-        let mut fork = counting.parallel_fork().expect("First is forkable");
-        let mut fork2 = fork.parallel_fork().expect("forks re-fork");
-        assert_eq!(fork.choose(3), 0);
-        assert_eq!(fork2.choose(2), 0);
-        // Both forks counted into the shared counter.
-        assert_eq!(draws.get(), 2);
-        // Wrapping an unforkable chooser stays unforkable.
-        let mut scripted = ScriptedChooser::new(vec![0]);
-        assert!(CountingChooser::new(&mut scripted, draws)
-            .parallel_fork()
-            .is_none());
-    }
-
-    #[test]
     fn recording_chooser_traces_only_when_active() {
         let mut rng = RandomChooser::seeded(11);
         let mut rec = RecordingChooser::new(&mut rng, true);
@@ -363,24 +262,6 @@ mod tests {
         let idle_picks: Vec<usize> = [5usize, 3, 7, 2].iter().map(|&n| idle.choose(n)).collect();
         assert_eq!(idle_picks, picks, "wrapping must not perturb draws");
         assert!(idle.trace().is_empty());
-    }
-
-    #[test]
-    fn recording_chooser_fork_policy() {
-        // Active: never forks, even over a forkable inner chooser.
-        let mut first = FirstChooser;
-        assert!(RecordingChooser::new(&mut first, true)
-            .parallel_fork()
-            .is_none());
-        // Inactive: delegates the inner chooser's forkability.
-        let mut first = FirstChooser;
-        assert!(RecordingChooser::new(&mut first, false)
-            .parallel_fork()
-            .is_some());
-        let mut scripted = ScriptedChooser::new(vec![0]);
-        assert!(RecordingChooser::new(&mut scripted, false)
-            .parallel_fork()
-            .is_none());
     }
 
     #[test]

@@ -66,21 +66,6 @@ pub fn explore_outcomes(
     max_steps: u64,
     max_runs: usize,
 ) -> Exploration {
-    explore_with_prefix(cfg, defs, store, q, max_steps, max_runs, Vec::new())
-}
-
-/// As [`explore_outcomes`] but restricted to the subtree selected by a
-/// fixed prefix of choices — the unit of work the parallel explorer
-/// hands to each thread.
-fn explore_with_prefix(
-    cfg: &EvalConfig<'_>,
-    defs: &DefEnv,
-    store: &Store,
-    q: &Query,
-    max_steps: u64,
-    max_runs: usize,
-    prefix: Vec<usize>,
-) -> Exploration {
     let mut runs = Vec::new();
     let mut effects = Vec::new();
     let mut truncated = false;
@@ -89,7 +74,7 @@ fn explore_with_prefix(
     // prefix of choices; after each run we advance the last incrementable
     // position (standard mixed-radix successor using the recorded
     // arities).
-    let mut script: Vec<usize> = prefix.clone();
+    let mut script: Vec<usize> = Vec::new();
     loop {
         if runs.len() >= max_runs {
             truncated = true;
@@ -111,11 +96,10 @@ fn explore_with_prefix(
         // Successor script: the arities the run actually encountered.
         let arities = chooser.arities.clone();
         let mut taken = chooser.taken();
-        // Find the rightmost position that can be incremented — never
-        // into the fixed prefix.
+        // Find the rightmost position that can be incremented.
         let mut pos = arities.len();
         loop {
-            if pos <= prefix.len() {
+            if pos == 0 {
                 // Exhausted the whole tree.
                 return Exploration {
                     runs,
@@ -133,68 +117,6 @@ fn explore_with_prefix(
         }
     }
 
-    Exploration {
-        runs,
-        effects,
-        truncated,
-    }
-}
-
-/// Parallel exhaustive exploration: the reduction tree is partitioned at
-/// the *first* choice point, one branch per worker thread (up to
-/// `threads`). Exact same outcome multiset as [`explore_outcomes`], in a
-/// deterministic (first-choice-major) order. Falls back to the
-/// sequential explorer when the query has no choice point or `threads`
-/// is 1.
-pub fn explore_outcomes_parallel(
-    cfg: &EvalConfig<'_>,
-    defs: &DefEnv,
-    store: &Store,
-    q: &Query,
-    max_steps: u64,
-    max_runs: usize,
-    threads: usize,
-) -> Exploration {
-    // Probe one run to find the first choice point's arity.
-    let mut probe = ScriptedChooser::new(Vec::new());
-    let mut st = store.clone();
-    let _ = evaluate(cfg, defs, &mut st, q, &mut probe, max_steps);
-    let Some(&first_arity) = probe.arities.first() else {
-        return explore_outcomes(cfg, defs, store, q, max_steps, max_runs);
-    };
-    if threads <= 1 || first_arity <= 1 {
-        return explore_outcomes(cfg, defs, store, q, max_steps, max_runs);
-    }
-    let per_branch = max_runs / first_arity + 1;
-    let branches: Vec<Exploration> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..first_arity)
-            .map(|i| {
-                let defs = defs.clone();
-                let store = store.clone();
-                let q = q.clone();
-                scope.spawn(move || {
-                    explore_with_prefix(cfg, &defs, &store, &q, max_steps, per_branch, vec![i])
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("explorer thread panicked"))
-            .collect()
-    });
-    let mut runs = Vec::new();
-    let mut effects = Vec::new();
-    let mut truncated = false;
-    for b in branches {
-        truncated |= b.truncated;
-        runs.extend(b.runs);
-        effects.extend(b.effects);
-    }
-    if runs.len() > max_runs {
-        runs.truncate(max_runs);
-        effects.truncate(max_runs);
-        truncated = true;
-    }
     Exploration {
         runs,
         effects,
@@ -338,40 +260,6 @@ mod tests {
             10_000,
             10_000
         ));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let s = schema();
-        let cfg = EvalConfig::new(&s);
-        let st = store_with(&[1, 2, 3]);
-        let q = Query::comp(
-            Query::new_obj("F", [("n", Query::var("x").attr("n"))])
-                .attr("n")
-                .add(Query::extent("Fs").size_of()),
-            [Qualifier::Gen(VarName::new("x"), Query::extent("Ps"))],
-        );
-        let seq = explore_outcomes(&cfg, &DefEnv::new(), &st, &q, 100_000, 10_000);
-        let par = explore_outcomes_parallel(&cfg, &DefEnv::new(), &st, &q, 100_000, 10_000, 4);
-        assert_eq!(seq.runs.len(), par.runs.len());
-        assert_eq!(seq.truncated, par.truncated);
-        // Same distinct outcome sets.
-        let a = seq.distinct_outcomes();
-        let b = par.distinct_outcomes();
-        assert_eq!(a.len(), b.len());
-        for x in &a {
-            assert!(b.iter().any(|y| ioql_store::equiv_outcomes(x, y)));
-        }
-    }
-
-    #[test]
-    fn parallel_falls_back_without_choice_points() {
-        let s = schema();
-        let cfg = EvalConfig::new(&s);
-        let st = store_with(&[]);
-        let q = Query::int(1).add(Query::int(2));
-        let par = explore_outcomes_parallel(&cfg, &DefEnv::new(), &st, &q, 1_000, 100, 4);
-        assert_eq!(par.runs.len(), 1);
     }
 
     #[test]

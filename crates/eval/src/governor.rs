@@ -253,11 +253,7 @@ impl Governor {
         self.growth.load(Ordering::Relaxed)
     }
 
-    /// Remaining cell budget, or `None` when cells are unmetered. The
-    /// plan layer's parallel dispatcher uses this as a pre-flight check:
-    /// it only fans out a scan whose worst-case cell charge (one per
-    /// partitioned element) provably fits, so a budget that *would* trip
-    /// does so on the sequential path with sequential semantics.
+    /// Remaining cell budget, or `None` when cells are unmetered.
     pub fn cells_remaining(&self) -> Option<u64> {
         self.limits
             .max_cells

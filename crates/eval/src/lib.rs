@@ -40,9 +40,7 @@ pub use chooser::{
     Chooser, CountingChooser, FirstChooser, LastChooser, RandomChooser, RecordingChooser,
     ScriptedChooser,
 };
-pub use explore::{
-    all_outcomes_equivalent, explore_outcomes, explore_outcomes_parallel, Exploration,
-};
+pub use explore::{all_outcomes_equivalent, explore_outcomes, Exploration};
 pub use governor::{CancelToken, Governor, GovernorMetrics, Limits, ResourceKind};
 pub use machine::{evaluate, run_program, DefEnv, EvalConfig, EvalError, EvalMetrics, Evaluated};
 pub use step::{redex, step, StepOutcome};

@@ -8,25 +8,9 @@ use ioql_effects::{infer_definition, infer_query, EffectEnv};
 use ioql_schema::Schema;
 use std::collections::BTreeMap;
 
-/// Which rewrites to enable — the ablation knobs for the optimizer
-/// benchmarks.
+/// The optimizer's one setting: its fixpoint budget.
 #[derive(Clone, Copy, Debug)]
 pub struct OptOptions {
-    /// Constant folding.
-    pub fold_constants: bool,
-    /// `if c then q else q → q`.
-    pub collapse_same_branches: bool,
-    /// Cheapest-first ordering of commutative set operators (Theorem 8's
-    /// guard).
-    pub commute_by_cost: bool,
-    /// Predicate promotion in comprehensions.
-    pub promote_predicates: bool,
-    /// Comprehension unnesting (Fegaras–Maier normalisation).
-    pub unnest_generators: bool,
-    /// `true`/`false` predicate simplification.
-    pub simplify_predicates: bool,
-    /// Definition inlining.
-    pub inline_definitions: bool,
     /// Upper bound on rewrites per query (fixpoint budget).
     pub max_rewrites: usize,
 }
@@ -34,31 +18,15 @@ pub struct OptOptions {
 impl Default for OptOptions {
     fn default() -> Self {
         OptOptions {
-            fold_constants: true,
-            collapse_same_branches: true,
-            commute_by_cost: true,
-            promote_predicates: true,
-            unnest_generators: true,
-            simplify_predicates: true,
-            inline_definitions: true,
             max_rewrites: 10_000,
         }
     }
 }
 
 impl OptOptions {
-    /// Everything off — the baseline for ablation benchmarks.
+    /// A zero budget: no rule ever fires.
     pub fn none() -> Self {
-        OptOptions {
-            fold_constants: false,
-            collapse_same_branches: false,
-            commute_by_cost: false,
-            promote_predicates: false,
-            unnest_generators: false,
-            simplify_predicates: false,
-            inline_definitions: false,
-            max_rewrites: 0,
-        }
+        OptOptions { max_rewrites: 0 }
     }
 }
 
@@ -71,12 +39,11 @@ pub struct AppliedRewrite {
     pub note: String,
 }
 
-/// The optimizer: schema + statistics + options + (for inlining) the
-/// definitions in scope.
+/// The optimizer: schema + statistics + (for inlining) the definitions
+/// in scope.
 pub struct Optimizer<'s> {
     schema: &'s Schema,
     stats: Stats,
-    options: OptOptions,
     defs: BTreeMap<DefName, Definition>,
     applied: Vec<AppliedRewrite>,
     budget: usize,
@@ -88,7 +55,6 @@ impl<'s> Optimizer<'s> {
         Optimizer {
             schema,
             stats,
-            options,
             defs: BTreeMap::new(),
             applied: Vec::new(),
             budget: options.max_rewrites,
@@ -182,53 +148,35 @@ impl<'s> Optimizer<'s> {
     }
 
     fn apply_local(&mut self, env: &EffectEnv<'s>, q: &Query) -> Option<Query> {
-        let o = self.options;
-        if o.fold_constants {
-            if let Some(n) = rules::fold_constants(q) {
-                self.note("fold-constants", q, &n);
-                return Some(n);
-            }
+        if let Some(n) = rules::fold_constants(q) {
+            self.note("fold-constants", q, &n);
+            return Some(n);
         }
-        if o.collapse_same_branches {
-            if let Some(n) = rules::collapse_same_branches(env, q) {
-                self.note("collapse-same-branches", q, &n);
-                return Some(n);
-            }
+        if let Some(n) = rules::collapse_same_branches(env, q) {
+            self.note("collapse-same-branches", q, &n);
+            return Some(n);
         }
-        if o.simplify_predicates {
-            if let Some(n) = rules::drop_true_predicates(q) {
-                self.note("drop-true-predicates", q, &n);
-                return Some(n);
-            }
-            if let Some(n) = rules::collapse_false_comprehension(env, q) {
-                self.note("collapse-false-comprehension", q, &n);
-                return Some(n);
-            }
+        if let Some(n) = rules::drop_true_predicates(q) {
+            self.note("drop-true-predicates", q, &n);
+            return Some(n);
         }
-        if o.promote_predicates {
-            if let Some(n) = rules::promote_predicates(env, q) {
-                self.note("promote-predicates", q, &n);
-                return Some(n);
-            }
+        if let Some(n) = rules::collapse_false_comprehension(env, q) {
+            self.note("collapse-false-comprehension", q, &n);
+            return Some(n);
         }
-        if o.unnest_generators {
-            if let Some(n) = rules::unnest_generator(env, q) {
-                self.note("unnest-generator", q, &n);
-                return Some(n);
-            }
+        if let Some(n) = rules::promote_predicates(env, q) {
+            self.note("promote-predicates", q, &n);
+            return Some(n);
         }
-        if o.commute_by_cost {
-            if let Some(n) = rules::commute_by_cost(env, &self.stats, q) {
-                self.note("commute-by-cost", q, &n);
-                return Some(n);
-            }
+        if let Some(n) = rules::unnest_generator(env, q) {
+            self.note("unnest-generator", q, &n);
+            return Some(n);
         }
-        if o.inline_definitions {
-            if let Some(n) = self.inline_call(env, q) {
-                return Some(n);
-            }
+        if let Some(n) = rules::commute_by_cost(env, &self.stats, q) {
+            self.note("commute-by-cost", q, &n);
+            return Some(n);
         }
-        None
+        self.inline_call(env, q)
     }
 
     /// Definition inlining (β at the query level). Guards per argument:

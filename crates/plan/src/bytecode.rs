@@ -570,10 +570,9 @@ impl Program {
     }
 }
 
-/// Telemetry handles for the compiled tier. Write-only, like
-/// [`ParMetrics`](crate::par::ParMetrics): nothing here feeds a compile
-/// or dispatch decision, so a metered run and a bare one execute
-/// identically.
+/// Telemetry handles for the compiled tier. Write-only (the
+/// transparency guard): nothing here feeds a compile or dispatch
+/// decision, so a metered run and a bare one execute identically.
 #[derive(Clone, Debug, Default)]
 pub struct VmMetrics {
     /// Plan nodes whose expression compiled to bytecode.

@@ -1,4 +1,4 @@
-//! The pull-based plan executor, with an effect-licensed parallel mode.
+//! The pull-based plan executor.
 //!
 //! Execution is engineered for *observational parity* with the naive
 //! engines, not just value parity:
@@ -15,70 +15,16 @@
 //!   so nested comprehensions, effects, and stuck states are literally
 //!   the naive engine's own.
 //!
-//! The sequential deviations — the hash-index build scanning elements
-//! ahead of the chooser's draw order — are licensed by the plan's
-//! Theorem 7 guard and remain fully *speculative*: any anomaly abandons
-//! the index and reverts to per-row predicate evaluation, reproducing
-//! the naive engines' exact error at the exact position.
-//!
-//! # Parallel execution
-//!
-//! When a plan was lowered with `parallelism ≥ 2` and a node carries a
-//! licensed [`ParVerdict`], [`execute`] dispatches a
-//! dependency-free worker pool (`std::thread::scope` — no queues, no
-//! persistent threads):
-//!
-//! * **chunked scans** — a pipeline headed by an extent scan partitions
-//!   its elements into contiguous chunks of the canonical (sorted) set
-//!   order; each worker drives its chunk through the *same* per-draw
-//!   protocol (chooser draw, one-cell charge, checkpoint) against a
-//!   cloned store, and the partial result sets merge by set union.
-//!   Theorem 7 (the query is read-only, `new`-free, invocation-free)
-//!   makes the merged observables — result set, effect trace, total
-//!   cell charges, total chooser draws — equal to the sequential run's.
-//! * **partitioned index builds** — the speculative hash-index build is
-//!   a pure scan, so its key-extraction loop partitions the same way;
-//!   any chunk anomaly abandons the whole index (the per-row fallback
-//!   then reproduces the naive error exactly as in sequential mode).
-//!   Effects are idempotent atom *sets*, so unioning every chunk's
-//!   trace — even past an anomaly — adds nothing the per-row fallback
-//!   would not record itself.
-//! * **concurrent set-operator branches** — licensed by Theorem 8 when
-//!   the lowering proved the operand effects non-interfering; each
-//!   branch runs against its own store clone and the left branch's
-//!   error wins, matching sequential left-to-right evaluation order.
-//!
-//! Every dispatch is *re-gated at run time* and falls back to the
-//! sequential path (recording a `ioql_parallel_fallbacks_total` reason)
-//! when: the chooser cannot [`fork`](Chooser::parallel_fork) (scripted,
-//! random, and fault-injecting strategies are draw-order-sensitive); a
-//! finite governor budget meters an axis the partitioned body charges
-//! (the trip position would be scheduling-dependent); or there are
-//! fewer than two elements to split. Profiled runs
-//! ([`execute_with_profile`]) are always sequential — the profile is a
-//! per-node diagnostic of the sequential cost model.
-//!
-//! Fuel stays one global budget without being a shared counter: every
-//! worker of a dispatch starts from the *whole* remaining budget,
-//! reports what it used, and the parent settles the parts in chunk
-//! order — tripping exactly when their sum exceeds the budget, which is
-//! when the sequential run over the same chunks would have. The verdict
-//! is therefore a function of the plan and the store, never of
-//! scheduling (at the price of a failing run doing up to `workers`
-//! budgets of work before it fails).
-//!
-//! One caveat is accepted and tested for rather than hidden: when
-//! several chunks fail, the *earliest chunk's* error wins, which
-//! matches sequential error identity because every error class
-//! reachable from a type-checked, Theorem-7-guarded query (fuel,
-//! cancellation, deadline) is partition-order-independent.
+//! The one deviation — the hash-index build scanning elements ahead of
+//! the chooser's draw order — is licensed by the plan's Theorem 7 guard
+//! and remains fully *speculative*: any anomaly abandons the index and
+//! reverts to per-row predicate evaluation, reproducing the naive
+//! engines' exact error at the exact position.
 
 use crate::bytecode::{CompileVerdict, Program, VmCtx, VmMetrics};
 use crate::ir::{
-    AggKind, EqKind, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, ParVerdict, Plan, Stage,
-    StageKind,
+    AggKind, EqKind, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, Plan, Stage, StageKind,
 };
-use crate::par::{chunk_bounds, ParMetrics};
 use ioql_ast::{ExtentName, Query, SetOp, Value, VarName};
 use ioql_effects::Effect;
 use ioql_eval::{eval_expr, Chooser, DefEnv, EvalConfig, EvalError};
@@ -253,13 +199,7 @@ impl Fuel {
     /// Burns exactly one unit, failing when the budget is empty — the
     /// per-draw/per-operator cadence.
     fn burn_one(&mut self) -> Result<(), EvalError> {
-        self.settle(1)
-    }
-
-    /// Charges what a pool worker (which ran on a copy of this budget)
-    /// reports having used, failing when the parts no longer fit.
-    fn settle(&mut self, used: u64) -> Result<(), EvalError> {
-        self.0 = self.0.checked_sub(used).ok_or(EvalError::FuelExhausted)?;
+        self.0 = self.0.checked_sub(1).ok_or(EvalError::FuelExhausted)?;
         Ok(())
     }
 
@@ -268,17 +208,6 @@ impl Fuel {
     fn spend(&mut self, used: u64) {
         self.0 = self.0.saturating_sub(used);
     }
-}
-
-/// The executor's parallel-mode context: the plan's worker-pool size,
-/// the telemetry handles, and whether this [`Exec`] *is* a pool worker
-/// (workers never re-dispatch — nesting would oversubscribe the pool
-/// and re-partition an already partitioned draw order).
-#[derive(Clone, Copy)]
-struct ParCtx<'m> {
-    level: usize,
-    metrics: Option<&'m ParMetrics>,
-    in_worker: bool,
 }
 
 /// A pipeline head as the executor sees it: the source expression
@@ -290,23 +219,12 @@ struct Head<'p> {
     prog: Option<&'p Program>,
 }
 
-/// Telemetry handles for one execution — all write-only (the
-/// transparency guard): no dispatch, compile, or fallback decision reads
-/// them, so a metered run and a bare one execute identically.
-#[derive(Clone, Copy, Default)]
-pub struct ExecMetrics<'m> {
-    /// Parallel-dispatch counters ([`ParMetrics`]).
-    pub par: Option<&'m ParMetrics>,
-    /// Compiled-tier counters ([`VmMetrics`]).
-    pub vm: Option<&'m VmMetrics>,
-}
-
 /// Executes a physical plan against a store.
 ///
 /// `max_steps` is the same fuel budget the naive engines take; the
 /// executor burns one unit per operator/row step and threads the
 /// remainder through every [`eval_expr`] delegation, so one global
-/// budget bounds the whole run — across all workers, in parallel mode.
+/// budget bounds the whole run.
 pub fn execute(
     plan: &Plan,
     cfg: &EvalConfig<'_>,
@@ -315,19 +233,14 @@ pub fn execute(
     chooser: &mut dyn Chooser,
     max_steps: u64,
 ) -> Result<PlanResult, EvalError> {
-    let none = ExecMetrics::default();
-    execute_instrumented(plan, cfg, defs, store, chooser, max_steps, none)
+    execute_instrumented(plan, cfg, defs, store, chooser, max_steps, None)
 }
 
-/// [`execute`], with telemetry handles attached — parallel dispatch
-/// and compiled-tier counters.
+/// [`execute`], with the compiled tier's counters attached.
 ///
-/// The handles are write-only (the transparency guard): dispatch and
-/// fallback decisions never read them, so a metered run and a bare one
-/// execute identically. Parallel dispatch itself is controlled by the
-/// *plan* (`plan.parallelism`, set at lowering) and each node's
-/// [`ParVerdict`], re-gated at run time as described in the module docs.
-#[allow(clippy::too_many_arguments)]
+/// The handles are write-only (the transparency guard): no dispatch or
+/// fallback decision reads them, so a metered run and a bare one execute
+/// identically.
 pub fn execute_instrumented(
     plan: &Plan,
     cfg: &EvalConfig<'_>,
@@ -335,17 +248,9 @@ pub fn execute_instrumented(
     store: &mut Store,
     chooser: &mut dyn Chooser,
     max_steps: u64,
-    metrics: ExecMetrics<'_>,
+    vm_metrics: Option<&VmMetrics>,
 ) -> Result<PlanResult, EvalError> {
-    let par = ParCtx {
-        level: plan.parallelism,
-        metrics: metrics.par,
-        in_worker: false,
-    };
-    execute_inner(
-        plan, cfg, defs, store, chooser, max_steps, None, par, metrics.vm,
-    )
-    .map(|(r, _)| r)
+    execute_inner(plan, cfg, defs, store, chooser, max_steps, None, vm_metrics).map(|(r, _)| r)
 }
 
 /// Executes a physical plan while collecting per-operator runtime stats
@@ -354,9 +259,7 @@ pub fn execute_instrumented(
 /// Profiling reads the clock per operator entry, so this path is for
 /// diagnostics (`:plan analyze` runs it against a *cloned* store);
 /// production execution goes through [`execute`], which performs no
-/// clock reads at all. Profiled runs are always *sequential*, whatever
-/// the plan's parallelism — the profile documents the sequential cost
-/// model that licensing decisions were priced against.
+/// clock reads at all.
 pub fn execute_with_profile(
     plan: &Plan,
     cfg: &EvalConfig<'_>,
@@ -366,22 +269,8 @@ pub fn execute_with_profile(
     max_steps: u64,
 ) -> Result<(PlanResult, PlanProfile), EvalError> {
     let prof = Profiler::new(plan);
-    let par = ParCtx {
-        level: 0,
-        metrics: None,
-        in_worker: false,
-    };
-    let (result, prof) = execute_inner(
-        plan,
-        cfg,
-        defs,
-        store,
-        chooser,
-        max_steps,
-        Some(prof),
-        par,
-        None,
-    )?;
+    let (result, prof) =
+        execute_inner(plan, cfg, defs, store, chooser, max_steps, Some(prof), None)?;
     let prof = prof.expect("profiler threaded through");
     Ok((
         result,
@@ -401,7 +290,6 @@ fn execute_inner<'a>(
     chooser: &mut dyn Chooser,
     max_steps: u64,
     prof: Option<Profiler>,
-    par: ParCtx<'a>,
     vm_metrics: Option<&'a VmMetrics>,
 ) -> Result<(PlanResult, Option<Profiler>), EvalError> {
     let mut ex = Exec {
@@ -412,7 +300,6 @@ fn execute_inner<'a>(
         fuel: Fuel(max_steps),
         binds: Vec::new(),
         prof,
-        par,
         compiled: &plan.compiled,
         vm_metrics,
         vm_ctx: VmCtx::default(),
@@ -435,16 +322,8 @@ type ProbeParts<'p> = (
     &'p [Stage],
 );
 
-/// Both branch result sets of a Theorem-8 dispatch, or `None` when the
-/// branches must run sequentially.
-type BranchSets = Option<(BTreeSet<Value>, BTreeSet<Value>)>;
-
-/// What one pool worker hands back: its partial result set, its effect
-/// trace, and the fuel it used of the budget it was started on.
-type WorkerPart = Result<(BTreeSet<Value>, Effect, u64), EvalError>;
-
 /// Splits a probe stage fused with generator `var` off the front of
-/// `rest` (shared by the sequential and chunked generator drivers).
+/// `rest`.
 fn split_probe<'p>(var: &VarName, rest: &'p [Stage]) -> ProbeParts<'p> {
     if let Some((st, after)) = rest.split_first() {
         if let StageKind::HashIndexProbe {
@@ -464,9 +343,8 @@ fn split_probe<'p>(var: &VarName, rest: &'p [Stage]) -> ProbeParts<'p> {
 }
 
 /// Removes and returns element `i` of the draw pool. Endpoint picks —
-/// the only picks the deterministic and forked choosers make — are
-/// O(1); interior picks (random/scripted choosers) shift the shorter
-/// side.
+/// the only picks the deterministic choosers make — are O(1); interior
+/// picks (random/scripted choosers) shift the shorter side.
 fn pop_at(remaining: &mut VecDeque<Value>, i: usize) -> Value {
     let n = remaining.len();
     if i == 0 {
@@ -488,136 +366,6 @@ fn well_formed(store: &Store, eq: EqKind, v: &Value) -> bool {
     }
 }
 
-/// One partition of the speculative index build: extract each element's
-/// key, keep the elements whose key equals `target`. Returns `None` in
-/// the first slot on any anomaly (caller abandons the index) plus the
-/// `Ra` trace recorded up to that point — a pure function of the store
-/// snapshot, which is what licenses running partitions concurrently.
-fn extract_keys(
-    store: &Store,
-    build: &HashIndexBuild,
-    target: &Value,
-    elems: &[&Value],
-) -> (Option<HashSet<Value>>, Effect) {
-    let mut effect = Effect::empty();
-    let mut pass = HashSet::new();
-    for &elem in elems {
-        let key = match &build.key {
-            KeyAccess::Bare => elem.clone(),
-            KeyAccess::Attr(a) => {
-                let Value::Oid(o) = elem else {
-                    return (None, effect);
-                };
-                let class = match store.class_of(*o) {
-                    Ok(c) => c.clone(),
-                    Err(_) => return (None, effect),
-                };
-                effect.union_with(&Effect::attr_read(class));
-                match store.attr(*o, a) {
-                    Ok(v) => v.clone(),
-                    Err(_) => return (None, effect),
-                }
-            }
-        };
-        if !well_formed(store, build.eq, &key) {
-            return (None, effect);
-        }
-        if key == *target {
-            pass.insert(elem.clone());
-        }
-    }
-    (Some(pass), effect)
-}
-
-/// Runs one scan chunk in a pool worker: a fresh [`Exec`] over the
-/// worker's store clone, started on the dispatcher's whole remaining
-/// fuel, never re-dispatching.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk<'a>(
-    cfg: &'a EvalConfig<'a>,
-    defs: &'a DefEnv,
-    mut chooser: Box<dyn Chooser + Send>,
-    fuel: u64,
-    binds: Vec<(VarName, Value)>,
-    metrics: Option<&ParMetrics>,
-    compiled: &'a BTreeMap<NodeId, CompileVerdict>,
-    vm_metrics: Option<&'a VmMetrics>,
-    mut store: Store,
-    var: &VarName,
-    slice: &[Value],
-    rest: &[Stage],
-    head: Head<'a>,
-) -> WorkerPart {
-    let t = metrics.map(|m| m.worker_busy_ns.start_timer());
-    let mut w = Exec {
-        cfg,
-        defs,
-        chooser: &mut *chooser,
-        effect: Effect::empty(),
-        fuel: Fuel(fuel),
-        binds,
-        prof: None,
-        par: ParCtx {
-            level: 0,
-            metrics: None,
-            in_worker: true,
-        },
-        compiled,
-        vm_metrics,
-        vm_ctx: VmCtx::default(),
-        extent_cache: HashMap::new(),
-    };
-    let mut part = BTreeSet::new();
-    let elems: VecDeque<Value> = slice.iter().cloned().collect();
-    let r = w.drive_gen(&mut store, var, elems, rest, head, &mut part);
-    if let Some(m) = metrics {
-        m.worker_busy_ns.observe_timer(t.flatten());
-    }
-    r.map(|()| (part, w.effect, fuel - w.fuel.avail()))
-}
-
-/// Runs one set-operator branch in a pool worker (Theorem 8 licensed):
-/// the branch subtree evaluates against the worker's store clone to a
-/// set, started on the dispatcher's whole remaining fuel.
-#[allow(clippy::too_many_arguments)]
-fn run_branch<'a>(
-    cfg: &'a EvalConfig<'a>,
-    defs: &'a DefEnv,
-    mut chooser: Box<dyn Chooser + Send>,
-    fuel: u64,
-    binds: Vec<(VarName, Value)>,
-    metrics: Option<&ParMetrics>,
-    compiled: &'a BTreeMap<NodeId, CompileVerdict>,
-    vm_metrics: Option<&'a VmMetrics>,
-    mut store: Store,
-    subtree: &'a Op,
-) -> WorkerPart {
-    let t = metrics.map(|m| m.worker_busy_ns.start_timer());
-    let mut w = Exec {
-        cfg,
-        defs,
-        chooser: &mut *chooser,
-        effect: Effect::empty(),
-        fuel: Fuel(fuel),
-        binds,
-        prof: None,
-        par: ParCtx {
-            level: 0,
-            metrics: None,
-            in_worker: true,
-        },
-        compiled,
-        vm_metrics,
-        vm_ctx: VmCtx::default(),
-        extent_cache: HashMap::new(),
-    };
-    let r = w.op_set(&mut store, subtree);
-    if let Some(m) = metrics {
-        m.worker_busy_ns.observe_timer(t.flatten());
-    }
-    r.map(|s| (s, w.effect, fuel - w.fuel.avail()))
-}
-
 struct Exec<'a, 'c> {
     cfg: &'a EvalConfig<'a>,
     defs: &'a DefEnv,
@@ -632,8 +380,6 @@ struct Exec<'a, 'c> {
     /// Per-node runtime stats, only in [`execute_with_profile`] runs.
     /// `None` in production execution — no clock reads, no recording.
     prof: Option<Profiler>,
-    /// Parallel-mode context (pool size, telemetry, worker flag).
-    par: ParCtx<'a>,
     /// The plan's compile verdicts (empty when lowered without the
     /// compile pass). Read-only: the executor *uses* programs, it never
     /// decides to compile.
@@ -766,15 +512,11 @@ impl<'a> Exec<'a, '_> {
         self.checkpoint()?;
         match &op.kind {
             OpKind::ExtentScan { extent, .. } => self.scan_extent(store, extent),
-            OpKind::SetUnion { left, right } => {
-                self.set_bin(store, op.par.as_ref(), SetOp::Union, left, right)
-            }
+            OpKind::SetUnion { left, right } => self.set_bin(store, SetOp::Union, left, right),
             OpKind::SetIntersect { left, right } => {
-                self.set_bin(store, op.par.as_ref(), SetOp::Intersect, left, right)
+                self.set_bin(store, SetOp::Intersect, left, right)
             }
-            OpKind::SetDiff { left, right } => {
-                self.set_bin(store, op.par.as_ref(), SetOp::Diff, left, right)
-            }
+            OpKind::SetDiff { left, right } => self.set_bin(store, SetOp::Diff, left, right),
             OpKind::Distinct { input } => {
                 let mp = &**input;
                 let OpKind::MapProject { head, input } = &mp.kind else {
@@ -790,9 +532,7 @@ impl<'a> Exec<'a, '_> {
                 };
                 let t = self.ptimer();
                 let mut out = BTreeSet::new();
-                if !self.try_parallel_pipeline(store, pl, stages, head, &mut out)? {
-                    self.run_stages(store, stages, head, &mut out)?;
-                }
+                self.run_stages(store, stages, head, &mut out)?;
                 // The MapProject/Pipeline spine is driven inline (not
                 // via `eval_op`), so its profile rows are recorded here.
                 let produced = out.len() as u64;
@@ -809,7 +549,7 @@ impl<'a> Exec<'a, '_> {
             OpKind::InlineDef { body, .. } => self.eval_op(store, body),
             // The checkpoint above was big-step's pre-order `burn` for
             // the `sum`/`size` node; the input then runs as any other
-            // sub-plan (VM, probes, worker pool) and only the finished
+            // sub-plan (VM, probes) and only the finished
             // set is folded — with the interpreter's own stuck state.
             OpKind::Aggregate { kind, expr, input } => {
                 let set = self.op_set(store, input)?;
@@ -920,19 +660,12 @@ impl<'a> Exec<'a, '_> {
     fn set_bin(
         &mut self,
         store: &mut Store,
-        par: Option<&ParVerdict>,
         op: SetOp,
         left: &Op,
         right: &Op,
     ) -> Result<Value, EvalError> {
-        let (va, vb) = match self.try_parallel_branches(store, par, left, right)? {
-            Some(pair) => pair,
-            None => {
-                let va = self.op_set(store, left)?;
-                let vb = self.op_set(store, right)?;
-                (va, vb)
-            }
-        };
+        let va = self.op_set(store, left)?;
+        let vb = self.op_set(store, right)?;
         let result = op.apply(&va, &vb);
         if let Some(gov) = self.cfg.governor {
             gov.observe_set_card(result.len() as u64)?;
@@ -948,229 +681,6 @@ impl<'a> Exec<'a, '_> {
                 _ => self.malformed(),
             },
         }
-    }
-
-    /// Attempts the Theorem-8 dispatch: both set-operator branches run
-    /// concurrently against store clones. `Ok(None)` means "run the
-    /// branches sequentially" — the verdict refused, parallel mode is
-    /// off (or this is already a worker/profiled run), or a run-time
-    /// gate fell back.
-    fn try_parallel_branches(
-        &mut self,
-        store: &mut Store,
-        par: Option<&ParVerdict>,
-        left: &Op,
-        right: &Op,
-    ) -> Result<BranchSets, EvalError> {
-        if !par.is_some_and(ParVerdict::licensed)
-            || self.par.level < 2
-            || self.par.in_worker
-            || self.prof.is_some()
-        {
-            return Ok(None);
-        }
-        if let Some(gov) = self.cfg.governor {
-            let limits = gov.limits();
-            // Branches charge cells and observe cardinalities; a finite
-            // budget on either axis makes the sequential trip position
-            // scheduling-dependent, so the dispatch is refused.
-            if limits.max_cells.is_some() || limits.max_set_card.is_some() {
-                if let Some(m) = self.par.metrics {
-                    m.fallback_budget.inc();
-                }
-                return Ok(None);
-            }
-        }
-        let (Some(fl), Some(fr)) = (self.chooser.parallel_fork(), self.chooser.parallel_fork())
-        else {
-            if let Some(m) = self.par.metrics {
-                m.fallback_chooser.inc();
-            }
-            return Ok(None);
-        };
-        let store_l = store.clone();
-        let store_r = store.clone();
-        let fuel = self.fuel.avail();
-        let cfg = self.cfg;
-        let defs = self.defs;
-        let binds_l = self.binds.clone();
-        let binds_r = self.binds.clone();
-        let metrics = self.par.metrics;
-        let compiled = self.compiled;
-        let vm_metrics = self.vm_metrics;
-        let (ra, rb) = std::thread::scope(|scope| {
-            let hl = scope.spawn(move || {
-                run_branch(
-                    cfg, defs, fl, fuel, binds_l, metrics, compiled, vm_metrics, store_l, left,
-                )
-            });
-            let hr = scope.spawn(move || {
-                run_branch(
-                    cfg, defs, fr, fuel, binds_r, metrics, compiled, vm_metrics, store_r, right,
-                )
-            });
-            let ra = hl.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            let rb = hr.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            (ra, rb)
-        });
-        if let Some(m) = metrics {
-            m.par_set_ops.inc();
-            m.chunks.add(2);
-        }
-        // Left branch's error wins, matching sequential left-to-right
-        // evaluation.
-        let (sa, ea, used_a) = ra?;
-        self.fuel.settle(used_a)?;
-        let (sb, eb, used_b) = rb?;
-        self.fuel.settle(used_b)?;
-        self.effect.union_with(&ea);
-        self.effect.union_with(&eb);
-        Ok(Some((sa, sb)))
-    }
-
-    /// Attempts the chunked-scan dispatch for a pipeline headed by an
-    /// extent scan. Returns `Ok(false)` when the caller should run the
-    /// plain sequential path (verdict refused, parallel mode off,
-    /// already a worker, profiling); `Ok(true)` when the pipeline was
-    /// fully executed here — possibly by an *internal* sequential
-    /// fallback, once the extent read (an observable) has happened.
-    fn try_parallel_pipeline(
-        &mut self,
-        store: &mut Store,
-        pl: &Op,
-        stages: &[Stage],
-        head: Head<'_>,
-        out: &mut BTreeSet<Value>,
-    ) -> Result<bool, EvalError> {
-        let Some(ParVerdict::Par {
-            body_draws,
-            body_observes,
-        }) = &pl.par
-        else {
-            return Ok(false);
-        };
-        let (body_draws, body_observes) = (*body_draws, *body_observes);
-        if self.par.level < 2 || self.par.in_worker || self.prof.is_some() {
-            return Ok(false);
-        }
-        let Some((first, rest)) = stages.split_first() else {
-            return Ok(false);
-        };
-        let StageKind::ExtentScan { var, extent, .. } = &first.kind else {
-            return Ok(false);
-        };
-        if let Some(gov) = self.cfg.governor {
-            let limits = gov.limits();
-            // A body that draws charges cells beyond the one per
-            // partitioned element; a body that observes cardinalities
-            // can trip a card cap with a payload naming *which*
-            // observation tripped. Either budget makes the trip
-            // scheduling-dependent, so the dispatch is refused.
-            if (limits.max_cells.is_some() && body_draws)
-                || (limits.max_set_card.is_some() && body_observes)
-            {
-                if let Some(m) = self.par.metrics {
-                    m.fallback_budget.inc();
-                }
-                return Ok(false);
-            }
-        }
-        // From here on the extent read has happened — an observable —
-        // so every remaining fallback must *complete* the pipeline
-        // rather than hand back to the caller.
-        let elems = self.scan_extent_elems(store, extent)?;
-        let n = elems.len();
-        if n < 2 {
-            if let Some(m) = self.par.metrics {
-                m.fallback_tiny.inc();
-            }
-            let elems: VecDeque<Value> = elems.iter().cloned().collect();
-            self.drive_gen(store, var, elems, rest, head, out)?;
-            return Ok(true);
-        }
-        if let Some(gov) = self.cfg.governor {
-            if let Some(remaining) = gov.cells_remaining() {
-                if remaining < n as u64 {
-                    // The cell budget will trip mid-scan; the trip
-                    // position must be the sequential one.
-                    if let Some(m) = self.par.metrics {
-                        m.fallback_budget.inc();
-                    }
-                    let elems: VecDeque<Value> = elems.iter().cloned().collect();
-                    self.drive_gen(store, var, elems, rest, head, out)?;
-                    return Ok(true);
-                }
-            }
-        }
-        let chunks = chunk_bounds(n, self.par.level);
-        let mut forks = Vec::with_capacity(chunks.len());
-        for _ in &chunks {
-            match self.chooser.parallel_fork() {
-                Some(f) => forks.push(f),
-                None => {
-                    if let Some(m) = self.par.metrics {
-                        m.fallback_chooser.inc();
-                    }
-                    let elems: VecDeque<Value> = elems.iter().cloned().collect();
-                    self.drive_gen(store, var, elems, rest, head, out)?;
-                    return Ok(true);
-                }
-            }
-        }
-        let fuel = self.fuel.avail();
-        let cfg = self.cfg;
-        let defs = self.defs;
-        let metrics = self.par.metrics;
-        let compiled = self.compiled;
-        let vm_metrics = self.vm_metrics;
-        let binds = &self.binds;
-        let store_ref: &Store = store;
-        let elems_ref: &[Value] = &elems;
-        let parts: Vec<WorkerPart> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .zip(forks)
-                .map(|(&(lo, hi), fork)| {
-                    let wstore = store_ref.clone();
-                    let wbinds = binds.clone();
-                    scope.spawn(move || {
-                        run_chunk(
-                            cfg,
-                            defs,
-                            fork,
-                            fuel,
-                            wbinds,
-                            metrics,
-                            compiled,
-                            vm_metrics,
-                            wstore,
-                            var,
-                            &elems_ref[lo..hi],
-                            rest,
-                            head,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        if let Some(m) = metrics {
-            m.par_scans.inc();
-            m.chunks.add(chunks.len() as u64);
-        }
-        // Merge in chunk order; the earliest chunk's error wins (see
-        // the module docs for why this matches sequential error
-        // identity under the Theorem 7 guard).
-        for part in parts {
-            let (set, eff, used) = part?;
-            self.fuel.settle(used)?;
-            out.extend(set);
-            self.effect.union_with(&eff);
-        }
-        Ok(true)
     }
 
     /// Runs a stage suffix for the current bindings, unioning produced
@@ -1240,11 +750,8 @@ impl<'a> Exec<'a, '_> {
     /// `(ND comp)` protocol, charging one cell and checkpointing per
     /// draw, optionally probing a one-shot hash index in place of the
     /// fused equality predicate. Elements live in a deque so the
-    /// endpoint picks of the common choosers (first/last — including
-    /// every forked worker chooser) are O(1) instead of shifting the
-    /// whole remainder per draw. Shared by the sequential path and the
-    /// pool workers (each worker drives its chunk through this exact
-    /// loop), so the per-element observables cannot drift between them.
+    /// endpoint picks of the common choosers (first/last) are O(1)
+    /// instead of shifting the whole remainder per draw.
     fn drive_gen(
         &mut self,
         store: &mut Store,
@@ -1282,27 +789,37 @@ impl<'a> Exec<'a, '_> {
             // so the plan path must offer the same observation point.
             self.checkpoint()?;
             let picked = pop_at(&mut remaining, i);
-            if let Some((pkey, build, probe_q, _)) = probe {
-                if index.is_none() {
-                    // Built exactly once, at the first draw — where the
-                    // naive path would first evaluate the predicate, so
-                    // the probe side's one evaluation lands where
-                    // naive's first would. In a pool worker the build is
-                    // chunk-local — observationally identical to a
-                    // global one because `Ra` atoms are set-unioned and
-                    // anomalies revert to the per-row fallback either
-                    // way.
-                    let t = self.ptimer();
-                    let refs: Vec<&Value> =
-                        std::iter::once(&picked).chain(remaining.iter()).collect();
-                    index = Some(self.build_index(store, build, probe_q, &refs));
-                    self.ptime(pkey, t);
-                }
+            let Some((pkey, build, probe_q, pred)) = probe else {
+                self.binds.push((var.clone(), picked));
+                let r = self.run_stages(store, body, head, out);
+                self.binds.pop();
+                r?;
+                continue;
+            };
+            if index.is_none() {
+                // Built exactly once, at the first draw — where the
+                // naive path would first evaluate the predicate, so the
+                // probe side's one evaluation lands where naive's first
+                // would.
+                let t = self.ptimer();
+                let elems = std::iter::once(&picked).chain(remaining.iter());
+                index = Some(self.build_index(store, build, probe_q, elems));
+                self.ptime(pkey, t);
             }
-            let probe_ref = probe.map(|(pkey, _, _, pred)| {
-                (pkey, index.as_ref().expect("built at first draw"), pred)
-            });
-            self.consume_elem(store, var, picked, probe_ref, body, head, out)?;
+            let built = index.as_ref().expect("built at first draw");
+            if built.as_ref().is_some_and(|pass| !pass.contains(&picked)) {
+                self.precord(pkey, None, 0);
+                continue;
+            }
+            // A hit runs the body; an abandoned index falls back to the
+            // kept predicate.
+            self.binds.push((var.clone(), picked));
+            let passed = match built {
+                Some(_) => self.run_stages(store, body, head, out).map(|()| true),
+                None => self.filtered(store, pred, body, head, out),
+            };
+            self.binds.pop();
+            self.precord(pkey, None, passed? as u64);
         }
         Ok(())
     }
@@ -1373,50 +890,6 @@ impl<'a> Exec<'a, '_> {
         r
     }
 
-    /// Consumes one drawn element: bind it, run the stage body (or
-    /// probe the index / fall back to the kept predicate), unbind.
-    /// Shared by the sequential and chunked drivers so the per-element
-    /// observables cannot drift between them.
-    #[allow(clippy::too_many_arguments)]
-    fn consume_elem(
-        &mut self,
-        store: &mut Store,
-        var: &VarName,
-        picked: Value,
-        probe: Option<(NodeId, &Option<HashSet<Value>>, &Query)>,
-        body: &[Stage],
-        head: Head<'_>,
-        out: &mut BTreeSet<Value>,
-    ) -> Result<(), EvalError> {
-        let Some((pkey, index, pred)) = probe else {
-            self.binds.push((var.clone(), picked));
-            let r = self.run_stages(store, body, head, out);
-            self.binds.pop();
-            return r;
-        };
-        match index {
-            Some(pass) => {
-                let hit = pass.contains(&picked);
-                self.precord(pkey, None, hit as u64);
-                if hit {
-                    self.binds.push((var.clone(), picked));
-                    let r = self.run_stages(store, body, head, out);
-                    self.binds.pop();
-                    r?;
-                }
-                Ok(())
-            }
-            None => {
-                self.binds.push((var.clone(), picked));
-                let r = self.filtered(store, pred, body, head, out);
-                self.binds.pop();
-                let passed = r?;
-                self.precord(pkey, None, passed as u64);
-                Ok(())
-            }
-        }
-    }
-
     /// The speculative-fallback path: evaluate the original predicate
     /// per row, exactly as a [`StageKind::Filter`] would. Returns
     /// whether the predicate passed (profile bookkeeping only).
@@ -1447,77 +920,35 @@ impl<'a> Exec<'a, '_> {
     /// the exact naive position. The `Ra` union per *scanned* element
     /// on attribute access matches the naive engines, which record it
     /// for every drawn element whether or not its predicate passes.
-    ///
-    /// With a worker pool available (and ≥ 2 keys) the key-extraction
-    /// scan partitions across workers — [`extract_keys`] is a pure
-    /// function of the store snapshot, so partitioning is licensed by
-    /// the same Theorem 7 guard as the build's own scan-ahead.
-    fn build_index(
+    fn build_index<'v>(
         &mut self,
         store: &mut Store,
         build: &HashIndexBuild,
         probe: &Query,
-        elements: &[&Value],
+        elements: impl Iterator<Item = &'v Value>,
     ) -> Option<HashSet<Value>> {
         let target = self.expr(store, probe).ok()?;
         if !well_formed(store, build.eq, &target) {
             return None;
         }
-        if self.par.level >= 2 && !self.par.in_worker && self.prof.is_none() && elements.len() >= 2
-        {
-            return self.build_index_partitioned(store, build, &target, elements);
-        }
-        let (pass, eff) = extract_keys(store, build, &target, elements);
-        self.effect.union_with(&eff);
-        pass
-    }
-
-    /// The partitioned key-extraction scan: chunks run concurrently
-    /// over the *shared* store (read-only), any chunk anomaly abandons
-    /// the whole index, and every chunk's `Ra` trace is unioned
-    /// unconditionally (idempotent atoms; anything recorded past an
-    /// anomaly is re-recorded by the per-row fallback anyway).
-    fn build_index_partitioned(
-        &mut self,
-        store: &Store,
-        build: &HashIndexBuild,
-        target: &Value,
-        elements: &[&Value],
-    ) -> Option<HashSet<Value>> {
-        let chunks = chunk_bounds(elements.len(), self.par.level);
-        let metrics = self.par.metrics;
-        let parts: Vec<(Option<HashSet<Value>>, Effect)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&(lo, hi)| {
-                    let slice = &elements[lo..hi];
-                    scope.spawn(move || {
-                        let t = metrics.map(|m| m.worker_busy_ns.start_timer());
-                        let r = extract_keys(store, build, target, slice);
-                        if let Some(m) = metrics {
-                            m.worker_busy_ns.observe_timer(t.flatten());
-                        }
-                        r
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        if let Some(m) = metrics {
-            m.par_index_builds.inc();
-            m.chunks.add(chunks.len() as u64);
-        }
-        let mut pass = Some(HashSet::new());
-        for (part, eff) in parts {
-            self.effect.union_with(&eff);
-            match (pass.as_mut(), part) {
-                (Some(acc), Some(p)) => acc.extend(p),
-                _ => pass = None,
+        let mut pass = HashSet::new();
+        for elem in elements {
+            let key = match &build.key {
+                KeyAccess::Bare => elem.clone(),
+                KeyAccess::Attr(a) => {
+                    let Value::Oid(o) = elem else { return None };
+                    let class = store.class_of(*o).ok()?.clone();
+                    self.effect.union_with(&Effect::attr_read(class));
+                    store.attr(*o, a).ok()?.clone()
+                }
+            };
+            if !well_formed(store, build.eq, &key) {
+                return None;
+            }
+            if key == target {
+                pass.insert(elem.clone());
             }
         }
-        pass
+        Some(pass)
     }
 }

@@ -10,12 +10,9 @@
 //! the naive engines on expression evaluation.
 //!
 //! Every node carries a stable [`NodeId`], assigned in pre-order by
-//! [`Plan::number`] at the end of lowering. Profiles and parallel workers
-//! key per-node state by id rather than by node address, so cloning a
-//! subtree (or moving the plan) never orphans its statistics. Nodes that
-//! could run in parallel additionally carry the lowering's
-//! [`ParVerdict`] — the Theorem 7/8 license decision — rendered by
-//! `:plan` as `[par]` or `[seq(reason)]`.
+//! [`Plan::number`] at the end of lowering. Profiles and compile
+//! verdicts key per-node state by id rather than by node address, so
+//! cloning a subtree (or moving the plan) never orphans them.
 
 use crate::bytecode::CompileVerdict;
 use ioql_ast::{AttrName, DefName, ExtentName, Query, VarName};
@@ -27,56 +24,13 @@ use std::fmt;
 ///
 /// Ids are dense (`0..n` over the whole tree, stages included), so a
 /// profiler can index per-node state by id without hashing node
-/// addresses — the address of a node is not stable across clones, which
-/// is exactly what parallel workers do to plan subtrees.
+/// addresses — the address of a node is not stable across clones.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "#{}", self.0)
-    }
-}
-
-/// The lowering's parallelism verdict for one parallel-capable node —
-/// the Theorem 7/8 license decision, made statically so `:plan` can
-/// show it and the executor never has to re-derive it.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum ParVerdict {
-    /// Licensed: partitions/branches of this node may run concurrently.
-    Par {
-        /// Whether the partitioned body may itself draw generator
-        /// elements (nested generators, nested comprehensions,
-        /// definition calls). Workers then charge the shared cell meter
-        /// beyond the one-cell-per-partitioned-element minimum, so a
-        /// finite cell budget refuses the dispatch at run time (the
-        /// trip position would be scheduling-dependent).
-        body_draws: bool,
-        /// Whether the body may observe set cardinalities (extent
-        /// reads, set operators, comprehensions, definition calls).
-        /// Under a cardinality cap the dispatch is refused at run time
-        /// for the same reason.
-        body_observes: bool,
-    },
-    /// Refused: the node must run sequentially, with the reason
-    /// (rendered as `seq(reason)`; interference refusals quote the
-    /// interfering effect-atom pair).
-    Seq(String),
-}
-
-impl ParVerdict {
-    /// Whether the verdict licenses parallel execution.
-    pub fn licensed(&self) -> bool {
-        matches!(self, ParVerdict::Par { .. })
-    }
-}
-
-impl fmt::Display for ParVerdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParVerdict::Par { .. } => write!(f, "par"),
-            ParVerdict::Seq(reason) => write!(f, "seq({reason})"),
-        }
     }
 }
 
@@ -121,28 +75,21 @@ pub struct HashIndexBuild {
     pub est_rows: usize,
 }
 
-/// One stage of a [`OpKind::Pipeline`]: a stable id, an optional
-/// parallelism verdict (probes carry one — their build side may be
-/// partitioned), and the stage proper.
+/// One stage of a [`OpKind::Pipeline`]: a stable id and the stage
+/// proper.
 #[derive(Clone, Debug)]
 pub struct Stage {
     /// Stable pre-order id (see [`Plan::number`]).
     pub id: NodeId,
-    /// Parallelism verdict; `None` on stages that have no parallel
-    /// strategy of their own (their parallelism, if any, comes from the
-    /// enclosing pipeline's chunked scan).
-    pub par: Option<ParVerdict>,
     /// The stage itself.
     pub kind: StageKind,
 }
 
 impl Stage {
-    /// A stage with a zero id and no verdict — [`Plan::number`] (and the
-    /// lowering's verdict pass) fill both in.
+    /// A stage with a zero id — [`Plan::number`] fills it in.
     pub fn new(kind: StageKind) -> Stage {
         Stage {
             id: NodeId::default(),
-            par: None,
             kind,
         }
     }
@@ -199,27 +146,20 @@ pub enum StageKind {
     },
 }
 
-/// A physical operator: a stable id, an optional parallelism verdict
-/// (pipelines and set operators carry one), and the operator proper.
+/// A physical operator: a stable id and the operator proper.
 #[derive(Clone, Debug)]
 pub struct Op {
     /// Stable pre-order id (see [`Plan::number`]).
     pub id: NodeId,
-    /// Parallelism verdict; `None` on operators with no parallel
-    /// strategy (and on every node when lowering ran with
-    /// `parallelism = 0`, keeping `:plan` output annotation-free).
-    pub par: Option<ParVerdict>,
     /// The operator itself.
     pub kind: OpKind,
 }
 
 impl Op {
-    /// An operator with a zero id and no verdict — [`Plan::number`] (and
-    /// the lowering's verdict pass) fill both in.
+    /// An operator with a zero id — [`Plan::number`] fills it in.
     pub fn new(kind: OpKind) -> Op {
         Op {
             id: NodeId::default(),
-            par: None,
             kind,
         }
     }
@@ -391,8 +331,7 @@ impl Stage {
 /// `new`-free and invocation-free. Under those conditions Theorem 7
 /// guarantees evaluation order cannot be observed, which is exactly the
 /// freedom the physical operators exploit (index builds scan ahead of
-/// the chooser's draw order; set operands evaluate independently; scan
-/// partitions merge in any order).
+/// the chooser's draw order; set operands evaluate independently).
 #[derive(Clone, Debug)]
 pub struct Guard {
     /// The statically inferred effect of the whole query.
@@ -410,18 +349,13 @@ impl fmt::Display for Guard {
 }
 
 /// A complete physical plan: the operator tree, the effect guard that
-/// licensed it, and the parallelism level it was lowered for.
+/// licensed it, and the compile tier's verdicts.
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// The root operator.
     pub root: Op,
     /// The licensing guard.
     pub guard: Guard,
-    /// The worker-pool size the plan's [`ParVerdict`]s were computed
-    /// for. `0` = parallel execution off (the default); the executor
-    /// dispatches workers only when this is `≥ 2` *and* the node's
-    /// verdict licenses it.
-    pub parallelism: usize,
     /// The compile tier's verdict per expression-bearing node (the
     /// `head` of a `MapProject`, the `pred` of a `Filter`), keyed by
     /// [`NodeId`] and rendered by `:plan` as `[vm]` / `[interp(reason)]`.
@@ -434,8 +368,8 @@ impl Plan {
     /// Assigns dense pre-order [`NodeId`]s to every operator and stage.
     ///
     /// Called by the lowering on every plan it emits; hand-built plans
-    /// (tests) must call it before profiled or parallel execution so
-    /// per-node keys are distinct.
+    /// (tests) must call it before profiled execution so per-node keys
+    /// are distinct.
     pub fn number(&mut self) {
         let mut next = 0u32;
         number_op(&mut self.root, &mut next);
@@ -468,38 +402,32 @@ fn number_op(op: &mut Op, next: &mut u32) {
     }
 }
 
-/// One node's license decisions, bridged out of the operator tree for
-/// the flight recorder: the `:plan` annotations (`par` / `seq(reason)`,
-/// `vm` / `interp(reason)`) as plain strings, in pre-order, keyed by
-/// the same [`NodeId`]s the profile uses.
+/// One node's compile verdict, bridged out of the operator tree for the
+/// flight recorder: the `:plan` annotation (`vm` / `interp(reason)`) as
+/// a plain string, keyed by the same [`NodeId`]s the profile uses.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NodeVerdict {
     /// The node's stable id.
     pub id: NodeId,
     /// The node's one-line label ([`Op::label`] / [`Stage::label`]).
     pub label: String,
-    /// The parallelism verdict, rendered (`par` / `seq(reason)`);
-    /// `None` on nodes with no parallel strategy.
-    pub par: Option<String>,
-    /// The compile verdict, rendered (`vm` / `interp(reason)`); `None`
-    /// on nodes the compile pass did not annotate.
-    pub compile: Option<String>,
+    /// The compile verdict, rendered (`vm` / `interp(reason)`).
+    pub compile: String,
 }
 
 impl Plan {
     /// Renders the plan as an indented operator tree with cost
-    /// estimates, guard and parallelism annotations (the `:plan` /
-    /// `explain` output).
+    /// estimates, guard and compile annotations (the `:plan` / `explain`
+    /// output).
     pub fn render(&self) -> String {
         let mut out = format!("Plan  [guard: {}]\n", self.guard);
         render_op(&self.root, &self.compiled, 1, &mut out);
         out
     }
 
-    /// Collects every annotated node's verdicts in pre-order — the
-    /// bridge from the plan tree to the flight recorder's span tree.
-    /// Nodes with neither a parallel nor a compile annotation are
-    /// skipped (so a `parallelism = 0`, compile-off plan yields none).
+    /// Collects every compile-annotated node's verdict in pre-order —
+    /// the bridge from the plan tree to the flight recorder's span tree
+    /// (so a compile-off plan yields none).
     pub fn verdicts(&self) -> Vec<NodeVerdict> {
         let mut out = Vec::new();
         collect_op_verdicts(&self.root, &self.compiled, &mut out);
@@ -519,13 +447,10 @@ fn collect_op_verdicts(
     compiled: &BTreeMap<NodeId, CompileVerdict>,
     out: &mut Vec<NodeVerdict>,
 ) {
-    let par = op.par.as_ref().map(|v| v.to_string());
-    let compile = compile_string(compiled, op.id);
-    if par.is_some() || compile.is_some() {
+    if let Some(compile) = compile_string(compiled, op.id) {
         out.push(NodeVerdict {
             id: op.id,
             label: op.label(),
-            par,
             compile,
         });
     }
@@ -543,13 +468,10 @@ fn collect_op_verdicts(
         }
         OpKind::Pipeline { stages } => {
             for stage in stages {
-                let par = stage.par.as_ref().map(|v| v.to_string());
-                let compile = compile_string(compiled, stage.id);
-                if par.is_some() || compile.is_some() {
+                if let Some(compile) = compile_string(compiled, stage.id) {
                     out.push(NodeVerdict {
                         id: stage.id,
                         label: stage.label(),
-                        par,
                         compile,
                     });
                 }
@@ -572,71 +494,58 @@ fn indent(depth: usize, out: &mut String) {
     }
 }
 
-/// The ` [par]` / ` [seq(reason)]` suffix, empty for unannotated nodes.
-fn par_suffix(par: &Option<ParVerdict>) -> String {
-    match par {
-        Some(v) => format!("  [{v}]"),
-        None => String::new(),
-    }
-}
-
 /// The ` [vm]` / ` [interp(reason)]` suffix, empty for nodes the compile
 /// pass did not annotate (or when compilation is off).
 fn vm_suffix(compiled: &BTreeMap<NodeId, CompileVerdict>, id: NodeId) -> String {
-    match compiled.get(&id) {
-        Some(CompileVerdict::Vm(_)) => "  [vm]".into(),
-        Some(CompileVerdict::Interp(reason)) => format!("  [interp({reason})]"),
-        None => String::new(),
-    }
+    compile_string(compiled, id).map_or_else(String::new, |c| format!("  [{c}]"))
 }
 
 fn render_op(op: &Op, compiled: &BTreeMap<NodeId, CompileVerdict>, depth: usize, out: &mut String) {
     indent(depth, out);
-    let par = par_suffix(&op.par);
     match &op.kind {
         OpKind::ExtentScan { extent, est_rows } => {
-            out.push_str(&format!("ExtentScan {extent}  (~{est_rows} rows){par}\n"));
+            out.push_str(&format!("ExtentScan {extent}  (~{est_rows} rows)\n"));
         }
         OpKind::SetUnion { left, right } => {
-            out.push_str(&format!("SetUnion{par}\n"));
+            out.push_str("SetUnion\n");
             render_op(left, compiled, depth + 1, out);
             render_op(right, compiled, depth + 1, out);
         }
         OpKind::SetIntersect { left, right } => {
-            out.push_str(&format!("SetIntersect{par}\n"));
+            out.push_str("SetIntersect\n");
             render_op(left, compiled, depth + 1, out);
             render_op(right, compiled, depth + 1, out);
         }
         OpKind::SetDiff { left, right } => {
-            out.push_str(&format!("SetDiff{par}\n"));
+            out.push_str("SetDiff\n");
             render_op(left, compiled, depth + 1, out);
             render_op(right, compiled, depth + 1, out);
         }
         OpKind::Distinct { input } => {
-            out.push_str(&format!("Distinct{par}\n"));
+            out.push_str("Distinct\n");
             render_op(input, compiled, depth + 1, out);
         }
         OpKind::MapProject { head, input } => {
             let vm = vm_suffix(compiled, op.id);
-            out.push_str(&format!("MapProject  head = {head}{par}{vm}\n"));
+            out.push_str(&format!("MapProject  head = {head}{vm}\n"));
             render_op(input, compiled, depth + 1, out);
         }
         OpKind::Pipeline { stages } => {
-            out.push_str(&format!("Pipeline{par}\n"));
+            out.push_str("Pipeline\n");
             for stage in stages {
                 render_stage(stage, compiled, depth + 1, out);
             }
         }
         OpKind::InlineDef { name, body } => {
-            out.push_str(&format!("InlineDef {name}  (literal args inlined){par}\n"));
+            out.push_str(&format!("InlineDef {name}  (literal args inlined)\n"));
             render_op(body, compiled, depth + 1, out);
         }
         OpKind::Aggregate { kind, input, .. } => {
-            out.push_str(&format!("Aggregate {kind}{par}\n"));
+            out.push_str(&format!("Aggregate {kind}\n"));
             render_op(input, compiled, depth + 1, out);
         }
         OpKind::Eval { expr } => {
-            out.push_str(&format!("Eval  {expr}  (pure operand, interpreted){par}\n"));
+            out.push_str(&format!("Eval  {expr}  (pure operand, interpreted)\n"));
         }
     }
 }
@@ -648,7 +557,6 @@ fn render_stage(
     out: &mut String,
 ) {
     indent(depth, out);
-    let par = par_suffix(&stage.par);
     match &stage.kind {
         StageKind::ExtentScan {
             var,
@@ -656,7 +564,7 @@ fn render_stage(
             est_rows,
         } => {
             out.push_str(&format!(
-                "ExtentScan {var} <- {extent}  (~{est_rows} rows){par}\n"
+                "ExtentScan {var} <- {extent}  (~{est_rows} rows)\n"
             ));
         }
         StageKind::Scan {
@@ -664,13 +572,11 @@ fn render_stage(
             source,
             est_rows,
         } => {
-            out.push_str(&format!(
-                "Scan {var} <- {source}  (~{est_rows} rows){par}\n"
-            ));
+            out.push_str(&format!("Scan {var} <- {source}  (~{est_rows} rows)\n"));
         }
         StageKind::Filter { pred } => {
             let vm = vm_suffix(compiled, stage.id);
-            out.push_str(&format!("Filter  {pred}{par}{vm}\n"));
+            out.push_str(&format!("Filter  {pred}{vm}\n"));
         }
         StageKind::HashIndexProbe {
             var,
@@ -687,7 +593,7 @@ fn render_stage(
             out.push_str(&format!(
                 "HashIndexProbe  {key} {} {probe}  \
                  (cost: index {index_cost} vs scan {scan_cost})  \
-                 [guard: loop-stable body, pure probe]{par}\n",
+                 [guard: loop-stable body, pure probe]\n",
                 build.eq
             ));
             indent(depth + 1, out);

@@ -27,19 +27,6 @@
 //! Queries the guard refuses (mutating, invoking, or shape-unknown)
 //! simply return `None` from [`lower()`] and run on the existing
 //! interpreters; the plan layer is a pure overlay.
-//!
-//! On top of the sequential executor sits an **effect-licensed parallel
-//! mode**: [`lower_with`] takes a [`ParSpec`] (worker-pool size, schema,
-//! branch-effect oracle) and annotates every parallel-capable node with
-//! a [`ParVerdict`] — Theorem 7 licenses chunked extent scans and
-//! partitioned index builds; Theorem 8 licenses concurrent set-operator
-//! branches when [`set_op_verdict`] finds the operand effects
-//! non-interfering. [`execute`] dispatches `std::thread::scope`
-//! workers for licensed nodes (re-gated at run time — unforkable
-//! chooser, finite budgets on charged axes, or tiny inputs fall back to
-//! the sequential path, counting into [`ParMetrics`]) and is contracted
-//! to change *no observable*: same result set, effect trace, governor
-//! meters, and chooser draw totals as `parallelism = 0`.
 
 #![forbid(unsafe_code)]
 // Error enums carry rendered context (names, types, positions) by value;
@@ -51,19 +38,16 @@ pub mod bytecode;
 pub mod exec;
 pub mod ir;
 mod lower;
-pub mod par;
 
 pub use bytecode::{compile, CompileVerdict, Program, VmCtx, VmMetrics, VmOutcome};
 pub use exec::{
-    execute, execute_instrumented, execute_with_profile, ExecMetrics, PlanProfile, PlanResult,
-    ProfEntry,
+    execute, execute_instrumented, execute_with_profile, PlanProfile, PlanResult, ProfEntry,
 };
 pub use ir::{
-    AggKind, EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, NodeVerdict, Op, OpKind, ParVerdict,
-    Plan, Stage, StageKind,
+    AggKind, EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, NodeVerdict, Op, OpKind, Plan,
+    Stage, StageKind,
 };
-pub use lower::{lower, lower_with, set_op_verdict, BranchEffectFn, ParSpec};
-pub use par::ParMetrics;
+pub use lower::{lower, lower_with, ParSpec};
 
 #[cfg(test)]
 mod tests {
@@ -370,7 +354,6 @@ mod tests {
             guard: Guard {
                 effect: Effect::empty(),
             },
-            parallelism: 0,
             compiled: Default::default(),
         };
         plan.number();

@@ -8,20 +8,10 @@
 //! returns `None` and runs on the existing interpreters unchanged.
 //! Within an eligible query, scan-vs-index selection is cost-based via
 //! [`Stats`]; the cost formulas are documented at the decision site.
-//!
-//! When lowered through [`lower_with`] with a nonzero
-//! [`ParSpec::parallelism`], each parallel-capable node is additionally
-//! annotated with a [`ParVerdict`]: chunked scans are licensed by the
-//! plan's own Theorem 7 guard (the whole query is read-only and
-//! `new`-free, so partition order is unobservable), while concurrent
-//! set-operator branches need Theorem 8 — the branches' inferred
-//! effects must be pairwise non-interfering — and a refusal quotes the
-//! interfering atom pair.
 
 use crate::bytecode::{self, CompileVerdict};
 use crate::ir::{
-    AggKind, EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, ParVerdict, Plan, Stage,
-    StageKind,
+    AggKind, EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, Plan, Stage, StageKind,
 };
 use ioql_ast::{Qualifier, Query, VarName};
 use ioql_effects::{Effect, Thm7};
@@ -31,25 +21,24 @@ use ioql_schema::Schema;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// How (and whether) to compute parallelism verdicts during lowering.
+/// What [`lower_with`] does beyond [`lower`]: whether to run the compile
+/// pass.
 ///
-/// The default — [`ParSpec::off`] — lowers with `parallelism = 0`: no
-/// node is annotated and the executor never dispatches workers, which
-/// keeps `:plan` output and execution byte-identical to the sequential
-/// layer. A nonzero `parallelism` turns the verdict pass on; the
-/// `schema`/`branch_effect` pair is what Theorem 8 licensing needs to
-/// judge set-operator branches (without them every set operator is
-/// refused with `branch effects unavailable` — conservative, never
-/// unsound).
+/// The other three fields configured the worker pool this crate no
+/// longer has. The benchmark harness spells all four in a struct literal
+/// (DESIGN.md §6), so the declarations stay until a `benchmark` change
+/// drops them from that literal; nothing reads them.
 pub struct ParSpec<'a> {
-    /// Worker-pool size verdicts are computed for (`0` = off, `1` = a
-    /// degenerate pool — every node refuses with `parallelism off`).
+    /// Ignored.
+    #[deprecated(note = "the worker pool is gone; the value is ignored")]
     pub parallelism: usize,
-    /// The schema Theorem 8's interference check runs against.
+    /// Ignored.
+    #[deprecated(note = "the worker pool is gone; the value is ignored")]
     pub schema: Option<&'a Schema>,
-    /// Infers the Figure-3 effect of one set-operator branch, or `None`
-    /// when inference fails (the branch is then refused parallelism).
-    pub branch_effect: Option<&'a BranchEffectFn<'a>>,
+    /// Ignored.
+    #[deprecated(note = "the worker pool is gone; the value is ignored")]
+    #[allow(clippy::type_complexity)]
+    pub branch_effect: Option<&'a (dyn Fn(&Query) -> Option<Effect> + 'a)>,
     /// Whether to run the compile pass: each `MapProject` head and
     /// `Filter` predicate is compiled to [`bytecode`] where the fragment
     /// allows, recorded as a [`CompileVerdict`] in [`Plan::compiled`],
@@ -60,12 +49,9 @@ pub struct ParSpec<'a> {
     pub compile: bool,
 }
 
-/// A branch-effect oracle for [`ParSpec`]: infers the Figure-3 effect
-/// of one set-operator operand (`None` = inference failed, refuse).
-pub type BranchEffectFn<'a> = dyn Fn(&Query) -> Option<Effect> + 'a;
-
 impl ParSpec<'static> {
-    /// Parallelism off — the [`lower`] default.
+    /// Compilation off — the [`lower`] default.
+    #[allow(deprecated)]
     pub fn off() -> ParSpec<'static> {
         ParSpec {
             parallelism: 0,
@@ -92,7 +78,7 @@ pub fn lower(q: &Query, static_effect: &Effect, defs: &DefEnv, stats: &Stats) ->
     lower_with(q, static_effect, defs, stats, &ParSpec::off())
 }
 
-/// [`lower`] plus the parallelism-verdict pass configured by `spec`.
+/// [`lower`] plus the compile pass when `spec.compile` is set.
 pub fn lower_with(
     q: &Query,
     static_effect: &Effect,
@@ -103,13 +89,12 @@ pub fn lower_with(
     if !Thm7::decide(q, static_effect, |d| defs.get(d)).lowerable() {
         return None;
     }
-    let root = lower_op(q, defs, stats, spec)?;
+    let root = lower_op(q, defs, stats, spec.compile)?;
     let mut plan = Plan {
         root,
         guard: Guard {
             effect: static_effect.clone(),
         },
-        parallelism: spec.parallelism,
         compiled: BTreeMap::new(),
     };
     plan.number();
@@ -180,39 +165,17 @@ fn verdict(q: &Query, binders: &[VarName]) -> CompileVerdict {
     }
 }
 
-/// Theorem 8 licensing for one set operator: do the branches' inferred
-/// effects commute? `Par` when [`Effect::noninterfering_with`] holds;
-/// otherwise `Seq` quoting the interfering atom pair from
-/// [`Effect::interference_witness`].
-///
-/// Branch bodies of a lowered plan are read-only (Theorem 7 guard), so
-/// through [`lower_with`] this always licenses; it is public because
-/// callers with *raw* effects (tests, future mutation-tolerant plans)
-/// can use it to see a refusal, e.g. `A(C)` vs `R(C)`.
-pub fn set_op_verdict(left: &Effect, right: &Effect, schema: &Schema) -> ParVerdict {
-    match left.interference_witness(right, schema) {
-        None => ParVerdict::Par {
-            // A set-operator branch is a whole subquery: assume it can
-            // draw and observe. The executor's budget pre-flight treats
-            // both as unbounded-extra-charges flags.
-            body_draws: true,
-            body_observes: true,
-        },
-        Some((l, r)) => ParVerdict::Seq(format!("interfering effects: {l} vs {r}")),
-    }
-}
-
 /// Lowers a set-shaped root (or set operand), or a `sum`/`size` over
 /// one. `None` when the shape has no physical operator — callers either
 /// fall back to the interpreter (plan root) or wrap the expression in
 /// [`OpKind::Eval`] (set operand, which is safe because the whole query
 /// already passed the guard).
-fn lower_op(q: &Query, defs: &DefEnv, stats: &Stats, spec: &ParSpec<'_>) -> Option<Op> {
+fn lower_op(q: &Query, defs: &DefEnv, stats: &Stats, compile: bool) -> Option<Op> {
     let aggregate = |kind, inner: &Query| {
         Some(Op::new(OpKind::Aggregate {
             kind,
             expr: q.clone(),
-            input: Box::new(lower_op(inner, defs, stats, spec)?),
+            input: Box::new(lower_op(inner, defs, stats, compile)?),
         }))
     };
     match q {
@@ -226,26 +189,20 @@ fn lower_op(q: &Query, defs: &DefEnv, stats: &Stats, spec: &ParSpec<'_>) -> Opti
             est_rows: stats.extent_size(e),
         })),
         Query::SetBin(op, a, b) => {
-            let left = Box::new(lower_operand(a, defs, stats, spec));
-            let right = Box::new(lower_operand(b, defs, stats, spec));
-            let kind = match op {
+            let left = Box::new(lower_operand(a, defs, stats, compile));
+            let right = Box::new(lower_operand(b, defs, stats, compile));
+            Some(Op::new(match op {
                 ioql_ast::SetOp::Union => OpKind::SetUnion { left, right },
                 ioql_ast::SetOp::Intersect => OpKind::SetIntersect { left, right },
                 ioql_ast::SetOp::Diff => OpKind::SetDiff { left, right },
-            };
-            let mut node = Op::new(kind);
-            node.par = set_bin_verdict(a, b, spec);
-            Some(node)
+            }))
         }
         Query::Comp(head, quals) => {
-            let stages = lower_quals(quals, stats, spec);
-            let par = pipeline_verdict(&stages, head, spec.parallelism);
-            let mut pipeline = Op::new(OpKind::Pipeline { stages });
-            pipeline.par = par;
+            let stages = lower_quals(quals, stats, compile);
             Some(Op::new(OpKind::Distinct {
                 input: Box::new(Op::new(OpKind::MapProject {
                     head: (**head).clone(),
-                    input: Box::new(pipeline),
+                    input: Box::new(Op::new(OpKind::Pipeline { stages })),
                 })),
             }))
         }
@@ -264,7 +221,7 @@ fn lower_op(q: &Query, defs: &DefEnv, stats: &Stats, spec: &ParSpec<'_>) -> Opti
             }
             Some(Op::new(OpKind::InlineDef {
                 name: d.clone(),
-                body: Box::new(lower_op(&body, defs, stats, spec)?),
+                body: Box::new(lower_op(&body, defs, stats, compile)?),
             }))
         }
         _ => None,
@@ -275,129 +232,14 @@ fn lower_op(q: &Query, defs: &DefEnv, stats: &Stats, spec: &ParSpec<'_>) -> Opti
 /// operators, anything else is interpreted wholesale (the guard already
 /// established the whole query is pure, so order of operand evaluation
 /// — left first, as the naive engines do — is preserved exactly).
-fn lower_operand(q: &Query, defs: &DefEnv, stats: &Stats, spec: &ParSpec<'_>) -> Op {
-    lower_op(q, defs, stats, spec).unwrap_or_else(|| Op::new(OpKind::Eval { expr: q.clone() }))
-}
-
-/// The Theorem 8 verdict for one lowered set operator, or `None` when
-/// the verdict pass is off.
-fn set_bin_verdict(a: &Query, b: &Query, spec: &ParSpec<'_>) -> Option<ParVerdict> {
-    if spec.parallelism == 0 {
-        return None;
-    }
-    if spec.parallelism < 2 {
-        return Some(ParVerdict::Seq("parallelism off".into()));
-    }
-    Some(match (spec.schema, spec.branch_effect) {
-        (Some(schema), Some(infer)) => match (infer(a), infer(b)) {
-            (Some(ea), Some(eb)) => set_op_verdict(&ea, &eb, schema),
-            _ => ParVerdict::Seq("branch effects unavailable".into()),
-        },
-        _ => ParVerdict::Seq("branch effects unavailable".into()),
-    })
-}
-
-/// The chunked-scan verdict for one pipeline, or `None` when the
-/// verdict pass is off. Licensed when the leading generator is a plain
-/// extent scan — partitions are then contiguous ranges of a set whose
-/// elements the (Theorem 7 read-only) body cannot change. The body
-/// flags record whether workers may charge cells / observe cardinality
-/// beyond the per-element minimum; the executor refuses dispatch under
-/// a finite budget on the flagged axis (sequential trip positions
-/// would otherwise not be reproduced).
-fn pipeline_verdict(stages: &[Stage], head: &Query, parallelism: usize) -> Option<ParVerdict> {
-    if parallelism == 0 {
-        return None;
-    }
-    if parallelism < 2 {
-        return Some(ParVerdict::Seq("parallelism off".into()));
-    }
-    Some(match stages.first().map(|s| &s.kind) {
-        Some(StageKind::ExtentScan { .. }) => {
-            let (body_draws, body_observes) = body_flags(&stages[1..], head);
-            ParVerdict::Par {
-                body_draws,
-                body_observes,
-            }
-        }
-        _ => ParVerdict::Seq("generator is not an extent scan".into()),
-    })
-}
-
-/// Whether the pipeline body (everything after the leading generator,
-/// plus the head) may draw generator elements / observe set
-/// cardinalities when run per element.
-fn body_flags(body: &[Stage], head: &Query) -> (bool, bool) {
-    let mut draws = expr_draws(head);
-    let mut observes = expr_observes(head);
-    for st in body {
-        match &st.kind {
-            // A nested generator draws per element and observes its
-            // source set, whatever the source shape.
-            StageKind::ExtentScan { .. } | StageKind::Scan { .. } => {
-                draws = true;
-                observes = true;
-            }
-            StageKind::Filter { pred } => {
-                draws |= expr_draws(pred);
-                observes |= expr_observes(pred);
-            }
-            // Probe targets/preds are pure scalar shapes (no comps, no
-            // calls — `probe_shape` enforces it), but stay uniform.
-            StageKind::HashIndexProbe { probe, pred, .. } => {
-                draws |= expr_draws(probe) || expr_draws(pred);
-                observes |= expr_observes(probe) || expr_observes(pred);
-            }
-        }
-    }
-    (draws, observes)
-}
-
-/// Whether evaluating `q` may draw generator elements (and hence charge
-/// governor cells): any comprehension, or any definition call (whose
-/// body may contain one).
-fn expr_draws(q: &Query) -> bool {
-    q.contains_comp() || !q.called_defs().is_empty()
-}
-
-/// Whether evaluating `q` may observe a set cardinality: any
-/// comprehension, extent read, set operator, or definition call.
-fn expr_observes(q: &Query) -> bool {
-    q.contains_comp() || !q.called_defs().is_empty() || contains_set_source(q)
-}
-
-/// Whether `q` syntactically contains an extent read or a set operator
-/// (the two cardinality-observation points besides comprehension
-/// completion).
-fn contains_set_source(q: &Query) -> bool {
-    match q {
-        Query::Extent(_) | Query::SetBin(..) | Query::Comp(..) => true,
-        Query::Lit(_) | Query::Var(_) => false,
-        Query::SetLit(qs) => qs.iter().any(contains_set_source),
-        Query::IntBin(_, a, b) | Query::IntEq(a, b) | Query::ObjEq(a, b) => {
-            contains_set_source(a) || contains_set_source(b)
-        }
-        Query::Record(fields) => fields.iter().any(|(_, f)| contains_set_source(f)),
-        Query::Field(a, _)
-        | Query::Size(a)
-        | Query::Sum(a)
-        | Query::Cast(_, a)
-        | Query::Attr(a, _) => contains_set_source(a),
-        Query::Call(_, args) => args.iter().any(contains_set_source),
-        Query::Invoke(recv, _, args) => {
-            contains_set_source(recv) || args.iter().any(contains_set_source)
-        }
-        Query::New(_, inits) => inits.iter().any(|(_, f)| contains_set_source(f)),
-        Query::If(c, t, e) => {
-            contains_set_source(c) || contains_set_source(t) || contains_set_source(e)
-        }
-    }
+fn lower_operand(q: &Query, defs: &DefEnv, stats: &Stats, compile: bool) -> Op {
+    lower_op(q, defs, stats, compile).unwrap_or_else(|| Op::new(OpKind::Eval { expr: q.clone() }))
 }
 
 /// Lowers a qualifier list to pipeline stages, fusing an eligible
 /// equality predicate immediately following a generator into a
 /// [`StageKind::HashIndexProbe`] when the cost model favors it.
-fn lower_quals(quals: &[Qualifier], stats: &Stats, spec: &ParSpec<'_>) -> Vec<Stage> {
+fn lower_quals(quals: &[Qualifier], stats: &Stats, compile: bool) -> Vec<Stage> {
     let mut stages = Vec::new();
     let mut binders: Vec<VarName> = Vec::new();
     let mut i = 0;
@@ -432,7 +274,7 @@ fn lower_quals(quals: &[Qualifier], stats: &Stats, spec: &ParSpec<'_>) -> Vec<St
                         // When the compile tier will accept the
                         // predicate, its per-row cost is a VM dispatch,
                         // not an interpretation of the whole expression.
-                        let per_row = if spec.compile && pred_compiles(p, &binders, x) {
+                        let per_row = if compile && pred_compiles(p, &binders, x) {
                             stats.compiled_work()
                         } else {
                             stats.work(p).max(1)
@@ -443,27 +285,14 @@ fn lower_quals(quals: &[Qualifier], stats: &Stats, spec: &ParSpec<'_>) -> Vec<St
                             .saturating_add(2 * est_rows)
                             .saturating_add(8);
                         if index_cost < scan_cost {
-                            let mut stage = Stage::new(StageKind::HashIndexProbe {
+                            stages.push(Stage::new(StageKind::HashIndexProbe {
                                 var: x.clone(),
                                 build: HashIndexBuild { eq, key, est_rows },
                                 probe,
                                 pred: p.clone(),
                                 scan_cost,
                                 index_cost,
-                            });
-                            // The build side is draw-free and
-                            // observation-free, so partitioning it needs
-                            // only the Theorem 7 guard; any parallelism
-                            // ≥ 2 licenses it.
-                            stage.par = match spec.parallelism {
-                                0 => None,
-                                1 => Some(ParVerdict::Seq("parallelism off".into())),
-                                _ => Some(ParVerdict::Par {
-                                    body_draws: false,
-                                    body_observes: false,
-                                }),
-                            };
-                            stages.push(stage);
+                            }));
                             binders.push(x.clone());
                             i += 2;
                             continue;

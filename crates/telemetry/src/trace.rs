@@ -9,7 +9,7 @@
 //! acquisition, cache probe, WAL append/fsync), each span carrying the
 //! *verdict* the engine reached at that point: cache hit/miss with its
 //! reason, admission mode with its interference witness, per-node
-//! parallel and compile verdicts, governor charges.
+//! compile verdicts, governor charges.
 //!
 //! Records land in a [`FlightRecorder`] — a fixed-capacity in-memory
 //! ring, oldest evicted first — and are queryable by recency
@@ -50,8 +50,6 @@ pub enum Span {
     Lower,
     /// The query-result cache lookup.
     CacheProbe,
-    /// A per-node parallel verdict (annotation).
-    Parallel,
     /// A per-node compile verdict (annotation).
     Compile,
     /// Evaluation proper.
@@ -99,7 +97,6 @@ const SPANS: [(&str, Option<(&str, &str)>); Span::ALL.len()] = [
     phase!("optimize"),
     phase!("lower"),
     phase!("cache-probe"),
-    ("parallel", None),
     ("compile", None),
     phase!("execute"),
     ("governor", None),
@@ -112,7 +109,7 @@ pub type SpanHistograms = [Histogram; Span::ALL.len()];
 
 impl Span {
     /// Every span, in table order.
-    pub const ALL: [Span; 13] = [
+    pub const ALL: [Span; 12] = [
         Span::SchedWait,
         Span::LockAcquire,
         Span::SnapshotAcquire,
@@ -121,7 +118,6 @@ impl Span {
         Span::Optimize,
         Span::Lower,
         Span::CacheProbe,
-        Span::Parallel,
         Span::Compile,
         Span::Execute,
         Span::Governor,
@@ -163,7 +159,7 @@ pub struct TraceSpan {
     /// it.
     pub depth: usize,
     /// The verdict reached in this span, when one was: `hit`,
-    /// `serialized witness=(A(P), R(P))`, `seq(parallelism off)`, ….
+    /// `serialized witness=(A(P), R(P))`, `interp(compile off)`, ….
     pub verdict: Option<String>,
 }
 

@@ -456,3 +456,57 @@ fn serve_flag_requires_an_address() {
     assert!(!ok);
     assert!(stderr.contains("--serve"), "{stderr}");
 }
+
+/// An argument that looks like a flag but is not one — misspelt, or
+/// removed like `--parallelism` — is a usage error (exit 2), never the
+/// schema path.
+#[test]
+fn unknown_flags_are_usage_errors_not_schema_paths() {
+    let schema = schema_file();
+    for args in [&["--parallelism", "2"][..], &["--no-such-flag"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ioql"))
+            .arg(schema.to_str().unwrap())
+            .args(args)
+            .args(["-e", "{ p.name | p <- Ps }"])
+            .output()
+            .expect("spawn ioql");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(args[0]), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: ioql"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run the query");
+    }
+}
+
+/// The worker pool left no trace on the shell: `:parallel` is an unknown
+/// command like any other misspelling, `--help` lists neither spelling,
+/// and a scan the pool used to license plans and reports without a
+/// `par` anywhere.
+#[test]
+fn the_shell_has_no_pool_surface() {
+    let schema = schema_file();
+    let script = "\
+{ new P(name: n) | n <- {1, 2, 3, 4, 5, 6} }
+:parallel 2
+:plan { p.name | p <- Ps }
+:stats
+:quit
+";
+    let (stdout, stderr, ok) = run_session(&[schema.to_str().unwrap()], script);
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        stdout.contains("error: unknown command `:parallel`"),
+        "{stdout}"
+    );
+    let after = &stdout[stdout.find("Plan  [guard").expect("the :plan output")..];
+    assert!(after.contains("ExtentScan p <- Ps"), "{stdout}");
+    assert!(after.contains("extent Ps: 6 object(s)"), "{stdout}");
+    assert!(!after.contains("par"), "{stdout}");
+    // One-shot: the unknown command is a failure, not a parse of `:`.
+    let (_, stderr, ok) = run_session(&[schema.to_str().unwrap(), "-e", ":parallel 2"], "");
+    assert!(!ok);
+    assert!(stderr.contains("unknown command `:parallel`"), "{stderr}");
+    let (help, _, ok) = run_session(&["--help"], "");
+    assert!(ok);
+    assert!(!help.contains("parallel"), "{help}");
+}

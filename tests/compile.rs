@@ -1,10 +1,10 @@
 //! Differential parity for the bytecode compile tier (ISSUE 7
 //! tentpole): compilation is a *license*, never a semantics. For every
-//! chooser (forkable and not), every fault plan, and pool sizes `0` and
-//! `4`, a compiled run must produce observables **byte-identical** to
-//! the interpreted run — values, final stores, effect traces, governor
-//! cell meters, chooser draw totals, error classes *and exact stuck
-//! messages* — and the interpreters stay the oracle for both. Integer
+//! chooser and every fault plan, a compiled run must produce observables
+//! **byte-identical** to the interpreted run — values, final stores,
+//! effect traces, governor cell meters, chooser draw totals, error
+//! classes *and exact stuck messages* — and the interpreters stay the
+//! oracle for both. Integer
 //! aggregation parity is pinned at the `i64` boundaries: overflow wraps
 //! identically on every engine (the defined semantics — see
 //! `Query::Sum`).
@@ -24,8 +24,6 @@ use ioql_telemetry::MetricsRegistry;
 use ioql_testkit::fixtures::{jack_jill, Fixture};
 use ioql_testkit::{ChaosChooser, FaultPlan};
 use ioql_types::{check_query, TypeEnv};
-
-const POOLS: [usize; 2] = [0, 4];
 
 fn class(e: &EvalError) -> String {
     match e {
@@ -65,20 +63,17 @@ fn zoo(fx: &Fixture) -> Vec<Query> {
     .collect()
 }
 
-/// Lowers with the compile-verdict pass on or off, at a given pool size.
-fn lower_c(fx: &Fixture, q: &Query, parallelism: usize, compile: bool) -> Option<Plan> {
+/// Lowers with the compile-verdict pass on or off.
+fn lower_c(fx: &Fixture, q: &Query, compile: bool) -> Option<Plan> {
     let eenv = EffectEnv::new(&fx.schema);
     let (_, eff) = infer_query(&eenv, q).ok()?;
     let mut stats = Stats::new();
     for (e, _, members) in fx.store.extents.iter() {
         stats.set(e.clone(), members.len());
     }
-    let branch = |bq: &Query| infer_query(&eenv, bq).ok().map(|(_, e)| e);
     let spec = ParSpec {
-        parallelism,
         compile,
-        schema: Some(&fx.schema),
-        branch_effect: Some(&branch),
+        ..ParSpec::off()
     };
     lower_with(q, &eff, &DefEnv::new(), &stats, &spec)
 }
@@ -118,9 +113,9 @@ fn observe(
     }
 }
 
-/// The tentpole contract: for every zoo query, chooser, and pool size,
-/// the compiled run's observables equal the interpreted run's — and the
-/// interpreters (the oracle) agree with both.
+/// The tentpole contract: for every zoo query and chooser, the compiled
+/// run's observables equal the interpreted run's — and the interpreters
+/// (the oracle) agree with both.
 #[test]
 fn compiled_observables_are_byte_identical_to_interpreted() {
     let fx = jack_jill();
@@ -137,7 +132,7 @@ fn compiled_observables_are_byte_identical_to_interpreted() {
     ];
     for (qi, q) in zoo(&fx).iter().enumerate() {
         let interp_plan =
-            lower_c(&fx, q, 0, false).unwrap_or_else(|| panic!("zoo {qi} ({q}) must lower"));
+            lower_c(&fx, q, false).unwrap_or_else(|| panic!("zoo {qi} ({q}) must lower"));
         for (name, mk) in &mks {
             let baseline = observe(&fx, &interp_plan, mk, Limits::none(), 1_000_000);
             // The interpreters agree with the interpreted plan run —
@@ -160,15 +155,13 @@ fn compiled_observables_are_byte_identical_to_interpreted() {
                     "zoo {qi} chooser {name}: interpreter {engine} vs plan on {q}"
                 );
             }
-            for pool in POOLS {
-                let plan = lower_c(&fx, q, pool, true)
-                    .unwrap_or_else(|| panic!("zoo {qi} must lower compiled at pool {pool}"));
-                let got = observe(&fx, &plan, mk, Limits::none(), 1_000_000);
-                assert_eq!(
-                    got, baseline,
-                    "zoo {qi} chooser {name} pool {pool}: compiled observables drifted on {q}"
-                );
-            }
+            let plan =
+                lower_c(&fx, q, true).unwrap_or_else(|| panic!("zoo {qi} must lower compiled"));
+            let got = observe(&fx, &plan, mk, Limits::none(), 1_000_000);
+            assert_eq!(
+                got, baseline,
+                "zoo {qi} chooser {name}: compiled observables drifted on {q}"
+            );
         }
     }
 }
@@ -193,15 +186,13 @@ fn fault_plans_hold_identically_when_compiled() {
                 .map(|r| (r.value.to_string(), r.effect.to_string()));
             (r, governor.cells_spent())
         };
-        let baseline = run(&lower_c(&fx, q, 0, false).unwrap());
-        for pool in POOLS {
-            let plan = lower_c(&fx, q, pool, true).unwrap();
-            assert_eq!(
-                run(&plan),
-                baseline,
-                "fault seed {seed} pool {pool}: compiled verdict or meter drifted on {q}"
-            );
-        }
+        let baseline = run(&lower_c(&fx, q, false).unwrap());
+        let plan = lower_c(&fx, q, true).unwrap();
+        assert_eq!(
+            run(&plan),
+            baseline,
+            "fault seed {seed}: compiled verdict or meter drifted on {q}"
+        );
     }
 }
 
@@ -217,33 +208,26 @@ fn fuel_verdicts_match_at_every_budget() {
         "{ p.name * p.name - 1 | p <- Ps, p.name < 3 }",
     ] {
         let (q, _) = check_query(&tenv, &fx.query(src)).unwrap();
-        // Baselines are compile-off at the *same* pool size: where a
-        // pooled run trips (each worker starts on the whole budget, the
-        // parts are settled in chunk order) is the parallel tier's own
-        // contract — this test isolates what *compilation* changes,
-        // which must be nothing.
         for max_steps in 0..=250u64 {
-            for pool in POOLS {
-                let baseline = observe(
-                    &fx,
-                    &lower_c(&fx, &q, pool, false).unwrap(),
-                    &|| Box::new(FirstChooser),
-                    Limits::none(),
-                    max_steps,
-                );
-                let plan = lower_c(&fx, &q, pool, true).unwrap();
-                let got = observe(
-                    &fx,
-                    &plan,
-                    &|| Box::new(FirstChooser),
-                    Limits::none(),
-                    max_steps,
-                );
-                assert_eq!(
-                    got, baseline,
-                    "budget {max_steps} pool {pool}: fuel verdict drifted on {src}"
-                );
-            }
+            let baseline = observe(
+                &fx,
+                &lower_c(&fx, &q, false).unwrap(),
+                &|| Box::new(FirstChooser),
+                Limits::none(),
+                max_steps,
+            );
+            let plan = lower_c(&fx, &q, true).unwrap();
+            let got = observe(
+                &fx,
+                &plan,
+                &|| Box::new(FirstChooser),
+                Limits::none(),
+                max_steps,
+            );
+            assert_eq!(
+                got, baseline,
+                "budget {max_steps}: fuel verdict drifted on {src}"
+            );
         }
     }
 }
@@ -263,7 +247,7 @@ fn dangling_oid_stuck_message_is_identical_compiled() {
     for src in ["{ p.name | p <- Ps }", "{ p | p <- Ps, p.name < 3 }"] {
         let (q, _) = check_query(&tenv, &fx.query(src)).unwrap();
         let run = |compile: bool| {
-            let plan = lower_c(&fx, &q, 0, compile).unwrap();
+            let plan = lower_c(&fx, &q, compile).unwrap();
             let cfg = EvalConfig::new(&fx.schema);
             let defs = DefEnv::new();
             let mut store = fx.store.clone();
@@ -292,13 +276,13 @@ fn plan_render_marks_vm_and_interp_nodes() {
     let fx = jack_jill();
     let tenv = TypeEnv::new(&fx.schema);
     let (q, _) = check_query(&tenv, &fx.query("{ p.name + 1 | p <- Ps, p.name < 3 }")).unwrap();
-    let compiled = lower_c(&fx, &q, 0, true).unwrap().render();
+    let compiled = lower_c(&fx, &q, true).unwrap().render();
     assert!(
         compiled.contains("[vm]"),
         "compiled nodes must be marked in the plan:\n{compiled}"
     );
     // Compile off: no annotations at all.
-    let plain = lower_c(&fx, &q, 0, false).unwrap().render();
+    let plain = lower_c(&fx, &q, false).unwrap().render();
     assert!(
         !plain.contains("[vm]") && !plain.contains("[interp("),
         "compile off must leave the rendering untouched:\n{plain}"
@@ -310,7 +294,7 @@ fn plan_render_marks_vm_and_interp_nodes() {
         &fx.query("{ p.name | p <- Ps, size({ q | q <- Ps, q.name = p.name }) < 2 }"),
     )
     .unwrap();
-    let mixed = lower_c(&fx, &q2, 0, true).unwrap().render();
+    let mixed = lower_c(&fx, &q2, true).unwrap().render();
     assert!(
         mixed.contains("[interp(nested comprehension)]"),
         "fallback reason must name the construct:\n{mixed}"

@@ -327,16 +327,6 @@ fn group_by_end_to_end() {
 }
 
 #[test]
-fn parallel_exploration_through_the_facade() {
-    let d = db();
-    let q = "{ (new Employee(name: p.name, age: p.age, salary: 1)).salary              | p <- Persons }";
-    let seq = d.explore(q, 10_000).unwrap();
-    let par = d.explore_parallel(q, 10_000, 4).unwrap();
-    assert_eq!(seq.runs.len(), par.runs.len());
-    assert_eq!(seq.distinct_outcomes().len(), par.distinct_outcomes().len());
-}
-
-#[test]
 fn engines_agree_through_the_facade() {
     use ioql::Engine;
     let queries = [

@@ -380,8 +380,8 @@ fn database_engine_plan_respects_budgets() {
 /// Aggregate roots (`sum`/`size` over anything that lowers) run on the
 /// `Aggregate` operator, not the interpreter fallback, and must stay
 /// observationally identical to both interpreters — with the compile
-/// tier on and off and worker pools 0 and 4, under every chooser, on
-/// every meter, and at every fuel budget.
+/// tier on and off, under every chooser, on every meter, and at every
+/// fuel budget.
 #[test]
 fn aggregate_roots_agree_on_every_engine() {
     const DDL: &str = "
@@ -409,10 +409,9 @@ fn aggregate_roots_agree_on_every_engine() {
             .unwrap();
         db
     };
-    let with = |engine, compile, parallelism| DbOptions {
+    let with = |engine, compile| DbOptions {
         engine,
         compile,
-        parallelism,
         cache_capacity: 0,
         ..DbOptions::default()
     };
@@ -435,7 +434,7 @@ fn aggregate_roots_agree_on_every_engine() {
         format!("sum({{ x | x <- {{ 0 - {MAX} - 1, 0 - 1 }} }})"),
     ])
     .collect();
-    let plan_variants = [(false, 0), (true, 0), (false, 4), (true, 4)];
+    let plan_variants = [false, true];
     let mk_choosers: [fn() -> Box<dyn Chooser>; 3] = [
         || Box::new(FirstChooser),
         || Box::new(LastChooser),
@@ -452,11 +451,11 @@ fn aggregate_roots_agree_on_every_engine() {
             });
         (r, governor.cells_spent())
     };
-    let mut big = build(with(Engine::BigStep, false, 0));
-    let mut small = build(with(Engine::SmallStep, false, 0));
+    let mut big = build(with(Engine::BigStep, false));
+    let mut small = build(with(Engine::SmallStep, false));
     let mut plans: Vec<Database> = plan_variants
         .iter()
-        .map(|&(compile, pool)| build(with(Engine::Plan, compile, pool)))
+        .map(|&compile| build(with(Engine::Plan, compile)))
         .collect();
     for q in &family {
         let rendered = plans[0].explain(q).unwrap();
@@ -472,11 +471,11 @@ fn aggregate_roots_agree_on_every_engine() {
                 want,
                 "small-step vs big-step on {q}"
             );
-            for (db, variant) in plans.iter_mut().zip(plan_variants) {
+            for (db, compile) in plans.iter_mut().zip(plan_variants) {
                 assert_eq!(
                     observe(db, q, &mut *mk(), Limits::none()),
                     want,
-                    "plan (compile, pool) = {variant:?} vs big-step on {q}"
+                    "plan (compile {compile}) vs big-step on {q}"
                 );
             }
         }
@@ -485,11 +484,11 @@ fn aggregate_roots_agree_on_every_engine() {
         for cap in [0, 2, 4, 11] {
             let limits = Limits::none().with_max_set_card(cap);
             let want = observe(&mut big, q, &mut FirstChooser, limits);
-            for (db, variant) in plans.iter_mut().zip(plan_variants) {
+            for (db, compile) in plans.iter_mut().zip(plan_variants) {
                 assert_eq!(
                     observe(db, q, &mut FirstChooser, limits),
                     want,
-                    "set-card cap {cap}, plan {variant:?} on {q}"
+                    "set-card cap {cap}, plan (compile {compile}) on {q}"
                 );
             }
         }
@@ -500,9 +499,7 @@ fn aggregate_roots_agree_on_every_engine() {
     // aggregate node itself: on the plan path as on big-step it costs
     // exactly one unit on top of its operand — big-step's pre-order
     // `burn` — and every budget short of that trips with big-step's
-    // own error, never a wrong answer. Pools are swept too: a worker
-    // runs on a copy of the budget and the parts are settled in chunk
-    // order, so the verdict at a budget does not depend on scheduling.
+    // own error, never a wrong answer.
     let threshold = |db: &mut Database, opts: &DbOptions, q: &str| {
         db.set_options(DbOptions {
             max_steps: 10_000,
@@ -527,15 +524,15 @@ fn aggregate_roots_agree_on_every_engine() {
     };
     for q in &family {
         let operand = &q[q.find('(').unwrap() + 1..q.len() - 1];
-        let big_opts = with(Engine::BigStep, false, 0);
+        let big_opts = with(Engine::BigStep, false);
         let big_cost = threshold(&mut big, &big_opts, q) - threshold(&mut big, &big_opts, operand);
         assert_eq!(big_cost, 1, "big-step burns once for the root of {q}");
-        for (db, (compile, pool)) in plans.iter_mut().zip(plan_variants) {
-            let opts = with(Engine::Plan, compile, pool);
+        for (db, compile) in plans.iter_mut().zip(plan_variants) {
+            let opts = with(Engine::Plan, compile);
             let cost = threshold(db, &opts, q) - threshold(db, &opts, operand);
             assert_eq!(
                 cost, big_cost,
-                "aggregate node fuel, compile {compile} pool {pool}, on {q}"
+                "aggregate node fuel, compile {compile}, on {q}"
             );
         }
     }

@@ -672,6 +672,88 @@ fn poisoned_log_fails_fast_until_a_checkpoint_rebuilds() {
     assert!(equiv_stores(&rec.store(), &expected));
 }
 
+/// A sink that *panics* (rather than fails) mid-append must poison the
+/// log, not the process: the panic takes down the writer that hit it and
+/// nobody else. Every later writer — on any session — gets the typed
+/// poisoned-log error, status stays readable, and the checkpoint escape
+/// hatch restores service.
+#[test]
+fn a_sink_panic_poisons_the_log_not_every_later_writer() {
+    use ioql::store::wal::{FileSink, WalSink};
+
+    /// Panics on its `nth` append; forwards everything else to the file.
+    struct PanicSink {
+        file: FileSink,
+        appends_left: Option<u32>,
+    }
+    impl WalSink for PanicSink {
+        fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            if let Some(left) = &mut self.appends_left {
+                *left -= 1;
+                if *left == 0 {
+                    panic!("injected fault: the sink panicked mid-append");
+                }
+            }
+            self.file.append(bytes)
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.file.sync()
+        }
+    }
+    // Only the first sink is armed; the checkpoint's is a plain file.
+    let armed = std::sync::atomic::AtomicBool::new(true);
+    let factory: ioql::SinkFactory = std::sync::Arc::new(move |path: &Path| {
+        let first = armed.swap(false, std::sync::atomic::Ordering::SeqCst);
+        Ok(Box::new(PanicSink {
+            file: FileSink::open_append(path)?,
+            appends_left: first.then_some(2),
+        }) as Box<dyn WalSink>)
+    });
+    let write = |name: u32| format!("(new Person(name: {name}, age: 1)).name");
+    let count = |db: &Database, name: u32| {
+        db.session("count")
+            .query(&format!("size({{ p | p <- Persons, p.name = {name} }})"))
+            .unwrap()
+            .value
+            .to_string()
+    };
+
+    let dir = TempDir::new("sink-panic");
+    let mut db = db_with(Engine::BigStep, Durability::Commit);
+    db.attach_durable_with(dir.path(), factory).unwrap();
+
+    db.session("a").query(&write(101)).unwrap(); // append #1 — acked
+    let mut doomed = db.session("b");
+    let panicked = std::thread::spawn(move || doomed.query(&write(102)).map(|_| ())).join();
+    assert!(panicked.is_err(), "append #2 must panic in its own thread");
+
+    // Another session's write is refused with the typed error…
+    let mut c = db.session("c");
+    match c.query(&write(103)).unwrap_err() {
+        DbError::Wal(e) => {
+            assert_eq!(e.kind, WalErrorKind::Io);
+            assert!(e.message.contains("poisoned"), "{e}");
+        }
+        other => panic!("expected the poisoned-log error, got {other:?}"),
+    }
+    // …reads and status still answer, and the checkpoint rebuilds.
+    assert_eq!(count(&db, 101), "1");
+    assert!(db.wal_status().unwrap().poisoned);
+    db.checkpoint().unwrap();
+    assert!(!db.wal_status().unwrap().poisoned);
+    c.query(&write(103)).unwrap(); // acked on the new generation
+    drop(c);
+    let expected = db.store().clone();
+    drop(db);
+
+    let (rec, report) = recover(Engine::BigStep, Durability::Commit, dir.path()).unwrap();
+    assert_eq!(report.generation, 1);
+    assert!(equiv_stores(&rec.store(), &expected));
+    for acked in [101, 103] {
+        assert_eq!(count(&rec, acked), "1", "acknowledged write {acked}");
+    }
+}
+
 #[test]
 fn durability_off_changes_no_observable() {
     // Same workload on (a) a plain database and (b) one with an

@@ -51,11 +51,10 @@ const WRITERS: &[&str] = &[
 
 const ENGINES: &[Engine] = &[Engine::SmallStep, Engine::BigStep, Engine::Plan];
 
-fn opts(engine: Engine, compile: bool, pool: usize) -> DbOptions {
+fn opts(engine: Engine, compile: bool) -> DbOptions {
     DbOptions {
         engine,
         compile,
-        parallelism: pool,
         method_mode: Mode::Extended,
         telemetry: true,
         // A metered (but never-tripping) session budget, so
@@ -69,8 +68,8 @@ fn opts(engine: Engine, compile: bool, pool: usize) -> DbOptions {
     }
 }
 
-fn seeded(engine: Engine, compile: bool, pool: usize) -> Database {
-    let db = Database::from_ddl_with(DDL, opts(engine, compile, pool)).unwrap();
+fn seeded(engine: Engine, compile: bool) -> Database {
+    let db = Database::from_ddl_with(DDL, opts(engine, compile)).unwrap();
     for q in SEED {
         db.session("seed").query(q).unwrap();
     }
@@ -121,8 +120,8 @@ impl Chooser for BarrierChooser {
     }
 }
 
-/// The snapshot-isolation property, across every engine × compile tier
-/// × worker pool: barrier a reader on snapshot S, commit writers that
+/// The snapshot-isolation property, across every engine × compile
+/// tier: barrier a reader on snapshot S, commit writers that
 /// `set_attr` and `create` into every extent while it is in flight, and
 /// demand the reader's value *and* cell meter match a solo run against
 /// S exactly.
@@ -130,72 +129,70 @@ impl Chooser for BarrierChooser {
 fn reader_on_snapshot_is_byte_identical_to_solo_run() {
     for &engine in ENGINES {
         for compile in [false, true] {
-            for pool in [0usize, 4] {
-                let tag = format!("{engine:?} compile={compile} pool={pool}");
+            let tag = format!("{engine:?} compile={compile}");
 
-                // The solo baseline: same seed, same query, no writers.
-                let solo_db = seeded(engine, compile, pool);
-                let mut solo = solo_db.session("solo");
-                let baseline = solo.query(READER).unwrap();
-                let baseline_cells = solo.budget_spent().unwrap();
+            // The solo baseline: same seed, same query, no writers.
+            let solo_db = seeded(engine, compile);
+            let mut solo = solo_db.session("solo");
+            let baseline = solo.query(READER).unwrap();
+            let baseline_cells = solo.budget_spent().unwrap();
 
-                // The live run: park the reader mid-evaluation on its
-                // snapshot, then commit writers into every extent.
-                let db = seeded(engine, compile, pool);
-                let gate = Arc::new(Barrier::new(2));
-                let reader = {
-                    let mut s = db.session("parked-reader");
-                    let gate = Arc::clone(&gate);
-                    std::thread::spawn(move || {
-                        let mut chooser = BarrierChooser {
-                            barrier: gate,
-                            waited: false,
-                        };
-                        let r = s.query_with(READER, &mut chooser).unwrap();
-                        (r, s.budget_spent().unwrap())
-                    })
-                };
-                gate.wait(); // reader is mid-query on snapshot S
-                for w in WRITERS {
-                    db.session("writer").query(w).unwrap();
-                }
-                let (got, got_cells) = reader.join().unwrap();
-
-                // Byte-identical to the solo run against S: the value,
-                // the cell meter, the runtime effect, the admission.
-                assert_eq!(
-                    got.value.to_string(),
-                    baseline.value.to_string(),
-                    "{tag}: snapshot reader saw writer effects"
-                );
-                assert_eq!(
-                    got_cells, baseline_cells,
-                    "{tag}: cell meter diverged from the solo run"
-                );
-                assert_eq!(
-                    got.runtime_effect.to_string(),
-                    baseline.runtime_effect.to_string(),
-                    "{tag}: runtime effect diverged"
-                );
-                assert!(
-                    matches!(got.admitted, Some(Admitted::Concurrent { .. })),
-                    "{tag}: reader was not admitted concurrently"
-                );
-
-                // The writers really did land: a post-commit reader sees
-                // the bumped ages plus the created rows.
-                let after = db.session("after").query(READER).unwrap();
-                assert_ne!(
-                    after.value.to_string(),
-                    baseline.value.to_string(),
-                    "{tag}: writers had no visible effect"
-                );
-                // And their COW work was accounted.
-                assert!(
-                    db.metrics().snapshot_chunks_copied.get() > 0,
-                    "{tag}: writer COW copies went unrecorded"
-                );
+            // The live run: park the reader mid-evaluation on its
+            // snapshot, then commit writers into every extent.
+            let db = seeded(engine, compile);
+            let gate = Arc::new(Barrier::new(2));
+            let reader = {
+                let mut s = db.session("parked-reader");
+                let gate = Arc::clone(&gate);
+                std::thread::spawn(move || {
+                    let mut chooser = BarrierChooser {
+                        barrier: gate,
+                        waited: false,
+                    };
+                    let r = s.query_with(READER, &mut chooser).unwrap();
+                    (r, s.budget_spent().unwrap())
+                })
+            };
+            gate.wait(); // reader is mid-query on snapshot S
+            for w in WRITERS {
+                db.session("writer").query(w).unwrap();
             }
+            let (got, got_cells) = reader.join().unwrap();
+
+            // Byte-identical to the solo run against S: the value,
+            // the cell meter, the runtime effect, the admission.
+            assert_eq!(
+                got.value.to_string(),
+                baseline.value.to_string(),
+                "{tag}: snapshot reader saw writer effects"
+            );
+            assert_eq!(
+                got_cells, baseline_cells,
+                "{tag}: cell meter diverged from the solo run"
+            );
+            assert_eq!(
+                got.runtime_effect.to_string(),
+                baseline.runtime_effect.to_string(),
+                "{tag}: runtime effect diverged"
+            );
+            assert!(
+                matches!(got.admitted, Some(Admitted::Concurrent { .. })),
+                "{tag}: reader was not admitted concurrently"
+            );
+
+            // The writers really did land: a post-commit reader sees
+            // the bumped ages plus the created rows.
+            let after = db.session("after").query(READER).unwrap();
+            assert_ne!(
+                after.value.to_string(),
+                baseline.value.to_string(),
+                "{tag}: writers had no visible effect"
+            );
+            // And their COW work was accounted.
+            assert!(
+                db.metrics().snapshot_chunks_copied.get() > 0,
+                "{tag}: writer COW copies went unrecorded"
+            );
         }
     }
 }
@@ -220,7 +217,7 @@ fn dump_v2_round_trips_the_chunked_store() {
 
 fn dump_v2_round_trip_body() {
     let dir = TempDir::new("dump");
-    let mut db = Database::from_ddl_with(DDL, opts(Engine::BigStep, false, 0)).unwrap();
+    let mut db = Database::from_ddl_with(DDL, opts(Engine::BigStep, false)).unwrap();
     // Enough rows to span many chunks, in several batches, with an
     // update pass in between so member spines and object chunks both
     // get exercised.
@@ -257,7 +254,7 @@ fn dump_v2_round_trip_body() {
 
     // The loaded store answers like the original.
     let before = db.query(READER).unwrap().value.to_string();
-    let mut reloaded = Database::from_ddl_with(DDL, opts(Engine::BigStep, false, 0)).unwrap();
+    let mut reloaded = Database::from_ddl_with(DDL, opts(Engine::BigStep, false)).unwrap();
     *reloaded.store_mut() = loaded;
     let after = reloaded.query(READER).unwrap().value.to_string();
     assert_eq!(before, after);
@@ -270,7 +267,7 @@ fn dump_v2_round_trip_body() {
 fn wal_recovery_round_trips_the_chunked_store() {
     for &engine in ENGINES {
         let dir = TempDir::new("wal");
-        let mut durable_opts = opts(engine, false, 0);
+        let mut durable_opts = opts(engine, false);
         durable_opts.durability = Durability::Commit;
         let expected = {
             let mut db = Database::from_ddl_with(DDL, durable_opts.clone()).unwrap();
