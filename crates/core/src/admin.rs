@@ -47,11 +47,11 @@ impl DbKernel {
         }
     }
 
-    /// `:stats`: cache, VM, scheduler and snapshot counters,
+    /// `:stats`: cache, statement, VM, scheduler and snapshot counters,
     /// then every extent's size and version.
     fn stats(&self, opts: &DbOptions) -> String {
         let m = self.metrics();
-        let s = self.cache.lock().unwrap_or_else(|e| e.into_inner()).stats();
+        let s = self.cache_stats();
         let mut out = format!(
             "cache: {} hit(s), {} miss(es), {} eviction(s), {} live entr{}\n",
             s.hits,
@@ -60,6 +60,11 @@ impl DbKernel {
             s.entries,
             if s.entries == 1 { "y" } else { "ies" }
         );
+        let s = self.statement_stats();
+        out.push_str(&format!(
+            "statements: {} hit(s), {} miss(es), {} eviction(s), {} live\n",
+            s.hits, s.misses, s.evictions, s.entries
+        ));
         out.push_str(&format!(
             "vm: compile {} — {} node(s) compiled, {} interpreted, {} row(s) dispatched\n",
             if opts.compile { "on" } else { "off" },

@@ -18,15 +18,20 @@
 //! stable keys; elaborated queries are (resolution and typing depend
 //! only on the schema, which is immutable per database).
 
+use crate::database::DbOptions;
 use ioql_ast::{ExtentName, Query, Value};
-use ioql_effects::Effect;
+use ioql_effects::{Effect, Thm7};
 use ioql_store::Store;
 use ioql_telemetry::Counter;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::Arc;
 
-/// One memoized result.
-#[derive(Clone, Debug)]
+/// One memoized result. Shared by pointer: a hit hands out the `Arc`
+/// under the cache mutex and the caller copies what it needs out of it
+/// after the mutex is released.
+#[derive(Debug)]
 pub(crate) struct CacheEntry {
     /// The version of every extent in the query's read set at the time
     /// the result was computed. The entry is valid while each still
@@ -43,15 +48,16 @@ pub(crate) struct CacheEntry {
     pub cells: u64,
 }
 
-/// Hit/miss counters, surfaced through `Database::cache_stats`.
+/// Hit/miss counters, surfaced through `Database::cache_stats` (the
+/// result cache) and `Database::statement_stats` (the statement cache).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that missed (including stale entries lazily evicted).
     pub misses: u64,
-    /// Entries removed to stay within capacity or because their version
-    /// fingerprint went stale.
+    /// Entries removed to stay within capacity or because they went
+    /// stale (a version fingerprint, or a statement's catalogue).
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -59,17 +65,42 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// A FIFO-bounded map from elaborated query to [`CacheEntry`].
+/// What a [`Fifo::probe`] found.
+#[derive(Debug)]
+pub(crate) enum Probe<R> {
+    /// A resident entry that is still valid.
+    Hit(R),
+    /// A resident entry that no longer is: removed, counted as a miss
+    /// and an eviction.
+    Stale,
+    /// Nothing resident under the key.
+    Miss,
+}
+
+impl<R> Probe<R> {
+    pub fn hit(self) -> Option<R> {
+        match self {
+            Probe::Hit(r) => Some(r),
+            Probe::Stale | Probe::Miss => None,
+        }
+    }
+}
+
+/// A FIFO-bounded map whose entries are validated at lookup — the one
+/// residency discipline the result cache and the statement cache share.
 ///
-/// Stale entries (version mismatch) are evicted lazily at lookup; FIFO
-/// order bounds residency when many distinct queries flow through.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct QueryCache {
-    map: HashMap<Arc<Query>, CacheEntry>,
-    /// Insertion order, oldest first. Holds exactly the keys of `map`
-    /// (each AST stored once, shared by both): every removal from one is
-    /// a removal from the other, so neither can outgrow `capacity`.
-    order: VecDeque<Arc<Query>>,
+/// Stale entries are evicted lazily by the probe that finds them; FIFO
+/// order bounds residency when many distinct keys flow through.
+#[derive(Clone, Debug)]
+pub(crate) struct Fifo<K, V> {
+    /// Each entry with the ticket it was inserted under.
+    map: HashMap<K, (u64, V)>,
+    /// Insertion order, oldest first. Holds exactly the keys of `map`:
+    /// every removal from one is a removal from the other, so neither
+    /// can outgrow `capacity`. Tickets ascend, so an entry's slot is
+    /// found by binary search.
+    order: VecDeque<(u64, K)>,
+    next_ticket: u64,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -81,11 +112,19 @@ pub(crate) struct QueryCache {
     m_evictions: Counter,
 }
 
-impl QueryCache {
-    pub fn new(capacity: usize) -> QueryCache {
-        QueryCache {
+impl<K: Clone + Eq + Hash, V> Fifo<K, V> {
+    pub fn new(capacity: usize) -> Self {
+        Fifo {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            next_ticket: 0,
             capacity,
-            ..QueryCache::default()
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            m_hits: Counter::default(),
+            m_misses: Counter::default(),
+            m_evictions: Counter::default(),
         }
     }
 
@@ -97,62 +136,65 @@ impl QueryCache {
         self
     }
 
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     fn evicted(&mut self) {
         self.evictions += 1;
         self.m_evictions.inc();
     }
 
-    /// Looks up `key`, validating the recorded version vector against
-    /// `store`. A stale entry is removed and counted as a miss.
-    pub fn lookup(&mut self, key: &Query, store: &Store) -> Option<CacheEntry> {
+    /// Looks up `key`. `read` judges the resident entry: `Some` is what
+    /// a hit hands out, `None` says the entry went stale — it is removed
+    /// and the probe counts as a miss.
+    pub fn probe<Q, R>(&mut self, key: &Q, read: impl FnOnce(&V) -> Option<R>) -> Probe<R>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         if self.capacity == 0 {
-            return None;
+            return Probe::Miss;
         }
-        if let Some(entry) = self.map.get(key) {
-            if entry
-                .versions
-                .iter()
-                .all(|(e, v)| store.extent_version(e) == *v)
-            {
-                self.hits += 1;
-                self.m_hits.inc();
-                return Some(entry.clone());
-            }
+        if let Some(found) = self.map.get(key).and_then(|(_, entry)| read(entry)) {
+            self.hits += 1;
+            self.m_hits.inc();
+            return Probe::Hit(found);
         }
         self.misses += 1;
         self.m_misses.inc();
-        if let Some((stale, _)) = self.map.remove_entry(key) {
-            // Its order slot goes with it, so the refreshing `insert`
-            // queues behind the entries that stayed valid. The scan is
-            // pointer compares over at most `capacity` slots, paid only
-            // ahead of a full re-evaluation.
-            if let Some(i) = self.order.iter().position(|k| Arc::ptr_eq(k, &stale)) {
-                self.order.remove(i);
-            }
-            self.evicted();
+        let Some((ticket, _)) = self.map.remove(key) else {
+            return Probe::Miss;
+        };
+        // Its order slot goes with it, so the refreshing `insert` queues
+        // behind the entries that stayed valid.
+        if let Ok(i) = self.order.binary_search_by_key(&ticket, |(t, _)| *t) {
+            self.order.remove(i);
         }
-        None
+        self.evicted();
+        Probe::Stale
     }
 
     /// Inserts (or refreshes) an entry, evicting the oldest one when a
     /// new key would exceed capacity.
-    pub fn insert(&mut self, key: Query, entry: CacheEntry) {
+    pub fn insert(&mut self, key: K, entry: V) {
         if self.capacity == 0 {
             return;
         }
         if let Some(slot) = self.map.get_mut(&key) {
-            *slot = entry;
+            slot.1 = entry;
             return;
         }
         if self.map.len() == self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(&*oldest);
+            if let Some((_, oldest)) = self.order.pop_front() {
+                self.map.remove(&oldest);
                 self.evicted();
             }
         }
-        let key = Arc::new(key);
-        self.map.insert(Arc::clone(&key), entry);
-        self.order.push_back(key);
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.map.insert(key.clone(), (ticket, entry));
+        self.order.push_back((ticket, key));
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -166,16 +208,47 @@ impl QueryCache {
     }
 }
 
+/// The result cache: elaborated query ↦ [`CacheEntry`]. The key is the
+/// `Arc` the front end's `Prepared` already holds, so a retained
+/// statement and its cached result share one AST.
+pub(crate) type QueryCache = Fifo<Arc<Query>, Arc<CacheEntry>>;
+
+impl QueryCache {
+    /// Looks up `key`, validating the recorded version vector against
+    /// `store`. A stale entry is removed and counted as a miss.
+    pub fn lookup(&mut self, key: &Arc<Query>, store: &Store) -> Option<Arc<CacheEntry>> {
+        self.probe(key, |entry| {
+            let fresh = |(e, v): (&ExtentName, &u64)| store.extent_version(e) == *v;
+            entry.versions.iter().all(fresh).then(|| Arc::clone(entry))
+        })
+        .hit()
+    }
+}
+
+/// Why the result cache would not keep this query's result under these
+/// options — `None` when it would. The one rule behind the cache gate,
+/// its `ineligible(reason)` note, and statement retention.
+pub(crate) fn cache_refusal(opts: &DbOptions, thm7: &Thm7) -> Option<&'static str> {
+    if opts.cache_capacity == 0 {
+        Some("cache disabled (capacity 0)")
+    } else if thm7.cacheable() {
+        None
+    } else {
+        // Not cacheable means not write-free, which `refusal` names.
+        Some(thm7.refusal().unwrap_or_default())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn key(n: i64) -> Query {
-        Query::Lit(Value::Int(n))
+    fn key(n: i64) -> Arc<Query> {
+        Arc::new(Query::Lit(Value::Int(n)))
     }
 
-    fn entry(versions: &[(&str, u64)]) -> CacheEntry {
-        CacheEntry {
+    fn entry(versions: &[(&str, u64)]) -> Arc<CacheEntry> {
+        Arc::new(CacheEntry {
             versions: versions
                 .iter()
                 .map(|(e, v)| (ExtentName::new(*e), *v))
@@ -183,7 +256,7 @@ mod tests {
             value: Value::Int(0),
             runtime_effect: Effect::empty(),
             cells: 0,
-        }
+        })
     }
 
     #[test]

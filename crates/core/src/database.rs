@@ -89,7 +89,10 @@ pub struct DbOptions {
     /// `0` disables caching. Only queries whose inferred effect passes
     /// the Theorem 7 guard (`new`-free, no `A(C)`, no `U(C)`) are ever
     /// cached, and entries are invalidated by extent version bumps —
-    /// see [`crate::cache`].
+    /// see [`crate::cache`]. The statement cache ([`crate::statements`])
+    /// has no setting of its own: it is bounded by the kernel's capacity
+    /// and retains exactly the statements whose results this cache would
+    /// keep, so `0` turns both off.
     pub cache_capacity: usize,
     /// Enable the telemetry registry: cache/governor/engine counters,
     /// per-span lifecycle histograms, `:metrics` exposition. Off by
@@ -223,6 +226,14 @@ pub struct DbMetrics {
     pub cache_misses: Counter,
     /// Query-cache evictions (capacity and staleness).
     pub cache_evictions: Counter,
+    /// Requests whose text was already judged under the current
+    /// catalogue (mirrors [`Database::statement_stats`]).
+    pub statement_hits: Counter,
+    /// Requests that had to be parsed and judged.
+    pub statement_misses: Counter,
+    /// Retained statements dropped (capacity, or a `define` made them
+    /// stale).
+    pub statement_evictions: Counter,
     /// Governor charge/trip counters (shared with every [`Governor`]
     /// built by [`Database::governor`]).
     pub governor: GovernorMetrics,
@@ -315,6 +326,18 @@ impl DbMetrics {
             cache_evictions: c(
                 "ioql_cache_evictions_total",
                 "Query-result cache LRU evictions.",
+            ),
+            statement_hits: c(
+                "ioql_statement_cache_hits_total",
+                "Requests served a retained statement: no parse, no type-and-effect pass.",
+            ),
+            statement_misses: c(
+                "ioql_statement_cache_misses_total",
+                "Requests whose text had to be parsed and judged.",
+            ),
+            statement_evictions: c(
+                "ioql_statement_cache_evictions_total",
+                "Retained statements evicted (capacity, or stale after a define).",
             ),
             governor: GovernorMetrics {
                 checkpoints: c(
@@ -726,9 +749,9 @@ impl Database {
     /// prepared under for the caller's next step.
     fn prepared(&self, src: &str) -> Result<(RwLockReadGuard<'_, KernelState>, Prepared), DbError> {
         let state = self.kernel.read_state();
-        let prepared = self
-            .kernel
-            .prepare_in(&self.options, &state, src, &mut Tracer::off())?;
+        let prepared =
+            self.kernel
+                .prepare_in(&self.options, &state.catalogue, src, &mut Tracer::off())?;
         Ok((state, prepared))
     }
 
@@ -800,11 +823,13 @@ impl Database {
 
     /// Hit/miss/occupancy counters of the query-result cache.
     pub fn cache_stats(&self) -> CacheStats {
-        self.kernel
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .stats()
+        self.kernel.cache_stats()
+    }
+
+    /// Hit/miss/occupancy counters of the statement cache: a hit is a
+    /// request whose text needed no parse and no type-and-effect pass.
+    pub fn statement_stats(&self) -> CacheStats {
+        self.kernel.statement_stats()
     }
 
     /// Runs a full program (definitions + query) against a *clone* of the
@@ -918,7 +943,7 @@ impl Database {
             ..
         } = prepared;
         if self.options.optimize {
-            elab = self.kernel.optimize_in(state, &elab).0;
+            elab = Arc::new(self.kernel.optimize_in(state, &elab).0);
             // The lowering judges the query it is handed; so does this.
             thm7 = Thm7::decide(&elab, &effect, |d| state.catalogue.env.get(d));
         }

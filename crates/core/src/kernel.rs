@@ -17,41 +17,57 @@
 //!   exactly as the monolith did. Zero observable change for existing
 //!   callers; the admission counters do not tick.
 //! * `ExecMode::Admission` — the session path, scheduled by the
-//!   admission controller ([`crate::sched`]): the query is prepared
-//!   under the state *read* lock, and the Theorem 7 verdict on its
-//!   inferred effect decides whether it runs concurrently against a
-//!   version-stamped snapshot (write-free queries) or serializes on
-//!   the write lock with a named interference witness.
+//!   admission controller ([`crate::sched`]): the statement is found
+//!   under the state *read* lock (or, cold, judged outside it), and the
+//!   Theorem 7 verdict on its inferred effect decides whether it runs
+//!   concurrently against a version-stamped snapshot (write-free
+//!   queries) or serializes on the write lock with a named interference
+//!   witness.
 //!
-//! ## One pass, one `Prepared`, one catalogue
+//! ## Once per text: one `Prepared`, one catalogue
 //!
-//! The front end walks a query **once**: `DbKernel::prepare_in` parses,
-//! resolves, and instantiates the fused Figure 1/3 walker
+//! The front end walks a query **once per text**: `DbKernel::prepare_in`
+//! parses, resolves, and instantiates the fused Figure 1/3 walker
 //! (`ioql_types::Judgement` over `ioql_effects::EffectRules`), then
 //! decides Theorem 7's guard with `Thm7::decide`. The result is one
 //! immutable [`Prepared`] `{ elab, ty, effect, thm7 }`; admission, the
 //! cache gate and its `ineligible(reason)` note, the WAL gate,
 //! `analyze`, and `explain` read `thm7`'s fields and never re-inspect
-//! the query. Registered definitions live in one `Arc`-shared
+//! the query. None of it reads the store, so the statement cache
+//! ([`crate::statements`]) keeps the `Arc<Prepared>` per text and every
+//! later request for that text shares it by pointer: its `elab` *is* the
+//! result-cache key, and the scheduler's in-flight registry holds the
+//! same `Arc`. Registered definitions live in one `Arc`-shared
 //! `Catalogue` built at `define` time — a snapshot clones the pointer,
-//! and no request rebuilds an environment from it.
+//! no request rebuilds an environment from it, and a retained statement
+//! is valid exactly while that pointer is the one it was judged under.
+//!
+//! A cold text on the admission path is judged with **no state lock
+//! held**: the request clones the catalogue `Arc` under a brief read
+//! lock, prepares against it, and re-validates the pointer when it
+//! re-locks to be admitted. Only a `define` that slipped in between
+//! makes it prepare again under the lock. (The embedded facade, which
+//! has one caller, prepares under the write lock it holds anyway.)
 //!
 //! ## Lock discipline
 //!
-//! Three locks, always acquired in this order and never reversed:
-//! **state → cache → durable**. The scheduler's internal mutex is a
-//! leaf — never held while acquiring any other lock. The snapshot path
-//! holds *no* state lock while executing, which is the whole point:
-//! readers spine-clone the copy-on-write store under the read lock
-//! (`O(chunks)`, not `O(objects)` — see `ioql_store::env`), drop the
-//! lock, and evaluate on the frozen snapshot while writers proceed by
-//! path-copying only the chunks they touch.
+//! Four locks, always acquired in this order and never reversed:
+//! **state → statements → cache → durable**. The statements mutex is
+//! held only around a map operation, never while preparing. The
+//! scheduler's internal mutex is a leaf — never held while acquiring any
+//! other lock. The snapshot path holds *no* state lock while executing,
+//! which is the whole point: readers clone the copy-on-write store under
+//! the read lock (`O(extents)`: one pointer per chunk spine — see
+//! `ioql_store::env`), drop the lock, and evaluate on the frozen
+//! snapshot while writers proceed by path-copying only the chunks they
+//! touch.
 
-use crate::cache::{CacheEntry, QueryCache};
+use crate::cache::{cache_refusal, CacheEntry, CacheStats, Probe, QueryCache};
 use crate::database::{DbMetrics, DbOptions, Engine, QueryResult};
 use crate::durable::DurableLog;
 use crate::error::DbError;
 use crate::sched::{Admitted, Sched};
+use crate::statements::{Statement, StatementCache, StatementKey};
 use ioql_ast::{DefName, Definition, FnType, Query, Type, Value};
 use ioql_effects::{effect_extents, Discipline, Effect, EffectRules, MethodEffects, Thm7};
 use ioql_eval::{
@@ -64,7 +80,7 @@ use ioql_syntax::parse_definitions;
 use ioql_telemetry::{FlightRecorder, Span, Tracer};
 use ioql_types::{Judgement, TypeError};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 /// The definition catalogue: every view of the registered definitions a
@@ -90,8 +106,8 @@ impl Catalogue {
 
 /// The mutable half of the kernel: everything a committed query or
 /// definition can change. Guarded by one `RwLock`; cloned wholesale to
-/// give a concurrently-admitted reader its snapshot — two pointer-ish
-/// clones: the store's chunk spines and the catalogue `Arc`.
+/// give a concurrently-admitted reader its snapshot — pointer clones:
+/// one per chunk spine of the store, and the catalogue `Arc`.
 #[derive(Clone, Debug)]
 pub(crate) struct KernelState {
     pub(crate) store: Store,
@@ -99,11 +115,13 @@ pub(crate) struct KernelState {
 }
 
 /// The front end's one artifact: what a single pass over the query text
-/// derives, and every static verdict later stages need.
+/// derives, and every static verdict later stages need. Derived once per
+/// text and shared by pointer (see the module docs).
 #[derive(Clone, Debug)]
 pub struct Prepared {
-    /// The elaborated query (projections resolved by subject type).
-    pub elab: Query,
+    /// The elaborated query (projections resolved by subject type) —
+    /// also, by pointer, the result-cache key.
+    pub elab: Arc<Query>,
     /// Its Figure 1 type.
     pub ty: Type,
     /// Its Figure 3 effect.
@@ -131,10 +149,18 @@ pub struct DbKernel {
     pub(crate) schema: Schema,
     pub(crate) method_effects: MethodEffects,
     pub(crate) state: RwLock<KernelState>,
+    pub(crate) statements: Mutex<StatementCache>,
     pub(crate) cache: Mutex<QueryCache>,
     pub(crate) metrics: DbMetrics,
     pub(crate) durable: RwLock<Option<Arc<Mutex<DurableLog>>>>,
     pub(crate) sched: Sched,
+}
+
+impl Prepared {
+    /// The judgement as the trace shows it: `σ ! {ε}`.
+    fn judgement(&self) -> String {
+        format!("{} ! {{{}}}", self.ty, self.effect)
+    }
 }
 
 impl std::fmt::Debug for DbKernel {
@@ -157,6 +183,10 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 impl DbKernel {
     pub(crate) fn new(
         schema: Schema,
@@ -166,10 +196,18 @@ impl DbKernel {
         metrics: DbMetrics,
         durable: Option<Arc<Mutex<DurableLog>>>,
     ) -> DbKernel {
+        // Statements are bounded by, and retained under the rule of, the
+        // result cache; a cloned database starts with none.
+        let statements = StatementCache::new(cache.capacity()).with_metrics(
+            metrics.statement_hits.clone(),
+            metrics.statement_misses.clone(),
+            metrics.statement_evictions.clone(),
+        );
         DbKernel {
             schema,
             method_effects,
             state: RwLock::new(state),
+            statements: Mutex::new(statements),
             cache: Mutex::new(cache),
             metrics,
             durable: RwLock::new(durable),
@@ -203,6 +241,16 @@ impl DbKernel {
             self.sched.max_inflight_readers(),
             self.sched.recent_witnesses(),
         )
+    }
+
+    /// Hit/miss/occupancy counters of the result cache.
+    pub(crate) fn cache_stats(&self) -> CacheStats {
+        lock(&self.cache).stats()
+    }
+
+    /// Hit/miss/occupancy counters of the statement cache.
+    pub(crate) fn statement_stats(&self) -> CacheStats {
+        lock(&self.statements).stats()
     }
 
     pub(crate) fn read_state(&self) -> RwLockReadGuard<'_, KernelState> {
@@ -266,12 +314,14 @@ impl DbKernel {
     }
 
     /// Parses, resolves, and derives `q : σ ! ε` in one pass, without
-    /// running the query. The tracer gets one span per phase; spans left
-    /// open by an early error are closed when the trace is sealed.
+    /// running the query — against a catalogue, not the state: nothing
+    /// here reads the store, so no state lock need be held. The tracer
+    /// gets one span per phase; spans left open by an early error are
+    /// closed when the trace is sealed.
     pub(crate) fn prepare_in(
         &self,
         opts: &DbOptions,
-        state: &KernelState,
+        catalogue: &Catalogue,
         src: &str,
         tracer: &mut Tracer,
     ) -> Result<Prepared, DbError> {
@@ -286,7 +336,7 @@ impl DbKernel {
         };
         let sp = tracer.begin(Span::Typecheck, "");
         let judge = |discipline| {
-            self.judgement(opts, discipline, &state.catalogue)
+            self.judgement(opts, discipline, catalogue)
                 .query(&BTreeMap::new(), &resolved)
         };
         // Error path only: a `⊢'` rejection fires mid-walk, so re-derive
@@ -294,14 +344,119 @@ impl DbKernel {
         // as it did when the type checker ran to completion first.
         let (elab, ty, effect) = judge(discipline)
             .map_err(|rejected| judge(Discipline::permissive()).err().unwrap_or(rejected))?;
-        tracer.end_with(sp, || Some(format!("{ty} ! {{{effect}}}")));
-        let thm7 = Thm7::decide(&elab, &effect, |d| state.catalogue.env.get(d));
-        Ok(Prepared {
-            elab,
+        let thm7 = Thm7::decide(&elab, &effect, |d| catalogue.env.get(d));
+        let prepared = Prepared {
+            elab: Arc::new(elab),
             ty,
             effect,
             thm7,
-        })
+        };
+        tracer.end_with(sp, || Some(prepared.judgement()));
+        Ok(prepared)
+    }
+
+    // ------------------------------------------------------------------
+    // The statement cache: a text is judged once per catalogue.
+    // ------------------------------------------------------------------
+
+    /// The retained statement for `key`, if it was judged under
+    /// `catalogue` — the `statement-cache` span, which on a hit carries
+    /// the judgement a cold request's `typecheck` span shows.
+    fn retained_statement(
+        &self,
+        key: &StatementKey,
+        catalogue: &Arc<Catalogue>,
+        tracer: &mut Tracer,
+    ) -> Option<Arc<Prepared>> {
+        let sp = tracer.begin(Span::StatementCache, "");
+        let probe = lock(&self.statements).lookup(key, catalogue);
+        tracer.end_found(sp, || match &probe {
+            Probe::Hit(prepared) => (prepared.judgement(), "hit".to_string()),
+            Probe::Stale => (String::new(), "stale(catalogue)".to_string()),
+            Probe::Miss => (String::new(), "miss".to_string()),
+        });
+        probe.hit()
+    }
+
+    /// Judges `src` under `catalogue` and retains the statement where
+    /// the result cache would retain its result (see
+    /// [`crate::statements`]). Takes no lock but the statements mutex,
+    /// and that only for the insertion.
+    fn judge_statement(
+        &self,
+        opts: &DbOptions,
+        key: StatementKey,
+        catalogue: &Arc<Catalogue>,
+        src: &str,
+        tracer: &mut Tracer,
+    ) -> Result<Arc<Prepared>, DbError> {
+        let prepared = Arc::new(self.prepare_in(opts, catalogue, src, tracer)?);
+        match cache_refusal(opts, &prepared.thm7) {
+            None => lock(&self.statements).insert(
+                key,
+                Statement {
+                    catalogue: Arc::clone(catalogue),
+                    prepared: Arc::clone(&prepared),
+                },
+            ),
+            Some(reason) => tracer.note(Span::StatementCache, || {
+                (String::new(), format!("not retained({reason})"))
+            }),
+        }
+        Ok(prepared)
+    }
+
+    /// The statement for `src` under `catalogue`: retained, or judged
+    /// now — for callers that already hold the state lock they will run
+    /// under (the embedded facade; the catalogue-mismatch retry).
+    fn statement_in(
+        &self,
+        opts: &DbOptions,
+        key: StatementKey,
+        catalogue: &Arc<Catalogue>,
+        src: &str,
+        tracer: &mut Tracer,
+    ) -> Result<Arc<Prepared>, DbError> {
+        match self.retained_statement(&key, catalogue, tracer) {
+            Some(prepared) => Ok(prepared),
+            None => self.judge_statement(opts, key, catalogue, src, tracer),
+        }
+    }
+
+    /// The state read lock and the statement for `src` judged under the
+    /// catalogue it guards. A retained statement is found under the
+    /// lock; a cold one is judged with the lock released, against the
+    /// catalogue this request saw, and the pointer is re-validated once
+    /// the lock is back.
+    fn admit_statement(
+        &self,
+        opts: &DbOptions,
+        src: &str,
+        tracer: &mut Tracer,
+    ) -> Result<(RwLockReadGuard<'_, KernelState>, Arc<Prepared>), DbError> {
+        let key = StatementKey::new(opts, src);
+        let state = self.read_state_traced(tracer);
+        if let Some(prepared) = self.retained_statement(&key, &state.catalogue, tracer) {
+            return Ok((state, prepared));
+        }
+        let seen = Arc::clone(&state.catalogue);
+        drop(state);
+        let prepared = self.judge_statement(opts, key.clone(), &seen, src, tracer)?;
+        let state = self.read_state_traced(tracer);
+        if Arc::ptr_eq(&state.catalogue, &seen) {
+            return Ok((state, prepared));
+        }
+        // A `define` committed while this request was preparing: the
+        // only preparation that runs under the state lock.
+        let prepared = self.statement_in(opts, key, &state.catalogue, src, tracer)?;
+        Ok((state, prepared))
+    }
+
+    fn read_state_traced(&self, tracer: &mut Tracer) -> RwLockReadGuard<'_, KernelState> {
+        let sp = tracer.begin(Span::LockAcquire, "state-read");
+        let state = self.read_state();
+        tracer.end(sp);
+        state
     }
 
     pub(crate) fn optimize_in(
@@ -396,14 +551,15 @@ impl DbKernel {
         let sp = tracer.begin(Span::LockAcquire, "state-write");
         let mut state = self.write_state();
         tracer.end_wait(sp, || None);
-        let prepared = self.prepare_in(opts, &state, src, tracer)?;
+        let key = StatementKey::new(opts, src);
+        let prepared = self.statement_in(opts, key, &state.catalogue, src, tracer)?;
         let (r, _) =
-            self.execute_in(opts, &mut state, prepared, chooser, governor, true, tracer)?;
+            self.execute_in(opts, &mut state, &prepared, chooser, governor, true, tracer)?;
         Ok(r)
     }
 
-    /// The admission-controlled path: prepare under the read lock, let
-    /// the inferred effect pick the schedule.
+    /// The admission-controlled path: find or judge the statement, let
+    /// its inferred effect pick the schedule.
     fn run_admitted(
         &self,
         opts: &DbOptions,
@@ -413,10 +569,7 @@ impl DbKernel {
         tracer: &mut Tracer,
     ) -> Result<QueryResult, DbError> {
         let wait_sp = tracer.begin(Span::SchedWait, "");
-        let lock_sp = tracer.begin(Span::LockAcquire, "state-read");
-        let state = self.read_state();
-        tracer.end(lock_sp);
-        let prepared = self.prepare_in(opts, &state, src, tracer)?;
+        let (state, mut prepared) = self.admit_statement(opts, src, tracer)?;
         // Theorem 7's guard, at query granularity: two write-free effects
         // never produce an interference witness, so such a query may run
         // beside any other admitted one.
@@ -425,12 +578,15 @@ impl DbKernel {
             // still holding the read lock: no writer can commit between
             // the stamp and the clone, so the snapshot reflects exactly
             // `snapshot_seq` commits. The store's environments are
-            // chunked copy-on-write structures, so the clone copies only
-            // the chunk spines — admission cost is O(chunks), not
-            // O(objects) — and every chunk stays shared until a writer
-            // path-copies it.
+            // chunked copy-on-write structures behind shared spines, so
+            // the clone is one pointer per environment — admission cost
+            // is O(extents), not O(chunks) — and everything stays shared
+            // until a writer path-copies it. The registration is a
+            // guard: however this request ends, the reader leaves the
+            // registry.
             let snap_sp = tracer.begin(Span::SnapshotAcquire, "");
-            let (rid, snapshot_seq) = self.sched.admit_reader(&prepared.effect);
+            let reader = self.sched.admit_reader(Arc::clone(&prepared));
+            let snapshot_seq = reader.snapshot_seq;
             let mut snapshot = state.clone();
             drop(state);
             let shared = snapshot.store.chunk_count();
@@ -445,21 +601,19 @@ impl DbKernel {
                     Admitted::Concurrent { snapshot_seq }
                 ))
             });
-            let result = self.execute_in(
+            let (mut r, _) = self.execute_in(
                 opts,
                 &mut snapshot,
-                prepared,
+                &prepared,
                 chooser,
                 governor,
                 false,
                 tracer,
-            );
-            self.sched.finish_reader(rid);
-            result.map(|(mut r, _)| {
-                r.admitted = Some(Admitted::Concurrent { snapshot_seq });
-                r
-            })
+            )?;
+            r.admitted = Some(Admitted::Concurrent { snapshot_seq });
+            Ok(r)
         } else {
+            let seen = Arc::clone(&state.catalogue);
             drop(state);
             // Refused concurrency: name the interfering atom pair
             // (against a live reader if one is in flight) and serialize
@@ -476,12 +630,17 @@ impl DbKernel {
                     witness.0, witness.1
                 ))
             });
-            // Prepared under the read lock, executed under the write
-            // lock: sound because elaboration depends only on the
-            // schema (fixed) and the def catalogue (append-only, and a
-            // redefinition is rejected at `define` time).
+            // Judged under the read lock's catalogue, executed under the
+            // write lock: re-validate the pointer here too. (The verdict
+            // cannot change — the catalogue is append-only and a
+            // redefinition is rejected at `define` time — so the witness
+            // above stands.)
+            if !Arc::ptr_eq(&state.catalogue, &seen) {
+                let key = StatementKey::new(opts, src);
+                prepared = self.statement_in(opts, key, &state.catalogue, src, tracer)?;
+            }
             let (mut r, seq) =
-                self.execute_in(opts, &mut state, prepared, chooser, governor, true, tracer)?;
+                self.execute_in(opts, &mut state, &prepared, chooser, governor, true, tracer)?;
             // Serialized means not write-free, and such a query takes a
             // commit stamp whenever it succeeds on the live state; a
             // missing stamp is a kernel bug, not commit 0.
@@ -508,14 +667,14 @@ impl DbKernel {
         &self,
         opts: &DbOptions,
         state: &mut KernelState,
-        prepared: Prepared,
+        prepared: &Prepared,
         chooser: &mut dyn Chooser,
         governor: &Governor,
         commit: bool,
         tracer: &mut Tracer,
     ) -> Result<(QueryResult, Option<u64>), DbError> {
         let Prepared {
-            mut elab,
+            elab,
             ty,
             effect: static_effect,
             thm7,
@@ -539,25 +698,21 @@ impl DbKernel {
         let chooser: &mut dyn Chooser = &mut chooser;
         // Theorem 7 guard: only write-free queries (no `A(C)`; for the §5
         // extension, no `U(C)`) are deterministic, hence memoizable.
-        let cacheable = opts.cache_capacity > 0 && thm7.cacheable();
         // Key on the *pre-optimization* elaborated query: the optimizer's
         // output drifts with catalogue statistics, the elaborated form
-        // does not.
-        let cache_key = cacheable.then(|| elab.clone());
-        if !cacheable {
-            tracer.note(Span::CacheProbe, || {
-                let reason = if opts.cache_capacity == 0 {
-                    Some("cache disabled (capacity 0)")
-                } else {
-                    thm7.refusal()
-                };
-                (
-                    String::new(),
-                    format!("ineligible({})", reason.unwrap_or_default()),
-                )
-            });
-        }
-        if let Some(key) = &cache_key {
+        // does not. The key is the statement's own `Arc`: nothing is
+        // copied to probe, and a hit on a retained statement compares
+        // pointers.
+        let cache_key = match cache_refusal(opts, thm7) {
+            None => Some(elab),
+            Some(reason) => {
+                tracer.note(Span::CacheProbe, || {
+                    (String::new(), format!("ineligible({reason})"))
+                });
+                None
+            }
+        };
+        if let Some(key) = cache_key {
             // Validated against `state.store` — the store this query
             // actually runs against. On the snapshot path that is the
             // admitted snapshot, NOT the live store: a hit is only
@@ -567,14 +722,12 @@ impl DbKernel {
             // snapshot (see `cache_isolated_from_concurrent_writers`
             // in tests/server.rs).
             let probe_sp = tracer.begin(Span::CacheProbe, "");
-            let hit = self
-                .cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .lookup(key, &state.store);
+            let hit = lock(&self.cache).lookup(key, &state.store);
             tracer.end_with(probe_sp, || {
                 Some(if hit.is_some() { "hit" } else { "miss" }.to_string())
             });
+            // The entry is shared: the mutex is already released, and
+            // the copy into the caller's result happens out here.
             if let Some(entry) = hit {
                 // A hit still passes through the governor, so the
                 // resource-limit contract is engine-identical.
@@ -591,10 +744,10 @@ impl DbKernel {
                 });
                 return Ok((
                     QueryResult {
-                        value: entry.value,
-                        ty,
-                        static_effect,
-                        runtime_effect: entry.runtime_effect,
+                        value: entry.value.clone(),
+                        ty: ty.clone(),
+                        static_effect: static_effect.clone(),
+                        runtime_effect: entry.runtime_effect.clone(),
                         steps: 0,
                         cached: true,
                         elapsed: Duration::ZERO, // stamped by `run_query`
@@ -607,8 +760,8 @@ impl DbKernel {
         }
         // Fingerprint the read set *before* evaluation; the Theorem 7
         // guard means evaluation cannot move these counters.
-        let read_versions = cache_key.as_ref().map(|_| {
-            effect_extents(&self.schema, &static_effect)
+        let read_versions = cache_key.map(|_| {
+            effect_extents(&self.schema, static_effect)
                 .reads
                 .into_iter()
                 .map(|e| {
@@ -618,12 +771,18 @@ impl DbKernel {
                 .collect::<BTreeMap<_, _>>()
         });
         let cells_before = governor.cells_spent();
-        if opts.optimize {
+        // The engines run the optimizer's output or the shared AST
+        // itself: the statement is never copied.
+        let optimized;
+        let elab: &Query = if opts.optimize {
             let sp = tracer.begin(Span::Optimize, "");
-            let (optimized, applied) = self.optimize_in(state, &elab);
+            let (rewritten, applied) = self.optimize_in(state, elab);
             tracer.end_with(sp, || Some(format!("{} rewrite(s)", applied.len())));
-            elab = optimized;
-        }
+            optimized = rewritten;
+            &optimized
+        } else {
+            elab
+        };
         // Snapshot only when the query can actually mutate the store —
         // the static effect tells us up front (Theorem 5: the runtime
         // trace is covered by it), so read-only queries pay nothing.
@@ -647,7 +806,7 @@ impl DbKernel {
         let plan = match engine {
             Engine::Plan => {
                 let sp = tracer.begin(Span::Lower, "");
-                let plan = self.lower_in(opts, state, &elab, &static_effect);
+                let plan = self.lower_in(opts, state, elab, static_effect);
                 tracer.end_with(sp, || {
                     Some(match &plan {
                         Some(_) => "physical plan".to_string(),
@@ -696,8 +855,8 @@ impl DbKernel {
         // on `Err` the only witness of the broken invariants — the
         // store — is discarded and replaced by the snapshot below.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match engine {
-            Engine::SmallStep => evaluate(&cfg, defs, store, &elab, chooser, max_steps),
-            Engine::BigStep => eval_big(&cfg, defs, store, &elab, chooser, max_steps).map(|r| {
+            Engine::SmallStep => evaluate(&cfg, defs, store, elab, chooser, max_steps),
+            Engine::BigStep => eval_big(&cfg, defs, store, elab, chooser, max_steps).map(|r| {
                 ioql_eval::Evaluated {
                     value: r.value,
                     effect: r.effect,
@@ -722,7 +881,7 @@ impl DbKernel {
                     }),
                     // Ineligible or shape-unknown: the big-step evaluator is
                     // the plan engine's interpreter tier.
-                    None => eval_big(&cfg, defs, store, &elab, chooser, max_steps).map(|r| {
+                    None => eval_big(&cfg, defs, store, elab, chooser, max_steps).map(|r| {
                         ioql_eval::Evaluated {
                             value: r.value,
                             effect: r.effect,
@@ -763,7 +922,7 @@ impl DbKernel {
             }
         };
         debug_assert!(
-            out.effect.covered_by(&static_effect, &self.schema),
+            out.effect.covered_by(static_effect, &self.schema),
             "Theorem 5 violated: runtime effect {{{}}} escapes static {{{static_effect}}}",
             out.effect
         );
@@ -809,15 +968,13 @@ impl DbKernel {
             }
         }
         if let (Some(key), Some(versions)) = (cache_key, read_versions) {
-            self.cache.lock().unwrap_or_else(|e| e.into_inner()).insert(
-                key,
-                CacheEntry {
-                    versions,
-                    value: out.value.clone(),
-                    runtime_effect: out.effect.clone(),
-                    cells: governor.cells_spent().saturating_sub(cells_before),
-                },
-            );
+            let entry = Arc::new(CacheEntry {
+                versions,
+                value: out.value.clone(),
+                runtime_effect: out.effect.clone(),
+                cells: governor.cells_spent().saturating_sub(cells_before),
+            });
+            lock(&self.cache).insert(Arc::clone(key), entry);
         }
         // A committed live mutation takes the next slot in the kernel's
         // total write order; the caller still holds the write lock, so
@@ -834,8 +991,8 @@ impl DbKernel {
         Ok((
             QueryResult {
                 value: out.value,
-                ty,
-                static_effect,
+                ty: ty.clone(),
+                static_effect: static_effect.clone(),
                 runtime_effect: out.effect,
                 steps: out.steps,
                 cached: false,

@@ -61,6 +61,7 @@ pub mod obs;
 pub mod sched;
 pub mod server;
 pub mod session;
+pub mod statements;
 
 pub use analysis::{Analysis, CommutationVerdict};
 pub use cache::CacheStats;

@@ -35,13 +35,14 @@
 //! reader/writer discipline is serializable, not merely
 //! snapshot-isolated: there is no write skew without writes.
 
+use crate::kernel::Prepared;
 use ioql_effects::Effect;
 use ioql_schema::Schema;
 use ioql_telemetry::Counter;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The admission controller's telemetry handles (registered in
 /// [`DbMetrics`](crate::DbMetrics)). Write-only from the scheduler's
@@ -103,11 +104,13 @@ impl std::fmt::Display for Admitted {
     }
 }
 
-/// Registry of in-flight concurrently-admitted readers.
+/// Registry of in-flight concurrently-admitted readers: each holds the
+/// shared front-end artifact it was admitted on (its effect is what a
+/// writer's witness is named against).
 #[derive(Debug, Default)]
 struct SchedInner {
     next_reader: u64,
-    inflight: BTreeMap<u64, Effect>,
+    inflight: BTreeMap<u64, Arc<Prepared>>,
     /// Most recent serialization witnesses, newest last (`:stats`).
     recent_witnesses: VecDeque<String>,
 }
@@ -128,29 +131,47 @@ pub struct Sched {
     max_inflight: AtomicU64,
 }
 
+/// One admitted reader's registration. Dropping it deregisters the
+/// reader — on return, on `?`, and on unwind alike — so the registry
+/// cannot outlive the request that entered it.
+#[derive(Debug)]
+pub(crate) struct Reader<'a> {
+    sched: &'a Sched,
+    id: u64,
+    /// The commit sequence number the reader's snapshot is stamped with.
+    pub(crate) snapshot_seq: u64,
+}
+
+impl Drop for Reader<'_> {
+    fn drop(&mut self) {
+        self.sched.lock().inflight.remove(&self.id);
+    }
+}
+
 impl Sched {
     pub(crate) fn new() -> Sched {
         Sched::default()
     }
 
-    /// Registers a concurrently-admitted reader. Must be called while
-    /// holding the kernel state read lock so the returned snapshot
-    /// stamp agrees with the store being cloned. Returns `(reader id,
-    /// snapshot stamp)`.
-    pub(crate) fn admit_reader(&self, effect: &Effect) -> (u64, u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.next_reader += 1;
-        let id = inner.next_reader;
-        inner.inflight.insert(id, effect.clone());
-        let now = inner.inflight.len() as u64;
-        self.max_inflight.fetch_max(now, Ordering::Relaxed);
-        (id, self.commit_seq.load(Ordering::Acquire))
+    fn lock(&self) -> MutexGuard<'_, SchedInner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Deregisters a reader admitted by [`Sched::admit_reader`].
-    pub(crate) fn finish_reader(&self, id: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.inflight.remove(&id);
+    /// Registers a concurrently-admitted reader until the returned guard
+    /// drops. Must be called while holding the kernel state read lock so
+    /// the guard's snapshot stamp agrees with the store being cloned.
+    pub(crate) fn admit_reader(&self, prepared: Arc<Prepared>) -> Reader<'_> {
+        let mut inner = self.lock();
+        inner.next_reader += 1;
+        let id = inner.next_reader;
+        inner.inflight.insert(id, prepared);
+        let now = inner.inflight.len() as u64;
+        self.max_inflight.fetch_max(now, Ordering::Relaxed);
+        Reader {
+            sched: self,
+            id,
+            snapshot_seq: self.commit_seq.load(Ordering::Acquire),
+        }
     }
 
     /// Assigns the next commit sequence number to a successfully
@@ -168,11 +189,7 @@ impl Sched {
 
     /// Readers currently in flight.
     pub(crate) fn inflight_readers(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .inflight
-            .len()
+        self.lock().inflight.len()
     }
 
     /// The highest number of readers ever simultaneously in flight.
@@ -187,11 +204,11 @@ impl Sched {
     /// query writes — exactly what concurrent admission would permit).
     /// Records the witness for `:stats`.
     pub(crate) fn writer_witness(&self, effect: &Effect, schema: &Schema) -> (String, String) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         let witness = inner
             .inflight
             .values()
-            .find_map(|reader| effect.interference_witness(reader, schema))
+            .find_map(|reader| effect.interference_witness(&reader.effect, schema))
             .or_else(|| {
                 let mut mirror = Effect::empty();
                 mirror.reads = effect.adds.clone();
@@ -210,20 +227,27 @@ impl Sched {
 
     /// The most recent serialization witnesses, newest last.
     pub(crate) fn recent_witnesses(&self) -> Vec<String> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .recent_witnesses
-            .iter()
-            .cloned()
-            .collect()
+        self.lock().recent_witnesses.iter().cloned().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioql_ast::{ClassDef, ClassName};
+    use ioql_ast::{ClassDef, ClassName, Query, Type, Value};
+    use ioql_effects::Thm7;
+
+    /// A front-end artifact with this effect (the scheduler reads
+    /// nothing else of it).
+    fn reading(effect: Effect) -> Arc<Prepared> {
+        let elab = Query::Lit(Value::Int(0));
+        Arc::new(Prepared {
+            thm7: Thm7::decide(&elab, &effect, |_| None),
+            elab: Arc::new(elab),
+            ty: Type::Int,
+            effect,
+        })
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -236,16 +260,39 @@ mod tests {
     #[test]
     fn reader_registry_tracks_inflight_and_high_water() {
         let s = Sched::new();
-        let (a, seq_a) = s.admit_reader(&Effect::read("Person"));
-        let (b, seq_b) = s.admit_reader(&Effect::read("Robot"));
-        assert_eq!((seq_a, seq_b), (0, 0));
+        let a = s.admit_reader(reading(Effect::read("Person")));
+        let b = s.admit_reader(reading(Effect::read("Robot")));
+        assert_eq!((a.snapshot_seq, b.snapshot_seq), (0, 0));
         assert_eq!(s.inflight_readers(), 2);
         assert_eq!(s.max_inflight_readers(), 2);
-        s.finish_reader(a);
-        s.finish_reader(b);
+        drop(a);
+        drop(b);
         assert_eq!(s.inflight_readers(), 0);
         // The high-water mark is sticky.
         assert_eq!(s.max_inflight_readers(), 2);
+    }
+
+    /// A reader that unwinds — a panic anywhere between admission and
+    /// the end of the request, e.g. in the optimizer or the lowering,
+    /// which run outside `execute_in`'s `catch_unwind` — still leaves the
+    /// registry. When admission returned a bare id and the kernel called
+    /// `finish_reader(id)` by hand after `execute_in`, this same sequence
+    /// (admit, unwind, no `finish_reader`) left `inflight_readers()` at
+    /// 1: a phantom reader in `:stats` forever, and `writer_witness`
+    /// naming a dead reader's atoms.
+    #[test]
+    fn an_unwinding_reader_deregisters() {
+        let s = Sched::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _reader = s.admit_reader(reading(Effect::read("Person")));
+            assert_eq!(s.inflight_readers(), 1);
+            panic!("the optimizer panicked");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(s.inflight_readers(), 0);
+        // No dead reader to name: the witness is the mirror reader.
+        let w = s.writer_witness(&Effect::add("Robot"), &schema());
+        assert_eq!(w, ("A(Robot)".into(), "R(Robot)".into()));
     }
 
     #[test]
@@ -253,18 +300,18 @@ mod tests {
         let s = Sched::new();
         assert_eq!(s.commit_writer(), 1);
         assert_eq!(s.commit_writer(), 2);
-        let (_, seq) = s.admit_reader(&Effect::read("Person"));
-        assert_eq!(seq, 2); // the snapshot reflects both commits
+        let reader = s.admit_reader(reading(Effect::read("Person")));
+        assert_eq!(reader.snapshot_seq, 2); // the snapshot reflects both commits
     }
 
     #[test]
     fn witness_prefers_a_real_inflight_reader() {
         let s = Sched::new();
         let sch = schema();
-        let (id, _) = s.admit_reader(&Effect::read("Person"));
+        let reader = s.admit_reader(reading(Effect::read("Person")));
         let w = s.writer_witness(&Effect::add("Person"), &sch);
         assert_eq!(w, ("A(Person)".into(), "R(Person)".into()));
-        s.finish_reader(id);
+        drop(reader);
         // No reader in flight: the mirror reader of the write set.
         let w = s.writer_witness(&Effect::add("Robot"), &sch);
         assert_eq!(w, ("A(Robot)".into(), "R(Robot)".into()));

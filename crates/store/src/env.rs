@@ -1,14 +1,16 @@
 //! The extent and object environments of paper §3.3.
 //!
 //! Both environments are **persistent, copy-on-write** structures: the
-//! data lives in fixed-size chunks behind [`std::sync::Arc`] spines, so
-//! cloning an environment copies only the spine (one pointer per chunk,
-//! `O(n / CHUNK)`) and every chunk is shared until a writer touches it.
-//! Writers path-copy exactly the chunk they mutate via
-//! [`Arc::make_mut`]. This is what makes a kernel snapshot — and a
-//! rollback snapshot, and a per-worker store clone — cheap enough to
-//! take on every admission: the Theorem-7 scheduler can stamp and
-//! spine-clone under the read lock without paying for store size.
+//! data lives in fixed-size chunks, each behind an [`std::sync::Arc`],
+//! and the spine — the vector of chunk pointers — sits behind one more.
+//! Cloning an environment is therefore a single reference-count bump,
+//! whatever the store's size, and everything stays shared until a writer
+//! touches it. A writer first un-shares the spine (one pointer copy per
+//! chunk, `O(n / CHUNK)`, paid only while a clone is alive) and then
+//! path-copies exactly the chunk it mutates via [`Arc::make_mut`]. This
+//! is what makes a kernel snapshot — and a rollback snapshot — cheap
+//! enough to take on every admission: the Theorem-7 scheduler can stamp
+//! and clone under the read lock without paying for store size.
 //!
 //! The layout is invisible to the semantics: equality compares contents
 //! in oid order (two environments holding the same bindings are equal
@@ -74,11 +76,11 @@ impl fmt::Display for Object {
 /// spine, so the spine as a whole reads like the old `BTreeMap` did.
 type ObjChunk = Vec<(Oid, Object)>;
 
-/// The object environment `OE`: oid ↦ object, stored as a spine of
-/// copy-on-write chunks (see the module docs).
+/// The object environment `OE`: oid ↦ object, stored as a shared spine
+/// of copy-on-write chunks (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct ObjectEnv {
-    chunks: Vec<Arc<ObjChunk>>,
+    chunks: Arc<Vec<Arc<ObjChunk>>>,
     len: usize,
     cow_copied: u64,
 }
@@ -109,12 +111,15 @@ impl ObjectEnv {
     }
 
     /// Marks chunk `idx` for mutation: counts a copy if it is currently
-    /// shared with a snapshot, then returns unique access to it.
+    /// shared with a snapshot, then returns unique access to it. The
+    /// spine is un-shared *first*: a snapshot holds the spine, not the
+    /// chunks, so only the spine copy makes a chunk's count show it.
     fn chunk_mut(&mut self, idx: usize) -> &mut ObjChunk {
-        if Arc::strong_count(&self.chunks[idx]) > 1 {
+        let spine = Arc::make_mut(&mut self.chunks);
+        if Arc::strong_count(&spine[idx]) > 1 {
             self.cow_copied += 1;
         }
-        Arc::make_mut(&mut self.chunks[idx])
+        Arc::make_mut(&mut spine[idx])
     }
 
     /// `OE(o)`.
@@ -144,7 +149,7 @@ impl ObjectEnv {
                 // `o` is past every existing key (the common fresh-oid
                 // append path) — extend the last chunk, or start one.
                 if self.chunks.is_empty() {
-                    self.chunks.push(Arc::new(Vec::with_capacity(OBJ_CHUNK)));
+                    Arc::make_mut(&mut self.chunks).push(Arc::new(Vec::with_capacity(OBJ_CHUNK)));
                 }
                 self.chunks.len() - 1
             }
@@ -159,11 +164,11 @@ impl ObjectEnv {
             }
         };
         if self.chunks[idx].len() >= OBJ_CHUNK * 2 {
-            let tail = {
-                let chunk = Arc::make_mut(&mut self.chunks[idx]);
-                chunk.split_off(chunk.len() / 2)
-            };
-            self.chunks.insert(idx + 1, Arc::new(tail));
+            // Both already unique: `chunk_mut` just un-shared them.
+            let spine = Arc::make_mut(&mut self.chunks);
+            let chunk = Arc::make_mut(&mut spine[idx]);
+            let tail = chunk.split_off(chunk.len() / 2);
+            spine.insert(idx + 1, Arc::new(tail));
         }
         prev
     }
@@ -200,8 +205,8 @@ impl ObjectEnv {
         out
     }
 
-    /// Number of chunks in the spine — the cost of cloning this
-    /// environment, and the unit the snapshot telemetry counts in.
+    /// Number of chunks in the spine — what a clone shares, and the unit
+    /// the snapshot telemetry counts in.
     pub fn chunk_count(&self) -> u64 {
         self.chunks.len() as u64
     }
@@ -218,7 +223,7 @@ impl ObjectEnv {
 /// set with the same sharing discipline as [`ObjectEnv`].
 #[derive(Clone, Debug, Default)]
 pub struct MemberSet {
-    chunks: Vec<Arc<Vec<Oid>>>,
+    chunks: Arc<Vec<Arc<Vec<Oid>>>>,
     len: usize,
     cow_copied: u64,
 }
@@ -248,19 +253,19 @@ impl MemberSet {
 
     /// Adds `o`; returns whether it was newly inserted.
     fn insert(&mut self, o: Oid) -> bool {
-        let idx = match self.route(o) {
-            Some(idx) => idx,
-            None => {
-                if self.chunks.is_empty() {
-                    self.chunks.push(Arc::new(Vec::with_capacity(MEM_CHUNK)));
-                }
-                self.chunks.len() - 1
+        let route = self.route(o);
+        // Spine first, then the chunk's count — see `ObjectEnv::chunk_mut`.
+        let spine = Arc::make_mut(&mut self.chunks);
+        let idx = route.unwrap_or_else(|| {
+            if spine.is_empty() {
+                spine.push(Arc::new(Vec::with_capacity(MEM_CHUNK)));
             }
-        };
-        if Arc::strong_count(&self.chunks[idx]) > 1 {
+            spine.len() - 1
+        });
+        if Arc::strong_count(&spine[idx]) > 1 {
             self.cow_copied += 1;
         }
-        let chunk = Arc::make_mut(&mut self.chunks[idx]);
+        let chunk = Arc::make_mut(&mut spine[idx]);
         let inserted = match chunk.binary_search(&o) {
             Ok(_) => false,
             Err(slot) => {
@@ -269,12 +274,9 @@ impl MemberSet {
                 true
             }
         };
-        if self.chunks[idx].len() >= MEM_CHUNK * 2 {
-            let tail = {
-                let chunk = Arc::make_mut(&mut self.chunks[idx]);
-                chunk.split_off(chunk.len() / 2)
-            };
-            self.chunks.insert(idx + 1, Arc::new(tail));
+        if chunk.len() >= MEM_CHUNK * 2 {
+            let tail = chunk.split_off(chunk.len() / 2);
+            spine.insert(idx + 1, Arc::new(tail));
         }
         inserted
     }
@@ -568,6 +570,78 @@ mod tests {
             Some(&Value::Int(-1))
         );
         assert_ne!(snap, oe);
+    }
+
+    /// A clone shares the spine itself — one pointer, however many
+    /// chunks — and a writer un-shares it before it looks at a chunk's
+    /// count, so `cow_copied_chunks` still advances by exactly one per
+    /// first write to a chunk a live snapshot shares.
+    #[test]
+    fn a_writer_unshares_the_spine_before_it_counts_copies() {
+        let a = AttrName::new("a");
+        let mut oe = ObjectEnv::new();
+        for i in 0..400u64 {
+            oe.insert(
+                Oid::from_raw(i),
+                Object::new("P", [("a", Value::Int(i as i64))]),
+            );
+        }
+        assert!(oe.chunk_count() >= 3);
+        let set = |oe: &mut ObjectEnv, o: u64, v: i64| {
+            let obj = oe.get_mut(Oid::from_raw(o)).unwrap();
+            obj.attrs.insert(a.clone(), Value::Int(v));
+        };
+        let base = oe.cow_copied_chunks();
+        let snap = oe.clone();
+        assert!(Arc::ptr_eq(&snap.chunks, &oe.chunks));
+        set(&mut oe, 0, -1);
+        assert!(!Arc::ptr_eq(&snap.chunks, &oe.chunks));
+        assert_eq!(oe.cow_copied_chunks(), base + 1, "first write to chunk 0");
+        set(&mut oe, 1, -2);
+        assert_eq!(oe.cow_copied_chunks(), base + 1, "chunk 0 is already ours");
+        set(&mut oe, 399, -3);
+        assert_eq!(
+            oe.cow_copied_chunks(),
+            base + 2,
+            "first write to the last chunk"
+        );
+        // The snapshot, taken before all three, still reads the old values.
+        for (o, old) in [(0u64, 0i64), (1, 1), (399, 399)] {
+            let seen = snap.get(Oid::from_raw(o)).unwrap().attr(&a);
+            assert_eq!(seen, Some(&Value::Int(old)));
+        }
+        assert_eq!(snap.cow_copied_chunks(), base);
+        assert_eq!(snap.len(), 400);
+        assert_ne!(snap, oe);
+        // No live snapshot, nothing to copy; a new one, one copy again.
+        drop(snap);
+        set(&mut oe, 200, -4);
+        assert_eq!(oe.cow_copied_chunks(), base + 2);
+        let snap = oe.clone();
+        set(&mut oe, 200, -5);
+        assert_eq!(oe.cow_copied_chunks(), base + 3);
+        assert_eq!(
+            snap.get(Oid::from_raw(200)).unwrap().attr(&a),
+            Some(&Value::Int(-4))
+        );
+
+        // The member spine follows the same discipline.
+        let mut ms = MemberSet::new();
+        for i in 0..3000u64 {
+            ms.insert(Oid::from_raw(i * 2));
+        }
+        assert!(ms.chunk_count() >= 3);
+        let base = ms.cow_copied_chunks();
+        let snap = ms.clone();
+        assert!(Arc::ptr_eq(&snap.chunks, &ms.chunks));
+        ms.insert(Oid::from_raw(1));
+        ms.insert(Oid::from_raw(3));
+        assert_eq!(ms.cow_copied_chunks(), base + 1);
+        ms.insert(Oid::from_raw(6001));
+        assert_eq!(ms.cow_copied_chunks(), base + 2);
+        assert_eq!((snap.len(), ms.len()), (3000, 3003));
+        assert!(!snap.contains(&Oid::from_raw(1)) && ms.contains(&Oid::from_raw(1)));
+        assert_eq!(snap.cow_copied_chunks(), base);
     }
 
     /// Equality is content equality: chunk boundaries (driven by insert

@@ -35,8 +35,9 @@ impl std::error::Error for StoreError {}
 ///
 /// [`Store`] is `Clone`; reduction-outcome exploration and the optimizer's
 /// equivalence harness snapshot it freely. Since the environments are
-/// chunked copy-on-write structures (see [`crate::env`]), a clone copies
-/// only the chunk spines — `O(n / CHUNK)`, not `O(n)` — which is what
+/// chunked copy-on-write structures behind shared spines (see
+/// [`crate::env`]), a clone bumps one pointer per environment —
+/// `O(extents)`, not `O(n / CHUNK)`, let alone `O(n)` — which is what
 /// lets the kernel take a snapshot on every admission without paying for
 /// store size.
 ///
@@ -203,7 +204,7 @@ impl Store {
     }
 
     /// Total chunks across the object spine and every extent's member
-    /// spine — the cost of cloning this store, and what the snapshot
+    /// spine — what a clone of this store shares, and what the snapshot
     /// telemetry reports as "shared" on each admission.
     pub fn chunk_count(&self) -> u64 {
         self.objects.chunk_count() + self.extents.chunk_count()

@@ -38,8 +38,10 @@ pub enum Span {
     SchedWait,
     /// Waiting for the kernel state lock.
     LockAcquire,
-    /// The COW spine clone taken for a concurrently admitted reader.
+    /// The COW store clone taken for a concurrently admitted reader.
     SnapshotAcquire,
+    /// The statement-cache lookup: was this text already judged?
+    StatementCache,
     /// Parse and extent resolution.
     Parse,
     /// The fused Figure 1/3 type-and-effect pass.
@@ -92,6 +94,7 @@ const SPANS: [(&str, Option<(&str, &str)>); Span::ALL.len()] = [
             "Nanoseconds spent acquiring the COW store snapshot under the read lock.",
         )),
     ),
+    phase!("statement-cache"),
     phase!("parse"),
     phase!("typecheck"),
     phase!("optimize"),
@@ -109,10 +112,11 @@ pub type SpanHistograms = [Histogram; Span::ALL.len()];
 
 impl Span {
     /// Every span, in table order.
-    pub const ALL: [Span; 12] = [
+    pub const ALL: [Span; 13] = [
         Span::SchedWait,
         Span::LockAcquire,
         Span::SnapshotAcquire,
+        Span::StatementCache,
         Span::Parse,
         Span::Typecheck,
         Span::Optimize,
@@ -385,6 +389,20 @@ impl<'a> Tracer<'a> {
         if self.timed() {
             let now = self.now_ns();
             self.end_at(token, now, verdict);
+        }
+    }
+
+    /// Closes a span whose detail is only known at its end — what a
+    /// lookup found. The closure builds `(detail, verdict)`.
+    pub fn end_found(&mut self, token: Option<usize>, found: impl FnOnce() -> (String, String)) {
+        let mut detail = None;
+        self.end_with(token, || {
+            let (d, verdict) = found();
+            detail = Some(d);
+            Some(verdict)
+        });
+        if let (Some(idx), Some(detail)) = (token, detail) {
+            self.spans[idx].1.detail = detail;
         }
     }
 

@@ -5,7 +5,7 @@ use ioql_schema::Schema;
 use std::collections::BTreeMap;
 
 /// Design-space options for the type system.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct TypeOptions {
     /// Accept downcasts `(C) q` where `C` is a *subclass* of `q`'s static
     /// class. Paper Note 2: "this is an inherently unsafe operation, and

@@ -6,7 +6,9 @@
 //! that no longer exists, and stay declared (deprecated, read by no
 //! code) only because the harness writes them in struct literals. The
 //! second test holds them to their old contract: no value of theirs
-//! changes an observable.
+//! changes an observable. The last test spells the reply and counter
+//! types `inproc.rs` and `wire.rs` read off a request — the ones a change
+//! to how results are shared would be tempted to move.
 
 #![allow(deprecated)] // spelling the four inert fields is the point
 
@@ -16,7 +18,10 @@ use ioql::eval::{DefEnv, EvalConfig};
 use ioql::opt::{OptOptions, Stats};
 use ioql::plan::{execute, execute_with_profile, lower_with, CompileVerdict, ParSpec, Plan};
 use ioql::types::{check_query, TypeEnv};
-use ioql::{Database, DbOptions, Durability, Engine, FirstChooser, Governor, Query};
+use ioql::{
+    Admitted, CacheStats, Database, DbOptions, Durability, Engine, FirstChooser, Governor, Query,
+    QueryResult, Session, Value,
+};
 
 const DDL: &str = "
     class Person extends Object (extent Persons) {
@@ -133,4 +138,43 @@ fn a_plan_lowered_for_a_pool_of_four_is_the_plan_lowered_for_none() {
         };
         assert_eq!(run(&zero), run(&four), "{src}");
     }
+}
+
+/// What `benchmark/src/{inproc,wire}.rs` read off a request and off the
+/// cache, typed the way they type it: an owned `Value` (not a shared
+/// one), `cached`, the admission stamp, the three `u64` cache counters,
+/// and the per-session options swap `wire.rs::PathSessions` uses to take
+/// the miss path on purpose.
+#[test]
+fn the_reply_and_counter_types_the_harness_reads() {
+    let db = populated(bench_options(0));
+    let mut hit: Session = db.session("traced-hit");
+    let mut miss: Session = db.session("traced-miss");
+    miss.set_options(DbOptions {
+        cache_capacity: 0,
+        ..db.options()
+    });
+    let before: CacheStats = db.cache_stats();
+    for (via_hit, want_cached) in [(true, false), (true, true), (false, false)] {
+        let session = if via_hit { &mut hit } else { &mut miss };
+        let QueryResult {
+            value,
+            cached,
+            admitted,
+            ..
+        } = session.query(QUERIES[3]).unwrap();
+        let value: Value = value;
+        let cached: bool = cached;
+        let admitted: Option<Admitted> = admitted;
+        assert_eq!(value, Value::Int((21..=32).sum()));
+        assert_eq!(cached, want_cached);
+        assert!(matches!(admitted, Some(Admitted::Concurrent { .. })));
+    }
+    let after = db.cache_stats();
+    let (hits, misses, evictions): (u64, u64, u64) = (
+        after.hits - before.hits,
+        after.misses - before.misses,
+        after.evictions - before.evictions,
+    );
+    assert_eq!((hits, misses, evictions), (1, 1, 0));
 }

@@ -6,6 +6,11 @@
 //! generated queries (both disciplines, definitions in scope), and pin
 //! the bug the hand-copied guards had: a `new` reached through two
 //! definitions (or a §5 method) was invisible to `Analysis::functional`.
+//!
+//! The second half pins the statement cache: the judgement is derived
+//! once per *text* and shared by pointer, and a shared artifact never
+//! crosses a boundary it was not judged under — other type options, the
+//! other discipline, another catalogue.
 
 #![allow(clippy::result_large_err)]
 
@@ -13,8 +18,12 @@ use ioql::effects::{infer_definition, infer_query, Discipline, EffectEnv};
 use ioql::eval::DefEnv;
 use ioql::opt::Stats;
 use ioql::plan::lower;
+use ioql::types::TypeOptions;
 use ioql::types::{check_definition, check_query, TypeEnv};
-use ioql::{Admitted, Database, DbError, DbOptions, Mode};
+use ioql::{
+    Admitted, CacheStats, Chooser, Database, DbError, DbOptions, FirstChooser, LastChooser, Limits,
+    Mode, QueryResult, Session, Value,
+};
 use ioql_testkit::fixtures::{jack_jill, payroll, Fixture};
 use ioql_testkit::gen::{GenConfig, QueryGen};
 
@@ -125,7 +134,11 @@ fn prepared_is_the_public_composition_and_lowering_reads_it() {
                 for src in variants(calls, &generated(&fx, cfg, seed)) {
                     let prepared = match (db.prepare(&src), composed.judge(&fx, &src)) {
                         (Ok(p), Ok((elab, ty, effect))) => {
-                            assert_eq!((&p.elab, &p.ty, &p.effect), (&elab, &ty, &effect), "{src}");
+                            assert_eq!(
+                                (&*p.elab, &p.ty, &p.effect),
+                                (&elab, &ty, &effect),
+                                "{src}"
+                            );
                             p
                         }
                         (Err(e), Err(expected)) => {
@@ -269,4 +282,285 @@ fn a_type_error_outranks_an_earlier_interference_rejection() {
         assert_eq!(got, composed.judge(&fx, &src).unwrap_err(), "{src}");
         assert!(got.contains(expected), "{src}: {got}");
     }
+}
+
+// ---------------------------------------------------------------------
+// The warm statement: judged once per text, shared by pointer.
+
+/// What a statement-cache probe did to the counters since `before`:
+/// `(hits, misses, evictions)`.
+fn statement_delta(db: &Database, before: CacheStats) -> (u64, u64, u64) {
+    let now = db.statement_stats();
+    (
+        now.hits - before.hits,
+        now.misses - before.misses,
+        now.evictions - before.evictions,
+    )
+}
+
+fn session_with(db: &Database, label: &str, change: impl FnOnce(&mut DbOptions)) -> Session {
+    let mut session = db.session(label);
+    let mut opts = session.options();
+    change(&mut opts);
+    session.set_options(opts);
+    session
+}
+
+/// (a) The key carries the discipline and the type options: a statement
+/// one handle warmed is never served to a handle that would judge the
+/// text differently, and the refusal does not disturb the first handle.
+#[test]
+fn a_warm_statement_never_crosses_disciplines_or_type_options() {
+    // ⊢ vs ⊢': the paper's interfering comprehension.
+    let fx = jack_jill();
+    let db = database(&fx, JJ_DEFS, DbOptions::default());
+    let interfering = "size({ size(Ps) + (new P(name: 1)).name | p <- Ps })";
+    let mut permissive = db.session("permissive");
+    let mut strict = session_with(&db, "strict", |o| o.require_deterministic = true);
+    permissive.query(interfering).unwrap();
+    let refused = strict.query(interfering).unwrap_err().to_string();
+    assert!(refused.contains("interfering effect"), "{refused}");
+    permissive.query(interfering).unwrap();
+    // A text both disciplines accept is still judged once per discipline.
+    let before = db.statement_stats();
+    let sizes = [&mut permissive, &mut strict].map(|s| s.query("size(Ps)").unwrap().value);
+    assert_eq!(sizes[0], sizes[1]);
+    assert_eq!(statement_delta(&db, before), (0, 2, 0));
+
+    // `allow_downcast`: here the warmed statement *is* retained (it only
+    // reads), so the key is all that keeps it from the sound handle.
+    let fx = payroll();
+    let db = database(&fx, PAYROLL_DEFS, DbOptions::default());
+    let downcast = "{ ((Manager) e).EmpID | e <- Employees, e.EmpID = 1 }";
+    let unsound = TypeOptions {
+        allow_downcast: true,
+    };
+    let mut casting = session_with(&db, "casting", |o| o.type_options = unsound);
+    let mut sound = db.session("sound");
+    let before = db.statement_stats();
+    for _ in 0..2 {
+        assert_eq!(casting.query(downcast).unwrap().value, Value::set([]));
+    }
+    assert_eq!(statement_delta(&db, before), (1, 1, 0), "retained and hit");
+    assert!(matches!(sound.query(downcast), Err(DbError::Type(_))));
+    assert_eq!(casting.query(downcast).unwrap().value, Value::set([]));
+    assert_eq!(statement_delta(&db, before), (2, 2, 0));
+}
+
+/// (b) Only successful preparations are retained: a text that failed
+/// under one catalogue is judged afresh under the next.
+#[test]
+fn a_failed_preparation_is_not_retained() {
+    let fx = jack_jill();
+    let db = database(&fx, JJ_DEFS, DbOptions::default());
+    let mut session = db.session("late-def");
+    let src = "size(later())";
+    for _ in 0..2 {
+        assert!(matches!(session.query(src), Err(DbError::Type(_))));
+    }
+    assert_eq!(db.statement_stats().entries, 0);
+    session
+        .define("define later() as { p.name | p <- Ps };")
+        .unwrap();
+    assert_eq!(session.query(src).unwrap().value, Value::Int(2));
+}
+
+/// (c) A statement is valid under the catalogue it was judged under and
+/// no other: every `define` swaps the catalogue pointer, and the entry
+/// holds its own catalogue alive, so no later catalogue can be mistaken
+/// for it.
+#[test]
+fn a_define_makes_a_warm_statement_prepare_again() {
+    let fx = jack_jill();
+    let db = database(&fx, JJ_DEFS, DbOptions::default());
+    let mut session = db.session("definer");
+    let src = "{ p.name | p <- Ps }";
+    let cold = session.query(src).unwrap();
+    let before = db.statement_stats();
+    assert_eq!(session.query(src).unwrap().value, cold.value);
+    assert_eq!(statement_delta(&db, before), (1, 0, 0));
+
+    session.define("define one() as 1;").unwrap();
+    let again = session.query(src).unwrap();
+    assert_eq!(statement_delta(&db, before), (1, 1, 1), "stale, re-judged");
+    assert_eq!(
+        (again.value, again.ty),
+        (cold.value.clone(), cold.ty.clone())
+    );
+    // The *result* cache is keyed on the elaborated query, not the
+    // statement: a definition changes no extent, so the answer is served.
+    assert!(again.cached);
+
+    // Two in a row: the entry was judged under the catalogue before
+    // both, the request sees the one after both.
+    session.define("define two() as 2;").unwrap();
+    session.define("define three() as 3;").unwrap();
+    assert_eq!(session.query(src).unwrap().value, cold.value);
+    assert_eq!(statement_delta(&db, before), (1, 2, 2));
+    assert_eq!(session.query(src).unwrap().value, cold.value);
+    assert_eq!(statement_delta(&db, before), (2, 2, 2));
+    assert_eq!(db.statement_stats().entries, 1);
+}
+
+/// Everything a reply shows that must not depend on whether the
+/// statement was warm: `(value, type, static effect, runtime effect,
+/// admitted on a snapshot, cells charged)`.
+type Observed = (Value, ioql::Type, ioql::Effect, ioql::Effect, bool, u64);
+
+fn observe(session: &mut Session, src: &str, chooser: &mut dyn Chooser) -> Observed {
+    let cells_before = session.budget_spent().unwrap();
+    let r: QueryResult = session.query_with(src, chooser).unwrap();
+    (
+        r.value,
+        r.ty,
+        r.static_effect,
+        r.runtime_effect,
+        matches!(r.admitted, Some(Admitted::Concurrent { .. })),
+        session.budget_spent().unwrap() - cells_before,
+    )
+}
+
+/// (d) Cold, warm and fresh-kernel runs of one text are one observable.
+/// A warm statement is exercised both ways: with its result cached, and
+/// — after a write moves the read set's versions — executed from the
+/// shared artifact.
+#[test]
+fn cold_warm_and_fresh_kernel_runs_agree() {
+    let fx = jack_jill();
+    let opts = DbOptions {
+        session_budget: Some(Limits::none()),
+        ..DbOptions::default()
+    };
+    let write = "(new P(name: 7)).name";
+    let (mut warm_runs, mut writers) = (0usize, 0usize);
+    for seed in 0..40u64 {
+        for src in variants(JJ_CALLS, &generated(&fx, GenConfig::default(), seed)) {
+            for last in [false, true] {
+                let mut chooser: Box<dyn Chooser> = if last {
+                    Box::new(LastChooser)
+                } else {
+                    Box::new(FirstChooser)
+                };
+                let db = database(&fx, JJ_DEFS, opts.clone());
+                let mut session = db.session("subject");
+                let cold = observe(&mut session, &src, &mut *chooser);
+                let fresh_db = database(&fx, JJ_DEFS, opts.clone());
+                let mut fresh = fresh_db.session("fresh");
+                assert_eq!(cold, observe(&mut fresh, &src, &mut *chooser), "{src}");
+                if !db.prepare(&src).unwrap().thm7.cacheable() {
+                    // A writer is never retained: its second run is cold
+                    // again (and, having written, not comparable).
+                    assert_eq!(db.statement_stats().entries, 0, "{src}");
+                    writers += 1;
+                    continue;
+                }
+                // Warm statement, cached result.
+                let before = db.statement_stats();
+                assert_eq!(cold, observe(&mut session, &src, &mut *chooser), "{src}");
+                // Warm statement, stale result: the same write on both
+                // kernels, then the text again — warm here, cold there.
+                for s in [&mut session, &mut fresh] {
+                    s.query(write).unwrap();
+                }
+                let warm = observe(&mut session, &src, &mut *chooser);
+                assert_eq!(statement_delta(&db, before), (2, 1, 0), "{src}");
+                let fresher_db = database(&fx, JJ_DEFS, opts.clone());
+                let mut fresher = fresher_db.session("fresher");
+                fresher.query(write).unwrap();
+                assert_eq!(warm, observe(&mut fresher, &src, &mut *chooser), "{src}");
+                warm_runs += 1;
+            }
+        }
+    }
+    assert!(
+        warm_runs >= 40 && writers >= 40,
+        "{warm_runs} warm / {writers} writers"
+    );
+
+    // N distinct `new` statements leave nothing behind.
+    let db = database(&fx, JJ_DEFS, DbOptions::default());
+    let mut session = db.session("one-offs");
+    session.query("size(Ps)").unwrap();
+    let before = db.statement_stats();
+    for n in 0..50 {
+        session.query(&format!("(new P(name: {n})).name")).unwrap();
+    }
+    assert_eq!(db.statement_stats().entries, before.entries);
+    assert_eq!(statement_delta(&db, before), (0, 50, 0));
+}
+
+/// (e) The statement cache is bounded by the result cache's capacity,
+/// with its FIFO discipline.
+#[test]
+fn retained_statements_are_bounded_by_the_cache_capacity() {
+    let fx = jack_jill();
+    let opts = DbOptions {
+        cache_capacity: 4,
+        ..DbOptions::default()
+    };
+    let db = database(&fx, JJ_DEFS, opts);
+    let mut session = db.session("many-texts");
+    let text = |n: usize| format!("{{ p.name + {n} | p <- Ps }}");
+    for n in 0..7 {
+        session.query(&text(n)).unwrap();
+        assert!(db.statement_stats().entries <= 4);
+    }
+    let s = db.statement_stats();
+    assert_eq!((s.entries, s.capacity, s.evictions), (4, 4, 3));
+    assert_eq!((s.hits, s.misses), (0, 7));
+    // The newest text is resident, the oldest is not.
+    session.query(&text(6)).unwrap();
+    assert_eq!(db.statement_stats().hits, 1);
+    session.query(&text(0)).unwrap();
+    assert_eq!(db.statement_stats().misses, 8);
+
+    // A kernel with no result cache retains no statement.
+    let opts = DbOptions {
+        cache_capacity: 0,
+        ..DbOptions::default()
+    };
+    let db = database(&fx, JJ_DEFS, opts);
+    let mut session = db.session("uncached");
+    for _ in 0..3 {
+        assert!(!session.query("size(Ps)").unwrap().cached);
+    }
+    assert_eq!(db.statement_stats().entries, 0);
+    assert_eq!(db.statement_stats().hits, 0);
+}
+
+/// (f) Readers re-asking one hot text while another session defines in
+/// a loop: every `define` invalidates the statement mid-flight, every
+/// reply is still the right one, and nobody deadlocks (state →
+/// statements is the only order the two locks are ever taken in).
+#[test]
+fn a_hot_text_stays_correct_while_definitions_arrive() {
+    let fx = jack_jill();
+    let db = database(&fx, JJ_DEFS, DbOptions::default());
+    let src = "{ p.name | p <- Ps } union { size(names()) }";
+    let expected = db.session("oracle").query(src).unwrap().value;
+    std::thread::scope(|scope| {
+        for reader in 0..4 {
+            let mut session = db.session(format!("reader-{reader}"));
+            let expected = &expected;
+            scope.spawn(move || {
+                for _ in 0..300 {
+                    let r = session.query(src).unwrap();
+                    assert_eq!(&r.value, expected);
+                    assert!(matches!(r.admitted, Some(Admitted::Concurrent { .. })));
+                }
+            });
+        }
+        let mut definer = db.session("definer");
+        scope.spawn(move || {
+            for n in 0..60 {
+                definer.define(&format!("define d{n}() as {n};")).unwrap();
+            }
+        });
+    });
+    // One probe per request, plus one more for each request a `define`
+    // overtook between its cold preparation and its admission.
+    let s = db.statement_stats();
+    assert!(s.hits + s.misses >= 1 + 4 * 300, "{s:?}");
+    assert!(s.entries <= 1, "{s:?}");
+    assert_eq!(db.definitions().len(), 3 + 60);
 }

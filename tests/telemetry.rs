@@ -29,13 +29,18 @@ fn db_with(opts: DbOptions, n: usize, seed: u64) -> Database {
 }
 
 /// Runs a fixed mixed workload (scans, filtered scans, a join shape, a
-/// mutating batch, repeats that exercise the cache) under a
+/// mutating batch, repeats that exercise both caches) under a
 /// session-wide governor and renders every observable: per-query
-/// outcome lines plus final meters and the store dump.
+/// outcome lines plus final meters and the store dump. `telemetry`
+/// turns on the registry *and* the flight recorder. Every second ask is
+/// a warm statement; the last text is warm with a stale result (the
+/// batch before it moved its read set), so it executes from the shared
+/// artifact.
 fn run_workload(engine: Engine, telemetry: bool, jsonl: Option<PathBuf>) -> Vec<String> {
     let opts = DbOptions {
         engine,
         telemetry,
+        trace_capacity: if telemetry { 4 } else { 0 },
         telemetry_jsonl: jsonl,
         // Budget limits only — never deadlines (see module docs).
         limits: Limits::none()
@@ -76,6 +81,11 @@ fn run_workload(engine: Engine, telemetry: bool, jsonl: Option<PathBuf>) -> Vec<
         "cache hits={} misses={} evictions={} entries={}",
         s.hits, s.misses, s.evictions, s.entries
     ));
+    let s = db.statement_stats();
+    lines.push(format!(
+        "statements hits={} misses={} evictions={} entries={}",
+        s.hits, s.misses, s.evictions, s.entries
+    ));
     lines.push(db.dump());
     lines
 }
@@ -108,6 +118,17 @@ fn workload_queries_cover_cache_hits_and_mutation() {
         "{lines:#?}"
     );
     assert!(lines.iter().any(|l| l.contains("A(P)")), "{lines:#?}");
+    // Warm statements both ways: three texts retained (the batch is
+    // not); their second asks hit, and so do both asks of the repeated
+    // first text — the first of those with a stale result.
+    assert!(
+        lines.contains(&"statements hits=5 misses=5 evictions=0 entries=3".to_string()),
+        "{lines:#?}"
+    );
+    assert!(
+        lines.contains(&"cache hits=4 misses=4 evictions=1 entries=3".to_string()),
+        "{lines:#?}"
+    );
 }
 
 #[test]
@@ -149,6 +170,95 @@ fn metrics_series_cover_cache_governor_and_phases() {
     ] {
         assert!(text.contains(series), "missing {series:?} in:\n{text}");
     }
+}
+
+/// The saving sits where the statement cache says it does: over R
+/// requests drawn from T distinct cacheable texts the front end runs T
+/// times, not R — exact counts, off the same spans the ledger reads.
+#[test]
+fn a_text_is_parsed_and_judged_once() {
+    use ioql::telemetry::Span;
+    let opts = DbOptions {
+        telemetry: true,
+        trace_capacity: 4,
+        ..DbOptions::default()
+    };
+    let db = db_with(opts, 8, 7);
+    let texts: Vec<String> = (0..5)
+        .map(|n| format!("{{ x.name + {n} | x <- Ps }}"))
+        .collect();
+    let (t, r) = (texts.len() as u64, 60u64);
+    let mut session = db.session("loop");
+    let front_end = |db: &Database| {
+        [Span::Parse, Span::Typecheck, Span::StatementCache].map(|s| db.metrics().span(s).count())
+    };
+    let reg = db.metrics().registry();
+    assert_eq!(front_end(&db), [0, 0, 0]);
+    for i in 0..r as usize {
+        session.query(&texts[(i * 7) % texts.len()]).unwrap();
+    }
+    assert_eq!(front_end(&db), [t, t, r]);
+    assert_eq!(
+        reg.counter_value("ioql_statement_cache_hits_total"),
+        Some(r - t)
+    );
+    assert_eq!(
+        reg.counter_value("ioql_statement_cache_misses_total"),
+        Some(t)
+    );
+    assert_eq!(
+        reg.counter_value("ioql_statement_cache_evictions_total"),
+        Some(0)
+    );
+    assert_eq!(reg.counter_value("ioql_cache_hits_total"), Some(r - t));
+
+    // "Why was this statement (not) reused" from the record alone: a
+    // warm request's tree has the lookup — carrying the judgement a cold
+    // request's `typecheck` span shows — and no front-end spans.
+    let warm = &db.traces_last(1)[0];
+    let names: Vec<&str> = warm.spans.iter().map(|s| s.name.as_str()).collect();
+    assert!(
+        !names.contains(&"parse") && !names.contains(&"typecheck"),
+        "{names:?}"
+    );
+    let lookup = warm
+        .spans
+        .iter()
+        .find(|s| s.name == "statement-cache")
+        .unwrap();
+    assert_eq!(lookup.verdict.as_deref(), Some("hit"));
+    assert_eq!(lookup.detail, "set(int) ! {R(P), Ra(P)}");
+    // Cold and cacheable: a miss, then the front end.
+    session.query("{ x.name | x <- Ps, x.name < 3 }").unwrap();
+    let cold = &db.traces_last(1)[0];
+    assert_eq!(cold.verdict_of("statement-cache"), Some("miss"));
+    assert_eq!(
+        cold.verdict_of("typecheck"),
+        Some("set(int) ! {R(P), Ra(P)}")
+    );
+    // A write is judged every time, and says why.
+    session.query("(new P(name: 99)).name").unwrap();
+    let write = &db.traces_last(1)[0];
+    let verdicts: Vec<&str> = write
+        .spans
+        .iter()
+        .filter(|s| s.name == "statement-cache")
+        .filter_map(|s| s.verdict.as_deref())
+        .collect();
+    assert_eq!(verdicts, ["miss", "not retained(effect not read-only)"]);
+    // A `define` in between: stale, by name.
+    session.define("define one() as 1;").unwrap();
+    session.query(&texts[0]).unwrap();
+    assert_eq!(
+        db.traces_last(1)[0].verdict_of("statement-cache"),
+        Some("stale(catalogue)")
+    );
+    // `:stats` says the same in one line.
+    let (_, stats) = db.kernel().admin(&db.options(), ":stats").unwrap().unwrap();
+    assert!(
+        stats.contains("statements: 55 hit(s), 8 miss(es), 1 eviction(s), 6 live\n"),
+        "{stats}"
+    );
 }
 
 #[test]
@@ -355,7 +465,7 @@ fn histograms_and_span_trees_are_views_of_one_measurement() {
         assert_eq!(h.sum_ns(), durs.iter().sum::<u64>(), "{span:?} sum");
         timed += 1;
     }
-    assert_eq!(timed, 10);
+    assert_eq!(timed, 11);
     // The same clock stamps the result: `wait` is the reading that closed
     // the sched-wait span, `elapsed` the one that sealed the record.
     let r = session.query("size(Ps)").unwrap();
