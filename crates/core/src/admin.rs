@@ -22,7 +22,7 @@ impl DbKernel {
     pub fn admin(&self, opts: &DbOptions, line: &str) -> Option<Result<(String, String), String>> {
         let reply = |tag: &str, text: String| Some(Ok((tag.to_string(), text)));
         match line {
-            ":stats" => reply("stats", self.stats(opts)),
+            ":stats" => reply("stats", self.stats()),
             ":metrics" => reply("metrics", self.metrics().registry().render_prometheus()),
             ":wal status" => reply(
                 "wal",
@@ -49,7 +49,7 @@ impl DbKernel {
 
     /// `:stats`: cache, statement, VM, scheduler and snapshot counters,
     /// then every extent's size and version.
-    fn stats(&self, opts: &DbOptions) -> String {
+    fn stats(&self) -> String {
         let m = self.metrics();
         let s = self.cache_stats();
         let mut out = format!(
@@ -66,11 +66,10 @@ impl DbKernel {
             s.hits, s.misses, s.evictions, s.entries
         ));
         out.push_str(&format!(
-            "vm: compile {} — {} node(s) compiled, {} interpreted, {} row(s) dispatched\n",
-            if opts.compile { "on" } else { "off" },
-            m.vm.compiles.get(),
-            m.vm.fallbacks.get(),
-            m.vm.dispatches.get()
+            "vm: {} node(s) compiled, {} interpreted, {} row(s) dispatched\n",
+            m.vm_compiles.get(),
+            m.vm_fallbacks.get(),
+            m.eval.dispatches.get()
         ));
         let (commits, inflight, max_inflight, witnesses) = self.sched_snapshot();
         out.push_str(&format!(

@@ -5,7 +5,6 @@
 //! ioql schema.odl --extended   # §5 extended methods
 //! ioql schema.odl -e '{ p.name | p <- Ps }'   # one-shot query
 //! ioql schema.odl --telemetry-jsonl events.jsonl   # structured event log
-//! ioql schema.odl --compile    # bytecode VM for predicates and heads
 //! ioql schema.odl --durable state/  # crash-safe: WAL + checkpoints, recovery on start
 //! ioql schema.odl --serve 127.0.0.1:7583   # multi-client TCP server (line protocol)
 //! ioql schema.odl --serve 127.0.0.1:7583 --obs 127.0.0.1:9090   # + HTTP observability
@@ -27,7 +26,6 @@
 //! :plan analyze <query>  run the plan; per-operator est vs actual rows/time
 //! :metrics           Prometheus-style dump of the telemetry registry
 //! :stats             cache/VM/scheduler counters and per-extent sizes/versions
-//! :compile <on|off>  toggle the bytecode compile tier (plan engine)
 //! :save <file>       dump the store to a file (atomic write + checksum)
 //! :load <file>       load a store dump (replaces current contents)
 //! :checkpoint        fold the WAL into a fresh checkpoint (durable mode)
@@ -50,8 +48,7 @@ use std::error::Error;
 use std::io::{BufRead, Write};
 
 const USAGE: &str = "usage: ioql [SCHEMA.odl] [--extended] [--telemetry-jsonl FILE] \
-                     [--compile] [--durable DIR] [--serve ADDR] [--obs ADDR] \
-                     [--slow-query MS] [-e QUERY]";
+                     [--durable DIR] [--serve ADDR] [--obs ADDR] [--slow-query MS] [-e QUERY]";
 
 const HELP: &str = "\
 commands:
@@ -67,7 +64,6 @@ commands:
   :plan analyze <query>  run the plan; per-operator est vs actual rows/time
   :metrics           Prometheus-style dump of the telemetry registry
   :stats             cache/VM/scheduler counters and per-extent sizes/versions
-  :compile <on|off>  toggle the bytecode compile tier (plan engine)
   :save <file>       dump the store to a file (atomic write + checksum)
   :load <file>       load a store dump (replaces current contents)
   :checkpoint        fold the WAL into a fresh checkpoint (durable mode)
@@ -85,7 +81,6 @@ fn main() {
     let mut one_shot: Option<String> = None;
     let mut extended = false;
     let mut jsonl: Option<String> = None;
-    let mut compile = false;
     let mut durable: Option<String> = None;
     let mut serve: Option<String> = None;
     let mut obs: Option<String> = None;
@@ -93,7 +88,6 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--extended" => extended = true,
-            "--compile" => compile = true,
             "-e" => one_shot = args.next(),
             "--telemetry-jsonl" => jsonl = args.next(),
             "--durable" => {
@@ -159,11 +153,6 @@ fn main() {
     };
     if extended {
         opts.method_mode = Mode::Extended;
-    }
-    if compile {
-        opts.compile = true;
-        // Compilation lives in the plan executor.
-        opts.engine = ioql::Engine::Plan;
     }
     let ddl = match &ddl_path {
         Some(p) => match std::fs::read_to_string(p) {
@@ -393,27 +382,6 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), Box<dyn Error>> {
         print!("{}", db.explain(rest)?);
         return Ok(());
     }
-    if let Some(rest) = line.strip_prefix(":compile ") {
-        let on = match rest.trim() {
-            "on" => true,
-            "off" => false,
-            other => {
-                return Err(DbError::Internal(format!(
-                    ":compile needs `on` or `off`, got `{other}`"
-                ))
-                .into())
-            }
-        };
-        db.set_compile(on);
-        if on {
-            // The compile tier only exists on the plan engine.
-            db.set_engine(ioql::Engine::Plan);
-            println!("compile on (engine: plan)");
-        } else {
-            println!("compile off");
-        }
-        return Ok(());
-    }
     if line.starts_with("define ") {
         db.define(line)?;
         println!("defined.");
@@ -429,11 +397,10 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), Box<dyn Error>> {
     let r = db.query(line)?;
     println!("{}", r.value);
     println!(
-        "  : {}   effect {{{}}} (runtime {{{}}}), {} step(s) ({:.2} ms, cached: {})",
+        "  : {}   effect {{{}}} (runtime {{{}}}) ({:.2} ms, cached: {})",
         r.ty,
         r.static_effect,
         r.runtime_effect,
-        r.steps,
         r.elapsed.as_secs_f64() * 1e3,
         r.cached
     );

@@ -1,7 +1,8 @@
 //! The embedded database facade: one handle over a shared
 //! [`DbKernel`], running text through parse → resolve → one
 //! type-and-effect pass (`σ ! ε` plus the Theorem 7 verdict) →
-//! (optionally optimize) → evaluate.
+//! optimize → lower → execute (or, as the spec, the Figure 2 machine on
+//! the query as written).
 //!
 //! [`Database`] is the *exclusive* handle — each query runs under the
 //! kernel's state write lock against the live store, exactly as the
@@ -18,16 +19,15 @@ use crate::kernel::{Catalogue, DbKernel, ExecMode, KernelState, Prepared};
 use crate::sched::{Admitted, SchedMetrics};
 use crate::session::Session;
 use ioql_ast::{Definition, Query, Type, Value};
-use ioql_effects::{Discipline, Effect, EffectEnv, EffectError, Thm7};
+use ioql_effects::{Discipline, Effect, EffectError, Thm7};
 use ioql_eval::{
-    evaluate, Chooser, DefEnv, EvalMetrics, Exploration, FirstChooser, Governor, GovernorMetrics,
-    Limits,
+    Chooser, EvalMetrics, Exploration, FirstChooser, Governor, GovernorMetrics, Limits,
 };
 use ioql_methods::{check_schema_methods, effect_table, Mode};
 use ioql_opt::AppliedRewrite;
 use ioql_schema::Schema;
 use ioql_store::{Durability, Store};
-use ioql_syntax::{parse_program, parse_schema};
+use ioql_syntax::parse_schema;
 use ioql_telemetry::{
     Counter, EventSink, FlightRecorder, Histogram, MetricsRegistry, Span, SpanHistograms,
     TraceRecord, Tracer,
@@ -36,28 +36,30 @@ use ioql_types::TypeOptions;
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, RwLockReadGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Which evaluator runs the query.
+/// Which of the two configurations runs the query: the specification or
+/// production. What they owe each other is docs/RULES.md's "production
+/// vs spec" row, checked by `tests/production_vs_spec.rs`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
-    /// The Figure 2 small-step machine — the executable *specification*.
-    /// Slower (it re-traverses the evaluation context per step) but the
-    /// ground truth; reports a step count.
-    #[default]
+    /// The Figure 2 small-step machine — the executable *specification*
+    /// and the only oracle: it evaluates the elaborated query as written
+    /// ([`DbOptions::optimize`] and [`DbOptions::compile`] configure
+    /// production and are not consulted). Slower (it re-traverses the
+    /// evaluation context per step); reports a step count.
     SmallStep,
-    /// The independent big-step evaluator — the tree-walking
-    /// interpreter the `Plan` engine falls back to for queries it does
-    /// not lower. Agrees with the machine on value, store, and effect
-    /// trace; `tests/differential.rs` keeps it honest. Step counts are
-    /// not reported (0).
-    BigStep,
-    /// The physical-plan executor (`ioql-plan`): Theorem-7-eligible
-    /// queries are lowered to a costed operator pipeline (scans, hash
-    /// index probes, set operators) and executed there; everything else
-    /// falls back to the big-step evaluator. Observationally identical
-    /// to the interpreters — same chooser draws, governor charges, and
-    /// effects — see `tests/plan.rs`. Step counts are not reported (0).
+    /// Production: the effect-guided optimizer, then the physical-plan
+    /// executor (`ioql-plan`) — every Theorem-7-eligible query is lowered
+    /// to a costed operator pipeline (scans, hash index probes, set
+    /// operators, the bytecode VM for row expressions) and executed
+    /// there. A query the guard refuses (it mutates or invokes) runs on
+    /// the big-step interpreter `ioql_eval::eval_big`, the same one the
+    /// executor delegates uncompiled expressions to. On one query text
+    /// the executors are observationally identical — same chooser draws,
+    /// governor charges, and effects — see `tests/plan.rs`. Step counts
+    /// are not reported (0).
+    #[default]
     Plan,
 }
 
@@ -72,7 +74,10 @@ pub struct DbOptions {
     pub method_fuel: u64,
     /// Step budget per query evaluation.
     pub max_steps: u64,
-    /// Run the effect-guided optimizer before evaluating.
+    /// Run the effect-guided optimizer before lowering (production only).
+    /// On by default and not a user choice: the one caller that turns it
+    /// off is WAL replay (`durable.rs`), because a logged text is already
+    /// the optimizer's output and the recorded draws are that text's.
     pub optimize: bool,
     /// Reject queries that fail the `⊢'` determinism discipline instead
     /// of evaluating them (off by default — the paper's permissive `⊢`).
@@ -115,15 +120,14 @@ pub struct DbOptions {
     #[deprecated(note = "the worker pool is gone; the value is ignored")]
     pub parallelism: usize,
     /// Compile comprehension predicates and projection heads to the
-    /// bytecode VM on the `Plan` engine. Lowering annotates each
-    /// eligible plan node with a compile verdict — `[vm]` in `:plan`
-    /// output, or `[interp(reason)]` naming the construct that kept it
-    /// interpreted — and the executor dispatches compiled rows through
-    /// the VM in batch. The compilation contract is **no observable
-    /// changes** — values, stores, effect traces, governor meters,
-    /// chooser draw totals, stuck messages, and cache interactions are
-    /// byte-identical to `compile = false` (see `tests/compile.rs`).
-    /// Off by default.
+    /// bytecode VM (production only). Lowering annotates each eligible
+    /// plan node with a compile verdict — `[vm]` in `:plan` output, or
+    /// `[interp(reason)]` naming the construct that kept it interpreted —
+    /// and the executor dispatches compiled rows through the VM in batch.
+    /// On by default and not a user choice: `false` is the interpreted
+    /// plan `tests/compile.rs` holds the VM to, executor against
+    /// executor — values, stores, effect traces, governor meters, chooser
+    /// draw totals and stuck messages are byte-identical.
     pub compile: bool,
     /// Write-ahead-log fsync policy for committed mutating queries, in
     /// force once a durable directory is attached
@@ -180,7 +184,7 @@ impl Default for DbOptions {
             method_mode: Mode::ReadOnly,
             method_fuel: 1_000_000,
             max_steps: 10_000_000,
-            optimize: false,
+            optimize: true,
             require_deterministic: false,
             engine: Engine::default(),
             limits: Limits::none(),
@@ -188,7 +192,7 @@ impl Default for DbOptions {
             telemetry: false,
             telemetry_jsonl: None,
             parallelism: 0,
-            compile: false,
+            compile: true,
             durability: Durability::Off,
             session_budget: None,
             trace_capacity: 0,
@@ -238,11 +242,13 @@ pub struct DbMetrics {
     /// built by [`Database::governor`]).
     pub governor: GovernorMetrics,
     /// Engine work-volume counters (small-step steps, big-step
-    /// recursions).
+    /// recursions, rows dispatched through the bytecode VM and the wall
+    /// time of its batched loops).
     pub eval: EvalMetrics,
-    /// Bytecode-VM counters: plan nodes compiled vs. kept interpreted,
-    /// rows dispatched through the VM, and batch dispatch wall time.
-    pub vm: ioql_plan::VmMetrics,
+    /// Plan nodes whose expression compiled to bytecode at lowering.
+    pub vm_compiles: Counter,
+    /// Plan nodes that stayed interpreted (a fallback reason exists).
+    pub vm_fallbacks: Counter,
     /// Admission-controller counters: queries admitted concurrently and
     /// queries serialized (with their interference witnesses) — see
     /// [`crate::sched`]. The wait and snapshot-acquire timings are the
@@ -368,8 +374,23 @@ impl DbMetrics {
                     "ioql_eval_recursions_total",
                     "Named-definition recursive calls.",
                 ),
+                dispatches: c(
+                    "ioql_vm_dispatches_total",
+                    "Rows dispatched through the bytecode VM.",
+                ),
+                dispatch_ns: registry.histogram(
+                    "ioql_vm_dispatch_ns",
+                    "Wall time of batched VM dispatch loops.",
+                ),
             },
-            vm: ioql_plan::VmMetrics::new(&registry),
+            vm_compiles: c(
+                "ioql_vm_compiles_total",
+                "Plan nodes compiled to bytecode at lowering.",
+            ),
+            vm_fallbacks: c(
+                "ioql_vm_fallbacks_total",
+                "Plan nodes kept on the interpreter at lowering.",
+            ),
             sched: SchedMetrics {
                 admitted: c(
                     "ioql_sched_admitted_total",
@@ -689,28 +710,6 @@ impl Database {
         self.kernel.set_durable_handle(handle);
     }
 
-    /// Enables or disables bytecode compilation of predicates and
-    /// projection heads (see [`DbOptions::compile`]); takes effect on
-    /// the next query.
-    pub fn set_compile(&mut self, on: bool) {
-        self.options.compile = on;
-    }
-
-    /// Whether the bytecode compile tier is on.
-    pub fn compile(&self) -> bool {
-        self.options.compile
-    }
-
-    /// Selects which evaluator runs subsequent queries.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.options.engine = engine;
-    }
-
-    /// The currently selected evaluator.
-    pub fn engine(&self) -> Engine {
-        self.options.engine
-    }
-
     /// The telemetry handles (registry, counters, histograms).
     pub fn metrics(&self) -> &DbMetrics {
         self.kernel.metrics()
@@ -832,48 +831,6 @@ impl Database {
         self.kernel.statement_stats()
     }
 
-    /// Runs a full program (definitions + query) against a *clone* of the
-    /// store, leaving the database unchanged; returns the result and the
-    /// final store.
-    pub fn run_program(&self, src: &str) -> Result<(QueryResult, Store), DbError> {
-        let started = Instant::now();
-        let program = parse_program(src)?;
-        let resolved = self.schema().resolve_program(&program);
-        let checked =
-            ioql_types::check_program(self.schema(), &resolved, self.options.type_options)?;
-        let state = self.kernel.read_state();
-        let mut eenv =
-            EffectEnv::new(self.schema()).with_method_effects(self.kernel.method_effects.clone());
-        eenv.defs = state.catalogue.sigs.clone();
-        let inferred = ioql_effects::infer_program(&eenv, &checked.program)?;
-        let cfg = self.kernel.eval_config(&self.options);
-        let defs = DefEnv::from_program(&checked.program);
-        let mut store = state.store.clone();
-        drop(state);
-        let out = evaluate(
-            &cfg,
-            &defs,
-            &mut store,
-            &checked.program.query,
-            &mut FirstChooser,
-            self.options.max_steps,
-        )?;
-        Ok((
-            QueryResult {
-                value: out.value,
-                ty: checked.ty,
-                static_effect: inferred.effect,
-                runtime_effect: out.effect,
-                steps: out.steps,
-                cached: false,
-                elapsed: started.elapsed(),
-                wait: Duration::ZERO,
-                admitted: None,
-            },
-            store,
-        ))
-    }
-
     /// Static analysis of a query: type, effect, functional-ness, the
     /// `⊢'` determinism verdict, and per-operator commutation verdicts.
     pub fn analyze(&self, src: &str) -> Result<Analysis, DbError> {
@@ -919,12 +876,11 @@ impl Database {
         Ok(self.kernel.optimize_in(&state, &prepared.elab))
     }
 
-    /// Renders the physical plan the `Plan` engine would execute for a
-    /// query — the chosen operators with cost estimates and the effect
-    /// guard licensing each choice — or, when the Theorem 7 guard
-    /// refuses (or the root shape has no physical operator), a
+    /// Renders the physical plan production would execute for a query —
+    /// the chosen operators with cost estimates and the effect guard
+    /// licensing each choice — or, when the Theorem 7 guard refuses, a
     /// diagnosis of which condition failed. Respects
-    /// [`DbOptions::optimize`], exactly as execution does.
+    /// [`DbOptions::optimize`], exactly as production does.
     pub fn explain(&self, src: &str) -> Result<String, DbError> {
         let (state, prepared) = self.prepared(src)?;
         Ok(match self.plan_in(&state, prepared) {
@@ -1110,16 +1066,13 @@ fn explain_refusal(static_effect: &Effect, thm7: Thm7) -> String {
          `new`-free: {}\n    \
          invocation-free: {}\n    \
          called defs pure: {}\n  \
-         {}\n",
+         refused: {}\n",
         yes_no(thm7.write_free),
         yes_no(thm7.new_free),
         yes_no(thm7.invoke_free),
         yes_no(thm7.defs_pure),
-        match thm7.refusal() {
-            Some(reason) => format!("refused: {reason}"),
-            // The guard held but `lower` still declined ⇒ shape.
-            None => "root shape has a physical operator: no".to_string(),
-        },
+        // `lower` declines exactly when the guard does: there is a reason.
+        thm7.refusal().unwrap_or_default(),
     )
 }
 
@@ -1137,23 +1090,33 @@ mod tests {
             attribute int salary;
         }";
 
-    fn db() -> Database {
-        let mut db = Database::from_ddl(DDL).unwrap();
+    fn db_with(options: DbOptions) -> Database {
+        let mut db = Database::from_ddl_with(DDL, options).unwrap();
         db.query("{ new Person(name: n, age: n + 20) | n <- {1, 2, 3} }")
             .unwrap();
         db
     }
 
+    fn db() -> Database {
+        db_with(DbOptions::default())
+    }
+
     #[test]
     fn end_to_end_query() {
-        let mut db = db();
-        let r = db.query("{ p.age | p <- Persons, p.name < 3 }").unwrap();
-        assert_eq!(r.value, Value::set([Value::Int(21), Value::Int(22)]));
-        assert_eq!(r.ty, Type::set(Type::Int));
-        assert!(r.runtime_effect.subeffect(&r.static_effect));
-        assert!(r.steps > 0);
-        // The embedded handle bypasses admission entirely.
-        assert_eq!(r.admitted, None);
+        let spec = DbOptions {
+            engine: Engine::SmallStep,
+            ..DbOptions::default()
+        };
+        for (mut db, stepped) in [(db_with(spec), true), (db(), false)] {
+            let r = db.query("{ p.age | p <- Persons, p.name < 3 }").unwrap();
+            assert_eq!(r.value, Value::set([Value::Int(21), Value::Int(22)]));
+            assert_eq!(r.ty, Type::set(Type::Int));
+            assert!(r.runtime_effect.subeffect(&r.static_effect));
+            // Only the spec machine counts steps.
+            assert_eq!(r.steps > 0, stepped);
+            // The embedded handle bypasses admission entirely.
+            assert_eq!(r.admitted, None);
+        }
     }
 
     #[test]
@@ -1213,28 +1176,6 @@ mod tests {
     }
 
     #[test]
-    fn run_program_does_not_mutate_db() {
-        let db = db();
-        let before = db.extent_len("Persons");
-        let (r, store_after) = db
-            .run_program(
-                "define mk() as new Person(name: 99, age: 99); \
-                 size({ mk() | x <- {1, 2} })",
-            )
-            .unwrap();
-        assert_eq!(r.value, Value::Int(2));
-        assert_eq!(db.extent_len("Persons"), before);
-        assert_eq!(
-            store_after
-                .extents
-                .members(&ioql_ast::ExtentName::new("Persons"))
-                .unwrap()
-                .len(),
-            before + 2
-        );
-    }
-
-    #[test]
     fn require_deterministic_mode_rejects() {
         let opts = DbOptions {
             require_deterministic: true,
@@ -1273,12 +1214,11 @@ mod tests {
     #[test]
     fn plan_engine_runs_and_falls_back() {
         let opts = DbOptions {
-            engine: Engine::Plan,
             cache_capacity: 0,
             ..DbOptions::default()
         };
         let mut db = Database::from_ddl_with(DDL, opts).unwrap();
-        // A mutating query is ineligible: the big-step fallback runs it.
+        // A mutating query is refused by the guard: big-step runs it.
         db.query("{ new Person(name: n, age: n + 20) | n <- {1, 2, 3} }")
             .unwrap();
         assert_eq!(db.extent_len("Persons"), 3);
@@ -1291,17 +1231,11 @@ mod tests {
 
     #[test]
     fn explain_renders_plans_and_diagnoses_refusals() {
-        // On the interpreted tier (the default): a compiled Filter costs
-        // less than the index build + probe, and the cost model then
-        // rightly stops picking HashIndexProbe for this tiny extent.
-        let mut db = Database::from_ddl(DDL).unwrap();
-        db.query("{ new Person(name: n, age: n + 20) | n <- {1, 2, 3} }")
-            .unwrap();
-        // Enough rows that the cost model picks the index over the scan.
-        db.query("{ new Person(name: n, age: n) | n <- {4, 5, 6, 7, 8, 9} }")
-            .unwrap();
+        let db = db();
+        // A compiled Filter costs less per row than an index build +
+        // probe, so the cost model keeps the scan.
         let plan = db.explain("{ p | p <- Persons, p.name = 2 }").unwrap();
-        assert!(plan.contains("HashIndexProbe"), "{plan}");
+        assert!(plan.contains("Filter  p.name = 2  [vm]"), "{plan}");
         assert!(plan.contains("ExtentScan"), "{plan}");
         assert!(plan.contains("Thm 7"), "{plan}");
         let refused = db
@@ -1309,11 +1243,10 @@ mod tests {
             .unwrap();
         assert!(refused.contains("no physical plan"), "{refused}");
         assert!(refused.contains("`new`-free: no"), "{refused}");
-        let shape = db.explain("1 + 2").unwrap();
-        assert!(
-            shape.contains("root shape has a physical operator: no"),
-            "{shape}"
-        );
+        // A root with no operator of its own passes the guard like any
+        // other and is one `Eval` node (of the optimizer's output).
+        let scalar = db.explain("1 + 2").unwrap();
+        assert!(scalar.ends_with("\n  Eval  3  (pure operand, interpreted)\n"));
         // Aggregate roots lower: one `Aggregate` over the child plan,
         // under the same Thm 7 guard line.
         for (src, root, child) in [

@@ -771,10 +771,11 @@ impl DbKernel {
                 .collect::<BTreeMap<_, _>>()
         });
         let cells_before = governor.cells_spent();
-        // The engines run the optimizer's output or the shared AST
-        // itself: the statement is never copied.
+        let engine = opts.engine;
+        // Production runs the optimizer's output, the spec (and WAL
+        // replay) the shared AST itself: the statement is never copied.
         let optimized;
-        let elab: &Query = if opts.optimize {
+        let elab: &Query = if engine == Engine::Plan && opts.optimize {
             let sp = tracer.begin(Span::Optimize, "");
             let (rewritten, applied) = self.optimize_in(state, elab);
             tracer.end_with(sp, || Some(format!("{} rewrite(s)", applied.len())));
@@ -797,12 +798,11 @@ impl DbKernel {
             .with_governor(governor)
             .with_metrics(&self.metrics.eval);
         let defs = &state.catalogue.env;
-        let engine = opts.engine;
         let max_steps = opts.max_steps;
         // Lower to a physical plan before taking the store mutably (the
-        // lowering reads extent sizes for its cost model). `None` — the
-        // Theorem 7 guard refused, or the engine is an interpreter —
-        // means the interpreters run the query as before.
+        // lowering reads extent sizes for its cost model). `None` means
+        // the Theorem 7 guard refused (big-step runs the query), or the
+        // engine is the spec.
         let plan = match engine {
             Engine::Plan => {
                 let sp = tracer.begin(Span::Lower, "");
@@ -810,32 +810,42 @@ impl DbKernel {
                 tracer.end_with(sp, || {
                     Some(match &plan {
                         Some(_) => "physical plan".to_string(),
-                        None => "no plan — interpreter tier".to_string(),
+                        None => format!(
+                            "no plan — Thm 7 refused: {}",
+                            thm7.refusal().unwrap_or_default()
+                        ),
                     })
                 });
                 plan
             }
-            _ => None,
+            Engine::SmallStep => None,
         };
         // Record compile verdicts once per execution (not per `explain`):
         // write-only, like every other counter.
         if let Some(p) = &plan {
             for v in p.compiled.values() {
                 match v {
-                    ioql_plan::CompileVerdict::Vm(_) => self.metrics.vm.compiles.inc(),
-                    ioql_plan::CompileVerdict::Interp(_) => self.metrics.vm.fallbacks.inc(),
+                    ioql_plan::CompileVerdict::Vm(_) => self.metrics.vm_compiles.inc(),
+                    ioql_plan::CompileVerdict::Interp(_) => self.metrics.vm_fallbacks.inc(),
                 }
             }
         }
         // The verdict bridge: per-node compile decisions into the trace.
         // Every traced query gets a compile verdict — a node-less
-        // outcome (interpreter engine, no plan, tier off) is itself a
-        // verdict with its reason.
+        // outcome (the spec engine, no plan, nothing to compile) is
+        // itself a verdict with its reason.
         if tracer.is_on() {
             let (verdicts, no_vm) = match (engine, &plan) {
-                (Engine::Plan, Some(p)) => (p.verdicts(), "compile off"),
+                (Engine::Plan, Some(p)) => {
+                    let none = if opts.compile {
+                        "no row expression"
+                    } else {
+                        "compile off"
+                    };
+                    (p.verdicts(), none)
+                }
                 (Engine::Plan, None) => (Vec::new(), "no physical plan"),
-                _ => (Vec::new(), "interpreter engine"),
+                (Engine::SmallStep, _) => (Vec::new(), "interpreter engine"),
             };
             for v in &verdicts {
                 tracer.note(Span::Compile, || {
@@ -854,41 +864,22 @@ impl DbKernel {
         // tear down the caller. `AssertUnwindSafe` is justified because
         // on `Err` the only witness of the broken invariants — the
         // store — is discarded and replaced by the snapshot below.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match engine {
-            Engine::SmallStep => evaluate(&cfg, defs, store, elab, chooser, max_steps),
-            Engine::BigStep => eval_big(&cfg, defs, store, elab, chooser, max_steps).map(|r| {
-                ioql_eval::Evaluated {
-                    value: r.value,
-                    effect: r.effect,
-                    steps: 0,
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let unstepped = |value, effect| ioql_eval::Evaluated {
+                value,
+                effect,
+                steps: 0,
+            };
+            match (engine, &plan) {
+                (Engine::SmallStep, _) => evaluate(&cfg, defs, store, elab, chooser, max_steps),
+                (Engine::Plan, Some(plan)) => {
+                    ioql_plan::execute(plan, &cfg, defs, store, chooser, max_steps)
+                        .map(|r| unstepped(r.value, r.effect))
                 }
-            }),
-            Engine::Plan => {
-                match &plan {
-                    Some(plan) => ioql_plan::execute_instrumented(
-                        plan,
-                        &cfg,
-                        defs,
-                        store,
-                        chooser,
-                        max_steps,
-                        Some(&self.metrics.vm),
-                    )
-                    .map(|r| ioql_eval::Evaluated {
-                        value: r.value,
-                        effect: r.effect,
-                        steps: 0,
-                    }),
-                    // Ineligible or shape-unknown: the big-step evaluator is
-                    // the plan engine's interpreter tier.
-                    None => eval_big(&cfg, defs, store, elab, chooser, max_steps).map(|r| {
-                        ioql_eval::Evaluated {
-                            value: r.value,
-                            effect: r.effect,
-                            steps: 0,
-                        }
-                    }),
-                }
+                // Theorem 7 refused: big-step, the interpreter the plan
+                // executor itself delegates to, runs the whole query.
+                (Engine::Plan, None) => eval_big(&cfg, defs, store, elab, chooser, max_steps)
+                    .map(|r| unstepped(r.value, r.effect)),
             }
         }));
         tracer.end_with(exec_sp, || Some(format!("{engine:?}")));

@@ -15,8 +15,12 @@
 //! ```text
 //! DDL text ─ ioql-syntax ─▶ ClassDefs ─ ioql-schema ─▶ Schema (+ method checks)
 //! query text ─ parse ─▶ resolve extents ─▶ elaborate/type (Fig 1)
-//!            ─▶ effect inference (Fig 3, ⊢/⊢'/⊢'') ─▶ optimize ─▶ evaluate (Fig 2/4)
+//!            ─▶ effect inference (Fig 3, ⊢/⊢'/⊢'') ─▶ optimize ─▶ lower ─▶ execute
 //! ```
+//!
+//! That is production, the default. [`Engine::SmallStep`] is the
+//! executable specification: the Figure 2/4 machine on the elaborated
+//! query as written, with nothing after effect inference in between.
 //!
 //! ## Quick start
 //!

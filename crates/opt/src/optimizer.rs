@@ -189,7 +189,7 @@ impl<'s> Optimizer<'s> {
         if def.params.len() != args.len() {
             return None;
         }
-        for arg in args {
+        for (i, arg) in args.iter().enumerate() {
             let is_value = arg.is_value();
             if !is_value {
                 if arg.contains_invoke() {
@@ -199,6 +199,13 @@ impl<'s> Optimizer<'s> {
                 if !e.is_empty() {
                     return None;
                 }
+            }
+            // Parameters are substituted one after another, so an
+            // argument that mentions a later parameter's name would be
+            // rewritten on that parameter's turn: decline.
+            let free = arg.free_vars();
+            if def.params[i + 1..].iter().any(|(x, _)| free.contains(x)) {
+                return None;
             }
         }
         let mut body = def.body.clone();
@@ -606,6 +613,137 @@ mod tests {
             applied.iter().all(|r| r.rule != "unnest-generator"),
             "{applied:?}"
         );
+    }
+
+    /// Runs `program` on the spec machine before and after optimization,
+    /// over `Ps` = three objects with `n` = 1, 2, 3, and returns both
+    /// values with the rules that fired.
+    fn before_and_after(program: &Program) -> (Value, Value, Vec<&'static str>) {
+        let s = schema();
+        let mut store = ioql_store::Store::new();
+        store.declare_extent("Ps", "P");
+        for n in 1..=3 {
+            let object = ioql_store::Object::new("P", [("n", Value::Int(n))]);
+            store
+                .create(object, [ioql_ast::ExtentName::new("Ps")])
+                .unwrap();
+        }
+        let (optimized, applied) = optimize(&s, program, Stats::new(), OptOptions::default());
+        let cfg = ioql_eval::EvalConfig::new(&s);
+        let run = |p: &Program| {
+            ioql_eval::run_program(&cfg, p, &mut store.clone(), 100_000)
+                .unwrap()
+                .value
+        };
+        (
+            run(program),
+            run(&optimized),
+            applied.iter().map(|r| r.rule).collect(),
+        )
+    }
+
+    fn ps_scan(head: Query, binder: &str) -> Query {
+        Query::comp(
+            head,
+            [Qualifier::Gen(VarName::new(binder), Query::extent("Ps"))],
+        )
+    }
+
+    #[test]
+    fn unnesting_renames_a_binder_the_inner_head_mentions() {
+        // `group n in { p.n | p <- Ps } by n`, elaborated: the part
+        // unnests to `{ p.n | p <- Ps, p.n = w }`, and unnesting the outer
+        // generator then substitutes `w := p.n` under that `p <- Ps`.
+        let ns = || ps_scan(Query::var("p").attr("n"), "p");
+        let part = Query::comp(
+            Query::var("n"),
+            [
+                Qualifier::Gen(VarName::new("n"), ns()),
+                Qualifier::Pred(Query::var("n").int_eq(Query::var("w"))),
+            ],
+        );
+        let q = Query::comp(
+            Query::record([("key", Query::var("w")), ("part", part)]),
+            [Qualifier::Gen(VarName::new("w"), ns())],
+        );
+        let (before, after, rules) = before_and_after(&Program::query_only(q));
+        assert_eq!(
+            rules.iter().filter(|r| **r == "unnest-generator").count(),
+            2
+        );
+        assert_eq!(before, after);
+
+        // The same capture by a *later outer* generator: `z <- Ps`
+        // rebinds a name the inner head `z.n` mentions.
+        let q = Query::comp(
+            Query::var("x").add(Query::var("z").attr("n")),
+            [
+                Qualifier::Gen(VarName::new("z"), Query::extent("Ps")),
+                Qualifier::Gen(
+                    VarName::new("x"),
+                    ps_scan(Query::var("z").attr("n").add(Query::int(10)), "q"),
+                ),
+                Qualifier::Gen(VarName::new("z"), Query::extent("Ps")),
+            ],
+        );
+        let (before, after, rules) = before_and_after(&Program::query_only(q));
+        assert!(rules.contains(&"unnest-generator"), "{rules:?}");
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn inlining_renames_a_binder_the_argument_mentions() {
+        // `older(p)` under `p <- Ps`: the body's own `p <- Ps` must not
+        // capture the argument.
+        let older = Definition::new(
+            "older",
+            [(VarName::new("than"), Type::class("P"))],
+            Query::comp(
+                Query::var("p"),
+                [
+                    Qualifier::Gen(VarName::new("p"), Query::extent("Ps")),
+                    Qualifier::Pred(Query::IntBin(
+                        IntOp::Lt,
+                        Box::new(Query::var("than").attr("n")),
+                        Box::new(Query::var("p").attr("n")),
+                    )),
+                ],
+            ),
+        );
+        let q = ps_scan(
+            Query::record([
+                ("a", Query::var("p").attr("n")),
+                ("c", Query::call("older", [Query::var("p")]).size_of()),
+            ]),
+            "p",
+        );
+        let (before, after, rules) = before_and_after(&Program::new([older], q));
+        assert!(rules.contains(&"inline-definition"), "{rules:?}");
+        assert_eq!(before, after);
+
+        // Parameters go one at a time: `sub(b, 1)` under a caller's `b`
+        // must not have that `b` rewritten on parameter `b`'s turn.
+        let sub = Definition::new(
+            "sub",
+            [
+                (VarName::new("a"), Type::Int),
+                (VarName::new("b"), Type::Int),
+            ],
+            Query::IntBin(
+                IntOp::Sub,
+                Box::new(Query::var("a")),
+                Box::new(Query::var("b")),
+            ),
+        );
+        let q = Query::comp(
+            Query::call("sub", [Query::var("b"), Query::int(1)]),
+            [Qualifier::Gen(
+                VarName::new("b"),
+                ps_scan(Query::var("p").attr("n"), "p"),
+            )],
+        );
+        let (before, after, _) = before_and_after(&Program::new([sub], q));
+        assert_eq!(before, after);
     }
 
     #[test]

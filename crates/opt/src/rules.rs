@@ -33,10 +33,12 @@ fn value_stable(env: &EffectEnv<'_>, q: &Query) -> bool {
     !q.contains_invoke() && effect_of(env, q).is_some_and(|e| e.is_empty())
 }
 
-/// Substitution of a *query* for a variable, respecting generator
-/// shadowing — used by definition inlining and comprehension unnesting.
-/// Unlike the semantic value-substitution in `ioql-ast`, the replacement
-/// may be an arbitrary query; guards ensure this is only done when
+/// Capture-avoiding substitution of a *query* for a variable — used by
+/// definition inlining and comprehension unnesting. Unlike the semantic
+/// value-substitution in `ioql-ast`, the replacement may be an arbitrary
+/// open query: a generator that rebinds `x` ends the substitution, and a
+/// generator whose binder `r` mentions free is renamed before `r` goes
+/// under it. The rules' guards ensure this is only done when
 /// duplication/elision is safe.
 pub fn subst_query(q: &Query, x: &VarName, r: &Query) -> Query {
     match q {
@@ -94,38 +96,66 @@ pub fn subst_query(q: &Query, x: &VarName, r: &Query) -> Query {
             Box::new(subst_query(e, x, r)),
         ),
         Query::Comp(head, quals) => {
-            let mut shadowed = false;
             let mut out = Vec::with_capacity(quals.len());
-            for cq in quals {
-                match cq {
-                    Qualifier::Pred(p) => {
-                        out.push(Qualifier::Pred(if shadowed {
-                            p.clone()
-                        } else {
-                            subst_query(p, x, r)
-                        }));
-                    }
-                    Qualifier::Gen(y, src) => {
-                        let src2 = if shadowed {
-                            src.clone()
-                        } else {
-                            subst_query(src, x, r)
-                        };
-                        out.push(Qualifier::Gen(y.clone(), src2));
-                        if y == x {
-                            shadowed = true;
-                        }
-                    }
-                }
-            }
-            let head2 = if shadowed {
-                (**head).clone()
-            } else {
-                subst_query(head, x, r)
-            };
-            Query::Comp(Box::new(head2), out)
+            let head = subst_comp(head, quals, x, r, &mut out);
+            Query::Comp(Box::new(head), out)
         }
     }
+}
+
+/// `{ head | quals }[x := r]`, qualifier by qualifier: pushes the
+/// rewritten qualifiers onto `out` and returns the rewritten head.
+fn subst_comp(
+    head: &Query,
+    quals: &[Qualifier],
+    x: &VarName,
+    r: &Query,
+    out: &mut Vec<Qualifier>,
+) -> Query {
+    let Some((first, rest)) = quals.split_first() else {
+        return subst_query(head, x, r);
+    };
+    let Qualifier::Gen(y, src) = first else {
+        out.push(Qualifier::Pred(subst_query(first.query(), x, r)));
+        return subst_comp(head, rest, x, r, out);
+    };
+    let src = subst_query(src, x, r);
+    if y != x && !r.free_vars().contains(y) {
+        // The common case: `r` can go under `y` as it is.
+        out.push(Qualifier::Gen(y.clone(), src));
+        return subst_comp(head, rest, x, r, out);
+    }
+    let scope = Query::Comp(Box::new(head.clone()), rest.to_vec());
+    if y == x || !scope.free_vars().contains(x) {
+        // `x` is rebound here, or does not occur past this generator.
+        out.push(Qualifier::Gen(y.clone(), src));
+        out.extend_from_slice(rest);
+        return head.clone();
+    }
+    // `r` mentions `y` and would land inside `y`'s scope: rename the
+    // binder in what it scopes over, then substitute.
+    let fresh = (1..)
+        .map(|n| VarName::new(format!("{y}__{n}")))
+        .find(|name| !mentions(&scope, name) && !mentions(r, name))
+        .expect("an unbounded supply of names");
+    let Query::Comp(head, rest) = subst_query(&scope, y, &Query::Var(fresh.clone())) else {
+        unreachable!("substitution preserves the constructor")
+    };
+    out.push(Qualifier::Gen(fresh, src));
+    subst_comp(&head, &rest, x, r, out)
+}
+
+/// Whether `name` occurs anywhere in `q`, free, bound or as a binder.
+fn mentions(q: &Query, name: &VarName) -> bool {
+    let mut found = false;
+    q.for_each_node(&mut |n| {
+        found |= match n {
+            Query::Var(v) => v == name,
+            Query::Comp(_, quals) => quals.iter().any(|cq| cq.binder() == Some(name)),
+            _ => false,
+        }
+    });
+    found
 }
 
 /// Counts free occurrences of `x` in `q` (shadowing-aware).
@@ -455,9 +485,10 @@ pub fn promote_predicates(env: &EffectEnv<'_>, q: &Query) -> Option<Query> {
 ///   *set* is unchanged, but the number of evaluations is not — so `h'`,
 ///   `rest`, and `h` must all be repeat-safe (no adds/updates, no
 ///   method calls).
-/// * **Capture.** `gs`'s binders must not occur free in `rest`/`h`, and
-///   `x` must not be rebound within `gs` (then the substitution would be
-///   wrong). We rename nothing; we simply refuse when names clash.
+/// * **Capture.** `gs`'s binders newly scope over `rest`/`h`, so the rule
+///   refuses when one of them occurs there (or is `x`). The other
+///   direction — `h'` landing under a binder of `rest`/`h` that it
+///   mentions — is [`subst_query`]'s to avoid, by renaming that binder.
 pub fn unnest_generator(env: &EffectEnv<'_>, q: &Query) -> Option<Query> {
     let Query::Comp(head, quals) = q else {
         return None;
@@ -486,11 +517,6 @@ pub fn unnest_generator(env: &EffectEnv<'_>, q: &Query) -> Option<Query> {
                 return None;
             }
         }
-    }
-    // A later outer generator rebinding `x` would make the flat
-    // per-qualifier substitution scope-incorrect; refuse.
-    if quals[idx + 1..].iter().any(|cq| cq.binder() == Some(x)) {
-        return None;
     }
     // Effect safety: within the scope where the inner comprehension is
     // typed (binders of quals[..idx]), the whole inner comprehension and
@@ -546,15 +572,12 @@ pub fn unnest_generator(env: &EffectEnv<'_>, q: &Query) -> Option<Query> {
     }
 
     // Rewrite -----------------------------------------------------------
+    // `x` is substituted in the remainder *as a comprehension*, so its
+    // scoping (a later rebinding of `x`, a binder `h'` mentions) is
+    // `subst_query`'s, in one place.
     let mut new_quals: Vec<Qualifier> = quals[..idx].to_vec();
     new_quals.extend(inner_quals.iter().cloned());
-    for cq in &quals[idx + 1..] {
-        new_quals.push(match cq {
-            Qualifier::Pred(p) => Qualifier::Pred(subst_query(p, x, inner_head)),
-            Qualifier::Gen(y, src) => Qualifier::Gen(y.clone(), subst_query(src, x, inner_head)),
-        });
-    }
-    let new_head = subst_query(head, x, inner_head);
+    let new_head = subst_comp(head, &quals[idx + 1..], x, inner_head, &mut new_quals);
     Some(Query::Comp(Box::new(new_head), new_quals))
 }
 

@@ -50,7 +50,6 @@ use ioql_ast::{AttrName, IntOp, Query, Value, VarName};
 use ioql_effects::Effect;
 use ioql_eval::{EvalError, Governor};
 use ioql_store::{Store, StoreError};
-use ioql_telemetry::{Counter, Histogram, MetricsRegistry};
 use std::sync::Arc;
 
 /// The compile decision for one plan node, rendered by `:plan` as
@@ -570,47 +569,6 @@ impl Program {
     }
 }
 
-/// Telemetry handles for the compiled tier. Write-only (the
-/// transparency guard): nothing here feeds a compile or dispatch
-/// decision, so a metered run and a bare one execute identically.
-#[derive(Clone, Debug, Default)]
-pub struct VmMetrics {
-    /// Plan nodes whose expression compiled to bytecode.
-    pub compiles: Counter,
-    /// Plan nodes that stayed interpreted (a fallback reason exists).
-    pub fallbacks: Counter,
-    /// Rows dispatched through the VM.
-    pub dispatches: Counter,
-    /// Wall time of batched VM dispatch loops, one observation per
-    /// driven generator chunk (not per row — the hot loop stays
-    /// clock-free when telemetry is off).
-    pub dispatch_ns: Histogram,
-}
-
-impl VmMetrics {
-    /// Handles registered under the canonical `ioql_vm_*` names.
-    pub fn new(registry: &MetricsRegistry) -> VmMetrics {
-        VmMetrics {
-            compiles: registry.counter(
-                "ioql_vm_compiles_total",
-                "Plan nodes compiled to bytecode at lowering.",
-            ),
-            fallbacks: registry.counter(
-                "ioql_vm_fallbacks_total",
-                "Plan nodes kept on the interpreter at lowering.",
-            ),
-            dispatches: registry.counter(
-                "ioql_vm_dispatches_total",
-                "Batched VM dispatch loops executed.",
-            ),
-            dispatch_ns: registry.histogram(
-                "ioql_vm_dispatch_ns",
-                "Wall time of batched VM dispatch loops.",
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,15 +778,5 @@ mod tests {
         assert!(compile(&Query::var("zz"), &[])
             .unwrap_err()
             .contains("free variable"));
-    }
-
-    #[test]
-    fn vm_metrics_register_canonical_names() {
-        let reg = MetricsRegistry::new(true);
-        let m = VmMetrics::new(&reg);
-        m.compiles.inc();
-        m.dispatches.add(5);
-        assert_eq!(reg.counter_value("ioql_vm_compiles_total"), Some(1));
-        assert_eq!(reg.counter_value("ioql_vm_dispatches_total"), Some(5));
     }
 }

@@ -21,7 +21,7 @@
 //! reverts to per-row predicate evaluation, reproducing the naive
 //! engines' exact error at the exact position.
 
-use crate::bytecode::{CompileVerdict, Program, VmCtx, VmMetrics};
+use crate::bytecode::{CompileVerdict, Program, VmCtx};
 use crate::ir::{
     AggKind, EqKind, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, Plan, Stage, StageKind,
 };
@@ -225,6 +225,10 @@ struct Head<'p> {
 /// executor burns one unit per operator/row step and threads the
 /// remainder through every [`eval_expr`] delegation, so one global
 /// budget bounds the whole run.
+///
+/// The handles on `cfg.metrics` are write-only (the transparency guard):
+/// no dispatch or fallback decision reads them, so a metered run and a
+/// bare one execute identically.
 pub fn execute(
     plan: &Plan,
     cfg: &EvalConfig<'_>,
@@ -233,24 +237,7 @@ pub fn execute(
     chooser: &mut dyn Chooser,
     max_steps: u64,
 ) -> Result<PlanResult, EvalError> {
-    execute_instrumented(plan, cfg, defs, store, chooser, max_steps, None)
-}
-
-/// [`execute`], with the compiled tier's counters attached.
-///
-/// The handles are write-only (the transparency guard): no dispatch or
-/// fallback decision reads them, so a metered run and a bare one execute
-/// identically.
-pub fn execute_instrumented(
-    plan: &Plan,
-    cfg: &EvalConfig<'_>,
-    defs: &DefEnv,
-    store: &mut Store,
-    chooser: &mut dyn Chooser,
-    max_steps: u64,
-    vm_metrics: Option<&VmMetrics>,
-) -> Result<PlanResult, EvalError> {
-    execute_inner(plan, cfg, defs, store, chooser, max_steps, None, vm_metrics).map(|(r, _)| r)
+    execute_inner(plan, cfg, defs, store, chooser, max_steps, None).map(|(r, _)| r)
 }
 
 /// Executes a physical plan while collecting per-operator runtime stats
@@ -269,8 +256,7 @@ pub fn execute_with_profile(
     max_steps: u64,
 ) -> Result<(PlanResult, PlanProfile), EvalError> {
     let prof = Profiler::new(plan);
-    let (result, prof) =
-        execute_inner(plan, cfg, defs, store, chooser, max_steps, Some(prof), None)?;
+    let (result, prof) = execute_inner(plan, cfg, defs, store, chooser, max_steps, Some(prof))?;
     let prof = prof.expect("profiler threaded through");
     Ok((
         result,
@@ -281,7 +267,6 @@ pub fn execute_with_profile(
     ))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn execute_inner<'a>(
     plan: &'a Plan,
     cfg: &'a EvalConfig<'a>,
@@ -290,7 +275,6 @@ fn execute_inner<'a>(
     chooser: &mut dyn Chooser,
     max_steps: u64,
     prof: Option<Profiler>,
-    vm_metrics: Option<&'a VmMetrics>,
 ) -> Result<(PlanResult, Option<Profiler>), EvalError> {
     let mut ex = Exec {
         cfg,
@@ -301,7 +285,6 @@ fn execute_inner<'a>(
         binds: Vec::new(),
         prof,
         compiled: &plan.compiled,
-        vm_metrics,
         vm_ctx: VmCtx::default(),
         extent_cache: HashMap::new(),
     };
@@ -384,8 +367,6 @@ struct Exec<'a, 'c> {
     /// compile pass). Read-only: the executor *uses* programs, it never
     /// decides to compile.
     compiled: &'a BTreeMap<NodeId, CompileVerdict>,
-    /// Compiled-tier telemetry (write-only).
-    vm_metrics: Option<&'a VmMetrics>,
     /// Reusable VM scratch (the value stack) — one allocation per
     /// executor, not per row.
     vm_ctx: VmCtx,
@@ -486,8 +467,6 @@ impl<'a> Exec<'a, '_> {
         self.fuel.spend(o.fuel_spent);
         if let Some(m) = self.cfg.metrics {
             m.recursions.add(o.fuel_spent);
-        }
-        if let Some(m) = self.vm_metrics {
             m.dispatches.inc();
         }
         Ok(o.value)
@@ -840,7 +819,7 @@ impl<'a> Exec<'a, '_> {
         if remaining.is_empty() {
             return Ok(());
         }
-        let timer = self.vm_metrics.map(|m| m.dispatch_ns.start_timer());
+        let timer = self.cfg.metrics.map(|m| m.dispatch_ns.start_timer());
         let mut rows = 0u64;
         let mut fuel_rows = 0u64;
         // Placeholder value; overwritten before the program ever reads
@@ -882,8 +861,6 @@ impl<'a> Exec<'a, '_> {
         // rows never contributed), one atomic instead of one per row.
         if let Some(m) = self.cfg.metrics {
             m.recursions.add(fuel_rows);
-        }
-        if let Some(m) = self.vm_metrics {
             m.dispatches.add(rows);
             m.dispatch_ns.observe_timer(timer.flatten());
         }

@@ -255,10 +255,9 @@ pub enum OpKind {
         /// The set-valued input.
         input: Box<Op>,
     },
-    /// Escape hatch: a pure set-valued operand with no recognized
-    /// physical shape, evaluated wholesale through `eval_expr`. Never a
-    /// plan root (the lowering returns `None` instead, leaving the whole
-    /// query to the interpreter).
+    /// Escape hatch: a pure expression with no recognized physical shape
+    /// — a set operand, an aggregate's input, or a whole scalar/record/
+    /// `if` root — evaluated wholesale through `eval_expr`.
     Eval {
         /// The expression.
         expr: Query,

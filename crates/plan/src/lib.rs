@@ -10,12 +10,12 @@
 //!   `HashIndexProbe` (the generalization of the big-step evaluator's
 //!   former in-line fast path, including the cross-generator hash
 //!   semi-join), `Filter`, `MapProject`, `SetUnion` / `SetIntersect` /
-//!   `SetDiff`, `Distinct`, `InlineDef`, and `Aggregate` (a `sum`/`size`
-//!   root over any of those) — with a renderer for `explain` / `:plan`
-//!   output;
+//!   `SetDiff`, `Distinct`, `InlineDef`, `Aggregate` (a `sum`/`size`
+//!   over any of those) and `Eval` (any other expression, interpreted
+//!   whole) — with a renderer for `explain` / `:plan` output;
 //! * a **guarded lowering** ([`lower()`]) consuming the elaborated
-//!   query *and its inferred Figure-3 effect*, emitting a plan only for
-//!   Theorem-7-eligible queries and choosing scan vs index cost-based
+//!   query *and its inferred Figure-3 effect*, emitting a plan for every
+//!   Theorem-7-eligible query and choosing scan vs index cost-based
 //!   via [`ioql_opt::Stats`];
 //! * a **pull-based executor** ([`execute()`]) that keeps observational
 //!   parity with the naive engines — same [`Chooser`](ioql_eval::Chooser)
@@ -24,9 +24,10 @@
 //!   [`ioql_eval::eval_expr`] — so the differential suites can hold it
 //!   to the same standard as the two interpreters.
 //!
-//! Queries the guard refuses (mutating, invoking, or shape-unknown)
-//! simply return `None` from [`lower()`] and run on the existing
-//! interpreters; the plan layer is a pure overlay.
+//! [`lower()`] returns `None` for exactly the queries the guard refuses
+//! (mutating or invoking); the production engine runs those on
+//! [`ioql_eval::eval_big`], the interpreter `Eval` nodes and uncompiled
+//! row expressions already use.
 
 #![forbid(unsafe_code)]
 // Error enums carry rendered context (names, types, positions) by value;
@@ -39,10 +40,8 @@ pub mod exec;
 pub mod ir;
 mod lower;
 
-pub use bytecode::{compile, CompileVerdict, Program, VmCtx, VmMetrics, VmOutcome};
-pub use exec::{
-    execute, execute_instrumented, execute_with_profile, PlanProfile, PlanResult, ProfEntry,
-};
+pub use bytecode::{compile, CompileVerdict, Program, VmCtx, VmOutcome};
+pub use exec::{execute, execute_with_profile, PlanProfile, PlanResult, ProfEntry};
 pub use ir::{
     AggKind, EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, NodeVerdict, Op, OpKind, Plan,
     Stage, StageKind,
@@ -151,20 +150,28 @@ mod tests {
     }
 
     #[test]
-    fn unrecognized_roots_do_not_lower() {
+    fn shapeless_roots_lower_to_eval() {
         let defs = DefEnv::new();
         let stats = Stats::new();
-        assert!(lower(&Query::int(3), &Effect::empty(), &defs, &stats).is_none());
-        assert!(lower(
-            &Query::int(1).add(Query::int(2)),
-            &Effect::empty(),
-            &defs,
-            &stats
-        )
-        .is_none());
-        // An aggregate lowers exactly when its operand does.
-        let over_literal = Query::set_lit([Query::int(1)]).size_of();
-        assert!(lower(&over_literal, &Effect::empty(), &defs, &stats).is_none());
+        let sum = Query::int(1).add(Query::int(2));
+        let (schema, mut store) = setup();
+        for (q, root) in [
+            (Query::int(3), "  Eval  3".to_string()),
+            (sum.clone(), format!("  Eval  {sum}")),
+            // An aggregate is an operator whatever its input is.
+            (
+                Query::set_lit([Query::int(1)]).size_of(),
+                "  Aggregate size\n    Eval  {1}".to_string(),
+            ),
+        ] {
+            let plan = lower(&q, &Effect::empty(), &defs, &stats).expect("the guard holds");
+            assert!(plan.render().contains(&root), "{}", plan.render());
+            // …and runs to the interpreter's own answer.
+            let cfg = EvalConfig::new(&schema);
+            let p = execute(&plan, &cfg, &defs, &mut store, &mut FirstChooser, 100).unwrap();
+            let b = eval_big(&cfg, &defs, &mut store, &q, &mut FirstChooser, 100).unwrap();
+            assert_eq!((p.value, p.effect), (b.value, b.effect), "{q}");
+        }
         let plan = lower(
             &Query::extent("Ps").size_of(),
             &Effect::read("P"),

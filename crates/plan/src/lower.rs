@@ -1,19 +1,20 @@
 //! Lowering: elaborated query + inferred effect → physical plan.
 //!
-//! The pass is *guarded*, not total. [`lower`] emits a plan only when
-//! the Theorem 7 conditions hold for the whole query ([`Thm7::lowerable`]:
-//! write-free effect, invocation-free, called definitions pure); every
-//! other query — and every query whose root has no recognized physical
-//! shape (a set-valued operator tree, or `sum`/`size` over one) —
-//! returns `None` and runs on the existing interpreters unchanged.
-//! Within an eligible query, scan-vs-index selection is cost-based via
-//! [`Stats`]; the cost formulas are documented at the decision site.
+//! The pass is *guarded*: [`lower`] returns `None` exactly when the
+//! Theorem 7 conditions fail for the whole query ([`Thm7::lowerable`]:
+//! write-free effect, invocation-free, called definitions pure), and the
+//! caller runs such a query on the big-step interpreter. Under the guard
+//! it is total: a shape with no physical operator of its own (a scalar, a
+//! record, an `if`, a call with computed arguments) becomes an
+//! [`OpKind::Eval`] node, at the root as under a set operator. Within an
+//! eligible query, scan-vs-index selection is cost-based via [`Stats`];
+//! the cost formulas are documented at the decision site.
 
 use crate::bytecode::{self, CompileVerdict};
 use crate::ir::{
     AggKind, EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, Plan, Stage, StageKind,
 };
-use ioql_ast::{Qualifier, Query, VarName};
+use ioql_ast::{DefName, Qualifier, Query, VarName};
 use ioql_effects::{Effect, Thm7};
 use ioql_eval::DefEnv;
 use ioql_opt::Stats;
@@ -62,9 +63,9 @@ impl ParSpec<'static> {
     }
 }
 
-/// Lowers an elaborated query to a physical plan, or `None` when the
-/// Theorem 7 guard refuses or the root shape is not recognized.
-/// Equivalent to [`lower_with`] under [`ParSpec::off`].
+/// Lowers an elaborated query to a physical plan, or `None` when — and
+/// only when — the Theorem 7 guard refuses. Equivalent to [`lower_with`]
+/// under [`ParSpec::off`].
 ///
 /// The guard is [`Thm7::lowerable`], decided on the query handed in: the
 /// statically inferred `static_effect` must be write-free (no `A(C)`, no
@@ -89,9 +90,8 @@ pub fn lower_with(
     if !Thm7::decide(q, static_effect, |d| defs.get(d)).lowerable() {
         return None;
     }
-    let root = lower_op(q, defs, stats, spec.compile)?;
     let mut plan = Plan {
-        root,
+        root: lower_op(q, defs, stats, spec.compile),
         guard: Guard {
             effect: static_effect.clone(),
         },
@@ -165,75 +165,64 @@ fn verdict(q: &Query, binders: &[VarName]) -> CompileVerdict {
     }
 }
 
-/// Lowers a set-shaped root (or set operand), or a `sum`/`size` over
-/// one. `None` when the shape has no physical operator — callers either
-/// fall back to the interpreter (plan root) or wrap the expression in
-/// [`OpKind::Eval`] (set operand, which is safe because the whole query
-/// already passed the guard).
-fn lower_op(q: &Query, defs: &DefEnv, stats: &Stats, compile: bool) -> Option<Op> {
-    let aggregate = |kind, inner: &Query| {
-        Some(Op::new(OpKind::Aggregate {
-            kind,
-            expr: q.clone(),
-            input: Box::new(lower_op(inner, defs, stats, compile)?),
-        }))
+/// Lowers a query that passed the guard — the root, a set operand, an
+/// aggregate's input, an inlined body. Structured shapes get real
+/// operators; anything else is an [`OpKind::Eval`], interpreted wholesale
+/// where the naive engines would evaluate it (the guard already
+/// established the whole query is pure, and operands stay left first).
+fn lower_op(q: &Query, defs: &DefEnv, stats: &Stats, compile: bool) -> Op {
+    let lower = |q: &Query| Box::new(lower_op(q, defs, stats, compile));
+    let aggregate = |kind, inner: &Query| OpKind::Aggregate {
+        kind,
+        expr: q.clone(),
+        input: lower(inner),
     };
-    match q {
-        // An aggregate lowers exactly when its operand does; anything
-        // else (a set literal, a variable, an `if`) keeps the whole query
-        // on the interpreter.
+    Op::new(match q {
         Query::Sum(inner) => aggregate(AggKind::Sum, inner),
         Query::Size(inner) => aggregate(AggKind::Size, inner),
-        Query::Extent(e) => Some(Op::new(OpKind::ExtentScan {
+        Query::Extent(e) => OpKind::ExtentScan {
             extent: e.clone(),
             est_rows: stats.extent_size(e),
-        })),
+        },
         Query::SetBin(op, a, b) => {
-            let left = Box::new(lower_operand(a, defs, stats, compile));
-            let right = Box::new(lower_operand(b, defs, stats, compile));
-            Some(Op::new(match op {
+            let (left, right) = (lower(a), lower(b));
+            match op {
                 ioql_ast::SetOp::Union => OpKind::SetUnion { left, right },
                 ioql_ast::SetOp::Intersect => OpKind::SetIntersect { left, right },
                 ioql_ast::SetOp::Diff => OpKind::SetDiff { left, right },
-            }))
+            }
         }
-        Query::Comp(head, quals) => {
-            let stages = lower_quals(quals, stats, compile);
-            Some(Op::new(OpKind::Distinct {
-                input: Box::new(Op::new(OpKind::MapProject {
-                    head: (**head).clone(),
-                    input: Box::new(Op::new(OpKind::Pipeline { stages })),
+        Query::Comp(head, quals) => OpKind::Distinct {
+            input: Box::new(Op::new(OpKind::MapProject {
+                head: (**head).clone(),
+                input: Box::new(Op::new(OpKind::Pipeline {
+                    stages: lower_quals(quals, stats, compile),
                 })),
-            }))
-        }
-        Query::Call(d, args) => {
-            // Inline only when every argument is already a literal, so
-            // substituting the *value* is exactly what the interpreters'
-            // call-by-value argument evaluation would produce.
-            let def = defs.get(d)?;
-            if def.params.len() != args.len() {
-                return None;
-            }
-            let mut body = def.body.clone();
-            for ((x, _), arg) in def.params.iter().zip(args) {
-                let Query::Lit(v) = arg else { return None };
-                body = body.subst(x, v);
-            }
-            Some(Op::new(OpKind::InlineDef {
+            })),
+        },
+        Query::Call(d, args) => match inlined(defs, d, args) {
+            Some(body) => OpKind::InlineDef {
                 name: d.clone(),
-                body: Box::new(lower_op(&body, defs, stats, compile)?),
-            }))
-        }
-        _ => None,
-    }
+                body: lower(&body),
+            },
+            None => OpKind::Eval { expr: q.clone() },
+        },
+        _ => OpKind::Eval { expr: q.clone() },
+    })
 }
 
-/// A set operand inside a `SetBin`: structured shapes get real
-/// operators, anything else is interpreted wholesale (the guard already
-/// established the whole query is pure, so order of operand evaluation
-/// — left first, as the naive engines do — is preserved exactly).
-fn lower_operand(q: &Query, defs: &DefEnv, stats: &Stats, compile: bool) -> Op {
-    lower_op(q, defs, stats, compile).unwrap_or_else(|| Op::new(OpKind::Eval { expr: q.clone() }))
+/// The body of `d(args)` with its parameters substituted — only when
+/// every argument is already a literal, so substituting the *value* is
+/// exactly what the interpreters' call-by-value argument evaluation would
+/// produce.
+fn inlined(defs: &DefEnv, d: &DefName, args: &[Query]) -> Option<Query> {
+    let def = defs.get(d).filter(|def| def.params.len() == args.len())?;
+    let mut body = def.body.clone();
+    for ((x, _), arg) in def.params.iter().zip(args) {
+        let Query::Lit(v) = arg else { return None };
+        body = body.subst(x, v);
+    }
+    Some(body)
 }
 
 /// Lowers a qualifier list to pipeline stages, fusing an eligible

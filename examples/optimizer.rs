@@ -5,7 +5,7 @@
 //! cargo run --example optimizer
 //! ```
 
-use ioql::{Database, DbOptions};
+use ioql::{Database, DbOptions, Engine};
 use ioql_testkit::fixtures::{commute_counterexample_query, persons_employees};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -70,16 +70,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         applied.iter().map(|r| r.rule).collect::<Vec<_>>()
     );
 
-    // Measure the difference in reduction steps (the interpreter's work
-    // unit — `benchmark/run.sh` measures wall-clock).
-    let naive_steps = {
-        let mut fresh = big.clone();
-        fresh.query(join)?.steps
-    };
-    let optimized_steps = {
-        let mut fresh = big.clone();
-        fresh.query(&optimized.to_string())?.steps
-    };
+    // Measure the difference in reduction steps — on the spec machine,
+    // which runs each text as written and counts (production optimizes
+    // both texts to the same plan; `benchmark/run.sh` measures its
+    // wall-clock).
+    let mut spec = big.clone();
+    spec.set_options(DbOptions {
+        engine: Engine::SmallStep,
+        ..big.options()
+    });
+    let naive_steps = spec.query(join)?.steps;
+    let optimized_steps = spec.query(&optimized.to_string())?.steps;
     println!("steps (naive)       : {naive_steps}");
     println!("steps (optimized)   : {optimized_steps}");
     println!(

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use ioql::Database;
+use ioql::{Database, DbOptions, Engine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The data model: ODL-style class definitions (paper §2). Methods
@@ -60,7 +60,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 6. And the runtime effect trace of any run stays inside the static
-    //    bound (Theorem 5):
+    //    bound (Theorem 5). Everything above ran on the production path;
+    //    the Figure 2 machine — the executable specification — is one
+    //    option away, and is the engine that counts reduction steps:
+    db.set_options(DbOptions {
+        engine: Engine::SmallStep,
+        ..db.options()
+    });
     let r = db.query("size(Books)")?;
     println!(
         "size(Books)      = {} (static effect {{{}}}, runtime {{{}}}, {} steps)",

@@ -12,7 +12,8 @@
 //!   the restored data, never a stale value;
 //! * a cache hit still passes through the governor: deadline and
 //!   cancellation are checked and the original run's cells re-charged;
-//! * cached and uncached results agree under every chooser and engine.
+//! * cached and uncached results agree under every chooser, on the spec
+//!   and in production.
 
 #![allow(clippy::result_large_err)]
 
@@ -49,7 +50,7 @@ const SCAN: &str = "{ p.age | p <- Persons }";
 
 #[test]
 fn second_run_hits_and_mutation_invalidates() {
-    for engine in [Engine::SmallStep, Engine::BigStep, Engine::Plan] {
+    for engine in [Engine::SmallStep, Engine::Plan] {
         let mut db = db_with(engine, 64);
         let r1 = db.query(SCAN).unwrap();
         assert!(!r1.cached);
@@ -79,7 +80,7 @@ fn second_run_hits_and_mutation_invalidates() {
 
 #[test]
 fn mutating_and_new_containing_queries_are_never_cached() {
-    let mut db = db_with(Engine::BigStep, 64);
+    let mut db = db_with(Engine::Plan, 64);
     let q = "{ (new Person(name: 9, age: 9)).age | n <- {1} }";
     let r1 = db.query(q).unwrap();
     let r2 = db.query(q).unwrap();
@@ -90,7 +91,7 @@ fn mutating_and_new_containing_queries_are_never_cached() {
 
 #[test]
 fn load_invalidates_even_when_versions_restart() {
-    for engine in [Engine::SmallStep, Engine::BigStep, Engine::Plan] {
+    for engine in [Engine::SmallStep, Engine::Plan] {
         let mut db = db_with(engine, 64);
         let snapshot = db.dump();
         let before = db.query(SCAN).unwrap().value;
@@ -113,7 +114,7 @@ fn load_invalidates_even_when_versions_restart() {
 
 #[test]
 fn governor_rollback_invalidates() {
-    for engine in [Engine::SmallStep, Engine::BigStep, Engine::Plan] {
+    for engine in [Engine::SmallStep, Engine::Plan] {
         let mut db = db_with(engine, 64);
         let clean = db.query(SCAN).unwrap().value;
         assert!(db.query(SCAN).unwrap().cached);
@@ -161,7 +162,7 @@ fn cached_and_uncached_agree_under_every_chooser_and_engine() {
         || Box::new(LastChooser),
         || Box::new(RandomChooser::seeded(0xC0FFEE)),
     ];
-    for engine in [Engine::SmallStep, Engine::BigStep, Engine::Plan] {
+    for engine in [Engine::SmallStep, Engine::Plan] {
         for mk in &mk_choosers {
             let mut warm = db_with(engine, 64);
             let mut cold = db_with(engine, 0); // caching disabled
@@ -179,7 +180,7 @@ fn cached_and_uncached_agree_under_every_chooser_and_engine() {
 
 #[test]
 fn hits_still_pass_through_the_governor() {
-    let mut db = db_with(Engine::BigStep, 64);
+    let mut db = db_with(Engine::Plan, 64);
     // Warm the cache and learn the query's cell price.
     let governor = Governor::new(Limits::none());
     db.query_governed(SCAN, &mut FirstChooser, &governor)
@@ -219,25 +220,21 @@ fn hits_still_pass_through_the_governor() {
 }
 
 /// Plan-path hit/miss (ISSUE 3 satellite): a query executed by the
-/// physical-plan engine populates the cache under the same
-/// pre-optimization key as the interpreters, a hit re-charges exactly
-/// the cells the *plan executor* spent on the cold run, and that price
-/// matches the interpreter engines' price for the same query (the
-/// operator pipeline neither leaks nor skips charges into the entry).
+/// production path populates the cache under the same pre-optimization
+/// key as the spec, and a hit re-charges exactly the cells the cold run
+/// spent in *that* configuration. (That the operator pipeline's price is
+/// the interpreters' on one query text is `tests/plan.rs`'s; across the
+/// optimizer the two prices owe each other nothing.)
 #[test]
 fn plan_path_hits_recharge_the_plan_run_cells() {
-    // A selective probe shape: under `Engine::Plan` this runs through
-    // `HashIndexProbe`, not the naive loop.
     let q = "{ p.age | p <- Persons, p.name = 2 }";
-    let mut price_by_engine = Vec::new();
-    for engine in [Engine::Plan, Engine::BigStep, Engine::SmallStep] {
+    for engine in [Engine::Plan, Engine::SmallStep] {
         let mut db = db_with(engine, 64);
         let governor = Governor::new(Limits::none());
         let cold = db.query_governed(q, &mut FirstChooser, &governor).unwrap();
         assert!(!cold.cached);
         let price = governor.cells_spent();
-        assert!(price > 0, "{engine:?}: the probe still draws cells");
-        price_by_engine.push(price);
+        assert!(price > 0, "{engine:?}: every drawn element is a cell");
 
         // Broke: a budget one below the recorded price fails the hit.
         let broke = Governor::new(Limits::none().with_max_cells(price - 1));
@@ -260,15 +257,11 @@ fn plan_path_hits_recharge_the_plan_run_cells() {
         assert_eq!(hot.value, cold.value);
         assert_eq!(paying.cells_spent(), price, "{engine:?}: hit re-charge");
     }
-    assert!(
-        price_by_engine.iter().all(|p| *p == price_by_engine[0]),
-        "engines must record the same cell price: {price_by_engine:?}"
-    );
 }
 
 #[test]
 fn capacity_bounds_residency_fifo() {
-    let mut db = db_with(Engine::BigStep, 2);
+    let mut db = db_with(Engine::Plan, 2);
     let q1 = "{ p.age | p <- Persons }";
     let q2 = "{ p.name | p <- Persons }";
     let q3 = "{ r.serial | r <- Robots }";
@@ -288,7 +281,7 @@ fn capacity_bounds_residency_fifo() {
 #[test]
 fn cache_hit_is_at_least_10x_faster_than_cold() {
     use std::time::Instant;
-    let mut db = db_with(Engine::BigStep, 64);
+    let mut db = db_with(Engine::Plan, 64);
     for n in 4..124 {
         db.query(&format!(
             "{{ new Person(name: {n}, age: {n}) | z <- {{1}} }}"
@@ -321,7 +314,7 @@ fn cache_hit_is_at_least_10x_faster_than_cold() {
 
 #[test]
 fn define_backed_queries_cache_only_when_new_free() {
-    let mut db = db_with(Engine::BigStep, 64);
+    let mut db = db_with(Engine::Plan, 64);
     db.define("define ages() as { p.age | p <- Persons };")
         .unwrap();
     db.define("define spawn() as (new Person(name: 0, age: 0)).age;")
@@ -338,7 +331,7 @@ fn define_backed_queries_cache_only_when_new_free() {
 #[test]
 fn values_round_trip_losslessly_through_the_cache() {
     // Oid-returning and record-returning shapes survive the clone.
-    let mut db = db_with(Engine::SmallStep, 64);
+    let mut db = db_with(Engine::Plan, 64);
     let q = "{ struct(who: p, how_old: p.age) | p <- Persons }";
     let cold = db.query(q).unwrap();
     let hot = db.query(q).unwrap();

@@ -162,15 +162,17 @@ fn explore_and_trace_commands() {
 #[test]
 fn plan_command_renders_operators_and_costs() {
     let schema = schema_file();
-    // Enough rows that the cost model picks the hash probe over a scan —
-    // on the interpreted tier, the shell's default: a compiled Filter
-    // undercuts the index build + probe and the cost model then rightly
-    // stops picking HashIndexProbe at this extent size.
+    // A predicate the VM takes is one dispatch per row, which undercuts
+    // an index build + probe; the cost model picks the hash probe where
+    // the predicate stays interpreted (here: it reads an extent) and its
+    // probe side is loop-invariant.
     let script = "\
 :help
 { new P(name: n) | n <- {1, 2, 3, 4, 5, 6} }
 :plan { p | p <- Ps, p.name = 2 }
+:plan { p | p <- Ps, p.name = size(Ps) }
 :plan { new P(name: 1) | n <- {1} }
+:compile on
 :quit
 ";
     let (stdout, stderr, ok) = run_session(&[schema.to_str().unwrap()], script);
@@ -179,6 +181,7 @@ fn plan_command_renders_operators_and_costs() {
     assert!(stdout.contains(":plan <query>"), "{stdout}");
     // The eligible query renders a costed operator pipeline under the
     // Theorem 7 guard.
+    assert!(stdout.contains("Filter  p.name = 2  [vm]"), "{stdout}");
     assert!(stdout.contains("HashIndexProbe"), "{stdout}");
     assert!(stdout.contains("HashIndexBuild"), "{stdout}");
     assert!(stdout.contains("ExtentScan p <- Ps"), "{stdout}");
@@ -187,6 +190,8 @@ fn plan_command_renders_operators_and_costs() {
     // The mutating query is refused with a guard diagnosis.
     assert!(stdout.contains("no physical plan"), "{stdout}");
     assert!(stdout.contains("`new`-free: no"), "{stdout}");
+    // There is one configuration: no tier to toggle.
+    assert!(stdout.contains("unknown command `:compile`"), "{stdout}");
 }
 
 #[test]
@@ -463,7 +468,11 @@ fn serve_flag_requires_an_address() {
 #[test]
 fn unknown_flags_are_usage_errors_not_schema_paths() {
     let schema = schema_file();
-    for args in [&["--parallelism", "2"][..], &["--no-such-flag"][..]] {
+    for args in [
+        &["--parallelism", "2"][..],
+        &["--compile"][..],
+        &["--no-such-flag"][..],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_ioql"))
             .arg(schema.to_str().unwrap())
             .args(args)

@@ -305,62 +305,6 @@ fn plan_render_marks_vm_and_interp_nodes() {
     );
 }
 
-/// The database surface end to end: `DbOptions::compile` flows through
-/// lowering into execution, results match the interpreted database on
-/// every query (cache interactions included), the explain output shows
-/// `[vm]`, and the write-only VM counters record the activity.
-#[test]
-fn database_compile_tier_end_to_end() {
-    let ddl = "class P extends Object (extent Ps) { attribute int name; }";
-    let setup = |compile: bool| {
-        let mut db = Database::from_ddl_with(
-            ddl,
-            DbOptions {
-                engine: Engine::Plan,
-                compile,
-                telemetry: true,
-                ..DbOptions::default()
-            },
-        )
-        .unwrap();
-        for n in [1, 2, 3, 5, 8] {
-            db.query(&format!("new P(name: {n})")).unwrap();
-        }
-        db
-    };
-    let mut on = setup(true);
-    let mut off = setup(false);
-    let queries = [
-        "{ p.name | p <- Ps }",
-        "{ p.name * p.name | p <- Ps, p.name < 5 }",
-        "{ p.name | p <- Ps }", // repeat: served from the cache
-        "sum({ p.name | p <- Ps })",
-    ];
-    for src in queries {
-        let a = on.query(src).unwrap();
-        let b = off.query(src).unwrap();
-        assert_eq!(a.value, b.value, "{src}: value drifted under compile");
-        assert_eq!(
-            a.runtime_effect.to_string(),
-            b.runtime_effect.to_string(),
-            "{src}: effect trace drifted under compile"
-        );
-        assert_eq!(a.cached, b.cached, "{src}: cache behavior drifted");
-    }
-    assert!(on.metrics().vm.compiles.get() > 0, "compiles were counted");
-    assert!(on.metrics().vm.dispatches.get() > 0, "VM rows were counted");
-    assert_eq!(
-        off.metrics().vm.compiles.get() + off.metrics().vm.dispatches.get(),
-        0,
-        "compile off must not touch the VM"
-    );
-    let plan = on.explain("{ p.name | p <- Ps, p.name < 5 }").unwrap();
-    assert!(
-        plan.contains("[vm]"),
-        "explain shows the compiled tier:\n{plan}"
-    );
-}
-
 /// Integer aggregation at the boundaries (satellite): `sum` and `+`
 /// wrap (two's complement) as *defined semantics*, bit-for-bit on every
 /// engine — small-step, big-step, plan interpreter, and bytecode VM.
@@ -392,24 +336,36 @@ fn sum_wraps_identically_at_integer_boundaries() {
             ),
         ),
     ];
+    let fx = jack_jill();
+    let tenv = TypeEnv::new(&fx.schema);
+    let cfg = EvalConfig::new(&fx.schema);
+    let defs = DefEnv::new();
     for (src, expected) in &cases {
-        for engine in [Engine::SmallStep, Engine::BigStep, Engine::Plan] {
-            for compile in [false, true] {
-                let mut db = Database::from_ddl_with(
-                    ddl,
-                    DbOptions {
-                        engine,
-                        compile,
-                        ..DbOptions::default()
-                    },
-                )
-                .unwrap();
-                let got = db.query(src).unwrap().value;
-                assert_eq!(
-                    &got, expected,
-                    "{src} on {engine:?} (compile: {compile}): wrapping drifted"
-                );
-            }
+        let (q, _) = check_query(&tenv, &fx.query(src)).unwrap();
+        let mut store = fx.store.clone();
+        let small = evaluate(&cfg, &defs, &mut store, &q, &mut FirstChooser, 10_000);
+        assert_eq!(&small.unwrap().value, expected, "{src} on small-step");
+        let big = eval_big(&cfg, &defs, &mut store, &q, &mut FirstChooser, 10_000);
+        assert_eq!(&big.unwrap().value, expected, "{src} on big-step");
+        for compile in [false, true] {
+            let plan = lower_c(&fx, &q, compile).unwrap();
+            let got = execute(&plan, &cfg, &defs, &mut store, &mut FirstChooser, 10_000);
+            assert_eq!(
+                &got.unwrap().value,
+                expected,
+                "{src} on the plan executor (compile: {compile})"
+            );
+        }
+        // And end to end, where production's optimizer folds the
+        // constant `sum`s before any executor sees them.
+        for engine in [Engine::SmallStep, Engine::Plan] {
+            let opts = DbOptions {
+                engine,
+                ..DbOptions::default()
+            };
+            let mut db = Database::from_ddl_with(ddl, opts).unwrap();
+            let got = db.query(src).unwrap().value;
+            assert_eq!(&got, expected, "{src} on {engine:?}: wrapping drifted");
         }
     }
 }

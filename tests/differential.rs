@@ -154,8 +154,9 @@ fn fuel_exhaustion_same_class_in_both_engines() {
             "fuel {fuel}: big-step returned {big:?}"
         );
     }
-    // Through the facade: both engines report the evaluation-error class.
-    for engine in [ioql::Engine::SmallStep, ioql::Engine::BigStep] {
+    // Through the facade: spec and production report the
+    // evaluation-error class.
+    for engine in [ioql::Engine::SmallStep, ioql::Engine::Plan] {
         let opts = ioql::DbOptions {
             engine,
             max_steps: 3,

@@ -2,7 +2,7 @@
 //! trace-ID propagation, the HTTP observability plane, and the
 //! **recording transparency guard** — tracing on/off is
 //! observationally invisible (byte-identical wire responses,
-//! oid-bijection-equivalent stores) across all three engines.
+//! oid-bijection-equivalent stores) in both configurations.
 //!
 //! The headline acceptance check: a traced write query served over TCP
 //! against a durable kernel yields a record that shows the
@@ -27,9 +27,8 @@ const DDL: &str = "
         attribute int age;
     }";
 
-fn opts_with(engine: Engine, trace_capacity: usize) -> DbOptions {
+fn opts_with(trace_capacity: usize) -> DbOptions {
     DbOptions {
-        engine,
         method_mode: Mode::Extended,
         telemetry: true,
         trace_capacity,
@@ -81,7 +80,7 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 #[test]
 fn traced_served_write_shows_wait_fsync_and_all_four_verdicts() {
     let dir = TempDir::new("accept");
-    let mut db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 64)).unwrap();
+    let mut db = Database::from_ddl_with(DDL, opts_with(64)).unwrap();
     db.set_durability(Durability::Commit);
     db.attach_durable(dir.path()).unwrap();
     let server = db.serve("127.0.0.1:0").unwrap();
@@ -144,7 +143,7 @@ fn traced_served_write_shows_wait_fsync_and_all_four_verdicts() {
 
 #[test]
 fn untraced_requests_carry_no_trace_tokens() {
-    let db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 64)).unwrap();
+    let db = Database::from_ddl_with(DDL, opts_with(64)).unwrap();
     let server = db.serve("127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let frame = client.request("size(Persons)").unwrap();
@@ -158,7 +157,7 @@ fn untraced_requests_carry_no_trace_tokens() {
 
 #[test]
 fn traced_define_echoes_the_id() {
-    let db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 64)).unwrap();
+    let db = Database::from_ddl_with(DDL, opts_with(64)).unwrap();
     let server = db.serve("127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let frame = client
@@ -170,7 +169,7 @@ fn traced_define_echoes_the_id() {
 
 #[test]
 fn trace_commands_error_cleanly_when_recorder_off() {
-    let db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 0)).unwrap();
+    let db = Database::from_ddl_with(DDL, opts_with(0)).unwrap();
     let server = db.serve("127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let frame = client.request(":trace last 1").unwrap();
@@ -183,7 +182,7 @@ fn trace_commands_error_cleanly_when_recorder_off() {
 
 #[test]
 fn cache_hit_and_miss_verdicts_are_recorded() {
-    let mut db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 8)).unwrap();
+    let mut db = Database::from_ddl_with(DDL, opts_with(8)).unwrap();
     db.query("size({ new Person(name: n, age: n) | n <- {1, 2, 3} })")
         .unwrap();
     db.query("size(Persons)").unwrap();
@@ -203,7 +202,7 @@ fn cache_hit_and_miss_verdicts_are_recorded() {
 /// the whole judgement `σ ! {ε}`, and no separate effect phase exists.
 #[test]
 fn the_front_end_is_one_typecheck_span() {
-    let mut db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 8)).unwrap();
+    let mut db = Database::from_ddl_with(DDL, opts_with(8)).unwrap();
     db.query("{ p.age | p <- Persons }").unwrap();
     let record = &db.traces_last(1)[0];
     assert_eq!(
@@ -219,7 +218,7 @@ fn the_front_end_is_one_typecheck_span() {
 
 #[test]
 fn ring_keeps_only_the_newest_records() {
-    let mut db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 2)).unwrap();
+    let mut db = Database::from_ddl_with(DDL, opts_with(2)).unwrap();
     for i in 0..5 {
         db.query(&format!("{i} + {i}")).unwrap();
     }
@@ -234,7 +233,7 @@ fn ring_keeps_only_the_newest_records() {
 
 #[test]
 fn failed_queries_are_recorded_with_their_error() {
-    let mut db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 8)).unwrap();
+    let mut db = Database::from_ddl_with(DDL, opts_with(8)).unwrap();
     assert!(db.query("{ p.nope | p <- Persons }").is_err());
     let records = db.traces_last(1);
     assert_eq!(records.len(), 1);
@@ -244,7 +243,7 @@ fn failed_queries_are_recorded_with_their_error() {
 
 #[test]
 fn elapsed_covers_the_scheduler_wait() {
-    let db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 8)).unwrap();
+    let db = Database::from_ddl_with(DDL, opts_with(8)).unwrap();
     let mut session = db.session("waiter");
     session
         .query("size({ new Person(name: 1, age: 1) | n <- {1} })")
@@ -257,7 +256,7 @@ fn elapsed_covers_the_scheduler_wait() {
         r.wait
     );
     // The embedded exclusive path reports its lock wait too.
-    let mut db2 = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 8)).unwrap();
+    let mut db2 = Database::from_ddl_with(DDL, opts_with(8)).unwrap();
     let r2 = db2.query("size(Persons)").unwrap();
     assert!(r2.elapsed >= r2.wait);
 }
@@ -267,7 +266,7 @@ fn slow_query_log_emits_the_full_record() {
     let path = std::env::temp_dir().join(format!("ioql-fr-slow-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     {
-        let mut opts = opts_with(Engine::BigStep, 8);
+        let mut opts = opts_with(8);
         opts.telemetry_jsonl = Some(path.clone());
         opts.slow_query_ms = Some(0); // every query is "slow"
         let mut db = Database::from_ddl_with(DDL, opts).unwrap();
@@ -290,7 +289,7 @@ fn slow_query_log_emits_the_full_record() {
 
 #[test]
 fn obs_endpoints_serve_metrics_health_and_traces() {
-    let mut db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 8)).unwrap();
+    let mut db = Database::from_ddl_with(DDL, opts_with(8)).unwrap();
     db.query("size({ new Person(name: 1, age: 30) | n <- {1} })")
         .unwrap();
     let obs = db.serve_obs("127.0.0.1:0").unwrap();
@@ -318,7 +317,7 @@ fn obs_endpoints_serve_metrics_health_and_traces() {
 
 #[test]
 fn obs_traces_404s_when_recorder_off() {
-    let db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 0)).unwrap();
+    let db = Database::from_ddl_with(DDL, opts_with(0)).unwrap();
     let obs = db.serve_obs("127.0.0.1:0").unwrap();
     let (status, body) = http_get(obs.addr(), "/traces");
     assert_eq!(status, "HTTP/1.0 404 Not Found");
@@ -327,13 +326,17 @@ fn obs_traces_404s_when_recorder_off() {
 
 // ---------------------------------------------------------------------
 // The recording transparency guard: tracing on vs off is byte-identical
-// on the wire and in the final store — N clients, all three engines.
+// on the wire and in the final store — N clients, spec and production.
 
 /// Runs a deterministic round-robin workload over `n_clients` wire
 /// clients (none of which send `trace=`), returning every response
 /// transcript plus the final store.
 fn served_workload(engine: Engine, trace_capacity: usize) -> (Vec<String>, Database) {
-    let db = Database::from_ddl_with(DDL, opts_with(engine, trace_capacity)).unwrap();
+    let opts = DbOptions {
+        engine,
+        ..opts_with(trace_capacity)
+    };
+    let db = Database::from_ddl_with(DDL, opts).unwrap();
     let server = db.serve("127.0.0.1:0").unwrap();
     let mut clients: Vec<Client> = (0..3)
         .map(|_| Client::connect(server.addr()).unwrap())
@@ -364,7 +367,7 @@ fn served_workload(engine: Engine, trace_capacity: usize) -> (Vec<String>, Datab
 
 #[test]
 fn recording_changes_no_wire_observable() {
-    for engine in [Engine::SmallStep, Engine::BigStep, Engine::Plan] {
+    for engine in [Engine::SmallStep, Engine::Plan] {
         let (off, db_off) = served_workload(engine, 0);
         let (on, db_on) = served_workload(engine, 64);
         assert_eq!(off, on, "transcripts diverged on {engine:?}");
@@ -403,7 +406,7 @@ fn http_raw(addr: SocketAddr, head: impl IntoIterator<Item = String>) -> Option<
 
 #[test]
 fn oversized_http_heads_are_refused_not_buffered() {
-    let db = Database::from_ddl_with(DDL, opts_with(Engine::BigStep, 0)).unwrap();
+    let db = Database::from_ddl_with(DDL, opts_with(0)).unwrap();
     let obs = db.serve_obs("127.0.0.1:0").unwrap();
     let too_large = "HTTP/1.0 431 Request Header Fields Too Large";
 

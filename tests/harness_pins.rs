@@ -58,6 +58,18 @@ const QUERIES: &[&str] = &[
     "sum({ p.age | p <- Persons })",
 ];
 
+/// The ledger measures what ships: on the three fields that choose an
+/// execution path, the harness's literal *is* the default.
+#[test]
+fn the_default_configuration_is_the_one_the_ledger_measures() {
+    let (default, bench) = (DbOptions::default(), bench_options(0));
+    assert_eq!(Engine::default(), Engine::Plan);
+    assert_eq!(
+        (default.engine, default.compile, default.optimize),
+        (bench.engine, bench.compile, bench.optimize)
+    );
+}
+
 #[test]
 fn database_options_ignore_the_pool_size() {
     let mut zero = populated(bench_options(0));

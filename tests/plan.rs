@@ -9,7 +9,7 @@
 
 #![allow(clippy::result_large_err)]
 
-use ioql::plan::{execute, lower, Plan};
+use ioql::plan::{execute, lower, lower_with, ParSpec, Plan};
 use ioql::{Database, DbOptions, Engine};
 use ioql_effects::{infer_query, EffectEnv};
 use ioql_eval::{
@@ -211,6 +211,45 @@ fn invoking_and_mutating_generated_queries_never_lower() {
     }
 }
 
+/// `lower_with` declines for one reason: it returns `None` exactly when
+/// `Thm7::decide` refuses the query — whatever the root's shape, with the
+/// compile pass on or off.
+#[test]
+fn lowering_declines_exactly_when_theorem_7_refuses() {
+    let (mut lowered, mut refused) = (0, 0);
+    for (fx, allow_invoke) in [(jack_jill(), false), (ioql_testkit::payroll(), true)] {
+        let tenv = TypeEnv::new(&fx.schema);
+        let eenv = EffectEnv::new(&fx.schema);
+        let defs = DefEnv::new();
+        for seed in 0..200u64 {
+            let cfg = GenConfig {
+                allow_new: seed % 2 == 0,
+                allow_invoke,
+                ..GenConfig::default()
+            };
+            let mut g = QueryGen::new(&fx.schema, seed, cfg);
+            let target = g.target_type();
+            let (elab, _) = check_query(&tenv, &g.query(&target)).unwrap();
+            let (_, effect) = infer_query(&eenv, &elab).unwrap();
+            let lowerable = ioql::Thm7::decide(&elab, &effect, |d| defs.get(d)).lowerable();
+            for compile in [false, true] {
+                let spec = ParSpec {
+                    compile,
+                    ..ParSpec::off()
+                };
+                let plan = lower_with(&elab, &effect, &defs, &Stats::new(), &spec);
+                assert_eq!(plan.is_some(), lowerable, "seed {seed} on {elab}");
+            }
+            *(if lowerable {
+                &mut lowered
+            } else {
+                &mut refused
+            }) += 1;
+        }
+    }
+    assert!(lowered >= 100 && refused >= 100, "{lowered} / {refused}");
+}
+
 /// Tight budgets and injected faults: verdicts (pass/fail *and* error
 /// class) must match the interpreters, and on success the governor must
 /// have been charged exactly the same number of cells — no operator may
@@ -277,11 +316,11 @@ fn budgets_and_faults_hold_identically_through_operators() {
     }
 }
 
-/// Through the `Database` facade: `Engine::Plan` must agree with both
-/// interpreter engines on a mixed workload — eligible queries (plan
-/// executor) and mutating ones (big-step fallback) — under every
-/// chooser. Warm/cold construction histories are identical, so plain
-/// value equality is the oid bijection.
+/// Through the `Database` facade: production must agree with the spec
+/// on a mixed workload — eligible queries (plan executor) and mutating
+/// ones (Theorem 7 refuses; big-step runs them) — under every chooser.
+/// Warm/cold construction histories are identical, so plain value
+/// equality is the oid bijection.
 #[test]
 fn database_engine_plan_agrees_end_to_end() {
     const DDL: &str = "
@@ -305,7 +344,7 @@ fn database_engine_plan_agrees_end_to_end() {
         "{ p.age | p <- Persons, p.name = 3 }",
         "{ p | p <- Persons, p.name = 2 }",
         "size(Persons union { p | p <- Persons, p.name = 1 })",
-        "{ new Person(name: 9, age: 9) | n <- {1} }", // fallback: mutates
+        "{ new Person(name: 9, age: 9) | n <- {1} }", // refused: mutates
         "{ p.age | p <- Persons }",
         "sum({ p.age + q.age | p <- Persons, q <- Persons, p.name = q.name })",
     ];
@@ -315,29 +354,22 @@ fn database_engine_plan_agrees_end_to_end() {
         || Box::new(RandomChooser::seeded(0xBEEF)),
     ];
     for mk in &mk_choosers {
-        let mut dbs = [
-            build(Engine::Plan),
-            build(Engine::BigStep),
-            build(Engine::SmallStep),
-        ];
+        let mut dbs = [build(Engine::Plan), build(Engine::SmallStep)];
         for q in workload {
             let rp = dbs[0].query_with(q, &mut *mk()).unwrap();
-            let rb = dbs[1].query_with(q, &mut *mk()).unwrap();
-            let rs = dbs[2].query_with(q, &mut *mk()).unwrap();
-            assert_eq!(rp.value, rb.value, "plan vs big-step on {q}");
-            assert_eq!(rp.value, rs.value, "plan vs small-step on {q}");
-            assert_eq!(rp.runtime_effect, rb.runtime_effect, "effect on {q}");
-            assert_eq!(rp.static_effect, rb.static_effect, "static effect on {q}");
-            assert_eq!(rp.steps, 0, "plan engine reports no machine steps");
+            let rs = dbs[1].query_with(q, &mut *mk()).unwrap();
+            assert_eq!(rp.value, rs.value, "production vs spec on {q}");
+            assert_eq!(rp.static_effect, rs.static_effect, "static effect on {q}");
+            assert_eq!(rp.steps, 0, "production reports no machine steps");
         }
-        // The mutating query really ran (via fallback) on all three.
+        // The mutating query really ran on both.
         for db in &dbs {
             assert_eq!(db.extent_len("Persons"), 6 + 1);
         }
     }
 }
 
-/// The governor axis through the facade: a plan-engine query under a
+/// The governor axis through the facade: a production query under a
 /// too-small cell budget fails with the same class as the interpreters,
 /// and an exact budget passes.
 #[test]
@@ -347,7 +379,6 @@ fn database_engine_plan_respects_budgets() {
             attribute int name;
         }";
     let opts = DbOptions {
-        engine: Engine::Plan,
         cache_capacity: 0,
         telemetry: true,
         ..DbOptions::default()
@@ -377,11 +408,12 @@ fn database_engine_plan_respects_budgets() {
     assert_eq!(paying.cells_spent(), price);
 }
 
-/// Aggregate roots (`sum`/`size` over anything that lowers) run on the
-/// `Aggregate` operator, not the interpreter fallback, and must stay
-/// observationally identical to both interpreters — with the compile
-/// tier on and off, under every chooser, on every meter, and at every
-/// fuel budget.
+/// Aggregate roots (`sum`/`size` over anything) run on the `Aggregate`
+/// operator, not the interpreter, and must stay observationally
+/// identical to both interpreters — with the compile pass on and off,
+/// under every chooser, on every meter, and at every fuel budget. The
+/// `Database` only elaborates the texts and holds the fixture; the four
+/// executors are called directly, on one elaborated query.
 #[test]
 fn aggregate_roots_agree_on_every_engine() {
     const DDL: &str = "
@@ -395,26 +427,27 @@ fn aggregate_roots_agree_on_every_engine() {
     const MAX: &str = "9223372036854775807";
     // Ages repeat across rows, so `sum` over the *set* of ages differs
     // from a sum over rows: the fold must see the `Distinct` output.
-    let build = |opts: DbOptions| {
-        let mut db = Database::from_ddl_with(DDL, opts).unwrap();
-        db.define("define inDept(d: int) as { e | e <- Employees, e.dept = d };")
-            .unwrap();
-        db.query("{ new Person(name: n, age: 30) | n <- {1, 2, 3, 4} }")
-            .unwrap();
-        db.query("{ new Person(name: n, age: n + 30) | n <- {5, 6, 7, 8, 9, 10, 11, 12} }")
-            .unwrap();
-        db.query("{ new Employee(name: n, age: n + 20, dept: 3) | n <- {20, 21, 22} }")
-            .unwrap();
-        db.query("{ new Employee(name: n, age: 50, dept: 4) | n <- {30, 31} }")
-            .unwrap();
-        db
-    };
-    let with = |engine, compile| DbOptions {
-        engine,
-        compile,
-        cache_capacity: 0,
-        ..DbOptions::default()
-    };
+    let mut db = Database::from_ddl(DDL).unwrap();
+    db.define("define inDept(d: int) as { e | e <- Employees, e.dept = d };")
+        .unwrap();
+    for populate in [
+        "{ new Person(name: n, age: 30) | n <- {1, 2, 3, 4} }",
+        "{ new Person(name: n, age: n + 30) | n <- {5, 6, 7, 8, 9, 10, 11, 12} }",
+        "{ new Employee(name: n, age: n + 20, dept: 3) | n <- {20, 21, 22} }",
+        "{ new Employee(name: n, age: 50, dept: 4) | n <- {30, 31} }",
+    ] {
+        db.query(populate).unwrap();
+    }
+    let schema = db.schema().clone();
+    let store = db.store().clone();
+    let mut defs = DefEnv::new();
+    for def in db.definitions() {
+        defs.insert(def);
+    }
+    let mut stats = Stats::new();
+    for (e, _, members) in store.extents.iter() {
+        stats.set(e.clone(), members.len());
+    }
     let family: Vec<String> = [
         "sum({ p.age | p <- Persons, p.name <= 6 })",
         "size({ p | p <- Persons, p.name = 2 })",
@@ -424,72 +457,73 @@ fn aggregate_roots_agree_on_every_engine() {
         "size({ p.name | p <- Persons } except { e.name | e <- Employees })",
         "sum({ e.age | e <- inDept(3) })",
         "size(inDept(3))",
+        // An input with no operator of its own is an `Eval` under the fold.
+        "sum({1, 2, 3})",
     ]
     .into_iter()
     .map(String::from)
     // The `i64` boundaries of `sum_wraps_identically_at_integer_
-    // boundaries`, shaped so the operand lowers.
+    // boundaries`, as comprehensions.
     .chain([
         format!("sum({{ x | x <- {{ {MAX}, 1 }} }})"),
         format!("sum({{ x | x <- {{ 0 - {MAX} - 1, 0 - 1 }} }})"),
     ])
     .collect();
-    let plan_variants = [false, true];
     let mk_choosers: [fn() -> Box<dyn Chooser>; 3] = [
         || Box::new(FirstChooser),
         || Box::new(LastChooser),
         || Box::new(RandomChooser::seeded(0xA66)),
     ];
-    let observe = |db: &mut Database, q: &str, chooser: &mut dyn Chooser, limits: Limits| {
+    // One executor on one elaborated query: outcome (the exact error on
+    // failure) and the cell meter.
+    const EXECUTORS: [&str; 4] = ["big-step", "small-step", "plan", "plan + vm"];
+    let run = |exec: usize, q: &str, ch: &mut dyn Chooser, limits: Limits, fuel: u64| {
+        let prepared = db.prepare(q).unwrap();
         let governor = Governor::new(limits);
-        let r = db
-            .query_governed(q, chooser, &governor)
-            .map(|r| (r.value, r.runtime_effect, r.static_effect))
-            .map_err(|e| match e {
-                ioql::DbError::Eval(e) => e,
-                other => panic!("{q}: not an evaluation error: {other:?}"),
-            });
+        let cfg = EvalConfig::new(&schema).with_governor(&governor);
+        let mut store = store.clone();
+        let r = match exec {
+            0 => eval_big(&cfg, &defs, &mut store, &prepared.elab, ch, fuel)
+                .map(|r| (r.value, r.effect)),
+            1 => evaluate(&cfg, &defs, &mut store, &prepared.elab, ch, fuel)
+                .map(|r| (r.value, r.effect)),
+            _ => {
+                let spec = ParSpec {
+                    compile: exec == 3,
+                    ..ParSpec::off()
+                };
+                let plan = lower_with(&prepared.elab, &prepared.effect, &defs, &stats, &spec)
+                    .unwrap_or_else(|| panic!("{q} must lower"));
+                execute(&plan, &cfg, &defs, &mut store, ch, fuel).map(|r| (r.value, r.effect))
+            }
+        };
         (r, governor.cells_spent())
     };
-    let mut big = build(with(Engine::BigStep, false));
-    let mut small = build(with(Engine::SmallStep, false));
-    let mut plans: Vec<Database> = plan_variants
-        .iter()
-        .map(|&compile| build(with(Engine::Plan, compile)))
-        .collect();
     for q in &family {
-        let rendered = plans[0].explain(q).unwrap();
+        let prepared = db.prepare(q).unwrap();
+        let rendered = lower(&prepared.elab, &prepared.effect, &defs, &stats)
+            .unwrap()
+            .render();
         assert!(
             rendered.contains("  Aggregate s"),
             "{q} must run on the Aggregate operator:\n{rendered}"
         );
         for mk in &mk_choosers {
-            let want = observe(&mut big, q, &mut *mk(), Limits::none());
+            let want = run(0, q, &mut *mk(), Limits::none(), 1_000_000);
             assert!(want.0.is_ok(), "{q}: {want:?}");
-            assert_eq!(
-                observe(&mut small, q, &mut *mk(), Limits::none()),
-                want,
-                "small-step vs big-step on {q}"
-            );
-            for (db, compile) in plans.iter_mut().zip(plan_variants) {
-                assert_eq!(
-                    observe(db, q, &mut *mk(), Limits::none()),
-                    want,
-                    "plan (compile {compile}) vs big-step on {q}"
-                );
+            for (exec, name) in EXECUTORS.iter().enumerate().skip(1) {
+                let got = run(exec, q, &mut *mk(), Limits::none(), 1_000_000);
+                assert_eq!(got, want, "{name} vs big-step on {q}");
             }
         }
         // A cardinality cap trips at the same observation (the error
         // carries the observed cardinality), or not at all, everywhere.
         for cap in [0, 2, 4, 11] {
             let limits = Limits::none().with_max_set_card(cap);
-            let want = observe(&mut big, q, &mut FirstChooser, limits);
-            for (db, compile) in plans.iter_mut().zip(plan_variants) {
-                assert_eq!(
-                    observe(db, q, &mut FirstChooser, limits),
-                    want,
-                    "set-card cap {cap}, plan (compile {compile}) on {q}"
-                );
+            let want = run(0, q, &mut FirstChooser, limits, 1_000_000);
+            for (exec, name) in EXECUTORS.iter().enumerate().skip(2) {
+                let got = run(exec, q, &mut FirstChooser, limits, 1_000_000);
+                assert_eq!(got, want, "set-card cap {cap}, {name} on {q}");
             }
         }
     }
@@ -500,20 +534,12 @@ fn aggregate_roots_agree_on_every_engine() {
     // exactly one unit on top of its operand — big-step's pre-order
     // `burn` — and every budget short of that trips with big-step's
     // own error, never a wrong answer.
-    let threshold = |db: &mut Database, opts: &DbOptions, q: &str| {
-        db.set_options(DbOptions {
-            max_steps: 10_000,
-            ..opts.clone()
-        });
-        let answer = observe(db, q, &mut FirstChooser, Limits::none()).0;
+    let threshold = |exec: usize, q: &str| {
+        let answer = run(exec, q, &mut FirstChooser, Limits::none(), 10_000).0;
         assert!(answer.is_ok(), "{q}: {answer:?}");
         (0u64..)
             .find(|&max_steps| {
-                db.set_options(DbOptions {
-                    max_steps,
-                    ..opts.clone()
-                });
-                let got = observe(db, q, &mut FirstChooser, Limits::none()).0;
+                let got = run(exec, q, &mut FirstChooser, Limits::none(), max_steps).0;
                 assert!(
                     got == answer || got == Err(EvalError::FuelExhausted),
                     "budget {max_steps} on {q}: {got:?}"
@@ -524,16 +550,9 @@ fn aggregate_roots_agree_on_every_engine() {
     };
     for q in &family {
         let operand = &q[q.find('(').unwrap() + 1..q.len() - 1];
-        let big_opts = with(Engine::BigStep, false);
-        let big_cost = threshold(&mut big, &big_opts, q) - threshold(&mut big, &big_opts, operand);
-        assert_eq!(big_cost, 1, "big-step burns once for the root of {q}");
-        for (db, compile) in plans.iter_mut().zip(plan_variants) {
-            let opts = with(Engine::Plan, compile);
-            let cost = threshold(db, &opts, q) - threshold(db, &opts, operand);
-            assert_eq!(
-                cost, big_cost,
-                "aggregate node fuel, compile {compile}, on {q}"
-            );
+        for exec in [0, 2, 3] {
+            let cost = threshold(exec, q) - threshold(exec, operand);
+            assert_eq!(cost, 1, "aggregate node fuel, {}, on {q}", EXECUTORS[exec]);
         }
     }
 }

@@ -560,7 +560,7 @@ fn a_hot_text_stays_correct_while_definitions_arrive() {
     // One probe per request, plus one more for each request a `define`
     // overtook between its cold preparation and its admission.
     let s = db.statement_stats();
-    assert!(s.hits + s.misses >= 1 + 4 * 300, "{s:?}");
+    assert!(s.hits + s.misses > 4 * 300, "{s:?}");
     assert!(s.entries <= 1, "{s:?}");
     assert_eq!(db.definitions().len(), 3 + 60);
 }

@@ -7,7 +7,7 @@
 //! prefix contains every commit whose acknowledgement had an fsync
 //! behind it. The suite sweeps crash points (byte budgets through
 //! `CrashSink`, sync budgets, hand-built checkpoint wreckage, record
-//! corruption) × choosers × engines and checks the recovered store
+//! corruption) × choosers × {spec, production} and checks the recovered store
 //! against reference prefixes built on a durability-free database.
 
 #![allow(clippy::result_large_err)] // cold-path test helpers return DbError
@@ -114,13 +114,13 @@ const CHOOSERS: &[ChooserKind] = &[
     ChooserKind::Random(0xD0E5),
 ];
 
-const ENGINES: &[Engine] = &[Engine::SmallStep, Engine::BigStep, Engine::Plan];
+const ENGINES: &[Engine] = &[Engine::SmallStep, Engine::Plan];
 
 /// Stores after each prefix of `MUTATIONS` on a durability-free
 /// database: `prefixes[k]` is the store once the first `k` mutations
 /// committed. The recovery contract quantifies over these.
 fn reference_prefixes() -> Vec<Store> {
-    let mut db = db_with(Engine::SmallStep, Durability::Off);
+    let mut db = db_with(Engine::Plan, Durability::Off);
     let mut out = vec![db.store().clone()];
     for q in MUTATIONS {
         db.query(q).unwrap();
@@ -208,7 +208,7 @@ fn clean_recovery_replays_definitions_and_queries() {
 #[test]
 fn checkpoint_folds_log_into_a_new_generation() {
     let dir = TempDir::new("ckpt");
-    let mut db = db_with(Engine::BigStep, Durability::Commit);
+    let mut db = db_with(Engine::Plan, Durability::Commit);
     db.attach_durable(dir.path()).unwrap();
     db.define("define adults(min: int) as { p | p <- Persons, min <= p.age };")
         .unwrap();
@@ -231,7 +231,7 @@ fn checkpoint_folds_log_into_a_new_generation() {
     let expected = db.store().clone();
     drop(db);
 
-    let (mut rec, report) = recover(Engine::BigStep, Durability::Commit, dir.path()).unwrap();
+    let (mut rec, report) = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap();
     assert_eq!(report.generation, 1);
     assert!(report.checkpoint_loaded);
     // Only the post-checkpoint suffix replays; the definition rides the
@@ -287,7 +287,7 @@ fn crash_during_append_recovers_exactly_the_acked_prefix() {
     // Measure a clean log to size the byte-budget sweep.
     let full_len = {
         let dir = TempDir::new("measure");
-        let db = run_clean(Engine::SmallStep, Durability::Commit, dir.path());
+        let db = run_clean(Engine::Plan, Durability::Commit, dir.path());
         drop(db);
         std::fs::metadata(wal_path(dir.path(), 0)).unwrap().len()
     };
@@ -368,7 +368,7 @@ fn batch_mode_group_commits_and_bounds_tail_loss() {
     // Clean Batch(3) run: fsyncs amortise, the tail stays pending until
     // checkpoint/flush, and at least one real group commit happens.
     let dir = TempDir::new("batch-clean");
-    let mut db = db_with(Engine::BigStep, Durability::Batch(3));
+    let mut db = db_with(Engine::Plan, Durability::Batch(3));
     db.attach_durable(dir.path()).unwrap();
     for q in MUTATIONS {
         db.query(q).unwrap();
@@ -378,7 +378,7 @@ fn batch_mode_group_commits_and_bounds_tail_loss() {
     assert!(db.metrics().wal_group_commits.get() >= 2);
     assert_eq!(db.wal_status().unwrap().pending, 0);
     drop(db);
-    let (rec, _) = recover(Engine::BigStep, Durability::Batch(3), dir.path()).unwrap();
+    let (rec, _) = recover(Engine::Plan, Durability::Batch(3), dir.path()).unwrap();
     assert_eq!(
         matching_prefix(&rec.store(), &prefixes),
         Some(MUTATIONS.len())
@@ -390,7 +390,7 @@ fn batch_mode_group_commits_and_bounds_tail_loss() {
     // survive.
     for sync_budget in 0..=2u64 {
         let dir = TempDir::new("batch-crash");
-        let mut db = db_with(Engine::SmallStep, Durability::Batch(2));
+        let mut db = db_with(Engine::Plan, Durability::Batch(2));
         db.attach_durable_with(dir.path(), CrashSink::factory(None, Some(sync_budget)))
             .unwrap();
         let mut acked = 0usize;
@@ -401,7 +401,7 @@ fn batch_mode_group_commits_and_bounds_tail_loss() {
         }
         let synced = (2 * sync_budget) as usize;
         drop(db);
-        let (rec, _) = recover(Engine::SmallStep, Durability::Batch(2), dir.path()).unwrap();
+        let (rec, _) = recover(Engine::Plan, Durability::Batch(2), dir.path()).unwrap();
         let k = matching_prefix(&rec.store(), &prefixes)
             .unwrap_or_else(|| panic!("batch sync {sync_budget}: no prefix"));
         assert!(
@@ -418,7 +418,7 @@ fn batch_mode_group_commits_and_bounds_tail_loss() {
 fn torn_tail_is_dropped_silently_counted_and_repaired() {
     let prefixes = reference_prefixes();
     let dir = TempDir::new("torn");
-    let db = run_clean(Engine::SmallStep, Durability::Commit, dir.path());
+    let db = run_clean(Engine::Plan, Durability::Commit, dir.path());
     drop(db);
 
     // Tear the final record mid-line — the shape a crash mid-write
@@ -428,7 +428,7 @@ fn torn_tail_is_dropped_silently_counted_and_repaired() {
     let cut = text.trim_end().rfind('\n').unwrap() + 10;
     std::fs::write(&log, &text[..cut]).unwrap();
 
-    let (mut rec, report) = recover(Engine::SmallStep, Durability::Commit, dir.path()).unwrap();
+    let (mut rec, report) = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap();
     assert_eq!(report.torn_dropped, 1);
     assert_eq!(report.replayed_queries, MUTATIONS.len() as u64 - 1);
     assert_eq!(rec.metrics().wal_torn_dropped.get(), 1);
@@ -442,7 +442,7 @@ fn torn_tail_is_dropped_silently_counted_and_repaired() {
     // sees a whole file.
     rec.query(MUTATIONS[MUTATIONS.len() - 1]).unwrap();
     drop(rec);
-    let (rec2, report2) = recover(Engine::SmallStep, Durability::Commit, dir.path()).unwrap();
+    let (rec2, report2) = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap();
     assert_eq!(report2.torn_dropped, 0);
     assert_eq!(report2.replayed_queries, MUTATIONS.len() as u64);
     assert!(matching_prefix(&rec2.store(), &prefixes).is_some());
@@ -451,7 +451,7 @@ fn torn_tail_is_dropped_silently_counted_and_repaired() {
 #[test]
 fn mid_log_corruption_fails_with_a_line_accurate_diagnostic() {
     let dir = TempDir::new("midlog");
-    let db = run_clean(Engine::BigStep, Durability::Commit, dir.path());
+    let db = run_clean(Engine::Plan, Durability::Commit, dir.path());
     drop(db);
 
     // Damage record seq 2 — line 3 of the file (header is line 1).
@@ -473,7 +473,7 @@ fn mid_log_corruption_fails_with_a_line_accurate_diagnostic() {
     );
     std::fs::write(&log, damaged.join("\n") + "\n").unwrap();
 
-    let err = recover(Engine::BigStep, Durability::Commit, dir.path()).unwrap_err();
+    let err = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap_err();
     match err {
         DbError::Wal(e) => {
             assert_eq!(e.line, 3, "diagnostic must name the damaged line: {e}");
@@ -491,7 +491,7 @@ fn wal_corruption_catalogue_never_panics_and_never_invents_state() {
     let prefixes = reference_prefixes();
     let pristine = {
         let dir = TempDir::new("cat-measure");
-        drop(run_clean(Engine::SmallStep, Durability::Commit, dir.path()));
+        drop(run_clean(Engine::Plan, Durability::Commit, dir.path()));
         std::fs::read_to_string(wal_path(dir.path(), 0)).unwrap()
     };
 
@@ -499,7 +499,7 @@ fn wal_corruption_catalogue_never_panics_and_never_invents_state() {
         let (damaged, kind) = corrupt_dump(&pristine, seed);
         let dir = TempDir::new("cat");
         std::fs::write(wal_path(dir.path(), 0), &damaged).unwrap();
-        match recover(Engine::SmallStep, Durability::Commit, dir.path()) {
+        match recover(Engine::Plan, Durability::Commit, dir.path()) {
             // Tolerated damage must be tail damage: the survivors are a
             // committed prefix, nothing more.
             Ok((rec, report)) => {
@@ -539,13 +539,13 @@ fn wal_corruption_catalogue_never_panics_and_never_invents_state() {
 fn orphan_next_generation_log_is_ignored() {
     let prefixes = reference_prefixes();
     let dir = TempDir::new("orphan");
-    drop(run_clean(Engine::SmallStep, Durability::Commit, dir.path()));
+    drop(run_clean(Engine::Plan, Durability::Commit, dir.path()));
 
     // A crash between "write wal-1" and "rename checkpoint-1" leaves an
     // orphan log with no checkpoint: generation 0 is still the live one.
     std::fs::write(wal_path(dir.path(), 1), "ioql-wal v1 gen=1\n").unwrap();
 
-    let (rec, report) = recover(Engine::SmallStep, Durability::Commit, dir.path()).unwrap();
+    let (rec, report) = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap();
     assert_eq!(report.generation, 0);
     assert_eq!(
         matching_prefix(&rec.store(), &prefixes),
@@ -559,7 +559,7 @@ fn orphan_next_generation_log_is_ignored() {
 fn stale_previous_generation_files_are_ignored_and_cleaned() {
     let prefixes = reference_prefixes();
     let dir = TempDir::new("stale");
-    let mut db = run_clean(Engine::SmallStep, Durability::Commit, dir.path());
+    let mut db = run_clean(Engine::Plan, Durability::Commit, dir.path());
     db.checkpoint().unwrap();
     drop(db);
 
@@ -568,7 +568,7 @@ fn stale_previous_generation_files_are_ignored_and_cleaned() {
     std::fs::write(wal_path(dir.path(), 0), "not even a wal").unwrap();
     std::fs::write(checkpoint_path(dir.path(), 0), "junk").unwrap();
 
-    let (rec, report) = recover(Engine::SmallStep, Durability::Commit, dir.path()).unwrap();
+    let (rec, report) = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap();
     assert_eq!(report.generation, 1);
     assert!(report.checkpoint_loaded);
     assert_eq!(
@@ -586,7 +586,7 @@ const GOOD_THEN_BAD: &str = "define a() as 1; define b() as 1 + true;";
 
 #[test]
 fn a_failing_define_batch_registers_nothing() {
-    let mut db = db_with(Engine::BigStep, Durability::Off);
+    let mut db = db_with(Engine::Plan, Durability::Off);
     db.define("define zero() as 0;").unwrap();
     let mut session = db.session("s");
     let before = db.definitions();
@@ -605,7 +605,7 @@ fn a_failing_define_batch_registers_nothing() {
 #[test]
 fn a_failing_define_batch_logs_nothing() {
     let dir = TempDir::new("define-batch");
-    let mut db = db_with(Engine::BigStep, Durability::Commit);
+    let mut db = db_with(Engine::Plan, Durability::Commit);
     db.attach_durable(dir.path()).unwrap();
     db.define("define zero() as 0;").unwrap();
     assert!(db.define(GOOD_THEN_BAD).is_err());
@@ -617,7 +617,7 @@ fn a_failing_define_batch_logs_nothing() {
     let expected = db.definitions();
     drop(db);
 
-    let (mut rec, report) = recover(Engine::BigStep, Durability::Commit, dir.path()).unwrap();
+    let (mut rec, report) = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap();
     assert_eq!(report.replayed_defs, 3);
     assert_eq!(rec.definitions(), expected);
     assert!(rec.query("a()").is_err());
@@ -627,7 +627,7 @@ fn a_failing_define_batch_logs_nothing() {
 #[test]
 fn a_define_whose_append_fails_is_not_registered() {
     let dir = TempDir::new("define-append");
-    let mut db = db_with(Engine::BigStep, Durability::Commit);
+    let mut db = db_with(Engine::Plan, Durability::Commit);
     db.attach_durable_with(dir.path(), CrashSink::factory(None, Some(1)))
         .unwrap();
     db.define("define zero() as 0;").unwrap(); // fsync #1 — acked
@@ -645,7 +645,7 @@ fn a_define_whose_append_fails_is_not_registered() {
 #[test]
 fn poisoned_log_fails_fast_until_a_checkpoint_rebuilds() {
     let dir = TempDir::new("poison");
-    let mut db = db_with(Engine::BigStep, Durability::Commit);
+    let mut db = db_with(Engine::Plan, Durability::Commit);
     db.attach_durable_with(dir.path(), CrashSink::factory(None, Some(1)))
         .unwrap();
 
@@ -667,7 +667,7 @@ fn poisoned_log_fails_fast_until_a_checkpoint_rebuilds() {
     let expected = db.store().clone();
     drop(db);
 
-    let (rec, report) = recover(Engine::BigStep, Durability::Commit, dir.path()).unwrap();
+    let (rec, report) = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap();
     assert_eq!(report.generation, 1);
     assert!(equiv_stores(&rec.store(), &expected));
 }
@@ -719,7 +719,7 @@ fn a_sink_panic_poisons_the_log_not_every_later_writer() {
     };
 
     let dir = TempDir::new("sink-panic");
-    let mut db = db_with(Engine::BigStep, Durability::Commit);
+    let mut db = db_with(Engine::Plan, Durability::Commit);
     db.attach_durable_with(dir.path(), factory).unwrap();
 
     db.session("a").query(&write(101)).unwrap(); // append #1 — acked
@@ -746,7 +746,7 @@ fn a_sink_panic_poisons_the_log_not_every_later_writer() {
     let expected = db.store().clone();
     drop(db);
 
-    let (rec, report) = recover(Engine::BigStep, Durability::Commit, dir.path()).unwrap();
+    let (rec, report) = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap();
     assert_eq!(report.generation, 1);
     assert!(equiv_stores(&rec.store(), &expected));
     for acked in [101, 103] {
@@ -769,15 +769,16 @@ fn durability_off_changes_no_observable() {
                 !l.contains("ioql_wal_")
                     && !l.contains("ioql_store_")
                     && !l.contains("duration_ns")
+                    && !l.contains("dispatch_ns")
                     && !l.contains("busy_ns")
             })
             .collect::<Vec<_>>()
             .join("\n")
     };
 
-    let mut plain = db_with(Engine::SmallStep, Durability::Off);
+    let mut plain = db_with(Engine::Plan, Durability::Off);
     let dir = TempDir::new("transparent");
-    let mut durable = db_with(Engine::SmallStep, Durability::Off);
+    let mut durable = db_with(Engine::Plan, Durability::Off);
     durable.attach_durable(dir.path()).unwrap();
 
     for q in MUTATIONS.iter().chain([&READ, &"{ p.age | p <- Persons }"]) {
@@ -813,7 +814,7 @@ fn durability_off_changes_no_observable() {
 #[test]
 fn failed_load_checkpoint_rolls_back_the_swap() {
     let dir = TempDir::new("load-rollback");
-    let mut db = db_with(Engine::BigStep, Durability::Commit);
+    let mut db = db_with(Engine::Plan, Durability::Commit);
     db.attach_durable(dir.path()).unwrap();
     db.query(MUTATIONS[0]).unwrap();
     db.query(MUTATIONS[1]).unwrap();
@@ -821,7 +822,7 @@ fn failed_load_checkpoint_rolls_back_the_swap() {
 
     // A dump of a recognizably different store.
     let (dump, loaded_ref) = {
-        let mut other = db_with(Engine::BigStep, Durability::Off);
+        let mut other = db_with(Engine::Plan, Durability::Off);
         other.query(MUTATIONS[5]).unwrap();
         let snapshot = other.store().clone();
         (other.dump(), snapshot)
@@ -855,7 +856,7 @@ fn failed_load_checkpoint_rolls_back_the_swap() {
     // The database keeps committing against the old state…
     db.query(MUTATIONS[2]).unwrap();
     let expected = {
-        let mut reference = db_with(Engine::BigStep, Durability::Off);
+        let mut reference = db_with(Engine::Plan, Durability::Off);
         for q in &MUTATIONS[..3] {
             reference.query(q).unwrap();
         }
@@ -867,7 +868,7 @@ fn failed_load_checkpoint_rolls_back_the_swap() {
     // …and a crash recovers exactly that history — memory and disk
     // never disagreed.
     std::fs::remove_dir(wal_path(dir.path(), gen + 1)).unwrap();
-    let (mut rec, _) = recover(Engine::BigStep, Durability::Commit, dir.path()).unwrap();
+    let (mut rec, _) = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap();
     assert!(
         equiv_stores(&rec.store(), &expected),
         "recovery must replay the pre-load history"
@@ -878,7 +879,7 @@ fn failed_load_checkpoint_rolls_back_the_swap() {
     rec.load(&dump).unwrap();
     assert!(equiv_stores(&rec.store(), &loaded_ref));
     drop(rec);
-    let (rec2, report) = recover(Engine::BigStep, Durability::Commit, dir.path()).unwrap();
+    let (rec2, report) = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap();
     assert!(
         report.checkpoint_loaded,
         "the load's checkpoint is the baseline"
@@ -903,7 +904,7 @@ fn batch_of_one_acknowledges_like_commit() {
     // pending record.
     for mode in [Durability::Commit, Durability::Batch(1)] {
         let dir = TempDir::new("batch1-clean");
-        let mut db = db_with(Engine::BigStep, mode);
+        let mut db = db_with(Engine::Plan, mode);
         db.attach_durable(dir.path()).unwrap();
         for q in MUTATIONS {
             db.query(q).unwrap();
@@ -931,12 +932,12 @@ fn batch_of_one_acknowledges_like_commit() {
         let mut per_mode = Vec::new();
         for mode in [Durability::Commit, Durability::Batch(1)] {
             let dir = TempDir::new("batch1-crash");
-            let mut db = db_with(Engine::SmallStep, mode);
+            let mut db = db_with(Engine::Plan, mode);
             db.attach_durable_with(dir.path(), CrashSink::factory(None, Some(sync_budget)))
                 .unwrap();
             let acks: Vec<bool> = MUTATIONS.iter().map(|q| db.query(q).is_ok()).collect();
             drop(db);
-            let (rec, _) = recover(Engine::SmallStep, mode, dir.path()).unwrap();
+            let (rec, _) = recover(Engine::Plan, mode, dir.path()).unwrap();
             let k = matching_prefix(&rec.store(), &prefixes)
                 .unwrap_or_else(|| panic!("{mode:?} sync {sync_budget}: no prefix"));
             let acked = acks.iter().filter(|a| **a).count();
@@ -963,7 +964,7 @@ fn batch_tail_loss_is_bounded_by_group_size() {
         // Clean partial run: the pending tail is exactly `appends mod n`,
         // strictly below `n` at every point.
         let dir = TempDir::new("batch-tail");
-        let mut db = db_with(Engine::BigStep, Durability::Batch(n as usize));
+        let mut db = db_with(Engine::Plan, Durability::Batch(n as usize));
         db.attach_durable(dir.path()).unwrap();
         for (i, q) in MUTATIONS[..5].iter().enumerate() {
             db.query(q).unwrap();
@@ -985,13 +986,13 @@ fn batch_tail_loss_is_bounded_by_group_size() {
         // acknowledged records.
         for sync_budget in 0..=3u64 {
             let dir = TempDir::new("batch-tail-crash");
-            let mut db = db_with(Engine::SmallStep, Durability::Batch(n as usize));
+            let mut db = db_with(Engine::Plan, Durability::Batch(n as usize));
             db.attach_durable_with(dir.path(), CrashSink::factory(None, Some(sync_budget)))
                 .unwrap();
             let acked = MUTATIONS.iter().filter(|q| db.query(q).is_ok()).count();
             drop(db);
             let (rec, _) =
-                recover(Engine::SmallStep, Durability::Batch(n as usize), dir.path()).unwrap();
+                recover(Engine::Plan, Durability::Batch(n as usize), dir.path()).unwrap();
             let k = matching_prefix(&rec.store(), &prefixes)
                 .unwrap_or_else(|| panic!("Batch({n}) sync {sync_budget}: no prefix"));
             assert!(

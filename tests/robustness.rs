@@ -1,11 +1,12 @@
-//! Robustness suite: seed-driven fault injection against both engines.
+//! Robustness suite: seed-driven fault injection against both
+//! configurations — the spec machine and production (which, the fault
+//! query being a mutator Theorem 7 refuses, runs it on big-step).
 //!
 //! Three properties under every injected fault (deadline expiry, budget
 //! exhaustion, mid-evaluation cancellation, dump corruption):
 //!
-//! 1. **Engine parity** — the small-step machine and the big-step
-//!    evaluator fail with the *same* error class for the same fault and
-//!    the same chooser decisions.
+//! 1. **Engine parity** — the spec and production fail with the *same*
+//!    error class for the same fault and the same chooser decisions.
 //! 2. **Failure atomicity** — a query that dies after performing `new`s
 //!    never leaves the store half-mutated; the database rolls back to
 //!    the pre-query snapshot. Engine panics are contained as
@@ -82,8 +83,8 @@ fn engines_fail_identically_under_injected_faults() {
     for seed in 0..60u64 {
         let plan = FaultPlan::from_seed(seed);
         let small = run_faulted(Engine::SmallStep, &plan);
-        let big = run_faulted(Engine::BigStep, &plan);
-        match (&small, &big) {
+        let production = run_faulted(Engine::Plan, &plan);
+        match (&small, &production) {
             (Err(a), Err(b)) => {
                 assert_eq!(
                     class(a),
@@ -108,7 +109,7 @@ fn engines_fail_identically_under_injected_faults() {
 
 #[test]
 fn aborted_new_query_never_half_mutates_store() {
-    for engine in [Engine::SmallStep, Engine::BigStep] {
+    for engine in [Engine::SmallStep, Engine::Plan] {
         for seed in 0..30u64 {
             let plan = FaultPlan::from_seed(seed);
             let mut db = db_with(engine);
@@ -140,7 +141,7 @@ fn unfaulted_run_commits_all_mutations() {
     // Sanity check that the fault query really is a mutator: without a
     // fault it creates exactly 8 objects, so the rollbacks above are
     // undoing real work rather than passing vacuously.
-    for engine in [Engine::SmallStep, Engine::BigStep] {
+    for engine in [Engine::SmallStep, Engine::Plan] {
         let mut db = db_with(engine);
         let governor = Governor::new(Limits::none());
         let mut chooser = ChaosChooser::new(7, None);
@@ -170,7 +171,7 @@ impl ioql::Chooser for PanicChooser {
 
 #[test]
 fn engine_panic_is_contained_and_rolled_back() {
-    for engine in [Engine::SmallStep, Engine::BigStep] {
+    for engine in [Engine::SmallStep, Engine::Plan] {
         // Panic on the 4th draw: the outer generator has been chosen and
         // at least one `new` committed, so rollback is doing real work.
         for panic_at in [0u64, 3, 6] {
@@ -200,7 +201,7 @@ fn engine_panic_is_contained_and_rolled_back() {
 
 #[test]
 fn corrupt_dumps_rejected_without_panic_and_store_untouched() {
-    let mut db = db_with(Engine::SmallStep);
+    let mut db = db_with(Engine::Plan);
     let clean = db.dump();
     let before = db.dump();
     let mut header_kinds = std::collections::BTreeSet::new();
@@ -316,7 +317,7 @@ fn generated_stores_roundtrip_through_dump_and_file() {
 fn atomic_save_roundtrips_and_failed_file_load_is_harmless() {
     let dir = std::env::temp_dir();
     let path = dir.join(format!("ioql-robustness-{}.dump", std::process::id()));
-    let db = db_with(Engine::BigStep);
+    let db = db_with(Engine::Plan);
     db.save_to(&path).unwrap();
 
     // Round-trip into a sibling database.
@@ -361,7 +362,7 @@ fn fault_free_chaos_runs_agree_across_engines() {
             (r.value.to_string(), db.dump())
         };
         let (v1, d1) = run(Engine::SmallStep);
-        let (v2, d2) = run(Engine::BigStep);
+        let (v2, d2) = run(Engine::Plan);
         assert_eq!(v1, v2, "seed {seed}: values differ");
         assert_eq!(d1, d2, "seed {seed}: stores differ");
     }

@@ -121,7 +121,7 @@ impl Chooser for BarrierChooser {
 
 #[test]
 fn session_queries_carry_admission_stamps() {
-    let db = db_with(Engine::BigStep);
+    let db = db_with(Engine::Plan);
     let mut s = db.session("t1");
     // A write serializes and is stamped with its commit-order position,
     // witnessed by the interfering atom pair that refused concurrency.
@@ -156,7 +156,7 @@ fn session_queries_carry_admission_stamps() {
 
 #[test]
 fn readers_overlap_and_never_block_each_other() {
-    let mut db = db_with(Engine::BigStep);
+    let mut db = db_with(Engine::Plan);
     db.query(WRITES[0]).unwrap();
     const N: usize = 4;
     let barrier = Arc::new(Barrier::new(N));
@@ -194,7 +194,7 @@ fn readers_overlap_and_never_block_each_other() {
 /// session — so the version vectors cannot cross-contaminate.
 #[test]
 fn cache_isolated_from_concurrent_writers() {
-    let db = db_with(Engine::BigStep);
+    let db = db_with(Engine::Plan);
     db.session("seed").query(WRITES[0]).unwrap(); // ages {21, 22, 23}
     let q = "sum({ p.age | p <- Persons })";
 
@@ -259,7 +259,7 @@ fn cache_isolated_from_concurrent_writers() {
 
 #[test]
 fn session_budget_trips_one_client_not_its_neighbours() {
-    let mut options = opts_with(Engine::BigStep);
+    let mut options = opts_with(Engine::Plan);
     options.session_budget = Some(Limits {
         max_cells: Some(40),
         ..Limits::none()
@@ -306,7 +306,7 @@ fn session_budget_trips_one_client_not_its_neighbours() {
 
 #[test]
 fn wire_protocol_round_trips() {
-    let mut db = db_with(Engine::BigStep);
+    let mut db = db_with(Engine::Plan);
     db.define("define adults(min: int) as { p | p <- Persons, min <= p.age };")
         .unwrap();
     let mut server = db.serve("127.0.0.1:0").unwrap();
@@ -370,10 +370,10 @@ fn wire_protocol_round_trips() {
 /// single-threaded serialized replay. Writers replay in commit-stamp
 /// order; every reader re-runs at its snapshot stamp; per-client
 /// observables must be byte-identical and the final stores
-/// oid-bijection-equivalent — across engines.
+/// oid-bijection-equivalent — on the spec and in production.
 #[test]
 fn concurrent_clients_equal_serialized_replay() {
-    for engine in [Engine::SmallStep, Engine::BigStep, Engine::Plan] {
+    for engine in [Engine::SmallStep, Engine::Plan] {
         let db = Database::from_ddl_with(DDL, opts_with(engine)).unwrap();
         let mut server = db.serve("127.0.0.1:0").unwrap();
         let addr = server.addr();
@@ -489,7 +489,7 @@ fn concurrent_clients_equal_serialized_replay() {
 #[test]
 fn crash_mid_serve_recovers_every_acked_write() {
     let dir = TempDir::new("crash");
-    let mut db = db_with(Engine::BigStep);
+    let mut db = db_with(Engine::Plan);
     db.set_durability(Durability::Commit);
     // Budget for roughly three records, then the "disk" dies.
     db.attach_durable_with(dir.path(), CrashSink::factory(Some(400), None))
@@ -523,11 +523,11 @@ fn crash_mid_serve_recovers_every_acked_write() {
     drop(db); // the "crash": the process state is gone, the disk remains
 
     // Recovery sees exactly the acked prefix.
-    let mut rec = db_with(Engine::BigStep);
+    let mut rec = db_with(Engine::Plan);
     rec.set_durability(Durability::Commit);
     let report = rec.attach_durable(dir.path()).unwrap();
     assert_eq!(report.replayed_queries, acked.len() as u64);
-    let mut expected = db_with(Engine::BigStep);
+    let mut expected = db_with(Engine::Plan);
     for q in &acked {
         expected.query(q).unwrap();
     }
@@ -543,7 +543,7 @@ fn crash_mid_serve_recovers_every_acked_write() {
 #[test]
 fn multi_client_writes_compose_with_group_commit() {
     let dir = TempDir::new("batch");
-    let mut db = db_with(Engine::BigStep);
+    let mut db = db_with(Engine::Plan);
     db.set_durability(Durability::Batch(4));
     db.attach_durable(dir.path()).unwrap();
     let mut server = db.serve("127.0.0.1:0").unwrap();
@@ -580,7 +580,7 @@ fn multi_client_writes_compose_with_group_commit() {
     );
     drop(db);
 
-    let mut rec = db_with(Engine::BigStep);
+    let mut rec = db_with(Engine::Plan);
     rec.set_durability(Durability::Batch(4));
     let report = rec.attach_durable(dir.path()).unwrap();
     assert_eq!(report.generation, 1);
@@ -595,7 +595,7 @@ fn multi_client_writes_compose_with_group_commit() {
 #[test]
 fn oversized_request_line_is_refused_not_buffered() {
     use std::io::{BufRead, BufReader, Write};
-    let db = db_with(Engine::BigStep);
+    let db = db_with(Engine::Plan);
     let mut server = db.serve("127.0.0.1:0").unwrap();
     let mut neighbour = Client::connect(server.addr()).unwrap();
     assert!(neighbour.request(WRITES[0]).unwrap().is_ok());

@@ -49,12 +49,11 @@ const WRITERS: &[&str] = &[
     "size({ new Dog(weight: n) | n <- {9} })",
 ];
 
-const ENGINES: &[Engine] = &[Engine::SmallStep, Engine::BigStep, Engine::Plan];
+const ENGINES: &[Engine] = &[Engine::SmallStep, Engine::Plan];
 
-fn opts(engine: Engine, compile: bool) -> DbOptions {
+fn opts(engine: Engine) -> DbOptions {
     DbOptions {
         engine,
-        compile,
         method_mode: Mode::Extended,
         telemetry: true,
         // A metered (but never-tripping) session budget, so
@@ -68,8 +67,8 @@ fn opts(engine: Engine, compile: bool) -> DbOptions {
     }
 }
 
-fn seeded(engine: Engine, compile: bool) -> Database {
-    let db = Database::from_ddl_with(DDL, opts(engine, compile)).unwrap();
+fn seeded(engine: Engine) -> Database {
+    let db = Database::from_ddl_with(DDL, opts(engine)).unwrap();
     for q in SEED {
         db.session("seed").query(q).unwrap();
     }
@@ -120,80 +119,78 @@ impl Chooser for BarrierChooser {
     }
 }
 
-/// The snapshot-isolation property, across every engine × compile
-/// tier: barrier a reader on snapshot S, commit writers that
+/// The snapshot-isolation property, on the spec and in production:
+/// barrier a reader on snapshot S, commit writers that
 /// `set_attr` and `create` into every extent while it is in flight, and
 /// demand the reader's value *and* cell meter match a solo run against
 /// S exactly.
 #[test]
 fn reader_on_snapshot_is_byte_identical_to_solo_run() {
     for &engine in ENGINES {
-        for compile in [false, true] {
-            let tag = format!("{engine:?} compile={compile}");
+        let tag = format!("{engine:?}");
 
-            // The solo baseline: same seed, same query, no writers.
-            let solo_db = seeded(engine, compile);
-            let mut solo = solo_db.session("solo");
-            let baseline = solo.query(READER).unwrap();
-            let baseline_cells = solo.budget_spent().unwrap();
+        // The solo baseline: same seed, same query, no writers.
+        let solo_db = seeded(engine);
+        let mut solo = solo_db.session("solo");
+        let baseline = solo.query(READER).unwrap();
+        let baseline_cells = solo.budget_spent().unwrap();
 
-            // The live run: park the reader mid-evaluation on its
-            // snapshot, then commit writers into every extent.
-            let db = seeded(engine, compile);
-            let gate = Arc::new(Barrier::new(2));
-            let reader = {
-                let mut s = db.session("parked-reader");
-                let gate = Arc::clone(&gate);
-                std::thread::spawn(move || {
-                    let mut chooser = BarrierChooser {
-                        barrier: gate,
-                        waited: false,
-                    };
-                    let r = s.query_with(READER, &mut chooser).unwrap();
-                    (r, s.budget_spent().unwrap())
-                })
-            };
-            gate.wait(); // reader is mid-query on snapshot S
-            for w in WRITERS {
-                db.session("writer").query(w).unwrap();
-            }
-            let (got, got_cells) = reader.join().unwrap();
-
-            // Byte-identical to the solo run against S: the value,
-            // the cell meter, the runtime effect, the admission.
-            assert_eq!(
-                got.value.to_string(),
-                baseline.value.to_string(),
-                "{tag}: snapshot reader saw writer effects"
-            );
-            assert_eq!(
-                got_cells, baseline_cells,
-                "{tag}: cell meter diverged from the solo run"
-            );
-            assert_eq!(
-                got.runtime_effect.to_string(),
-                baseline.runtime_effect.to_string(),
-                "{tag}: runtime effect diverged"
-            );
-            assert!(
-                matches!(got.admitted, Some(Admitted::Concurrent { .. })),
-                "{tag}: reader was not admitted concurrently"
-            );
-
-            // The writers really did land: a post-commit reader sees
-            // the bumped ages plus the created rows.
-            let after = db.session("after").query(READER).unwrap();
-            assert_ne!(
-                after.value.to_string(),
-                baseline.value.to_string(),
-                "{tag}: writers had no visible effect"
-            );
-            // And their COW work was accounted.
-            assert!(
-                db.metrics().snapshot_chunks_copied.get() > 0,
-                "{tag}: writer COW copies went unrecorded"
-            );
+        // The live run: park the reader mid-evaluation on its
+        // snapshot, then commit writers into every extent.
+        let db = seeded(engine);
+        let gate = Arc::new(Barrier::new(2));
+        let reader = {
+            let mut s = db.session("parked-reader");
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                let mut chooser = BarrierChooser {
+                    barrier: gate,
+                    waited: false,
+                };
+                let r = s.query_with(READER, &mut chooser).unwrap();
+                (r, s.budget_spent().unwrap())
+            })
+        };
+        gate.wait(); // reader is mid-query on snapshot S
+        for w in WRITERS {
+            db.session("writer").query(w).unwrap();
         }
+        let (got, got_cells) = reader.join().unwrap();
+
+        // Byte-identical to the solo run against S: the value,
+        // the cell meter, the runtime effect, the admission.
+        assert_eq!(
+            got.value.to_string(),
+            baseline.value.to_string(),
+            "{tag}: snapshot reader saw writer effects"
+        );
+        assert_eq!(
+            got_cells, baseline_cells,
+            "{tag}: cell meter diverged from the solo run"
+        );
+        assert_eq!(
+            got.runtime_effect.to_string(),
+            baseline.runtime_effect.to_string(),
+            "{tag}: runtime effect diverged"
+        );
+        assert!(
+            matches!(got.admitted, Some(Admitted::Concurrent { .. })),
+            "{tag}: reader was not admitted concurrently"
+        );
+
+        // The writers really did land: a post-commit reader sees
+        // the bumped ages plus the created rows.
+        let after = db.session("after").query(READER).unwrap();
+        assert_ne!(
+            after.value.to_string(),
+            baseline.value.to_string(),
+            "{tag}: writers had no visible effect"
+        );
+        // And their COW work was accounted.
+        assert!(
+            db.metrics().snapshot_chunks_copied.get() > 0,
+            "{tag}: writer COW copies went unrecorded"
+        );
     }
 }
 
@@ -217,7 +214,7 @@ fn dump_v2_round_trips_the_chunked_store() {
 
 fn dump_v2_round_trip_body() {
     let dir = TempDir::new("dump");
-    let mut db = Database::from_ddl_with(DDL, opts(Engine::BigStep, false)).unwrap();
+    let mut db = Database::from_ddl_with(DDL, opts(Engine::Plan)).unwrap();
     // Enough rows to span many chunks, in several batches, with an
     // update pass in between so member spines and object chunks both
     // get exercised.
@@ -254,7 +251,7 @@ fn dump_v2_round_trip_body() {
 
     // The loaded store answers like the original.
     let before = db.query(READER).unwrap().value.to_string();
-    let mut reloaded = Database::from_ddl_with(DDL, opts(Engine::BigStep, false)).unwrap();
+    let mut reloaded = Database::from_ddl_with(DDL, opts(Engine::Plan)).unwrap();
     *reloaded.store_mut() = loaded;
     let after = reloaded.query(READER).unwrap().value.to_string();
     assert_eq!(before, after);
@@ -262,12 +259,12 @@ fn dump_v2_round_trip_body() {
 
 /// `attach_durable` recovery round-trips the chunked store: every
 /// committed write replays into a store oid-bijection-equivalent to the
-/// one that crashed, across all three engines.
+/// one that crashed, on the spec and in production.
 #[test]
 fn wal_recovery_round_trips_the_chunked_store() {
     for &engine in ENGINES {
         let dir = TempDir::new("wal");
-        let mut durable_opts = opts(engine, false);
+        let mut durable_opts = opts(engine);
         durable_opts.durability = Durability::Commit;
         let expected = {
             let mut db = Database::from_ddl_with(DDL, durable_opts.clone()).unwrap();

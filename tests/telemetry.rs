@@ -92,7 +92,7 @@ fn run_workload(engine: Engine, telemetry: bool, jsonl: Option<PathBuf>) -> Vec<
 
 #[test]
 fn telemetry_is_observationally_transparent() {
-    for engine in [Engine::SmallStep, Engine::BigStep, Engine::Plan] {
+    for engine in [Engine::SmallStep, Engine::Plan] {
         let off = run_workload(engine, false, None);
         let path = temp_path(&format!("transparent-{engine:?}"));
         let on = run_workload(engine, true, Some(path.clone()));
@@ -112,7 +112,7 @@ fn workload_queries_cover_cache_hits_and_mutation() {
     // Guard the fixture itself: the workload must contain at least one
     // cache hit and one mutating query, or the transparency run is
     // weaker than it claims.
-    let lines = run_workload(Engine::BigStep, false, None);
+    let lines = run_workload(Engine::Plan, false, None);
     assert!(
         lines.iter().any(|l| l.contains("cached=true")),
         "{lines:#?}"
@@ -135,7 +135,6 @@ fn workload_queries_cover_cache_hits_and_mutation() {
 fn metrics_series_cover_cache_governor_and_phases() {
     let opts = DbOptions {
         telemetry: true,
-        engine: Engine::BigStep,
         ..DbOptions::default()
     };
     let mut db = db_with(opts, 8, 7);
@@ -365,11 +364,7 @@ fn jsonl_sink_writes_spans_and_counter_snapshots() {
 
 #[test]
 fn explain_analyze_prints_estimates_and_actuals() {
-    let opts = DbOptions {
-        engine: Engine::Plan,
-        ..DbOptions::default()
-    };
-    let mut db = db_with(opts, 15, 9);
+    let mut db = db_with(DbOptions::default(), 15, 9);
     let out = db
         .explain_analyze("{ x.name | x <- Ps, x.name = 3 }")
         .unwrap();
@@ -422,8 +417,6 @@ fn histograms_and_span_trees_are_views_of_one_measurement() {
     use ioql::telemetry::Span;
     let dir = temp_dir("one-clock");
     let opts = DbOptions {
-        engine: Engine::Plan,
-        optimize: true,
         telemetry: true,
         trace_capacity: 8,
         durability: ioql::Durability::Commit,
@@ -432,8 +425,8 @@ fn histograms_and_span_trees_are_views_of_one_measurement() {
     let mut db = db_with(opts, 6, 5);
     db.attach_durable(&dir).unwrap();
     let mut session = db.session("one-clock");
-    // Serialized durable writes, snapshot reads, a cache hit, and an
-    // interpreter-tier query: every timed span occurs at least once, and
+    // Serialized durable writes, snapshot reads, a cache hit, and a
+    // query Theorem 7 refuses: every timed span occurs at least once, and
     // the ring (capacity 8) still holds every record.
     for q in [
         "size({ new P(name: x.name + 100) | x <- Ps, x.name < 3 })",
