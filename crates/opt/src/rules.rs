@@ -158,94 +158,6 @@ fn mentions(q: &Query, name: &VarName) -> bool {
     found
 }
 
-/// Counts free occurrences of `x` in `q` (shadowing-aware).
-pub fn occurrences(q: &Query, x: &VarName) -> usize {
-    // Count via substitution size delta would be wasteful; walk directly.
-    fn go(q: &Query, x: &VarName, shadow: bool) -> usize {
-        if shadow {
-            return 0;
-        }
-        match q {
-            Query::Var(y) => usize::from(y == x),
-            Query::Comp(head, quals) => {
-                let mut n = 0;
-                let mut shadowed = false;
-                for cq in quals {
-                    match cq {
-                        Qualifier::Pred(p) => {
-                            if !shadowed {
-                                n += go(p, x, false);
-                            }
-                        }
-                        Qualifier::Gen(y, src) => {
-                            if !shadowed {
-                                n += go(src, x, false);
-                            }
-                            if y == x {
-                                shadowed = true;
-                            }
-                        }
-                    }
-                }
-                if !shadowed {
-                    n += go(head, x, false);
-                }
-                n
-            }
-            other => {
-                let mut n = 0;
-                // Walk direct children through eval-agnostic traversal.
-                match other {
-                    Query::Lit(_) | Query::Extent(_) | Query::Var(_) => {}
-                    Query::SetLit(items) => {
-                        for i in items {
-                            n += go(i, x, false);
-                        }
-                    }
-                    Query::SetBin(_, a, b)
-                    | Query::IntBin(_, a, b)
-                    | Query::IntEq(a, b)
-                    | Query::ObjEq(a, b) => {
-                        n += go(a, x, false) + go(b, x, false);
-                    }
-                    Query::Record(fs) => {
-                        for (_, fq) in fs {
-                            n += go(fq, x, false);
-                        }
-                    }
-                    Query::Field(i, _)
-                    | Query::Size(i)
-                    | Query::Sum(i)
-                    | Query::Cast(_, i)
-                    | Query::Attr(i, _) => n += go(i, x, false),
-                    Query::Call(_, args) => {
-                        for a in args {
-                            n += go(a, x, false);
-                        }
-                    }
-                    Query::Invoke(recv, _, args) => {
-                        n += go(recv, x, false);
-                        for a in args {
-                            n += go(a, x, false);
-                        }
-                    }
-                    Query::New(_, attrs) => {
-                        for (_, a) in attrs {
-                            n += go(a, x, false);
-                        }
-                    }
-                    Query::If(c, t, e) => {
-                        n += go(c, x, false) + go(t, x, false) + go(e, x, false);
-                    }
-                    Query::Comp(_, _) => unreachable!("handled above"),
-                }
-                n
-            }
-        }
-    }
-    go(q, x, false)
-}
-
 // ---------------------------------------------------------------------
 // Local rules. Each returns Some(rewritten) when it fires.
 // ---------------------------------------------------------------------
@@ -579,9 +491,4 @@ pub fn unnest_generator(env: &EffectEnv<'_>, q: &Query) -> Option<Query> {
     new_quals.extend(inner_quals.iter().cloned());
     let new_head = subst_comp(head, &quals[idx + 1..], x, inner_head, &mut new_quals);
     Some(Query::Comp(Box::new(new_head), new_quals))
-}
-
-/// Variables a predicate needs — helper for tests.
-pub fn pred_deps(p: &Query) -> BTreeSet<VarName> {
-    p.free_vars()
 }

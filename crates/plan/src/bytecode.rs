@@ -135,63 +135,11 @@ pub struct VmOutcome {
     pub fuel_spent: u64,
 }
 
-/// Reusable per-driver VM scratch state: the value stack, plus the
-/// loop-invariant cache the leaf drain turns on with
-/// [`begin_drain`](VmCtx::begin_drain).
-///
-/// # The invariant cache
-///
-/// During a leaf drain only one binding slot changes between rows — the
-/// drained generator's. Every other slot, and every constant, is the
-/// same value on all rows, and the store is immutable for the whole
-/// drain (compiled programs are draw-free and effect-recording only, so
-/// nothing can write between rows). An attribute load whose operand is
-/// such a *row-invariant* value therefore produces the same value, the
-/// same `Ra` effect atom, and the same error verdict on every row —
-/// e.g. the `p.age` side of `{ p.age + q.age | p <- Ps, q <- Ps }` while
-/// `q` is being drained. The VM computes it on the first row and replays
-/// the value from `cache` (indexed by instruction address) after that.
-///
-/// Soundness is tracked with one bit per stack slot plus a sticky
-/// `tainted` flag: constants and non-drain loads push `true`; pure
-/// operators AND their operands' bits; and the moment a branch tests a
-/// *non*-invariant condition, every later push is `false` (`tainted`) —
-/// the pc trace is only guaranteed identical across rows up to the
-/// first row-dependent branch, so a join point downstream of one may
-/// see different values at the same pc. Nothing observable changes on a
-/// cache hit: `Burn` instructions (fuel + governor checkpoints) are
-/// never elided, the effect atom is already in the accumulated set from
-/// the miss row, and the skipped oid/attr error checks were decided
-/// against the same immutable store on the miss row.
+/// Reusable per-executor VM scratch state: the value stack, allocated
+/// once per execution instead of once per row.
 #[derive(Default)]
 pub struct VmCtx {
     stack: Vec<Value>,
-    /// Row-invariance bit per `stack` entry (see above).
-    inv: Vec<bool>,
-    /// Per-instruction cached results of invariant attribute loads.
-    /// Meaningful only between `begin_drain`/`end_drain`, for the one
-    /// program the drain runs.
-    cache: Vec<Option<Value>>,
-    /// `Some(slot)` while a leaf drain is live: the one binding slot
-    /// that changes per row. `None` disables the cache entirely.
-    drain: Option<u8>,
-}
-
-impl VmCtx {
-    /// Arms the invariant cache for a leaf drain in which only binding
-    /// slot `slot` changes between rows. The caller promises the store
-    /// is not mutated until [`end_drain`](VmCtx::end_drain).
-    pub fn begin_drain(&mut self, slot: u8) {
-        self.drain = Some(slot);
-        self.cache.clear();
-    }
-
-    /// Disarms the invariant cache; subsequent runs re-evaluate every
-    /// attribute load.
-    pub fn end_drain(&mut self) {
-        self.drain = None;
-        self.cache.clear();
-    }
 }
 
 /// Compiles `q` against the pipeline binder environment `binders`
@@ -356,6 +304,8 @@ impl Emitter<'_> {
         }
         match &mut self.code[at] {
             Instr::JumpIfFalse { target: t, .. } | Instr::Jump(t) => *t = target as u16,
+            // Both callers (`Query::If` in `emit`) pass the index they
+            // just pushed a jump at.
             _ => unreachable!("patched instruction is a jump"),
         }
         Ok(())
@@ -401,23 +351,12 @@ impl Program {
                 && binds.iter().zip(&self.slots).all(|((x, _), s)| x == s),
             "row bindings must match the compile-time binder environment"
         );
-        let VmCtx {
-            stack,
-            inv,
-            cache,
-            drain,
-        } = ctx;
-        let drain = *drain;
+        let stack = &mut ctx.stack;
         stack.clear();
-        inv.clear();
-        if drain.is_some() && cache.len() != self.code.len() {
-            // First row of a drain: `begin_drain` emptied the cache.
-            cache.clear();
-            cache.resize(self.code.len(), None);
-        }
-        // Sticky: set when control branches on a row-dependent
-        // condition; every later push is non-invariant (see [`VmCtx`]).
-        let mut tainted = false;
+        // Stack discipline, which every `unreachable!` below names its
+        // half of: `Emitter::operand` emits an operand's `Check*` right
+        // after its code and the check leaves the value in place, so an
+        // operator pops exactly the shapes that were checked.
         let mut left = fuel;
         let mut pc = 0usize;
         loop {
@@ -432,14 +371,8 @@ impl Program {
                     }
                     left -= k;
                 }
-                Instr::Const(i) => {
-                    stack.push(self.consts[*i as usize].clone());
-                    inv.push(drain.is_some() && !tainted);
-                }
-                Instr::Load(i) => {
-                    stack.push(binds[*i as usize].1.clone());
-                    inv.push(!tainted && drain.is_some_and(|d| *i != d));
-                }
+                Instr::Const(i) => stack.push(self.consts[*i as usize].clone()),
+                Instr::Load(i) => stack.push(binds[*i as usize].1.clone()),
                 Instr::CheckInt(s) => {
                     if !matches!(stack.last(), Some(Value::Int(_))) {
                         return Err(self.stuck(*s, binds, "expected an integer"));
@@ -456,34 +389,20 @@ impl Program {
                     }
                 }
                 Instr::LoadAttr(a) => {
-                    let b = inv.pop().expect("compiled stack discipline");
-                    let hit = if b { cache[pc].clone() } else { None };
-                    if let Some(v) = hit {
-                        // Invariant operand, already computed on the
-                        // miss row: same value, effect atom, and error
-                        // verdict against the same immutable store.
-                        stack.pop();
-                        stack.push(v);
-                        inv.push(true);
-                    } else {
-                        let Some(Value::Oid(o)) = stack.pop() else {
-                            unreachable!("CheckOid precedes LoadAttr")
-                        };
-                        let obj = store.objects.get(o).ok_or_else(|| {
-                            EvalError::Store(StoreError::UnknownOid(o).to_string())
-                        })?;
-                        if !effect.attr_reads.contains(&obj.class) {
-                            effect.attr_reads.insert(obj.class.clone());
-                        }
-                        let v = obj.attr(a).ok_or_else(|| {
-                            EvalError::Store(StoreError::UnknownAttr(o, a.clone()).to_string())
-                        })?;
-                        if b {
-                            cache[pc] = Some(v.clone());
-                        }
-                        stack.push(v.clone());
-                        inv.push(b);
+                    let Some(Value::Oid(o)) = stack.pop() else {
+                        unreachable!("CheckOid precedes LoadAttr")
+                    };
+                    let obj = store
+                        .objects
+                        .get(o)
+                        .ok_or_else(|| EvalError::Store(StoreError::UnknownOid(o).to_string()))?;
+                    if !effect.attr_reads.contains(&obj.class) {
+                        effect.attr_reads.insert(obj.class.clone());
                     }
+                    let v = obj.attr(a).ok_or_else(|| {
+                        EvalError::Store(StoreError::UnknownAttr(o, a.clone()).to_string())
+                    })?;
+                    stack.push(v.clone());
                 }
                 Instr::Arith(op) => {
                     let (Some(Value::Int(b)), Some(Value::Int(a))) = (stack.pop(), stack.pop())
@@ -491,8 +410,6 @@ impl Program {
                         unreachable!("CheckInt precedes Arith")
                     };
                     stack.push(op.apply(a, b));
-                    let bi = inv.pop().expect("compiled stack discipline");
-                    *inv.last_mut().expect("compiled stack discipline") &= bi;
                 }
                 Instr::IntEq => {
                     let (Some(Value::Int(b)), Some(Value::Int(a))) = (stack.pop(), stack.pop())
@@ -500,8 +417,6 @@ impl Program {
                         unreachable!("CheckInt precedes IntEq")
                     };
                     stack.push(Value::Bool(a == b));
-                    let bi = inv.pop().expect("compiled stack discipline");
-                    *inv.last_mut().expect("compiled stack discipline") &= bi;
                 }
                 Instr::ObjEq(s) => {
                     let (Some(Value::Oid(b)), Some(Value::Oid(a))) = (stack.pop(), stack.pop())
@@ -512,8 +427,6 @@ impl Program {
                         return Err(self.stuck(*s, binds, "dangling oid"));
                     }
                     stack.push(Value::Bool(a == b));
-                    let bi = inv.pop().expect("compiled stack discipline");
-                    *inv.last_mut().expect("compiled stack discipline") &= bi;
                 }
                 Instr::Sum(s) => {
                     let Some(Value::Set(set)) = stack.pop() else {
@@ -536,27 +449,21 @@ impl Program {
                     };
                     stack.push(Value::Int(set.len() as i64));
                 }
-                Instr::JumpIfFalse { src, target } => {
-                    if !inv.pop().expect("compiled stack discipline") {
-                        // Row-dependent branch: pc traces diverge across
-                        // rows from here on, so no later push may be
-                        // treated as row-invariant.
-                        tainted = true;
+                Instr::JumpIfFalse { src, target } => match stack.pop() {
+                    Some(Value::Bool(true)) => {}
+                    Some(Value::Bool(false)) => {
+                        pc = *target as usize;
+                        continue;
                     }
-                    match stack.pop() {
-                        Some(Value::Bool(true)) => {}
-                        Some(Value::Bool(false)) => {
-                            pc = *target as usize;
-                            continue;
-                        }
-                        _ => return Err(self.stuck(*src, binds, "non-boolean condition")),
-                    }
-                }
+                    _ => return Err(self.stuck(*src, binds, "non-boolean condition")),
+                },
                 Instr::Jump(target) => {
                     pc = *target as usize;
                     continue;
                 }
                 Instr::Ret => {
+                    // `compile` ends on `emit(q); Ret`, and every `emit`
+                    // arm nets one push.
                     let value = stack.pop().expect("compiled program leaves a result");
                     return Ok(VmOutcome {
                         value,

@@ -6,11 +6,17 @@
 //! * every generator element is still drawn through the same [`Chooser`]
 //!   protocol, charged one governor cell, and followed by a
 //!   cancellation/deadline checkpoint — so `(ND comp)` choice sequences,
-//!   cell budgets, and cancellation verdicts are identical;
+//!   cell budgets, and cancellation verdicts are identical. Figure 2 has
+//!   one `(ND comp)` rule and this module has one loop for it
+//!   (`Exec::drive_gen`): every generator, fused with a probe or not,
+//!   feeding a compiled head or an interpreted one, is drawn there;
 //! * set cardinalities are observed at exactly the naive observation
 //!   points (extent read, set-operator result, comprehension
 //!   completion);
-//! * every row-level expression is delegated to the big-step
+//! * a row-level expression runs its [`bytecode`](crate::bytecode)
+//!   program when the compile pass accepted it (the scalar, draw-free
+//!   fragment, held byte-identical to the interpreter by
+//!   `tests/compile.rs`) and is otherwise delegated to the big-step
 //!   evaluator's [`eval_expr`] hook under the current variable bindings,
 //!   so nested comprehensions, effects, and stuck states are literally
 //!   the naive engine's own.
@@ -28,7 +34,7 @@ use crate::ir::{
 use ioql_ast::{ExtentName, Query, SetOp, Value, VarName};
 use ioql_effects::Effect;
 use ioql_eval::{eval_expr, Chooser, DefEnv, EvalConfig, EvalError};
-use ioql_store::Store;
+use ioql_store::{MemberSet, Store};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 use std::time::Instant;
@@ -128,44 +134,18 @@ impl Profiler {
             index: HashMap::new(),
             entries: Vec::new(),
         };
-        p.walk_op(&plan.root, 1);
-        p
-    }
-
-    fn push(&mut self, id: NodeId, depth: usize, label: String, est_rows: Option<usize>) {
-        self.index.insert(id, self.entries.len());
-        self.entries.push(ProfEntry {
-            depth,
-            label,
-            est_rows,
-            calls: 0,
-            rows: 0,
-            nanos: 0,
-        });
-    }
-
-    fn walk_op(&mut self, op: &Op, depth: usize) {
-        self.push(op.id, depth, op.label(), op.est_rows());
-        match &op.kind {
-            OpKind::SetUnion { left, right }
-            | OpKind::SetIntersect { left, right }
-            | OpKind::SetDiff { left, right } => {
-                self.walk_op(left, depth + 1);
-                self.walk_op(right, depth + 1);
-            }
-            OpKind::Distinct { input }
-            | OpKind::MapProject { input, .. }
-            | OpKind::Aggregate { input, .. } => {
-                self.walk_op(input, depth + 1);
-            }
-            OpKind::Pipeline { stages } => {
-                for stage in stages {
-                    self.push(stage.id, depth + 1, stage.label(), stage.est_rows());
-                }
-            }
-            OpKind::InlineDef { body, .. } => self.walk_op(body, depth + 1),
-            OpKind::ExtentScan { .. } | OpKind::Eval { .. } => {}
+        for (depth, node) in plan.walk() {
+            p.index.insert(node.id(), p.entries.len());
+            p.entries.push(ProfEntry {
+                depth,
+                label: node.label(),
+                est_rows: node.est_rows(),
+                calls: 0,
+                rows: 0,
+                nanos: 0,
+            });
         }
+        p
     }
 
     fn record(&mut self, id: NodeId, started: Option<Instant>, rows: u64) {
@@ -237,7 +217,7 @@ pub fn execute(
     chooser: &mut dyn Chooser,
     max_steps: u64,
 ) -> Result<PlanResult, EvalError> {
-    execute_inner(plan, cfg, defs, store, chooser, max_steps, None).map(|(r, _)| r)
+    execute_inner(plan, cfg, defs, store, chooser, max_steps, None)
 }
 
 /// Executes a physical plan while collecting per-operator runtime stats
@@ -255,9 +235,8 @@ pub fn execute_with_profile(
     chooser: &mut dyn Chooser,
     max_steps: u64,
 ) -> Result<(PlanResult, PlanProfile), EvalError> {
-    let prof = Profiler::new(plan);
-    let (result, prof) = execute_inner(plan, cfg, defs, store, chooser, max_steps, Some(prof))?;
-    let prof = prof.expect("profiler threaded through");
+    let mut prof = Profiler::new(plan);
+    let result = execute_inner(plan, cfg, defs, store, chooser, max_steps, Some(&mut prof))?;
     Ok((
         result,
         PlanProfile {
@@ -274,8 +253,8 @@ fn execute_inner<'a>(
     store: &mut Store,
     chooser: &mut dyn Chooser,
     max_steps: u64,
-    prof: Option<Profiler>,
-) -> Result<(PlanResult, Option<Profiler>), EvalError> {
+    prof: Option<&mut Profiler>,
+) -> Result<PlanResult, EvalError> {
     let mut ex = Exec {
         cfg,
         defs,
@@ -286,16 +265,21 @@ fn execute_inner<'a>(
         prof,
         compiled: &plan.compiled,
         vm_ctx: VmCtx::default(),
+        vm_rows: 0,
+        vm_fuel: 0,
         extent_cache: HashMap::new(),
     };
-    let value = ex.eval_op(store, &plan.root)?;
-    Ok((
-        PlanResult {
-            value,
-            effect: ex.effect,
-        },
-        ex.prof,
-    ))
+    let value = ex.eval_op(store, &plan.root);
+    // Batched telemetry: the totals per-row adds would reach (a failed
+    // row never contributed), in one atomic each instead of one per row.
+    if let Some(m) = cfg.metrics {
+        m.recursions.add(ex.vm_fuel);
+        m.dispatches.add(ex.vm_rows);
+    }
+    Ok(PlanResult {
+        value: value?,
+        effect: ex.effect,
+    })
 }
 
 /// The generator-fused probe, split off the stage suffix: the probe
@@ -325,17 +309,17 @@ fn split_probe<'p>(var: &VarName, rest: &'p [Stage]) -> ProbeParts<'p> {
     (None, rest)
 }
 
-/// Removes and returns element `i` of the draw pool. Endpoint picks —
-/// the only picks the deterministic choosers make — are O(1); interior
-/// picks (random/scripted choosers) shift the shorter side.
-fn pop_at(remaining: &mut VecDeque<Value>, i: usize) -> Value {
-    let n = remaining.len();
+/// Removes and returns element `i` of the draw pool (`None` when a
+/// chooser breaks its `i < n` contract). Endpoint picks — the only picks
+/// the deterministic choosers make — are O(1); interior picks
+/// (random/scripted choosers) shift the shorter side.
+fn pop_at(remaining: &mut VecDeque<Value>, i: usize) -> Option<Value> {
     if i == 0 {
-        remaining.pop_front().expect("chooser contract: non-empty")
-    } else if i + 1 == n {
-        remaining.pop_back().expect("chooser contract: non-empty")
+        remaining.pop_front()
+    } else if i + 1 == remaining.len() {
+        remaining.pop_back()
     } else {
-        remaining.remove(i).expect("chooser contract: i < n")
+        remaining.remove(i)
     }
 }
 
@@ -362,7 +346,7 @@ struct Exec<'a, 'c> {
     binds: Vec<(VarName, Value)>,
     /// Per-node runtime stats, only in [`execute_with_profile`] runs.
     /// `None` in production execution — no clock reads, no recording.
-    prof: Option<Profiler>,
+    prof: Option<&'c mut Profiler>,
     /// The plan's compile verdicts (empty when lowered without the
     /// compile pass). Read-only: the executor *uses* programs, it never
     /// decides to compile.
@@ -370,6 +354,10 @@ struct Exec<'a, 'c> {
     /// Reusable VM scratch (the value stack) — one allocation per
     /// executor, not per row.
     vm_ctx: VmCtx,
+    /// Rows dispatched through the VM and the fuel they burned, recorded
+    /// into `cfg.metrics` once when the execution ends.
+    vm_rows: u64,
+    vm_fuel: u64,
     /// Per-execution snapshot cache of extent element vectors, in
     /// canonical (sorted) order. Licensed by the Theorem 7 guard: the
     /// plan is read-only, so an extent cannot change between two scans
@@ -387,13 +375,13 @@ impl<'a> Exec<'a, '_> {
     }
 
     fn precord(&mut self, id: NodeId, started: Option<Instant>, rows: u64) {
-        if let Some(p) = self.prof.as_mut() {
+        if let Some(p) = &mut self.prof {
             p.record(id, started, rows);
         }
     }
 
     fn ptime(&mut self, id: NodeId, started: Option<Instant>) {
-        if let Some(p) = self.prof.as_mut() {
+        if let Some(p) = &mut self.prof {
             p.add_nanos(id, started);
         }
     }
@@ -451,11 +439,19 @@ impl<'a> Exec<'a, '_> {
         }
     }
 
-    /// Runs a compiled expression for the current row — the VM twin of
-    /// [`expr`](Exec::expr): same fuel snapshot/settle protocol, same
-    /// batch-recorded `recursions` accounting, effects recorded by the
-    /// program as it executes.
-    fn vm_expr(&mut self, store: &Store, prog: &Program) -> Result<Value, EvalError> {
+    /// Evaluates a row-level expression for the current row: its compiled
+    /// program when there is one — the VM twin of [`expr`](Exec::expr),
+    /// same fuel snapshot/settle protocol, same `recursions` accounting,
+    /// effects recorded by the program as it executes — else `expr`.
+    fn row_expr(
+        &mut self,
+        store: &mut Store,
+        prog: Option<&Program>,
+        q: &Query,
+    ) -> Result<Value, EvalError> {
+        let Some(prog) = prog else {
+            return self.expr(store, q);
+        };
         let o = prog.run(
             store,
             &self.binds,
@@ -465,11 +461,19 @@ impl<'a> Exec<'a, '_> {
             &mut self.vm_ctx,
         )?;
         self.fuel.spend(o.fuel_spent);
-        if let Some(m) = self.cfg.metrics {
-            m.recursions.add(o.fuel_spent);
-            m.dispatches.inc();
-        }
+        self.vm_fuel += o.fuel_spent;
+        self.vm_rows += 1;
         Ok(o.value)
+    }
+
+    /// Evaluates a pipeline predicate for the current row: a `Filter`'s,
+    /// or the predicate a probe kept for when its index is abandoned
+    /// (probe stages carry no compile verdict, so that one interprets).
+    fn passes(&mut self, store: &mut Store, id: NodeId, pred: &Query) -> Result<bool, EvalError> {
+        match self.row_expr(store, self.vm_prog(id), pred)? {
+            Value::Bool(pass) => Ok(pass),
+            _ => self.stuck(pred, "non-boolean predicate"),
+        }
     }
 
     fn eval_op(&mut self, store: &mut Store, op: &Op) -> Result<Value, EvalError> {
@@ -553,80 +557,52 @@ impl<'a> Exec<'a, '_> {
         }
     }
 
-    /// Reads one extent: `R(C)` effect, extent value, cardinality
-    /// observation — byte-for-byte the big-step `Extent` rule.
-    fn scan_extent(&mut self, store: &mut Store, extent: &ExtentName) -> Result<Value, EvalError> {
-        let class = match store.extents.get(extent) {
-            Some((c, _)) => c.clone(),
-            None => {
-                return Err(EvalError::Stuck {
-                    query: extent.to_string(),
-                    reason: format!("unknown extent `{extent}`"),
-                })
-            }
-        };
-        self.effect.union_with(&Effect::read(class));
-        let v = store
-            .extent_value(extent)
-            .map_err(|e| EvalError::Store(e.to_string()))?;
-        if let Some(gov) = self.cfg.governor {
-            if let Value::Set(s) = &v {
-                gov.observe_set_card(s.len() as u64)?;
-            }
-        }
-        Ok(v)
-    }
-
-    /// [`scan_extent`](Exec::scan_extent), returning the elements as a
-    /// shared vector in canonical (sorted) order and memoizing the
-    /// vector per execution. A nested generator re-scans its extent once
-    /// per outer row; under the Theorem 7 guard the store is frozen, so
-    /// only the first scan builds the set — but the per-scan
-    /// *observables* (`R(C)` effect, cardinality observation, the
-    /// unknown-extent error) are replayed on every call, keeping the hit
-    /// path byte-identical to the miss path.
-    fn scan_extent_elems(
+    /// The observables of one extent read, in the big-step `Extent`
+    /// rule's order — the unknown-extent stuck state, the `R(C)` effect,
+    /// the cardinality observation — returning the members.
+    fn read_extent<'s>(
         &mut self,
-        store: &mut Store,
+        store: &'s Store,
         extent: &ExtentName,
-    ) -> Result<Rc<Vec<Value>>, EvalError> {
-        if let Some(cached) = self.extent_cache.get(extent) {
-            let cached = Rc::clone(cached);
-            let class = match store.extents.get(extent) {
-                Some((c, _)) => c.clone(),
-                None => {
-                    return Err(EvalError::Stuck {
-                        query: extent.to_string(),
-                        reason: format!("unknown extent `{extent}`"),
-                    })
-                }
-            };
-            self.effect.union_with(&Effect::read(class));
-            if let Some(gov) = self.cfg.governor {
-                gov.observe_set_card(cached.len() as u64)?;
-            }
-            return Ok(cached);
-        }
-        // Miss path: same observables as `scan_extent` (class lookup,
-        // `R(C)` effect, cardinality observation), but the elements are
-        // drained straight off the store's member chunk spine. Member
-        // chunks are globally sorted by oid and `Value::Oid` ordering
-        // follows oid ordering, so this is exactly the sequence a
-        // `Value::Set` of the members would iterate — without building
-        // the intermediate `BTreeSet`.
-        let (class, members) = match store.extents.get(extent) {
-            Some((c, s)) => (c.clone(), s),
-            None => {
-                return Err(EvalError::Stuck {
-                    query: extent.to_string(),
-                    reason: format!("unknown extent `{extent}`"),
-                })
-            }
+    ) -> Result<&'s MemberSet, EvalError> {
+        let Some((class, members)) = store.extents.get(extent) else {
+            return Err(EvalError::Stuck {
+                query: extent.to_string(),
+                reason: format!("unknown extent `{extent}`"),
+            });
         };
-        self.effect.union_with(&Effect::read(class));
+        self.effect.union_with(&Effect::read(class.clone()));
         if let Some(gov) = self.cfg.governor {
             gov.observe_set_card(members.len() as u64)?;
         }
+        Ok(members)
+    }
+
+    /// Reads one extent as a set value.
+    fn scan_extent(&mut self, store: &Store, extent: &ExtentName) -> Result<Value, EvalError> {
+        let members = self.read_extent(store, extent)?;
+        Ok(Value::Set(members.iter().map(|o| Value::Oid(*o)).collect()))
+    }
+
+    /// Reads one extent as a shared vector in canonical (sorted) order,
+    /// memoized per execution. A nested generator re-scans its extent
+    /// once per outer row; under the Theorem 7 guard the store is frozen,
+    /// so only the first scan builds the vector — but the per-scan
+    /// *observables* are [`read_extent`](Exec::read_extent)'s on every
+    /// call, keeping the hit path byte-identical to the miss path.
+    fn scan_extent_elems(
+        &mut self,
+        store: &Store,
+        extent: &ExtentName,
+    ) -> Result<Rc<Vec<Value>>, EvalError> {
+        let members = self.read_extent(store, extent)?;
+        if let Some(cached) = self.extent_cache.get(extent) {
+            return Ok(Rc::clone(cached));
+        }
+        // Member chunks are globally sorted by oid and `Value::Oid`
+        // ordering follows oid ordering, so draining the chunk spine is
+        // exactly the sequence a `Value::Set` of the members would
+        // iterate — without building the intermediate `BTreeSet`.
         let mut vec = Vec::with_capacity(members.len());
         for chunk in members.chunks() {
             vec.extend(chunk.iter().map(|o| Value::Oid(*o)));
@@ -672,65 +648,52 @@ impl<'a> Exec<'a, '_> {
         head: Head<'_>,
         out: &mut BTreeSet<Value>,
     ) -> Result<(), EvalError> {
-        match stages.split_first() {
-            None => {
-                let v = match head.prog {
-                    Some(prog) => self.vm_expr(store, prog)?,
-                    None => self.expr(store, head.expr)?,
-                };
-                out.insert(v);
+        let Some((st, rest)) = stages.split_first() else {
+            out.insert(self.row_expr(store, head.prog, head.expr)?);
+            return Ok(());
+        };
+        match &st.kind {
+            StageKind::Filter { pred } => {
+                let t = self.ptimer();
+                let pass = self.passes(store, st.id, pred)?;
+                self.precord(st.id, t, pass as u64);
+                if pass {
+                    self.run_stages(store, rest, head, out)?;
+                }
                 Ok(())
             }
-            Some((st, rest)) => match &st.kind {
-                StageKind::Filter { pred } => {
-                    let t = self.ptimer();
-                    let v = match self.vm_prog(st.id) {
-                        Some(prog) => self.vm_expr(store, prog)?,
-                        None => self.expr(store, pred)?,
-                    };
-                    match v {
-                        Value::Bool(pass) => {
-                            self.precord(st.id, t, pass as u64);
-                            if pass {
-                                self.run_stages(store, rest, head, out)
-                            } else {
-                                Ok(())
-                            }
-                        }
-                        _ => self.stuck(pred, "non-boolean predicate"),
-                    }
-                }
-                StageKind::ExtentScan { var, extent, .. } => {
-                    let t = self.ptimer();
-                    let elems = self.scan_extent_elems(store, extent)?;
-                    self.precord(st.id, t, elems.len() as u64);
-                    let elems: VecDeque<Value> = elems.iter().cloned().collect();
-                    self.drive_gen(store, var, elems, rest, head, out)
-                }
-                StageKind::Scan { var, source, .. } => {
-                    let t = self.ptimer();
-                    let elems = match self.expr(store, source)? {
-                        Value::Set(s) => s,
-                        _ => return self.stuck(source, "generator over a non-set"),
-                    };
-                    self.precord(st.id, t, elems.len() as u64);
-                    let elems: VecDeque<Value> = elems.into_iter().collect();
-                    self.drive_gen(store, var, elems, rest, head, out)
-                }
-                // A probe is always fused behind its generator and
-                // consumed by `drive_gen`; reaching one here is a
-                // lowering bug.
-                StageKind::HashIndexProbe { .. } => self.malformed(),
-            },
+            StageKind::ExtentScan { var, extent, .. } => {
+                let t = self.ptimer();
+                let elems = self.scan_extent_elems(store, extent)?;
+                self.precord(st.id, t, elems.len() as u64);
+                let elems = elems.iter().cloned().collect();
+                self.drive_gen(store, var, elems, rest, head, out)
+            }
+            StageKind::Scan { var, source, .. } => {
+                let t = self.ptimer();
+                let elems = match self.expr(store, source)? {
+                    Value::Set(s) => s,
+                    _ => return self.stuck(source, "generator over a non-set"),
+                };
+                self.precord(st.id, t, elems.len() as u64);
+                let elems = elems.into_iter().collect();
+                self.drive_gen(store, var, elems, rest, head, out)
+            }
+            // A probe is always fused behind its generator and consumed
+            // by `drive_gen`; reaching one here is a lowering bug.
+            StageKind::HashIndexProbe { .. } => self.malformed(),
         }
     }
 
-    /// Drives one generator: draw elements through the chooser in the
-    /// `(ND comp)` protocol, charging one cell and checkpointing per
-    /// draw, optionally probing a one-shot hash index in place of the
-    /// fused equality predicate. Elements live in a deque so the
-    /// endpoint picks of the common choosers (first/last) are O(1)
-    /// instead of shifting the whole remainder per draw.
+    /// Drives one generator — the `(ND comp)` rule: draw each element
+    /// through the chooser, charge one cell and checkpoint per draw, bind
+    /// it in the generator's slot (pushed once per drain, overwritten per
+    /// row) and run the rest of the pipeline. A fused probe is a branch
+    /// of this loop: the one-shot hash index stands in for the equality
+    /// predicate, and an abandoned index falls back to the predicate
+    /// itself. Elements live in a deque so the endpoint picks of the
+    /// common choosers (first/last) are O(1) instead of shifting the
+    /// whole remainder per draw.
     fn drive_gen(
         &mut self,
         store: &mut Store,
@@ -740,97 +703,26 @@ impl<'a> Exec<'a, '_> {
         head: Head<'_>,
         out: &mut BTreeSet<Value>,
     ) -> Result<(), EvalError> {
-        let (probe, body) = split_probe(var, rest);
-        // The hot-loop specialization: a leaf generator (no probe, no
-        // trailing stages) projecting through a compiled head runs a
-        // tight draw→burn→dispatch loop with a single reused binding
-        // slot — the per-row observables (chooser draw, cell charge,
-        // checkpoint, head fuel) are the same calls `run_stages` would
-        // make, minus the recursion, substitution, and re-binding.
-        if probe.is_none() && body.is_empty() {
-            if let Some(prog) = head.prog {
-                return self.drive_leaf_vm(store, var, remaining, prog, out);
-            }
+        if remaining.is_empty() {
+            return Ok(());
         }
+        let (probe, body) = split_probe(var, rest);
+        // `ioql_vm_dispatch_ns` times the drains whose every row is one
+        // VM dispatch of the head: one clock read per drain, none per
+        // row, none when telemetry is off.
+        let timer = match (self.cfg.metrics, head.prog) {
+            (Some(m), Some(_)) if probe.is_none() && body.is_empty() => m.dispatch_ns.start_timer(),
+            _ => None,
+        };
+        let slot = self.binds.len();
+        // Placeholder value, overwritten before anything reads the slot
+        // (`probe_shape` keeps `var` out of the probe side, the one
+        // expression evaluated before the first row is bound).
+        self.binds.push((var.clone(), Value::Bool(false)));
         // `None` until the first draw; `Some(None)` = index abandoned
         // (anomaly — the per-row fallback reproduces the naive error),
         // `Some(Some(idx))` = probe with `idx`.
         let mut index: Option<Option<HashSet<Value>>> = None;
-        while !remaining.is_empty() {
-            let n = remaining.len();
-            let i = self.chooser.choose(n);
-            if let Some(gov) = self.cfg.governor {
-                gov.charge_cells(1)?;
-            }
-            // Checkpoint per draw even when the probe will reject the
-            // element: the naive engines notice cancellation on the
-            // recursion that evaluates the rejected element's predicate,
-            // so the plan path must offer the same observation point.
-            self.checkpoint()?;
-            let picked = pop_at(&mut remaining, i);
-            let Some((pkey, build, probe_q, pred)) = probe else {
-                self.binds.push((var.clone(), picked));
-                let r = self.run_stages(store, body, head, out);
-                self.binds.pop();
-                r?;
-                continue;
-            };
-            if index.is_none() {
-                // Built exactly once, at the first draw — where the
-                // naive path would first evaluate the predicate, so the
-                // probe side's one evaluation lands where naive's first
-                // would.
-                let t = self.ptimer();
-                let elems = std::iter::once(&picked).chain(remaining.iter());
-                index = Some(self.build_index(store, build, probe_q, elems));
-                self.ptime(pkey, t);
-            }
-            let built = index.as_ref().expect("built at first draw");
-            if built.as_ref().is_some_and(|pass| !pass.contains(&picked)) {
-                self.precord(pkey, None, 0);
-                continue;
-            }
-            // A hit runs the body; an abandoned index falls back to the
-            // kept predicate.
-            self.binds.push((var.clone(), picked));
-            let passed = match built {
-                Some(_) => self.run_stages(store, body, head, out).map(|()| true),
-                None => self.filtered(store, pred, body, head, out),
-            };
-            self.binds.pop();
-            self.precord(pkey, None, passed? as u64);
-        }
-        Ok(())
-    }
-
-    /// The vectorized leaf loop: drains the generator through the
-    /// compiled head, mutating one pushed binding slot per row instead
-    /// of push/pop + clone/substitute/recurse. Draw protocol, cell
-    /// charges, checkpoints, and per-row head fuel are identical to the
-    /// general path.
-    fn drive_leaf_vm(
-        &mut self,
-        store: &mut Store,
-        var: &VarName,
-        mut remaining: VecDeque<Value>,
-        prog: &Program,
-        out: &mut BTreeSet<Value>,
-    ) -> Result<(), EvalError> {
-        if remaining.is_empty() {
-            return Ok(());
-        }
-        let timer = self.cfg.metrics.map(|m| m.dispatch_ns.start_timer());
-        let mut rows = 0u64;
-        let mut fuel_rows = 0u64;
-        // Placeholder value; overwritten before the program ever reads
-        // the slot.
-        self.binds.push((var.clone(), Value::Bool(false)));
-        // Only the drained slot changes per row and the store is
-        // immutable until the drain ends (compiled programs are
-        // draw-free and read-only), so the VM may replay loop-invariant
-        // attribute loads from its per-drain cache.
-        self.vm_ctx
-            .begin_drain((self.binds.len() - 1).try_into().expect("≤ 255 binders"));
         let r = (|| -> Result<(), EvalError> {
             while !remaining.is_empty() {
                 let n = remaining.len();
@@ -838,54 +730,58 @@ impl<'a> Exec<'a, '_> {
                 if let Some(gov) = self.cfg.governor {
                     gov.charge_cells(1)?;
                 }
+                // Checkpoint per draw even when the probe will reject the
+                // element: the naive engines notice cancellation on the
+                // recursion that evaluates the rejected element's
+                // predicate, so the plan path must offer the same
+                // observation point.
                 self.checkpoint()?;
-                self.binds.last_mut().expect("pushed above").1 = pop_at(&mut remaining, i);
-                let o = prog.run(
-                    store,
-                    &self.binds,
-                    self.cfg.governor,
-                    self.fuel.avail(),
-                    &mut self.effect,
-                    &mut self.vm_ctx,
-                )?;
-                self.fuel.spend(o.fuel_spent);
-                fuel_rows += o.fuel_spent;
-                rows += 1;
-                out.insert(o.value);
+                let Some(picked) = pop_at(&mut remaining, i) else {
+                    return Err(EvalError::Stuck {
+                        query: format!("{var} <- …"),
+                        reason: format!("chooser picked element {i} of {n}"),
+                    });
+                };
+                let Some((pkey, build, probe_q, pred)) = probe else {
+                    self.binds[slot].1 = picked;
+                    self.run_stages(store, body, head, out)?;
+                    continue;
+                };
+                let built = match &index {
+                    Some(built) => built,
+                    // Built exactly once, at the first draw — where the
+                    // naive path would first evaluate the predicate, so
+                    // the probe side's one evaluation lands where naive's
+                    // first would.
+                    None => {
+                        let t = self.ptimer();
+                        let elems = std::iter::once(&picked).chain(remaining.iter());
+                        let built = self.build_index(store, build, probe_q, elems);
+                        self.ptime(pkey, t);
+                        index.insert(built)
+                    }
+                };
+                if built.as_ref().is_some_and(|pass| !pass.contains(&picked)) {
+                    self.precord(pkey, None, 0);
+                    continue;
+                }
+                // A hit runs the body; an abandoned index asks the kept
+                // predicate first.
+                let hit = built.is_some();
+                self.binds[slot].1 = picked;
+                let passed = hit || self.passes(store, pkey, pred)?;
+                if passed {
+                    self.run_stages(store, body, head, out)?;
+                }
+                self.precord(pkey, None, passed as u64);
             }
             Ok(())
         })();
-        self.vm_ctx.end_drain();
-        self.binds.pop();
-        // Batched telemetry: totals identical to per-row adds (failed
-        // rows never contributed), one atomic instead of one per row.
+        self.binds.truncate(slot);
         if let Some(m) = self.cfg.metrics {
-            m.recursions.add(fuel_rows);
-            m.dispatches.add(rows);
-            m.dispatch_ns.observe_timer(timer.flatten());
+            m.dispatch_ns.observe_timer(timer);
         }
         r
-    }
-
-    /// The speculative-fallback path: evaluate the original predicate
-    /// per row, exactly as a [`StageKind::Filter`] would. Returns
-    /// whether the predicate passed (profile bookkeeping only).
-    fn filtered(
-        &mut self,
-        store: &mut Store,
-        pred: &Query,
-        body: &[Stage],
-        head: Head<'_>,
-        out: &mut BTreeSet<Value>,
-    ) -> Result<bool, EvalError> {
-        match self.expr(store, pred)? {
-            Value::Bool(true) => {
-                self.run_stages(store, body, head, out)?;
-                Ok(true)
-            }
-            Value::Bool(false) => Ok(false),
-            _ => self.stuck(pred, "non-boolean predicate"),
-        }
     }
 
     /// Builds the one-shot hash index: evaluate the probe side once

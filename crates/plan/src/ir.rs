@@ -4,15 +4,20 @@
 //! [`OpKind::Distinct`]/[`OpKind::MapProject`]/[`OpKind::Pipeline`] spine
 //! whose [`Stage`]s mirror the qualifier list. The IR is deliberately
 //! small: every *row-level* expression (predicate, projection head,
-//! generator source that is not an extent) stays an AST [`Query`] and is
-//! delegated to the big-step evaluator's [`eval_expr`](ioql_eval::eval_expr)
-//! hook at run time, so plan execution can never diverge semantically from
-//! the naive engines on expression evaluation.
+//! generator source that is not an extent) stays an AST [`Query`]. A head
+//! or predicate in the scalar, draw-free fragment also gets a
+//! [`bytecode`](crate::bytecode) program ([`Plan::compiled`]) that the
+//! interpreters are the oracle for; everything else is delegated to the
+//! big-step evaluator's [`eval_expr`](ioql_eval::eval_expr) hook at run
+//! time, so those expressions are evaluated by the naive engine itself.
 //!
 //! Every node carries a stable [`NodeId`], assigned in pre-order by
 //! [`Plan::number`] at the end of lowering. Profiles and compile
 //! verdicts key per-node state by id rather than by node address, so
-//! cloning a subtree (or moving the plan) never orphans them.
+//! cloning a subtree (or moving the plan) never orphans them. The tree's
+//! shape is spelled twice: `number_op` (the `&mut` pass that assigns
+//! ids) and `Plan::walk` (the read-only pre-order every consumer —
+//! renderer, verdict bridge, profiler index, compile pass — iterates).
 
 use crate::bytecode::CompileVerdict;
 use ioql_ast::{AttrName, DefName, ExtentName, Query, VarName};
@@ -60,6 +65,16 @@ pub enum KeyAccess {
     Bare,
     /// One attribute hop: `x.a = q` / `q == x.a`.
     Attr(AttrName),
+}
+
+impl KeyAccess {
+    /// The key as the plan renders it: `x` or `x.a`.
+    fn path(&self, var: &VarName) -> String {
+        match self {
+            KeyAccess::Bare => var.to_string(),
+            KeyAccess::Attr(a) => format!("{var}.{a}"),
+        }
+    }
 }
 
 /// The build side of a hash probe: scan the generator's elements once,
@@ -116,7 +131,8 @@ pub enum StageKind {
         /// Estimated rows.
         est_rows: usize,
     },
-    /// A predicate qualifier, evaluated per row through `eval_expr`.
+    /// A predicate qualifier, evaluated per row — by its compiled program,
+    /// else through `eval_expr`.
     Filter {
         /// The predicate expression.
         pred: Query,
@@ -223,7 +239,8 @@ pub enum OpKind {
     },
     /// Project each pipeline row through the comprehension head.
     MapProject {
-        /// The head expression (evaluated per row through `eval_expr`).
+        /// The head expression (evaluated per row: compiled program, else
+        /// `eval_expr`).
         head: Query,
         /// The qualifier pipeline feeding it.
         input: Box<Op>,
@@ -301,13 +318,11 @@ impl Stage {
             StageKind::Filter { pred } => format!("Filter  {pred}"),
             StageKind::HashIndexProbe {
                 var, build, probe, ..
-            } => {
-                let key = match &build.key {
-                    KeyAccess::Bare => var.to_string(),
-                    KeyAccess::Attr(a) => format!("{var}.{a}"),
-                };
-                format!("HashIndexProbe  {key} {} {probe}", build.eq)
-            }
+            } => format!(
+                "HashIndexProbe  {} {} {probe}",
+                build.key.path(var),
+                build.eq
+            ),
         }
     }
 
@@ -414,13 +429,138 @@ pub struct NodeVerdict {
     pub compile: String,
 }
 
+/// One node of the tree as [`Plan::walk`] visits it.
+#[derive(Clone, Copy)]
+pub(crate) enum Node<'p> {
+    /// An operator.
+    Op(&'p Op),
+    /// A pipeline stage.
+    Stage(&'p Stage),
+}
+
+impl Node<'_> {
+    pub(crate) fn id(&self) -> NodeId {
+        match self {
+            Node::Op(op) => op.id,
+            Node::Stage(st) => st.id,
+        }
+    }
+
+    pub(crate) fn label(&self) -> String {
+        match self {
+            Node::Op(op) => op.label(),
+            Node::Stage(st) => st.label(),
+        }
+    }
+
+    pub(crate) fn est_rows(&self) -> Option<usize> {
+        match self {
+            Node::Op(op) => op.est_rows(),
+            Node::Stage(st) => st.est_rows(),
+        }
+    }
+
+    /// Whether the node owns a per-row expression the compile pass
+    /// judges: a `MapProject` head or a `Filter` predicate.
+    pub(crate) fn has_row_expr(&self) -> bool {
+        match self {
+            Node::Op(op) => matches!(op.kind, OpKind::MapProject { .. }),
+            Node::Stage(st) => matches!(st.kind, StageKind::Filter { .. }),
+        }
+    }
+
+    /// What `:plan` prints after the label, estimate and verdict, for the
+    /// kinds that have more to say.
+    fn detail(&self, depth: usize) -> String {
+        match self {
+            Node::Op(op) => match &op.kind {
+                OpKind::InlineDef { .. } => "  (literal args inlined)".into(),
+                OpKind::Eval { .. } => "  (pure operand, interpreted)".into(),
+                _ => String::new(),
+            },
+            Node::Stage(st) => match &st.kind {
+                StageKind::HashIndexProbe {
+                    var,
+                    build,
+                    scan_cost,
+                    index_cost,
+                    ..
+                } => format!(
+                    "  (cost: index {index_cost} vs scan {scan_cost})  \
+                     [guard: loop-stable body, pure probe]\n{}\
+                     HashIndexBuild  {} on {}  (~{} keys)",
+                    "  ".repeat(depth + 1),
+                    match build.eq {
+                        EqKind::Int => "int",
+                        EqKind::Obj => "oid",
+                    },
+                    build.key.path(var),
+                    build.est_rows
+                ),
+                _ => String::new(),
+            },
+        }
+    }
+}
+
+fn walk_op<'p>(op: &'p Op, depth: usize, out: &mut Vec<(usize, Node<'p>)>) {
+    out.push((depth, Node::Op(op)));
+    match &op.kind {
+        OpKind::SetUnion { left, right }
+        | OpKind::SetIntersect { left, right }
+        | OpKind::SetDiff { left, right } => {
+            walk_op(left, depth + 1, out);
+            walk_op(right, depth + 1, out);
+        }
+        OpKind::Distinct { input }
+        | OpKind::MapProject { input, .. }
+        | OpKind::Aggregate { input, .. } => walk_op(input, depth + 1, out),
+        OpKind::Pipeline { stages } => {
+            out.extend(stages.iter().map(|st| (depth + 1, Node::Stage(st))));
+        }
+        OpKind::InlineDef { body, .. } => walk_op(body, depth + 1, out),
+        OpKind::ExtentScan { .. } | OpKind::Eval { .. } => {}
+    }
+}
+
 impl Plan {
+    /// Every operator and stage with its depth (the root at 1), in the
+    /// pre-order [`Plan::number`] assigns ids in — the one read-only
+    /// traversal of the tree.
+    pub(crate) fn walk(&self) -> Vec<(usize, Node<'_>)> {
+        let mut out = Vec::new();
+        walk_op(&self.root, 1, &mut out);
+        out
+    }
+
+    /// The compile verdict of node `id` as `:plan` spells it (`vm` /
+    /// `interp(reason)`); `None` for nodes the compile pass did not
+    /// annotate (or when compilation is off).
+    fn compile_string(&self, id: NodeId) -> Option<String> {
+        self.compiled.get(&id).map(|v| match v {
+            CompileVerdict::Vm(_) => "vm".to_string(),
+            CompileVerdict::Interp(reason) => format!("interp({reason})"),
+        })
+    }
+
     /// Renders the plan as an indented operator tree with cost
     /// estimates, guard and compile annotations (the `:plan` / `explain`
-    /// output).
+    /// output): per node its label — the one `:plan analyze` rows carry —
+    /// then the estimate, the verdict and the kind's own detail.
     pub fn render(&self) -> String {
         let mut out = format!("Plan  [guard: {}]\n", self.guard);
-        render_op(&self.root, &self.compiled, 1, &mut out);
+        for (depth, node) in self.walk() {
+            out.push_str(&"  ".repeat(depth));
+            out.push_str(&node.label());
+            if let Some(n) = node.est_rows() {
+                out.push_str(&format!("  (~{n} rows)"));
+            }
+            if let Some(c) = self.compile_string(node.id()) {
+                out.push_str(&format!("  [{c}]"));
+            }
+            out.push_str(&node.detail(depth));
+            out.push('\n');
+        }
         out
     }
 
@@ -428,182 +568,19 @@ impl Plan {
     /// the bridge from the plan tree to the flight recorder's span tree
     /// (so a compile-off plan yields none).
     pub fn verdicts(&self) -> Vec<NodeVerdict> {
-        let mut out = Vec::new();
-        collect_op_verdicts(&self.root, &self.compiled, &mut out);
-        out
-    }
-}
-
-fn compile_string(compiled: &BTreeMap<NodeId, CompileVerdict>, id: NodeId) -> Option<String> {
-    compiled.get(&id).map(|v| match v {
-        CompileVerdict::Vm(_) => "vm".to_string(),
-        CompileVerdict::Interp(reason) => format!("interp({reason})"),
-    })
-}
-
-fn collect_op_verdicts(
-    op: &Op,
-    compiled: &BTreeMap<NodeId, CompileVerdict>,
-    out: &mut Vec<NodeVerdict>,
-) {
-    if let Some(compile) = compile_string(compiled, op.id) {
-        out.push(NodeVerdict {
-            id: op.id,
-            label: op.label(),
-            compile,
-        });
-    }
-    match &op.kind {
-        OpKind::SetUnion { left, right }
-        | OpKind::SetIntersect { left, right }
-        | OpKind::SetDiff { left, right } => {
-            collect_op_verdicts(left, compiled, out);
-            collect_op_verdicts(right, compiled, out);
-        }
-        OpKind::Distinct { input }
-        | OpKind::MapProject { input, .. }
-        | OpKind::Aggregate { input, .. } => {
-            collect_op_verdicts(input, compiled, out);
-        }
-        OpKind::Pipeline { stages } => {
-            for stage in stages {
-                if let Some(compile) = compile_string(compiled, stage.id) {
-                    out.push(NodeVerdict {
-                        id: stage.id,
-                        label: stage.label(),
-                        compile,
-                    });
-                }
-            }
-        }
-        OpKind::InlineDef { body, .. } => collect_op_verdicts(body, compiled, out),
-        OpKind::ExtentScan { .. } | OpKind::Eval { .. } => {}
+        let annotated = |(_, node): (usize, Node<'_>)| {
+            Some(NodeVerdict {
+                id: node.id(),
+                label: node.label(),
+                compile: self.compile_string(node.id())?,
+            })
+        };
+        self.walk().into_iter().filter_map(annotated).collect()
     }
 }
 
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
-    }
-}
-
-fn indent(depth: usize, out: &mut String) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-/// The ` [vm]` / ` [interp(reason)]` suffix, empty for nodes the compile
-/// pass did not annotate (or when compilation is off).
-fn vm_suffix(compiled: &BTreeMap<NodeId, CompileVerdict>, id: NodeId) -> String {
-    compile_string(compiled, id).map_or_else(String::new, |c| format!("  [{c}]"))
-}
-
-fn render_op(op: &Op, compiled: &BTreeMap<NodeId, CompileVerdict>, depth: usize, out: &mut String) {
-    indent(depth, out);
-    match &op.kind {
-        OpKind::ExtentScan { extent, est_rows } => {
-            out.push_str(&format!("ExtentScan {extent}  (~{est_rows} rows)\n"));
-        }
-        OpKind::SetUnion { left, right } => {
-            out.push_str("SetUnion\n");
-            render_op(left, compiled, depth + 1, out);
-            render_op(right, compiled, depth + 1, out);
-        }
-        OpKind::SetIntersect { left, right } => {
-            out.push_str("SetIntersect\n");
-            render_op(left, compiled, depth + 1, out);
-            render_op(right, compiled, depth + 1, out);
-        }
-        OpKind::SetDiff { left, right } => {
-            out.push_str("SetDiff\n");
-            render_op(left, compiled, depth + 1, out);
-            render_op(right, compiled, depth + 1, out);
-        }
-        OpKind::Distinct { input } => {
-            out.push_str("Distinct\n");
-            render_op(input, compiled, depth + 1, out);
-        }
-        OpKind::MapProject { head, input } => {
-            let vm = vm_suffix(compiled, op.id);
-            out.push_str(&format!("MapProject  head = {head}{vm}\n"));
-            render_op(input, compiled, depth + 1, out);
-        }
-        OpKind::Pipeline { stages } => {
-            out.push_str("Pipeline\n");
-            for stage in stages {
-                render_stage(stage, compiled, depth + 1, out);
-            }
-        }
-        OpKind::InlineDef { name, body } => {
-            out.push_str(&format!("InlineDef {name}  (literal args inlined)\n"));
-            render_op(body, compiled, depth + 1, out);
-        }
-        OpKind::Aggregate { kind, input, .. } => {
-            out.push_str(&format!("Aggregate {kind}\n"));
-            render_op(input, compiled, depth + 1, out);
-        }
-        OpKind::Eval { expr } => {
-            out.push_str(&format!("Eval  {expr}  (pure operand, interpreted)\n"));
-        }
-    }
-}
-
-fn render_stage(
-    stage: &Stage,
-    compiled: &BTreeMap<NodeId, CompileVerdict>,
-    depth: usize,
-    out: &mut String,
-) {
-    indent(depth, out);
-    match &stage.kind {
-        StageKind::ExtentScan {
-            var,
-            extent,
-            est_rows,
-        } => {
-            out.push_str(&format!(
-                "ExtentScan {var} <- {extent}  (~{est_rows} rows)\n"
-            ));
-        }
-        StageKind::Scan {
-            var,
-            source,
-            est_rows,
-        } => {
-            out.push_str(&format!("Scan {var} <- {source}  (~{est_rows} rows)\n"));
-        }
-        StageKind::Filter { pred } => {
-            let vm = vm_suffix(compiled, stage.id);
-            out.push_str(&format!("Filter  {pred}{vm}\n"));
-        }
-        StageKind::HashIndexProbe {
-            var,
-            build,
-            probe,
-            scan_cost,
-            index_cost,
-            ..
-        } => {
-            let key = match &build.key {
-                KeyAccess::Bare => format!("{var}"),
-                KeyAccess::Attr(a) => format!("{var}.{a}"),
-            };
-            out.push_str(&format!(
-                "HashIndexProbe  {key} {} {probe}  \
-                 (cost: index {index_cost} vs scan {scan_cost})  \
-                 [guard: loop-stable body, pure probe]\n",
-                build.eq
-            ));
-            indent(depth + 1, out);
-            out.push_str(&format!(
-                "HashIndexBuild  {} on {key}  (~{} keys)\n",
-                match build.eq {
-                    EqKind::Int => "int",
-                    EqKind::Obj => "oid",
-                },
-                build.est_rows
-            ));
-        }
     }
 }

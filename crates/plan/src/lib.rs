@@ -18,9 +18,11 @@
 //!   Theorem-7-eligible query and choosing scan vs index cost-based
 //!   via [`ioql_opt::Stats`];
 //! * a **pull-based executor** ([`execute()`]) that keeps observational
-//!   parity with the naive engines — same [`Chooser`](ioql_eval::Chooser)
-//!   draw protocol, same governor cell charges and cardinality
-//!   observations, row-level expressions delegated to
+//!   parity with the naive engines — one `(ND comp)` loop with the same
+//!   [`Chooser`](ioql_eval::Chooser) draw protocol, the same governor
+//!   cell charges and cardinality observations; a row-level expression
+//!   in the scalar, draw-free fragment runs as [`bytecode`] the
+//!   interpreters are the oracle for, every other one is delegated to
 //!   [`ioql_eval::eval_expr`] — so the differential suites can hold it
 //!   to the same standard as the two interpreters.
 //!
@@ -268,6 +270,44 @@ mod tests {
                 assert_eq!(s1, s2, "store mismatch on {q}");
             }
         }
+    }
+
+    /// A probe binds its generator's variable once: the head of a probed
+    /// pipeline is compiled against the slots the executor really pushes.
+    #[test]
+    fn a_compiled_head_over_a_probe_reads_the_generator_slot() {
+        let (schema, store) = setup();
+        let cfg = EvalConfig::new(&schema);
+        let defs = DefEnv::new();
+        // `size(Ps)` keeps the predicate interpreted, so the cost model
+        // picks the probe with the compile pass on.
+        let q = Query::comp(
+            Query::var("x").attr("n").add(Query::int(100)),
+            [
+                Qualifier::Gen(VarName::new("x"), Query::extent("Ps")),
+                Qualifier::Pred(
+                    Query::var("x")
+                        .attr("n")
+                        .int_eq(Query::extent("Ps").size_of()),
+                ),
+            ],
+        );
+        let spec = ParSpec {
+            compile: true,
+            ..ParSpec::off()
+        };
+        let effect = Effect::read("P").union(&Effect::attr_read("P"));
+        let plan = lower_with(&q, &effect, &defs, &stats_for(&store), &spec).unwrap();
+        let rendered = plan.render();
+        assert!(
+            rendered.contains("HashIndexProbe") && rendered.contains("[vm]"),
+            "{rendered}"
+        );
+        let mut s1 = store.clone();
+        let mut s2 = store.clone();
+        let p = execute(&plan, &cfg, &defs, &mut s1, &mut FirstChooser, 100_000).unwrap();
+        let b = eval_big(&cfg, &defs, &mut s2, &q, &mut FirstChooser, 100_000).unwrap();
+        assert_eq!((p.value, p.effect), (b.value, b.effect));
     }
 
     #[test]

@@ -90,8 +90,14 @@ pub fn lower_with(
     if !Thm7::decide(q, static_effect, |d| defs.get(d)).lowerable() {
         return None;
     }
+    let mut lowering = Lowering {
+        defs,
+        stats,
+        compile: spec.compile,
+        verdicts: Vec::new(),
+    };
     let mut plan = Plan {
-        root: lower_op(q, defs, stats, spec.compile),
+        root: lowering.op(q),
         guard: Guard {
             effect: static_effect.clone(),
         },
@@ -99,116 +105,176 @@ pub fn lower_with(
     };
     plan.number();
     if spec.compile {
-        let mut compiled = BTreeMap::new();
-        annotate_compile(&plan.root, &mut compiled);
-        plan.compiled = compiled;
+        let sites: Vec<NodeId> = plan
+            .walk()
+            .iter()
+            .filter(|(_, node)| node.has_row_expr())
+            .map(|(_, node)| node.id())
+            .collect();
+        debug_assert_eq!(sites.len(), lowering.verdicts.len());
+        plan.compiled = sites.into_iter().zip(lowering.verdicts).collect();
     }
     Some(plan)
 }
 
-/// The compile pass: walks the numbered tree and records a
-/// [`CompileVerdict`] for every expression-bearing node — `MapProject`
-/// heads (compiled against *all* of their pipeline's binders) and
-/// `Filter` predicates (against the binders of the generators *above*
-/// them, which is exactly the executor's binding stack when the stage
-/// runs). Probe stages keep their fused predicate interpreted: the probe
-/// is evaluated once per index build, not per row, so there is nothing
-/// to win.
-fn annotate_compile(op: &Op, compiled: &mut BTreeMap<NodeId, CompileVerdict>) {
-    match &op.kind {
-        OpKind::MapProject { head, input } => {
-            let mut binders = Vec::new();
-            if let OpKind::Pipeline { stages } = &input.kind {
-                for stage in stages {
-                    match &stage.kind {
-                        StageKind::ExtentScan { var, .. }
-                        | StageKind::Scan { var, .. }
-                        | StageKind::HashIndexProbe { var, .. } => binders.push(var.clone()),
-                        StageKind::Filter { .. } => {}
-                    }
-                }
-            }
-            compiled.insert(op.id, verdict(head, &binders));
-            annotate_compile(input, compiled);
-        }
-        OpKind::Pipeline { stages } => {
-            let mut binders: Vec<VarName> = Vec::new();
-            for stage in stages {
-                match &stage.kind {
-                    StageKind::ExtentScan { var, .. }
-                    | StageKind::Scan { var, .. }
-                    | StageKind::HashIndexProbe { var, .. } => binders.push(var.clone()),
-                    StageKind::Filter { pred } => {
-                        compiled.insert(stage.id, verdict(pred, &binders));
-                    }
-                }
-            }
-        }
-        OpKind::SetUnion { left, right }
-        | OpKind::SetIntersect { left, right }
-        | OpKind::SetDiff { left, right } => {
-            annotate_compile(left, compiled);
-            annotate_compile(right, compiled);
-        }
-        OpKind::Distinct { input } | OpKind::Aggregate { input, .. } => {
-            annotate_compile(input, compiled)
-        }
-        OpKind::InlineDef { body, .. } => annotate_compile(body, compiled),
-        OpKind::ExtentScan { .. } | OpKind::Eval { .. } => {}
-    }
+/// One lowering: the inputs, and the compile pass's output so far.
+struct Lowering<'a> {
+    defs: &'a DefEnv,
+    stats: &'a Stats,
+    /// Whether the compile pass is on.
+    compile: bool,
+    /// The compile pass's output: one [`CompileVerdict`] per
+    /// expression-bearing node — `MapProject` heads (compiled against
+    /// *all* of their pipeline's binders) and `Filter` predicates
+    /// (against the binders of the generators *above* them, which is
+    /// exactly the executor's binding stack when the stage runs) — in
+    /// the pre-order [`Plan::number`] gives those nodes, so
+    /// [`lower_with`] keys them by zipping with [`Plan::walk`]. Probe
+    /// stages keep their fused predicate interpreted: the probe is
+    /// evaluated once per index build, not per row, so there is nothing
+    /// to win.
+    verdicts: Vec<CompileVerdict>,
 }
 
-fn verdict(q: &Query, binders: &[VarName]) -> CompileVerdict {
-    match bytecode::compile(q, binders) {
-        Ok(prog) => CompileVerdict::Vm(Arc::new(prog)),
-        Err(reason) => CompileVerdict::Interp(reason),
+impl Lowering<'_> {
+    /// The compile pass's verdict on one row expression under `binders`;
+    /// `None` when the pass is off.
+    fn judge(&self, q: &Query, binders: &[VarName]) -> Option<CompileVerdict> {
+        self.compile.then(|| match bytecode::compile(q, binders) {
+            Ok(prog) => CompileVerdict::Vm(Arc::new(prog)),
+            Err(reason) => CompileVerdict::Interp(reason),
+        })
     }
-}
 
-/// Lowers a query that passed the guard — the root, a set operand, an
-/// aggregate's input, an inlined body. Structured shapes get real
-/// operators; anything else is an [`OpKind::Eval`], interpreted wholesale
-/// where the naive engines would evaluate it (the guard already
-/// established the whole query is pure, and operands stay left first).
-fn lower_op(q: &Query, defs: &DefEnv, stats: &Stats, compile: bool) -> Op {
-    let lower = |q: &Query| Box::new(lower_op(q, defs, stats, compile));
-    let aggregate = |kind, inner: &Query| OpKind::Aggregate {
-        kind,
-        expr: q.clone(),
-        input: lower(inner),
-    };
-    Op::new(match q {
-        Query::Sum(inner) => aggregate(AggKind::Sum, inner),
-        Query::Size(inner) => aggregate(AggKind::Size, inner),
-        Query::Extent(e) => OpKind::ExtentScan {
-            extent: e.clone(),
-            est_rows: stats.extent_size(e),
-        },
-        Query::SetBin(op, a, b) => {
-            let (left, right) = (lower(a), lower(b));
-            match op {
-                ioql_ast::SetOp::Union => OpKind::SetUnion { left, right },
-                ioql_ast::SetOp::Intersect => OpKind::SetIntersect { left, right },
-                ioql_ast::SetOp::Diff => OpKind::SetDiff { left, right },
-            }
-        }
-        Query::Comp(head, quals) => OpKind::Distinct {
-            input: Box::new(Op::new(OpKind::MapProject {
-                head: (**head).clone(),
-                input: Box::new(Op::new(OpKind::Pipeline {
-                    stages: lower_quals(quals, stats, compile),
-                })),
-            })),
-        },
-        Query::Call(d, args) => match inlined(defs, d, args) {
-            Some(body) => OpKind::InlineDef {
-                name: d.clone(),
-                body: lower(&body),
+    /// Lowers a query that passed the guard — the root, a set operand, an
+    /// aggregate's input, an inlined body. Structured shapes get real
+    /// operators; anything else is an [`OpKind::Eval`], interpreted
+    /// wholesale where the naive engines would evaluate it (the guard
+    /// already established the whole query is pure, and operands stay
+    /// left first).
+    fn op(&mut self, q: &Query) -> Op {
+        let mut aggregate = |kind, inner: &Query| OpKind::Aggregate {
+            kind,
+            expr: q.clone(),
+            input: Box::new(self.op(inner)),
+        };
+        Op::new(match q {
+            Query::Sum(inner) => aggregate(AggKind::Sum, inner),
+            Query::Size(inner) => aggregate(AggKind::Size, inner),
+            Query::Extent(e) => OpKind::ExtentScan {
+                extent: e.clone(),
+                est_rows: self.stats.extent_size(e),
             },
-            None => OpKind::Eval { expr: q.clone() },
-        },
-        _ => OpKind::Eval { expr: q.clone() },
-    })
+            Query::SetBin(op, a, b) => {
+                let (left, right) = (Box::new(self.op(a)), Box::new(self.op(b)));
+                match op {
+                    ioql_ast::SetOp::Union => OpKind::SetUnion { left, right },
+                    ioql_ast::SetOp::Intersect => OpKind::SetIntersect { left, right },
+                    ioql_ast::SetOp::Diff => OpKind::SetDiff { left, right },
+                }
+            }
+            Query::Comp(head, quals) => {
+                // The head precedes its filters in pre-order but needs
+                // the binders the qualifier walk collects.
+                let at = self.verdicts.len();
+                let (stages, binders) = self.quals(quals);
+                if let Some(v) = self.judge(head, &binders) {
+                    self.verdicts.insert(at, v);
+                }
+                OpKind::Distinct {
+                    input: Box::new(Op::new(OpKind::MapProject {
+                        head: (**head).clone(),
+                        input: Box::new(Op::new(OpKind::Pipeline { stages })),
+                    })),
+                }
+            }
+            Query::Call(d, args) => match inlined(self.defs, d, args) {
+                Some(body) => OpKind::InlineDef {
+                    name: d.clone(),
+                    body: Box::new(self.op(&body)),
+                },
+                None => OpKind::Eval { expr: q.clone() },
+            },
+            _ => OpKind::Eval { expr: q.clone() },
+        })
+    }
+
+    /// Lowers a qualifier list to pipeline stages (returned with the
+    /// generator binders, outermost first), fusing an eligible equality
+    /// predicate immediately following a generator into a
+    /// [`StageKind::HashIndexProbe`] when the cost model favors it. This
+    /// is the one place that tracks the binder stack, so it is also where
+    /// each predicate is compiled — once.
+    fn quals(&mut self, quals: &[Qualifier]) -> (Vec<Stage>, Vec<VarName>) {
+        let stats = self.stats;
+        let mut stages = Vec::new();
+        let mut binders: Vec<VarName> = Vec::new();
+        let mut quals = quals.iter().peekable();
+        while let Some(qual) = quals.next() {
+            let (x, src) = match qual {
+                Qualifier::Pred(p) => {
+                    let judged = self.judge(p, &binders);
+                    self.verdicts.extend(judged);
+                    stages.push(Stage::new(StageKind::Filter { pred: p.clone() }));
+                    continue;
+                }
+                Qualifier::Gen(x, src) => (x, src),
+            };
+            let est_rows = stats.cardinality(src);
+            stages.push(Stage::new(match src {
+                Query::Extent(e) => StageKind::ExtentScan {
+                    var: x.clone(),
+                    extent: e.clone(),
+                    est_rows,
+                },
+                _ => StageKind::Scan {
+                    var: x.clone(),
+                    source: src.clone(),
+                    est_rows,
+                },
+            }));
+            let enclosing = binders.len();
+            binders.push(x.clone());
+            let Some(Qualifier::Pred(p)) = quals.peek() else {
+                continue;
+            };
+            let Some((eq, key, probe)) = probe_shape(x, p, &binders[..enclosing]) else {
+                continue;
+            };
+            quals.next();
+            // Naive filtering evaluates the predicate once per row; the
+            // index evaluates the probe side once, then pays a per-row
+            // key extraction and hash probe (~2 units) plus a fixed build
+            // overhead (~8). Both are in `Stats::work` units, so only the
+            // relative order matters. When the compile tier accepts the
+            // predicate, its per-row cost is a VM dispatch, not an
+            // interpretation of the whole expression.
+            let judged = self.judge(p, &binders);
+            let per_row = match judged {
+                Some(CompileVerdict::Vm(_)) => stats.compiled_work(),
+                _ => stats.work(p).max(1),
+            };
+            let scan_cost = est_rows.max(1).saturating_mul(per_row);
+            let index_cost = stats
+                .work(&probe)
+                .saturating_add(2 * est_rows)
+                .saturating_add(8);
+            stages.push(Stage::new(if index_cost < scan_cost {
+                StageKind::HashIndexProbe {
+                    var: x.clone(),
+                    build: HashIndexBuild { eq, key, est_rows },
+                    probe,
+                    pred: p.clone(),
+                    scan_cost,
+                    index_cost,
+                }
+            } else {
+                self.verdicts.extend(judged);
+                StageKind::Filter { pred: p.clone() }
+            }));
+        }
+        (stages, binders)
+    }
 }
 
 /// The body of `d(args)` with its parameters substituted — only when
@@ -223,86 +289,6 @@ fn inlined(defs: &DefEnv, d: &DefName, args: &[Query]) -> Option<Query> {
         body = body.subst(x, v);
     }
     Some(body)
-}
-
-/// Lowers a qualifier list to pipeline stages, fusing an eligible
-/// equality predicate immediately following a generator into a
-/// [`StageKind::HashIndexProbe`] when the cost model favors it.
-fn lower_quals(quals: &[Qualifier], stats: &Stats, compile: bool) -> Vec<Stage> {
-    let mut stages = Vec::new();
-    let mut binders: Vec<VarName> = Vec::new();
-    let mut i = 0;
-    while i < quals.len() {
-        match &quals[i] {
-            Qualifier::Pred(p) => {
-                stages.push(Stage::new(StageKind::Filter { pred: p.clone() }));
-                i += 1;
-            }
-            Qualifier::Gen(x, src) => {
-                let est_rows = stats.cardinality(src);
-                stages.push(Stage::new(match src {
-                    Query::Extent(e) => StageKind::ExtentScan {
-                        var: x.clone(),
-                        extent: e.clone(),
-                        est_rows,
-                    },
-                    _ => StageKind::Scan {
-                        var: x.clone(),
-                        source: src.clone(),
-                        est_rows,
-                    },
-                }));
-                if let Some(Qualifier::Pred(p)) = quals.get(i + 1) {
-                    if let Some((eq, key, probe)) = probe_shape(x, p, &binders) {
-                        // Naive filtering evaluates the predicate once
-                        // per row; the index evaluates the probe side
-                        // once, then pays a per-row key extraction and
-                        // hash probe (~2 units) plus a fixed build
-                        // overhead (~8). Both are in `Stats::work`
-                        // units, so only the relative order matters.
-                        // When the compile tier will accept the
-                        // predicate, its per-row cost is a VM dispatch,
-                        // not an interpretation of the whole expression.
-                        let per_row = if compile && pred_compiles(p, &binders, x) {
-                            stats.compiled_work()
-                        } else {
-                            stats.work(p).max(1)
-                        };
-                        let scan_cost = est_rows.max(1).saturating_mul(per_row);
-                        let index_cost = stats
-                            .work(&probe)
-                            .saturating_add(2 * est_rows)
-                            .saturating_add(8);
-                        if index_cost < scan_cost {
-                            stages.push(Stage::new(StageKind::HashIndexProbe {
-                                var: x.clone(),
-                                build: HashIndexBuild { eq, key, est_rows },
-                                probe,
-                                pred: p.clone(),
-                                scan_cost,
-                                index_cost,
-                            }));
-                            binders.push(x.clone());
-                            i += 2;
-                            continue;
-                        }
-                    }
-                }
-                binders.push(x.clone());
-                i += 1;
-            }
-        }
-    }
-    stages
-}
-
-/// Whether `pred` would compile when filtering rows of generator `x`
-/// under the enclosing `binders` — the cost model's view of the compile
-/// pass (same entry point, binder environment `binders ++ [x]`).
-fn pred_compiles(pred: &Query, binders: &[VarName], x: &VarName) -> bool {
-    let mut with_x = binders.to_vec();
-    with_x.push(x.clone());
-    bytecode::compile(pred, &with_x).is_ok()
 }
 
 /// Matches `pred` against the probe-eligible shape for generator

@@ -369,3 +369,27 @@ fn sum_wraps_identically_at_integer_boundaries() {
         }
     }
 }
+
+/// `:plan` text is an interface: the zoo's renderings with the compile
+/// pass off and on — `[vm]` / `[interp(reason)]` included — against the
+/// golden captured before the renderer was rebuilt on `label()`
+/// (re-capture with `IOQL_BLESS=1`).
+#[test]
+fn zoo_renders_as_the_golden() {
+    let fx = jack_jill();
+    let mut got = String::new();
+    for q in zoo(&fx) {
+        for compile in [false, true] {
+            let plan = lower_c(&fx, &q, compile).unwrap();
+            got.push_str(&format!("-- {q} (compile: {compile})\n{}", plan.render()));
+        }
+    }
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/compile_zoo.txt"
+    );
+    if std::env::var_os("IOQL_BLESS").is_some() {
+        std::fs::write(golden, &got).unwrap();
+    }
+    assert_eq!(got, std::fs::read_to_string(golden).unwrap());
+}

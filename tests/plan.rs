@@ -556,3 +556,282 @@ fn aggregate_roots_agree_on_every_engine() {
         }
     }
 }
+
+/// The profile zoo: every way a pipeline row is produced or rejected —
+/// nested generators with a late filter (interpreted and compiled), a
+/// probe that hits, the cross-generator semi-join, a probe whose index
+/// is abandoned, set operators over an op-level and a stage-level scan,
+/// and an aggregate root — over six `Person`s (`name` 1–6, `age` 21–26).
+/// Row expressions are comprehension-free, so every chooser draw is a
+/// pipeline draw.
+fn profile_zoo() -> (
+    ioql_schema::Schema,
+    ioql_store::Store,
+    Vec<(&'static str, Plan)>,
+) {
+    use ioql::plan::{EqKind, Guard, HashIndexBuild, KeyAccess, Op, OpKind, Stage, StageKind};
+    use ioql_ast::{Query, VarName};
+    const DDL: &str = "
+        class Person extends Object (extent Persons) {
+            attribute int name;
+            attribute int age;
+        }";
+    let mut db = Database::from_ddl(DDL).unwrap();
+    db.query("{ new Person(name: n, age: n + 20) | n <- {1, 2, 3, 4, 5, 6} }")
+        .unwrap();
+    let defs = DefEnv::new();
+    let mut real = Stats::new();
+    for (e, _, members) in db.store().extents.iter() {
+        real.set(e.clone(), members.len());
+    }
+    // `Stats::new()` estimates every extent at 1000 rows: with the
+    // predicate interpreted, the cost model picks the probe.
+    let lowered = |src: &str, stats: &Stats, compile: bool| {
+        let prepared = db.prepare(src).unwrap();
+        let spec = ParSpec {
+            compile,
+            ..ParSpec::off()
+        };
+        lower_with(&prepared.elab, &prepared.effect, &defs, stats, &spec).unwrap()
+    };
+    const LATE_FILTER: &str = "{ p.age + q.age | p <- Persons, q <- Persons, q.name < 3 }";
+    let mut zoo = vec![
+        (
+            "late filter, interpreted",
+            lowered(LATE_FILTER, &real, false),
+        ),
+        ("late filter, compiled", lowered(LATE_FILTER, &real, true)),
+        (
+            "probe hit",
+            lowered("{ p.age | p <- Persons, p.name = 3 }", &Stats::new(), false),
+        ),
+        (
+            "semi-join probe",
+            lowered(
+                "{ p.age + q.age | p <- Persons, q <- Persons, q.name = p.name }",
+                &Stats::new(),
+                false,
+            ),
+        ),
+        (
+            "set operators",
+            lowered(
+                "Persons except { p | p <- Persons, p.name < 3 }",
+                &real,
+                true,
+            ),
+        ),
+        (
+            "aggregate root",
+            lowered("sum({ p.age | p <- Persons, p.name < 5 })", &real, true),
+        ),
+    ];
+    // The index is abandoned at the first draw (the build declares `==`
+    // over integer elements), so every row takes the kept predicate.
+    let x = VarName::new("x");
+    let mut abandoned = Plan {
+        root: Op::new(OpKind::Distinct {
+            input: Box::new(Op::new(OpKind::MapProject {
+                head: Query::var("x"),
+                input: Box::new(Op::new(OpKind::Pipeline {
+                    stages: vec![
+                        Stage::new(StageKind::Scan {
+                            var: x.clone(),
+                            source: Query::set_lit([Query::int(1), Query::int(2), Query::int(3)]),
+                            est_rows: 3,
+                        }),
+                        Stage::new(StageKind::HashIndexProbe {
+                            var: x,
+                            build: HashIndexBuild {
+                                eq: EqKind::Obj,
+                                key: KeyAccess::Bare,
+                                est_rows: 3,
+                            },
+                            probe: Query::int(2),
+                            pred: Query::var("x").int_eq(Query::int(2)),
+                            scan_cost: 100,
+                            index_cost: 1,
+                        }),
+                    ],
+                })),
+            })),
+        }),
+        guard: Guard {
+            effect: ioql_effects::Effect::empty(),
+        },
+        compiled: Default::default(),
+    };
+    abandoned.number();
+    zoo.push(("abandoned index", abandoned));
+    let store = db.store().clone();
+    (db.schema().clone(), store, zoo)
+}
+
+/// The profile is the draw protocol: each node's `(calls, rows)` is
+/// fixed by how many rows `(ND comp)` draws through it, whatever the
+/// order; the generator stages' rows add up to the chooser's draw total;
+/// and profiling changes nothing `execute` reports.
+#[test]
+fn profile_counts_follow_the_draw_protocol() {
+    use ioql::plan::execute_with_profile;
+    use ioql_eval::CountingChooser;
+    use ioql_telemetry::MetricsRegistry;
+    // (calls, rows) per node, in pre-order.
+    let want: [(&str, &[(u64, u64)]); 7] = [
+        (
+            "late filter, interpreted",
+            &[(1, 7), (1, 7), (1, 7), (1, 6), (6, 36), (36, 12)],
+        ),
+        (
+            "late filter, compiled",
+            &[(1, 7), (1, 7), (1, 7), (1, 6), (6, 36), (36, 12)],
+        ),
+        ("probe hit", &[(1, 1), (1, 1), (1, 1), (1, 6), (6, 1)]),
+        (
+            "semi-join probe",
+            &[(1, 6), (1, 6), (1, 6), (1, 6), (6, 36), (36, 6)],
+        ),
+        (
+            "set operators",
+            &[(1, 4), (1, 6), (1, 2), (1, 2), (1, 2), (1, 6), (6, 2)],
+        ),
+        (
+            "aggregate root",
+            &[(1, 1), (1, 4), (1, 4), (1, 4), (1, 6), (6, 4)],
+        ),
+        ("abandoned index", &[(1, 1), (1, 1), (1, 1), (1, 3), (3, 1)]),
+    ];
+    let (schema, store, zoo) = profile_zoo();
+    let defs = DefEnv::new();
+    let mk_choosers: [fn() -> Box<dyn Chooser>; 3] = [
+        || Box::new(FirstChooser),
+        || Box::new(LastChooser),
+        || Box::new(RandomChooser::seeded(0xD4A3)),
+    ];
+    for ((name, plan), (wanted_name, counts)) in zoo.iter().zip(want) {
+        assert_eq!(*name, wanted_name);
+        for mk in &mk_choosers {
+            let run = |profiled: bool| {
+                let draws = MetricsRegistry::new(true).counter("draws", "Chooser draws.");
+                let governor = Governor::new(Limits::none());
+                let cfg = EvalConfig::new(&schema).with_governor(&governor);
+                let mut inner = mk();
+                let mut chooser = CountingChooser::new(&mut *inner, draws.clone());
+                let mut store = store.clone();
+                let (r, profile) = if profiled {
+                    let (r, p) =
+                        execute_with_profile(plan, &cfg, &defs, &mut store, &mut chooser, 100_000)
+                            .unwrap();
+                    (r, Some(p))
+                } else {
+                    let r = execute(plan, &cfg, &defs, &mut store, &mut chooser, 100_000);
+                    (r.unwrap(), None)
+                };
+                (
+                    (r.value, r.effect, governor.cells_spent(), draws.get()),
+                    profile,
+                )
+            };
+            let (plain, _) = run(false);
+            let (profiled, profile) = run(true);
+            assert_eq!(profiled, plain, "{name}: profiling moved an observable");
+            let entries = profile.unwrap().entries;
+            let got: Vec<(u64, u64)> = entries.iter().map(|e| (e.calls, e.rows)).collect();
+            assert_eq!(got, counts, "{name}:\n{}", plan.render());
+            let drawn: u64 = entries
+                .iter()
+                .filter(|e| e.label.contains(" <- "))
+                .map(|e| e.rows)
+                .sum();
+            assert_eq!(drawn, plain.3, "{name}: generator rows vs chooser draws");
+            assert_eq!(drawn, plain.2, "{name}: one cell per draw");
+        }
+    }
+}
+
+/// One walk, three views: `Plan::render`, `PlanProfile::entries` and
+/// `Plan::verdicts` list the same nodes in the same pre-order — every
+/// rendered line (bar the header and a probe's `HashIndexBuild` detail
+/// line) is one profile entry at the same depth under the same label,
+/// and a verdict's id is its entry's position.
+#[test]
+fn render_profile_and_verdicts_list_the_same_nodes() {
+    use ioql::plan::execute_with_profile;
+    let (schema, store, zoo) = profile_zoo();
+    let cfg = EvalConfig::new(&schema);
+    let defs = DefEnv::new();
+    let mut annotated = 0;
+    for (name, plan) in &zoo {
+        let (_, profile) = execute_with_profile(
+            plan,
+            &cfg,
+            &defs,
+            &mut store.clone(),
+            &mut FirstChooser,
+            100_000,
+        )
+        .unwrap();
+        let rendered = plan.render();
+        let lines: Vec<&str> = rendered
+            .lines()
+            .skip(1)
+            .filter(|l| !l.trim_start().starts_with("HashIndexBuild"))
+            .collect();
+        assert_eq!(lines.len(), profile.entries.len(), "{name}:\n{rendered}");
+        for (line, e) in lines.iter().zip(&profile.entries) {
+            let indent = "  ".repeat(e.depth);
+            assert!(
+                line.strip_prefix(&indent)
+                    .is_some_and(|l| l.starts_with(&e.label)),
+                "{name}: `{line}` vs depth {} `{}`",
+                e.depth,
+                e.label
+            );
+        }
+        let verdicts = plan.verdicts();
+        assert_eq!(verdicts.len(), plan.compiled.len(), "{name}");
+        for (i, line) in lines.iter().enumerate() {
+            match verdicts.iter().find(|v| v.id.0 as usize == i) {
+                Some(v) => {
+                    annotated += 1;
+                    assert_eq!(v.label, profile.entries[i].label, "{name}");
+                    assert!(line.ends_with(&format!("  [{}]", v.compile)), "{line}");
+                }
+                None => assert!(
+                    !line.contains("[vm]") && !line.contains("[interp("),
+                    "{line}"
+                ),
+            }
+        }
+    }
+    assert!(
+        annotated >= 6,
+        "only {annotated} annotated nodes in the zoo"
+    );
+}
+
+/// `:plan` text is an interface: the operator zoo's renderings, under
+/// both cost-model outcomes, against the golden captured before the
+/// renderer was rebuilt on `label()` (re-capture with `IOQL_BLESS=1`).
+#[test]
+fn operator_zoo_renders_as_the_golden() {
+    let fx = jack_jill();
+    let mut got = String::new();
+    for q in operator_zoo(&fx) {
+        for real_stats in [true, false] {
+            let plan = lower_for(&fx, &q, real_stats).unwrap();
+            got.push_str(&format!(
+                "-- {q} (real stats: {real_stats})\n{}",
+                plan.render()
+            ));
+        }
+    }
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/plan_zoo.txt"
+    );
+    if std::env::var_os("IOQL_BLESS").is_some() {
+        std::fs::write(golden, &got).unwrap();
+    }
+    assert_eq!(got, std::fs::read_to_string(golden).unwrap());
+}

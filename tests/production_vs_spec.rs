@@ -203,17 +203,33 @@ const CORPUS: &[&str] = &[
     // to) and not (size(Employees) depends on who went first).
     "size({ new Employee(name: p.name + 100, age: p.age, dept: 9) | p <- Persons, p.name < 3 })",
     "{ (new Employee(name: size(Employees), age: p.age, dept: 0)).name | p <- Persons, p.name < 3 }",
+    // A probe (the predicate stays interpreted: it reads an extent) under
+    // a compiled head that mentions the probed generator, alone and as a
+    // semi-join: the head used to be compiled against that binder twice
+    // and production answered `internal error (engine bug)`.
+    "{ p.age | p <- Persons, p.name = size(Employees) + 1 }",
+    "{ p.age + q.age | p <- Persons, q <- Persons, q.name = size(Employees) }",
     // Scalar, record and `if` roots: one `Eval` node.
     "1 + 2 * 3",
     "struct(n: size(Persons), total: sum({ p.age | p <- Persons }))",
     "if size(Employees) < 3 then { p.name | p <- Persons } else {}",
 ];
 
+/// `{ head | a0 <- {1}, …, a256 <- {1} }`: 257 generators, one more
+/// binder than a VM `Load` operand (a `u8` slot) can name.
+fn wide_comprehension(head: &str) -> String {
+    let generators: Vec<String> = (0..=256).map(|i| format!("a{i} <- {{1}}")).collect();
+    format!("{{ {head} | {} }}", generators.join(", "))
+}
+
 #[test]
 fn production_agrees_with_the_spec_on_the_corpus() {
     let (schema, store) = corpus_store();
     let mut members = 0;
-    for src in CORPUS {
+    // The wide text used to reach a panic on production: the executor's
+    // leaf loop numbered the drained binder in a `u8`.
+    let wide = wide_comprehension("1");
+    for src in CORPUS.iter().copied().chain([wide.as_str()]) {
         for (name, mk) in &choosers(0x5EED) {
             match check(&schema, &store, DEFINES, src, mk, name) {
                 Decided::Truncated => panic!("{src}: exploration truncated"),
@@ -224,6 +240,43 @@ fn production_agrees_with_the_spec_on_the_corpus() {
     }
     // Two texts are not `⊢'`-deterministic; both arms ran.
     assert_eq!(members, 2 * 3);
+}
+
+/// The two probe texts of the corpus really are a probe under a VM head.
+#[test]
+fn the_corpus_probes_run_under_a_compiled_head() {
+    let (schema, store) = corpus_store();
+    let (_, production) = both(&schema, &store, DEFINES);
+    for src in CORPUS
+        .iter()
+        .filter(|src| src.contains("= size(Employees)"))
+    {
+        let plan = production.explain(src).unwrap();
+        assert!(
+            plan.contains("HashIndexProbe") && plan.contains("[vm]"),
+            "{plan}"
+        );
+    }
+}
+
+/// A head that *mentions* the 257th binder cannot name it in a `Load`:
+/// the compile pass declines the node, production interprets it, and the
+/// answer is still the spec's.
+#[test]
+fn a_binder_past_the_vm_slots_runs_interpreted() {
+    let (schema, store) = corpus_store();
+    let (_, mut production) = both(&schema, &store, &[]);
+    let constant_head = production.explain(&wide_comprehension("1")).unwrap();
+    assert!(constant_head.contains("head = 1  [vm]"), "{constant_head}");
+    let src = wide_comprehension("a256 + a0");
+    let plan = production.explain(&src).unwrap();
+    assert!(plan.contains("[interp(too many binders)]"), "{plan}");
+    assert_eq!(production.query(&src).unwrap().value.to_string(), "{2}");
+    // One chooser: every generator is a singleton, and the Figure 2
+    // machine takes seconds on 257 of them in a debug build.
+    let (name, mk) = &choosers(0x5EED)[0];
+    let decided = check(&schema, &store, &[], &src, mk, name);
+    assert_eq!(decided, Decided::Deterministic);
 }
 
 /// The two wrong answers the optimizer used to give, by value.
