@@ -372,7 +372,7 @@ impl DbMetrics {
                 ),
                 recursions: c(
                     "ioql_eval_recursions_total",
-                    "Named-definition recursive calls.",
+                    "Fuel units spent by production (max_steps minus fuel left), recorded once per execution.",
                 ),
                 dispatches: c(
                     "ioql_vm_dispatches_total",

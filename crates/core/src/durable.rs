@@ -42,7 +42,6 @@ use crate::kernel::DbKernel;
 use ioql_eval::ScriptedChooser;
 use ioql_store::wal::{checkpoint_path, parse_wal, scan_generations, wal_path, Wal, WalSink};
 use ioql_store::{Durability, Store, WalError, WalErrorKind, WalPayload};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -163,25 +162,6 @@ fn io_wal(msg: impl Into<String>) -> WalError {
     }
 }
 
-/// Atomically writes `text` to `path` (temp + fsync + rename), mirroring
-/// `dump::save_store`'s discipline. Used to rebuild a torn log before
-/// reopening it for append, so partial bytes never precede new records.
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(d) = std::fs::File::open(parent) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
 impl Database {
     /// Attaches a durable directory with the production file sink:
     /// recovers its state (replacing this database's in-memory store and
@@ -288,7 +268,7 @@ impl Database {
             for rec in &parsed.records {
                 text.push_str(&ioql_store::wal::encode_record(rec.seq, &rec.payload));
             }
-            write_atomic(&log, &text)
+            ioql_store::write_atomic(&log, &text)
                 .map_err(|e| io_wal(format!("rewrite {}: {e}", log.display())))?;
         }
 

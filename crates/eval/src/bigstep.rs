@@ -6,32 +6,39 @@
 //! > [Wright–Felleisen] and use an operational semantics based on
 //! > reduction ('single-step')." — §3.3
 //!
-//! The small-step machine ([`crate::step()`](crate::step::step)) is the specification; this
-//! module is an independent, direct-recursive implementation of the same
-//! language. Its value is twofold:
+//! The small-step machine ([`crate::step()`](crate::step::step)) is the
+//! specification and states `(ND comp)` and `(Definition)` by
+//! substitution `q[x := v]`. This module is the algorithmic presentation
+//! of the same rules — syntax-directed, environment-passing — and it is
+//! production's interpreter: [`eval_big`] runs the queries Theorem 7
+//! refuses to lower, and the `ioql-plan` executor holds an [`Interp`] as
+//! its own state, so a plan and the expressions it does not compile share
+//! one chooser, one fuel counter, one effect trace and one binding stack.
+//! Both evaluators must agree (for the same [`Chooser`] decisions) on
+//! every query — the workspace's differential suites drive thousands of
+//! generated queries through both.
 //!
-//! * **Differential testing.** Both evaluators must agree (for the same
-//!   [`Chooser`] decisions) on every query — a workspace property test
-//!   drives thousands of generated queries through both. A disagreement
-//!   would expose a bug in one of the two, exactly the class of error a
-//!   single implementation can never see.
-//! * **Performance floor.** The faithful machine re-traverses the term
-//!   on every step (that *is* the evaluation-context discipline); the
-//!   big-step evaluator shows what a production engine would do, and the
-//!   B4 benchmarks quantify the gap.
+//! Choice points: the comprehension rule consumes elements through the
+//! same [`Chooser`] protocol as the machine — pick index `i` among the
+//! *remaining* elements ([`Interp::draw`], production's only draw site),
+//! evaluate the body, recurse on the rest, union the results
+//! left-to-right.
 //!
-//! Choice points: to stay comparable with the small-step machine, the
-//! comprehension rule consumes elements through the same [`Chooser`]
-//! protocol — pick index `i` among the *remaining* elements, evaluate
-//! the body, recurse on the rest, union the results left-to-right.
+//! Bindings: a generator pushes one slot per drain and overwrites it per
+//! row; a variable is an innermost-first lookup; a definition call runs
+//! its body in a frame of its own, so a body sees its parameters and
+//! never a caller's binder. No query is cloned or substituted to be
+//! evaluated — only to be *shown*: a stuck state renders its
+//! subexpression under the bindings in scope ([`Interp::stuck`]), which
+//! is byte for byte the text eager substitution would have reached.
 
-use crate::chooser::Chooser;
+use crate::chooser::{bad_pick, Chooser};
 use crate::machine::{DefEnv, EvalConfig, EvalError};
-use ioql_ast::{Qualifier, Query, Value};
+use ioql_ast::{ExtentName, Qualifier, Query, SetOp, Value, VarName};
 use ioql_effects::Effect;
 use ioql_methods::{invoke, MethodCall};
-use ioql_store::{Object, Store};
-use std::collections::BTreeSet;
+use ioql_store::{MemberSet, Object, Store};
+use std::collections::{BTreeSet, VecDeque};
 
 /// The result of a big-step evaluation.
 #[derive(Clone, Debug)]
@@ -43,26 +50,27 @@ pub struct BigStepResult {
     pub effect: Effect,
 }
 
-/// The result of one expression evaluated through the plan-dispatch hook
-/// ([`eval_expr`]).
-#[derive(Clone, Debug)]
-pub struct ExprEval {
-    /// The final value.
-    pub value: Value,
-    /// The effect trace of this one evaluation.
-    pub effect: Effect,
-    /// Fuel units consumed (one per recursive descent), so an external
-    /// executor can meter many row-level evaluations against a single
-    /// shared budget.
-    pub fuel_spent: u64,
-}
-
-struct Ev<'a, 'c> {
-    cfg: &'a EvalConfig<'a>,
+/// The interpreter state of one production execution: `DE`, the chooser,
+/// the fuel, the effect trace and the binding stack. The store is passed
+/// to each call (`EE, OE` move; the rest is the execution's own).
+pub struct Interp<'a, 'c> {
+    /// The evaluator configuration (schema, method mode, governor,
+    /// telemetry handles).
+    pub cfg: &'a EvalConfig<'a>,
     defs: &'a DefEnv,
     chooser: &'c mut dyn Chooser,
-    effect: Effect,
-    fuel: u64,
+    /// The effect trace so far.
+    pub effect: Effect,
+    /// The remaining step budget. An executor that evaluates
+    /// speculatively restores it when it discards the attempt.
+    pub fuel: u64,
+    max_steps: u64,
+    /// The binding stack, outermost first: generator binders and, above
+    /// `frame`, the parameters of the definition body being evaluated.
+    pub binds: Vec<(VarName, Value)>,
+    /// Where the current definition frame starts; lookups and rendering
+    /// see `binds[frame..]` only.
+    frame: usize,
 }
 
 /// Evaluates `q` to a value in one recursive descent:
@@ -75,73 +83,167 @@ pub fn eval_big(
     chooser: &mut dyn Chooser,
     max_steps: u64,
 ) -> Result<BigStepResult, EvalError> {
-    let r = eval_expr(cfg, defs, store, q, chooser, max_steps)?;
-    Ok(BigStepResult {
-        value: r.value,
-        effect: r.effect,
-    })
+    let mut interp = Interp::new(cfg, defs, chooser, max_steps);
+    let value = interp.eval(store, q);
+    let (value, effect) = interp.finish(value)?;
+    Ok(BigStepResult { value, effect })
 }
 
-/// The plan-dispatch hook: evaluates one expression on behalf of an
-/// external executor (the `ioql-plan` operator pipeline), reporting the
-/// fuel actually consumed.
-///
-/// The physical-plan layer drives scans, probes, and set operators
-/// itself but delegates every *row-level* expression — predicates,
-/// projection heads, generator sources — to this entry, so that nested
-/// comprehensions inside those expressions make exactly the chooser
-/// draws and governor charges the naive engines would make. This is the
-/// seam that replaced the indexed-generator fast path that used to live
-/// in this module (it moved to `ioql-plan`, generalized to a costed
-/// operator IR).
-pub fn eval_expr(
-    cfg: &EvalConfig<'_>,
-    defs: &DefEnv,
-    store: &mut Store,
-    q: &Query,
-    chooser: &mut dyn Chooser,
-    fuel: u64,
-) -> Result<ExprEval, EvalError> {
-    let mut ev = Ev {
-        cfg,
-        defs,
-        chooser,
-        effect: Effect::empty(),
-        fuel,
-    };
-    let value = ev.eval(store, q)?;
-    let fuel_spent = fuel - ev.fuel;
-    // Batch-recorded once per completed evaluation, not per descent.
-    if let Some(m) = cfg.metrics {
-        m.recursions.add(fuel_spent);
+impl<'a, 'c> Interp<'a, 'c> {
+    /// A fresh state: no bindings, no effect, `max_steps` fuel units.
+    pub fn new(
+        cfg: &'a EvalConfig<'a>,
+        defs: &'a DefEnv,
+        chooser: &'c mut dyn Chooser,
+        max_steps: u64,
+    ) -> Self {
+        Interp {
+            cfg,
+            defs,
+            chooser,
+            effect: Effect::empty(),
+            fuel: max_steps,
+            max_steps,
+            binds: Vec::new(),
+            frame: 0,
+        }
     }
-    Ok(ExprEval {
-        value,
-        effect: ev.effect,
-        fuel_spent,
-    })
-}
 
-impl Ev<'_, '_> {
-    fn burn(&mut self, q: &Query) -> Result<(), EvalError> {
-        // Same cadence as the small-step driver's per-step checkpoint:
-        // cancellation and deadline are noticed once per recursion.
+    /// Ends the execution: records the fuel it spent (once, not per
+    /// descent, and whether or not it failed) and pairs the outcome with
+    /// the effect trace.
+    pub fn finish(self, value: Result<Value, EvalError>) -> Result<(Value, Effect), EvalError> {
+        if let Some(m) = self.cfg.metrics {
+            m.recursions.add(self.max_steps - self.fuel);
+        }
+        Ok((value?, self.effect))
+    }
+
+    /// One cancellation/deadline checkpoint, then `k` fuel units — the
+    /// cadence of the small-step driver's per-step checkpoint. The
+    /// interpreter burns one unit per recursion, a plan operator one per
+    /// entry and per draw, the VM a coalesced run of entries.
+    pub fn burn(&mut self, k: u64) -> Result<(), EvalError> {
         if let Some(gov) = self.cfg.governor {
             gov.checkpoint()?;
         }
-        if self.fuel == 0 {
-            return Err(EvalError::FuelExhausted);
-        }
-        self.fuel -= 1;
-        let _ = q;
+        self.fuel = self.fuel.checked_sub(k).ok_or(EvalError::FuelExhausted)?;
         Ok(())
     }
 
-    fn stuck<T>(&self, q: &Query, reason: impl Into<String>) -> Result<T, EvalError> {
+    /// The stuck state at `q`: the subexpression rendered under the
+    /// bindings in scope, innermost first — the closed text eager
+    /// substitution would have been looking at.
+    pub fn stuck<T>(&self, q: &Query, reason: impl Into<String>) -> Result<T, EvalError> {
+        let mut shown = q.clone();
+        for (x, v) in self.binds[self.frame..].iter().rev() {
+            shown = shown.subst(x, v);
+        }
         Err(EvalError::Stuck {
-            query: q.to_string(),
+            query: shown.to_string(),
             reason: reason.into(),
         })
+    }
+
+    /// Reports a finished set's cardinality to the governor.
+    pub fn observe_card(&self, n: usize) -> Result<(), EvalError> {
+        match self.cfg.governor {
+            Some(gov) => gov.observe_set_card(n as u64),
+            None => Ok(()),
+        }
+    }
+
+    /// The observables of one extent read, in order — the unknown-extent
+    /// stuck state, the `R(C)` effect, the cardinality observation —
+    /// returning the members.
+    pub fn read_extent<'s>(
+        &mut self,
+        store: &'s Store,
+        extent: &ExtentName,
+    ) -> Result<&'s MemberSet, EvalError> {
+        let Some((class, members)) = store.extents.get(extent) else {
+            return self.stuck(
+                &Query::Extent(extent.clone()),
+                format!("unknown extent `{extent}`"),
+            );
+        };
+        self.effect.union_with(&Effect::read(class.clone()));
+        self.observe_card(members.len())?;
+        Ok(members)
+    }
+
+    /// One extent read ([`read_extent`](Interp::read_extent)) as a set
+    /// value.
+    pub fn extent(&mut self, store: &Store, extent: &ExtentName) -> Result<Value, EvalError> {
+        let members = self.read_extent(store, extent)?;
+        Ok(Value::Set(members.iter().map(|o| Value::Oid(*o)).collect()))
+    }
+
+    /// A set operator's result, observed.
+    pub fn set_op(
+        &self,
+        op: SetOp,
+        a: &BTreeSet<Value>,
+        b: &BTreeSet<Value>,
+    ) -> Result<Value, EvalError> {
+        let result = op.apply(a, b);
+        self.observe_card(result.len())?;
+        Ok(Value::Set(result))
+    }
+
+    /// The wrapping `sum` of a finished set; `q` is the `sum(…)` node a
+    /// non-integer element sticks at.
+    pub fn sum(&self, q: &Query, set: &BTreeSet<Value>) -> Result<Value, EvalError> {
+        let mut total = 0i64;
+        for v in set {
+            match v {
+                Value::Int(i) => total = total.wrapping_add(*i),
+                _ => return self.stuck(q, "sum over a non-integer set"),
+            }
+        }
+        Ok(Value::Int(total))
+    }
+
+    /// A comprehension predicate's verdict from its value.
+    pub fn truth(&self, p: &Query, v: Value) -> Result<bool, EvalError> {
+        match v {
+            Value::Bool(b) => Ok(b),
+            _ => self.stuck(p, "non-boolean predicate"),
+        }
+    }
+
+    /// A generator source's elements, in canonical order, ready to draw
+    /// from.
+    pub fn source(&mut self, store: &mut Store, src: &Query) -> Result<VecDeque<Value>, EvalError> {
+        match self.eval(store, src)? {
+            Value::Set(s) => Ok(s.into_iter().collect()),
+            _ => self.stuck(src, "generator over a non-set"),
+        }
+    }
+
+    /// One `(ND comp)` draw for generator `x`: ask the chooser, charge
+    /// one cell, take the element out of the pool. Endpoint picks — the
+    /// only picks the deterministic choosers make — are O(1); interior
+    /// picks (random/scripted choosers) shift the shorter side. A pick
+    /// that breaks the chooser's `i < n` contract is a stuck state.
+    pub fn draw(
+        &mut self,
+        x: &VarName,
+        remaining: &mut VecDeque<Value>,
+    ) -> Result<Value, EvalError> {
+        let n = remaining.len();
+        let i = self.chooser.choose(n);
+        if let Some(gov) = self.cfg.governor {
+            gov.charge_cells(1)?;
+        }
+        let picked = if i == 0 {
+            remaining.pop_front()
+        } else if i + 1 == n {
+            remaining.pop_back()
+        } else {
+            remaining.remove(i)
+        };
+        picked.ok_or_else(|| bad_pick(x, i, n))
     }
 
     fn int(&mut self, store: &mut Store, q: &Query) -> Result<i64, EvalError> {
@@ -165,27 +267,16 @@ impl Ev<'_, '_> {
         }
     }
 
-    fn eval(&mut self, store: &mut Store, q: &Query) -> Result<Value, EvalError> {
-        self.burn(q)?;
+    /// Evaluates `q` under the bindings in scope.
+    pub fn eval(&mut self, store: &mut Store, q: &Query) -> Result<Value, EvalError> {
+        self.burn(1)?;
         match q {
             Query::Lit(v) => Ok(v.clone()),
-            Query::Var(x) => self.stuck(q, format!("free variable `{x}`")),
-            Query::Extent(e) => {
-                let class = match store.extents.get(e) {
-                    Some((c, _)) => c.clone(),
-                    None => return self.stuck(q, format!("unknown extent `{e}`")),
-                };
-                self.effect.union_with(&Effect::read(class));
-                let v = store
-                    .extent_value(e)
-                    .map_err(|err| EvalError::Store(err.to_string()))?;
-                if let Some(gov) = self.cfg.governor {
-                    if let Value::Set(s) = &v {
-                        gov.observe_set_card(s.len() as u64)?;
-                    }
-                }
-                Ok(v)
-            }
+            Query::Var(x) => match self.binds[self.frame..].iter().rfind(|(y, _)| y == x) {
+                Some((_, v)) => Ok(v.clone()),
+                None => self.stuck(q, format!("free variable `{x}` at runtime")),
+            },
+            Query::Extent(e) => self.extent(store, e),
             Query::SetLit(items) => {
                 let mut out = BTreeSet::new();
                 for item in items {
@@ -196,11 +287,7 @@ impl Ev<'_, '_> {
             Query::SetBin(op, a, b) => {
                 let va = self.set(store, a)?;
                 let vb = self.set(store, b)?;
-                let result = op.apply(&va, &vb);
-                if let Some(gov) = self.cfg.governor {
-                    gov.observe_set_card(result.len() as u64)?;
-                }
-                Ok(Value::Set(result))
+                self.set_op(*op, &va, &vb)
             }
             Query::IntBin(op, a, b) => {
                 let ia = self.int(store, a)?;
@@ -235,19 +322,29 @@ impl Ev<'_, '_> {
                 _ => self.stuck(q, "field access on a non-record"),
             },
             Query::Call(d, args) => {
-                let def = match self.defs.get(d) {
-                    Some(def) => def.clone(),
-                    None => return self.stuck(q, format!("unknown definition `{d}`")),
+                let defs = self.defs;
+                let Some(def) = defs.get(d) else {
+                    return self.stuck(q, format!("unknown definition `{d}`"));
                 };
                 if def.params.len() != args.len() {
                     return self.stuck(q, "definition arity mismatch");
                 }
-                let mut body = def.body.clone();
-                for ((x, _), arg) in def.params.iter().zip(args) {
-                    let v = self.eval(store, arg)?;
-                    body = body.subst(x, &v);
+                let mut argv = Vec::with_capacity(args.len());
+                for arg in args {
+                    argv.push(self.eval(store, arg)?);
                 }
-                self.eval(store, &body)
+                // The body's frame holds its parameters only. Pushed last
+                // to first: `q[x⃗ := v⃗]` substitutes left to right, so of
+                // two parameters with one name the first is the one a
+                // lookup must find.
+                let (caller, base) = (self.frame, self.binds.len());
+                self.frame = base;
+                let params = def.params.iter().map(|(x, _)| x.clone());
+                self.binds.extend(params.zip(argv).rev());
+                let r = self.eval(store, &def.body);
+                self.binds.truncate(base);
+                self.frame = caller;
+                r
             }
             Query::Size(inner) => {
                 let s = self.set(store, inner)?;
@@ -255,14 +352,7 @@ impl Ev<'_, '_> {
             }
             Query::Sum(inner) => {
                 let s = self.set(store, inner)?;
-                let mut total = 0i64;
-                for v in &s {
-                    match v {
-                        Value::Int(i) => total = total.wrapping_add(*i),
-                        _ => return self.stuck(q, "sum over a non-integer set"),
-                    }
-                }
-                Ok(Value::Int(total))
+                self.sum(q, &s)
             }
             Query::Cast(c, inner) => {
                 let o = self.oid(store, inner)?;
@@ -352,9 +442,7 @@ impl Ev<'_, '_> {
                 // completed comprehension; intermediate unions are
                 // subsets of it, so one observation of the final set
                 // trips exactly when the machine's observations do.
-                if let Some(gov) = self.cfg.governor {
-                    gov.observe_set_card(out.len() as u64)?;
-                }
+                self.observe_card(out.len())?;
                 Ok(Value::Set(out))
             }
         }
@@ -377,29 +465,28 @@ impl Ev<'_, '_> {
                 out.insert(v);
                 Ok(())
             }
-            Some((Qualifier::Pred(p), rest)) => match self.eval(store, p)? {
-                Value::Bool(true) => self.comp(store, head, rest, out),
-                Value::Bool(false) => Ok(()),
-                _ => self.stuck(p, "non-boolean predicate"),
-            },
-            Some((Qualifier::Gen(x, src), rest)) => {
-                let mut remaining: Vec<Value> = match self.eval(store, src)? {
-                    Value::Set(s) => s.into_iter().collect(),
-                    _ => return self.stuck(src, "generator over a non-set"),
-                };
-                while !remaining.is_empty() {
-                    let i = self.chooser.choose(remaining.len());
-                    if let Some(gov) = self.cfg.governor {
-                        gov.charge_cells(1)?;
-                    }
-                    let picked = remaining.remove(i);
-                    let body = Query::Comp(Box::new(head.clone()), rest.to_vec()).subst(x, &picked);
-                    let Query::Comp(h2, r2) = body else {
-                        unreachable!("substitution preserves the constructor")
-                    };
-                    self.comp(store, &h2, &r2, out)?;
+            Some((Qualifier::Pred(p), rest)) => {
+                let v = self.eval(store, p)?;
+                if self.truth(p, v)? {
+                    self.comp(store, head, rest, out)?;
                 }
                 Ok(())
+            }
+            Some((Qualifier::Gen(x, src), rest)) => {
+                let mut remaining = self.source(store, src)?;
+                // One slot per drain, overwritten per row; the value it
+                // is pushed with is never read.
+                let slot = self.binds.len();
+                self.binds.push((x.clone(), Value::Bool(false)));
+                let mut r = Ok(());
+                while r.is_ok() && !remaining.is_empty() {
+                    r = self.draw(x, &mut remaining).and_then(|picked| {
+                        self.binds[slot].1 = picked;
+                        self.comp(store, head, rest, out)
+                    });
+                }
+                self.binds.truncate(slot);
+                r
             }
         }
     }

@@ -6,6 +6,8 @@
 //! samples one path through the relation and the scripted chooser lets
 //! the [`explore`](crate::explore) module enumerate them all.
 
+use crate::machine::EvalError;
+use ioql_ast::VarName;
 use ioql_rng::SmallRng;
 use ioql_telemetry::Counter;
 
@@ -14,6 +16,16 @@ use ioql_telemetry::Counter;
 pub trait Chooser {
     /// Picks one of `n` candidates.
     fn choose(&mut self, n: usize) -> usize;
+}
+
+/// The stuck state of a draw for generator `x` whose chooser broke the
+/// `i < n` contract: choosers come from callers, so this is input, not an
+/// engine bug — the spec and production word it alike.
+pub(crate) fn bad_pick(x: &VarName, i: usize, n: usize) -> EvalError {
+    EvalError::Stuck {
+        query: format!("{x} <- …"),
+        reason: format!("chooser picked element {i} of {n}"),
+    }
 }
 
 /// Always picks the first element (in the canonical value order) — a

@@ -35,7 +35,7 @@ pub mod machine;
 pub mod step;
 pub mod trace;
 
-pub use bigstep::{eval_big, eval_expr, BigStepResult, ExprEval};
+pub use bigstep::{eval_big, BigStepResult, Interp};
 pub use chooser::{
     Chooser, CountingChooser, FirstChooser, LastChooser, RandomChooser, RecordingChooser,
     ScriptedChooser,

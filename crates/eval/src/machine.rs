@@ -68,7 +68,9 @@ impl DefEnv {
 pub struct EvalMetrics {
     /// Small-step reductions taken (summed at completion).
     pub steps: ioql_telemetry::Counter,
-    /// Big-step recursive descents (fuel units, summed at completion).
+    /// Fuel units spent by production (`max_steps` − fuel left: one per
+    /// interpreter recursion, plan operator entry and draw, compiled
+    /// node), recorded once per execution.
     pub recursions: ioql_telemetry::Counter,
     /// Rows the plan executor dispatched through its bytecode VM.
     pub dispatches: ioql_telemetry::Counter,

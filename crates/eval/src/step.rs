@@ -16,7 +16,7 @@
 //! which the set-literal context evaluates `q`. This preserves progress
 //! and agrees with the paper's rule on values.
 
-use crate::chooser::Chooser;
+use crate::chooser::{bad_pick, Chooser};
 use crate::machine::{DefEnv, EvalConfig, EvalError};
 use ioql_ast::{Qualifier, Query, Value};
 use ioql_effects::Effect;
@@ -516,7 +516,10 @@ fn apply_rule(
                 if let Some(gov) = cfg.governor {
                     gov.charge_cells(1)?;
                 }
-                let picked = elems[i].clone();
+                let picked = match elems.get(i) {
+                    Some(v) => v.clone(),
+                    None => return Err(bad_pick(x, i, elems.len())),
+                };
                 let rest_set: BTreeSet<Value> = elems
                     .into_iter()
                     .enumerate()

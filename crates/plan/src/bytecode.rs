@@ -1,8 +1,9 @@
 //! The compiled execution tier: a compact bytecode for row-level
 //! expressions, compiled out of elaborated [`Query`] predicates and
 //! projection heads, and a dispatch-loop VM that replaces the
-//! clone-substitute-recurse cycle of [`eval_expr`](ioql_eval::eval_expr)
-//! on the plan executor's hot path.
+//! interpreter's recursive descent on the plan executor's hot path. It
+//! runs on the executor's [`Interp`] — the VM reads its binding stack,
+//! burns its fuel and writes its effect trace.
 //!
 //! # What compiles
 //!
@@ -12,8 +13,8 @@
 //! boolean connectives desugar to), `size` and `sum`. Everything else —
 //! nested comprehensions, set operators, extent reads, definition
 //! calls, records, casts — makes [`compile`] return an `Err` with the
-//! reason, and the executor falls back to `eval_expr` for that node
-//! (rendered as `[interp(reason)]` by `:plan`). The compiled fragment
+//! reason, and the executor evaluates that node on the shared
+//! interpreter (rendered as `[interp(reason)]` by `:plan`). The compiled fragment
 //! is exactly the fragment whose evaluation makes no chooser draw and
 //! no cell charge, so a program run is a pure function of the store
 //! snapshot, the row, and the fuel/cancellation state.
@@ -40,15 +41,14 @@
 //!   burns and attribute-read effects never happen when `a`'s check
 //!   sticks — same as the interpreter.
 //! * **Stuck messages.** Fallible instructions carry an index into a
-//!   table of source subexpressions; on error the VM substitutes the
-//!   current row bindings into the subexpression (innermost-first,
-//!   exactly as the executor's `eval_expr` delegation does) and renders
-//!   it, reproducing the interpreted path's error text byte for byte.
+//!   table of source subexpressions; on error the VM hands the
+//!   subexpression to [`Interp::stuck`], the one function that renders a
+//!   stuck state under the bindings in scope, so the text is the
+//!   interpreted path's byte for byte.
 //!   Store errors reuse [`StoreError`]'s own `Display` strings.
 
 use ioql_ast::{AttrName, IntOp, Query, Value, VarName};
-use ioql_effects::Effect;
-use ioql_eval::{EvalError, Governor};
+use ioql_eval::{EvalError, Interp};
 use ioql_store::{Store, StoreError};
 use std::sync::Arc;
 
@@ -58,8 +58,8 @@ use std::sync::Arc;
 pub enum CompileVerdict {
     /// The node's expression compiled; the executor runs the program.
     Vm(Arc<Program>),
-    /// The expression left the compiled fragment; the executor keeps
-    /// delegating to `eval_expr`, for this reason.
+    /// The expression left the compiled fragment; the executor
+    /// interprets it, for this reason.
     Interp(String),
 }
 
@@ -118,21 +118,12 @@ pub enum Instr {
 pub struct Program {
     code: Vec<Instr>,
     consts: Vec<Value>,
-    /// Source subexpressions for fallible instructions (cloned,
-    /// unsubstituted; bindings are substituted in at error time).
+    /// Source subexpressions for fallible instructions (as written;
+    /// rendered under the row's bindings at error time).
     srcs: Vec<Query>,
     /// The generator binders the slots index, outermost first — the
     /// executor's `binds` stack at the point this expression runs.
     pub slots: Vec<VarName>,
-}
-
-/// The result of one successful program run.
-pub struct VmOutcome {
-    /// The computed value.
-    pub value: Value,
-    /// Fuel units consumed — one per compiled node, the interpreter's
-    /// exact count for the same expression.
-    pub fuel_spent: u64,
 }
 
 /// Reusable per-executor VM scratch state: the value stack, allocated
@@ -313,79 +304,53 @@ impl Emitter<'_> {
 }
 
 impl Program {
-    /// Reconstructs the interpreter's stuck error for source `src`:
-    /// substitute the current bindings into the stored subexpression
-    /// (innermost-first) and render it.
-    fn stuck(&self, src: u16, binds: &[(VarName, Value)], reason: &str) -> EvalError {
-        let mut q = self.srcs[src as usize].clone();
-        for (x, v) in binds.iter().rev() {
-            q = q.subst(x, v);
-        }
-        EvalError::Stuck {
-            query: q.to_string(),
-            reason: reason.into(),
-        }
-    }
-
-    /// Runs the program for one row.
+    /// Runs the program for one row on the executor's interpreter state.
     ///
-    /// `binds` is the executor's binding stack (slot `i` reads
-    /// `binds[i].1`; the names are only needed for error messages).
-    /// The store is read-only — the Theorem 7 guard that admitted the
-    /// plan already established the expression cannot mutate. Fuel is
-    /// burned from `fuel` and the consumption reported on success, so
-    /// the caller can settle a shared budget exactly as it does for
-    /// `eval_expr` delegations. Attribute reads record their `Ra`
-    /// effects into `effect` as they execute.
+    /// Slot `i` reads `interp.binds[i].1` (the names are only needed for
+    /// error messages). The store is read-only — the Theorem 7 guard that
+    /// admitted the plan already established the expression cannot
+    /// mutate. Fuel burns from the shared budget, attribute reads record
+    /// their `Ra` effects into the shared trace as they execute, and a
+    /// stuck state is the interpreter's own ([`Interp::stuck`] on the
+    /// stored source subexpression).
     pub fn run(
         &self,
         store: &Store,
-        binds: &[(VarName, Value)],
-        governor: Option<&Governor>,
-        fuel: u64,
-        effect: &mut Effect,
+        interp: &mut Interp<'_, '_>,
         ctx: &mut VmCtx,
-    ) -> Result<VmOutcome, EvalError> {
+    ) -> Result<Value, EvalError> {
         debug_assert!(
-            binds.len() == self.slots.len()
-                && binds.iter().zip(&self.slots).all(|((x, _), s)| x == s),
+            interp.binds.iter().map(|(x, _)| x).eq(&self.slots),
             "row bindings must match the compile-time binder environment"
         );
+        let stuck = |interp: &Interp<'_, '_>, src: u16, reason: &str| {
+            interp.stuck(&self.srcs[src as usize], reason)
+        };
         let stack = &mut ctx.stack;
         stack.clear();
         // Stack discipline, which every `unreachable!` below names its
         // half of: `Emitter::operand` emits an operand's `Check*` right
         // after its code and the check leaves the value in place, so an
         // operator pops exactly the shapes that were checked.
-        let mut left = fuel;
         let mut pc = 0usize;
         loop {
             match &self.code[pc] {
-                Instr::Burn(k) => {
-                    if let Some(gov) = governor {
-                        gov.checkpoint()?;
-                    }
-                    let k = u64::from(*k);
-                    if left < k {
-                        return Err(EvalError::FuelExhausted);
-                    }
-                    left -= k;
-                }
+                Instr::Burn(k) => interp.burn(u64::from(*k))?,
                 Instr::Const(i) => stack.push(self.consts[*i as usize].clone()),
-                Instr::Load(i) => stack.push(binds[*i as usize].1.clone()),
+                Instr::Load(i) => stack.push(interp.binds[*i as usize].1.clone()),
                 Instr::CheckInt(s) => {
                     if !matches!(stack.last(), Some(Value::Int(_))) {
-                        return Err(self.stuck(*s, binds, "expected an integer"));
+                        return stuck(interp, *s, "expected an integer");
                     }
                 }
                 Instr::CheckOid(s) => {
                     if !matches!(stack.last(), Some(Value::Oid(_))) {
-                        return Err(self.stuck(*s, binds, "expected an object"));
+                        return stuck(interp, *s, "expected an object");
                     }
                 }
                 Instr::CheckSet(s) => {
                     if !matches!(stack.last(), Some(Value::Set(_))) {
-                        return Err(self.stuck(*s, binds, "expected a set"));
+                        return stuck(interp, *s, "expected a set");
                     }
                 }
                 Instr::LoadAttr(a) => {
@@ -396,8 +361,8 @@ impl Program {
                         .objects
                         .get(o)
                         .ok_or_else(|| EvalError::Store(StoreError::UnknownOid(o).to_string()))?;
-                    if !effect.attr_reads.contains(&obj.class) {
-                        effect.attr_reads.insert(obj.class.clone());
+                    if !interp.effect.attr_reads.contains(&obj.class) {
+                        interp.effect.attr_reads.insert(obj.class.clone());
                     }
                     let v = obj.attr(a).ok_or_else(|| {
                         EvalError::Store(StoreError::UnknownAttr(o, a.clone()).to_string())
@@ -424,7 +389,7 @@ impl Program {
                         unreachable!("CheckOid precedes ObjEq")
                     };
                     if !store.objects.contains(a) || !store.objects.contains(b) {
-                        return Err(self.stuck(*s, binds, "dangling oid"));
+                        return stuck(interp, *s, "dangling oid");
                     }
                     stack.push(Value::Bool(a == b));
                 }
@@ -432,16 +397,7 @@ impl Program {
                     let Some(Value::Set(set)) = stack.pop() else {
                         unreachable!("CheckSet precedes Sum")
                     };
-                    let mut total = 0i64;
-                    for v in &set {
-                        match v {
-                            Value::Int(i) => total = total.wrapping_add(*i),
-                            _ => {
-                                return Err(self.stuck(*s, binds, "sum over a non-integer set"));
-                            }
-                        }
-                    }
-                    stack.push(Value::Int(total));
+                    stack.push(interp.sum(&self.srcs[*s as usize], &set)?);
                 }
                 Instr::Size => {
                     let Some(Value::Set(set)) = stack.pop() else {
@@ -455,21 +411,15 @@ impl Program {
                         pc = *target as usize;
                         continue;
                     }
-                    _ => return Err(self.stuck(*src, binds, "non-boolean condition")),
+                    _ => return stuck(interp, *src, "non-boolean condition"),
                 },
                 Instr::Jump(target) => {
                     pc = *target as usize;
                     continue;
                 }
-                Instr::Ret => {
-                    // `compile` ends on `emit(q); Ret`, and every `emit`
-                    // arm nets one push.
-                    let value = stack.pop().expect("compiled program leaves a result");
-                    return Ok(VmOutcome {
-                        value,
-                        fuel_spent: fuel - left,
-                    });
-                }
+                // `compile` ends on `emit(q); Ret`, and every `emit`
+                // arm nets one push.
+                Instr::Ret => return Ok(stack.pop().expect("compiled program leaves a result")),
             }
             pc += 1;
         }
@@ -479,7 +429,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioql_eval::{eval_expr, DefEnv, EvalConfig, FirstChooser};
+    use ioql_eval::{DefEnv, EvalConfig, FirstChooser};
     use ioql_store::Object;
 
     fn store() -> Store {
@@ -505,9 +455,9 @@ mod tests {
         .unwrap()
     }
 
-    /// Runs `q` (with `binds` applied) through both the VM and the
-    /// interpreter at every fuel level up to its full cost, asserting
-    /// identical values, effects, fuel consumption, and errors.
+    /// Runs `q` under `binds` through both the VM and the interpreter at
+    /// every fuel level up to its full cost, asserting identical values,
+    /// effects, fuel consumption, and errors.
     fn assert_vm_matches_interp(q: &Query, binds: &[(VarName, Value)]) {
         let schema = schema();
         let cfg = EvalConfig::new(&schema);
@@ -515,44 +465,36 @@ mod tests {
         let binders: Vec<VarName> = binds.iter().map(|(x, _)| x.clone()).collect();
         let prog = compile(q, &binders).expect("fragment compiles");
         let mut store = store();
-        // The interpreted path substitutes binds innermost-first.
-        let full = {
-            let mut bound = q.clone();
-            for (x, v) in binds.iter().rev() {
-                bound = bound.subst(x, v);
-            }
-            bound
+        // One run on a fresh state: the outcome, the effect trace, the
+        // fuel left.
+        let mut run = |vm: bool, fuel: u64| {
+            let mut chooser = FirstChooser;
+            let mut interp = Interp::new(&cfg, &defs, &mut chooser, fuel);
+            interp.binds = binds.to_vec();
+            let r = if vm {
+                prog.run(&store, &mut interp, &mut VmCtx::default())
+            } else {
+                interp.eval(&mut store, q)
+            };
+            (r, interp.fuel, interp.effect)
         };
-        let interp_cost = match eval_expr(
-            &cfg,
-            &defs,
-            &mut store.clone(),
-            &full,
-            &mut FirstChooser,
-            1_000,
-        ) {
-            Ok(r) => r.fuel_spent,
-            Err(_) => 1_000,
+        let interp_cost = match run(false, 1_000) {
+            (Ok(_), left, _) => 1_000 - left,
+            _ => 1_000,
         };
         for fuel in 0..=interp_cost.min(64) {
-            let mut ctx = VmCtx::default();
-            let mut vm_eff = Effect::empty();
-            let vm = prog.run(&store, binds, None, fuel, &mut vm_eff, &mut ctx);
-            let it = eval_expr(&cfg, &defs, &mut store, &full, &mut FirstChooser, fuel);
-            match (vm, it) {
-                (Ok(v), Ok(i)) => {
-                    assert_eq!(v.value, i.value, "value mismatch on {q} fuel={fuel}");
-                    assert_eq!(v.fuel_spent, i.fuel_spent, "fuel mismatch on {q}");
-                    assert_eq!(vm_eff, i.effect, "effect mismatch on {q}");
+            match (run(true, fuel), run(false, fuel)) {
+                ((Ok(v), v_left, v_eff), (Ok(i), i_left, i_eff)) => {
+                    assert_eq!(v, i, "value mismatch on {q} fuel={fuel}");
+                    assert_eq!(v_left, i_left, "fuel mismatch on {q}");
+                    assert_eq!(v_eff, i_eff, "effect mismatch on {q}");
                 }
-                (Err(ve), Err(ie)) => {
+                ((Err(ve), ..), (Err(ie), ..)) => {
                     assert_eq!(ve, ie, "error mismatch on {q} fuel={fuel}")
                 }
-                (v, i) => panic!(
-                    "divergence on {q} fuel={fuel}: vm={v:?} interp={i:?}",
-                    v = v.map(|o| o.value),
-                    i = i.map(|r| r.value)
-                ),
+                ((v, ..), (i, ..)) => {
+                    panic!("divergence on {q} fuel={fuel}: vm={v:?} interp={i:?}")
+                }
             }
         }
     }

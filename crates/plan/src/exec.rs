@@ -16,10 +16,11 @@
 //! * a row-level expression runs its [`bytecode`](crate::bytecode)
 //!   program when the compile pass accepted it (the scalar, draw-free
 //!   fragment, held byte-identical to the interpreter by
-//!   `tests/compile.rs`) and is otherwise delegated to the big-step
-//!   evaluator's [`eval_expr`] hook under the current variable bindings,
-//!   so nested comprehensions, effects, and stuck states are literally
-//!   the naive engine's own.
+//!   `tests/compile.rs`) and is otherwise one [`Interp::eval`] call on
+//!   the interpreter state the executor *is running on* — its chooser,
+//!   fuel, effect trace and binding stack are the executor's, not copies
+//!   settled back — so nested comprehensions, effects, and stuck states
+//!   are literally the naive engine's own.
 //!
 //! The one deviation — the hash-index build scanning elements ahead of
 //! the chooser's draw order — is licensed by the plan's Theorem 7 guard
@@ -33,8 +34,8 @@ use crate::ir::{
 };
 use ioql_ast::{ExtentName, Query, SetOp, Value, VarName};
 use ioql_effects::Effect;
-use ioql_eval::{eval_expr, Chooser, DefEnv, EvalConfig, EvalError};
-use ioql_store::{MemberSet, Store};
+use ioql_eval::{Chooser, DefEnv, EvalConfig, EvalError, Interp};
+use ioql_store::Store;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 use std::time::Instant;
@@ -168,31 +169,9 @@ impl Profiler {
     }
 }
 
-/// The fuel meter: the executor's remaining step budget.
-struct Fuel(u64);
-
-impl Fuel {
-    fn avail(&self) -> u64 {
-        self.0
-    }
-
-    /// Burns exactly one unit, failing when the budget is empty — the
-    /// per-draw/per-operator cadence.
-    fn burn_one(&mut self) -> Result<(), EvalError> {
-        self.0 = self.0.checked_sub(1).ok_or(EvalError::FuelExhausted)?;
-        Ok(())
-    }
-
-    /// Settles a delegated evaluation's reported consumption (bounded
-    /// by the [`avail`](Fuel::avail) it was handed).
-    fn spend(&mut self, used: u64) {
-        self.0 = self.0.saturating_sub(used);
-    }
-}
-
 /// A pipeline head as the executor sees it: the source expression
-/// (always present — delegation, error rendering, and profiling need
-/// it) and its compiled program when the compile tier accepted it.
+/// (always present — interpretation, error rendering, and profiling
+/// need it) and its compiled program when the compile tier accepted it.
 #[derive(Clone, Copy)]
 struct Head<'p> {
     expr: &'p Query,
@@ -202,9 +181,9 @@ struct Head<'p> {
 /// Executes a physical plan against a store.
 ///
 /// `max_steps` is the same fuel budget the naive engines take; the
-/// executor burns one unit per operator/row step and threads the
-/// remainder through every [`eval_expr`] delegation, so one global
-/// budget bounds the whole run.
+/// executor burns one unit per operator/row step from the counter its
+/// interpreter and VM burn from, so one global budget bounds the whole
+/// run.
 ///
 /// The handles on `cfg.metrics` are write-only (the transparency guard):
 /// no dispatch or fallback decision reads them, so a metered run and a
@@ -256,30 +235,21 @@ fn execute_inner<'a>(
     prof: Option<&mut Profiler>,
 ) -> Result<PlanResult, EvalError> {
     let mut ex = Exec {
-        cfg,
-        defs,
-        chooser,
-        effect: Effect::empty(),
-        fuel: Fuel(max_steps),
-        binds: Vec::new(),
+        interp: Interp::new(cfg, defs, chooser, max_steps),
         prof,
         compiled: &plan.compiled,
         vm_ctx: VmCtx::default(),
         vm_rows: 0,
-        vm_fuel: 0,
         extent_cache: HashMap::new(),
     };
     let value = ex.eval_op(store, &plan.root);
-    // Batched telemetry: the totals per-row adds would reach (a failed
-    // row never contributed), in one atomic each instead of one per row.
+    // Batched telemetry: the total per-row adds would reach (a failed
+    // row never contributed), in one atomic instead of one per row.
     if let Some(m) = cfg.metrics {
-        m.recursions.add(ex.vm_fuel);
         m.dispatches.add(ex.vm_rows);
     }
-    Ok(PlanResult {
-        value: value?,
-        effect: ex.effect,
-    })
+    let (value, effect) = ex.interp.finish(value)?;
+    Ok(PlanResult { value, effect })
 }
 
 /// The generator-fused probe, split off the stage suffix: the probe
@@ -309,20 +279,6 @@ fn split_probe<'p>(var: &VarName, rest: &'p [Stage]) -> ProbeParts<'p> {
     (None, rest)
 }
 
-/// Removes and returns element `i` of the draw pool (`None` when a
-/// chooser breaks its `i < n` contract). Endpoint picks — the only picks
-/// the deterministic choosers make — are O(1); interior picks
-/// (random/scripted choosers) shift the shorter side.
-fn pop_at(remaining: &mut VecDeque<Value>, i: usize) -> Option<Value> {
-    if i == 0 {
-        remaining.pop_front()
-    } else if i + 1 == remaining.len() {
-        remaining.pop_back()
-    } else {
-        remaining.remove(i)
-    }
-}
-
 /// Whether a value is the shape the probe's equality demands (the
 /// speculative build's per-key anomaly check).
 fn well_formed(store: &Store, eq: EqKind, v: &Value) -> bool {
@@ -334,16 +290,12 @@ fn well_formed(store: &Store, eq: EqKind, v: &Value) -> bool {
 }
 
 struct Exec<'a, 'c> {
-    cfg: &'a EvalConfig<'a>,
-    defs: &'a DefEnv,
-    chooser: &'c mut dyn Chooser,
-    effect: Effect,
-    fuel: Fuel,
-    /// In-scope generator bindings, outermost first. Substitution into a
-    /// delegated expression applies them innermost-first, so a variable
-    /// rebound by an inner generator resolves to the inner value —
-    /// matching the interpreters' shadowing-aware eager substitution.
-    binds: Vec<(VarName, Value)>,
+    /// The interpreter state this execution runs on: the chooser, the
+    /// fuel, the effect trace, and the binding stack the VM's `Load`
+    /// indexes and an interpreted expression looks its variables up in
+    /// (`drive_gen` pushes the in-scope generator binders, outermost
+    /// first).
+    interp: Interp<'a, 'c>,
     /// Per-node runtime stats, only in [`execute_with_profile`] runs.
     /// `None` in production execution — no clock reads, no recording.
     prof: Option<&'c mut Profiler>,
@@ -354,10 +306,9 @@ struct Exec<'a, 'c> {
     /// Reusable VM scratch (the value stack) — one allocation per
     /// executor, not per row.
     vm_ctx: VmCtx,
-    /// Rows dispatched through the VM and the fuel they burned, recorded
-    /// into `cfg.metrics` once when the execution ends.
+    /// Rows dispatched through the VM, recorded into `cfg.metrics` once
+    /// when the execution ends.
     vm_rows: u64,
-    vm_fuel: u64,
     /// Per-execution snapshot cache of extent element vectors, in
     /// canonical (sorted) order. Licensed by the Theorem 7 guard: the
     /// plan is read-only, so an extent cannot change between two scans
@@ -386,48 +337,12 @@ impl<'a> Exec<'a, '_> {
         }
     }
 
-    fn stuck<T>(&self, q: &Query, reason: impl Into<String>) -> Result<T, EvalError> {
-        Err(EvalError::Stuck {
-            query: q.to_string(),
-            reason: reason.into(),
-        })
-    }
-
     /// A plan shape [`crate::lower`] never emits. Defensive only.
     fn malformed<T>(&self) -> Result<T, EvalError> {
         Err(EvalError::Stuck {
             query: "<physical plan>".into(),
             reason: "malformed physical plan".into(),
         })
-    }
-
-    /// Cancellation/deadline checkpoint plus one fuel unit — the same
-    /// cadence the big-step evaluator's `burn` gives each recursion.
-    fn checkpoint(&mut self) -> Result<(), EvalError> {
-        if let Some(gov) = self.cfg.governor {
-            gov.checkpoint()?;
-        }
-        self.fuel.burn_one()
-    }
-
-    /// Delegates one expression to the big-step evaluator under the
-    /// current bindings, merging its effect and fuel use.
-    fn expr(&mut self, store: &mut Store, q: &Query) -> Result<Value, EvalError> {
-        let mut bound = q.clone();
-        for (x, v) in self.binds.iter().rev() {
-            bound = bound.subst(x, v);
-        }
-        let r = eval_expr(
-            self.cfg,
-            self.defs,
-            store,
-            &bound,
-            self.chooser,
-            self.fuel.avail(),
-        )?;
-        self.fuel.spend(r.fuel_spent);
-        self.effect.union_with(&r.effect);
-        Ok(r.value)
     }
 
     /// The compiled program for a plan node, when the compile pass
@@ -440,9 +355,8 @@ impl<'a> Exec<'a, '_> {
     }
 
     /// Evaluates a row-level expression for the current row: its compiled
-    /// program when there is one — the VM twin of [`expr`](Exec::expr),
-    /// same fuel snapshot/settle protocol, same `recursions` accounting,
-    /// effects recorded by the program as it executes — else `expr`.
+    /// program when there is one, else the interpreter — either way on
+    /// the one state.
     fn row_expr(
         &mut self,
         store: &mut Store,
@@ -450,30 +364,19 @@ impl<'a> Exec<'a, '_> {
         q: &Query,
     ) -> Result<Value, EvalError> {
         let Some(prog) = prog else {
-            return self.expr(store, q);
+            return self.interp.eval(store, q);
         };
-        let o = prog.run(
-            store,
-            &self.binds,
-            self.cfg.governor,
-            self.fuel.avail(),
-            &mut self.effect,
-            &mut self.vm_ctx,
-        )?;
-        self.fuel.spend(o.fuel_spent);
-        self.vm_fuel += o.fuel_spent;
+        let v = prog.run(store, &mut self.interp, &mut self.vm_ctx)?;
         self.vm_rows += 1;
-        Ok(o.value)
+        Ok(v)
     }
 
     /// Evaluates a pipeline predicate for the current row: a `Filter`'s,
     /// or the predicate a probe kept for when its index is abandoned
     /// (probe stages carry no compile verdict, so that one interprets).
     fn passes(&mut self, store: &mut Store, id: NodeId, pred: &Query) -> Result<bool, EvalError> {
-        match self.row_expr(store, self.vm_prog(id), pred)? {
-            Value::Bool(pass) => Ok(pass),
-            _ => self.stuck(pred, "non-boolean predicate"),
-        }
+        let v = self.row_expr(store, self.vm_prog(id), pred)?;
+        self.interp.truth(pred, v)
     }
 
     fn eval_op(&mut self, store: &mut Store, op: &Op) -> Result<Value, EvalError> {
@@ -492,9 +395,9 @@ impl<'a> Exec<'a, '_> {
     }
 
     fn eval_op_inner(&mut self, store: &mut Store, op: &Op) -> Result<Value, EvalError> {
-        self.checkpoint()?;
+        self.interp.burn(1)?;
         match &op.kind {
-            OpKind::ExtentScan { extent, .. } => self.scan_extent(store, extent),
+            OpKind::ExtentScan { extent, .. } => self.interp.extent(store, extent),
             OpKind::SetUnion { left, right } => self.set_bin(store, SetOp::Union, left, right),
             OpKind::SetIntersect { left, right } => {
                 self.set_bin(store, SetOp::Intersect, left, right)
@@ -524,78 +427,40 @@ impl<'a> Exec<'a, '_> {
                 // Observed once at completion, matching the naive
                 // engines' single observation of the finished
                 // comprehension.
-                if let Some(gov) = self.cfg.governor {
-                    gov.observe_set_card(out.len() as u64)?;
-                }
+                self.interp.observe_card(out.len())?;
                 Ok(Value::Set(out))
             }
             OpKind::InlineDef { body, .. } => self.eval_op(store, body),
-            // The checkpoint above was big-step's pre-order `burn` for
-            // the `sum`/`size` node; the input then runs as any other
-            // sub-plan (VM, probes) and only the finished
-            // set is folded — with the interpreter's own stuck state.
+            // The burn above was big-step's pre-order one for the
+            // `sum`/`size` node; the input then runs as any other
+            // sub-plan (VM, probes) and only the finished set is folded —
+            // by the interpreter's own fold, with its stuck state.
             OpKind::Aggregate { kind, expr, input } => {
                 let set = self.op_set(store, input)?;
                 match kind {
                     AggKind::Size => Ok(Value::Int(set.len() as i64)),
-                    AggKind::Sum => {
-                        let mut total = 0i64;
-                        for v in &set {
-                            match v {
-                                Value::Int(i) => total = total.wrapping_add(*i),
-                                _ => return self.stuck(expr, "sum over a non-integer set"),
-                            }
-                        }
-                        Ok(Value::Int(total))
-                    }
+                    AggKind::Sum => self.interp.sum(expr, &set),
                 }
             }
-            OpKind::Eval { expr } => self.expr(store, expr),
+            OpKind::Eval { expr } => self.interp.eval(store, expr),
             // Only meaningful inside `Distinct`; a bare occurrence is a
             // lowering bug.
             OpKind::MapProject { .. } | OpKind::Pipeline { .. } => self.malformed(),
         }
     }
 
-    /// The observables of one extent read, in the big-step `Extent`
-    /// rule's order — the unknown-extent stuck state, the `R(C)` effect,
-    /// the cardinality observation — returning the members.
-    fn read_extent<'s>(
-        &mut self,
-        store: &'s Store,
-        extent: &ExtentName,
-    ) -> Result<&'s MemberSet, EvalError> {
-        let Some((class, members)) = store.extents.get(extent) else {
-            return Err(EvalError::Stuck {
-                query: extent.to_string(),
-                reason: format!("unknown extent `{extent}`"),
-            });
-        };
-        self.effect.union_with(&Effect::read(class.clone()));
-        if let Some(gov) = self.cfg.governor {
-            gov.observe_set_card(members.len() as u64)?;
-        }
-        Ok(members)
-    }
-
-    /// Reads one extent as a set value.
-    fn scan_extent(&mut self, store: &Store, extent: &ExtentName) -> Result<Value, EvalError> {
-        let members = self.read_extent(store, extent)?;
-        Ok(Value::Set(members.iter().map(|o| Value::Oid(*o)).collect()))
-    }
-
     /// Reads one extent as a shared vector in canonical (sorted) order,
     /// memoized per execution. A nested generator re-scans its extent
     /// once per outer row; under the Theorem 7 guard the store is frozen,
     /// so only the first scan builds the vector — but the per-scan
-    /// *observables* are [`read_extent`](Exec::read_extent)'s on every
+    /// *observables* are [`Interp::read_extent`]'s on every
     /// call, keeping the hit path byte-identical to the miss path.
     fn scan_extent_elems(
         &mut self,
         store: &Store,
         extent: &ExtentName,
     ) -> Result<Rc<Vec<Value>>, EvalError> {
-        let members = self.read_extent(store, extent)?;
+        let members = self.interp.read_extent(store, extent)?;
         if let Some(cached) = self.extent_cache.get(extent) {
             return Ok(Rc::clone(cached));
         }
@@ -621,18 +486,14 @@ impl<'a> Exec<'a, '_> {
     ) -> Result<Value, EvalError> {
         let va = self.op_set(store, left)?;
         let vb = self.op_set(store, right)?;
-        let result = op.apply(&va, &vb);
-        if let Some(gov) = self.cfg.governor {
-            gov.observe_set_card(result.len() as u64)?;
-        }
-        Ok(Value::Set(result))
+        self.interp.set_op(op, &va, &vb)
     }
 
     fn op_set(&mut self, store: &mut Store, op: &Op) -> Result<BTreeSet<Value>, EvalError> {
         match self.eval_op(store, op)? {
             Value::Set(s) => Ok(s),
             _ => match &op.kind {
-                OpKind::Eval { expr } => self.stuck(expr, "expected a set"),
+                OpKind::Eval { expr } => self.interp.stuck(expr, "expected a set"),
                 _ => self.malformed(),
             },
         }
@@ -671,12 +532,8 @@ impl<'a> Exec<'a, '_> {
             }
             StageKind::Scan { var, source, .. } => {
                 let t = self.ptimer();
-                let elems = match self.expr(store, source)? {
-                    Value::Set(s) => s,
-                    _ => return self.stuck(source, "generator over a non-set"),
-                };
+                let elems = self.interp.source(store, source)?;
                 self.precord(st.id, t, elems.len() as u64);
-                let elems = elems.into_iter().collect();
                 self.drive_gen(store, var, elems, rest, head, out)
             }
             // A probe is always fused behind its generator and consumed
@@ -686,14 +543,12 @@ impl<'a> Exec<'a, '_> {
     }
 
     /// Drives one generator — the `(ND comp)` rule: draw each element
-    /// through the chooser, charge one cell and checkpoint per draw, bind
+    /// ([`Interp::draw`]: chooser, one cell), checkpoint per draw, bind
     /// it in the generator's slot (pushed once per drain, overwritten per
     /// row) and run the rest of the pipeline. A fused probe is a branch
     /// of this loop: the one-shot hash index stands in for the equality
     /// predicate, and an abandoned index falls back to the predicate
-    /// itself. Elements live in a deque so the endpoint picks of the
-    /// common choosers (first/last) are O(1) instead of shifting the
-    /// whole remainder per draw.
+    /// itself.
     fn drive_gen(
         &mut self,
         store: &mut Store,
@@ -710,40 +565,30 @@ impl<'a> Exec<'a, '_> {
         // `ioql_vm_dispatch_ns` times the drains whose every row is one
         // VM dispatch of the head: one clock read per drain, none per
         // row, none when telemetry is off.
-        let timer = match (self.cfg.metrics, head.prog) {
+        let timer = match (self.interp.cfg.metrics, head.prog) {
             (Some(m), Some(_)) if probe.is_none() && body.is_empty() => m.dispatch_ns.start_timer(),
             _ => None,
         };
-        let slot = self.binds.len();
+        let slot = self.interp.binds.len();
         // Placeholder value, overwritten before anything reads the slot
         // (`probe_shape` keeps `var` out of the probe side, the one
         // expression evaluated before the first row is bound).
-        self.binds.push((var.clone(), Value::Bool(false)));
+        self.interp.binds.push((var.clone(), Value::Bool(false)));
         // `None` until the first draw; `Some(None)` = index abandoned
         // (anomaly — the per-row fallback reproduces the naive error),
         // `Some(Some(idx))` = probe with `idx`.
         let mut index: Option<Option<HashSet<Value>>> = None;
         let r = (|| -> Result<(), EvalError> {
             while !remaining.is_empty() {
-                let n = remaining.len();
-                let i = self.chooser.choose(n);
-                if let Some(gov) = self.cfg.governor {
-                    gov.charge_cells(1)?;
-                }
+                let picked = self.interp.draw(var, &mut remaining)?;
                 // Checkpoint per draw even when the probe will reject the
                 // element: the naive engines notice cancellation on the
                 // recursion that evaluates the rejected element's
                 // predicate, so the plan path must offer the same
                 // observation point.
-                self.checkpoint()?;
-                let Some(picked) = pop_at(&mut remaining, i) else {
-                    return Err(EvalError::Stuck {
-                        query: format!("{var} <- …"),
-                        reason: format!("chooser picked element {i} of {n}"),
-                    });
-                };
+                self.interp.burn(1)?;
                 let Some((pkey, build, probe_q, pred)) = probe else {
-                    self.binds[slot].1 = picked;
+                    self.interp.binds[slot].1 = picked;
                     self.run_stages(store, body, head, out)?;
                     continue;
                 };
@@ -768,7 +613,7 @@ impl<'a> Exec<'a, '_> {
                 // A hit runs the body; an abandoned index asks the kept
                 // predicate first.
                 let hit = built.is_some();
-                self.binds[slot].1 = picked;
+                self.interp.binds[slot].1 = picked;
                 let passed = hit || self.passes(store, pkey, pred)?;
                 if passed {
                     self.run_stages(store, body, head, out)?;
@@ -777,8 +622,8 @@ impl<'a> Exec<'a, '_> {
             }
             Ok(())
         })();
-        self.binds.truncate(slot);
-        if let Some(m) = self.cfg.metrics {
+        self.interp.binds.truncate(slot);
+        if let Some(m) = self.interp.cfg.metrics {
             m.dispatch_ns.observe_timer(timer);
         }
         r
@@ -800,7 +645,13 @@ impl<'a> Exec<'a, '_> {
         probe: &Query,
         elements: impl Iterator<Item = &'v Value>,
     ) -> Option<HashSet<Value>> {
-        let target = self.expr(store, probe).ok()?;
+        // Speculative: a failed evaluation is discarded, its fuel with it
+        // (the per-row fallback pays for the one that reports the error).
+        let fuel = self.interp.fuel;
+        let Ok(target) = self.interp.eval(store, probe) else {
+            self.interp.fuel = fuel;
+            return None;
+        };
         if !well_formed(store, build.eq, &target) {
             return None;
         }
@@ -811,7 +662,7 @@ impl<'a> Exec<'a, '_> {
                 KeyAccess::Attr(a) => {
                     let Value::Oid(o) = elem else { return None };
                     let class = store.class_of(*o).ok()?.clone();
-                    self.effect.union_with(&Effect::attr_read(class));
+                    self.interp.effect.union_with(&Effect::attr_read(class));
                     store.attr(*o, a).ok()?.clone()
                 }
             };

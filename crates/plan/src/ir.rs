@@ -7,9 +7,9 @@
 //! generator source that is not an extent) stays an AST [`Query`]. A head
 //! or predicate in the scalar, draw-free fragment also gets a
 //! [`bytecode`](crate::bytecode) program ([`Plan::compiled`]) that the
-//! interpreters are the oracle for; everything else is delegated to the
-//! big-step evaluator's [`eval_expr`](ioql_eval::eval_expr) hook at run
-//! time, so those expressions are evaluated by the naive engine itself.
+//! interpreters are the oracle for; everything else is evaluated at run
+//! time by the big-step interpreter ([`ioql_eval::Interp`]) the executor
+//! runs on, so those expressions are evaluated by the naive engine itself.
 //!
 //! Every node carries a stable [`NodeId`], assigned in pre-order by
 //! [`Plan::number`] at the end of lowering. Profiles and compile
@@ -122,7 +122,7 @@ pub enum StageKind {
         /// Estimated rows (from [`ioql_opt::Stats`]).
         est_rows: usize,
     },
-    /// A generator over a computed set (evaluated through `eval_expr`).
+    /// A generator over a computed set (evaluated by the interpreter).
     Scan {
         /// The generator variable.
         var: VarName,
@@ -132,7 +132,7 @@ pub enum StageKind {
         est_rows: usize,
     },
     /// A predicate qualifier, evaluated per row — by its compiled program,
-    /// else through `eval_expr`.
+    /// else by the interpreter.
     Filter {
         /// The predicate expression.
         pred: Query,
@@ -240,7 +240,7 @@ pub enum OpKind {
     /// Project each pipeline row through the comprehension head.
     MapProject {
         /// The head expression (evaluated per row: compiled program, else
-        /// `eval_expr`).
+        /// the interpreter).
         head: Query,
         /// The qualifier pipeline feeding it.
         input: Box<Op>,
@@ -274,7 +274,7 @@ pub enum OpKind {
     },
     /// Escape hatch: a pure expression with no recognized physical shape
     /// — a set operand, an aggregate's input, or a whole scalar/record/
-    /// `if` root — evaluated wholesale through `eval_expr`.
+    /// `if` root — evaluated wholesale by the interpreter.
     Eval {
         /// The expression.
         expr: Query,

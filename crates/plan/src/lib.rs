@@ -22,9 +22,10 @@
 //!   [`Chooser`](ioql_eval::Chooser) draw protocol, the same governor
 //!   cell charges and cardinality observations; a row-level expression
 //!   in the scalar, draw-free fragment runs as [`bytecode`] the
-//!   interpreters are the oracle for, every other one is delegated to
-//!   [`ioql_eval::eval_expr`] — so the differential suites can hold it
-//!   to the same standard as the two interpreters.
+//!   interpreters are the oracle for, every other one is evaluated by
+//!   the [`ioql_eval::Interp`] the executor holds as its own state —
+//!   so the differential suites can hold it to the same standard as the
+//!   two interpreters.
 //!
 //! [`lower()`] returns `None` for exactly the queries the guard refuses
 //! (mutating or invoking); the production engine runs those on
@@ -42,7 +43,7 @@ pub mod exec;
 pub mod ir;
 mod lower;
 
-pub use bytecode::{compile, CompileVerdict, Program, VmCtx, VmOutcome};
+pub use bytecode::{compile, CompileVerdict, Program, VmCtx};
 pub use exec::{execute, execute_with_profile, PlanProfile, PlanResult, ProfEntry};
 pub use ir::{
     AggKind, EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, NodeVerdict, Op, OpKind, Plan,

@@ -373,28 +373,26 @@ fn io_err<T>(context: &str, e: std::io::Error) -> Result<T, DumpError> {
     fail(DumpErrorKind::Io, 0, format!("{context}: {e}"))
 }
 
-/// Atomically writes the store's dump to `path`: the text is written to
-/// a sibling temp file, flushed to disk (`fsync`), renamed over `path`,
-/// and the parent directory is fsynced so the rename itself survives a
-/// crash. Readers of `path` therefore always see a complete dump —
-/// either the previous one or the new one.
-pub fn save_store(store: &Store, path: &Path) -> Result<(), DumpError> {
-    let text = dump_store(store);
+/// Atomically writes `text` to `path`: written to a sibling temp file,
+/// flushed to disk (`fsync`), renamed over `path` (the temp file is
+/// removed if that fails), and the parent directory is fsynced so the
+/// rename itself survives a crash. Readers of `path` therefore always see
+/// a complete file — either the previous one or the new one. An error
+/// names the step that failed.
+pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+    let step = |what: &str, at: &Path, e: std::io::Error| {
+        std::io::Error::new(e.kind(), format!("{what} {}: {e}", at.display()))
+    };
     let tmp = path.with_extension("tmp");
     {
-        let mut f = std::fs::File::create(&tmp)
-            .or_else(|e| io_err(&format!("create {}", tmp.display()), e))?;
+        let mut f = std::fs::File::create(&tmp).map_err(|e| step("create", &tmp, e))?;
         f.write_all(text.as_bytes())
-            .or_else(|e| io_err(&format!("write {}", tmp.display()), e))?;
-        f.sync_all()
-            .or_else(|e| io_err(&format!("fsync {}", tmp.display()), e))?;
+            .map_err(|e| step("write", &tmp, e))?;
+        f.sync_all().map_err(|e| step("fsync", &tmp, e))?;
     }
-    std::fs::rename(&tmp, path).or_else(|e| {
+    std::fs::rename(&tmp, path).map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
-        io_err(
-            &format!("rename {} -> {}", tmp.display(), path.display()),
-            e,
-        )
+        step(&format!("rename {} ->", tmp.display()), path, e)
     })?;
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         // Persist the rename. Directories can legitimately refuse fsync
@@ -404,6 +402,11 @@ pub fn save_store(store: &Store, path: &Path) -> Result<(), DumpError> {
         }
     }
     Ok(())
+}
+
+/// Atomically writes the store's dump to `path` ([`write_atomic`]).
+pub fn save_store(store: &Store, path: &Path) -> Result<(), DumpError> {
+    write_atomic(path, &dump_store(store)).or_else(|e| fail(DumpErrorKind::Io, 0, e.to_string()))
 }
 
 /// Loads a store dump from a file, validating against the schema as
@@ -628,6 +631,14 @@ mod tests {
         // Overwriting is also atomic (rename over the existing file).
         save_store(&store, &path).unwrap();
         assert!(load_store_file(&schema, &path).is_ok());
+        // A rename that fails (the target is a non-empty directory)
+        // reports the step and leaves no temp file behind.
+        let taken = dir.join("taken.ioql");
+        std::fs::create_dir_all(taken.join("occupant")).unwrap();
+        let e = save_store(&store, &taken).unwrap_err();
+        assert_eq!(e.kind, DumpErrorKind::Io);
+        assert!(e.message.starts_with("rename "), "{e}");
+        assert!(!dir.join("taken.tmp").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

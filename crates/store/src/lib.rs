@@ -22,7 +22,8 @@ pub mod store;
 pub mod wal;
 
 pub use dump::{
-    crc32, dump_store, load_store, load_store_file, save_store, DumpError, DumpErrorKind,
+    crc32, dump_store, load_store, load_store_file, save_store, write_atomic, DumpError,
+    DumpErrorKind,
 };
 pub use env::{ExtentEnv, MemberIter, MemberSet, Object, ObjectEnv};
 pub use equiv::{equiv_outcomes, equiv_stores, Outcome};

@@ -225,7 +225,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return Counter::disabled();
         }
-        let mut map = self.counters.lock().expect("counter map poisoned");
+        let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
         let (_, cell) = map
             .entry(name.to_string())
             .or_insert_with(|| (help.to_string(), Arc::default()));
@@ -238,7 +238,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return Histogram::disabled();
         }
-        let mut map = self.histograms.lock().expect("histogram map poisoned");
+        let mut map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
         let (_, cell) = map
             .entry(name.to_string())
             .or_insert_with(|| (help.to_string(), Arc::default()));
@@ -249,7 +249,7 @@ impl MetricsRegistry {
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         self.counters
             .lock()
-            .expect("counter map poisoned")
+            .unwrap_or_else(|e| e.into_inner())
             .get(name)
             .map(|(_, c)| c.load(Ordering::Relaxed))
     }
@@ -258,7 +258,7 @@ impl MetricsRegistry {
     pub fn counter_values(&self) -> Vec<(String, u64)> {
         self.counters
             .lock()
-            .expect("counter map poisoned")
+            .unwrap_or_else(|e| e.into_inner())
             .iter()
             .map(|(k, (_, v))| (k.clone(), v.load(Ordering::Relaxed)))
             .collect()
@@ -272,7 +272,7 @@ impl MetricsRegistry {
     /// same state are byte-identical.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let counters = self.counters.lock().expect("counter map poisoned");
+        let counters = self.counters.lock().unwrap_or_else(|e| e.into_inner());
         let mut last_family = String::new();
         for (name, (help, value)) in counters.iter() {
             let family = family_of(name);
@@ -283,7 +283,7 @@ impl MetricsRegistry {
             out.push_str(&format!("{name} {}\n", value.load(Ordering::Relaxed)));
         }
         drop(counters);
-        let histograms = self.histograms.lock().expect("histogram map poisoned");
+        let histograms = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
         let mut last_family = String::new();
         for (name, (help, h)) in histograms.iter() {
             let family = family_of(name);

@@ -193,3 +193,151 @@ fn evaluators_agree_on_paper_queries() {
         agree_on(&fx, &elab, 7, src);
     }
 }
+
+/// The four executors on one closed query, under First or Last: the
+/// small-step machine, `eval_big`, the interpreted plan, the compiled
+/// plan — `(value, effect)` or the whole error.
+fn four_ways(
+    fx: &ioql_testkit::fixtures::Fixture,
+    defs: &DefEnv,
+    q: &ioql_ast::Query,
+    last: bool,
+) -> [Result<(ioql_ast::Value, ioql_effects::Effect), ioql_eval::EvalError>; 4] {
+    use ioql::plan::{execute, lower_with, ParSpec};
+    let cfg = EvalConfig::new(&fx.schema);
+    let chooser = || -> Box<dyn ioql_eval::Chooser> {
+        if last {
+            Box::new(LastChooser)
+        } else {
+            Box::new(FirstChooser)
+        }
+    };
+    let plan = |compile: bool| {
+        let spec = ParSpec {
+            compile,
+            ..ParSpec::off()
+        };
+        // The corpus reads no extent and creates nothing: its static
+        // effect is ∅ whether or not Figure 3 can type the text.
+        let plan = lower_with(
+            q,
+            &ioql_effects::Effect::empty(),
+            defs,
+            &ioql_opt::Stats::new(),
+            &spec,
+        )
+        .expect("a pure query lowers");
+        execute(
+            &plan,
+            &cfg,
+            defs,
+            &mut fx.store.clone(),
+            &mut *chooser(),
+            1_000_000,
+        )
+        .map(|r| (r.value, r.effect))
+    };
+    [
+        evaluate(
+            &cfg,
+            defs,
+            &mut fx.store.clone(),
+            q,
+            &mut *chooser(),
+            1_000_000,
+        )
+        .map(|r| (r.value, r.effect)),
+        eval_big(
+            &cfg,
+            defs,
+            &mut fx.store.clone(),
+            q,
+            &mut *chooser(),
+            1_000_000,
+        )
+        .map(|r| (r.value, r.effect)),
+        plan(false),
+        plan(true),
+    ]
+}
+
+/// Binder reuse and definition frames — what an environment can get
+/// wrong and substitution cannot. Values are equal on all four
+/// executors; a stuck state is the *same* `EvalError` (texts included)
+/// on big-step and both plans, and a `Stuck` on the spec, whose redex
+/// text is Figure 2's own.
+#[test]
+fn shadowing_and_frames_agree_on_four_executors() {
+    let fx = jack_jill();
+    let stuck = |query: &str, reason: &str| {
+        Err(ioql_eval::EvalError::Stuck {
+            query: query.into(),
+            reason: reason.into(),
+        })
+    };
+    let corpus: [(&str, Result<&str, ioql_eval::EvalError>); 9] = [
+        ("{ x | x <- {1,2}, x <- {x + 10} }", Ok("{11, 12}")),
+        ("{ { x | x <- {x + 1} } | x <- {1,2} }", Ok("{{2}, {3}}")),
+        (
+            "{ x + y | x <- {1,2,3}, x < 3, y <- {x}, x <- {100} }",
+            Ok("{101, 102}"),
+        ),
+        (
+            "{ x + true | x <- {1}, x <- {2} }",
+            stuck("true", "expected an integer"),
+        ),
+        (
+            "{ y + x | x <- {1}, y <- {false} }",
+            stuck("false", "expected an integer"),
+        ),
+        // The stuck subexpression rebinds `x`: rendering it under the
+        // outer `x = 1` must leave the inner occurrences alone.
+        (
+            "{ sum({ x | x <- {true} }) + x | x <- {1} }",
+            stuck("sum({ x | x <- {true} })", "sum over a non-integer set"),
+        ),
+        // The parameter is named like one of the caller's binders and
+        // the body binds the caller's other name.
+        (
+            "define f(x: int) as { x + y | y <- {1} }; { f(y) | y <- {5}, x <- {7} }",
+            Ok("{{6}}"),
+        ),
+        // `q[x⃗ := v⃗]` substitutes left to right: of two parameters with
+        // one name the first wins.
+        (
+            "define h(x: int, x: int) as x; { h(1, y) | y <- {2} }",
+            Ok("{1}"),
+        ),
+        // The frame test: an ill-formed body's free `z` must not see the
+        // caller's `z` (that would answer {6}).
+        (
+            "define g(a: int) as a + z; { g(1) | z <- {5} }",
+            stuck("z", "free variable `z` at runtime"),
+        ),
+    ];
+    for (src, expected) in corpus {
+        let program = ioql_syntax::parse_program(src).unwrap();
+        let defs = DefEnv::from_program(&program);
+        for last in [false, true] {
+            let [small, big, interp, vm] = four_ways(&fx, &defs, &program.query, last);
+            let shown = |r: &Result<(ioql_ast::Value, ioql_effects::Effect), _>| {
+                r.clone().map(|(v, _)| v.to_string())
+            };
+            assert_eq!(
+                shown(&big),
+                expected.clone().map(str::to_string),
+                "{src} last={last}"
+            );
+            assert_eq!(big, interp, "{src} last={last}: interpreted plan");
+            assert_eq!(big, vm, "{src} last={last}: compiled plan");
+            match (&small, &big) {
+                // The redex text of a type error is Figure 2's own; a free
+                // variable is the stuck state both presentations word
+                // alike, so there all four are equal outright.
+                (Err(ioql_eval::EvalError::Stuck { reason, .. }), Err(_))
+                    if !reason.starts_with("free variable") => {}
+                _ => assert_eq!(small, big, "{src} last={last}: spec"),
+            }
+        }
+    }
+}

@@ -199,6 +199,40 @@ fn engine_panic_is_contained_and_rolled_back() {
     }
 }
 
+/// A chooser that breaks its `i < n` contract on every draw.
+struct OffByOneChooser;
+
+impl ioql::Chooser for OffByOneChooser {
+    fn choose(&mut self, n: usize) -> usize {
+        n
+    }
+}
+
+/// `query_with` takes the caller's chooser, so a pick of `n` is outside
+/// input, not an engine bug: the spec, big-step (the `new` query Theorem
+/// 7 refuses) and the plan (the lowered read) all answer the same
+/// `Stuck`, none reaches `DbError::Internal`, and the store is untouched.
+#[test]
+fn a_chooser_breaking_its_contract_is_stuck_not_internal() {
+    for engine in [Engine::SmallStep, Engine::Plan] {
+        for src in [
+            "{ p.name | p <- Persons }",
+            "{ (new Person(name: p.name, age: 0)).name | p <- Persons }",
+        ] {
+            let mut db = db_with(engine);
+            let before = db.dump();
+            match db.query_with(src, &mut OffByOneChooser) {
+                Err(DbError::Eval(EvalError::Stuck { query, reason })) => {
+                    assert_eq!(query, "p <- …", "{engine:?} {src}");
+                    assert_eq!(reason, "chooser picked element 4 of 4", "{engine:?} {src}");
+                }
+                other => panic!("{engine:?} {src}: {other:?}"),
+            }
+            assert_eq!(db.dump(), before, "{engine:?} {src}: store moved");
+        }
+    }
+}
+
 #[test]
 fn corrupt_dumps_rejected_without_panic_and_store_untouched() {
     let mut db = db_with(Engine::Plan);
