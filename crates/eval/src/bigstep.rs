@@ -34,10 +34,10 @@
 
 use crate::chooser::{bad_pick, Chooser};
 use crate::machine::{DefEnv, EvalConfig, EvalError};
-use ioql_ast::{ExtentName, Qualifier, Query, SetOp, Value, VarName};
+use ioql_ast::{AttrName, ExtentName, Oid, Qualifier, Query, SetOp, Value, VarName};
 use ioql_effects::Effect;
 use ioql_methods::{invoke, MethodCall};
-use ioql_store::{MemberSet, Object, Store};
+use ioql_store::{MemberSet, Object, Store, StoreError};
 use std::collections::{BTreeSet, VecDeque};
 
 /// The result of a big-step evaluation.
@@ -246,6 +246,28 @@ impl<'a, 'c> Interp<'a, 'c> {
         picked.ok_or_else(|| bad_pick(x, i, n))
     }
 
+    /// The (Attribute) rule's read of `o.a`: notes `Ra(C)` for `o`'s class
+    /// `C` (allocating only the first time `C` is read) and returns the
+    /// attribute. The interpreter, the VM's `LoadAttr` and the plan's
+    /// index build all read attributes here.
+    pub fn read_attr<'s>(
+        &mut self,
+        store: &'s Store,
+        o: Oid,
+        a: &AttrName,
+    ) -> Result<&'s Value, EvalError> {
+        let err = |e: StoreError| EvalError::Store(e.to_string());
+        let obj = store
+            .objects
+            .get(o)
+            .ok_or_else(|| err(StoreError::UnknownOid(o)))?;
+        if !self.effect.attr_reads.contains(&obj.class) {
+            self.effect.attr_reads.insert(obj.class.clone());
+        }
+        obj.attr(a)
+            .ok_or_else(|| err(StoreError::UnknownAttr(o, a.clone())))
+    }
+
     fn int(&mut self, store: &mut Store, q: &Query) -> Result<i64, EvalError> {
         match self.eval(store, q)? {
             Value::Int(i) => Ok(i),
@@ -260,7 +282,7 @@ impl<'a, 'c> Interp<'a, 'c> {
         }
     }
 
-    fn oid(&mut self, store: &mut Store, q: &Query) -> Result<ioql_ast::Oid, EvalError> {
+    fn oid(&mut self, store: &mut Store, q: &Query) -> Result<Oid, EvalError> {
         match self.eval(store, q)? {
             Value::Oid(o) => Ok(o),
             _ => self.stuck(q, "expected an object"),
@@ -367,15 +389,7 @@ impl<'a, 'c> Interp<'a, 'c> {
             }
             Query::Attr(subject, a) => {
                 let o = self.oid(store, subject)?;
-                let class = store
-                    .class_of(o)
-                    .map_err(|e| EvalError::Store(e.to_string()))?
-                    .clone();
-                self.effect.union_with(&Effect::attr_read(class));
-                store
-                    .attr(o, a)
-                    .cloned()
-                    .map_err(|e| EvalError::Store(e.to_string()))
+                self.read_attr(store, o, a).cloned()
             }
             Query::Invoke(recv, m, args) => {
                 let o = self.oid(store, recv)?;

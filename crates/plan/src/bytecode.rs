@@ -45,11 +45,12 @@
 //!   subexpression to [`Interp::stuck`], the one function that renders a
 //!   stuck state under the bindings in scope, so the text is the
 //!   interpreted path's byte for byte.
-//!   Store errors reuse [`StoreError`]'s own `Display` strings.
+//!   An attribute load is the interpreter's own read
+//!   ([`Interp::read_attr`]), store errors and `Ra` atom included.
 
 use ioql_ast::{AttrName, IntOp, Query, Value, VarName};
 use ioql_eval::{EvalError, Interp};
-use ioql_store::{Store, StoreError};
+use ioql_store::Store;
 use std::sync::Arc;
 
 /// The compile decision for one plan node, rendered by `:plan` as
@@ -82,8 +83,8 @@ pub enum Instr {
     CheckOid(u16),
     /// The top of stack must be a `Set` (left in place).
     CheckSet(u16),
-    /// Pop an oid (already checked), record its dynamic class as an
-    /// `Ra` effect, push the attribute value.
+    /// Pop an oid (already checked), read the attribute through
+    /// [`Interp::read_attr`] (`Ra` for its dynamic class), push it.
     LoadAttr(AttrName),
     /// Pop two ints (already checked), push the operator's result.
     Arith(IntOp),
@@ -357,17 +358,7 @@ impl Program {
                     let Some(Value::Oid(o)) = stack.pop() else {
                         unreachable!("CheckOid precedes LoadAttr")
                     };
-                    let obj = store
-                        .objects
-                        .get(o)
-                        .ok_or_else(|| EvalError::Store(StoreError::UnknownOid(o).to_string()))?;
-                    if !interp.effect.attr_reads.contains(&obj.class) {
-                        interp.effect.attr_reads.insert(obj.class.clone());
-                    }
-                    let v = obj.attr(a).ok_or_else(|| {
-                        EvalError::Store(StoreError::UnknownAttr(o, a.clone()).to_string())
-                    })?;
-                    stack.push(v.clone());
+                    stack.push(interp.read_attr(store, o, a)?.clone());
                 }
                 Instr::Arith(op) => {
                     let (Some(Value::Int(b)), Some(Value::Int(a))) = (stack.pop(), stack.pop())

@@ -23,8 +23,11 @@
 //!   are literally the naive engine's own.
 //!
 //! The one deviation — the hash-index build scanning elements ahead of
-//! the chooser's draw order — is licensed by the plan's Theorem 7 guard
-//! and remains fully *speculative*: any anomaly abandons the index and
+//! the chooser's draw order, once per execution for a probe over an
+//! extent and reused by every later drain — is licensed by the plan's
+//! Theorem 7 guard (a write-free plan freezes every extent and attribute
+//! for the execution) and remains fully *speculative*: the probe side is
+//! still evaluated per drain, and any anomaly abandons the index and
 //! reverts to per-row predicate evaluation, reproducing the naive
 //! engines' exact error at the exact position.
 
@@ -241,6 +244,7 @@ fn execute_inner<'a>(
         vm_ctx: VmCtx::default(),
         vm_rows: 0,
         extent_cache: HashMap::new(),
+        indexes: HashMap::new(),
     };
     let value = ex.eval_op(store, &plan.root);
     // Batched telemetry: the total per-row adds would reach (a failed
@@ -279,6 +283,10 @@ fn split_probe<'p>(var: &VarName, rest: &'p [Stage]) -> ProbeParts<'p> {
     (None, rest)
 }
 
+/// A probe stage's hash index: the elements under each key, or `None`
+/// once a key of the wrong shape abandoned it.
+type Index = Option<HashMap<Value, Rc<HashSet<Value>>>>;
+
 /// Whether a value is the shape the probe's equality demands (the
 /// speculative build's per-key anomaly check).
 fn well_formed(store: &Store, eq: EqKind, v: &Value) -> bool {
@@ -316,6 +324,12 @@ struct Exec<'a, 'c> {
     /// per-scan observables (`R(C)` effect atom, cardinality
     /// observation) still fire on every scan, exactly as uncached.
     extent_cache: HashMap<ExtentName, Rc<Vec<Value>>>,
+    /// Per-execution index table of the probes over extents, keyed by the
+    /// probe stage: built at the first drain that reaches it and read by
+    /// every later one, "abandoned" verdicts included. Licensed like
+    /// `extent_cache`: the extent and its elements' attributes cannot
+    /// change during a read-only execution.
+    indexes: HashMap<NodeId, Index>,
 }
 
 impl<'a> Exec<'a, '_> {
@@ -528,13 +542,13 @@ impl<'a> Exec<'a, '_> {
                 let elems = self.scan_extent_elems(store, extent)?;
                 self.precord(st.id, t, elems.len() as u64);
                 let elems = elems.iter().cloned().collect();
-                self.drive_gen(store, var, elems, rest, head, out)
+                self.drive_gen(store, var, elems, rest, head, out, true)
             }
             StageKind::Scan { var, source, .. } => {
                 let t = self.ptimer();
                 let elems = self.interp.source(store, source)?;
                 self.precord(st.id, t, elems.len() as u64);
-                self.drive_gen(store, var, elems, rest, head, out)
+                self.drive_gen(store, var, elems, rest, head, out, false)
             }
             // A probe is always fused behind its generator and consumed
             // by `drive_gen`; reaching one here is a lowering bug.
@@ -546,9 +560,11 @@ impl<'a> Exec<'a, '_> {
     /// ([`Interp::draw`]: chooser, one cell), checkpoint per draw, bind
     /// it in the generator's slot (pushed once per drain, overwritten per
     /// row) and run the rest of the pipeline. A fused probe is a branch
-    /// of this loop: the one-shot hash index stands in for the equality
-    /// predicate, and an abandoned index falls back to the predicate
-    /// itself.
+    /// of this loop: the hash index stands in for the equality predicate,
+    /// and an abandoned index falls back to the predicate itself.
+    /// `frozen` says the elements are an extent's, which the Theorem 7
+    /// guard freezes for the execution, so the index outlives the drain.
+    #[allow(clippy::too_many_arguments)]
     fn drive_gen(
         &mut self,
         store: &mut Store,
@@ -557,6 +573,7 @@ impl<'a> Exec<'a, '_> {
         rest: &[Stage],
         head: Head<'_>,
         out: &mut BTreeSet<Value>,
+        frozen: bool,
     ) -> Result<(), EvalError> {
         if remaining.is_empty() {
             return Ok(());
@@ -574,10 +591,10 @@ impl<'a> Exec<'a, '_> {
         // (`probe_shape` keeps `var` out of the probe side, the one
         // expression evaluated before the first row is bound).
         self.interp.binds.push((var.clone(), Value::Bool(false)));
-        // `None` until the first draw; `Some(None)` = index abandoned
-        // (anomaly — the per-row fallback reproduces the naive error),
-        // `Some(Some(idx))` = probe with `idx`.
-        let mut index: Option<Option<HashSet<Value>>> = None;
+        // `None` until the first draw; `Some(None)` = fall back to the
+        // predicate (anomaly — the per-row fallback reproduces the naive
+        // error), `Some(Some(hits))` = pass exactly `hits`.
+        let mut verdict: Option<Option<Rc<HashSet<Value>>>> = None;
         let r = (|| -> Result<(), EvalError> {
             while !remaining.is_empty() {
                 let picked = self.interp.draw(var, &mut remaining)?;
@@ -592,27 +609,27 @@ impl<'a> Exec<'a, '_> {
                     self.run_stages(store, body, head, out)?;
                     continue;
                 };
-                let built = match &index {
-                    Some(built) => built,
-                    // Built exactly once, at the first draw — where the
-                    // naive path would first evaluate the predicate, so
-                    // the probe side's one evaluation lands where naive's
-                    // first would.
+                let hits = match &verdict {
+                    Some(hits) => hits,
+                    // Decided once per drain, at the first draw — where
+                    // the naive path would first evaluate the predicate,
+                    // so the probe side's one evaluation lands where
+                    // naive's first would.
                     None => {
                         let t = self.ptimer();
                         let elems = std::iter::once(&picked).chain(remaining.iter());
-                        let built = self.build_index(store, build, probe_q, elems);
+                        let hits = self.probe_drain(store, (pkey, build, probe_q), frozen, elems);
                         self.ptime(pkey, t);
-                        index.insert(built)
+                        verdict.insert(hits)
                     }
                 };
-                if built.as_ref().is_some_and(|pass| !pass.contains(&picked)) {
+                if hits.as_ref().is_some_and(|pass| !pass.contains(&picked)) {
                     self.precord(pkey, None, 0);
                     continue;
                 }
-                // A hit runs the body; an abandoned index asks the kept
-                // predicate first.
-                let hit = built.is_some();
+                // A hit runs the body; a fallback asks the kept predicate
+                // first.
+                let hit = hits.is_some();
                 self.interp.binds[slot].1 = picked;
                 let passed = hit || self.passes(store, pkey, pred)?;
                 if passed {
@@ -629,22 +646,22 @@ impl<'a> Exec<'a, '_> {
         r
     }
 
-    /// Builds the one-shot hash index: evaluate the probe side once
-    /// (under the current bindings — the semi-join case), then keep the
-    /// elements whose key equals it. `None` on any anomaly — the probe
-    /// side fails or has the wrong type, an element is not the shape
-    /// the equality demands — and the caller reverts to per-row
-    /// predicate evaluation, which reproduces the exact naive error at
-    /// the exact naive position. The `Ra` union per *scanned* element
-    /// on attribute access matches the naive engines, which record it
-    /// for every drawn element whether or not its predicate passes.
-    fn build_index<'v>(
+    /// One drain's probe: evaluate the probe side (under the current
+    /// bindings — the semi-join case) and return the elements whose key
+    /// equals it. `None` on any anomaly — the probe side fails or has the
+    /// wrong type, or the index is abandoned — and the caller reverts to
+    /// per-row predicate evaluation, which reproduces the exact naive
+    /// error at the exact naive position. Over a `frozen` source the
+    /// index comes from the per-execution table (built here by the first
+    /// drain that gets this far); over a computed one, which may read the
+    /// outer binders, it is built for this drain alone.
+    fn probe_drain<'v>(
         &mut self,
         store: &mut Store,
-        build: &HashIndexBuild,
-        probe: &Query,
+        (id, build, probe): (NodeId, &HashIndexBuild, &Query),
+        frozen: bool,
         elements: impl Iterator<Item = &'v Value>,
-    ) -> Option<HashSet<Value>> {
+    ) -> Option<Rc<HashSet<Value>>> {
         // Speculative: a failed evaluation is discarded, its fuel with it
         // (the per-row fallback pays for the one that reports the error).
         let fuel = self.interp.fuel;
@@ -655,24 +672,44 @@ impl<'a> Exec<'a, '_> {
         if !well_formed(store, build.eq, &target) {
             return None;
         }
-        let mut pass = HashSet::new();
+        let index = match self.indexes.remove(&id) {
+            Some(index) => index,
+            None => self.build_index(store, build, elements),
+        };
+        let hits = index
+            .as_ref()
+            .map(|idx| idx.get(&target).cloned().unwrap_or_default());
+        if frozen {
+            self.indexes.insert(id, index);
+        }
+        hits
+    }
+
+    /// Builds a hash index over `elements`: each key with the elements
+    /// that have it, or `None` at the first element whose key is not the
+    /// shape the equality demands. Reading a key attribute records `Ra`
+    /// for every *scanned* element, as the naive engines do for every
+    /// drawn one whether or not its predicate passes.
+    fn build_index<'v>(
+        &mut self,
+        store: &Store,
+        build: &HashIndexBuild,
+        elements: impl Iterator<Item = &'v Value>,
+    ) -> Index {
+        let mut index: HashMap<Value, HashSet<Value>> = HashMap::new();
         for elem in elements {
             let key = match &build.key {
                 KeyAccess::Bare => elem.clone(),
                 KeyAccess::Attr(a) => {
                     let Value::Oid(o) = elem else { return None };
-                    let class = store.class_of(*o).ok()?.clone();
-                    self.interp.effect.union_with(&Effect::attr_read(class));
-                    store.attr(*o, a).ok()?.clone()
+                    self.interp.read_attr(store, *o, a).ok()?.clone()
                 }
             };
             if !well_formed(store, build.eq, &key) {
                 return None;
             }
-            if key == target {
-                pass.insert(elem.clone());
-            }
+            index.entry(key).or_default().insert(elem.clone());
         }
-        Some(pass)
+        Some(index.into_iter().map(|(k, v)| (k, Rc::new(v))).collect())
     }
 }

@@ -77,9 +77,10 @@ impl KeyAccess {
     }
 }
 
-/// The build side of a hash probe: scan the generator's elements once,
-/// extracting the key from each, and keep the elements whose key equals
-/// the probe value.
+/// The build side of a hash probe: scan the generator's elements,
+/// extracting the key from each, and group the elements by key — once
+/// per execution per stage over an extent (the executor's index table),
+/// once per drain over a computed source.
 #[derive(Clone, Debug)]
 pub struct HashIndexBuild {
     /// The equality the index implements.
@@ -138,11 +139,12 @@ pub enum StageKind {
         pred: Query,
     },
     /// An equality predicate fused into the preceding generator stage: a
-    /// one-shot [`HashIndexBuild`] over the generator's elements, then a
-    /// set probe per drawn element instead of a per-row predicate
-    /// evaluation. Generalizes to the cross-generator case (a hash
-    /// semi-join) when `probe` mentions variables bound by *enclosing*
-    /// generators.
+    /// [`HashIndexBuild`] over the generator's elements, built once per
+    /// execution per stage when they are an extent's, then per drain one
+    /// evaluation of the probe side and a set probe per drawn element
+    /// instead of a per-row predicate evaluation. Generalizes to the
+    /// cross-generator case (a hash semi-join) when `probe` mentions
+    /// variables bound by *enclosing* generators.
     HashIndexProbe {
         /// The generator variable this probe is fused with.
         var: VarName,
@@ -155,9 +157,10 @@ pub enum StageKind {
         /// fallback path (any build anomaly reverts to per-row
         /// evaluation, reproducing the naive engines' exact error).
         pred: Query,
-        /// Estimated cost of the naive per-row filter.
+        /// Estimated cost, per drain, of the naive per-row filter.
         scan_cost: usize,
-        /// Estimated cost of build-once-probe-many.
+        /// Estimated cost, per drain, of the build's share plus the
+        /// probes.
         index_cost: usize,
     },
 }
@@ -345,7 +348,8 @@ impl Stage {
 /// `new`-free and invocation-free. Under those conditions Theorem 7
 /// guarantees evaluation order cannot be observed, which is exactly the
 /// freedom the physical operators exploit (index builds scan ahead of
-/// the chooser's draw order; set operands evaluate independently).
+/// the chooser's draw order and serve every drain of the execution; set
+/// operands evaluate independently).
 #[derive(Clone, Debug)]
 pub struct Guard {
     /// The statically inferred effect of the whole query.

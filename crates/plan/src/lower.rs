@@ -74,7 +74,8 @@ impl ParSpec<'static> {
 /// invocation-free. Under those conditions the paper's Theorem 7 makes
 /// evaluation-order choices unobservable, which licenses the physical
 /// operators' deviations from naive qualifier-at-a-time interpretation
-/// (ahead-of-draw index builds, independent set operands).
+/// (ahead-of-draw index builds shared by every drain of the execution,
+/// independent set operands).
 pub fn lower(q: &Query, static_effect: &Effect, defs: &DefEnv, stats: &Stats) -> Option<Plan> {
     lower_with(q, static_effect, defs, stats, &ParSpec::off())
 }
@@ -130,9 +131,8 @@ struct Lowering<'a> {
     /// exactly the executor's binding stack when the stage runs) — in
     /// the pre-order [`Plan::number`] gives those nodes, so
     /// [`lower_with`] keys them by zipping with [`Plan::walk`]. Probe
-    /// stages keep their fused predicate interpreted: the probe is
-    /// evaluated once per index build, not per row, so there is nothing
-    /// to win.
+    /// stages keep their fused predicate interpreted: the probe side is
+    /// evaluated once per drain, not per row, so there is nothing to win.
     verdicts: Vec<CompileVerdict>,
 }
 
@@ -209,6 +209,10 @@ impl Lowering<'_> {
         let stats = self.stats;
         let mut stages = Vec::new();
         let mut binders: Vec<VarName> = Vec::new();
+        // Estimated rows reaching the next qualifier — so the drains of
+        // the next generator — by `Stats::cardinality`'s rule: generators
+        // multiply, predicates halve.
+        let mut rows = 1usize;
         let mut quals = quals.iter().peekable();
         while let Some(qual) = quals.next() {
             let (x, src) = match qual {
@@ -216,11 +220,14 @@ impl Lowering<'_> {
                     let judged = self.judge(p, &binders);
                     self.verdicts.extend(judged);
                     stages.push(Stage::new(StageKind::Filter { pred: p.clone() }));
+                    rows = (rows / 2).max(1);
                     continue;
                 }
                 Qualifier::Gen(x, src) => (x, src),
             };
-            let est_rows = stats.cardinality(src);
+            let (est_rows, extent) = (stats.cardinality(src), matches!(src, Query::Extent(_)));
+            let drains = rows;
+            rows = rows.saturating_mul(est_rows.max(1));
             stages.push(Stage::new(match src {
                 Query::Extent(e) => StageKind::ExtentScan {
                     var: x.clone(),
@@ -242,23 +249,38 @@ impl Lowering<'_> {
                 continue;
             };
             quals.next();
-            // Naive filtering evaluates the predicate once per row; the
-            // index evaluates the probe side once, then pays a per-row
-            // key extraction and hash probe (~2 units) plus a fixed build
-            // overhead (~8). Both are in `Stats::work` units, so only the
-            // relative order matters. When the compile tier accepts the
-            // predicate, its per-row cost is a VM dispatch, not an
-            // interpretation of the whole expression.
+            rows = (rows / 2).max(1);
+            // Per drain. Naive filtering evaluates the predicate once per
+            // row; the index evaluates the probe side once and tests each
+            // drawn row's membership, and its build extracts and inserts
+            // every element's key.
+            let (n, probe_work) = (est_rows.max(1), stats.work(&probe));
             let judged = self.judge(p, &binders);
-            let per_row = match judged {
-                Some(CompileVerdict::Vm(_)) => stats.compiled_work(),
-                _ => stats.work(p).max(1),
+            let (scan_cost, index_cost) = match judged {
+                // In VM dispatches (`Stats::compiled_work`), measured on a
+                // 2-vCPU Xeon with `f.dept = e.dept` over 2 000 employees:
+                // a dispatch 157 ns, a hash probe 19 ns (≈ 1/8), a build
+                // 154 ns per element (≈ 1) plus ~8 fixed. The executor
+                // builds an extent's index once per execution, so each of
+                // the `drains` pays its share; a single drain keeps the
+                // filter, since build plus probe exceed the dispatch.
+                Some(CompileVerdict::Vm(_)) => {
+                    let shares = if extent { drains } else { 1 };
+                    let build = n.saturating_add(8).div_ceil(shares);
+                    let probing = probe_work.saturating_add(n.div_ceil(8));
+                    (
+                        n.saturating_mul(stats.compiled_work()),
+                        probing.saturating_add(build),
+                    )
+                }
+                // In `Stats::work` units: an interpreted predicate costs its
+                // whole expression a row, which pays for a build (~2 a key
+                // plus ~8) on every drain.
+                _ => (
+                    n.saturating_mul(stats.work(p).max(1)),
+                    probe_work.saturating_add(2 * est_rows).saturating_add(8),
+                ),
             };
-            let scan_cost = est_rows.max(1).saturating_mul(per_row);
-            let index_cost = stats
-                .work(&probe)
-                .saturating_add(2 * est_rows)
-                .saturating_add(8);
             stages.push(Stage::new(if index_cost < scan_cost {
                 StageKind::HashIndexProbe {
                     var: x.clone(),

@@ -835,3 +835,350 @@ fn operator_zoo_renders_as_the_golden() {
     }
     assert_eq!(got, std::fs::read_to_string(golden).unwrap());
 }
+
+/// `jack_jill`'s schema over `ps` more persons (`name` = i mod 7, so keys
+/// repeat) and `fs` friends (`name` = i mod 5, `pal` one of the persons).
+fn join_fixture(ps: usize, fs: usize) -> Fixture {
+    use ioql_ast::Value;
+    let mut fx = jack_jill();
+    let mut pals = vec![fx.oid("jack"), fx.oid("jill")];
+    for i in 0..ps {
+        pals.push(fx.create("P", vec![("name", Value::Int(i as i64 % 7))], None));
+    }
+    for i in 0..fs {
+        let pal = Value::Oid(pals[i * 3 % pals.len()]);
+        fx.create(
+            "F",
+            vec![("name", Value::Int(i as i64 % 5)), ("pal", pal)],
+            None,
+        );
+    }
+    fx
+}
+
+/// The three executors a semi-join run is compared on.
+enum Exec<'q> {
+    Plan(&'q Plan),
+    BigStep(&'q ioql_ast::Query),
+    SmallStep(&'q ioql_ast::Query),
+}
+
+/// What a run must reproduce: the outcome (the exact error on failure),
+/// the cell meter and the chooser's draw count.
+type Observed = (
+    Result<(ioql_ast::Value, ioql_effects::Effect), EvalError>,
+    u64,
+    u64,
+);
+
+fn observe(
+    fx: &Fixture,
+    exec: &Exec<'_>,
+    mk: fn() -> Box<dyn Chooser>,
+    limits: Limits,
+    fuel: u64,
+) -> Observed {
+    use ioql_eval::CountingChooser;
+    let draws = ioql_telemetry::MetricsRegistry::new(true).counter("draws", "Chooser draws.");
+    let governor = Governor::new(limits);
+    let cfg = EvalConfig::new(&fx.schema).with_governor(&governor);
+    let defs = DefEnv::new();
+    let mut store = fx.store.clone();
+    let mut inner = mk();
+    let ch = &mut CountingChooser::new(&mut *inner, draws.clone());
+    let r = match exec {
+        Exec::Plan(p) => execute(p, &cfg, &defs, &mut store, ch, fuel).map(|r| (r.value, r.effect)),
+        Exec::BigStep(q) => {
+            eval_big(&cfg, &defs, &mut store, q, ch, fuel).map(|r| (r.value, r.effect))
+        }
+        Exec::SmallStep(q) => {
+            evaluate(&cfg, &defs, &mut store, q, ch, fuel).map(|r| (r.value, r.effect))
+        }
+    };
+    (r, governor.cells_spent(), draws.get())
+}
+
+/// The production lowering: the compile pass on, the store's own
+/// statistics.
+fn lower_production(fx: &Fixture, q: &ioql_ast::Query) -> Plan {
+    let eenv = EffectEnv::new(&fx.schema);
+    let (_, eff) = infer_query(&eenv, q).unwrap();
+    let mut stats = Stats::new();
+    for (e, _, members) in fx.store.extents.iter() {
+        stats.set(e.clone(), members.len());
+    }
+    let spec = ParSpec {
+        compile: true,
+        ..ParSpec::off()
+    };
+    lower_with(q, &eff, &DefEnv::new(), &stats, &spec).unwrap()
+}
+
+/// Semi-joins through the probe are the naive engines' joins: an
+/// int-keyed attribute join with the probe side on either hand, and an
+/// oid-keyed one, each lowered as production lowers it (the compile pass
+/// on, real statistics) and run over duplicate keys, an empty inner
+/// extent, an outer row whose probe side is ill-formed (that drain falls
+/// back to the predicate, which sticks like the naive engines), and an
+/// inner element whose key cannot be read (the index is abandoned) —
+/// under four choosers and cell caps around each run's draw count, the
+/// value, runtime effect, cells, draws and exact error equal big-step's
+/// (and small-step's on the small store). Fuel is spent on the plan's own
+/// schedule: at every budget the plan answers big-step's answer or runs
+/// out, never anything else, and the compiled and interpreted plans trip
+/// at the same budget with the same observables.
+#[test]
+fn semi_joins_agree_with_the_interpreters_on_every_meter() {
+    use ioql_ast::{Oid, Value};
+    const JOINS: [&str; 3] = [
+        "{ p.name + f.name | p <- Ps, f <- Fs, f.name = p.name }",
+        "{ p.name + q.name | p <- Ps, q <- Ps, p.name = q.name }",
+        "{ f.name + p.name | f <- Fs, p <- Ps, p == f.pal }",
+    ];
+    let big = join_fixture(40, 30);
+    let mut dangling_pal = big.clone();
+    let ghost = Value::Oid(Oid::from_raw(77_777));
+    dangling_pal.create("F", vec![("name", Value::Int(3)), ("pal", ghost)], None);
+    let mut nameless = big.clone();
+    nameless.create("P", vec![], None);
+    let stores = [
+        ("duplicate keys", big.clone(), false),
+        ("small", join_fixture(4, 3), true),
+        ("empty Fs", join_fixture(40, 0), false),
+        ("dangling pal", dangling_pal, false),
+        ("nameless person", nameless, false),
+    ];
+    let mks: [fn() -> Box<dyn Chooser>; 4] = [
+        || Box::new(FirstChooser),
+        || Box::new(LastChooser),
+        || Box::new(RandomChooser::seeded(0x5E1)),
+        || Box::new(ChaosChooser::new(0x5E1, None)),
+    ];
+    let tenv = TypeEnv::new(&big.schema);
+    for src in JOINS {
+        let q = check_query(&tenv, &big.query(src)).unwrap().0;
+        let plan = lower_production(&big, &q);
+        assert!(
+            plan.render().contains("HashIndexProbe"),
+            "{}",
+            plan.render()
+        );
+        for (name, fx, small_step) in &stores {
+            for mk in mks {
+                let want = observe(fx, &Exec::BigStep(&q), mk, Limits::none(), 1_000_000);
+                let got = observe(fx, &Exec::Plan(&plan), mk, Limits::none(), 1_000_000);
+                assert_eq!(got, want, "{name}: plan vs big-step on {src}");
+                if *small_step {
+                    let spec = observe(fx, &Exec::SmallStep(&q), mk, Limits::none(), 1_000_000);
+                    assert_eq!(spec, want, "{name}: small-step vs big-step on {src}");
+                }
+                for cap in [0, 1, want.2 / 2, want.2.saturating_sub(1)] {
+                    let limits = Limits::none().with_max_cells(cap);
+                    let want = observe(fx, &Exec::BigStep(&q), mk, limits, 1_000_000);
+                    let got = observe(fx, &Exec::Plan(&plan), mk, limits, 1_000_000);
+                    assert_eq!(got, want, "{name}: {cap} cells, plan vs big-step on {src}");
+                }
+            }
+        }
+        // Fuel, on the small store, at every budget up to the answer.
+        let (fx, interpreted) = (&stores[1].1, lower_for(&big, &q, true).unwrap());
+        assert!(interpreted.render().contains("HashIndexProbe"));
+        let answer = observe(fx, &Exec::BigStep(&q), mks[0], Limits::none(), 1_000_000);
+        let mut answered = false;
+        for fuel in 0..100_000 {
+            let got = observe(fx, &Exec::Plan(&plan), mks[0], Limits::none(), fuel);
+            let same = observe(fx, &Exec::Plan(&interpreted), mks[0], Limits::none(), fuel);
+            assert_eq!(
+                got, same,
+                "budget {fuel}: compiled vs interpreted plan on {src}"
+            );
+            answered = got == answer;
+            assert!(
+                answered || got.0 == Err(EvalError::FuelExhausted),
+                "budget {fuel} on {src}: {got:?}"
+            );
+            if answered {
+                break;
+            }
+        }
+        assert!(answered, "{src} never answered");
+    }
+}
+
+/// The cached "abandoned" verdict: a hand-built probe whose index cannot
+/// be built (its `=` meets oid keys) over an extent drained once per
+/// outer row. The first drain abandons the index and every later one
+/// reads that verdict from the execution's table, falling back to the
+/// predicate each time — the naive engines' join, on every meter.
+#[test]
+fn an_abandoned_index_falls_back_on_every_drain() {
+    use ioql::plan::{EqKind, Guard, HashIndexBuild, KeyAccess, Op, OpKind, Stage, StageKind};
+    use ioql_ast::{Query, VarName};
+    let fx = join_fixture(12, 0);
+    let tenv = TypeEnv::new(&fx.schema);
+    let src = "{ p.name + q.name | p <- Ps, q <- Ps, q.name = p.name }";
+    let q = check_query(&tenv, &fx.query(src)).unwrap().0;
+    let scan = |var: &str| StageKind::ExtentScan {
+        var: VarName::new(var),
+        extent: ioql_ast::ExtentName::new("Ps"),
+        est_rows: 14,
+    };
+    let mut plan = Plan {
+        root: Op::new(OpKind::Distinct {
+            input: Box::new(Op::new(OpKind::MapProject {
+                head: Query::var("p")
+                    .attr("name")
+                    .add(Query::var("q").attr("name")),
+                input: Box::new(Op::new(OpKind::Pipeline {
+                    stages: vec![
+                        Stage::new(scan("p")),
+                        Stage::new(scan("q")),
+                        Stage::new(StageKind::HashIndexProbe {
+                            var: VarName::new("q"),
+                            build: HashIndexBuild {
+                                eq: EqKind::Int,
+                                key: KeyAccess::Bare,
+                                est_rows: 14,
+                            },
+                            probe: Query::var("p").attr("name"),
+                            pred: Query::var("q")
+                                .attr("name")
+                                .int_eq(Query::var("p").attr("name")),
+                            scan_cost: 100,
+                            index_cost: 1,
+                        }),
+                    ],
+                })),
+            })),
+        }),
+        guard: Guard {
+            effect: ioql_effects::Effect::empty(),
+        },
+        compiled: Default::default(),
+    };
+    plan.number();
+    let mks: [fn() -> Box<dyn Chooser>; 3] = [
+        || Box::new(FirstChooser),
+        || Box::new(LastChooser),
+        || Box::new(RandomChooser::seeded(0xAB)),
+    ];
+    for mk in mks {
+        let want = observe(&fx, &Exec::BigStep(&q), mk, Limits::none(), 1_000_000);
+        assert!(want.0.is_ok() && want.2 == 14 + 14 * 14, "{want:?}");
+        let got = observe(&fx, &Exec::Plan(&plan), mk, Limits::none(), 1_000_000);
+        assert_eq!(got, want, "abandoned index vs big-step on {src}");
+    }
+}
+
+/// The index lives for one execution: a write between two executions of
+/// the same semi-join is seen by the second, exactly as the spec sees it.
+#[test]
+fn a_write_between_two_executions_reaches_the_probe() {
+    const DDL: &str = "
+        class Person extends Object (extent Persons) {
+            attribute int name;
+            attribute int age;
+        }";
+    let names: Vec<String> = (1..=20).map(|n| n.to_string()).collect();
+    let populate = format!(
+        "{{ new Person(name: n, age: a) | n <- {{{}}}, a <- {{1, 2}} }}",
+        names.join(", ")
+    );
+    let join = "{ p.name + q.name | p <- Persons, q <- Persons, q.age = p.name }";
+    let mut dbs = [Engine::Plan, Engine::SmallStep].map(|engine| {
+        let opts = DbOptions {
+            engine,
+            cache_capacity: 0,
+            ..DbOptions::default()
+        };
+        let mut db = Database::from_ddl_with(DDL, opts).unwrap();
+        db.query(&populate).unwrap();
+        db
+    });
+    let plan = dbs[0].explain(join).unwrap();
+    assert!(plan.contains("HashIndexProbe  q.age = p.name"), "{plan}");
+    let before = dbs.each_mut().map(|db| db.query(join).unwrap().value);
+    assert_eq!(before[0], before[1]);
+    for db in &mut dbs {
+        db.query("{ new Person(name: 50, age: 3) | n <- {1} }")
+            .unwrap();
+    }
+    let after = dbs.each_mut().map(|db| db.query(join).unwrap().value);
+    assert_eq!(after[0], after[1]);
+    assert_ne!(
+        after[0], before[0],
+        "the write must reach the second execution"
+    );
+}
+
+/// The decision both ways, over the benchmark's statistics (20 000
+/// persons, 2 000 employees), as production optimizes and lowers: the
+/// join drained once per outer employee amortizes its build and picks the
+/// probe; a closed equality drained once keeps its compiled filter.
+#[test]
+fn the_probe_is_chosen_where_an_extent_is_drained_repeatedly() {
+    use ioql_opt::{OptOptions, Optimizer};
+    const DDL: &str = "
+        class Person extends Object (extent Persons) {
+            attribute int name;
+            attribute int age;
+        }
+        class Employee extends Person (extent Employees) {
+            attribute int EmpID;
+            attribute int dept;
+        }";
+    let db = Database::from_ddl(DDL).unwrap();
+    let mut stats = Stats::new();
+    stats.set("Persons", 20_000);
+    stats.set("Employees", 2_000);
+    let spec = ParSpec {
+        compile: true,
+        ..ParSpec::off()
+    };
+    for (src, chosen) in [
+        (
+            "{ e.EmpID + f.EmpID | e <- Employees, f <- Employees, e.dept = 7, f.dept = e.dept }",
+            "HashIndexProbe  f.dept = e.dept",
+        ),
+        (
+            "{ p.name | p <- Persons, p.age = 42 }",
+            "Filter  p.age = 42  [vm]",
+        ),
+    ] {
+        let prepared = db.prepare(src).unwrap();
+        let optimized = Optimizer::new(db.schema(), stats.clone(), OptOptions::default())
+            .optimize_in_scope([], &prepared.elab);
+        let plan = lower_with(&optimized, &prepared.effect, &DefEnv::new(), &stats, &spec)
+            .unwrap()
+            .render();
+        assert!(plan.contains(chosen), "{src}:\n{plan}");
+    }
+}
+
+/// A probe over a computed source keeps one index per drain: the source
+/// reads the outer binder, so each drain indexes different elements.
+#[test]
+fn a_computed_source_is_indexed_per_drain() {
+    let fx = join_fixture(6, 0);
+    let tenv = TypeEnv::new(&fx.schema);
+    let src = "{ x | p <- Ps, x <- { q.name + p.name | q <- Ps }, x = 4 }";
+    let q = check_query(&tenv, &fx.query(src)).unwrap().0;
+    let plan = lower_for(&fx, &q, false).unwrap();
+    assert!(
+        plan.render().contains("HashIndexProbe  x = 4"),
+        "{}",
+        plan.render()
+    );
+    let mks: [fn() -> Box<dyn Chooser>; 3] = [
+        || Box::new(FirstChooser),
+        || Box::new(LastChooser),
+        || Box::new(RandomChooser::seeded(0xC0)),
+    ];
+    for mk in mks {
+        let want = observe(&fx, &Exec::BigStep(&q), mk, Limits::none(), 1_000_000);
+        let four = ioql_ast::Value::set([ioql_ast::Value::Int(4)]);
+        assert_eq!(want.0.as_ref().map(|(v, _)| v), Ok(&four), "{src}");
+        let got = observe(&fx, &Exec::Plan(&plan), mk, Limits::none(), 1_000_000);
+        assert_eq!(got, want, "plan vs big-step on {src}");
+    }
+}
