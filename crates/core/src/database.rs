@@ -4,18 +4,18 @@
 //! optimize → lower → execute (or, as the spec, the Figure 2 machine on
 //! the query as written).
 //!
-//! [`Database`] is the *exclusive* handle — each query runs under the
-//! kernel's state write lock against the live store, exactly as the
-//! pre-split monolith did, so embedded callers see zero behavioural
-//! change. Concurrent multi-client access goes through
-//! [`Database::session`] (effect-scheduled admission — see
-//! [`crate::sched`]) and [`Database::serve`] (the TCP server).
+//! [`Database`] is the embedded handle. Its queries go through the same
+//! effect-scheduled admission as every other caller's (see
+//! [`crate::sched`]): a write-free query runs against a snapshot, a
+//! writer serializes on the state write lock. Further handles on the
+//! same live state come from [`Database::session`] (per-client budgets
+//! and counters) and [`Database::serve`] (the TCP server).
 
 use crate::analysis::{collect_commutations, Analysis};
 use crate::cache::CacheStats;
 use crate::cache::QueryCache;
 use crate::error::DbError;
-use crate::kernel::{Catalogue, DbKernel, ExecMode, KernelState, Prepared};
+use crate::kernel::{Catalogue, DbKernel, KernelState, Prepared};
 use crate::sched::{Admitted, SchedMetrics};
 use crate::session::Session;
 use ioql_ast::{Definition, Query, Type, Value};
@@ -510,15 +510,14 @@ pub struct QueryResult {
     pub elapsed: Duration,
     /// The portion of [`QueryResult::elapsed`] spent waiting to be
     /// scheduled: admission-queue time plus kernel state-lock
-    /// acquisition, before the pipeline proper started. Always
-    /// ≤ `elapsed`; `Duration::ZERO` for cache hits served without
-    /// touching the write path. Like `elapsed`, purely informational.
+    /// acquisition, closed when the query is admitted. Always
+    /// ≤ `elapsed`. Like `elapsed`, purely informational.
     pub wait: Duration,
     /// How the admission controller scheduled this query: a snapshot
     /// stamp for a concurrently-admitted reader, a commit-order stamp
-    /// plus interference witness for a serialized writer. `None` on the
-    /// embedded exclusive path ([`Database::query`] and friends), which
-    /// bypasses admission entirely.
+    /// plus interference witness for a serialized writer. `Some` on
+    /// every `Ok`, whichever handle ran the query; the type stays an
+    /// `Option` only because the benchmark harness spells it.
     pub admitted: Option<Admitted>,
 }
 
@@ -556,8 +555,9 @@ impl DerefMut for StoreRefMut<'_> {
     }
 }
 
-/// An IOQL database: the embedded, exclusive handle over a (possibly
-/// shared) [`DbKernel`] — schema + store + named query definitions.
+/// An IOQL database: the embedded handle over a (possibly shared)
+/// [`DbKernel`] — schema + store + named query definitions. Its queries
+/// are admitted like a [`Session`]'s, each under its own governor.
 #[derive(Debug)]
 pub struct Database {
     kernel: Arc<DbKernel>,
@@ -786,15 +786,8 @@ impl Database {
         chooser: &mut dyn Chooser,
         governor: &Governor,
     ) -> Result<QueryResult, DbError> {
-        self.kernel.run_query(
-            &self.options,
-            src,
-            chooser,
-            governor,
-            ExecMode::Exclusive,
-            None,
-            None,
-        )
+        self.kernel
+            .run_query(&self.options, src, chooser, governor, None, None)
     }
 
     /// The query flight recorder, when one is attached
@@ -1114,8 +1107,9 @@ mod tests {
             assert!(r.runtime_effect.subeffect(&r.static_effect));
             // Only the spec machine counts steps.
             assert_eq!(r.steps > 0, stepped);
-            // The embedded handle bypasses admission entirely.
-            assert_eq!(r.admitted, None);
+            // The embedded handle is admitted like any other: a read
+            // runs against the snapshot of the one committed write.
+            assert_eq!(r.admitted, Some(Admitted::Concurrent { snapshot_seq: 1 }));
         }
     }
 

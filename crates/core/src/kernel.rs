@@ -10,19 +10,15 @@
 //! any number of [`Session`](crate::Session) handles, and the TCP
 //! server ([`crate::server`]) — all at once.
 //!
-//! Queries enter through `DbKernel::run_query` in one of two modes:
-//!
-//! * `ExecMode::Exclusive` — the embedded facade's path: the whole
-//!   pipeline runs under the state write lock against the live store,
-//!   exactly as the monolith did. Zero observable change for existing
-//!   callers; the admission counters do not tick.
-//! * `ExecMode::Admission` — the session path, scheduled by the
-//!   admission controller ([`crate::sched`]): the statement is found
-//!   under the state *read* lock (or, cold, judged outside it), and the
-//!   Theorem 7 verdict on its inferred effect decides whether it runs
-//!   concurrently against a version-stamped snapshot (write-free
-//!   queries) or serializes on the write lock with a named interference
-//!   witness.
+//! Every query enters through `DbKernel::run_query`, whichever handle
+//! sent it, and is scheduled by the admission controller
+//! ([`crate::sched`]): the statement is found under the state *read*
+//! lock (or, cold, judged outside it), and the Theorem 7 verdict on its
+//! inferred effect decides whether it runs concurrently against a
+//! version-stamped snapshot (write-free queries) or serializes on the
+//! write lock with a named interference witness. There is no second
+//! schedule: docs/RULES.md's scheduler row (admission changes no
+//! observable compared with serialized execution) covers every caller.
 //!
 //! ## Once per text: one `Prepared`, one catalogue
 //!
@@ -46,8 +42,7 @@
 //! held**: the request clones the catalogue `Arc` under a brief read
 //! lock, prepares against it, and re-validates the pointer when it
 //! re-locks to be admitted. Only a `define` that slipped in between
-//! makes it prepare again under the lock. (The embedded facade, which
-//! has one caller, prepares under the write lock it holds anyway.)
+//! makes it prepare again under the lock.
 //!
 //! ## Lock discipline
 //!
@@ -129,17 +124,6 @@ pub struct Prepared {
     /// The Theorem 7 verdict admission, the cache, the WAL gate,
     /// `analyze` and `explain` read.
     pub thm7: Thm7,
-}
-
-/// Which path a query takes through the kernel.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ExecMode {
-    /// The embedded facade: state write lock for the whole pipeline,
-    /// live store, no admission stamp.
-    Exclusive,
-    /// The session path: effect-scheduled by the admission controller;
-    /// results carry an [`Admitted`] stamp.
-    Admission,
 }
 
 /// The shared kernel: schema + defs + store + cache + durable log
@@ -407,8 +391,8 @@ impl DbKernel {
     }
 
     /// The statement for `src` under `catalogue`: retained, or judged
-    /// now — for callers that already hold the state lock they will run
-    /// under (the embedded facade; the catalogue-mismatch retry).
+    /// now — for the catalogue-mismatch retries, which already hold the
+    /// state lock they will run under.
     fn statement_in(
         &self,
         opts: &DbOptions,
@@ -500,21 +484,19 @@ impl DbKernel {
     // The query path.
     // ------------------------------------------------------------------
 
-    /// Runs a query end-to-end under the request's one [`Tracer`]: mode
-    /// dispatch, then `elapsed`/`wait` read off the tracer's clock. The
-    /// single entry point for the facade, sessions, and the durable-replay
-    /// path. `trace_id` is the caller's correlation ID (wire clients send
-    /// `trace=ID`), `session` the session label — both stamped into the
-    /// trace record when a recorder is attached, and both ignored
-    /// otherwise.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs a query end-to-end under the request's one [`Tracer`]:
+    /// admission, then `elapsed`/`wait` read off the tracer's clock. The
+    /// single entry point for the facade, sessions, the server and the
+    /// durable-replay path. `trace_id` is the caller's correlation ID
+    /// (wire clients send `trace=ID`), `session` the session label —
+    /// both stamped into the trace record when a recorder is attached,
+    /// and both ignored otherwise.
     pub(crate) fn run_query(
         &self,
         opts: &DbOptions,
         src: &str,
         chooser: &mut dyn Chooser,
         governor: &Governor,
-        mode: ExecMode,
         trace_id: Option<&str>,
         session: Option<&str>,
     ) -> Result<QueryResult, DbError> {
@@ -525,10 +507,7 @@ impl DbKernel {
         // `wait` are observables of every result — and per span only
         // when the registry or a recorder consumes the timing.
         let mut tracer = self.metrics.tracer(src, trace_id, session);
-        let mut result = match mode {
-            ExecMode::Exclusive => self.run_exclusive(opts, src, chooser, governor, &mut tracer),
-            ExecMode::Admission => self.run_admitted(opts, src, chooser, governor, &mut tracer),
-        };
+        let mut result = self.run_admitted(opts, src, chooser, governor, &mut tracer);
         let error = result.as_ref().err().map(|e| e as &dyn std::fmt::Display);
         let (elapsed, wait) = tracer.finish(error, opts.slow_query_ms);
         if let Ok(r) = result.as_mut() {
@@ -536,26 +515,6 @@ impl DbKernel {
             r.wait = wait;
         }
         result
-    }
-
-    /// The embedded facade's path: the whole pipeline under the state
-    /// write lock; the lock acquisition is the request's wait.
-    fn run_exclusive(
-        &self,
-        opts: &DbOptions,
-        src: &str,
-        chooser: &mut dyn Chooser,
-        governor: &Governor,
-        tracer: &mut Tracer,
-    ) -> Result<QueryResult, DbError> {
-        let sp = tracer.begin(Span::LockAcquire, "state-write");
-        let mut state = self.write_state();
-        tracer.end_wait(sp, || None);
-        let key = StatementKey::new(opts, src);
-        let prepared = self.statement_in(opts, key, &state.catalogue, src, tracer)?;
-        let (r, _) =
-            self.execute_in(opts, &mut state, &prepared, chooser, governor, true, tracer)?;
-        Ok(r)
     }
 
     /// The admission-controlled path: find or judge the statement, let
@@ -601,15 +560,8 @@ impl DbKernel {
                     Admitted::Concurrent { snapshot_seq }
                 ))
             });
-            let (mut r, _) = self.execute_in(
-                opts,
-                &mut snapshot,
-                &prepared,
-                chooser,
-                governor,
-                false,
-                tracer,
-            )?;
+            let (mut r, _) =
+                self.execute_in(opts, &mut snapshot, &prepared, chooser, governor, tracer)?;
             r.admitted = Some(Admitted::Concurrent { snapshot_seq });
             Ok(r)
         } else {
@@ -640,7 +592,7 @@ impl DbKernel {
                 prepared = self.statement_in(opts, key, &state.catalogue, src, tracer)?;
             }
             let (mut r, seq) =
-                self.execute_in(opts, &mut state, &prepared, chooser, governor, true, tracer)?;
+                self.execute_in(opts, &mut state, &prepared, chooser, governor, tracer)?;
             // Serialized means not write-free, and such a query takes a
             // commit stamp whenever it succeeds on the live state; a
             // missing stamp is a kernel bug, not commit 0.
@@ -656,13 +608,12 @@ impl DbKernel {
     }
 
     /// The pipeline from prepared query to result, against `state` —
-    /// either the live state (under the caller's write guard,
-    /// `commit=true`) or a reader's snapshot (`commit=false`). Faithful
+    /// the live state under the caller's write guard when the query can
+    /// write, a reader's snapshot when it is write-free. Faithful
     /// to the monolith's ordering: WAL gate → choosers → cache → read
     /// fingerprint → optimize → rollback snapshot → lower → execute →
     /// rollback/ack/insert. Returns the result plus the commit sequence
     /// stamp when a live mutation committed.
-    #[allow(clippy::too_many_arguments)]
     fn execute_in(
         &self,
         opts: &DbOptions,
@@ -670,7 +621,6 @@ impl DbKernel {
         prepared: &Prepared,
         chooser: &mut dyn Chooser,
         governor: &Governor,
-        commit: bool,
         tracer: &mut Tracer,
     ) -> Result<(QueryResult, Option<u64>), DbError> {
         let Prepared {
@@ -684,7 +634,7 @@ impl DbKernel {
         // write-free queries have nothing to persist and skip the log.
         let mutating = !thm7.write_free;
         let wal_active = self.wal_active(opts);
-        let log_this = mutating && wal_active && commit;
+        let log_this = mutating && wal_active;
         if wal_active && !mutating {
             self.metrics.wal_skipped_effect.inc();
         }
@@ -967,10 +917,10 @@ impl DbKernel {
             });
             lock(&self.cache).insert(Arc::clone(key), entry);
         }
-        // A committed live mutation takes the next slot in the kernel's
-        // total write order; the caller still holds the write lock, so
-        // stamps are assigned in exactly commit order.
-        let seq = (commit && mutating).then(|| {
+        // A committed mutation takes the next slot in the kernel's total
+        // write order; the caller still holds the write lock, so stamps
+        // are assigned in exactly commit order.
+        let seq = mutating.then(|| {
             self.metrics.snapshot_chunks_copied.add(
                 state
                     .store

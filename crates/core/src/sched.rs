@@ -2,11 +2,12 @@
 //!
 //! The paper's effect system proves when two computations cannot
 //! interfere (`Effect::interference_witness`, Theorems 7/8). This
-//! module uses that licence **between whole queries from different
-//! sessions**: every query submitted through a
-//! [`Session`](crate::Session) is type-and-effect checked in one pass,
-//! and the Theorem 7 verdict on its effect (`Thm7::snapshot_admissible`)
-//! decides its admission class:
+//! module uses that licence **between whole queries**: every query —
+//! embedded ([`Database`](crate::Database)), session
+//! ([`Session`](crate::Session)) or wire ([`crate::server`]) — is
+//! type-and-effect checked in one pass, and the Theorem 7 verdict on
+//! its effect (`Thm7::snapshot_admissible`) decides its admission
+//! class:
 //!
 //! * **Concurrent** — a write-free query (no `A(C)`, no `U(C)` atom;
 //!   Theorem 7's guard) cannot interfere with any other
@@ -18,8 +19,8 @@
 //!   parallel, never blocking writers and never blocked by them.
 //! * **Serialized** — a query whose effect carries a write atom could
 //!   race a concurrent reader (`R(C)` vs `A(C)`, `Ra(C)` vs `U(C)`).
-//!   Writers therefore take the kernel's exclusive path and serialize
-//!   in arrival order on the state write lock; each commit is assigned
+//!   Writers therefore serialize in arrival order on the state write
+//!   lock and run against the live store; each commit is assigned
 //!   the next commit sequence number. The refusal-to-run-concurrently
 //!   is **explained, not just enforced**: the scheduler names an
 //!   interfering atom pair — against a real in-flight reader when one
@@ -63,9 +64,9 @@ pub struct SchedMetrics {
     pub witnesses: Counter,
 }
 
-/// How the admission controller scheduled a query — stamped onto
-/// [`QueryResult`](crate::QueryResult) for queries run through a
-/// [`Session`](crate::Session) (`None` on the embedded exclusive path).
+/// How the admission controller scheduled a query — stamped onto every
+/// successful [`QueryResult`](crate::QueryResult), whichever handle ran
+/// it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Admitted {
     /// Admitted concurrently against a snapshot that reflects exactly

@@ -342,7 +342,7 @@ fn run_request(
             commit_seq,
             witness,
         }) => (*commit_seq, "serialized", Some(witness.clone())),
-        None => (0, "exclusive", None),
+        None => return Err("internal error: reply without an admission stamp".into()),
     };
     let mut payload = format!("{}\n: {}\n", r.value, r.ty);
     if let Some((a, b)) = witness {

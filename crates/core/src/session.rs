@@ -8,15 +8,16 @@
 //! instead of starving its neighbours (see
 //! [`DbOptions::session_budget`]).
 //!
-//! Unlike the embedded [`Database`](crate::Database) facade, session
-//! queries go through the admission controller ([`crate::sched`]):
-//! write-free queries run concurrently against version-stamped
-//! snapshots, writers serialize with a named interference witness, and
-//! every result carries its [`Admitted`](crate::sched::Admitted) stamp.
+//! Session queries go through the admission controller
+//! ([`crate::sched`]) like every other caller's: write-free queries run
+//! concurrently against version-stamped snapshots, writers serialize
+//! with a named interference witness, and every result carries its
+//! [`Admitted`](crate::sched::Admitted) stamp. What a session adds is
+//! the budget and its own query and trip counters.
 
 use crate::database::{DbOptions, QueryResult};
 use crate::error::DbError;
-use crate::kernel::{DbKernel, ExecMode};
+use crate::kernel::DbKernel;
 use ioql_eval::{Chooser, EvalError, FirstChooser, Governor};
 use std::sync::Arc;
 
@@ -85,9 +86,8 @@ impl Session {
         self.trips
     }
 
-    /// Remaining session budget, when one is set: `(cells spent,
-    /// cell limit)` — the axis quotas most useful for a starvation
-    /// diagnosis.
+    /// Cells spent against the session budget, when one is set — the
+    /// axis most useful for a starvation diagnosis.
     pub fn budget_spent(&self) -> Option<u64> {
         self.budget.as_ref().map(|g| g.cells_spent())
     }
@@ -154,30 +154,18 @@ impl Session {
     ) -> Result<QueryResult, DbError> {
         self.queries += 1;
         let label = Some(self.label.as_str());
-        let result = match &self.budget {
-            Some(governor) => self.kernel.run_query(
-                &self.options,
-                src,
-                chooser,
-                governor,
-                ExecMode::Admission,
-                trace_id,
-                label,
-            ),
+        let fresh;
+        let governor = match &self.budget {
+            Some(budget) => budget,
             None => {
-                let governor = Governor::new(self.options.limits)
+                fresh = Governor::new(self.options.limits)
                     .with_metrics(self.kernel.metrics().governor.clone());
-                self.kernel.run_query(
-                    &self.options,
-                    src,
-                    chooser,
-                    &governor,
-                    ExecMode::Admission,
-                    trace_id,
-                    label,
-                )
+                &fresh
             }
         };
+        let result = self
+            .kernel
+            .run_query(&self.options, src, chooser, governor, trace_id, label);
         if let Err(DbError::Eval(EvalError::ResourceExhausted { .. } | EvalError::Cancelled)) =
             &result
         {

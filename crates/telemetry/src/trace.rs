@@ -406,10 +406,10 @@ impl<'a> Tracer<'a> {
         }
     }
 
-    /// Closes the span that ends the request's wait (admission, or the
-    /// exclusive path's lock acquisition) and stamps the wait off the
-    /// same clock reading — read unconditionally, because
-    /// `QueryResult::wait` is an observable of every request.
+    /// Closes the span that ends the request's wait (`sched-wait`, at
+    /// admission) and stamps the wait off the same clock reading — read
+    /// unconditionally, because `QueryResult::wait` is an observable of
+    /// every request.
     pub fn end_wait(&mut self, token: Option<usize>, verdict: impl FnOnce() -> Option<String>) {
         let now = self.now_ns();
         self.wait_ns = now;

@@ -255,10 +255,18 @@ fn elapsed_covers_the_scheduler_wait() {
         r.elapsed,
         r.wait
     );
-    // The embedded exclusive path reports its lock wait too.
+    // The embedded handle is admitted the same way: its record opens
+    // with the scheduler wait, and that span's close is the result's
+    // `wait`.
     let mut db2 = Database::from_ddl_with(DDL, opts_with(8)).unwrap();
     let r2 = db2.query("size(Persons)").unwrap();
     assert!(r2.elapsed >= r2.wait);
+    let record = db2.traces_last(1).pop().unwrap();
+    let first = &record.spans[0];
+    assert_eq!(first.name, "sched-wait", "spans: {:?}", record.spans);
+    let verdict = first.verdict.as_deref().unwrap_or_default();
+    assert!(verdict.starts_with("admitted: "), "verdict: {verdict}");
+    assert_eq!(r2.wait.as_nanos(), u128::from(record.wait_ns));
 }
 
 #[test]

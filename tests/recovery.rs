@@ -760,17 +760,18 @@ fn durability_off_changes_no_observable() {
     // attached durable directory but durability Off: every observable —
     // values, runtime effects, dumps, metrics (minus the wal/store
     // counters' own families) — must be identical. `Off` is the pre-WAL
-    // behaviour, not a quieter WAL. Duration histograms measure wall
-    // time and are excluded: nondeterministic on any build.
+    // behaviour, not a quieter WAL. A duration histogram's sum and
+    // buckets measure wall time and are excluded — nondeterministic on
+    // any build — but its `_count` is an observation count and stays.
     let strip = |metrics: String| -> String {
         metrics
             .lines()
             .filter(|l| {
+                let series = l.split(['{', ' ']).next().unwrap_or_default();
                 !l.contains("ioql_wal_")
                     && !l.contains("ioql_store_")
-                    && !l.contains("duration_ns")
-                    && !l.contains("dispatch_ns")
-                    && !l.contains("busy_ns")
+                    && !series.ends_with("_ns_sum")
+                    && !series.ends_with("_ns_bucket")
             })
             .collect::<Vec<_>>()
             .join("\n")

@@ -14,8 +14,8 @@
 
 use ioql::store::equiv_stores;
 use ioql::{
-    Admitted, Chooser, Client, Database, DbError, DbOptions, Durability, Engine, EvalError, Limits,
-    Mode,
+    Admitted, Chooser, Client, Database, DbError, DbOptions, Durability, Engine, EvalError,
+    FirstChooser, Governor, Limits, Mode, QueryResult,
 };
 use ioql_testkit::faults::CrashSink;
 use std::path::{Path, PathBuf};
@@ -148,10 +148,73 @@ fn session_queries_carry_admission_stamps() {
     let (commits, inflight, _, witnesses) = db.kernel().sched_snapshot();
     assert_eq!((commits, inflight), (1, 0));
     assert_eq!(witnesses, vec!["(A(Person), R(Person))".to_string()]);
-    // The embedded handle bypasses admission: counters do not move.
+    // The embedded handle is admitted too: a read on the clone (which
+    // shares the registry) ticks the counter and carries its stamp.
     let mut ex = db.clone();
-    ex.query(READS[0]).unwrap();
-    assert_eq!(m.sched.admitted.get(), 1);
+    let r = ex.query(READS[0]).unwrap();
+    assert_eq!(r.admitted, Some(Admitted::Concurrent { snapshot_seq: 0 }));
+    assert_eq!(m.sched.admitted.get(), 2);
+}
+
+/// The embedded handle and a session on one kernel share one schedule:
+/// their writes (and a `define`) form one gapless commit sequence, every
+/// read is stamped with the commits before it, and an embedded write
+/// that trips its governor mid-`new` takes no slot and leaves no trace.
+#[test]
+fn one_stamp_sequence_across_handles() {
+    let mut db = db_with(Engine::Plan);
+    let mut s = db.session("beside");
+    let mut commits = 0;
+    let wrote = |r: QueryResult, commits: &mut u64| {
+        *commits += 1;
+        match r.admitted {
+            Some(Admitted::Serialized { commit_seq, .. }) => assert_eq!(commit_seq, *commits),
+            other => panic!("expected commit {}, got {other:?}", *commits),
+        }
+    };
+    let read = |r: QueryResult, commits: u64| {
+        assert_eq!(
+            r.admitted,
+            Some(Admitted::Concurrent {
+                snapshot_seq: commits
+            })
+        );
+    };
+    wrote(db.query(WRITES[0]).unwrap(), &mut commits);
+    read(s.query(READS[0]).unwrap(), commits);
+    wrote(s.query(WRITES[1]).unwrap(), &mut commits);
+    read(db.query(READS[1]).unwrap(), commits);
+    // A definition is observable state: it takes the next slot.
+    db.define("define young(n: int) as { p | p <- Persons, p.age < n };")
+        .unwrap();
+    commits += 1;
+    assert_eq!(db.kernel().sched_snapshot().0, commits);
+    read(s.query("size(young(22))").unwrap(), commits);
+    wrote(db.query(WRITES[2]).unwrap(), &mut commits);
+    read(db.query("size(young(22))").unwrap(), commits);
+    wrote(s.query(WRITES[3]).unwrap(), &mut commits);
+    read(db.query(READS[2]).unwrap(), commits);
+
+    // A failed embedded write: the governor allows one new object, the
+    // query makes three. No stamp, no commit, nothing left behind.
+    let before = db.dump();
+    let rollbacks = db.metrics().rollbacks.get();
+    let tight = Governor::new(Limits::none().with_max_store_growth(1));
+    let err = db
+        .query_governed(WRITES[0], &mut FirstChooser, &tight)
+        .unwrap_err();
+    assert!(
+        matches!(err, DbError::Eval(EvalError::ResourceExhausted { .. })),
+        "{err}"
+    );
+    assert_eq!(db.kernel().sched_snapshot().0, commits);
+    assert_eq!(db.metrics().rollbacks.get(), rollbacks + 1);
+    assert_eq!(db.dump(), before, "the failed write was not rolled back");
+    // The sequence goes on without a gap, from either handle.
+    read(db.query(READS[0]).unwrap(), commits);
+    wrote(s.query(WRITES[0]).unwrap(), &mut commits);
+    wrote(db.query(WRITES[1]).unwrap(), &mut commits);
+    assert_eq!(db.kernel().sched_snapshot().0, commits);
 }
 
 #[test]
@@ -426,7 +489,7 @@ fn concurrent_clients_equal_serialized_replay() {
         );
 
         // Serialized replay: writers in commit order on a fresh
-        // exclusive database, capturing the value at every prefix.
+        // single-caller database, capturing the value at every prefix.
         let mut replay = Database::from_ddl_with(DDL, opts_with(engine)).unwrap();
         let mut write_values = vec![String::new(); writes.len() + 1];
         let mut prefix_stores = vec![replay.store().clone()];
