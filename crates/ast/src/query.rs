@@ -155,7 +155,7 @@ pub enum Query {
     /// [`IntOp`]: wrapping is the defined semantics, not an artifact —
     /// a partial or saturating aggregate would either break progress or
     /// make the fold order observable, and every engine (small-step,
-    /// big-step, plan interpreter, bytecode VM, constant folding) must
+    /// big-step, plan interpreter, bytecode VM) must
     /// agree bit-for-bit at `i64::MAX`/`i64::MIN` (see
     /// `tests/compile.rs`).
     Sum(Box<Query>),

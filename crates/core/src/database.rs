@@ -1238,9 +1238,9 @@ mod tests {
         assert!(refused.contains("no physical plan"), "{refused}");
         assert!(refused.contains("`new`-free: no"), "{refused}");
         // A root with no operator of its own passes the guard like any
-        // other and is one `Eval` node (of the optimizer's output).
+        // other and is one `Eval` node.
         let scalar = db.explain("1 + 2").unwrap();
-        assert!(scalar.ends_with("\n  Eval  3  (pure operand, interpreted)\n"));
+        assert!(scalar.ends_with("\n  Eval  1 + 2  (pure operand, interpreted)\n"));
         // Aggregate roots lower: one `Aggregate` over the child plan,
         // under the same Thm 7 guard line.
         for (src, root, child) in [

@@ -64,11 +64,13 @@ use crate::error::DbError;
 use crate::sched::{Admitted, Sched};
 use crate::statements::{Statement, StatementCache, StatementKey};
 use ioql_ast::{DefName, Definition, FnType, Query, Type, Value};
-use ioql_effects::{effect_extents, Discipline, Effect, EffectRules, MethodEffects, Thm7};
+use ioql_effects::{
+    effect_extents, Discipline, Effect, EffectEnv, EffectRules, MethodEffects, Thm7,
+};
 use ioql_eval::{
     eval_big, evaluate, Chooser, CountingChooser, DefEnv, EvalConfig, Governor, RecordingChooser,
 };
-use ioql_opt::{AppliedRewrite, OptOptions, Optimizer, Stats};
+use ioql_opt::{AppliedRewrite, Optimizer, Stats};
 use ioql_schema::Schema;
 use ioql_store::{Durability, Store, WalPayload};
 use ioql_syntax::parse_definitions;
@@ -87,13 +89,13 @@ pub(crate) struct Catalogue {
     /// `DE`: the elaborated bodies by name — the only copy, shared by
     /// pointer with every catalogue derived from this one.
     pub(crate) env: DefEnv,
-    /// `D`: annotated function types `σ⃗ →ε σ'`, for the front end.
+    /// `D`: annotated function types `σ⃗ →ε σ'`, for the front end and
+    /// the optimizer.
     pub(crate) sigs: BTreeMap<DefName, (FnType, Effect)>,
 }
 
 impl Catalogue {
-    /// The definitions in registration order: what checkpoints re-log
-    /// and the optimizer brings into scope.
+    /// The definitions in registration order: what checkpoints re-log.
     pub(crate) fn ordered(&self) -> impl Iterator<Item = &Definition> {
         self.order.iter().filter_map(|d| self.env.get(d))
     }
@@ -448,9 +450,12 @@ impl DbKernel {
         state: &KernelState,
         elab: &Query,
     ) -> (Query, Vec<AppliedRewrite>) {
-        let stats = DbKernel::stats_in(&state.store);
-        let mut optimizer = Optimizer::new(&self.schema, stats, OptOptions::default());
-        let optimized = optimizer.optimize_in_scope(state.catalogue.ordered(), elab);
+        // `D` is the catalogue's: signatures inferred once, at `define`
+        // time, with the method table's latent effects.
+        let mut env = EffectEnv::new(&self.schema).with_method_effects(self.method_effects.clone());
+        env.defs = state.catalogue.sigs.clone();
+        let mut optimizer = Optimizer::new(DbKernel::stats_in(&state.store));
+        let optimized = optimizer.optimize_query(&env, elab);
         (optimized, optimizer.applied().to_vec())
     }
 

@@ -1,9 +1,11 @@
 //! A simple cardinality-based cost model.
 //!
-//! The optimizer orders commutative operands and decides which predicates
-//! to promote using estimated cardinalities seeded from extent
-//! statistics — the moral equivalent of a System-R-style catalogue, at
-//! the scale this semantics engine needs.
+//! The optimizer orders commutative operands (`commute-by-cost`), and the
+//! plan lowering chooses between an index probe and a filter, using
+//! estimated cardinalities seeded from extent statistics — the moral
+//! equivalent of a System-R-style catalogue, at the scale this semantics
+//! engine needs. Predicate promotion uses no cost: it fires wherever its
+//! guard allows.
 
 use ioql_ast::{ExtentName, Qualifier, Query};
 use std::collections::BTreeMap;

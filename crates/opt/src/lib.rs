@@ -7,26 +7,25 @@
 //! components of the commutative binary set operators do not interfere,
 //! then it is safe to commute their order." — paper §4.
 //!
-//! Every rewrite in this crate carries an explicit *safety guard* built
-//! from the Figure 3 effect inference:
+//! The crate has two rewrites, each with an explicit *safety guard* built
+//! from the Figure 3 effect inference, over `D` = the signatures of the
+//! definitions in scope (the catalogue's, computed at `define` time):
 //!
-//! | rewrite | guard |
-//! |---|---|
-//! | constant folding | operands are literals (pure by Lemma 2.1) |
-//! | commute `∪`/`∩` by cost | operand effects pairwise non-interfering (Theorem 8) |
-//! | predicate promotion in comprehensions | moved/crossed parts effect-safe and divergence-free |
-//! | `false`-predicate collapse | skipped suffix performs no adds/updates, no method calls |
-//! | `if` with identical branches | condition pure and divergence-free |
-//! | definition inlining | value/variable args, or pure single-use args |
+//! | rewrite | why it is kept | guard |
+//! |---|---|---|
+//! | `commute-by-cost`: cheaper operand of `∪`/`∩` first | reproduces Theorem 8 | operand effects non-interfering |
+//! | `promote-predicates`: a predicate moves ahead of generators it does not depend on | the benchmark's late-filter join answers only with it | moved and crossed parts read-only and free of invocations, casts and definition calls |
 //!
-//! Divergence is tracked separately from effects: a method invocation may
-//! fail to terminate even with effect ∅ (the paper's §1 `loop()`
-//! example), so any rewrite that *reduces the number of evaluations* of a
-//! subquery additionally requires that subquery to be invocation-free.
+//! Divergence and stuckness are tracked separately from effects: a method
+//! invocation may fail to terminate even with effect ∅ (the paper's §1
+//! `loop()` example), and a downcast may get stuck, so a rewrite that
+//! *changes the number of evaluations* of a subquery additionally
+//! requires that subquery to contain neither — nor a definition call,
+//! whose body the optimizer does not see.
 //!
 //! The optimizer's soundness is tested by exhaustive outcome comparison
-//! (all reduction orders, equivalence modulo oid bijection) in the
-//! workspace integration tests.
+//! (all reduction orders, equivalence modulo oid bijection), rule by rule,
+//! in `tests/optimizer_soundness.rs`.
 
 #![forbid(unsafe_code)]
 // Error enums carry rendered context (names, types, positions) by value;

@@ -356,8 +356,7 @@ fn sum_wraps_identically_at_integer_boundaries() {
                 "{src} on the plan executor (compile: {compile})"
             );
         }
-        // And end to end, where production's optimizer folds the
-        // constant `sum`s before any executor sees them.
+        // And end to end, through production's optimizer and lowering.
         for engine in [Engine::SmallStep, Engine::Plan] {
             let opts = DbOptions {
                 engine,

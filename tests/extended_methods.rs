@@ -2,7 +2,7 @@
 //! update the database, with the `(Method)` rule threading `EE`/`OE`
 //! through the call.
 
-use ioql::{Database, DbOptions, Mode, Value};
+use ioql::{Database, DbOptions, Engine, Mode, Value};
 use ioql_eval::{DefEnv, EvalConfig, RandomChooser};
 use ioql_testkit::oracles::{effect_soundness_holds, progress_and_preservation_hold};
 use ioql_types::{check_query, TypeEnv};
@@ -142,6 +142,50 @@ fn soundness_oracles_hold_in_extended_mode() {
             effect_soundness_holds(&eenv, &cfg, &defs, &store, &elab, &mut ch2, 50_000)
                 .unwrap_or_else(|e| panic!("{src}: {e}"));
         }
+    }
+}
+
+/// A definition that creates through a method has the method's `A(C)`
+/// as its latent effect, so the optimizer must not hoist a predicate
+/// calling it ahead of a generator: each `(c, d)` pair spawns once. The
+/// inner generator is re-drawn per `c` and sees the first `c`'s spawns,
+/// so 2 counters become 2 + 2 + 4 = 8.
+#[test]
+fn a_definition_that_creates_through_a_method_is_never_hoisted() {
+    let mut counts = Vec::new();
+    for engine in [Engine::SmallStep, Engine::Plan] {
+        let mut db = db();
+        db.set_options(DbOptions {
+            engine,
+            ..db.options()
+        });
+        db.define("define sp2(c: Counter, k: int) as c.spawn(k);")
+            .unwrap();
+        db.query("size({ c.n | c <- Counters, d <- Counters, sp2(c, size(Counters)) = 1 })")
+            .unwrap();
+        counts.push(db.query("size(Counters)").unwrap().value);
+    }
+    assert_eq!(counts, [Value::Int(8), Value::Int(8)], "[spec, production]");
+}
+
+/// The optimizer reads the method table too: `spawn`'s `A(Counter)`
+/// interferes with `size(Counters)`, so the cheaper operand may not go
+/// first. As written, the two spawns happen before the count.
+#[test]
+fn a_method_that_creates_is_never_commuted() {
+    let src = "{ c.spawn(1) | c <- Counters } union { size(Counters) }";
+    for engine in [Engine::SmallStep, Engine::Plan] {
+        let mut db = db();
+        db.set_options(DbOptions {
+            engine,
+            ..db.options()
+        });
+        let r = db.query(src).unwrap();
+        assert_eq!(
+            r.value,
+            Value::set([Value::Int(1), Value::Int(4)]),
+            "{engine:?}"
+        );
     }
 }
 

@@ -1117,7 +1117,7 @@ fn a_write_between_two_executions_reaches_the_probe() {
 /// probe; a closed equality drained once keeps its compiled filter.
 #[test]
 fn the_probe_is_chosen_where_an_extent_is_drained_repeatedly() {
-    use ioql_opt::{OptOptions, Optimizer};
+    use ioql_opt::Optimizer;
     const DDL: &str = "
         class Person extends Object (extent Persons) {
             attribute int name;
@@ -1146,8 +1146,8 @@ fn the_probe_is_chosen_where_an_extent_is_drained_repeatedly() {
         ),
     ] {
         let prepared = db.prepare(src).unwrap();
-        let optimized = Optimizer::new(db.schema(), stats.clone(), OptOptions::default())
-            .optimize_in_scope([], &prepared.elab);
+        let optimized = Optimizer::new(stats.clone())
+            .optimize_query(&EffectEnv::new(db.schema()), &prepared.elab);
         let plan = lower_with(&optimized, &prepared.effect, &DefEnv::new(), &stats, &spec)
             .unwrap()
             .render();

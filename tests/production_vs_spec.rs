@@ -15,8 +15,8 @@
 //!
 //! What they do **not** owe each other: `steps`, cell charges, chooser
 //! draws, and the point at which fuel or a governor budget trips. The
-//! optimizer sits between the two — it reorders qualifiers, unnests
-//! generators and folds constants, so production asks a *different*
+//! optimizer sits between the two — it reorders qualifiers and set
+//! operands, so production asks a *different*
 //! query text for its draws and pays for different rows; under one
 //! chooser the two may even land on different members of the outcome
 //! set. Those meters are byte-identical across executors on *one* text,
@@ -25,12 +25,14 @@
 //! small), `tests/compile.rs` (VM ≡ interpreted plan).
 //!
 //! The hand-written corpus, not the generator, is the regression guard
-//! for the optimizer's variable-capture bugs (DESIGN.md §5): the
-//! generator never reuses a binder name.
+//! for the variable-capture bugs the optimizer had while it still
+//! unnested and inlined (DESIGN.md §5): the generator never reuses a
+//! binder name.
 
 #![allow(clippy::result_large_err)]
 
 use ioql::store::{equiv_outcomes, Outcome, Store};
+use ioql::types::TypeOptions;
 use ioql::{
     Chooser, Database, DbOptions, Engine, FirstChooser, LastChooser, Mode, RandomChooser, Value,
 };
@@ -179,9 +181,9 @@ fn corpus_store() -> (Schema, Store) {
 }
 
 const CORPUS: &[&str] = &[
-    // The two capture shapes: an unnested head landing under the part's
-    // own `p <- Persons`, and a variable argument inlined under the
-    // definition body's.
+    // The two capture shapes, kept as regressions: an unnested head
+    // landing under the part's own `p <- Persons`, and a variable
+    // argument inlined under the definition body's.
     "group n in { p.age | p <- Persons } by n",
     "{ struct(a: p.age, n: size(older(p))) | p <- Persons }",
     "{ struct(k: g.key, total: sum(g.part)) | g <- group n in { p.age | p <- Persons } by n }",
@@ -193,7 +195,7 @@ const CORPUS: &[&str] = &[
     "forall e in Employees : exists p in Persons : p.age = e.age",
     "select struct(who: p.name, old: 32 <= p.age) from p in Persons where p.name < 3",
     // A definition called with literals (the plan inlines it), with a
-    // variable (the optimizer may), with a computed argument.
+    // variable, with a computed argument.
     "aged(31, 33)",
     "{ size(older(e)) | e <- Employees }",
     "aged(size(Employees) + 30, 40)",
@@ -296,6 +298,50 @@ fn the_optimizer_no_longer_captures_variables() {
     );
     let older = production.query(CORPUS[1]).unwrap().value.to_string();
     assert_eq!(older, "{<a: 31, n: 2>, <a: 32, n: 1>, <a: 33, n: 0>}");
+}
+
+/// Under `allow_downcast` a cast can get stuck, so promotion moves no
+/// predicate that casts or calls a definition, and crosses no generator
+/// that does: either move changes whether the one plain `Person` meets
+/// the cast.
+#[test]
+fn a_cast_is_never_hoisted_past_a_generator() {
+    let open = |engine| {
+        let opts = DbOptions {
+            type_options: TypeOptions {
+                allow_downcast: true,
+            },
+            ..configuration(engine)
+        };
+        let mut db = Database::from_ddl_with(DDL, opts).unwrap();
+        db.query("{ new Person(name: 1, age: 30) | n <- {1} }")
+            .unwrap();
+        db.define("define deptOf(p: Person) as ((Employee) p).dept;")
+            .unwrap();
+        db
+    };
+    // The value, or `None` where the run is stuck.
+    let run = |engine, src| open(engine).query(src).ok().map(|r| r.value);
+    for (src, want) in [
+        // Hoisted ahead of the empty `Employees`, the cast met the Person.
+        (
+            "{ p.name | p <- Persons, e <- Employees, ((Employee) p).dept = 1 }",
+            Some(Value::set([])),
+        ),
+        // Hoisted past the cast, `false` skipped the Person it sticks on.
+        (
+            "{ p.name | p <- Persons, e <- { (Employee) p }, false }",
+            None,
+        ),
+        // The cast inside a definition body is out of the optimizer's sight.
+        (
+            "{ p.name | p <- Persons, e <- Employees, deptOf(p) = 1 }",
+            Some(Value::set([])),
+        ),
+    ] {
+        assert_eq!(run(Engine::SmallStep, src), want, "{src}: spec");
+        assert_eq!(run(Engine::Plan, src), want, "{src}: production");
+    }
 }
 
 #[test]
