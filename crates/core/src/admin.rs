@@ -5,7 +5,6 @@
 //! and answer in text. They are interpreted here, once: the REPL prints
 //! the text, the server frames it.
 
-use crate::database::DbOptions;
 use crate::kernel::DbKernel;
 use ioql_telemetry::Span;
 
@@ -16,23 +15,21 @@ impl DbKernel {
     /// Runs `line` if it is one of the shared admin commands; `None`
     /// means it is not (a query, a `define`, or a front-end command).
     /// A command answers `(tag, text)`: a one-word tag (the wire status
-    /// is `ok <tag>`) and the text both front ends show. `opts` is the
-    /// asking handle's options — the WAL commands report and apply its
-    /// durability mode.
-    pub fn admin(&self, opts: &DbOptions, line: &str) -> Option<Result<(String, String), String>> {
+    /// is `ok <tag>`) and the text both front ends show.
+    pub fn admin(&self, line: &str) -> Option<Result<(String, String), String>> {
         let reply = |tag: &str, text: String| Some(Ok((tag.to_string(), text)));
         match line {
             ":stats" => reply("stats", self.stats()),
             ":metrics" => reply("metrics", self.metrics().registry().render_prometheus()),
             ":wal status" => reply(
                 "wal",
-                match self.wal_status(opts.durability) {
+                match self.wal_status() {
                     Some(status) => format!("{status}\n"),
                     None => "wal: off (start with --durable <dir> to enable)\n".into(),
                 },
             ),
             ":checkpoint" => Some(
-                self.checkpoint(opts.durability)
+                self.checkpoint()
                     .map(|()| ("checkpointed".to_string(), String::new()))
                     .map_err(|e| e.to_string()),
             ),

@@ -154,6 +154,10 @@ fn main() {
     if extended {
         opts.method_mode = Mode::Extended;
     }
+    if durable.is_some() {
+        // Per-commit fsync: every acknowledged mutation survives kill -9.
+        opts.durability = ioql::Durability::Commit;
+    }
     let ddl = match &ddl_path {
         Some(p) => match std::fs::read_to_string(p) {
             Ok(s) => s,
@@ -172,8 +176,6 @@ fn main() {
         }
     };
     if let Some(dir) = durable {
-        // Per-commit fsync: every acknowledged mutation survives kill -9.
-        db.set_durability(ioql::Durability::Commit);
         match db.attach_durable(std::path::Path::new(&dir)) {
             Ok(report) => println!("durable: {report}"),
             Err(e) => {
@@ -249,7 +251,7 @@ fn main() {
 fn run_line(db: &mut Database, line: &str) -> Result<(), Box<dyn Error>> {
     // The commands shared with the wire protocol: the kernel interprets
     // them, the shell prints the text (or, for a silent one, its tag).
-    if let Some(reply) = db.kernel().admin(&db.options(), line) {
+    if let Some(reply) = db.kernel().admin(line) {
         let (tag, text) = reply?;
         if text.is_empty() {
             println!("{tag}.");

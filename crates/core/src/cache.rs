@@ -91,7 +91,7 @@ impl<R> Probe<R> {
 ///
 /// Stale entries are evicted lazily by the probe that finds them; FIFO
 /// order bounds residency when many distinct keys flow through.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Fifo<K, V> {
     /// Each entry with the ticket it was inserted under.
     map: HashMap<K, (u64, V)>,
@@ -134,10 +134,6 @@ impl<K: Clone + Eq + Hash, V> Fifo<K, V> {
         self.m_misses = misses;
         self.m_evictions = evictions;
         self
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     fn evicted(&mut self) {

@@ -13,9 +13,8 @@
 
 use crate::analysis::{collect_commutations, Analysis};
 use crate::cache::CacheStats;
-use crate::cache::QueryCache;
 use crate::error::DbError;
-use crate::kernel::{Catalogue, DbKernel, KernelState, Prepared};
+use crate::kernel::{DbKernel, KernelState, Prepared};
 use crate::sched::{Admitted, SchedMetrics};
 use crate::session::Session;
 use ioql_ast::{Definition, Query, Type, Value};
@@ -23,7 +22,7 @@ use ioql_effects::{Discipline, Effect, EffectError, Thm7};
 use ioql_eval::{
     Chooser, EvalMetrics, Exploration, FirstChooser, Governor, GovernorMetrics, Limits,
 };
-use ioql_methods::{check_schema_methods, effect_table, Mode};
+use ioql_methods::Mode;
 use ioql_opt::AppliedRewrite;
 use ioql_schema::Schema;
 use ioql_store::{Durability, Store};
@@ -64,11 +63,22 @@ pub enum Engine {
 }
 
 /// Pipeline configuration.
+///
+/// Each handle holds its own copy, and most fields are read by every
+/// request it sends. A few configure what the handle's requests share
+/// and are read once: at construction ([`DbOptions::method_mode`],
+/// [`DbOptions::telemetry`], [`DbOptions::telemetry_jsonl`],
+/// [`DbOptions::trace_capacity`]), at attach
+/// ([`DbOptions::durability`]), and at session creation
+/// ([`DbOptions::session_budget`]). `set_options` changes only the
+/// fields a request reads.
 #[derive(Clone, Debug)]
 pub struct DbOptions {
     /// Figure 1 options (downcast flag).
     pub type_options: TypeOptions,
-    /// Method design point: read-only (§3) or extended (§5).
+    /// Method design point: read-only (§3) or extended (§5). Read once,
+    /// at construction: the schema's methods are checked under it, and
+    /// the kernel runs them under it for every handle.
     pub method_mode: Mode,
     /// Fuel per method invocation.
     pub method_fuel: u64,
@@ -100,7 +110,8 @@ pub struct DbOptions {
     /// keep, so `0` turns both off.
     pub cache_capacity: usize,
     /// Enable the telemetry registry: cache/governor/engine counters,
-    /// per-span lifecycle histograms, `:metrics` exposition. Off by
+    /// per-span lifecycle histograms, `:metrics` exposition. Read once,
+    /// at construction. Off by
     /// default; when off every handle is a no-op and (unless
     /// [`DbOptions::trace_capacity`] asks for span trees) no span reads
     /// a clock.
@@ -108,7 +119,8 @@ pub struct DbOptions {
     /// recorded feeds back into evaluation (see `tests/telemetry.rs`).
     pub telemetry: bool,
     /// Write structured JSONL events (query span begin/end + counter
-    /// snapshots) to this path. Implies nothing about `telemetry`; the
+    /// snapshots) to this path; the sink is opened once, at
+    /// construction. Implies nothing about `telemetry`; the
     /// counter snapshots are only non-zero when it is on.
     pub telemetry_jsonl: Option<std::path::PathBuf>,
     /// Ignored. This sized the plan engine's worker pool, which is
@@ -129,9 +141,10 @@ pub struct DbOptions {
     /// executor — values, stores, effect traces, governor meters, chooser
     /// draw totals and stuck messages are byte-identical.
     pub compile: bool,
-    /// Write-ahead-log fsync policy for committed mutating queries, in
-    /// force once a durable directory is attached
-    /// ([`Database::attach_durable`]): `Off` (default) logs nothing and
+    /// Write-ahead-log fsync policy for committed mutating queries. Read
+    /// once, by [`Database::attach_durable`]: it becomes the attached
+    /// log's policy, under which every handle on the kernel logs, and a
+    /// handle's later options do not change it. `Off` (default) logs nothing and
     /// changes **no observable** — values, stores, effects, meters are
     /// byte-identical to a database with no durability subsystem;
     /// `Commit` fsyncs each commit's record before acknowledging it;
@@ -140,7 +153,8 @@ pub struct DbOptions {
     /// the log entirely under every mode — the effect system proves
     /// they have nothing to persist.
     pub durability: Durability,
-    /// Cumulative resource budget for one [`Session`]: when set, every
+    /// Cumulative resource budget for one [`Session`], read once, when
+    /// the session is created: when set, every
     /// session built from these options meters **all** of its queries
     /// against a single long-lived [`Governor`] constructed from these
     /// limits, so one greedy client exhausts its own budget instead of
@@ -150,7 +164,8 @@ pub struct DbOptions {
     /// governor trip counters. The embedded [`Database`] handle ignores
     /// this field.
     pub session_budget: Option<Limits>,
-    /// Capacity of the query flight recorder's in-memory ring: when
+    /// Capacity of the query flight recorder's in-memory ring, read
+    /// once, at construction: when
     /// non-zero, every query run through the kernel captures a structured
     /// [`TraceRecord`] — a span tree over
     /// parse → typecheck → optimize → lower → execute
@@ -287,7 +302,7 @@ pub struct DbMetrics {
 }
 
 impl DbMetrics {
-    fn new(options: &DbOptions) -> Result<DbMetrics, DbError> {
+    pub(crate) fn new(options: &DbOptions) -> Result<DbMetrics, DbError> {
         let registry = Arc::new(MetricsRegistry::new(options.telemetry));
         let sink = match &options.telemetry_jsonl {
             Some(path) => Some(Arc::new(
@@ -564,32 +579,6 @@ pub struct Database {
     options: DbOptions,
 }
 
-impl Clone for Database {
-    /// Clones the database **state**: the clone gets its own kernel with
-    /// an independent copy of the store, definitions, and cache, while
-    /// *sharing* the original's telemetry registry, JSONL sink, and
-    /// durable log — exactly the pre-split semantics (clones append to
-    /// one log and one sink, but mutate their own stores). To share
-    /// *live* state instead, hand out [`Database::session`] handles or
-    /// clone the [`Database::kernel`] `Arc`.
-    fn clone(&self) -> Database {
-        let k = &*self.kernel;
-        let state = k.read_state().clone();
-        let cache = k.cache.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        Database {
-            kernel: Arc::new(DbKernel::new(
-                k.schema.clone(),
-                k.method_effects.clone(),
-                state,
-                cache,
-                k.metrics.clone(),
-                k.durable_handle(),
-            )),
-            options: self.options.clone(),
-        }
-    }
-}
-
 impl Database {
     /// Builds a database from ODL text with default options.
     pub fn from_ddl(ddl: &str) -> Result<Database, DbError> {
@@ -605,31 +594,8 @@ impl Database {
 
     /// Builds a database from a validated schema.
     pub fn from_schema(schema: Schema, options: DbOptions) -> Result<Database, DbError> {
-        check_schema_methods(&schema, options.method_mode)?;
-        let method_effects = effect_table(&schema);
-        let mut store = Store::new();
-        for (e, c) in schema.extents() {
-            store.declare_extent(e.clone(), c.clone());
-        }
-        let metrics = DbMetrics::new(&options)?;
-        let cache = QueryCache::new(options.cache_capacity).with_metrics(
-            metrics.cache_hits.clone(),
-            metrics.cache_misses.clone(),
-            metrics.cache_evictions.clone(),
-        );
-        let state = KernelState {
-            store,
-            catalogue: Arc::new(Catalogue::default()),
-        };
         Ok(Database {
-            kernel: Arc::new(DbKernel::new(
-                schema,
-                method_effects,
-                state,
-                cache,
-                metrics,
-                None,
-            )),
+            kernel: Arc::new(DbKernel::new(schema, &options)?),
             options,
         })
     }
@@ -673,18 +639,12 @@ impl Database {
     }
 
     /// Replaces the options wholesale; takes effect on the next query.
-    /// (Recovery uses this to replay logged queries with the optimizer
-    /// and limits off, then restores the caller's options.) Options are
-    /// per-handle: sessions and other handles on the same kernel keep
-    /// their own.
+    /// Only the fields a request reads change anything: what the kernel
+    /// fixed at construction, and the durability policy a log was
+    /// attached under, stay as they were. Options are per-handle:
+    /// sessions and other handles on the same kernel keep their own.
     pub fn set_options(&mut self, options: DbOptions) {
         self.options = options;
-    }
-
-    /// Sets the WAL fsync policy (see [`DbOptions::durability`]); takes
-    /// effect on the next committed mutating query.
-    pub fn set_durability(&mut self, durability: Durability) {
-        self.options.durability = durability;
     }
 
     /// The registered definitions, in registration order.
@@ -695,19 +655,6 @@ impl Database {
             .ordered()
             .cloned()
             .collect()
-    }
-
-    pub(crate) fn durable_handle(
-        &self,
-    ) -> Option<Arc<std::sync::Mutex<crate::durable::DurableLog>>> {
-        self.kernel.durable_handle()
-    }
-
-    pub(crate) fn set_durable_handle(
-        &mut self,
-        handle: Arc<std::sync::Mutex<crate::durable::DurableLog>>,
-    ) {
-        self.kernel.set_durable_handle(handle);
     }
 
     /// The telemetry handles (registry, counters, histograms).
@@ -888,13 +835,14 @@ impl Database {
         let Prepared {
             mut elab,
             effect,
-            mut thm7,
+            thm7,
             ..
         } = prepared;
         if self.options.optimize {
+            // Both rewrites only reorder: the verdict on the text as
+            // prepared is the verdict on its rewrite
+            // (`tests/optimizer_soundness.rs`).
             elab = Arc::new(self.kernel.optimize_in(state, &elab).0);
-            // The lowering judges the query it is handed; so does this.
-            thm7 = Thm7::decide(&elab, &effect, |d| state.catalogue.env.get(d));
         }
         self.kernel
             .lower_in(&self.options, state, &elab, &effect)
@@ -1008,7 +956,7 @@ impl Database {
             let mut state = self.kernel.write_state();
             std::mem::replace(&mut state.store, loaded)
         };
-        if self.durable_handle().is_some() {
+        if self.kernel.durable.get().is_some() {
             if let Err(e) = self.checkpoint() {
                 self.kernel.write_state().store = prev;
                 return Err(e);
@@ -1277,25 +1225,5 @@ mod tests {
             db.query("{ p.ghost | p <- Persons }"),
             Err(DbError::Type(_))
         ));
-    }
-
-    #[test]
-    fn clone_is_state_deep_and_plumbing_shallow() {
-        let mut a = db();
-        let mut b = a.clone();
-        b.query("{ new Person(name: 9, age: 9) | n <- {1} }")
-            .unwrap();
-        // The clone mutated its own store only…
-        assert_eq!(a.extent_len("Persons"), 3);
-        assert_eq!(b.extent_len("Persons"), 4);
-        // …while the telemetry registry is shared (same Arc).
-        assert!(
-            Arc::ptr_eq(
-                &Arc::new(a.metrics().registry().render_prometheus()),
-                &Arc::new(b.metrics().registry().render_prometheus())
-            ) || a.metrics().registry().render_prometheus()
-                == b.metrics().registry().render_prometheus()
-        );
-        let _ = a.query("size(Persons)").unwrap();
     }
 }

@@ -11,10 +11,13 @@
 //!   committed queries through a `ScriptedChooser` built from each
 //!   record's recorded draw trace. A torn final record is dropped and
 //!   counted; mid-log corruption aborts the attach with a line-accurate
-//!   diagnostic. After recovery the log is reopened and subsequent
-//!   committed mutations append to it.
+//!   diagnostic. After recovery the log is reopened and set, with the
+//!   attaching handle's fsync policy, into the kernel's durable slot —
+//!   once: every committed mutation on the kernel, whichever handle sent
+//!   it, appends to it under that policy.
 //! * **Checkpoint** ([`Database::checkpoint`]) — fold the log into a
-//!   fresh baseline. The procedure is crash-safe by ordering alone:
+//!   fresh baseline, re-opened under the log's own policy. The
+//!   procedure is crash-safe by ordering alone:
 //!   write the next generation's log (header + re-logged definitions)
 //!   first, then atomically rename the new checkpoint into place — the
 //!   rename is the commit point — then clean up the old generation. A
@@ -36,12 +39,14 @@
 //! committed queries, and that prefix contains every commit whose
 //! acknowledgement had `fsync` behind it.
 
-use crate::database::Database;
+use crate::database::{Database, DbOptions};
 use crate::error::DbError;
-use crate::kernel::DbKernel;
-use ioql_eval::ScriptedChooser;
-use ioql_store::wal::{checkpoint_path, parse_wal, scan_generations, wal_path, Wal, WalSink};
-use ioql_store::{Durability, Store, WalError, WalErrorKind, WalPayload};
+use crate::kernel::{lock, DbKernel};
+use ioql_eval::{Governor, Limits, ScriptedChooser};
+use ioql_store::wal::{
+    checkpoint_path, parse_wal, scan_generations, wal_path, AppendAck, Wal, WalSink,
+};
+use ioql_store::{Durability, WalError, WalErrorKind, WalPayload};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -52,8 +57,15 @@ use std::sync::{Arc, Mutex};
 /// factory must be reusable.
 pub type SinkFactory = Arc<dyn Fn(&Path) -> std::io::Result<Box<dyn WalSink>> + Send + Sync>;
 
-/// The durable state shared by a database and its clones: the open log,
-/// its directory, and the poison flag.
+/// The attached log and the fsync policy it was attached under: the
+/// kernel's durable slot, set once by [`Database::attach_durable_with`].
+/// Every handle on the kernel logs through it under that policy.
+pub(crate) struct Durable {
+    pub(crate) policy: Durability,
+    pub(crate) log: Mutex<DurableLog>,
+}
+
+/// The open log, its directory, and the poison flag.
 pub struct DurableLog {
     dir: PathBuf,
     wal: Wal,
@@ -107,15 +119,6 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
-/// What a successful WAL append did on disk: whether this append
-/// carried an fsync, and how many pending records that sync covered.
-/// Feeds the flight recorder's `wal-append` span verdict.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct WalAppendAck {
-    pub(crate) synced: bool,
-    pub(crate) grouped: u64,
-}
-
 /// A snapshot of the durable log's state — the REPL's `:wal status`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WalStatus {
@@ -166,7 +169,9 @@ impl Database {
     /// Attaches a durable directory with the production file sink:
     /// recovers its state (replacing this database's in-memory store and
     /// registering the log's definitions), then logs every subsequently
-    /// committed mutating query per [`crate::DbOptions::durability`].
+    /// committed mutating query, whichever handle on the kernel sent it,
+    /// under this handle's [`crate::DbOptions::durability`] — read here,
+    /// once, and fixed for the log's lifetime.
     ///
     /// Attach to a *freshly constructed* database: recovery replaces the
     /// store wholesale and re-registers logged definitions (a name that
@@ -191,7 +196,7 @@ impl Database {
         dir: &Path,
         factory: SinkFactory,
     ) -> Result<RecoveryReport, DbError> {
-        if self.durable_handle().is_some() {
+        if self.kernel().durable.get().is_some() {
             return Err(io_wal("a durable directory is already attached").into());
         }
         std::fs::create_dir_all(dir)
@@ -209,10 +214,7 @@ impl Database {
             // rename was atomic, so a crash cannot leave it half-written.
             self.load_from(&ckpt)?;
         } else {
-            let mut fresh = Store::new();
-            for (e, c) in self.schema().extents() {
-                fresh.declare_extent(e.clone(), c.clone());
-            }
+            let mut fresh = DbKernel::empty_store(self.schema());
             fresh.bump_versions_from(&self.store());
             *self.store_mut() = fresh;
         }
@@ -283,18 +285,21 @@ impl Database {
 
         // 5. Go live: open the log for appending through the factory.
         let sink = factory(&log).map_err(|e| io_wal(format!("open {}: {e}", log.display())))?;
-        let wal = Wal::open_with_sink(
-            sink,
-            gen,
-            parsed.records.len() as u64 + 1,
-            self.options().durability,
-        );
-        self.set_durable_handle(Arc::new(Mutex::new(DurableLog {
-            dir: dir.to_path_buf(),
-            wal,
-            poisoned: false,
-            factory,
-        })));
+        let policy = self.options().durability;
+        let wal = Wal::open_with_sink(sink, gen, parsed.records.len() as u64 + 1, policy);
+        let durable = Durable {
+            policy,
+            log: Mutex::new(DurableLog {
+                dir: dir.to_path_buf(),
+                wal,
+                poisoned: false,
+                factory,
+            }),
+        };
+        self.kernel()
+            .durable
+            .set(durable)
+            .map_err(|_| io_wal("a durable directory is already attached"))?;
         Ok(RecoveryReport {
             generation: gen,
             checkpoint_loaded,
@@ -309,32 +314,31 @@ impl Database {
     /// written from the in-memory store, so the suspect tail is
     /// discarded and logging resumes clean.
     pub fn checkpoint(&mut self) -> Result<(), DbError> {
-        let durability = self.options().durability;
-        self.kernel().checkpoint(durability)
+        self.kernel().checkpoint()
     }
 
     /// The durable log's current state, or `None` when no directory is
     /// attached.
     pub fn wal_status(&self) -> Option<WalStatus> {
-        let durability = self.options().durability;
-        self.kernel().wal_status(durability)
+        self.kernel().wal_status()
     }
 
     /// Replays one logged query: the elaborated text under a
     /// `ScriptedChooser` over the recorded draws, with the optimizer off
     /// (the text is already post-optimization), no resource limits, and
     /// the permissive discipline — the run was legal when it committed.
-    fn replay_logged_query(&mut self, text: &str, draws: &[usize]) -> Result<(), DbError> {
-        let saved = self.options();
-        let mut replay_opts = saved.clone();
-        replay_opts.optimize = false;
-        replay_opts.require_deterministic = false;
-        replay_opts.limits = ioql_eval::Limits::none();
-        self.set_options(replay_opts);
+    fn replay_logged_query(&self, text: &str, draws: &[usize]) -> Result<(), DbError> {
+        let replay = DbOptions {
+            optimize: false,
+            require_deterministic: false,
+            limits: Limits::none(),
+            ..self.options()
+        };
+        let governor = Governor::new(replay.limits).with_metrics(self.metrics().governor.clone());
         let mut chooser = ScriptedChooser::new(draws.to_vec());
-        let result = self.query_with(text, &mut chooser);
-        self.set_options(saved);
-        result.map(|_| ())
+        self.kernel()
+            .run_query(&replay, text, &mut chooser, &governor, None, None)
+            .map(|_| ())
     }
 }
 
@@ -348,12 +352,12 @@ impl DbKernel {
     /// state → durable order the query path uses, so sessions
     /// checkpointing concurrently with committing writers cannot
     /// deadlock.
-    pub(crate) fn checkpoint(&self, durability: Durability) -> Result<(), DbError> {
+    pub(crate) fn checkpoint(&self) -> Result<(), DbError> {
         let state = self.read_state();
-        let Some(handle) = self.durable_handle() else {
+        let Some(durable) = self.durable.get() else {
             return Err(io_wal("no durable directory attached").into());
         };
-        let mut log = handle.lock().unwrap_or_else(|e| e.into_inner());
+        let mut log = lock(&durable.log);
         let gen = log.wal.generation();
         let next = gen + 1;
 
@@ -378,7 +382,7 @@ impl DbKernel {
             .map_err(|e| io_wal(format!("create {}: {e}", next_log_path.display())))?;
         let sink = (log.factory)(&next_log_path)
             .map_err(|e| io_wal(format!("open {}: {e}", next_log_path.display())))?;
-        let mut next_wal = Wal::create_with_sink(sink, next, durability)
+        let mut next_wal = Wal::create_with_sink(sink, next, durable.policy)
             .map_err(|e| io_wal(format!("write wal-{next} header: {e}")))?;
         for def in state.catalogue.ordered() {
             next_wal
@@ -409,13 +413,12 @@ impl DbKernel {
     }
 
     /// The durable log's current state, or `None` when no directory is
-    /// attached. `durability` is the asking handle's fsync policy
-    /// (options are per-handle; the log itself is shared).
-    pub(crate) fn wal_status(&self, durability: Durability) -> Option<WalStatus> {
-        let handle = self.durable_handle()?;
-        let log = handle.lock().unwrap_or_else(|e| e.into_inner());
+    /// attached. The mode is the log's own policy.
+    pub(crate) fn wal_status(&self) -> Option<WalStatus> {
+        let durable = self.durable.get()?;
+        let log = lock(&durable.log);
         Some(WalStatus {
-            mode: durability,
+            mode: durable.policy,
             dir: log.dir.clone(),
             generation: log.wal.generation(),
             appended: log.wal.next_seq() - 1,
@@ -430,14 +433,11 @@ impl DbKernel {
     /// write lock is held — the state → durable order. The returned ack
     /// says whether this append triggered an fsync and how many pending
     /// records that sync covered (for the flight recorder's wal span).
-    pub(crate) fn wal_append(&self, payload: &WalPayload) -> Result<WalAppendAck, DbError> {
-        let Some(handle) = self.durable_handle() else {
-            return Ok(WalAppendAck {
-                synced: false,
-                grouped: 0,
-            });
+    pub(crate) fn wal_append(&self, payload: &WalPayload) -> Result<AppendAck, DbError> {
+        let Some(durable) = self.durable.get() else {
+            return Err(io_wal("no durable directory attached").into());
         };
-        let mut log = handle.lock().unwrap_or_else(|e| e.into_inner());
+        let mut log = lock(&durable.log);
         if log.poisoned {
             return Err(io_wal(
                 "write-ahead log poisoned by an earlier append failure; \
@@ -459,10 +459,7 @@ impl DbKernel {
         if ack.synced {
             self.note_wal_sync(ack.grouped);
         }
-        Ok(WalAppendAck {
-            synced: ack.synced,
-            grouped: ack.grouped,
-        })
+        Ok(ack)
     }
 
     /// Records an fsync that covered `covered` pending records.

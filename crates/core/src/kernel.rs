@@ -5,7 +5,7 @@
 //! mutable struct — architecturally single-caller. This module is the
 //! tentpole of the split: **`DbKernel`** owns all of that state behind
 //! interior sharing (an `RwLock` over the mutable `KernelState`, a
-//! `Mutex` over the query cache, the durable-log handle), so one kernel
+//! `Mutex` over the query cache, the durable log once attached), so one kernel
 //! can be shared by the embedded [`Database`](crate::Database) facade,
 //! any number of [`Session`](crate::Session) handles, and the TCP
 //! server ([`crate::server`]) — all at once.
@@ -48,7 +48,9 @@
 //!
 //! Four locks, always acquired in this order and never reversed:
 //! **state → statements → cache → durable**. The statements mutex is
-//! held only around a map operation, never while preparing. The
+//! held only around a map operation, never while preparing. The durable
+//! slot is set once, when a log is attached, and read without a lock;
+//! its mutex guards the log alone, and its fsync policy is fixed. The
 //! scheduler's internal mutex is a leaf — never held while acquiring any
 //! other lock. The snapshot path holds *no* state lock while executing,
 //! which is the whole point: readers clone the copy-on-write store under
@@ -59,7 +61,7 @@
 
 use crate::cache::{cache_refusal, CacheEntry, CacheStats, Probe, QueryCache};
 use crate::database::{DbMetrics, DbOptions, Engine, QueryResult};
-use crate::durable::DurableLog;
+use crate::durable::Durable;
 use crate::error::DbError;
 use crate::sched::{Admitted, Sched};
 use crate::statements::{Statement, StatementCache, StatementKey};
@@ -70,6 +72,7 @@ use ioql_effects::{
 use ioql_eval::{
     eval_big, evaluate, Chooser, CountingChooser, DefEnv, EvalConfig, Governor, RecordingChooser,
 };
+use ioql_methods::{check_schema_methods, effect_table, Mode};
 use ioql_opt::{AppliedRewrite, Optimizer, Stats};
 use ioql_schema::Schema;
 use ioql_store::{Durability, Store, WalPayload};
@@ -77,7 +80,7 @@ use ioql_syntax::parse_definitions;
 use ioql_telemetry::{FlightRecorder, Span, Tracer};
 use ioql_types::{Judgement, TypeError};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 /// The definition catalogue: every view of the registered definitions a
@@ -133,12 +136,16 @@ pub struct Prepared {
 /// many handles — see the module docs.
 pub struct DbKernel {
     pub(crate) schema: Schema,
+    /// The §3/§5 design point the schema's methods were checked under.
+    method_mode: Mode,
     pub(crate) method_effects: MethodEffects,
     pub(crate) state: RwLock<KernelState>,
     pub(crate) statements: Mutex<StatementCache>,
     pub(crate) cache: Mutex<QueryCache>,
     pub(crate) metrics: DbMetrics,
-    pub(crate) durable: RwLock<Option<Arc<Mutex<DurableLog>>>>,
+    /// The attached log and its fsync policy, set once by
+    /// `attach_durable_with`.
+    pub(crate) durable: OnceLock<Durable>,
     pub(crate) sched: Sched,
 }
 
@@ -169,36 +176,53 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl DbKernel {
-    pub(crate) fn new(
-        schema: Schema,
-        method_effects: MethodEffects,
-        state: KernelState,
-        cache: QueryCache,
-        metrics: DbMetrics,
-        durable: Option<Arc<Mutex<DurableLog>>>,
-    ) -> DbKernel {
+    /// A kernel over `schema` with an empty store: checks the schema's
+    /// methods under `options.method_mode` and builds the method table,
+    /// the telemetry handles and both caches. What it reads of `options`
+    /// is fixed for the kernel's lifetime.
+    pub(crate) fn new(schema: Schema, options: &DbOptions) -> Result<DbKernel, DbError> {
+        check_schema_methods(&schema, options.method_mode)?;
+        let metrics = DbMetrics::new(options)?;
+        let cache = QueryCache::new(options.cache_capacity).with_metrics(
+            metrics.cache_hits.clone(),
+            metrics.cache_misses.clone(),
+            metrics.cache_evictions.clone(),
+        );
         // Statements are bounded by, and retained under the rule of, the
-        // result cache; a cloned database starts with none.
-        let statements = StatementCache::new(cache.capacity()).with_metrics(
+        // result cache.
+        let statements = StatementCache::new(options.cache_capacity).with_metrics(
             metrics.statement_hits.clone(),
             metrics.statement_misses.clone(),
             metrics.statement_evictions.clone(),
         );
-        DbKernel {
-            schema,
-            method_effects,
-            state: RwLock::new(state),
+        Ok(DbKernel {
+            method_mode: options.method_mode,
+            method_effects: effect_table(&schema),
+            state: RwLock::new(KernelState {
+                store: DbKernel::empty_store(&schema),
+                catalogue: Arc::default(),
+            }),
             statements: Mutex::new(statements),
             cache: Mutex::new(cache),
             metrics,
-            durable: RwLock::new(durable),
+            durable: OnceLock::new(),
             sched: Sched::new(),
+            schema,
+        })
+    }
+
+    /// The store with every extent of `schema` declared and empty.
+    pub(crate) fn empty_store(schema: &Schema) -> Store {
+        let mut store = Store::new();
+        for (e, c) in schema.extents() {
+            store.declare_extent(e.clone(), c.clone());
         }
+        store
     }
 
     /// The schema (immutable for the kernel's lifetime).
@@ -247,16 +271,12 @@ impl DbKernel {
         write_lock(&self.state)
     }
 
-    pub(crate) fn durable_handle(&self) -> Option<Arc<Mutex<DurableLog>>> {
-        read_lock(&self.durable).clone()
-    }
-
-    pub(crate) fn set_durable_handle(&self, handle: Arc<Mutex<DurableLog>>) {
-        *write_lock(&self.durable) = Some(handle);
-    }
-
-    pub(crate) fn wal_active(&self, opts: &DbOptions) -> bool {
-        opts.durability != Durability::Off && read_lock(&self.durable).is_some()
+    /// Whether committed writes are logged: a log is attached under a
+    /// policy other than `Off`. Reads no lock.
+    pub(crate) fn wal_active(&self) -> bool {
+        self.durable
+            .get()
+            .is_some_and(|d| d.policy != Durability::Off)
     }
 
     // ------------------------------------------------------------------
@@ -283,9 +303,11 @@ impl DbKernel {
         }
     }
 
+    /// The evaluator's configuration: the kernel's method mode, the
+    /// handle's method fuel.
     pub(crate) fn eval_config<'a>(&'a self, opts: &DbOptions) -> EvalConfig<'a> {
         EvalConfig::new(&self.schema)
-            .with_method_mode(opts.method_mode)
+            .with_method_mode(self.method_mode)
             .with_method_fuel(opts.method_fuel)
     }
 
@@ -638,7 +660,7 @@ impl DbKernel {
         // can write (`A(C)`/`U(C)` non-empty) are logged — Theorem 7
         // write-free queries have nothing to persist and skip the log.
         let mutating = !thm7.write_free;
-        let wal_active = self.wal_active(opts);
+        let wal_active = self.wal_active();
         let log_this = mutating && wal_active;
         if wal_active && !mutating {
             self.metrics.wal_skipped_effect.inc();
@@ -747,9 +769,8 @@ impl DbKernel {
         // from here each first write to a chunk is an `Arc::make_mut`
         // path copy — the delta at commit is this query's COW work.
         let copied_before = state.store.cow_copied_chunks();
-        let cfg = EvalConfig::new(&self.schema)
-            .with_method_mode(opts.method_mode)
-            .with_method_fuel(opts.method_fuel)
+        let cfg = self
+            .eval_config(opts)
             .with_governor(governor)
             .with_metrics(&self.metrics.eval);
         let defs = &state.catalogue.env;
@@ -980,7 +1001,7 @@ impl DbKernel {
         // like a committed mutation (checkpoints re-log the live set),
         // and before the swap, so the in-memory catalogue never runs
         // ahead of the log.
-        if self.wal_active(opts) {
+        if self.wal_active() {
             let batch = next.ordered().skip(state.catalogue.order.len());
             let text = batch.map(|d| d.to_string()).collect::<Vec<_>>();
             self.wal_append(&WalPayload::Define {

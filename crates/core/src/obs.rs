@@ -32,7 +32,7 @@
 //! 8 KiB or 64 header lines is refused with `431` without being buffered.
 
 use crate::admin::RECORDER_OFF;
-use crate::database::{Database, DbOptions};
+use crate::database::Database;
 use crate::kernel::DbKernel;
 use crate::server::{linger_close, listen, read_line_capped, Line};
 use ioql_telemetry::JsonObject;
@@ -51,15 +51,10 @@ const MAX_HEADERS: usize = 64;
 
 /// Starts the observability listener over `kernel` on `addr` (e.g.
 /// `127.0.0.1:9090`, or port `0` to pick a free one — read it back from
-/// [`ObsHandle::addr`]). `options` supplies the durability mode the
-/// health report describes the WAL under.
-pub fn serve_obs(
-    kernel: Arc<DbKernel>,
-    options: DbOptions,
-    addr: &str,
-) -> std::io::Result<ObsHandle> {
+/// [`ObsHandle::addr`]).
+pub fn serve_obs(kernel: Arc<DbKernel>, addr: &str) -> std::io::Result<ObsHandle> {
     listen(addr, move |_, stream| {
-        let _ = handle_request(stream, &kernel, &options);
+        let _ = handle_request(stream, &kernel);
     })
 }
 
@@ -67,7 +62,7 @@ impl Database {
     /// Serves this database's kernel on `addr` as a read-only HTTP
     /// observability plane — see [`crate::obs`].
     pub fn serve_obs(&self, addr: &str) -> std::io::Result<ObsHandle> {
-        serve_obs(Arc::clone(self.kernel()), self.options(), addr)
+        serve_obs(Arc::clone(self.kernel()), addr)
     }
 }
 
@@ -121,15 +116,11 @@ fn read_head(reader: &mut impl BufRead) -> std::io::Result<Line> {
     Ok(Line::TooLong) // more than MAX_HEADERS header lines
 }
 
-fn handle_request(
-    stream: TcpStream,
-    kernel: &Arc<DbKernel>,
-    options: &DbOptions,
-) -> std::io::Result<()> {
+fn handle_request(stream: TcpStream, kernel: &Arc<DbKernel>) -> std::io::Result<()> {
     let mut out = stream.try_clone()?;
     let head = read_head(&mut BufReader::new(stream))?;
     let response = match &head {
-        Line::Text(request) => route(request, kernel, options),
+        Line::Text(request) => route(request, kernel),
         Line::Eof => return Ok(()),
         Line::TooLong => Response::error(
             "431 Request Header Fields Too Large",
@@ -151,7 +142,7 @@ fn handle_request(
     Ok(())
 }
 
-fn route(request: &str, kernel: &Arc<DbKernel>, options: &DbOptions) -> Response {
+fn route(request: &str, kernel: &Arc<DbKernel>) -> Response {
     let mut parts = request.split_whitespace();
     let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     if method != "GET" {
@@ -167,19 +158,19 @@ fn route(request: &str, kernel: &Arc<DbKernel>, options: &DbOptions) -> Response
             content_type: "text/plain; version=0.0.4; charset=utf-8",
             body: kernel.metrics().registry().render_prometheus(),
         },
-        "/healthz" => healthz(kernel, options),
+        "/healthz" => healthz(kernel),
         "/traces" => traces(kernel, query),
         _ => Response::error("404 Not Found", "no such endpoint"),
     }
 }
 
 /// The liveness report: scheduler commit/in-flight counts plus the
-/// WAL's poison status. `503` while the log is poisoned — mutating
-/// queries are failing fast, which is exactly what a load balancer
-/// should know.
-fn healthz(kernel: &Arc<DbKernel>, options: &DbOptions) -> Response {
+/// WAL's state under its own fsync policy. `503` while the log is
+/// poisoned — mutating queries are failing fast, which is exactly what
+/// a load balancer should know.
+fn healthz(kernel: &Arc<DbKernel>) -> Response {
     let (commits, inflight, _, _) = kernel.sched_snapshot();
-    let status = kernel.wal_status(options.durability);
+    let status = kernel.wal_status();
     let poisoned = status.as_ref().is_some_and(|s| s.poisoned);
     let wal = status.map_or("null".to_string(), |s| {
         JsonObject::new()

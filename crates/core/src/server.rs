@@ -220,7 +220,7 @@ pub fn serve(
 impl Database {
     /// Serves this database's kernel on `addr` — see [`crate::server`].
     /// Sessions start from this handle's current options (engine,
-    /// durability, [`DbOptions::session_budget`], …).
+    /// [`DbOptions::session_budget`], …).
     pub fn serve(&self, addr: &str) -> std::io::Result<ServerHandle> {
         serve(Arc::clone(self.kernel()), self.options(), addr)
     }
@@ -294,10 +294,9 @@ fn run_request(
     board: &SessionBoard,
     line: &str,
 ) -> Result<(String, String), String> {
-    // Only a `:` line can be an admin command; queries skip the probe
-    // (and its options clone).
+    // Only a `:` line can be an admin command; queries skip the probe.
     if line.starts_with(':') {
-        if let Some(reply) = session.kernel().admin(&session.options(), line) {
+        if let Some(reply) = session.kernel().admin(line) {
             let (tag, mut payload) = reply?;
             if line == ":stats" {
                 // Every session this server has seen, own line freshest.

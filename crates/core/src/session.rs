@@ -68,9 +68,11 @@ impl Session {
     }
 
     /// Replaces this session's options; takes effect on the next query.
-    /// Changing [`DbOptions::session_budget`] here does **not** rebuild
-    /// the budget governor — the budget is fixed at session creation,
-    /// otherwise a client could reset its own quota.
+    /// Only the fields a request reads change anything (see
+    /// [`DbOptions`]). Changing [`DbOptions::session_budget`] here does
+    /// **not** rebuild the budget governor — the budget is fixed at
+    /// session creation, otherwise a client could reset its own quota —
+    /// and the method mode and durability policy stay the kernel's.
     pub fn set_options(&mut self, options: DbOptions) {
         self.options = options;
     }

@@ -57,7 +57,7 @@ impl StatementKey {
 }
 
 /// A judged text and the catalogue it was judged under.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Statement {
     pub catalogue: Arc<Catalogue>,
     pub prepared: Arc<Prepared>,

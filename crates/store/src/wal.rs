@@ -520,23 +520,8 @@ impl Wal {
         })
     }
 
-    /// Re-opens an existing, already-parsed log for appending.
-    /// `next_seq` is one past the last intact record.
-    pub fn open_append(
-        path: &Path,
-        gen: u64,
-        next_seq: u64,
-        durability: Durability,
-    ) -> std::io::Result<Wal> {
-        Ok(Wal::open_with_sink(
-            Box::new(FileSink::open_append(path)?),
-            gen,
-            next_seq,
-            durability,
-        ))
-    }
-
-    /// As [`Wal::open_append`], through an arbitrary sink.
+    /// Re-opens an existing, already-parsed log for appending through
+    /// `sink`. `next_seq` is one past the last intact record.
     pub fn open_with_sink(
         sink: Box<dyn WalSink>,
         gen: u64,
@@ -863,7 +848,8 @@ mod tests {
         let parsed = parse_wal(&text, 0).unwrap();
         assert_eq!(parsed.records.len(), 1);
         // Re-open and extend.
-        let mut wal = Wal::open_append(&path, 0, 2, Durability::Commit).unwrap();
+        let sink = Box::new(FileSink::open_append(&path).unwrap());
+        let mut wal = Wal::open_with_sink(sink, 0, 2, Durability::Commit);
         wal.append(&q("size(Ps)", &[])).unwrap();
         drop(wal);
         let text = std::fs::read_to_string(&path).unwrap();

@@ -73,10 +73,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Measure the difference in reduction steps — on the spec machine,
     // which runs each text as written and counts (production optimizes
     // both texts to the same plan; `benchmark/run.sh` measures its
-    // wall-clock).
-    let mut spec = big.clone();
+    // wall-clock). With no cache, every run is evaluated.
+    let mut spec = big.session("spec");
     spec.set_options(DbOptions {
         engine: Engine::SmallStep,
+        cache_capacity: 0,
         ..big.options()
     });
     let naive_steps = spec.query(join)?.steps;
@@ -89,8 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Same results, of course:
-    let a = big.clone().query(join)?.value;
-    let b = big.clone().query(&optimized.to_string())?.value;
+    let a = big.query(join)?.value;
+    let b = big.query(&optimized.to_string())?.value;
     assert_eq!(a, b);
     println!("results identical   : {}", a == b);
     Ok(())

@@ -217,3 +217,40 @@ fn update_write_write_races_are_order_observable() {
         "write/write race should be observable in the final store"
     );
 }
+
+/// The design point is the kernel's: the schema was checked under it, so
+/// a handle whose options name the other one still runs the methods the
+/// schema has — and gets what the database itself gets.
+#[test]
+fn a_handle_cannot_change_the_method_design_point() {
+    let ddl = "
+        class Person extends Object (extent Persons) {
+            attribute int name;
+            attribute int age;
+            int birthday() {
+                this.age = this.age + 1;
+                return this.age;
+            }
+        }";
+    let src = "{ p.birthday() | p <- Persons }";
+    let build = || {
+        let opts = DbOptions {
+            method_mode: Mode::Extended,
+            ..DbOptions::default()
+        };
+        let mut db = Database::from_ddl_with(ddl, opts).unwrap();
+        db.query("{ new Person(name: n, age: n + 20) | n <- {1, 2} }")
+            .unwrap();
+        db
+    };
+    let mut db = build();
+    let expected = db.query(src).unwrap().value;
+    let other = build();
+    let mut s = other.session("read-only");
+    s.set_options(DbOptions {
+        method_mode: Mode::ReadOnly,
+        ..s.options()
+    });
+    assert_eq!(s.query(src).unwrap().value, expected);
+    assert!(ioql::store::equiv_stores(&other.store(), &db.store()));
+}

@@ -80,8 +80,11 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 #[test]
 fn traced_served_write_shows_wait_fsync_and_all_four_verdicts() {
     let dir = TempDir::new("accept");
-    let mut db = Database::from_ddl_with(DDL, opts_with(64)).unwrap();
-    db.set_durability(Durability::Commit);
+    let opts = DbOptions {
+        durability: Durability::Commit,
+        ..opts_with(64)
+    };
+    let mut db = Database::from_ddl_with(DDL, opts).unwrap();
     db.attach_durable(dir.path()).unwrap();
     let server = db.serve("127.0.0.1:0").unwrap();
     let obs = db.serve_obs("127.0.0.1:0").unwrap();

@@ -9,7 +9,7 @@
 //! guard: a rewrite the guard refuses really does change the outcome set.
 
 use ioql_ast::{Qualifier, Query};
-use ioql_effects::{infer_query, EffectEnv};
+use ioql_effects::{infer_query, EffectEnv, Thm7};
 use ioql_eval::{explore_outcomes, DefEnv, EvalConfig};
 use ioql_opt::{optimize, rules, OptOptions, Stats};
 use ioql_store::{equiv_outcomes, Outcome};
@@ -353,4 +353,48 @@ fn inlining_preserves_program_results() {
     let p2: Program = optimized;
     assert!(p2.query.size() > 0);
     assert!(r2.steps <= r1.steps);
+}
+
+/// Production decides Theorem 7 once, on the query as prepared, and reads
+/// that verdict for the optimized text it lowers. Licensed because both
+/// rules only reorder: the rewrite has the same effect, the same `new`s
+/// and invocations, and calls the same definitions — so the verdict on
+/// the rewrite, under its own re-inferred effect, is the same.
+#[test]
+fn the_optimizer_preserves_the_theorem_7_verdict() {
+    let fx = jack_jill();
+    let tenv = TypeEnv::new(&fx.schema);
+    let env = EffectEnv::new(&fx.schema);
+    let population: Vec<Query> = generated(&fx)
+        .into_iter()
+        .chain(
+            TARGETED
+                .iter()
+                .chain(&[jack_jill_query()])
+                .map(|s| fx.query(s)),
+        )
+        .collect();
+    let (mut queries, mut rewritten) = (0, 0);
+    for q in population {
+        let (elab, _) = check_query(&tenv, &q).unwrap();
+        let (_, effect) = infer_query(&env, &elab).unwrap();
+        let (optimized, applied) = optimize(
+            &fx.schema,
+            &ioql_ast::Program::query_only(elab.clone()),
+            stats_of(&fx),
+            OptOptions::default(),
+        );
+        let (_, after_effect) = infer_query(&env, &optimized.query).unwrap();
+        let before = Thm7::decide(&elab, &effect, |_| None);
+        let after = Thm7::decide(&optimized.query, &after_effect, |_| None);
+        assert_eq!(
+            before, after,
+            "verdict moved\noriginal:  {elab}\nrewritten: {}",
+            optimized.query
+        );
+        queries += 1;
+        rewritten += usize::from(!applied.is_empty());
+    }
+    println!("Theorem 7 verdict preserved on {queries} queries, {rewritten} rewritten");
+    assert!(rewritten > 0, "no query was rewritten: untested");
 }

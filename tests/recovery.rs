@@ -243,6 +243,38 @@ fn checkpoint_folds_log_into_a_new_generation() {
     assert!(rec.query("size(adults(0))").is_ok());
 }
 
+/// The log belongs to the kernel, not to a handle: a session whose own
+/// options say `Off` still logs its write under the policy the log was
+/// attached with, so a later write that reads it replays against it.
+#[test]
+fn every_handle_on_a_durable_kernel_logs_its_writes() {
+    let dir = TempDir::new("handles");
+    let mut db = db_with(Engine::Plan, Durability::Commit);
+    db.attach_durable(dir.path()).unwrap();
+    let mut s = db.session("off");
+    s.set_options(DbOptions {
+        durability: Durability::Off,
+        ..s.options()
+    });
+    s.query("{ new Person(name: 1, age: 1) | n <- {1} }")
+        .unwrap();
+    db.query("{ new Person(name: p.name + 10, age: 2) | p <- Persons }")
+        .unwrap();
+    assert_eq!(db.extent_len("Persons"), 2);
+    let live = db.store().clone();
+    drop(s);
+    drop(db);
+
+    let (rec, report) = recover(Engine::Plan, Durability::Commit, dir.path()).unwrap();
+    assert!(
+        equiv_stores(&rec.store(), &live),
+        "recovered {} Person(s) of 2 from {} replayed quer(ies)",
+        rec.extent_len("Persons"),
+        report.replayed_queries
+    );
+    assert_eq!(report.replayed_queries, 2);
+}
+
 // ---------------------------------------------------------------------
 // Crash-point sweeps.
 

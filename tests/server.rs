@@ -62,6 +62,15 @@ fn db_with(engine: Engine) -> Database {
     Database::from_ddl_with(DDL, opts_with(engine)).unwrap()
 }
 
+/// A production database whose log, once attached, fsyncs under `durability`.
+fn durable_db(durability: Durability) -> Database {
+    let opts = DbOptions {
+        durability,
+        ..opts_with(Engine::Plan)
+    };
+    Database::from_ddl_with(DDL, opts).unwrap()
+}
+
 // ---------------------------------------------------------------------
 // Std-only temp-directory shim (the workspace is dependency-free).
 
@@ -121,7 +130,7 @@ impl Chooser for BarrierChooser {
 
 #[test]
 fn session_queries_carry_admission_stamps() {
-    let db = db_with(Engine::Plan);
+    let mut db = db_with(Engine::Plan);
     let mut s = db.session("t1");
     // A write serializes and is stamped with its commit-order position,
     // witnessed by the interfering atom pair that refused concurrency.
@@ -148,12 +157,11 @@ fn session_queries_carry_admission_stamps() {
     let (commits, inflight, _, witnesses) = db.kernel().sched_snapshot();
     assert_eq!((commits, inflight), (1, 0));
     assert_eq!(witnesses, vec!["(A(Person), R(Person))".to_string()]);
-    // The embedded handle is admitted too: a read on the clone (which
-    // shares the registry) ticks the counter and carries its stamp.
-    let mut ex = db.clone();
-    let r = ex.query(READS[0]).unwrap();
-    assert_eq!(r.admitted, Some(Admitted::Concurrent { snapshot_seq: 0 }));
-    assert_eq!(m.sched.admitted.get(), 2);
+    // The embedded handle is admitted too: its read ticks the same
+    // counter and carries the same snapshot stamp.
+    let r = db.query(READS[0]).unwrap();
+    assert_eq!(r.admitted, Some(Admitted::Concurrent { snapshot_seq: 1 }));
+    assert_eq!(db.metrics().sched.admitted.get(), 2);
 }
 
 /// The embedded handle and a session on one kernel share one schedule:
@@ -552,8 +560,7 @@ fn concurrent_clients_equal_serialized_replay() {
 #[test]
 fn crash_mid_serve_recovers_every_acked_write() {
     let dir = TempDir::new("crash");
-    let mut db = db_with(Engine::Plan);
-    db.set_durability(Durability::Commit);
+    let mut db = durable_db(Durability::Commit);
     // Budget for roughly three records, then the "disk" dies.
     db.attach_durable_with(dir.path(), CrashSink::factory(Some(400), None))
         .unwrap();
@@ -586,8 +593,7 @@ fn crash_mid_serve_recovers_every_acked_write() {
     drop(db); // the "crash": the process state is gone, the disk remains
 
     // Recovery sees exactly the acked prefix.
-    let mut rec = db_with(Engine::Plan);
-    rec.set_durability(Durability::Commit);
+    let mut rec = durable_db(Durability::Commit);
     let report = rec.attach_durable(dir.path()).unwrap();
     assert_eq!(report.replayed_queries, acked.len() as u64);
     let mut expected = db_with(Engine::Plan);
@@ -606,8 +612,7 @@ fn crash_mid_serve_recovers_every_acked_write() {
 #[test]
 fn multi_client_writes_compose_with_group_commit() {
     let dir = TempDir::new("batch");
-    let mut db = db_with(Engine::Plan);
-    db.set_durability(Durability::Batch(4));
+    let mut db = durable_db(Durability::Batch(4));
     db.attach_durable(dir.path()).unwrap();
     let mut server = db.serve("127.0.0.1:0").unwrap();
     let addr = server.addr();
@@ -643,12 +648,41 @@ fn multi_client_writes_compose_with_group_commit() {
     );
     drop(db);
 
-    let mut rec = db_with(Engine::Plan);
-    rec.set_durability(Durability::Batch(4));
+    let mut rec = durable_db(Durability::Batch(4));
     let report = rec.attach_durable(dir.path()).unwrap();
     assert_eq!(report.generation, 1);
     assert!(report.checkpoint_loaded);
     assert_eq!(rec.extent_len("Persons"), 24);
+}
+
+/// The fsync policy is the log's, fixed at attach: a server whose
+/// sessions were built from other options reports the log's policy and
+/// checkpoints under it, so a `Commit`-acked write after a wire
+/// `:checkpoint` is still fsynced before its ack.
+#[test]
+fn a_checkpoint_keeps_the_logs_fsync_policy() {
+    let dir = TempDir::new("policy");
+    let mut db = durable_db(Durability::Commit);
+    db.attach_durable(dir.path()).unwrap();
+    let wire_opts = DbOptions {
+        durability: Durability::Batch(8),
+        ..opts_with(Engine::Plan)
+    };
+    let mut server = ioql::serve(Arc::clone(db.kernel()), wire_opts, "127.0.0.1:0").unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let wire_status = |c: &mut Client| c.request(":wal status").unwrap().lines.join("\n");
+    assert!(wire_status(&mut c).contains("mode commit"));
+    assert_eq!(db.wal_status().unwrap().mode, Durability::Commit);
+
+    assert!(c.request(":checkpoint").unwrap().is_ok());
+    db.query(WRITES[0]).unwrap();
+    let status = db.wal_status().unwrap();
+    assert_eq!(status.generation, 1);
+    assert_eq!(status.pending, 0, "a Commit-acked write awaits its fsync");
+    assert_eq!(status.mode, Durability::Commit);
+    assert!(wire_status(&mut c).contains("mode commit"));
+    let _ = c.request(":quit");
+    server.shutdown();
 }
 
 /// A peer that never sends a newline cannot make the server buffer its

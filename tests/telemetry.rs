@@ -253,7 +253,7 @@ fn a_text_is_parsed_and_judged_once() {
         Some("stale(catalogue)")
     );
     // `:stats` says the same in one line.
-    let (_, stats) = db.kernel().admin(&db.options(), ":stats").unwrap().unwrap();
+    let (_, stats) = db.kernel().admin(":stats").unwrap().unwrap();
     assert!(
         stats.contains("statements: 55 hit(s), 8 miss(es), 1 eviction(s), 6 live\n"),
         "{stats}"
