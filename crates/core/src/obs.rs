@@ -127,15 +127,15 @@ fn handle_request(stream: TcpStream, kernel: &Arc<DbKernel>) -> std::io::Result<
             "request head too large",
         ),
     };
-    write!(
-        out,
-        "HTTP/1.0 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    // Head and body in one write, like a wire frame.
+    let message = format!(
+        "HTTP/1.0 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         response.status,
         response.content_type,
         response.body.len(),
-    )?;
-    out.write_all(response.body.as_bytes())?;
-    out.flush()?;
+        response.body,
+    );
+    out.write_all(message.as_bytes())?;
     if matches!(head, Line::TooLong) {
         linger_close(&out);
     }

@@ -128,6 +128,10 @@ pub(crate) fn listen(
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                // Both protocols are request/reply ping-pong with one
+                // write per message: Nagle's algorithm would only hold a
+                // reply back until the peer's delayed ACK of the last one.
+                let _ = stream.set_nodelay(true);
                 n += 1;
                 let on_conn = Arc::clone(&on_conn);
                 // Connection threads are not joined: they exit when
@@ -226,18 +230,22 @@ impl Database {
     }
 }
 
-/// Writes one protocol frame: status line, dot-stuffed payload, `.`.
+/// Writes one protocol frame — status line, dot-stuffed payload, `.` —
+/// rendered first and sent with one write, so a reply leaves as one
+/// segment rather than a burst of small ones.
 fn frame(out: &mut impl Write, status: &str, payload: &str) -> std::io::Result<()> {
-    writeln!(out, "{status}")?;
+    let mut buf = String::with_capacity(status.len() + payload.len() + 8);
+    buf.push_str(status);
+    buf.push('\n');
     for line in payload.lines() {
         if line.starts_with('.') {
-            writeln!(out, ".{line}")?;
-        } else {
-            writeln!(out, "{line}")?;
+            buf.push('.');
         }
+        buf.push_str(line);
+        buf.push('\n');
     }
-    writeln!(out, ".")?;
-    out.flush()
+    buf.push_str(".\n");
+    out.write_all(buf.as_bytes())
 }
 
 fn one_line(msg: impl std::fmt::Display) -> String {
@@ -401,8 +409,22 @@ impl Client {
         Ok(c)
     }
 
-    /// Sends one request line and reads its response frame.
+    /// Sends one request line and reads its response frame. A `line`
+    /// containing `\n` would be two requests answered by two frames, and
+    /// is refused with [`std::io::ErrorKind::InvalidInput`] before
+    /// anything is sent.
+    ///
+    /// The line and its newline still leave as two writes under Nagle's
+    /// algorithm, so each round trip waits once for the server's delayed
+    /// ACK (≈ 40 ms); ROADMAP.md item 2(a) says why that is not yet taken
+    /// out.
     pub fn request(&mut self, line: &str) -> std::io::Result<Frame> {
+        if line.contains('\n') {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a request is one line: it may not contain a newline",
+            ));
+        }
         writeln!(self.out, "{line}")?;
         self.out.flush()?;
         self.read_frame()

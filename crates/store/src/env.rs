@@ -39,12 +39,13 @@ const MEM_CHUNK: usize = 512;
 pub struct Object {
     /// The dynamic class `C`.
     pub class: ClassName,
-    /// Attribute values, keyed by attribute name.
-    pub attrs: BTreeMap<AttrName, Value>,
+    /// Attribute values, in attribute-name order.
+    pub attrs: Attrs,
 }
 
 impl Object {
-    /// Builds an object.
+    /// Builds an object. Attributes are kept in name order, and of two
+    /// bindings of one name the later wins.
     pub fn new<A: Into<AttrName>>(
         class: impl Into<ClassName>,
         attrs: impl IntoIterator<Item = (A, Value)>,
@@ -57,7 +58,94 @@ impl Object {
 
     /// The value of attribute `a`, if present.
     pub fn attr(&self, a: &AttrName) -> Option<&Value> {
-        self.attrs.get(a)
+        self.attrs.get(a.as_str())
+    }
+}
+
+/// An object's `a₁: v₁, …, a_k: v_k`: the pairs in one allocation,
+/// sorted by name. An object has a handful of attributes and never gains
+/// or loses one (the §5 update mode only overwrites values), so a boxed
+/// slice holds them in one exactly-sized block, where a map would
+/// allocate a node of fixed size however few it held. Lookup is a
+/// linear scan: over a handful of names, equality is cheaper than the
+/// ordered comparisons a search needs.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Attrs(Box<[(AttrName, Value)]>);
+
+/// Iterator over an object's pairs, in name order.
+pub type AttrIter<'a> = std::iter::Map<
+    std::slice::Iter<'a, (AttrName, Value)>,
+    fn(&'a (AttrName, Value)) -> (&'a AttrName, &'a Value),
+>;
+
+impl Attrs {
+    fn slot(&self, a: &str) -> Option<usize> {
+        self.0.iter().position(|(k, _)| k.as_str() == a)
+    }
+
+    /// The value of attribute `a`, if present.
+    pub fn get(&self, a: &str) -> Option<&Value> {
+        self.slot(a).map(|i| &self.0[i].1)
+    }
+
+    /// Mutable access to the value of attribute `a`, if present. There is
+    /// no insert: an object's attributes are fixed when it is built.
+    pub fn get_mut(&mut self, a: &str) -> Option<&mut Value> {
+        self.slot(a).map(|i| &mut self.0[i].1)
+    }
+
+    /// The pairs, in name order.
+    pub fn iter(&self) -> AttrIter<'_> {
+        let pair: fn(&(AttrName, Value)) -> (&AttrName, &Value) = |(a, v)| (a, v);
+        self.0.iter().map(pair)
+    }
+
+    /// The names, in order.
+    pub fn keys(&self) -> impl Iterator<Item = &AttrName> {
+        self.0.iter().map(|(a, _)| a)
+    }
+
+    /// The values, in name order.
+    pub fn values(&self) -> impl Iterator<Item = &Value> {
+        self.0.iter().map(|(_, v)| v)
+    }
+
+    /// Number of attributes.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the object has no attributes.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Builds the pairs as collecting into a `BTreeMap` would: name order,
+/// and the last of several bindings of one name wins.
+impl FromIterator<(AttrName, Value)> for Attrs {
+    fn from_iter<I: IntoIterator<Item = (AttrName, Value)>>(iter: I) -> Self {
+        let mut pairs: Vec<(AttrName, Value)> = iter.into_iter().collect();
+        // Stable, so duplicates stay in arrival order; `dedup_by` keeps the
+        // first of a run, so the later value is swapped into it.
+        pairs.sort_by(|(a, _), (b, _)| a.cmp(b));
+        pairs.dedup_by(|later, kept| {
+            let dup = later.0 == kept.0;
+            if dup {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            dup
+        });
+        Attrs(pairs.into_boxed_slice())
+    }
+}
+
+impl<'a> IntoIterator for &'a Attrs {
+    type Item = (&'a AttrName, &'a Value);
+    type IntoIter = AttrIter<'a>;
+
+    fn into_iter(self) -> AttrIter<'a> {
+        self.iter()
     }
 }
 
@@ -452,6 +540,53 @@ mod tests {
         assert_eq!(o.attr(&AttrName::new("ghost")), None);
     }
 
+    /// `Object::new` builds what collecting into a `BTreeMap` built: pairs
+    /// in name order, and the last of several bindings of a name wins.
+    #[test]
+    fn attrs_are_built_like_the_map_they_replaced() {
+        let given = [
+            ("pal", Value::Int(1)),
+            ("age", Value::Int(2)),
+            ("name", Value::Int(3)),
+            ("age", Value::Int(4)),
+            ("Zed", Value::Bool(true)),
+            ("pal", Value::Int(5)),
+            ("age", Value::Int(6)),
+        ];
+        let o = Object::new("P", given.clone());
+        let map: BTreeMap<AttrName, Value> = given
+            .into_iter()
+            .map(|(a, v)| (AttrName::new(a), v))
+            .collect();
+        assert!(o.attrs.iter().eq(map.iter()));
+        assert!(o.attrs.keys().eq(map.keys()));
+        assert!(o.attrs.values().eq(map.values()));
+        assert_eq!(o.attrs.len(), 4);
+        assert_eq!(o.attrs.get("age"), Some(&Value::Int(6)));
+        assert_eq!(o.attrs.get("pal"), Some(&Value::Int(5)));
+        assert_eq!(o.to_string(), "<<P, Zed: true, age: 6, name: 3, pal: 5>>");
+        let empty = Object::new("P", Vec::<(&str, Value)>::new());
+        assert!(empty.attrs.is_empty() && empty.attrs.iter().next().is_none());
+    }
+
+    /// There is no insert: `get_mut` of an absent name is `None`, which is
+    /// what makes `Store::set_attr` refuse an undeclared attribute.
+    #[test]
+    fn get_mut_finds_only_present_names() {
+        let mut o = Object::new("P", [("a", Value::Int(1)), ("b", Value::Int(2))]);
+        assert_eq!(o.attrs.get_mut("ghost"), None);
+        *o.attrs.get_mut("b").unwrap() = Value::Int(-2);
+        assert_eq!(o.to_string(), "<<P, a: 1, b: -2>>");
+        assert_eq!(o.attrs.len(), 2);
+    }
+
+    /// An object is its class name and one pointer-and-length to its
+    /// pairs: 32 bytes, where the `BTreeMap` layout took 40.
+    #[test]
+    fn an_object_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Object>(), 32);
+    }
+
     #[test]
     fn object_env_basics() {
         let mut oe = ObjectEnv::new();
@@ -552,10 +687,11 @@ mod tests {
         let snap = oe.clone();
         assert_eq!(snap.cow_copied_chunks(), oe.cow_copied_chunks());
         let copied_before = oe.cow_copied_chunks();
-        oe.get_mut(Oid::from_raw(0))
+        *oe.get_mut(Oid::from_raw(0))
             .unwrap()
             .attrs
-            .insert(AttrName::new("a"), Value::Int(-1));
+            .get_mut("a")
+            .unwrap() = Value::Int(-1);
         // Exactly one chunk was copied; the snapshot still reads the old
         // value and the environments now differ.
         assert_eq!(oe.cow_copied_chunks(), copied_before + 1);
@@ -589,7 +725,7 @@ mod tests {
         assert!(oe.chunk_count() >= 3);
         let set = |oe: &mut ObjectEnv, o: u64, v: i64| {
             let obj = oe.get_mut(Oid::from_raw(o)).unwrap();
-            obj.attrs.insert(a.clone(), Value::Int(v));
+            *obj.attrs.get_mut(a.as_str()).unwrap() = Value::Int(v);
         };
         let base = oe.cow_copied_chunks();
         let snap = oe.clone();

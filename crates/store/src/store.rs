@@ -163,7 +163,7 @@ impl Store {
     /// whose read set includes them must stop matching.
     pub fn set_attr(&mut self, o: Oid, a: &AttrName, v: Value) -> Result<(), StoreError> {
         let obj = self.objects.get_mut(o).ok_or(StoreError::UnknownOid(o))?;
-        match obj.attrs.get_mut(a) {
+        match obj.attrs.get_mut(a.as_str()) {
             Some(slot) => {
                 *slot = v;
             }

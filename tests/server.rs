@@ -729,3 +729,62 @@ fn oversized_request_line_is_refused_not_buffered() {
     assert_eq!(r.lines[0], "3");
     server.shutdown();
 }
+
+/// A request is one line. A line with a `\n` in it would reach the server
+/// as two requests and be answered by two frames, of which `request` read
+/// one, leaving every later reply on the connection one behind. It is
+/// refused before anything is sent, and the connection stays in step.
+#[test]
+fn a_request_with_a_newline_is_refused_and_the_connection_stays_in_step() {
+    let db = db_with(Engine::Plan);
+    let mut server = db.serve("127.0.0.1:0").unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert_eq!(c.request(WRITES[0]).unwrap().lines[0], "3");
+    let err = c.request("size(Persons)\n1 + 1").unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(c.request("2 + 2").unwrap().lines[0], "4");
+    assert_eq!(c.request(READS[0]).unwrap().lines[0], "3");
+    server.shutdown();
+}
+
+/// A frame is one write on a `TCP_NODELAY` socket, so for a client that
+/// sends each request in one write a round trip costs the work, not a
+/// delayed-ACK timer: when a frame went out as several small writes under
+/// Nagle's algorithm, every reply waited ≈ 40 ms for the client's delayed
+/// ACK of its status line, and these 100 took ≈ 4.5 s.
+#[test]
+fn a_wire_round_trip_does_not_wait_for_a_delayed_ack() {
+    use std::io::{BufRead, BufReader, Write};
+    let db = db_with(Engine::Plan);
+    let mut server = db.serve("127.0.0.1:0").unwrap();
+    let mut out = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(out.try_clone().unwrap());
+    // The lines of one frame, up to its lone `.`.
+    let mut frame = || -> Vec<String> {
+        let mut lines = Vec::new();
+        loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "server hung up");
+            let line = line.trim_end_matches('\n');
+            if line == "." {
+                return lines;
+            }
+            lines.push(line.to_string());
+        }
+    };
+    frame(); // greeting
+    out.write_all(format!("{}\n", WRITES[0]).as_bytes())
+        .unwrap();
+    assert!(frame()[0].starts_with("ok"));
+    let start = std::time::Instant::now();
+    for _ in 0..100 {
+        out.write_all(b"size(Persons)\n").unwrap();
+        assert_eq!(frame()[1], "3");
+    }
+    let took = start.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "100 round trips took {took:?}"
+    );
+    server.shutdown();
+}

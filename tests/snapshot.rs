@@ -294,3 +294,29 @@ fn wal_recovery_round_trips_the_chunked_store() {
         );
     }
 }
+
+/// The object layout is invisible on disk: the dumps of the paper's
+/// fixture stores are byte-identical to the golden captured while an
+/// object's attributes were still a `BTreeMap` (re-capture on purpose with
+/// `IOQL_BLESS=1`). `payroll` builds its manager with unsorted names.
+#[test]
+fn fixture_dumps_render_as_the_golden() {
+    use ioql_testkit::fixtures;
+    let mut got = String::new();
+    for (name, fx) in [
+        ("jack_jill", fixtures::jack_jill()),
+        ("payroll", fixtures::payroll()),
+        ("persons_employees", fixtures::persons_employees()),
+        ("deep_hierarchy", fixtures::deep_hierarchy()),
+    ] {
+        got.push_str(&format!("# {name}\n{}", ioql::store::dump_store(&fx.store)));
+    }
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/fixture_dumps.txt"
+    );
+    if std::env::var_os("IOQL_BLESS").is_some() {
+        std::fs::write(golden, &got).unwrap();
+    }
+    assert_eq!(got, std::fs::read_to_string(golden).unwrap());
+}
