@@ -50,6 +50,48 @@ pub struct BigStepResult {
     pub effect: Effect,
 }
 
+/// A comprehension's result set under construction: produced values are
+/// appended to a buffer and the set is built once, at completion, instead
+/// of one B-tree insert per row (set order is unobservable — §3.3).
+///
+/// When the buffer reaches twice its last compacted length (floor 4 096)
+/// it is sorted and deduplicated in place, so a duplicate-heavy
+/// comprehension holds at most about 2 × max(distinct, 4 096) values.
+/// [`finish`](SetBuilder::finish) is a bulk build over the buffer; the
+/// cardinality is still observed by the caller, once, on the finished
+/// set, and a failed run drops the buffer.
+#[derive(Debug, Default)]
+pub struct SetBuilder {
+    buf: Vec<Value>,
+    /// The buffer's length after its last compaction.
+    compacted: usize,
+}
+
+impl SetBuilder {
+    /// The buffer length below which no compaction happens.
+    const FLOOR: usize = 4096;
+
+    /// An empty builder.
+    pub fn new() -> Self {
+        SetBuilder::default()
+    }
+
+    /// Adds one produced value.
+    pub fn push(&mut self, v: Value) {
+        self.buf.push(v);
+        if self.buf.len() >= (2 * self.compacted).max(Self::FLOOR) {
+            self.buf.sort_unstable();
+            self.buf.dedup();
+            self.compacted = self.buf.len();
+        }
+    }
+
+    /// The finished set.
+    pub fn finish(self) -> BTreeSet<Value> {
+        BTreeSet::from_iter(self.buf)
+    }
+}
+
 /// The interpreter state of one production execution: `DE`, the chooser,
 /// the fuel, the effect trace and the binding stack. The store is passed
 /// to each call (`EE, OE` move; the rest is the execution's own).
@@ -246,6 +288,36 @@ impl<'a, 'c> Interp<'a, 'c> {
         picked.ok_or_else(|| bad_pick(x, i, n))
     }
 
+    /// A run of `k` draws that would each take the front of `remaining`,
+    /// made as one: the chooser takes the `k` front picks at once
+    /// ([`Chooser::front_run`]), and the run is charged `k` cells and `k`
+    /// fuel units behind one checkpoint — the coalescing the VM's
+    /// `Burn(k)` makes. The executor skips a probe's misses with it, and
+    /// it is production's only caller of the chooser's run form.
+    ///
+    /// Exact: `Ok(false)` charges and takes nothing when the chooser
+    /// declines or when the run would cross the cell limit or the fuel
+    /// left; the caller then draws one element at a time, so every trip
+    /// keeps its per-draw `spent`, error class and cell meter.
+    pub fn skip(&mut self, remaining: &mut VecDeque<Value>, k: usize) -> Result<bool, EvalError> {
+        let n = remaining.len();
+        let run = k as u64;
+        let cells_left = self.cfg.governor.and_then(|gov| gov.cells_remaining());
+        if k > n
+            || self.fuel < run
+            || cells_left.is_some_and(|left| left < run)
+            || !self.chooser.front_run(n, k)
+        {
+            return Ok(false);
+        }
+        if let Some(gov) = self.cfg.governor {
+            gov.charge_cells(run)?;
+        }
+        remaining.drain(..k);
+        self.burn(run)?;
+        Ok(true)
+    }
+
     /// The (Attribute) rule's read of `o.a`: notes `Ra(C)` for `o`'s class
     /// `C` (allocating only the first time `C` is read) and returns the
     /// attribute. The interpreter, the VM's `LoadAttr` and the plan's
@@ -300,11 +372,11 @@ impl<'a, 'c> Interp<'a, 'c> {
             },
             Query::Extent(e) => self.extent(store, e),
             Query::SetLit(items) => {
-                let mut out = BTreeSet::new();
+                let mut set = SetBuilder::new();
                 for item in items {
-                    out.insert(self.eval(store, item)?);
+                    set.push(self.eval(store, item)?);
                 }
-                Ok(Value::Set(out))
+                Ok(Value::Set(set.finish()))
             }
             Query::SetBin(op, a, b) => {
                 let va = self.set(store, a)?;
@@ -330,11 +402,11 @@ impl<'a, 'c> Interp<'a, 'c> {
                 Ok(Value::Bool(oa == ob))
             }
             Query::Record(fields) => {
-                let mut out = std::collections::BTreeMap::new();
+                let mut record = std::collections::BTreeMap::new();
                 for (l, fq) in fields {
-                    out.insert(l.clone(), self.eval(store, fq)?);
+                    record.insert(l.clone(), self.eval(store, fq)?);
                 }
-                Ok(Value::Record(out))
+                Ok(Value::Record(record))
             }
             Query::Field(subject, l) => match self.eval(store, subject)? {
                 Value::Record(fields) => match fields.get(l) {
@@ -450,8 +522,9 @@ impl<'a, 'c> Interp<'a, 'c> {
                 _ => self.stuck(q, "non-boolean condition"),
             },
             Query::Comp(head, quals) => {
-                let mut out = BTreeSet::new();
+                let mut out = SetBuilder::new();
                 self.comp(store, head, quals, &mut out)?;
+                let out = out.finish();
                 // The small-step engine's outermost (Union) observes the
                 // completed comprehension; intermediate unions are
                 // subsets of it, so one observation of the final set
@@ -462,7 +535,7 @@ impl<'a, 'c> Interp<'a, 'c> {
         }
     }
 
-    /// Evaluates a comprehension tail, unioning produced elements into
+    /// Evaluates a comprehension tail, pushing produced elements into
     /// `out`. Mirrors the small-step rules: first qualifier decides; a
     /// generator draws elements through the chooser, evaluating the rest
     /// of the comprehension per element *in the drawn order*.
@@ -471,12 +544,12 @@ impl<'a, 'c> Interp<'a, 'c> {
         store: &mut Store,
         head: &Query,
         quals: &[Qualifier],
-        out: &mut BTreeSet<Value>,
+        out: &mut SetBuilder,
     ) -> Result<(), EvalError> {
         match quals.split_first() {
             None => {
                 let v = self.eval(store, head)?;
-                out.insert(v);
+                out.push(v);
                 Ok(())
             }
             Some((Qualifier::Pred(p), rest)) => {
@@ -740,6 +813,37 @@ mod tests {
         .unwrap();
         assert_eq!(r0.value, r2.value);
         assert_eq!(s0, s2);
+    }
+
+    /// A built set is the B-tree of the pushed values, whatever their
+    /// multiplicity and order — across compactions too.
+    #[test]
+    fn set_builder_finishes_as_from_iter() {
+        use ioql_rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x5E7);
+        for round in 0..64 {
+            let len = rng.gen_range(0..3 * SetBuilder::FLOOR);
+            let spread = rng.gen_range(1..2 * len as u64 + 2);
+            let values: Vec<Value> = (0..len)
+                .map(|_| Value::Int(rng.gen_range(0..spread) as i64))
+                .collect();
+            let mut b = SetBuilder::new();
+            for v in &values {
+                b.push(v.clone());
+            }
+            assert_eq!(b.finish(), BTreeSet::from_iter(values), "round {round}");
+        }
+    }
+
+    #[test]
+    fn set_builder_stays_bounded_under_duplicates() {
+        let mut b = SetBuilder::new();
+        for i in 0..1_000_000 {
+            b.push(Value::Int(i % 3));
+            assert!(b.buf.len() <= SetBuilder::FLOOR, "{} buffered", b.buf.len());
+        }
+        let want: BTreeSet<Value> = (0..3).map(Value::Int).collect();
+        assert_eq!(b.finish(), want);
     }
 
     #[test]

@@ -16,6 +16,17 @@ use ioql_telemetry::Counter;
 pub trait Chooser {
     /// Picks one of `n` candidates.
     fn choose(&mut self, n: usize) -> usize;
+
+    /// Whether the next `k` picks, from pools of `n`, `n − 1`, …,
+    /// `n − k + 1` candidates, would all be index 0 — and if so, takes
+    /// them, exactly as `k` calls of [`choose`](Chooser::choose) would.
+    /// `false` leaves the chooser untouched, and the caller draws one
+    /// element at a time. The default refuses: only a chooser that can
+    /// answer without seeing each pool accepts.
+    fn front_run(&mut self, n: usize, k: usize) -> bool {
+        let _ = (n, k);
+        false
+    }
 }
 
 /// The stuck state of a draw for generator `x` whose chooser broke the
@@ -37,6 +48,10 @@ pub struct FirstChooser;
 impl Chooser for FirstChooser {
     fn choose(&mut self, _n: usize) -> usize {
         0
+    }
+
+    fn front_run(&mut self, _n: usize, _k: usize) -> bool {
+        true
     }
 }
 
@@ -148,6 +163,15 @@ impl Chooser for CountingChooser<'_> {
         self.draws.inc();
         self.inner.choose(n)
     }
+
+    /// An accepted run counts as its `k` draws; a refused one as none.
+    fn front_run(&mut self, n: usize, k: usize) -> bool {
+        let taken = self.inner.front_run(n, k);
+        if taken {
+            self.draws.add(k as u64);
+        }
+        taken
+    }
 }
 
 /// Wraps any chooser, recording the picks it returns — the draw trace a
@@ -194,6 +218,13 @@ impl Chooser for RecordingChooser<'_> {
             self.trace.push(pick);
         }
         pick
+    }
+
+    /// Forwarded only while inactive: an active recorder refuses, so a
+    /// logged run's trace holds every pick. (A logged query writes, and a
+    /// writing query never lowers to a probe, so nothing is lost.)
+    fn front_run(&mut self, n: usize, k: usize) -> bool {
+        !self.active && self.inner.front_run(n, k)
     }
 }
 
@@ -274,6 +305,55 @@ mod tests {
         let idle_picks: Vec<usize> = [5usize, 3, 7, 2].iter().map(|&n| idle.choose(n)).collect();
         assert_eq!(idle_picks, picks, "wrapping must not perturb draws");
         assert!(idle.trace().is_empty());
+    }
+
+    /// The run form's contract: only the first chooser takes a run; every
+    /// chooser whose picks depend on the pool (or on a script, or on a
+    /// seed) refuses and is left as it was.
+    #[test]
+    fn front_run_is_taken_only_by_the_first_chooser() {
+        assert!(FirstChooser.front_run(5, 3));
+        assert!(FirstChooser.front_run(1, 1));
+        assert!(!LastChooser.front_run(5, 3));
+        let mut random = RandomChooser::seeded(7);
+        assert!(!random.front_run(5, 3));
+        // A refusal consumed nothing: the stream is a fresh seed's.
+        let mut fresh = RandomChooser::seeded(7);
+        assert_eq!(random.choose(9), fresh.choose(9));
+        let mut scripted = ScriptedChooser::new(vec![]);
+        assert!(!scripted.front_run(5, 3));
+        assert!(scripted.arities.is_empty() && scripted.taken().is_empty());
+    }
+
+    #[test]
+    fn counting_chooser_counts_a_taken_run_as_its_draws() {
+        let reg = ioql_telemetry::MetricsRegistry::new(true);
+        let draws = reg.counter("draws", "Chooser draws.");
+        let mut first = FirstChooser;
+        let mut counting = CountingChooser::new(&mut first, draws.clone());
+        assert!(counting.front_run(10, 4));
+        assert_eq!(draws.get(), 4);
+        let mut last = LastChooser;
+        let mut counting = CountingChooser::new(&mut last, draws.clone());
+        assert!(!counting.front_run(10, 4));
+        assert_eq!(draws.get(), 4, "a refused run counts no draw");
+    }
+
+    #[test]
+    fn an_active_recorder_refuses_runs_and_still_replays() {
+        let mut first = FirstChooser;
+        let mut idle = RecordingChooser::new(&mut first, false);
+        assert!(idle.front_run(4, 2), "an idle recorder forwards");
+        assert!(idle.trace().is_empty());
+        let mut first = FirstChooser;
+        let mut rec = RecordingChooser::new(&mut first, true);
+        assert!(!rec.front_run(4, 2), "an active recorder refuses");
+        // The caller then draws one at a time, and every pick is logged.
+        let picks: Vec<usize> = [4usize, 3].iter().map(|&n| rec.choose(n)).collect();
+        assert_eq!(rec.trace(), picks.as_slice());
+        let mut replay = ScriptedChooser::new(rec.trace().to_vec());
+        let replayed: Vec<usize> = [4usize, 3].iter().map(|&n| replay.choose(n)).collect();
+        assert_eq!(replayed, picks);
     }
 
     #[test]

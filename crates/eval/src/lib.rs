@@ -35,7 +35,7 @@ pub mod machine;
 pub mod step;
 pub mod trace;
 
-pub use bigstep::{eval_big, BigStepResult, Interp};
+pub use bigstep::{eval_big, BigStepResult, Interp, SetBuilder};
 pub use chooser::{
     Chooser, CountingChooser, FirstChooser, LastChooser, RandomChooser, RecordingChooser,
     ScriptedChooser,

@@ -4,15 +4,20 @@
 //! engines, not just value parity:
 //!
 //! * every generator element is still drawn through the same [`Chooser`]
-//!   protocol, charged one governor cell, and followed by a
-//!   cancellation/deadline checkpoint — so `(ND comp)` choice sequences,
-//!   cell budgets, and cancellation verdicts are identical. Figure 2 has
-//!   one `(ND comp)` rule and this module has one loop for it
-//!   (`Exec::drive_gen`): every generator, fused with a probe or not,
-//!   feeding a compiled head or an interpreted one, is drawn there;
+//!   protocol, charged one governor cell and one fuel unit, and
+//!   followed by a cancellation/deadline checkpoint — so `(ND comp)`
+//!   choice sequences, cell budgets, and cancellation verdicts are
+//!   identical. Figure 2 has one `(ND comp)` rule and this module has one
+//!   loop for it (`Exec::drive_gen`): every generator, fused with a probe
+//!   or not, feeding a compiled head or an interpreted one, is drawn
+//!   there. The one coalesced form: a run of `k` probe misses that the
+//!   chooser would take from the front of the pool ([`Interp::skip`]) is
+//!   `k` picks, `k` cells and `k` fuel units behind one checkpoint, and
+//!   is refused — drawn one by one — whenever it would cross a limit;
 //! * set cardinalities are observed at exactly the naive observation
 //!   points (extent read, set-operator result, comprehension
-//!   completion);
+//!   completion), and a comprehension's set is built once, at
+//!   completion ([`SetBuilder`]), as the interpreter builds it;
 //! * a row-level expression runs its [`bytecode`](crate::bytecode)
 //!   program when the compile pass accepted it (the scalar, draw-free
 //!   fragment, held byte-identical to the interpreter by
@@ -37,9 +42,9 @@ use crate::ir::{
 };
 use ioql_ast::{ExtentName, Query, SetOp, Value, VarName};
 use ioql_effects::Effect;
-use ioql_eval::{Chooser, DefEnv, EvalConfig, EvalError, Interp};
+use ioql_eval::{Chooser, DefEnv, EvalConfig, EvalError, Interp, SetBuilder};
 use ioql_store::Store;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -152,10 +157,10 @@ impl Profiler {
         p
     }
 
-    fn record(&mut self, id: NodeId, started: Option<Instant>, rows: u64) {
+    fn record(&mut self, id: NodeId, started: Option<Instant>, calls: u64, rows: u64) {
         if let Some(&i) = self.index.get(&id) {
             let e = &mut self.entries[i];
-            e.calls += 1;
+            e.calls += calls;
             e.rows += rows;
             if let Some(t) = started {
                 e.nanos += t.elapsed().as_nanos() as u64;
@@ -283,9 +288,22 @@ fn split_probe<'p>(var: &VarName, rest: &'p [Stage]) -> ProbeParts<'p> {
     (None, rest)
 }
 
-/// A probe stage's hash index: the elements under each key, or `None`
-/// once a key of the wrong shape abandoned it.
-type Index = Option<HashMap<Value, Rc<HashSet<Value>>>>;
+/// A probe stage's hash index: the elements under each key, in canonical
+/// order, or `None` once a key of the wrong shape abandoned it.
+type Index = Option<HashMap<Value, Rc<[Value]>>>;
+
+/// How many elements at the front of `remaining` are not in `hits` — the
+/// run of misses before the next hit. Both are in canonical order: a
+/// drain's pool starts sorted and loses elements, never reorders.
+fn leading_misses(hits: &[Value], remaining: &VecDeque<Value>) -> usize {
+    let Some(front) = remaining.front() else {
+        return 0;
+    };
+    match hits.get(hits.partition_point(|h| h < front)) {
+        Some(next) => remaining.partition_point(|v| v < next),
+        None => remaining.len(),
+    }
+}
 
 /// Whether a value is the shape the probe's equality demands (the
 /// speculative build's per-key anomaly check).
@@ -341,7 +359,7 @@ impl<'a> Exec<'a, '_> {
 
     fn precord(&mut self, id: NodeId, started: Option<Instant>, rows: u64) {
         if let Some(p) = &mut self.prof {
-            p.record(id, started, rows);
+            p.record(id, started, 1, rows);
         }
     }
 
@@ -431,8 +449,9 @@ impl<'a> Exec<'a, '_> {
                     prog: self.vm_prog(mp.id),
                 };
                 let t = self.ptimer();
-                let mut out = BTreeSet::new();
+                let mut out = SetBuilder::new();
                 self.run_stages(store, stages, head, &mut out)?;
+                let out = out.finish();
                 // The MapProject/Pipeline spine is driven inline (not
                 // via `eval_op`), so its profile rows are recorded here.
                 let produced = out.len() as u64;
@@ -513,7 +532,7 @@ impl<'a> Exec<'a, '_> {
         }
     }
 
-    /// Runs a stage suffix for the current bindings, unioning produced
+    /// Runs a stage suffix for the current bindings, pushing produced
     /// head values into `out` — the physical mirror of the big-step
     /// `comp` recursion.
     fn run_stages(
@@ -521,10 +540,10 @@ impl<'a> Exec<'a, '_> {
         store: &mut Store,
         stages: &[Stage],
         head: Head<'_>,
-        out: &mut BTreeSet<Value>,
+        out: &mut SetBuilder,
     ) -> Result<(), EvalError> {
         let Some((st, rest)) = stages.split_first() else {
-            out.insert(self.row_expr(store, head.prog, head.expr)?);
+            out.push(self.row_expr(store, head.prog, head.expr)?);
             return Ok(());
         };
         match &st.kind {
@@ -561,7 +580,11 @@ impl<'a> Exec<'a, '_> {
     /// it in the generator's slot (pushed once per drain, overwritten per
     /// row) and run the rest of the pipeline. A fused probe is a branch
     /// of this loop: the hash index stands in for the equality predicate,
-    /// and an abandoned index falls back to the predicate itself.
+    /// and an abandoned index falls back to the predicate itself. Once
+    /// the index has given a drain its hit list, the misses before the
+    /// next hit are one [`Interp::skip`] when the chooser takes the front
+    /// of the pool, so the drain costs O(hits), not O(elements); a
+    /// refused run is drawn one element at a time, as without a probe.
     /// `frozen` says the elements are an extent's, which the Theorem 7
     /// guard freezes for the execution, so the index outlives the drain.
     #[allow(clippy::too_many_arguments)]
@@ -572,7 +595,7 @@ impl<'a> Exec<'a, '_> {
         mut remaining: VecDeque<Value>,
         rest: &[Stage],
         head: Head<'_>,
-        out: &mut BTreeSet<Value>,
+        out: &mut SetBuilder,
         frozen: bool,
     ) -> Result<(), EvalError> {
         if remaining.is_empty() {
@@ -594,7 +617,7 @@ impl<'a> Exec<'a, '_> {
         // `None` until the first draw; `Some(None)` = fall back to the
         // predicate (anomaly — the per-row fallback reproduces the naive
         // error), `Some(Some(hits))` = pass exactly `hits`.
-        let mut verdict: Option<Option<Rc<HashSet<Value>>>> = None;
+        let mut verdict: Option<Option<Rc<[Value]>>> = None;
         let r = (|| -> Result<(), EvalError> {
             while !remaining.is_empty() {
                 let picked = self.interp.draw(var, &mut remaining)?;
@@ -623,19 +646,32 @@ impl<'a> Exec<'a, '_> {
                         verdict.insert(hits)
                     }
                 };
-                if hits.as_ref().is_some_and(|pass| !pass.contains(&picked)) {
+                if hits
+                    .as_ref()
+                    .is_some_and(|pass| pass.binary_search(&picked).is_err())
+                {
                     self.precord(pkey, None, 0);
-                    continue;
+                } else {
+                    // A hit runs the body; a fallback asks the kept
+                    // predicate first.
+                    let hit = hits.is_some();
+                    self.interp.binds[slot].1 = picked;
+                    let passed = hit || self.passes(store, pkey, pred)?;
+                    if passed {
+                        self.run_stages(store, body, head, out)?;
+                    }
+                    self.precord(pkey, None, passed as u64);
                 }
-                // A hit runs the body; a fallback asks the kept predicate
-                // first.
-                let hit = hits.is_some();
-                self.interp.binds[slot].1 = picked;
-                let passed = hit || self.passes(store, pkey, pred)?;
-                if passed {
-                    self.run_stages(store, body, head, out)?;
+                // The misses before the next hit, as one run when the
+                // chooser takes them (`:plan analyze` counts k calls).
+                if let Some(Some(hits)) = &verdict {
+                    let k = leading_misses(hits, &remaining);
+                    if k > 0 && self.interp.skip(&mut remaining, k)? {
+                        if let Some(p) = &mut self.prof {
+                            p.record(pkey, None, k as u64, 0);
+                        }
+                    }
                 }
-                self.precord(pkey, None, passed as u64);
             }
             Ok(())
         })();
@@ -661,7 +697,7 @@ impl<'a> Exec<'a, '_> {
         (id, build, probe): (NodeId, &HashIndexBuild, &Query),
         frozen: bool,
         elements: impl Iterator<Item = &'v Value>,
-    ) -> Option<Rc<HashSet<Value>>> {
+    ) -> Option<Rc<[Value]>> {
         // Speculative: a failed evaluation is discarded, its fuel with it
         // (the per-row fallback pays for the one that reports the error).
         let fuel = self.interp.fuel;
@@ -686,9 +722,9 @@ impl<'a> Exec<'a, '_> {
     }
 
     /// Builds a hash index over `elements`: each key with the elements
-    /// that have it, or `None` at the first element whose key is not the
-    /// shape the equality demands. Reading a key attribute records `Ra`
-    /// for every *scanned* element, as the naive engines do for every
+    /// that have it, sorted, or `None` at the first element whose key is
+    /// not the shape the equality demands. Reading a key attribute records
+    /// `Ra` for every *scanned* element, as the naive engines do for every
     /// drawn one whether or not its predicate passes.
     fn build_index<'v>(
         &mut self,
@@ -696,7 +732,7 @@ impl<'a> Exec<'a, '_> {
         build: &HashIndexBuild,
         elements: impl Iterator<Item = &'v Value>,
     ) -> Index {
-        let mut index: HashMap<Value, HashSet<Value>> = HashMap::new();
+        let mut index: HashMap<Value, Vec<Value>> = HashMap::new();
         for elem in elements {
             let key = match &build.key {
                 KeyAccess::Bare => elem.clone(),
@@ -708,8 +744,12 @@ impl<'a> Exec<'a, '_> {
             if !well_formed(store, build.eq, &key) {
                 return None;
             }
-            index.entry(key).or_default().insert(elem.clone());
+            index.entry(key).or_default().push(elem.clone());
         }
-        Some(index.into_iter().map(|(k, v)| (k, Rc::new(v))).collect())
+        let sorted = |mut elems: Vec<Value>| {
+            elems.sort_unstable();
+            Rc::from(elems)
+        };
+        Some(index.into_iter().map(|(k, v)| (k, sorted(v))).collect())
     }
 }

@@ -258,12 +258,19 @@ impl Lowering<'_> {
             let judged = self.judge(p, &binders);
             let (scan_cost, index_cost) = match judged {
                 // In VM dispatches (`Stats::compiled_work`), measured on a
-                // 2-vCPU Xeon with `f.dept = e.dept` over 2 000 employees:
-                // a dispatch 157 ns, a hash probe 19 ns (≈ 1/8), a build
-                // 154 ns per element (≈ 1) plus ~8 fixed. The executor
-                // builds an extent's index once per execution, so each of
-                // the `drains` pays its share; a single drain keeps the
-                // filter, since build plus probe exceed the dispatch.
+                // 2-vCPU Xeon with `f.dept = e.dept` over 2 000 employees
+                // in 50 departments: a dispatch 110 ns; a build 75 ns per
+                // element (≈ 0.7, charged as 1) plus ~8 fixed. The probing
+                // term charges ⅛ per element: with a chooser that refuses
+                // runs each drawn row is a binary search of its key's hits
+                // (18 ns, ≈ 1/6); under the first chooser a drain copies
+                // its pool (3 ns an element, ≈ 1/36) and skips the misses
+                // before each hit as one run (≈ 180 ns, ≈ 1.7, a hit), so
+                // ⅛ stays an upper bound wherever a drain's hits are under
+                // 1/18 of its pool. The executor builds an extent's index once per
+                // execution, so each of the `drains` pays its share; a
+                // single drain keeps the filter, since build plus probe
+                // exceed the dispatch.
                 Some(CompileVerdict::Vm(_)) => {
                     let shares = if extent { drains } else { 1 };
                     let build = n.saturating_add(8).div_ceil(shares);

@@ -353,6 +353,15 @@ mod tests {
         assert_eq!(a.calls(), 5);
     }
 
+    /// Chaos draws are seeded per call, and its cancellation is scheduled
+    /// by call count: it refuses the run form, so both stay per draw.
+    #[test]
+    fn chaos_chooser_refuses_runs() {
+        let mut c = ChaosChooser::new(3, None);
+        assert!(!c.front_run(8, 4));
+        assert_eq!(c.calls(), 0);
+    }
+
     #[test]
     fn chaos_chooser_cancels_on_schedule() {
         let token = CancelToken::new();

@@ -1005,6 +1005,116 @@ fn semi_joins_agree_with_the_interpreters_on_every_meter() {
     }
 }
 
+/// A first chooser that counts the runs it takes.
+#[derive(Default)]
+struct RunsTaken(usize);
+
+impl Chooser for RunsTaken {
+    fn choose(&mut self, _n: usize) -> usize {
+        0
+    }
+
+    fn front_run(&mut self, _n: usize, _k: usize) -> bool {
+        self.0 += 1;
+        true
+    }
+}
+
+/// A skipped run of probe misses is charged exactly as its draws: the
+/// three semi-joins under `FirstChooser`, which takes runs
+/// (`Interp::skip`), and under an empty script, which makes the same
+/// all-zero picks one draw at a time, give the same value or exact
+/// error, effect, cells and draws at every cell cap up to the answer's
+/// cells and at every fuel budget up to the answer — so a run charged
+/// one cell or one fuel unit too many or too few, or taken across a
+/// limit it should have refused at, differs somewhere.
+#[test]
+fn skipped_runs_are_charged_as_their_draws() {
+    use ioql_eval::ScriptedChooser;
+    const JOINS: [&str; 3] = [
+        "{ p.name + f.name | p <- Ps, f <- Fs, f.name = p.name }",
+        "{ p.name + q.name | p <- Ps, q <- Ps, p.name = q.name }",
+        "{ f.name + p.name | f <- Fs, p <- Ps, p == f.pal }",
+    ];
+    let runs: fn() -> Box<dyn Chooser> = || Box::new(FirstChooser);
+    let draws: fn() -> Box<dyn Chooser> = || Box::new(ScriptedChooser::new(vec![]));
+    let fx = join_fixture(4, 3);
+    let tenv = TypeEnv::new(&fx.schema);
+    for src in JOINS {
+        let q = check_query(&tenv, &fx.query(src)).unwrap().0;
+        let plan = lower_production(&join_fixture(40, 30), &q);
+        assert!(
+            plan.render().contains("HashIndexProbe"),
+            "{}",
+            plan.render()
+        );
+        let mut taken = RunsTaken::default();
+        let cfg = EvalConfig::new(&fx.schema);
+        execute(
+            &plan,
+            &cfg,
+            &DefEnv::new(),
+            &mut fx.store.clone(),
+            &mut taken,
+            1_000_000,
+        )
+        .unwrap();
+        assert!(taken.0 > 0, "no run skipped on {src}");
+        let answer = observe(&fx, &Exec::Plan(&plan), draws, Limits::none(), 1_000_000);
+        assert!(answer.0.is_ok(), "{src}: {answer:?}");
+        assert_eq!(
+            observe(&fx, &Exec::Plan(&plan), runs, Limits::none(), 1_000_000),
+            answer,
+            "{src}"
+        );
+        for cap in 0..=answer.1 {
+            let limits = Limits::none().with_max_cells(cap);
+            let want = observe(&fx, &Exec::Plan(&plan), draws, limits, 1_000_000);
+            let got = observe(&fx, &Exec::Plan(&plan), runs, limits, 1_000_000);
+            assert_eq!(got, want, "{cap} cells on {src}");
+        }
+        let mut answered = false;
+        for fuel in 0..100_000 {
+            let want = observe(&fx, &Exec::Plan(&plan), draws, Limits::none(), fuel);
+            let got = observe(&fx, &Exec::Plan(&plan), runs, Limits::none(), fuel);
+            assert_eq!(got, want, "budget {fuel} on {src}");
+            answered = got == answer;
+            if answered {
+                break;
+            }
+        }
+        assert!(answered, "{src} never answered");
+    }
+}
+
+/// A duplicate-heavy comprehension builds its one-element set once, at
+/// completion, on every executor: each of the 42 × 42 pairs produces
+/// `1`, and the cell meter and draw count are the draws' on all four.
+#[test]
+fn a_constant_head_over_a_cross_product_is_one_element() {
+    let fx = join_fixture(40, 30);
+    let tenv = TypeEnv::new(&fx.schema);
+    let q = check_query(&tenv, &fx.query("{ 1 | x <- Ps, y <- Ps }"))
+        .unwrap()
+        .0;
+    let compiled = lower_production(&fx, &q);
+    let interpreted = lower_for(&fx, &q, true).unwrap();
+    let one = ioql_ast::Value::set([ioql_ast::Value::Int(1)]);
+    let mks: [fn() -> Box<dyn Chooser>; 2] = [|| Box::new(FirstChooser), || Box::new(LastChooser)];
+    for mk in mks {
+        for exec in [
+            Exec::SmallStep(&q),
+            Exec::BigStep(&q),
+            Exec::Plan(&interpreted),
+            Exec::Plan(&compiled),
+        ] {
+            let (r, cells, draws) = observe(&fx, &exec, mk, Limits::none(), 10_000_000);
+            assert_eq!(r.map(|(v, _)| v), Ok(one.clone()));
+            assert_eq!((cells, draws), (42 + 42 * 42, 42 + 42 * 42));
+        }
+    }
+}
+
 /// The cached "abandoned" verdict: a hand-built probe whose index cannot
 /// be built (its `=` meets oid keys) over an extent drained once per
 /// outer row. The first drain abandons the index and every later one
