@@ -4,7 +4,7 @@
 
 use crate::chooser::{Chooser, FirstChooser};
 use crate::governor::{Governor, ResourceKind};
-use crate::step::step;
+use crate::step::{step, StepOutcome};
 use ioql_ast::{DefName, Definition, Program, Query, Value};
 use ioql_effects::Effect;
 use ioql_methods::Mode;
@@ -228,6 +228,22 @@ pub fn evaluate(
     chooser: &mut dyn Chooser,
     max_steps: u64,
 ) -> Result<Evaluated, EvalError> {
+    evaluate_observed(cfg, defs, store, q, chooser, max_steps, &mut |_| {})
+}
+
+/// [`evaluate`], handing each step within the budget to `observe`, in
+/// order — the one step loop behind both `evaluate` and
+/// [`trace`](crate::trace::trace), so the two agree on fuel and
+/// checkpoints.
+pub(crate) fn evaluate_observed(
+    cfg: &EvalConfig<'_>,
+    defs: &DefEnv,
+    store: &mut Store,
+    q: &Query,
+    chooser: &mut dyn Chooser,
+    max_steps: u64,
+    observe: &mut dyn FnMut(&StepOutcome),
+) -> Result<Evaluated, EvalError> {
     let mut cur = q.clone();
     let mut effect = Effect::empty();
     let mut steps = 0u64;
@@ -254,6 +270,7 @@ pub fn evaluate(
                 if steps > max_steps {
                     return Err(EvalError::FuelExhausted);
                 }
+                observe(&out);
                 effect.union_with(&out.effect);
                 cur = out.query;
             }

@@ -15,8 +15,8 @@
 //! `:trace` command.
 
 use crate::chooser::Chooser;
-use crate::machine::{DefEnv, EvalConfig, EvalError};
-use crate::step::step;
+use crate::machine::{evaluate_observed, DefEnv, EvalConfig, EvalError};
+use crate::step::StepOutcome;
 use ioql_ast::{Query, Value};
 use ioql_effects::Effect;
 use ioql_store::Store;
@@ -79,7 +79,9 @@ impl Trace {
     }
 }
 
-/// Runs `q` to completion (or failure/fuel), recording every step.
+/// Runs `q` to completion (or failure/fuel), recording every step. The
+/// run is [`evaluate`](crate::machine::evaluate)'s: the same fuel bound
+/// (`max_steps` steps, not one more) and the same governor checkpoints.
 pub fn trace(
     cfg: &EvalConfig<'_>,
     defs: &DefEnv,
@@ -88,34 +90,19 @@ pub fn trace(
     chooser: &mut dyn Chooser,
     max_steps: u64,
 ) -> Trace {
-    let initial = q.to_string();
     let mut steps = Vec::new();
-    let mut cur = q.clone();
-    let mut n = 0u64;
-    let result = loop {
-        match step(cfg, defs, store, &cur, chooser) {
-            Ok(None) => {
-                break Ok(cur.as_value().expect("step returned None on a non-value"));
-            }
-            Ok(Some(out)) => {
-                n += 1;
-                steps.push(TraceStep {
-                    rule: out.rule,
-                    effect: out.effect,
-                    state: out.query.to_string(),
-                });
-                cur = out.query;
-                if n >= max_steps {
-                    break Err(EvalError::FuelExhausted);
-                }
-            }
-            Err(e) => break Err(e),
-        }
+    let mut record = |out: &StepOutcome| {
+        steps.push(TraceStep {
+            rule: out.rule,
+            effect: out.effect.clone(),
+            state: out.query.to_string(),
+        })
     };
+    let result = evaluate_observed(cfg, defs, store, q, chooser, max_steps, &mut record);
     Trace {
-        initial,
+        initial: q.to_string(),
         steps,
-        result,
+        result: result.map(|done| done.value),
     }
 }
 
@@ -179,6 +166,54 @@ mod tests {
         let rendered = t.render(80);
         assert!(rendered.contains("(Extent) [R(P)]"), "{rendered}");
         assert!(rendered.contains("⇒ value 0"), "{rendered}");
+    }
+
+    /// `trace` allows exactly the steps `evaluate` allows: a derivation
+    /// of `k` steps is a value under a budget of `k` and runs out of fuel,
+    /// after `k - 1` recorded steps, under `k - 1`.
+    #[test]
+    fn trace_and_evaluate_share_the_fuel_bound() {
+        let s = schema();
+        let cfg = EvalConfig::new(&s);
+        let mut store = Store::new();
+        store.declare_extent("Ps", "P");
+        let q = Query::comp(
+            Query::var("x").add(Query::int(1)),
+            [Qualifier::Gen(
+                VarName::new("x"),
+                Query::set_lit([Query::int(10), Query::int(20)]),
+            )],
+        );
+        let defs = DefEnv::new();
+        let run = |max| trace(&cfg, &defs, &mut store.clone(), &q, &mut FirstChooser, max);
+        let k =
+            crate::machine::evaluate(&cfg, &defs, &mut store.clone(), &q, &mut FirstChooser, 100)
+                .unwrap()
+                .steps;
+        let exact = run(k);
+        assert_eq!(exact.steps.len() as u64, k);
+        assert_eq!(
+            exact.result.unwrap(),
+            Value::set([Value::Int(11), Value::Int(21)])
+        );
+        let short = run(k - 1);
+        assert_eq!(short.steps.len() as u64, k - 1);
+        assert_eq!(short.result, Err(EvalError::FuelExhausted));
+    }
+
+    /// `trace` takes `evaluate`'s per-step governor checkpoint: a
+    /// cancelled governor stops it before the first step.
+    #[test]
+    fn trace_honours_the_governor() {
+        let s = schema();
+        let gov = crate::governor::Governor::new(crate::governor::Limits::none());
+        gov.cancel_token().cancel();
+        let cfg = EvalConfig::new(&s).with_governor(&gov);
+        let mut store = Store::new();
+        let q = Query::int(1).add(Query::int(2));
+        let t = trace(&cfg, &DefEnv::new(), &mut store, &q, &mut FirstChooser, 100);
+        assert!(t.steps.is_empty());
+        assert_eq!(t.result, Err(EvalError::Cancelled));
     }
 
     #[test]

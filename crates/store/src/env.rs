@@ -1,36 +1,33 @@
 //! The extent and object environments of paper §3.3.
 //!
-//! Both environments are **persistent, copy-on-write** structures: the
-//! data lives in fixed-size chunks, each behind an [`std::sync::Arc`],
-//! and the spine — the vector of chunk pointers — sits behind one more.
-//! Cloning an environment is therefore a single reference-count bump,
-//! whatever the store's size, and everything stays shared until a writer
-//! touches it. A writer first un-shares the spine (one pointer copy per
-//! chunk, `O(n / CHUNK)`, paid only while a clone is alive) and then
-//! path-copies exactly the chunk it mutates via [`Arc::make_mut`]. This
-//! is what makes a kernel snapshot — and a rollback snapshot — cheap
-//! enough to take on every admission: the Theorem-7 scheduler can stamp
-//! and clone under the read lock without paying for store size.
+//! Both environments are instances of one **persistent, copy-on-write**
+//! structure, [`Spine`]: oid-sorted slots cut into chunks, each behind an
+//! [`std::sync::Arc`], with the spine — the vector of chunk pointers —
+//! behind one more. [`ObjectEnv`] (`OE`) is a spine of `(oid, object)`
+//! slots and [`MemberSet`] (one extent's members in `EE`) a spine of
+//! oids; each slot type fixes only its oid and its chunk target
+//! ([`Slot`]). Cloning a spine is therefore a single reference-count
+//! bump, whatever the store's size, and everything stays shared until a
+//! writer touches it. A writer first un-shares the spine (one pointer
+//! copy per chunk, `O(n / CHUNK)`, paid only while a clone is alive) and
+//! then path-copies exactly the chunk it mutates via [`Arc::make_mut`].
+//! This is what makes a kernel snapshot — and a rollback snapshot —
+//! cheap enough to take on every admission: the Theorem-7 scheduler can
+//! stamp and clone under the read lock without paying for store size.
 //!
-//! The layout is invisible to the semantics: equality compares contents
-//! in oid order (two environments holding the same bindings are equal
-//! regardless of how their chunks happen to be cut), iteration order is
-//! oid order exactly as with the previous `BTreeMap`/`BTreeSet` layout,
-//! and the copy counters used by snapshot telemetry are excluded from
-//! `PartialEq` just like the store's extent version counters.
+//! Routing, splitting and copy counting are decided once, in [`Spine`],
+//! for both environments. The layout is invisible to the semantics:
+//! equality compares contents in oid order (two spines holding the same
+//! slots are equal regardless of how their chunks happen to be cut),
+//! iteration order is oid order exactly as with the previous
+//! `BTreeMap`/`BTreeSet` layout, and the copy counters used by snapshot
+//! telemetry are excluded from `PartialEq` just like the store's extent
+//! version counters.
 
 use ioql_ast::{AttrName, ClassName, ExtentName, Oid, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// Target chunk size for the object environment: chunks split in half
-/// when they reach twice this many slots.
-const OBJ_CHUNK: usize = 128;
-
-/// Target chunk size for extent member sets (oids are small, so member
-/// chunks are wider than object chunks).
-const MEM_CHUNK: usize = 512;
 
 /// The runtime representation of an object, written
 /// `≪C, a₁: v₁, …, a_k: v_k≫` in the paper: its dynamic class and the
@@ -159,32 +156,78 @@ impl fmt::Display for Object {
     }
 }
 
-/// One chunk of the object spine: `(oid, object)` slots sorted by oid.
-/// Chunks are never empty and slots are globally sorted across the
-/// spine, so the spine as a whole reads like the old `BTreeMap` did.
-type ObjChunk = Vec<(Oid, Object)>;
+/// What a [`Spine`] holds: a slot keyed and sorted by an oid, and the
+/// chunk size its spine is cut at.
+pub trait Slot: Clone {
+    /// Target chunk size: a chunk splits in half when it reaches twice
+    /// this many slots.
+    const CHUNK: usize;
 
-/// The object environment `OE`: oid ↦ object, stored as a shared spine
-/// of copy-on-write chunks (see the module docs).
-#[derive(Clone, Debug, Default)]
-pub struct ObjectEnv {
-    chunks: Arc<Vec<Arc<ObjChunk>>>,
+    /// The oid the slot is keyed by.
+    fn oid(&self) -> Oid;
+}
+
+/// An object binding of `OE`.
+impl Slot for (Oid, Object) {
+    const CHUNK: usize = 128;
+
+    fn oid(&self) -> Oid {
+        self.0
+    }
+}
+
+/// An extent member (oids are small, so member chunks are wider than
+/// object chunks).
+impl Slot for Oid {
+    const CHUNK: usize = 512;
+
+    fn oid(&self) -> Oid {
+        *self
+    }
+}
+
+/// A shared spine of copy-on-write chunks of oid-sorted slots (see the
+/// module docs). Chunks are never empty and slots are sorted across the
+/// whole spine, so it reads like a `BTreeMap` keyed by oid.
+#[derive(Clone, Debug)]
+pub struct Spine<T> {
+    chunks: Arc<Vec<Arc<Vec<T>>>>,
     len: usize,
     cow_copied: u64,
 }
 
-/// Semantic equality: the bindings, in oid order. Chunk boundaries and
-/// the copy counter are layout, not content.
-impl PartialEq for ObjectEnv {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
+/// The object environment `OE`: oid ↦ object.
+pub type ObjectEnv = Spine<(Oid, Object)>;
+
+/// The member oids of one extent.
+pub type MemberSet = Spine<Oid>;
+
+/// Iterator over a spine's slots, in oid order.
+pub type Slots<'a, T> =
+    std::iter::FlatMap<std::slice::Iter<'a, Arc<Vec<T>>>, &'a [T], fn(&'a Arc<Vec<T>>) -> &'a [T]>;
+
+impl<T> Default for Spine<T> {
+    fn default() -> Self {
+        Spine {
+            chunks: Arc::default(),
+            len: 0,
+            cow_copied: 0,
+        }
     }
 }
 
-impl Eq for ObjectEnv {}
+/// Semantic equality: the slots, in oid order. Chunk boundaries and the
+/// copy counter are layout, not content.
+impl<T: Slot + PartialEq> PartialEq for Spine<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.slots().eq(other.slots())
+    }
+}
 
-impl ObjectEnv {
-    /// An empty environment.
+impl<T: Slot + Eq> Eq for Spine<T> {}
+
+impl<T: Slot> Spine<T> {
+    /// An empty spine.
     pub fn new() -> Self {
         Self::default()
     }
@@ -192,17 +235,29 @@ impl ObjectEnv {
     /// The chunk holding `o`, if `o` is within the spine's key range.
     fn route(&self, o: Oid) -> Option<usize> {
         let idx = self.chunks.partition_point(|c| match c.last() {
-            Some((max, _)) => *max < o,
+            Some(s) => s.oid() < o,
             None => true,
         });
         (idx < self.chunks.len()).then_some(idx)
+    }
+
+    /// The chunk and position of `o`'s slot, if it has one.
+    fn find(&self, o: Oid) -> Option<(usize, usize)> {
+        let idx = self.route(o)?;
+        let at = self.chunks[idx].binary_search_by_key(&o, T::oid).ok()?;
+        Some((idx, at))
+    }
+
+    /// `o`'s slot, if it has one.
+    fn slot(&self, o: Oid) -> Option<&T> {
+        self.find(o).map(|(idx, at)| &self.chunks[idx][at])
     }
 
     /// Marks chunk `idx` for mutation: counts a copy if it is currently
     /// shared with a snapshot, then returns unique access to it. The
     /// spine is un-shared *first*: a snapshot holds the spine, not the
     /// chunks, so only the spine copy makes a chunk's count show it.
-    fn chunk_mut(&mut self, idx: usize) -> &mut ObjChunk {
+    fn chunk_mut(&mut self, idx: usize) -> &mut Vec<T> {
         let spine = Arc::make_mut(&mut self.chunks);
         if Arc::strong_count(&spine[idx]) > 1 {
             self.cow_copied += 1;
@@ -210,48 +265,30 @@ impl ObjectEnv {
         Arc::make_mut(&mut spine[idx])
     }
 
-    /// `OE(o)`.
-    pub fn get(&self, o: Oid) -> Option<&Object> {
-        let chunk = &self.chunks[self.route(o)?];
-        let slot = chunk.binary_search_by_key(&o, |(oid, _)| *oid).ok()?;
-        Some(&chunk[slot].1)
-    }
-
-    /// Mutable access to an object, for the §5 extended (update) mode.
-    /// Copies the containing chunk first if it is shared with a snapshot.
-    pub fn get_mut(&mut self, o: Oid) -> Option<&mut Object> {
-        let idx = self.route(o)?;
-        let slot = self.chunks[idx]
-            .binary_search_by_key(&o, |(oid, _)| *oid)
-            .ok()?;
-        Some(&mut self.chunk_mut(idx)[slot].1)
-    }
-
-    /// `OE[o ↦ obj]`. Returns the previous binding, if any (fresh-oid
-    /// discipline means there never is one during evaluation; dump loads
-    /// and test fixtures may bind arbitrary oids in arbitrary order).
-    pub fn insert(&mut self, o: Oid, obj: Object) -> Option<Object> {
+    /// Binds `slot` at its oid, returning the slot it replaced, if any.
+    fn put(&mut self, slot: T) -> Option<T> {
+        let o = slot.oid();
         let idx = match self.route(o) {
             Some(idx) => idx,
             None => {
                 // `o` is past every existing key (the common fresh-oid
                 // append path) — extend the last chunk, or start one.
                 if self.chunks.is_empty() {
-                    Arc::make_mut(&mut self.chunks).push(Arc::new(Vec::with_capacity(OBJ_CHUNK)));
+                    Arc::make_mut(&mut self.chunks).push(Arc::new(Vec::with_capacity(T::CHUNK)));
                 }
                 self.chunks.len() - 1
             }
         };
         let chunk = self.chunk_mut(idx);
-        let prev = match chunk.binary_search_by_key(&o, |(oid, _)| *oid) {
-            Ok(slot) => Some(std::mem::replace(&mut chunk[slot].1, obj)),
-            Err(slot) => {
-                chunk.insert(slot, (o, obj));
+        let prev = match chunk.binary_search_by_key(&o, T::oid) {
+            Ok(at) => Some(std::mem::replace(&mut chunk[at], slot)),
+            Err(at) => {
+                chunk.insert(at, slot);
                 self.len += 1;
                 None
             }
         };
-        if self.chunks[idx].len() >= OBJ_CHUNK * 2 {
+        if self.chunks[idx].len() >= T::CHUNK * 2 {
             // Both already unique: `chunk_mut` just un-shared them.
             let spine = Arc::make_mut(&mut self.chunks);
             let chunk = Arc::make_mut(&mut spine[idx]);
@@ -261,26 +298,71 @@ impl ObjectEnv {
         prev
     }
 
-    /// Whether `o` is bound.
-    pub fn contains(&self, o: Oid) -> bool {
-        self.get(o).is_some()
-    }
-
-    /// Number of live objects.
+    /// Number of slots.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the environment is empty.
+    /// Whether the spine is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
+    /// The slots, in oid order.
+    fn slots(&self) -> Slots<'_, T> {
+        let chunk: fn(&Arc<Vec<T>>) -> &[T] = |c| c;
+        self.chunks.iter().flat_map(chunk)
+    }
+
+    /// The raw chunk spine, in oid order — the plan executor's chunked
+    /// `ExtentScan` drains a member set's chunks directly instead of
+    /// re-chunking a cloned set.
+    pub fn chunks(&self) -> &[Arc<Vec<T>>] {
+        &self.chunks
+    }
+
+    /// Number of chunks in the spine — what a clone shares, and the unit
+    /// the snapshot telemetry counts in.
+    pub fn chunk_count(&self) -> u64 {
+        self.chunks.len() as u64
+    }
+
+    /// Cumulative count of chunks this spine has had to copy because a
+    /// writer touched a chunk shared with a snapshot. Telemetry only;
+    /// excluded from equality.
+    pub fn cow_copied_chunks(&self) -> u64 {
+        self.cow_copied
+    }
+}
+
+impl ObjectEnv {
+    /// `OE(o)`.
+    pub fn get(&self, o: Oid) -> Option<&Object> {
+        self.slot(o).map(|(_, obj)| obj)
+    }
+
+    /// Mutable access to an object, for the §5 extended (update) mode.
+    /// Copies the containing chunk first if it is shared with a snapshot.
+    pub fn get_mut(&mut self, o: Oid) -> Option<&mut Object> {
+        let (idx, at) = self.find(o)?;
+        Some(&mut self.chunk_mut(idx)[at].1)
+    }
+
+    /// `OE[o ↦ obj]`. Returns the previous binding, if any (fresh-oid
+    /// discipline means there never is one during evaluation; dump loads
+    /// and test fixtures may bind arbitrary oids in arbitrary order).
+    pub fn insert(&mut self, o: Oid, obj: Object) -> Option<Object> {
+        self.put((o, obj)).map(|(_, prev)| prev)
+    }
+
+    /// Whether `o` is bound.
+    pub fn contains(&self, o: Oid) -> bool {
+        self.slot(o).is_some()
+    }
+
     /// Iterates bindings in oid order.
     pub fn iter(&self) -> impl Iterator<Item = (Oid, &Object)> {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.iter().map(|(o, obj)| (*o, obj)))
+        self.slots().map(|(o, obj)| (*o, obj))
     }
 
     /// Per-class object counts — used by the equivalence check for
@@ -292,152 +374,31 @@ impl ObjectEnv {
         }
         out
     }
-
-    /// Number of chunks in the spine — what a clone shares, and the unit
-    /// the snapshot telemetry counts in.
-    pub fn chunk_count(&self) -> u64 {
-        self.chunks.len() as u64
-    }
-
-    /// Cumulative count of chunks this environment has had to copy
-    /// because a writer touched a chunk shared with a snapshot.
-    /// Telemetry only; excluded from equality.
-    pub fn cow_copied_chunks(&self) -> u64 {
-        self.cow_copied
-    }
 }
-
-/// The member oids of one extent: a sorted, chunked, copy-on-write oid
-/// set with the same sharing discipline as [`ObjectEnv`].
-#[derive(Clone, Debug, Default)]
-pub struct MemberSet {
-    chunks: Arc<Vec<Arc<Vec<Oid>>>>,
-    len: usize,
-    cow_copied: u64,
-}
-
-/// Semantic equality: the oids, in order. Layout and counters excluded.
-impl PartialEq for MemberSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for MemberSet {}
 
 impl MemberSet {
-    /// An empty member set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn route(&self, o: Oid) -> Option<usize> {
-        let idx = self.chunks.partition_point(|c| match c.last() {
-            Some(max) => *max < o,
-            None => true,
-        });
-        (idx < self.chunks.len()).then_some(idx)
-    }
-
     /// Adds `o`; returns whether it was newly inserted.
     fn insert(&mut self, o: Oid) -> bool {
-        let route = self.route(o);
-        // Spine first, then the chunk's count — see `ObjectEnv::chunk_mut`.
-        let spine = Arc::make_mut(&mut self.chunks);
-        let idx = route.unwrap_or_else(|| {
-            if spine.is_empty() {
-                spine.push(Arc::new(Vec::with_capacity(MEM_CHUNK)));
-            }
-            spine.len() - 1
-        });
-        if Arc::strong_count(&spine[idx]) > 1 {
-            self.cow_copied += 1;
-        }
-        let chunk = Arc::make_mut(&mut spine[idx]);
-        let inserted = match chunk.binary_search(&o) {
-            Ok(_) => false,
-            Err(slot) => {
-                chunk.insert(slot, o);
-                self.len += 1;
-                true
-            }
-        };
-        if chunk.len() >= MEM_CHUNK * 2 {
-            let tail = chunk.split_off(chunk.len() / 2);
-            spine.insert(idx + 1, Arc::new(tail));
-        }
-        inserted
+        self.put(o).is_none()
     }
 
     /// Whether `o` is a member.
     pub fn contains(&self, o: &Oid) -> bool {
-        match self.route(*o) {
-            Some(idx) => self.chunks[idx].binary_search(o).is_ok(),
-            None => false,
-        }
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.slot(*o).is_some()
     }
 
     /// Iterates members in oid order.
-    pub fn iter(&self) -> MemberIter<'_> {
-        MemberIter {
-            outer: self.chunks.iter(),
-            inner: [].iter(),
-        }
-    }
-
-    /// The raw chunk spine, in oid order — the plan executor's chunked
-    /// `ExtentScan` drains these directly instead of re-chunking a
-    /// cloned set.
-    pub fn chunks(&self) -> &[Arc<Vec<Oid>>] {
-        &self.chunks
-    }
-
-    /// Number of chunks in the spine.
-    pub fn chunk_count(&self) -> u64 {
-        self.chunks.len() as u64
-    }
-
-    /// Cumulative copied-chunk count (telemetry only).
-    pub fn cow_copied_chunks(&self) -> u64 {
-        self.cow_copied
-    }
-}
-
-/// Iterator over a [`MemberSet`] in oid order.
-pub struct MemberIter<'a> {
-    outer: std::slice::Iter<'a, Arc<Vec<Oid>>>,
-    inner: std::slice::Iter<'a, Oid>,
-}
-
-impl<'a> Iterator for MemberIter<'a> {
-    type Item = &'a Oid;
-
-    fn next(&mut self) -> Option<&'a Oid> {
-        loop {
-            if let Some(o) = self.inner.next() {
-                return Some(o);
-            }
-            self.inner = self.outer.next()?.iter();
-        }
+    pub fn iter(&self) -> Slots<'_, Oid> {
+        self.slots()
     }
 }
 
 impl<'a> IntoIterator for &'a MemberSet {
     type Item = &'a Oid;
-    type IntoIter = MemberIter<'a>;
+    type IntoIter = Slots<'a, Oid>;
 
-    fn into_iter(self) -> MemberIter<'a> {
-        self.iter()
+    fn into_iter(self) -> Slots<'a, Oid> {
+        self.slots()
     }
 }
 
@@ -834,5 +795,152 @@ mod tests {
             .flat_map(|c| c.iter().map(|o| o.raw()))
             .collect();
         assert_eq!(oids, via_chunks);
+    }
+
+    /// Checks `spine` against its model after an operation: `len` is the
+    /// model's, no chunk is empty, `o`'s slot is found exactly when the
+    /// model binds it, and iteration yields the model's slots — so, as
+    /// the model is keyed by each slot's oid, in strictly increasing oid
+    /// order.
+    fn agrees<T: Slot + PartialEq + fmt::Debug>(
+        spine: &Spine<T>,
+        model: &BTreeMap<Oid, T>,
+        o: Oid,
+    ) {
+        assert_eq!(spine.len(), model.len());
+        assert!(spine.chunks().iter().all(|c| !c.is_empty()));
+        assert_eq!(spine.slot(o), model.get(&o));
+        assert!(spine.slots().eq(model.values()), "{spine:?} vs {model:?}");
+    }
+
+    /// An in-place write of `v` at a bound oid; `false` if it is unbound.
+    type WriteAt<T> = fn(&mut Spine<T>, Oid, i64) -> bool;
+
+    /// One seeded run of a spine instance against a `BTreeMap` model:
+    /// inserts in random oid order, re-inserts of bound oids (a
+    /// replacement, or a duplicate member), `write`s in place, and
+    /// snapshots taken and dropped at random points. After every
+    /// operation the spine and every live snapshot agree with their
+    /// models, and a write counted one copy exactly when a live snapshot
+    /// shared the chunk it wrote. `==` must follow the models however the
+    /// chunks are cut: between the spine and each snapshot after every
+    /// operation, and every 64th against a copy rebuilt in reverse oid
+    /// order. The spine starts with `prefill` random slots, so a run
+    /// can begin near a split. Returns how many splits cut a chunk a live
+    /// snapshot shared.
+    fn run_against_model<T: Slot + PartialEq + fmt::Debug>(
+        seed: u64,
+        prefill: usize,
+        ops: usize,
+        slot: impl Fn(Oid, i64) -> T,
+        insert: impl Fn(&mut Spine<T>, T) -> bool,
+        write: Option<WriteAt<T>>,
+    ) -> usize {
+        let mut rng = ioql_rng::SmallRng::seed_from_u64(seed);
+        let mut spine = Spine::new();
+        let mut model = BTreeMap::new();
+        let oids = 4 * (prefill + ops) as u64;
+        while model.len() < prefill {
+            let o = Oid::from_raw(rng.gen_range(0..oids));
+            insert(&mut spine, slot(o, 0));
+            model.insert(o, slot(o, 0));
+        }
+        let mut snaps: Vec<(Spine<T>, BTreeMap<Oid, T>)> = Vec::new();
+        let mut shared_splits = 0;
+        for step in 0..ops {
+            let roll = rng.gen_range(0..16u32);
+            let o = match model.len() {
+                n if n > 0 && (7..=9).contains(&roll) => {
+                    *model.keys().nth(rng.gen_range(0..n)).unwrap()
+                }
+                _ => Oid::from_raw(rng.gen_range(0..oids)),
+            };
+            let v = rng.gen_range(-1000..1000i64);
+            let target = spine.route(o).or(spine.chunks.len().checked_sub(1));
+            let shared = target.is_some_and(|i| {
+                let chunk = &spine.chunks[i];
+                snaps
+                    .iter()
+                    .any(|(s, _)| s.chunks.iter().any(|c| Arc::ptr_eq(c, chunk)))
+            });
+            let (chunks, copied) = (spine.chunk_count(), spine.cow_copied_chunks());
+            match (roll, write) {
+                (0..=5, _) => {
+                    if snaps.len() == 2 {
+                        snaps.swap_remove(rng.gen_range(0..2));
+                    }
+                    snaps.push((spine.clone(), model.clone()));
+                }
+                (6, _) if !snaps.is_empty() => {
+                    snaps.swap_remove(rng.gen_range(0..snaps.len()));
+                }
+                (7..=8, Some(write)) => {
+                    let hit = write(&mut spine, o, v);
+                    assert_eq!(hit, model.contains_key(&o));
+                    if hit {
+                        model.insert(o, slot(o, v));
+                        assert_eq!(spine.cow_copied_chunks(), copied + u64::from(shared));
+                    }
+                }
+                _ => {
+                    let fresh = insert(&mut spine, slot(o, v));
+                    assert_eq!(fresh, model.insert(o, slot(o, v)).is_none());
+                    assert_eq!(spine.cow_copied_chunks(), copied + u64::from(shared));
+                    if shared && spine.chunk_count() > chunks {
+                        shared_splits += 1;
+                    }
+                }
+            }
+            agrees(&spine, &model, o);
+            for (snap, taken) in &snaps {
+                agrees(snap, taken, o);
+                assert_eq!(*snap == spine, *taken == model);
+            }
+            if step % 64 == 0 {
+                assert!(model.iter().all(|(o, s)| spine.slot(*o) == Some(s)));
+                let mut rebuilt = Spine::new();
+                for s in model.values().rev() {
+                    rebuilt.put(s.clone());
+                }
+                assert_eq!(rebuilt, spine);
+            }
+        }
+        shared_splits
+    }
+
+    /// Both spine instances, under the same model-based run. Across the
+    /// seeds, each instance splits a chunk a live snapshot still shares —
+    /// a case no fixed test above reaches.
+    #[test]
+    fn both_spines_agree_with_a_model_under_snapshots() {
+        let (mut objects, mut members) = (0, 0);
+        for seed in 0..8 {
+            objects += run_against_model(
+                seed,
+                200,
+                500,
+                |o, v| (o, Object::new("P", [("a", Value::Int(v))])),
+                |oe: &mut ObjectEnv, (o, obj)| oe.insert(o, obj).is_none(),
+                Some(|oe: &mut ObjectEnv, o, v| match oe.get_mut(o) {
+                    Some(obj) => {
+                        *obj.attrs.get_mut("a").unwrap() = Value::Int(v);
+                        true
+                    }
+                    None => false,
+                }),
+            );
+            members += run_against_model(
+                seed,
+                1000,
+                400,
+                |o, _| o,
+                |ms: &mut MemberSet, o| ms.insert(o),
+                None,
+            );
+        }
+        assert!(
+            objects > 0 && members > 0,
+            "objects {objects}, members {members}"
+        );
     }
 }

@@ -25,7 +25,7 @@ pub use dump::{
     crc32, dump_store, load_store, load_store_file, save_store, write_atomic, DumpError,
     DumpErrorKind,
 };
-pub use env::{Attrs, ExtentEnv, MemberIter, MemberSet, Object, ObjectEnv};
+pub use env::{Attrs, ExtentEnv, MemberSet, Object, ObjectEnv};
 pub use equiv::{equiv_outcomes, equiv_stores, Outcome};
 pub use store::{Store, StoreError};
 pub use wal::{Durability, Wal, WalError, WalErrorKind, WalPayload, WalRecord, WalSink};

@@ -216,12 +216,6 @@ impl Store {
     pub fn cow_copied_chunks(&self) -> u64 {
         self.objects.cow_copied_chunks() + self.extents.cow_copied_chunks()
     }
-
-    /// The chunk spine of extent `e`'s members, for executors that want
-    /// to drain members chunk-by-chunk without re-chunking.
-    pub fn extent_member_chunks(&self, e: &ExtentName) -> Option<&[std::sync::Arc<Vec<Oid>>]> {
-        self.extents.members(e).map(|s| s.chunks())
-    }
 }
 
 #[cfg(test)]
