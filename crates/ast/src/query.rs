@@ -20,9 +20,26 @@
 //! desugars `a and b` to `if a then b else false` etc. (see
 //! [`Query::and`], [`Query::or`], [`Query::not`]), keeping the core
 //! calculus exactly the paper's.
+//!
+//! **One walk.** Figure 1's scope rule (Comp2) — a generator `x <- q`
+//! binds `x` in the comprehension head and in later qualifiers, not in
+//! its own source `q` — is decided in one place: two primitives,
+//! [`Query::for_each_child`] (by reference) and [`Query::map_children`]
+//! (rebuilding). They are the only code outside the per-rule semantics
+//! (the reduction machine, the interpreter, the type judgement, lowering,
+//! the bytecode compiler and the printer, one arm per rule each) that
+//! lists a node's children. Each threads a caller-chosen scope: a
+//! callback runs once per generator, in qualifier order, and extends the
+//! scope that later qualifiers and the head see. Every other walk is a
+//! thin caller choosing its scope — substitution ("is `x` shadowed?"),
+//! [`Query::free_vars`] and extent resolution (the bound names), the
+//! optimizer and the commutation analysis (the typing environment) — and
+//! the node-only walks ([`Query::for_each_node`], [`Query::size`], the
+//! `contains_*` family) thread none.
 
 use crate::ident::{AttrName, ClassName, DefName, ExtentName, Label, MethodName, VarName};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -373,11 +390,19 @@ impl Query {
 
     // ----- static measures --------------------------------------------
 
-    /// Number of AST nodes (qualifiers count their query's nodes plus one).
+    /// Number of AST nodes: every query node counts once (a qualifier is
+    /// not a node; its query is).
     pub fn size(&self) -> usize {
         let mut n = 0;
         self.for_each_node(&mut |_| n += 1);
         n
+    }
+
+    /// Whether some node of the query satisfies `p`.
+    pub fn any_node(&self, p: impl Fn(&Query) -> bool) -> bool {
+        let mut found = false;
+        self.for_each_node(&mut |q| found |= p(q));
+        found
     }
 
     /// Whether the query (not counting definitions it calls) contains a
@@ -385,36 +410,18 @@ impl Query {
     /// no `new` and every definition it invokes is functional; the
     /// program-level check lives in `ioql-types`.
     pub fn contains_new(&self) -> bool {
-        let mut found = false;
-        self.for_each_node(&mut |q| {
-            if matches!(q, Query::New(_, _)) {
-                found = true;
-            }
-        });
-        found
+        self.any_node(|q| matches!(q, Query::New(_, _)))
     }
 
     /// Whether the query invokes any method.
     pub fn contains_invoke(&self) -> bool {
-        let mut found = false;
-        self.for_each_node(&mut |q| {
-            if matches!(q, Query::Invoke(_, _, _)) {
-                found = true;
-            }
-        });
-        found
+        self.any_node(|q| matches!(q, Query::Invoke(_, _, _)))
     }
 
     /// Whether the query contains a comprehension (and hence, at runtime,
     /// `(ND comp)` choice points).
     pub fn contains_comp(&self) -> bool {
-        let mut found = false;
-        self.for_each_node(&mut |q| {
-            if matches!(q, Query::Comp(_, _)) {
-                found = true;
-            }
-        });
-        found
+        self.any_node(|q| matches!(q, Query::Comp(_, _)))
     }
 
     /// The definitions the query calls (directly).
@@ -429,64 +436,10 @@ impl Query {
     }
 
     /// Applies `f` to this node and every descendant query node
-    /// (pre-order).
+    /// (pre-order; a comprehension's qualifiers before its head).
     pub fn for_each_node(&self, f: &mut impl FnMut(&Query)) {
         f(self);
-        match self {
-            Query::Lit(_) | Query::Var(_) | Query::Extent(_) => {}
-            Query::SetLit(items) => {
-                for q in items {
-                    q.for_each_node(f);
-                }
-            }
-            Query::SetBin(_, a, b) | Query::IntBin(_, a, b) => {
-                a.for_each_node(f);
-                b.for_each_node(f);
-            }
-            Query::IntEq(a, b) | Query::ObjEq(a, b) => {
-                a.for_each_node(f);
-                b.for_each_node(f);
-            }
-            Query::Record(fields) => {
-                for (_, q) in fields {
-                    q.for_each_node(f);
-                }
-            }
-            Query::Field(q, _)
-            | Query::Size(q)
-            | Query::Sum(q)
-            | Query::Cast(_, q)
-            | Query::Attr(q, _) => {
-                q.for_each_node(f);
-            }
-            Query::Call(_, args) => {
-                for q in args {
-                    q.for_each_node(f);
-                }
-            }
-            Query::Invoke(recv, _, args) => {
-                recv.for_each_node(f);
-                for q in args {
-                    q.for_each_node(f);
-                }
-            }
-            Query::New(_, attrs) => {
-                for (_, q) in attrs {
-                    q.for_each_node(f);
-                }
-            }
-            Query::If(c, t, e) => {
-                c.for_each_node(f);
-                t.for_each_node(f);
-                e.for_each_node(f);
-            }
-            Query::Comp(head, quals) => {
-                head.for_each_node(f);
-                for cq in quals {
-                    cq.query().for_each_node(f);
-                }
-            }
-        }
+        self.for_each_child(&(), |_, _, _| {}, |c, _| c.for_each_node(f));
     }
 
     /// The free variables of the query. Generators bind their variable in
@@ -494,77 +447,141 @@ impl Query {
     /// §3.1/Figure 1, rule (Comp2)).
     pub fn free_vars(&self) -> BTreeSet<VarName> {
         let mut out = BTreeSet::new();
-        self.collect_free(&mut Vec::new(), &mut out);
+        self.collect_free(&[], &mut out);
         out
     }
 
-    fn collect_free(&self, bound: &mut Vec<VarName>, out: &mut BTreeSet<VarName>) {
+    fn collect_free(&self, bound: &[VarName], out: &mut BTreeSet<VarName>) {
+        if let Query::Var(x) = self {
+            if !bound.contains(x) {
+                out.insert(x.clone());
+            }
+        }
+        self.for_each_child(
+            bound,
+            |b, x, _| b.to_mut().push(x.clone()),
+            |c, b| c.collect_free(b, out),
+        );
+    }
+
+    // ----- the one walk: children and the (Comp2) scope ----------------
+
+    /// Calls `f` on each direct child of this node, in evaluation order,
+    /// with the scope the child sits in. Outside a comprehension that is
+    /// `scope` itself. Inside `{q | cq₀, …, cq_k}` the qualifiers come in
+    /// order and the head last; after each generator `x <- q`, `enter`
+    /// extends the scope that later qualifiers and the head see — the
+    /// generator's own source is visited *before* its binder is entered
+    /// (rule (Comp2)). `enter` gets a [`Cow`]: it calls `to_mut` only when
+    /// it binds something, so a scope is cloned at most once per
+    /// comprehension and never elsewhere.
+    pub fn for_each_child<S: ToOwned + ?Sized>(
+        &self,
+        scope: &S,
+        mut enter: impl FnMut(&mut Cow<'_, S>, &VarName, &Query),
+        mut f: impl FnMut(&Query, &S),
+    ) {
         match self {
-            Query::Lit(_) | Query::Extent(_) => {}
-            Query::Var(x) => {
-                if !bound.contains(x) {
-                    out.insert(x.clone());
-                }
+            Query::Lit(_) | Query::Var(_) | Query::Extent(_) => {}
+            Query::SetLit(qs) | Query::Call(_, qs) => qs.iter().for_each(|q| f(q, scope)),
+            Query::SetBin(_, a, b)
+            | Query::IntBin(_, a, b)
+            | Query::IntEq(a, b)
+            | Query::ObjEq(a, b) => {
+                f(a, scope);
+                f(b, scope);
             }
-            Query::SetLit(items) => {
-                for q in items {
-                    q.collect_free(bound, out);
-                }
-            }
-            Query::SetBin(_, a, b) | Query::IntBin(_, a, b) => {
-                a.collect_free(bound, out);
-                b.collect_free(bound, out);
-            }
-            Query::IntEq(a, b) | Query::ObjEq(a, b) => {
-                a.collect_free(bound, out);
-                b.collect_free(bound, out);
-            }
-            Query::Record(fields) => {
-                for (_, q) in fields {
-                    q.collect_free(bound, out);
-                }
-            }
+            Query::Record(fields) => fields.iter().for_each(|(_, q)| f(q, scope)),
+            Query::New(_, attrs) => attrs.iter().for_each(|(_, q)| f(q, scope)),
             Query::Field(q, _)
             | Query::Size(q)
             | Query::Sum(q)
             | Query::Cast(_, q)
-            | Query::Attr(q, _) => {
-                q.collect_free(bound, out);
-            }
-            Query::Call(_, args) => {
-                for q in args {
-                    q.collect_free(bound, out);
-                }
-            }
+            | Query::Attr(q, _) => f(q, scope),
             Query::Invoke(recv, _, args) => {
-                recv.collect_free(bound, out);
-                for q in args {
-                    q.collect_free(bound, out);
-                }
-            }
-            Query::New(_, attrs) => {
-                for (_, q) in attrs {
-                    q.collect_free(bound, out);
-                }
+                f(recv, scope);
+                args.iter().for_each(|q| f(q, scope));
             }
             Query::If(c, t, e) => {
-                c.collect_free(bound, out);
-                t.collect_free(bound, out);
-                e.collect_free(bound, out);
+                f(c, scope);
+                f(t, scope);
+                f(e, scope);
             }
             Query::Comp(head, quals) => {
-                let depth = bound.len();
+                let mut inner = Cow::Borrowed(scope);
                 for cq in quals {
-                    cq.query().collect_free(bound, out);
-                    if let Qualifier::Gen(x, _) = cq {
-                        bound.push(x.clone());
+                    f(cq.query(), &inner);
+                    if let Qualifier::Gen(x, src) = cq {
+                        enter(&mut inner, x, src);
                     }
                 }
-                head.collect_free(bound, out);
-                bound.truncate(depth);
+                f(head, &inner);
             }
         }
     }
+
+    /// Rebuilds this node with each direct child replaced by `f(child,
+    /// scope)`: the same order and the same (Comp2) scope as
+    /// [`for_each_child`](Query::for_each_child), except that `enter`
+    /// sees a generator's *rebuilt* source. A leaf is cloned.
+    pub fn map_children<S: ToOwned + ?Sized>(
+        &self,
+        scope: &S,
+        mut enter: impl FnMut(&mut Cow<'_, S>, &VarName, &Query),
+        mut f: impl FnMut(&Query, &S) -> Query,
+    ) -> Query {
+        match self {
+            Query::Lit(_) | Query::Var(_) | Query::Extent(_) => self.clone(),
+            Query::SetLit(qs) => Query::SetLit(qs.iter().map(|q| f(q, scope)).collect()),
+            Query::Call(d, qs) => Query::Call(d.clone(), qs.iter().map(|q| f(q, scope)).collect()),
+            Query::SetBin(op, a, b) => Query::SetBin(*op, bx(f(a, scope)), bx(f(b, scope))),
+            Query::IntBin(op, a, b) => Query::IntBin(*op, bx(f(a, scope)), bx(f(b, scope))),
+            Query::IntEq(a, b) => Query::IntEq(bx(f(a, scope)), bx(f(b, scope))),
+            Query::ObjEq(a, b) => Query::ObjEq(bx(f(a, scope)), bx(f(b, scope))),
+            Query::Record(fields) => Query::Record(
+                fields
+                    .iter()
+                    .map(|(l, q)| (l.clone(), f(q, scope)))
+                    .collect(),
+            ),
+            Query::New(c, attrs) => Query::New(
+                c.clone(),
+                attrs
+                    .iter()
+                    .map(|(a, q)| (a.clone(), f(q, scope)))
+                    .collect(),
+            ),
+            Query::Field(q, l) => Query::Field(bx(f(q, scope)), l.clone()),
+            Query::Size(q) => Query::Size(bx(f(q, scope))),
+            Query::Sum(q) => Query::Sum(bx(f(q, scope))),
+            Query::Cast(c, q) => Query::Cast(c.clone(), bx(f(q, scope))),
+            Query::Attr(q, a) => Query::Attr(bx(f(q, scope)), a.clone()),
+            Query::Invoke(recv, m, args) => {
+                let recv = bx(f(recv, scope));
+                Query::Invoke(recv, m.clone(), args.iter().map(|q| f(q, scope)).collect())
+            }
+            Query::If(c, t, e) => Query::If(bx(f(c, scope)), bx(f(t, scope)), bx(f(e, scope))),
+            Query::Comp(head, quals) => {
+                let mut inner = Cow::Borrowed(scope);
+                let mut out = Vec::with_capacity(quals.len());
+                for cq in quals {
+                    out.push(match cq {
+                        Qualifier::Pred(p) => Qualifier::Pred(f(p, &inner)),
+                        Qualifier::Gen(x, src) => {
+                            let src = f(src, &inner);
+                            enter(&mut inner, x, &src);
+                            Qualifier::Gen(x.clone(), src)
+                        }
+                    });
+                }
+                Query::Comp(bx(f(head, &inner)), out)
+            }
+        }
+    }
+}
+
+fn bx(q: Query) -> Box<Query> {
+    Box::new(q)
 }
 
 impl From<Value> for Query {

@@ -6,114 +6,56 @@
 //! and generator elements are drawn from evaluated sets), substitution can
 //! never capture: values have no free variables. We must still respect
 //! *shadowing* — a generator that rebinds `x` stops the substitution for
-//! the comprehension head and later qualifiers.
+//! the comprehension head and later qualifiers. That scope is
+//! [`Query::map_children`]'s (rule (Comp2)); the scope threaded here is
+//! "is `x` shadowed?", and a shadowed subtree is copied, not descended.
 
 use crate::ident::VarName;
-use crate::query::{Qualifier, Query};
+use crate::query::Query;
 use crate::value::Value;
+use std::borrow::Cow;
 
 impl Query {
     /// Returns `self[x := v]`.
     pub fn subst(&self, x: &VarName, v: &Value) -> Query {
-        match self {
-            Query::Lit(_) | Query::Extent(_) => self.clone(),
-            Query::Var(y) => {
-                if y == x {
-                    Query::Lit(v.clone())
-                } else {
-                    self.clone()
-                }
-            }
-            Query::SetLit(items) => Query::SetLit(items.iter().map(|q| q.subst(x, v)).collect()),
-            Query::SetBin(op, a, b) => {
-                Query::SetBin(*op, Box::new(a.subst(x, v)), Box::new(b.subst(x, v)))
-            }
-            Query::IntBin(op, a, b) => {
-                Query::IntBin(*op, Box::new(a.subst(x, v)), Box::new(b.subst(x, v)))
-            }
-            Query::IntEq(a, b) => Query::IntEq(Box::new(a.subst(x, v)), Box::new(b.subst(x, v))),
-            Query::ObjEq(a, b) => Query::ObjEq(Box::new(a.subst(x, v)), Box::new(b.subst(x, v))),
-            Query::Record(fields) => Query::Record(
-                fields
-                    .iter()
-                    .map(|(l, q)| (l.clone(), q.subst(x, v)))
-                    .collect(),
-            ),
-            Query::Field(q, l) => Query::Field(Box::new(q.subst(x, v)), l.clone()),
-            Query::Call(d, args) => {
-                Query::Call(d.clone(), args.iter().map(|q| q.subst(x, v)).collect())
-            }
-            Query::Size(q) => Query::Size(Box::new(q.subst(x, v))),
-            Query::Sum(q) => Query::Sum(Box::new(q.subst(x, v))),
-            Query::Cast(c, q) => Query::Cast(c.clone(), Box::new(q.subst(x, v))),
-            Query::Attr(q, a) => Query::Attr(Box::new(q.subst(x, v)), a.clone()),
-            Query::Invoke(recv, m, args) => Query::Invoke(
-                Box::new(recv.subst(x, v)),
-                m.clone(),
-                args.iter().map(|q| q.subst(x, v)).collect(),
-            ),
-            Query::New(c, attrs) => Query::New(
-                c.clone(),
-                attrs
-                    .iter()
-                    .map(|(a, q)| (a.clone(), q.subst(x, v)))
-                    .collect(),
-            ),
-            Query::If(c, t, e) => Query::If(
-                Box::new(c.subst(x, v)),
-                Box::new(t.subst(x, v)),
-                Box::new(e.subst(x, v)),
-            ),
-            Query::Comp(head, quals) => {
-                let mut new_quals = Vec::with_capacity(quals.len());
-                let mut shadowed = false;
-                for cq in quals {
-                    match cq {
-                        Qualifier::Pred(q) => {
-                            let q2 = if shadowed { q.clone() } else { q.subst(x, v) };
-                            new_quals.push(Qualifier::Pred(q2));
-                        }
-                        Qualifier::Gen(y, q) => {
-                            // The generator *source* is outside y's scope.
-                            let q2 = if shadowed { q.clone() } else { q.subst(x, v) };
-                            new_quals.push(Qualifier::Gen(y.clone(), q2));
-                            if y == x {
-                                shadowed = true;
-                            }
-                        }
-                    }
-                }
-                let new_head = if shadowed {
-                    (**head).clone()
-                } else {
-                    head.subst(x, v)
-                };
-                Query::Comp(Box::new(new_head), new_quals)
-            }
-        }
+        self.replace_free(x, &|| Query::Lit(v.clone()))
     }
 
-    /// Simultaneous substitution of a list of (variable, value) pairs,
-    /// applied left-to-right. All values are closed, so sequential
-    /// application coincides with simultaneous substitution as long as the
-    /// variables are distinct — which the definition/method typing rules
-    /// guarantee.
-    pub fn subst_all<'a>(
-        &self,
-        pairs: impl IntoIterator<Item = (&'a VarName, &'a Value)>,
-    ) -> Query {
-        let mut q = self.clone();
-        for (x, v) in pairs {
-            q = q.subst(x, v);
+    /// Returns `self[x := r]` for an arbitrary query `r`. Shadowing is
+    /// respected, but capture is the caller's to rule out: no binder of
+    /// `self` whose scope holds a free `x` may be free in `r`.
+    pub fn replace_var(&self, x: &VarName, r: &Query) -> Query {
+        self.replace_free(x, &|| r.clone())
+    }
+
+    /// `r` builds the replacement where a free `x` is found, so `subst`
+    /// clones its value only there.
+    fn replace_free(&self, x: &VarName, r: &impl Fn() -> Query) -> Query {
+        match self {
+            Query::Var(y) if y == x => r(),
+            _ => self.map_children(
+                &false,
+                |shadowed, y, _| {
+                    if y == x {
+                        *shadowed = Cow::Owned(true);
+                    }
+                },
+                |c, &shadowed| {
+                    if shadowed {
+                        c.clone()
+                    } else {
+                        c.replace_free(x, r)
+                    }
+                },
+            ),
         }
-        q
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Query;
+    use crate::query::Qualifier;
 
     fn x() -> VarName {
         VarName::new("x")
@@ -182,17 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn subst_all_distinct_vars() {
-        let q = Query::var("a").add(Query::var("b"));
-        let a = VarName::new("a");
-        let b = VarName::new("b");
-        let va = Value::Int(1);
-        let vb = Value::Int(2);
-        let r = q.subst_all([(&a, &va), (&b, &vb)]);
-        assert_eq!(r, Query::int(1).add(Query::int(2)));
-    }
-
-    #[test]
     fn substitution_makes_closed() {
         let q = Query::comp(
             Query::var("x").add(Query::var("y")),
@@ -202,7 +133,7 @@ mod tests {
         let y = VarName::new("y");
         let vs = Value::set([Value::Int(1)]);
         let vy = Value::Int(10);
-        let r = q.subst_all([(&s, &vs), (&y, &vy)]);
+        let r = q.subst(&s, &vs).subst(&y, &vy);
         assert!(r.free_vars().is_empty());
     }
 }

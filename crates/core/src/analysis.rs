@@ -1,6 +1,6 @@
 //! Static analysis results surfaced by [`Database::analyze`](crate::Database::analyze).
 
-use ioql_ast::{Qualifier, Query, Type, VarName};
+use ioql_ast::{Query, Type, VarName};
 use ioql_effects::{Effect, EffectRules};
 use ioql_types::Judgement;
 use std::collections::BTreeMap;
@@ -42,87 +42,37 @@ pub struct Analysis {
 }
 
 /// Walks the (elaborated) query collecting a [`CommutationVerdict`] for
-/// every commutative set operator, with generator binders in scope.
+/// every commutative set operator, operands first, with generator
+/// binders in scope (typed as the elements of their sources).
 pub(crate) fn collect_commutations(
     judgement: &Judgement<'_, EffectRules<'_>>,
     vars: &BTreeMap<VarName, Type>,
     q: &Query,
     out: &mut Vec<CommutationVerdict>,
 ) {
-    match q {
-        Query::SetBin(op, a, b) => {
-            collect_commutations(judgement, vars, a, out);
-            collect_commutations(judgement, vars, b, out);
-            if op.is_commutative() {
-                if let (Ok((_, _, ea)), Ok((_, _, eb))) =
-                    (judgement.query(vars, a), judgement.query(vars, b))
-                {
-                    out.push(CommutationVerdict {
-                        expr: q.to_string(),
-                        safe: ea.noninterfering_with(&eb, judgement.schema),
-                        left: ea,
-                        right: eb,
-                    });
+    q.for_each_child(
+        vars,
+        |inner, x, src| {
+            if let Ok((_, t, _)) = judgement.query(inner, src) {
+                if let Some(elem) = t.as_set_elem() {
+                    inner.to_mut().insert(x.clone(), elem.clone());
                 }
             }
-        }
-        Query::Lit(_) | Query::Var(_) | Query::Extent(_) => {}
-        Query::SetLit(items) => {
-            for i in items {
-                collect_commutations(judgement, vars, i, out);
+        },
+        |c, vars| collect_commutations(judgement, vars, c, out),
+    );
+    if let Query::SetBin(op, a, b) = q {
+        if op.is_commutative() {
+            if let (Ok((_, _, ea)), Ok((_, _, eb))) =
+                (judgement.query(vars, a), judgement.query(vars, b))
+            {
+                out.push(CommutationVerdict {
+                    expr: q.to_string(),
+                    safe: ea.noninterfering_with(&eb, judgement.schema),
+                    left: ea,
+                    right: eb,
+                });
             }
-        }
-        Query::IntBin(_, a, b) | Query::IntEq(a, b) | Query::ObjEq(a, b) => {
-            collect_commutations(judgement, vars, a, out);
-            collect_commutations(judgement, vars, b, out);
-        }
-        Query::Record(fields) => {
-            for (_, fq) in fields {
-                collect_commutations(judgement, vars, fq, out);
-            }
-        }
-        Query::Field(inner, _)
-        | Query::Size(inner)
-        | Query::Sum(inner)
-        | Query::Cast(_, inner)
-        | Query::Attr(inner, _) => collect_commutations(judgement, vars, inner, out),
-        Query::Call(_, args) => {
-            for a in args {
-                collect_commutations(judgement, vars, a, out);
-            }
-        }
-        Query::Invoke(recv, _, args) => {
-            collect_commutations(judgement, vars, recv, out);
-            for a in args {
-                collect_commutations(judgement, vars, a, out);
-            }
-        }
-        Query::New(_, attrs) => {
-            for (_, a) in attrs {
-                collect_commutations(judgement, vars, a, out);
-            }
-        }
-        Query::If(c, t, e) => {
-            collect_commutations(judgement, vars, c, out);
-            collect_commutations(judgement, vars, t, out);
-            collect_commutations(judgement, vars, e, out);
-        }
-        Query::Comp(head, quals) => {
-            let mut inner = vars.clone();
-            for cq in quals {
-                match cq {
-                    Qualifier::Pred(p) => collect_commutations(judgement, &inner, p, out),
-                    Qualifier::Gen(x, src) => {
-                        collect_commutations(judgement, &inner, src, out);
-                        if let Ok((_, t, _)) = judgement.query(&inner, src) {
-                            if let Some(elem) = t.as_set_elem() {
-                                inner.insert(x.clone(), elem.clone());
-                            }
-                        }
-                    }
-                }
-            }
-            collect_commutations(judgement, &inner, head, out);
         }
     }
 }

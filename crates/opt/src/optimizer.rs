@@ -3,7 +3,7 @@
 
 use crate::cost::Stats;
 use crate::rules;
-use ioql_ast::{Program, Qualifier, Query};
+use ioql_ast::{Program, Query};
 use ioql_effects::{infer_definition, infer_query, EffectEnv};
 use ioql_schema::Schema;
 
@@ -60,11 +60,23 @@ impl Optimizer {
         });
     }
 
-    /// Bottom-up rewrite: children first (with correctly extended
-    /// environments), then local rules to a fixpoint. Neither rule
-    /// changes a child, so the children stay rewritten.
+    /// Bottom-up rewrite: children first (each under its scope: a
+    /// generator whose rewritten source has a set type binds its element
+    /// type for later qualifiers and the head), then local rules to a
+    /// fixpoint. Neither rule changes a child, so the children stay
+    /// rewritten.
     fn rewrite(&mut self, env: &EffectEnv<'_>, q: &Query) -> Query {
-        let mut cur = self.rewrite_children(env, q);
+        let mut cur = q.map_children(
+            env,
+            |inner, x, src| {
+                if let Ok((t, _)) = infer_query(inner, src) {
+                    if let Some(elem) = t.as_set_elem() {
+                        inner.to_mut().vars.insert(x.clone(), elem.clone());
+                    }
+                }
+            },
+            |c, env| self.rewrite(env, c),
+        );
         while self.budget > 0 {
             let Some(next) = self.apply_local(env, &cur) else {
                 break;
@@ -86,87 +98,6 @@ impl Optimizer {
         };
         self.note(rule, q, &next);
         Some(next)
-    }
-
-    fn rewrite_children(&mut self, env: &EffectEnv<'_>, q: &Query) -> Query {
-        match q {
-            Query::Lit(_) | Query::Var(_) | Query::Extent(_) => q.clone(),
-            Query::SetLit(items) => {
-                Query::SetLit(items.iter().map(|i| self.rewrite(env, i)).collect())
-            }
-            Query::SetBin(op, a, b) => Query::SetBin(
-                *op,
-                Box::new(self.rewrite(env, a)),
-                Box::new(self.rewrite(env, b)),
-            ),
-            Query::IntBin(op, a, b) => Query::IntBin(
-                *op,
-                Box::new(self.rewrite(env, a)),
-                Box::new(self.rewrite(env, b)),
-            ),
-            Query::IntEq(a, b) => Query::IntEq(
-                Box::new(self.rewrite(env, a)),
-                Box::new(self.rewrite(env, b)),
-            ),
-            Query::ObjEq(a, b) => Query::ObjEq(
-                Box::new(self.rewrite(env, a)),
-                Box::new(self.rewrite(env, b)),
-            ),
-            Query::Record(fields) => Query::Record(
-                fields
-                    .iter()
-                    .map(|(l, fq)| (l.clone(), self.rewrite(env, fq)))
-                    .collect(),
-            ),
-            Query::Field(inner, l) => Query::Field(Box::new(self.rewrite(env, inner)), l.clone()),
-            Query::Call(d, args) => Query::Call(
-                d.clone(),
-                args.iter().map(|a| self.rewrite(env, a)).collect(),
-            ),
-            Query::Size(inner) => Query::Size(Box::new(self.rewrite(env, inner))),
-            Query::Sum(inner) => Query::Sum(Box::new(self.rewrite(env, inner))),
-            Query::Cast(c, inner) => Query::Cast(c.clone(), Box::new(self.rewrite(env, inner))),
-            Query::Attr(inner, a) => Query::Attr(Box::new(self.rewrite(env, inner)), a.clone()),
-            Query::Invoke(recv, m, args) => Query::Invoke(
-                Box::new(self.rewrite(env, recv)),
-                m.clone(),
-                args.iter().map(|a| self.rewrite(env, a)).collect(),
-            ),
-            Query::New(c, attrs) => Query::New(
-                c.clone(),
-                attrs
-                    .iter()
-                    .map(|(a, aq)| (a.clone(), self.rewrite(env, aq)))
-                    .collect(),
-            ),
-            Query::If(c, t, e) => Query::If(
-                Box::new(self.rewrite(env, c)),
-                Box::new(self.rewrite(env, t)),
-                Box::new(self.rewrite(env, e)),
-            ),
-            Query::Comp(head, quals) => {
-                let mut inner = env.clone();
-                let mut out = Vec::with_capacity(quals.len());
-                for cq in quals {
-                    match cq {
-                        Qualifier::Pred(p) => {
-                            out.push(Qualifier::Pred(self.rewrite(&inner, p)));
-                        }
-                        Qualifier::Gen(x, src) => {
-                            let src2 = self.rewrite(&inner, src);
-                            if let Ok((t, _)) = infer_query(&inner, &src2) {
-                                if let Some(elem) = t.as_set_elem() {
-                                    inner = inner.bind(x.clone(), elem.clone());
-                                }
-                            }
-                            out.push(Qualifier::Gen(x.clone(), src2));
-                        }
-                    }
-                }
-                let head2 = self.rewrite(&inner, head);
-                Query::Comp(Box::new(head2), out)
-            }
-        }
     }
 }
 
@@ -197,7 +128,7 @@ pub fn optimize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioql_ast::{AttrDef, ClassDef, ClassName, IntOp, Type, VarName};
+    use ioql_ast::{AttrDef, ClassDef, ClassName, IntOp, Qualifier, Type, VarName};
 
     fn schema() -> Schema {
         Schema::new(vec![

@@ -20,10 +20,8 @@ fn effect_of(env: &EffectEnv<'_>, q: &Query) -> Option<Effect> {
 /// carries its signature, not its body, so an invocation or a cast in the
 /// body is out of sight.
 fn repeat_safe(q: &Query, effect: &Effect) -> bool {
-    let mut may_go_wrong = false;
-    q.for_each_node(&mut |n| {
-        may_go_wrong |= matches!(n, Query::Invoke(..) | Query::Cast(..) | Query::Call(..));
-    });
+    let may_go_wrong =
+        q.any_node(|n| matches!(n, Query::Invoke(..) | Query::Cast(..) | Query::Call(..)));
     !may_go_wrong && effect.adds.is_empty() && effect.updates.is_empty()
 }
 

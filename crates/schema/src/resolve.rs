@@ -9,22 +9,22 @@
 //! anyway, but the pass is scope-correct regardless).
 
 use crate::schema::Schema;
-use ioql_ast::{Definition, ExtentName, Program, Qualifier, Query, VarName};
+use ioql_ast::{Definition, ExtentName, Program, Query, VarName};
 
 impl Schema {
     /// Rewrites free variables that name extents into explicit
     /// [`Query::Extent`] nodes.
     pub fn resolve_query(&self, q: &Query) -> Query {
-        self.resolve_in(q, &mut Vec::new())
+        self.resolve_in(q, &[])
     }
 
     /// Resolves a definition's body (its parameters shadow extent names).
     pub fn resolve_def(&self, d: &Definition) -> Definition {
-        let mut bound: Vec<VarName> = d.params.iter().map(|(x, _)| x.clone()).collect();
+        let bound: Vec<VarName> = d.params.iter().map(|(x, _)| x.clone()).collect();
         Definition {
             name: d.name.clone(),
             params: d.params.clone(),
-            body: self.resolve_in(&d.body, &mut bound),
+            body: self.resolve_in(&d.body, &bound),
         }
     }
 
@@ -36,98 +36,29 @@ impl Schema {
         }
     }
 
-    fn resolve_in(&self, q: &Query, bound: &mut Vec<VarName>) -> Query {
-        match q {
-            Query::Var(x) => {
-                if !bound.contains(x) {
-                    let e = ExtentName::new(x.as_str());
-                    if self.extent_class(&e).is_some() {
-                        return Query::Extent(e);
-                    }
+    /// The scope is the names bound around `q`; generators extend it
+    /// through [`Query::map_children`].
+    fn resolve_in(&self, q: &Query, bound: &[VarName]) -> Query {
+        if let Query::Var(x) = q {
+            if !bound.contains(x) {
+                let e = ExtentName::new(x.as_str());
+                if self.extent_class(&e).is_some() {
+                    return Query::Extent(e);
                 }
-                q.clone()
-            }
-            Query::Lit(_) | Query::Extent(_) => q.clone(),
-            Query::SetLit(items) => {
-                Query::SetLit(items.iter().map(|i| self.resolve_in(i, bound)).collect())
-            }
-            Query::SetBin(op, a, b) => Query::SetBin(
-                *op,
-                Box::new(self.resolve_in(a, bound)),
-                Box::new(self.resolve_in(b, bound)),
-            ),
-            Query::IntBin(op, a, b) => Query::IntBin(
-                *op,
-                Box::new(self.resolve_in(a, bound)),
-                Box::new(self.resolve_in(b, bound)),
-            ),
-            Query::IntEq(a, b) => Query::IntEq(
-                Box::new(self.resolve_in(a, bound)),
-                Box::new(self.resolve_in(b, bound)),
-            ),
-            Query::ObjEq(a, b) => Query::ObjEq(
-                Box::new(self.resolve_in(a, bound)),
-                Box::new(self.resolve_in(b, bound)),
-            ),
-            Query::Record(fields) => Query::Record(
-                fields
-                    .iter()
-                    .map(|(l, q)| (l.clone(), self.resolve_in(q, bound)))
-                    .collect(),
-            ),
-            Query::Field(q, l) => Query::Field(Box::new(self.resolve_in(q, bound)), l.clone()),
-            Query::Call(d, args) => Query::Call(
-                d.clone(),
-                args.iter().map(|a| self.resolve_in(a, bound)).collect(),
-            ),
-            Query::Size(q) => Query::Size(Box::new(self.resolve_in(q, bound))),
-            Query::Sum(q) => Query::Sum(Box::new(self.resolve_in(q, bound))),
-            Query::Cast(c, q) => Query::Cast(c.clone(), Box::new(self.resolve_in(q, bound))),
-            Query::Attr(q, a) => Query::Attr(Box::new(self.resolve_in(q, bound)), a.clone()),
-            Query::Invoke(recv, m, args) => Query::Invoke(
-                Box::new(self.resolve_in(recv, bound)),
-                m.clone(),
-                args.iter().map(|a| self.resolve_in(a, bound)).collect(),
-            ),
-            Query::New(c, attrs) => Query::New(
-                c.clone(),
-                attrs
-                    .iter()
-                    .map(|(a, q)| (a.clone(), self.resolve_in(q, bound)))
-                    .collect(),
-            ),
-            Query::If(c, t, e) => Query::If(
-                Box::new(self.resolve_in(c, bound)),
-                Box::new(self.resolve_in(t, bound)),
-                Box::new(self.resolve_in(e, bound)),
-            ),
-            Query::Comp(head, quals) => {
-                let depth = bound.len();
-                let mut new_quals = Vec::with_capacity(quals.len());
-                for cq in quals {
-                    match cq {
-                        Qualifier::Pred(p) => {
-                            new_quals.push(Qualifier::Pred(self.resolve_in(p, bound)));
-                        }
-                        Qualifier::Gen(x, src) => {
-                            let src2 = self.resolve_in(src, bound);
-                            new_quals.push(Qualifier::Gen(x.clone(), src2));
-                            bound.push(x.clone());
-                        }
-                    }
-                }
-                let head2 = self.resolve_in(head, bound);
-                bound.truncate(depth);
-                Query::Comp(Box::new(head2), new_quals)
             }
         }
+        q.map_children(
+            bound,
+            |b, x, _| b.to_mut().push(x.clone()),
+            |c, b| self.resolve_in(c, b),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioql_ast::{ClassDef, ClassName, Type};
+    use ioql_ast::{ClassDef, ClassName, Qualifier, Type};
 
     fn schema() -> Schema {
         Schema::new(vec![ClassDef::plain("P", ClassName::object(), "Ps", [])]).unwrap()

@@ -543,10 +543,12 @@ fn atom(c: &mut Cursor) -> Result<Query, ParseError> {
             //   group x in q by k
             //     ≡ { struct(key: k[x:=w], part: { x | x <- q, k = k[x:=w] })
             //         | w <- q }
-            // We keep `x` as the inner binder and introduce a distinct
-            // witness binder `w` (here: x with a `'`-free suffix) for the
-            // outer iteration. The key expression must be integer-typed
-            // (grouping compares with `=`).
+            // We keep `x` as the inner binder and introduce a witness
+            // binder `w` for the outer iteration: the first of
+            // `x__witness`, `x__witness1`, … that is neither free in `q`
+            // or `k` (`w` would capture it) nor bound in `k` (that binder
+            // would capture `w` in `k[x:=w]`). The key expression must be
+            // integer-typed (grouping compares with `=`).
             c.bump();
             let x = c.ident()?;
             c.expect(Tok::In)?;
@@ -554,9 +556,20 @@ fn atom(c: &mut Cursor) -> Result<Query, ParseError> {
             c.expect(Tok::By)?;
             let key = expr(c)?;
             let xv = VarName::new(&x);
-            let wv = VarName::new(format!("{x}__witness"));
-            // key with x replaced by the witness variable.
-            let key_w = subst_var(&key, &xv, &Query::Var(wv.clone()));
+            let mut taken = &src.free_vars() | &key.free_vars();
+            key.for_each_node(&mut |n| {
+                if let Query::Comp(_, quals) = n {
+                    taken.extend(quals.iter().filter_map(|cq| cq.binder().cloned()));
+                }
+            });
+            let mut wv = VarName::new(format!("{x}__witness"));
+            for i in 1.. {
+                if !taken.contains(&wv) {
+                    break;
+                }
+                wv = VarName::new(format!("{x}__witness{i}"));
+            }
+            let key_w = key.replace_var(&xv, &Query::Var(wv.clone()));
             let part = Query::comp(
                 Query::Var(xv.clone()),
                 [
@@ -612,104 +625,6 @@ fn atom(c: &mut Cursor) -> Result<Query, ParseError> {
             Ok(Query::comp(head, quals))
         }
         other => c.err(format!("expected an expression, found `{other}`")),
-    }
-}
-
-/// Purely syntactic variable-for-variable substitution used by the
-/// `group … by` desugaring (the replacement is a fresh variable, so no
-/// capture is possible; generator shadowing is still respected).
-fn subst_var(q: &Query, x: &VarName, replacement: &Query) -> Query {
-    use ioql_ast::Qualifier as Qual;
-    match q {
-        Query::Var(y) if y == x => replacement.clone(),
-        Query::Lit(_) | Query::Var(_) | Query::Extent(_) => q.clone(),
-        Query::SetLit(items) => {
-            Query::SetLit(items.iter().map(|i| subst_var(i, x, replacement)).collect())
-        }
-        Query::SetBin(op, a, b) => Query::SetBin(
-            *op,
-            Box::new(subst_var(a, x, replacement)),
-            Box::new(subst_var(b, x, replacement)),
-        ),
-        Query::IntBin(op, a, b) => Query::IntBin(
-            *op,
-            Box::new(subst_var(a, x, replacement)),
-            Box::new(subst_var(b, x, replacement)),
-        ),
-        Query::IntEq(a, b) => Query::IntEq(
-            Box::new(subst_var(a, x, replacement)),
-            Box::new(subst_var(b, x, replacement)),
-        ),
-        Query::ObjEq(a, b) => Query::ObjEq(
-            Box::new(subst_var(a, x, replacement)),
-            Box::new(subst_var(b, x, replacement)),
-        ),
-        Query::Record(fields) => Query::Record(
-            fields
-                .iter()
-                .map(|(l, fq)| (l.clone(), subst_var(fq, x, replacement)))
-                .collect(),
-        ),
-        Query::Field(inner, l) => {
-            Query::Field(Box::new(subst_var(inner, x, replacement)), l.clone())
-        }
-        Query::Call(d, args) => Query::Call(
-            d.clone(),
-            args.iter().map(|a| subst_var(a, x, replacement)).collect(),
-        ),
-        Query::Size(inner) => Query::Size(Box::new(subst_var(inner, x, replacement))),
-        Query::Sum(inner) => Query::Sum(Box::new(subst_var(inner, x, replacement))),
-        Query::Cast(cn, inner) => {
-            Query::Cast(cn.clone(), Box::new(subst_var(inner, x, replacement)))
-        }
-        Query::Attr(inner, a) => Query::Attr(Box::new(subst_var(inner, x, replacement)), a.clone()),
-        Query::Invoke(recv, m, args) => Query::Invoke(
-            Box::new(subst_var(recv, x, replacement)),
-            m.clone(),
-            args.iter().map(|a| subst_var(a, x, replacement)).collect(),
-        ),
-        Query::New(cn, attrs) => Query::New(
-            cn.clone(),
-            attrs
-                .iter()
-                .map(|(a, aq)| (a.clone(), subst_var(aq, x, replacement)))
-                .collect(),
-        ),
-        Query::If(cc, t, e) => Query::If(
-            Box::new(subst_var(cc, x, replacement)),
-            Box::new(subst_var(t, x, replacement)),
-            Box::new(subst_var(e, x, replacement)),
-        ),
-        Query::Comp(head, quals) => {
-            let mut shadowed = false;
-            let mut out = Vec::with_capacity(quals.len());
-            for cq in quals {
-                match cq {
-                    Qual::Pred(p) => out.push(Qual::Pred(if shadowed {
-                        p.clone()
-                    } else {
-                        subst_var(p, x, replacement)
-                    })),
-                    Qual::Gen(y, srcq) => {
-                        let s2 = if shadowed {
-                            srcq.clone()
-                        } else {
-                            subst_var(srcq, x, replacement)
-                        };
-                        out.push(Qual::Gen(y.clone(), s2));
-                        if y == x {
-                            shadowed = true;
-                        }
-                    }
-                }
-            }
-            let h2 = if shadowed {
-                (**head).clone()
-            } else {
-                subst_var(head, x, replacement)
-            };
-            Query::Comp(Box::new(h2), out)
-        }
     }
 }
 

@@ -261,21 +261,16 @@ fn four_ways(
     ]
 }
 
-/// Binder reuse and definition frames — what an environment can get
-/// wrong and substitution cannot. Values are equal on all four
-/// executors; a stuck state is the *same* `EvalError` (texts included)
-/// on big-step and both plans, and a `Stuck` on the spec, whose redex
-/// text is Figure 2's own.
-#[test]
-fn shadowing_and_frames_agree_on_four_executors() {
-    let fx = jack_jill();
+/// The binder-reuse and definition-frame texts, each with the answer (or
+/// the stuck state) every executor gives.
+fn shadowing_corpus() -> [(&'static str, Result<&'static str, ioql_eval::EvalError>); 9] {
     let stuck = |query: &str, reason: &str| {
         Err(ioql_eval::EvalError::Stuck {
             query: query.into(),
             reason: reason.into(),
         })
     };
-    let corpus: [(&str, Result<&str, ioql_eval::EvalError>); 9] = [
+    [
         ("{ x | x <- {1,2}, x <- {x + 10} }", Ok("{11, 12}")),
         ("{ { x | x <- {x + 1} } | x <- {1,2} }", Ok("{{2}, {3}}")),
         (
@@ -314,8 +309,18 @@ fn shadowing_and_frames_agree_on_four_executors() {
             "define g(a: int) as a + z; { g(1) | z <- {5} }",
             stuck("z", "free variable `z` at runtime"),
         ),
-    ];
-    for (src, expected) in corpus {
+    ]
+}
+
+/// Binder reuse and definition frames — what an environment can get
+/// wrong and substitution cannot. Values are equal on all four
+/// executors; a stuck state is the *same* `EvalError` (texts included)
+/// on big-step and both plans, and a `Stuck` on the spec, whose redex
+/// text is Figure 2's own.
+#[test]
+fn shadowing_and_frames_agree_on_four_executors() {
+    let fx = jack_jill();
+    for (src, expected) in shadowing_corpus() {
         let program = ioql_syntax::parse_program(src).unwrap();
         let defs = DefEnv::from_program(&program);
         for last in [false, true] {
@@ -340,4 +345,76 @@ fn shadowing_and_frames_agree_on_four_executors() {
             }
         }
     }
+}
+
+/// The walks over the query tree agree with one another under
+/// shadowing: substitution, free variables and extent resolution all
+/// apply rule (Comp2) through one pair of primitives, and this checks
+/// that they meet. The population is every subterm (open ones too) of
+/// generated queries, of their printed texts parsed back (extents come
+/// back as variables, so resolution has work to do), of the shadowing
+/// corpus and of `group … by` texts whose outer binder is named like the
+/// desugaring's witness. For each subterm `q` and each name `x` free in
+/// `q` or bound by one of its generators: `q[x := v]` is `q` exactly
+/// when `x` is not free, and it frees `x` and nothing else; resolution
+/// leaves no extent name free and is idempotent.
+#[test]
+fn the_walks_agree_under_shadowing() {
+    use ioql_ast::{ExtentName, Query, Value, VarName};
+    use std::collections::BTreeSet;
+    let fx = jack_jill();
+    let mut roots: Vec<Query> = Vec::new();
+    for seed in 0..200u64 {
+        let mut g = QueryGen::new(&fx.schema, seed, GenConfig::default());
+        let target = g.target_type();
+        let q = g.query(&target);
+        roots.extend(ioql_syntax::parse_query(&q.to_string()).ok());
+        roots.push(q);
+    }
+    let group_texts = [
+        "{ group x in {1, 2} by x + x__witness | x__witness <- {10} }",
+        "{ group x in { z | z <- {1, 2}, z < x__witness } by x | x__witness <- {2} }",
+    ];
+    let texts = shadowing_corpus().map(|(src, _)| src);
+    for src in texts.iter().chain(&group_texts) {
+        let program = ioql_syntax::parse_program(src).unwrap();
+        roots.extend(program.defs.into_iter().map(|d| d.body));
+        roots.push(program.query);
+    }
+    let mut subterms = Vec::new();
+    for root in &roots {
+        root.for_each_node(&mut |q| subterms.push(q.clone()));
+    }
+    let v = Value::Int(7);
+    let extent = |x: &VarName| {
+        fx.schema
+            .extent_class(&ExtentName::new(x.as_str()))
+            .is_some()
+    };
+    let (mut shadowed_substitutions, mut resolutions) = (0, 0);
+    for q in &subterms {
+        let free = q.free_vars();
+        let mut names = free.clone();
+        q.for_each_node(&mut |n| {
+            if let Query::Comp(_, quals) = n {
+                names.extend(quals.iter().filter_map(|cq| cq.binder().cloned()));
+            }
+        });
+        for x in &names {
+            let s = q.subst(x, &v);
+            assert_eq!(!free.contains(x), s == *q, "{q} [{x} := {v}]");
+            let mut rest = free.clone();
+            rest.remove(x);
+            assert_eq!(s.free_vars(), rest, "{q} [{x} := {v}]");
+            shadowed_substitutions += usize::from(!free.contains(x));
+        }
+        let resolved = fx.schema.resolve_query(q);
+        let left: BTreeSet<_> = resolved.free_vars().into_iter().filter(extent).collect();
+        assert!(left.is_empty(), "{q} resolves to {resolved}, {left:?} free");
+        assert_eq!(fx.schema.resolve_query(&resolved), resolved, "{q}");
+        resolutions += usize::from(resolved != *q);
+    }
+    assert!(subterms.len() > 1_000, "{} subterms", subterms.len());
+    assert!(shadowed_substitutions > 0, "no substitution was shadowed");
+    assert!(resolutions > 0, "no subterm had an extent name to resolve");
 }

@@ -326,6 +326,34 @@ fn group_by_end_to_end() {
     assert_eq!(sizes.value, expect);
 }
 
+/// The `group … by` witness binder captures nothing: a name free in the
+/// grouped source or the key, or bound inside the key, is never picked,
+/// so each text answers what it answers with that name spelled `y`.
+#[test]
+fn group_by_witness_captures_nothing() {
+    let mut d = db();
+    let cases = [
+        (
+            "{ group x in {1, 2} by x + x__witness | x__witness <- {10} }",
+            "{{<key: 11, part: {1}>, <key: 12, part: {2}>}}",
+        ),
+        (
+            "{ group x in { z | z <- {1, 2}, z < x__witness } by x | x__witness <- {2} }",
+            "{{<key: 1, part: {1}>}}",
+        ),
+        (
+            "group x in {1, 2} by sum({ x + x__witness | x__witness <- {10} })",
+            "{<key: 11, part: {1}>, <key: 12, part: {2}>}",
+        ),
+    ];
+    for (text, expected) in cases {
+        for src in [text.to_string(), text.replace("x__witness", "y")] {
+            let r = d.query(&src).unwrap();
+            assert_eq!(r.value.to_string(), expected, "{src}");
+        }
+    }
+}
+
 #[test]
 fn engines_agree_through_the_facade() {
     use ioql::Engine;
