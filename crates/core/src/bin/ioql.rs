@@ -29,7 +29,7 @@
 //! :save <file>       dump the store to a file (atomic write + checksum)
 //! :load <file>       load a store dump (replaces current contents)
 //! :checkpoint        fold the WAL into a fresh checkpoint (durable mode)
-//! :wal status        write-ahead log mode, generation, append/fsync state
+//! :wal status        write-ahead log mode, generation, appends, poison state
 //! :serve <addr>      serve this database to TCP clients (admission-scheduled)
 //! :obs <addr>        serve /metrics, /healthz, /traces over HTTP
 //! :schema            list classes, attributes, methods
@@ -67,7 +67,7 @@ commands:
   :save <file>       dump the store to a file (atomic write + checksum)
   :load <file>       load a store dump (replaces current contents)
   :checkpoint        fold the WAL into a fresh checkpoint (durable mode)
-  :wal status        write-ahead log mode, generation, append/fsync state
+  :wal status        write-ahead log mode, generation, appends, poison state
   :serve <addr>      serve this database to TCP clients (admission-scheduled)
   :obs <addr>        serve /metrics, /healthz, /traces over HTTP
   :schema            list classes, attributes, methods

@@ -147,9 +147,8 @@ pub struct DbOptions {
     /// handle's later options do not change it. `Off` (default) logs nothing and
     /// changes **no observable** — values, stores, effects, meters are
     /// byte-identical to a database with no durability subsystem;
-    /// `Commit` fsyncs each commit's record before acknowledging it;
-    /// `Batch(n)` group-commits, fsyncing every `n`-th record. Queries
-    /// whose inferred effect is write-free (the Theorem 7 guard) skip
+    /// `Commit` fsyncs each commit's record before acknowledging it.
+    /// Queries whose inferred effect is write-free (the Theorem 7 guard) skip
     /// the log entirely under every mode — the effect system proves
     /// they have nothing to persist.
     pub durability: Durability,
@@ -283,12 +282,9 @@ pub struct DbMetrics {
     /// Queries that skipped the WAL because their inferred effect is
     /// write-free — the Theorem 7 guard acting as a durability filter.
     pub wal_skipped_effect: Counter,
-    /// `fsync`s issued by the log (per commit under `Commit`, per group
-    /// under `Batch(n)`).
+    /// `fsync`s issued for acknowledged records: one per append, since
+    /// the log appends only under `Commit`.
     pub wal_fsyncs: Counter,
-    /// Fsyncs that covered more than one pending record — actual group
-    /// commits.
-    pub wal_group_commits: Counter,
     /// Checkpoints taken (`:checkpoint` and load-triggered).
     pub wal_checkpoints: Counter,
     /// Records replayed by startup recovery.
@@ -437,10 +433,6 @@ impl DbMetrics {
                 "Commits skipped by the WAL because the effect proved them write-free.",
             ),
             wal_fsyncs: c("ioql_wal_fsyncs_total", "WAL fsync calls."),
-            wal_group_commits: c(
-                "ioql_wal_group_commits_total",
-                "WAL fsyncs that covered more than one pending record.",
-            ),
             wal_checkpoints: c(
                 "ioql_wal_checkpoints_total",
                 "Durable checkpoints (baseline rebuilds).",

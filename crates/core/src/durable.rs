@@ -23,8 +23,8 @@
 //!   rename is the commit point — then clean up the old generation. A
 //!   crash at any step leaves one complete generation on disk.
 //! * **Append** (called from the query path) — one record per committed
-//!   mutating query, after the store mutation succeeds but before the
-//!   commit is acknowledged to the caller. If the append or its fsync
+//!   mutating query, appended and fsynced after the store mutation
+//!   succeeds but before the commit is acknowledged to the caller. If the append or its fsync
 //!   fails, the commit is rolled back and the log is **poisoned**:
 //!   subsequent mutating queries fail fast (the on-disk tail is
 //!   suspect) until a checkpoint rebuilds the baseline from memory. A
@@ -36,16 +36,15 @@
 //! The recovery guarantee, checked by `tests/recovery.rs` across crash
 //! points × choosers × engines: the recovered store is oid-bijection-
 //! equivalent (`store::equiv`) to the store after some *prefix* of the
-//! committed queries, and that prefix contains every commit whose
-//! acknowledgement had `fsync` behind it.
+//! committed queries, and that prefix contains every acknowledged
+//! commit — under `Commit`, the only policy that logs, a commit is
+//! acknowledged only after its record's `fsync` returned.
 
 use crate::database::{Database, DbOptions};
 use crate::error::DbError;
 use crate::kernel::{lock, DbKernel};
 use ioql_eval::{Governor, Limits, ScriptedChooser};
-use ioql_store::wal::{
-    checkpoint_path, parse_wal, scan_generations, wal_path, AppendAck, Wal, WalSink,
-};
+use ioql_store::wal::{checkpoint_path, parse_wal, scan_generations, wal_path, Wal, WalSink};
 use ioql_store::{Durability, WalError, WalErrorKind, WalPayload};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -130,9 +129,6 @@ pub struct WalStatus {
     pub generation: u64,
     /// Records appended to the live log so far.
     pub appended: u64,
-    /// Appended records not yet fsynced (nonzero only under
-    /// `Batch(n)`).
-    pub pending: u64,
     /// Whether an append failure has poisoned the log (mutating queries
     /// fail fast until a checkpoint).
     pub poisoned: bool,
@@ -142,12 +138,11 @@ impl std::fmt::Display for WalStatus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "wal: mode {}, dir {}, generation {}, {} record(s) appended, {} pending fsync{}",
+            "wal: mode {}, dir {}, generation {}, {} record(s) appended{}",
             self.mode,
             self.dir.display(),
             self.generation,
             self.appended,
-            self.pending,
             if self.poisoned {
                 " — POISONED (append failed; run :checkpoint to rebuild)"
             } else {
@@ -361,19 +356,6 @@ impl DbKernel {
         let gen = log.wal.generation();
         let next = gen + 1;
 
-        // Flush the outgoing log first: every acknowledged-but-unsynced
-        // record (Batch mode) becomes durable before we move on, so a
-        // crash during the checkpoint cannot lose it.
-        if !log.poisoned {
-            log.poisoned = true; // until the flush returns `Ok`
-            let covered = log
-                .wal
-                .flush()
-                .map_err(|e| io_wal(format!("flush wal-{gen}: {e}")))?;
-            log.poisoned = false;
-            self.note_wal_sync(covered);
-        }
-
         // Build the next generation's log: header plus a preamble
         // re-logging every live definition (checkpoints only cover the
         // store; definitions live in the log).
@@ -392,7 +374,7 @@ impl DbKernel {
                 .map_err(|e| io_wal(format!("write wal-{next} preamble: {e}")))?;
         }
         next_wal
-            .flush()
+            .sync()
             .map_err(|e| io_wal(format!("sync wal-{next}: {e}")))?;
 
         // The commit point: the checkpoint file appears atomically.
@@ -422,18 +404,17 @@ impl DbKernel {
             dir: log.dir.clone(),
             generation: log.wal.generation(),
             appended: log.wal.next_seq() - 1,
-            pending: log.wal.pending(),
             poisoned: log.poisoned,
         })
     }
 
-    /// Appends one committed payload to the log, applying the fsync
-    /// policy and the poison protocol. Called by the query path (for
-    /// mutating queries) and by `define`, in both cases while the state
-    /// write lock is held — the state → durable order. The returned ack
-    /// says whether this append triggered an fsync and how many pending
-    /// records that sync covered (for the flight recorder's wal span).
-    pub(crate) fn wal_append(&self, payload: &WalPayload) -> Result<AppendAck, DbError> {
+    /// Appends one committed payload to the log under the poison
+    /// protocol and returns its sequence number. Called by the query
+    /// path (for mutating queries) and by `define`, only while the log
+    /// is active — under `Commit`, so the record is fsynced before this
+    /// returns — and in both cases while the state write lock is held:
+    /// the state → durable order.
+    pub(crate) fn wal_append(&self, payload: &WalPayload) -> Result<u64, DbError> {
         let Some(durable) = self.durable.get() else {
             return Err(io_wal("no durable directory attached").into());
         };
@@ -450,25 +431,13 @@ impl DbKernel {
         // nothing after it can be trusted to append cleanly. Fail every
         // later mutation fast until a checkpoint rebuilds.
         log.poisoned = true;
-        let ack = log
+        let seq = log
             .wal
             .append(payload)
             .map_err(|e| io_wal(format!("wal append failed: {e}")))?;
         log.poisoned = false;
         self.metrics().wal_appends.inc();
-        if ack.synced {
-            self.note_wal_sync(ack.grouped);
-        }
-        Ok(ack)
-    }
-
-    /// Records an fsync that covered `covered` pending records.
-    fn note_wal_sync(&self, covered: u64) {
-        if covered > 0 {
-            self.metrics().wal_fsyncs.inc();
-        }
-        if covered > 1 {
-            self.metrics().wal_group_commits.inc();
-        }
+        self.metrics().wal_fsyncs.inc();
+        Ok(seq)
     }
 }

@@ -32,8 +32,7 @@
 //! the query. None of it reads the store, so the statement cache
 //! ([`crate::statements`]) keeps the `Arc<Prepared>` per text and every
 //! later request for that text shares it by pointer: its `elab` *is* the
-//! result-cache key, and the scheduler's in-flight registry holds the
-//! same `Arc`. Registered definitions live in one `Arc`-shared
+//! result-cache key. Registered definitions live in one `Arc`-shared
 //! `Catalogue` built at `define` time — a snapshot clones the pointer,
 //! no request rebuilds an environment from it, and a retained statement
 //! is valid exactly while that pointer is the one it was judged under.
@@ -560,18 +559,17 @@ impl DbKernel {
         // never produce an interference witness, so such a query may run
         // beside any other admitted one.
         if prepared.thm7.snapshot_admissible() {
-            // Register in the scheduler and clone the snapshot while
-            // still holding the read lock: no writer can commit between
-            // the stamp and the clone, so the snapshot reflects exactly
+            // Stamp the reader and clone the snapshot while still
+            // holding the read lock: no writer can commit between the
+            // stamp and the clone, so the snapshot reflects exactly
             // `snapshot_seq` commits. The store's environments are
             // chunked copy-on-write structures behind shared spines, so
             // the clone is one pointer per environment — admission cost
             // is O(extents), not O(chunks) — and everything stays shared
-            // until a writer path-copies it. The registration is a
-            // guard: however this request ends, the reader leaves the
-            // registry.
+            // until a writer path-copies it. The admission is a guard:
+            // however this request ends, the in-flight count drops.
             let snap_sp = tracer.begin(Span::SnapshotAcquire, "");
-            let reader = self.sched.admit_reader(Arc::clone(&prepared));
+            let reader = self.sched.admit_reader();
             let snapshot_seq = reader.snapshot_seq;
             let mut snapshot = state.clone();
             drop(state);
@@ -595,8 +593,8 @@ impl DbKernel {
             let seen = Arc::clone(&state.catalogue);
             drop(state);
             // Refused concurrency: name the interfering atom pair
-            // (against a live reader if one is in flight) and serialize
-            // on the write lock in arrival order.
+            // (against the writer's own mirror reader) and serialize on
+            // the write lock in arrival order.
             let witness = self.sched.writer_witness(&prepared.effect, &self.schema);
             self.metrics.sched.serialized.inc();
             self.metrics.sched.witnesses.inc();
@@ -873,18 +871,7 @@ impl DbKernel {
         let out = match result {
             Ok(out) => out,
             Err(e) => {
-                if let Some(snap) = rollback {
-                    // Restoring the snapshot rewinds extent *contents*
-                    // to their pre-query state, but the aborted run may
-                    // have published intermediate contents under the
-                    // snapshot's version numbers (e.g. a partial `new`
-                    // batch read back by a later governed query). Move
-                    // every counter strictly past both histories so no
-                    // cached fingerprint can collide.
-                    let dirty = std::mem::replace(&mut state.store, snap);
-                    state.store.bump_versions_from(&dirty);
-                    self.metrics.rollbacks.inc();
-                }
+                self.roll_back(&mut state.store, rollback);
                 return Err(e);
             }
         };
@@ -915,21 +902,10 @@ impl DbKernel {
             };
             let wal_sp = tracer.begin(Span::WalAppend, "");
             match self.wal_append(&payload) {
-                Ok(ack) => tracer.end_with(wal_sp, || {
-                    let group = if ack.grouped > 1 {
-                        format!(" group={}", ack.grouped)
-                    } else {
-                        String::new()
-                    };
-                    Some(format!("appended fsync={}{group}", ack.synced))
-                }),
+                Ok(_) => tracer.end_with(wal_sp, || Some("appended fsync=true".to_string())),
                 Err(e) => {
                     tracer.end_with(wal_sp, || Some("append failed — rolled back".to_string()));
-                    if let Some(snap) = rollback {
-                        let dirty = std::mem::replace(&mut state.store, snap);
-                        state.store.bump_versions_from(&dirty);
-                        self.metrics.rollbacks.inc();
-                    }
+                    self.roll_back(&mut state.store, rollback);
                     return Err(e);
                 }
             }
@@ -969,6 +945,21 @@ impl DbKernel {
             },
             seq,
         ))
+    }
+
+    /// Puts back the pre-query `snapshot` (`None` for a read, which took
+    /// none) after a failed run. Restoring rewinds extent *contents* to
+    /// their pre-query state, but the aborted run may have published
+    /// intermediate contents under the snapshot's version numbers (e.g.
+    /// a partial `new` batch read back by a later governed query). Move
+    /// every counter strictly past both histories so no cached
+    /// fingerprint can collide.
+    fn roll_back(&self, store: &mut Store, snapshot: Option<Store>) {
+        if let Some(snap) = snapshot {
+            let dirty = std::mem::replace(store, snap);
+            store.bump_versions_from(&dirty);
+            self.metrics.rollbacks.inc();
+        }
     }
 
     /// Registers `define …;` forms, all or nothing: every form of the

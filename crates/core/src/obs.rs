@@ -29,7 +29,8 @@
 //!
 //! Anything else is a `404`. Only `GET` is served — the plane observes;
 //! it never mutates. A request head (request line plus headers) over
-//! 8 KiB or 64 header lines is refused with `431` without being buffered.
+//! 8 KiB or 64 header lines is refused with `431` without being buffered,
+//! and a connection beyond the 64 live ones with `503`.
 
 use crate::admin::RECORDER_OFF;
 use crate::database::Database;
@@ -53,7 +54,9 @@ const MAX_HEADERS: usize = 64;
 /// `127.0.0.1:9090`, or port `0` to pick a free one — read it back from
 /// [`ObsHandle::addr`]).
 pub fn serve_obs(kernel: Arc<DbKernel>, addr: &str) -> std::io::Result<ObsHandle> {
-    listen(addr, move |_, stream| {
+    let refusal =
+        "HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
+    listen(addr, refusal, move |_, stream| {
         let _ = handle_request(stream, &kernel);
     })
 }
@@ -116,8 +119,8 @@ fn read_head(reader: &mut impl BufRead) -> std::io::Result<Line> {
     Ok(Line::TooLong) // more than MAX_HEADERS header lines
 }
 
-fn handle_request(stream: TcpStream, kernel: &Arc<DbKernel>) -> std::io::Result<()> {
-    let mut out = stream.try_clone()?;
+fn handle_request(stream: &TcpStream, kernel: &Arc<DbKernel>) -> std::io::Result<()> {
+    let mut out = stream;
     let head = read_head(&mut BufReader::new(stream))?;
     let response = match &head {
         Line::Text(request) => route(request, kernel),
@@ -137,7 +140,7 @@ fn handle_request(stream: TcpStream, kernel: &Arc<DbKernel>) -> std::io::Result<
     );
     out.write_all(message.as_bytes())?;
     if matches!(head, Line::TooLong) {
-        linger_close(&out);
+        linger_close(stream);
     }
     Ok(())
 }
@@ -177,7 +180,6 @@ fn healthz(kernel: &Arc<DbKernel>) -> Response {
             .string("mode", &s.mode.to_string())
             .number("generation", s.generation)
             .number("appended", s.appended)
-            .number("pending", s.pending)
             .boolean("poisoned", s.poisoned)
             .finish()
     });

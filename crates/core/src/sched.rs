@@ -23,10 +23,11 @@
 //!   lock and run against the live store; each commit is assigned
 //!   the next commit sequence number. The refusal-to-run-concurrently
 //!   is **explained, not just enforced**: the scheduler names an
-//!   interfering atom pair — against a real in-flight reader when one
-//!   exists, otherwise against the mirror reader of the query's own
-//!   write set — and carries it into telemetry
-//!   (`ioql_sched_witnesses_total`, `:stats`).
+//!   interfering atom pair against the mirror reader of the query's own
+//!   write set — a writer never waits on a reader, so no in-flight
+//!   reader has a say, and the witness is fixed by the query alone —
+//!   and carries it into telemetry (`ioql_sched_witnesses_total`,
+//!   `:stats`, the wire reply's `witness:` line).
 //!
 //! The correctness contract (pinned by `tests/server.rs`): concurrent
 //! execution is observably equivalent to the serialized replay in which
@@ -36,14 +37,12 @@
 //! reader/writer discipline is serializable, not merely
 //! snapshot-isolated: there is no write skew without writes.
 
-use crate::kernel::Prepared;
 use ioql_effects::Effect;
 use ioql_schema::Schema;
 use ioql_telemetry::Counter;
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// The admission controller's telemetry handles (registered in
 /// [`DbMetrics`](crate::DbMetrics)). Write-only from the scheduler's
@@ -105,47 +104,39 @@ impl std::fmt::Display for Admitted {
     }
 }
 
-/// Registry of in-flight concurrently-admitted readers: each holds the
-/// shared front-end artifact it was admitted on (its effect is what a
-/// writer's witness is named against).
-#[derive(Debug, Default)]
-struct SchedInner {
-    next_reader: u64,
-    inflight: BTreeMap<u64, Arc<Prepared>>,
-    /// Most recent serialization witnesses, newest last (`:stats`).
-    recent_witnesses: VecDeque<String>,
-}
-
 /// The admission controller's shared state: the commit sequence
-/// counter (the kernel's total order on committed writers), the
-/// in-flight reader registry, and the concurrency high-water mark.
+/// counter (the kernel's total order on committed writers), the count
+/// of in-flight readers and its high-water mark, and the recent
+/// serialization witnesses. Admitting a reader takes no lock.
 #[derive(Debug, Default)]
 pub struct Sched {
-    inner: Mutex<SchedInner>,
     /// Committed writers so far — the version-stamp readers are
     /// admitted against. Bumped under the state write lock, so a reader
     /// holding the read lock observes a value consistent with the store
     /// it snapshots.
     commit_seq: AtomicU64,
+    /// Readers currently in flight (a statistic: it publishes nothing).
+    inflight: AtomicU64,
     /// High-water mark of simultaneously in-flight readers — the
     /// direct evidence that read admissions genuinely overlapped.
     max_inflight: AtomicU64,
+    /// Most recent serialization witnesses, newest last (`:stats`).
+    recent_witnesses: Mutex<VecDeque<String>>,
 }
 
-/// One admitted reader's registration. Dropping it deregisters the
-/// reader — on return, on `?`, and on unwind alike — so the registry
-/// cannot outlive the request that entered it.
+/// One admitted reader. Dropping it ends the admission — on return, on
+/// `?`, and on unwind alike — so the in-flight count cannot outlive the
+/// request that raised it.
 #[derive(Debug)]
 pub(crate) struct Reader<'a> {
     sched: &'a Sched,
-    id: u64,
     /// The commit sequence number the reader's snapshot is stamped with.
     pub(crate) snapshot_seq: u64,
 }
 
 impl Drop for Reader<'_> {
     fn drop(&mut self) {
-        self.sched.lock().inflight.remove(&self.id);
+        self.sched.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -154,23 +145,14 @@ impl Sched {
         Sched::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, SchedInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Registers a concurrently-admitted reader until the returned guard
-    /// drops. Must be called while holding the kernel state read lock so
-    /// the guard's snapshot stamp agrees with the store being cloned.
-    pub(crate) fn admit_reader(&self, prepared: Arc<Prepared>) -> Reader<'_> {
-        let mut inner = self.lock();
-        inner.next_reader += 1;
-        let id = inner.next_reader;
-        inner.inflight.insert(id, prepared);
-        let now = inner.inflight.len() as u64;
+    /// Admits a concurrent reader until the returned guard drops. Must
+    /// be called while holding the kernel state read lock so the guard's
+    /// snapshot stamp agrees with the store being cloned.
+    pub(crate) fn admit_reader(&self) -> Reader<'_> {
+        let now = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         self.max_inflight.fetch_max(now, Ordering::Relaxed);
         Reader {
             sched: self,
-            id,
             snapshot_seq: self.commit_seq.load(Ordering::Acquire),
         }
     }
@@ -190,7 +172,7 @@ impl Sched {
 
     /// Readers currently in flight.
     pub(crate) fn inflight_readers(&self) -> usize {
-        self.lock().inflight.len()
+        self.inflight.load(Ordering::Relaxed) as usize
     }
 
     /// The highest number of readers ever simultaneously in flight.
@@ -198,57 +180,42 @@ impl Sched {
         self.max_inflight.load(Ordering::Relaxed)
     }
 
+    fn witnesses(&self) -> MutexGuard<'_, VecDeque<String>> {
+        self.recent_witnesses
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Names the interfering atom pair that forces `effect` onto the
-    /// serialized path: preferentially against a *real* in-flight
-    /// reader, otherwise against the mirror reader of the writer's own
+    /// serialized path, against the mirror reader of the writer's own
     /// write set (a hypothetical session reading every extent this
     /// query writes — exactly what concurrent admission would permit).
     /// Records the witness for `:stats`.
     pub(crate) fn writer_witness(&self, effect: &Effect, schema: &Schema) -> (String, String) {
-        let mut inner = self.lock();
-        let witness = inner
-            .inflight
-            .values()
-            .find_map(|reader| effect.interference_witness(&reader.effect, schema))
-            .or_else(|| {
-                let mut mirror = Effect::empty();
-                mirror.reads = effect.adds.clone();
-                mirror.attr_reads = effect.updates.clone();
-                effect.interference_witness(&mirror, schema)
-            })
+        let mut mirror = Effect::empty();
+        mirror.reads = effect.adds.clone();
+        mirror.attr_reads = effect.updates.clone();
+        let witness = effect
+            .interference_witness(&mirror, schema)
             .unwrap_or_else(|| ("W".into(), "R".into()));
-        inner
-            .recent_witnesses
-            .push_back(format!("({}, {})", witness.0, witness.1));
-        while inner.recent_witnesses.len() > 8 {
-            inner.recent_witnesses.pop_front();
+        let mut recent = self.witnesses();
+        recent.push_back(format!("({}, {})", witness.0, witness.1));
+        while recent.len() > 8 {
+            recent.pop_front();
         }
         witness
     }
 
     /// The most recent serialization witnesses, newest last.
     pub(crate) fn recent_witnesses(&self) -> Vec<String> {
-        self.lock().recent_witnesses.iter().cloned().collect()
+        self.witnesses().iter().cloned().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioql_ast::{ClassDef, ClassName, Query, Type, Value};
-    use ioql_effects::Thm7;
-
-    /// A front-end artifact with this effect (the scheduler reads
-    /// nothing else of it).
-    fn reading(effect: Effect) -> Arc<Prepared> {
-        let elab = Query::Lit(Value::Int(0));
-        Arc::new(Prepared {
-            thm7: Thm7::decide(&elab, &effect, |_| None),
-            elab: Arc::new(elab),
-            ty: Type::Int,
-            effect,
-        })
-    }
+    use ioql_ast::{ClassDef, ClassName};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -261,8 +228,8 @@ mod tests {
     #[test]
     fn reader_registry_tracks_inflight_and_high_water() {
         let s = Sched::new();
-        let a = s.admit_reader(reading(Effect::read("Person")));
-        let b = s.admit_reader(reading(Effect::read("Robot")));
+        let a = s.admit_reader();
+        let b = s.admit_reader();
         assert_eq!((a.snapshot_seq, b.snapshot_seq), (0, 0));
         assert_eq!(s.inflight_readers(), 2);
         assert_eq!(s.max_inflight_readers(), 2);
@@ -275,25 +242,18 @@ mod tests {
 
     /// A reader that unwinds — a panic anywhere between admission and
     /// the end of the request, e.g. in the optimizer or the lowering,
-    /// which run outside `execute_in`'s `catch_unwind` — still leaves the
-    /// registry. When admission returned a bare id and the kernel called
-    /// `finish_reader(id)` by hand after `execute_in`, this same sequence
-    /// (admit, unwind, no `finish_reader`) left `inflight_readers()` at
-    /// 1: a phantom reader in `:stats` forever, and `writer_witness`
-    /// naming a dead reader's atoms.
+    /// which run outside `execute_in`'s `catch_unwind` — still ends its
+    /// admission: no phantom reader stays in `:stats`.
     #[test]
     fn an_unwinding_reader_deregisters() {
         let s = Sched::new();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _reader = s.admit_reader(reading(Effect::read("Person")));
+            let _reader = s.admit_reader();
             assert_eq!(s.inflight_readers(), 1);
             panic!("the optimizer panicked");
         }));
         assert!(unwound.is_err());
         assert_eq!(s.inflight_readers(), 0);
-        // No dead reader to name: the witness is the mirror reader.
-        let w = s.writer_witness(&Effect::add("Robot"), &schema());
-        assert_eq!(w, ("A(Robot)".into(), "R(Robot)".into()));
     }
 
     #[test]
@@ -301,23 +261,23 @@ mod tests {
         let s = Sched::new();
         assert_eq!(s.commit_writer(), 1);
         assert_eq!(s.commit_writer(), 2);
-        let reader = s.admit_reader(reading(Effect::read("Person")));
+        let reader = s.admit_reader();
         assert_eq!(reader.snapshot_seq, 2); // the snapshot reflects both commits
     }
 
+    /// The witness is the writer's own: the mirror reader of its write
+    /// set, whatever reader is in flight.
     #[test]
-    fn witness_prefers_a_real_inflight_reader() {
+    fn witness_is_the_writers_own_mirror_reader() {
         let s = Sched::new();
         let sch = schema();
-        let reader = s.admit_reader(reading(Effect::read("Person")));
-        let w = s.writer_witness(&Effect::add("Person"), &sch);
-        assert_eq!(w, ("A(Person)".into(), "R(Person)".into()));
-        drop(reader);
-        // No reader in flight: the mirror reader of the write set.
+        let _reader = s.admit_reader();
         let w = s.writer_witness(&Effect::add("Robot"), &sch);
         assert_eq!(w, ("A(Robot)".into(), "R(Robot)".into()));
         let w = s.writer_witness(&Effect::update("Person"), &sch);
         assert_eq!(w, ("U(Person)".into(), "Ra(Person)".into()));
+        let w = s.writer_witness(&Effect::add("Person").union(&Effect::add("Robot")), &sch);
+        assert_eq!(w, ("A(Person)".into(), "R(Person)".into()));
         assert_eq!(s.recent_witnesses().len(), 3);
     }
 }

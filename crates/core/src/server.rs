@@ -5,8 +5,10 @@
 //! admission controller ([`crate::sched`]) doing the actual
 //! multiplexing. Write-free queries from different clients run
 //! genuinely in parallel against version-stamped snapshots; writers
-//! serialize in arrival order; with `--durable`, the WAL's group
-//! commit is the shared ack point for every client's mutations.
+//! serialize in arrival order; with `--durable`, each client's mutation
+//! is acknowledged only after its own WAL record's fsync. At most 64
+//! connections are live at once; one more is answered `err too many
+//! connections` and closed.
 //!
 //! ## Wire protocol
 //!
@@ -42,8 +44,9 @@
 //!   untraced traffic stays byte-identical run to run.)
 //! * `ok <word>` — an admin command succeeded; payload varies.
 //! * `err <message>` — the request failed; the session stays usable.
-//!   The one exception is `err request too long`: a request line over
-//!   1 MiB is never buffered — the server answers and closes.
+//!   The exceptions are `err request too long` (a request line over
+//!   1 MiB is never buffered — the server answers and closes) and `err
+//!   too many connections`, sent in place of the greeting.
 //!
 //! The greeting on connect is a frame too:
 //! `ok ioql-server proto=1 session=<label>`.
@@ -55,7 +58,7 @@ use crate::session::Session;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -63,6 +66,10 @@ use std::time::{Duration, Instant};
 /// The longest request line the wire protocol accepts, terminator
 /// included.
 const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// The most connections one listener serves at once, each on its own
+/// thread: 32× the benchmark's wire clients, 8× CI's server smoke.
+pub(crate) const MAX_CONNECTIONS: usize = 64;
 
 /// A running listener — the query server or the observability plane:
 /// its bound address and shutdown/join controls. Dropping the handle
@@ -108,17 +115,34 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Holds one of a listener's `MAX_CONNECTIONS` slots until its
+/// connection thread ends, however it ends.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// Binds `addr` and runs the accept loop both listeners share: every
-/// connection gets its own thread running `on_conn(n, stream)`, where `n`
-/// counts connections from 1 in accept order.
+/// connection gets its own thread running `on_conn(n, &stream)`, where
+/// `n` counts connections from 1 in accept order. The thread frees its
+/// slot before it closes the stream, so a peer that saw the close can
+/// connect again at once. A connection beyond the `MAX_CONNECTIONS`
+/// live ones is sent `refusal` and closed by the accept loop itself, so
+/// no thread is spawned for it (and while the cap is reached, the
+/// loop's lingering close paces further connects).
 pub(crate) fn listen(
     addr: &str,
-    on_conn: impl Fn(u64, TcpStream) + Send + Sync + 'static,
+    refusal: &'static str,
+    on_conn: impl Fn(u64, &TcpStream) + Send + Sync + 'static,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let running = Arc::new(AtomicBool::new(true));
     let on_conn = Arc::new(on_conn);
+    let live = Arc::new(AtomicUsize::new(0));
     let accept = {
         let running = Arc::clone(&running);
         std::thread::spawn(move || {
@@ -132,12 +156,22 @@ pub(crate) fn listen(
                 // write per message: Nagle's algorithm would only hold a
                 // reply back until the peer's delayed ACK of the last one.
                 let _ = stream.set_nodelay(true);
+                if live.fetch_add(1, Ordering::Relaxed) >= MAX_CONNECTIONS {
+                    live.fetch_sub(1, Ordering::Relaxed);
+                    let _ = (&stream).write_all(refusal.as_bytes());
+                    linger_close(&stream);
+                    continue;
+                }
+                let slot = Slot(Arc::clone(&live));
                 n += 1;
                 let on_conn = Arc::clone(&on_conn);
                 // Connection threads are not joined: they exit when
                 // their peer disconnects, and they touch nothing the
                 // accept loop owns.
-                std::thread::spawn(move || on_conn(n, stream));
+                std::thread::spawn(move || {
+                    on_conn(n, &stream);
+                    drop(slot);
+                });
             }
         })
     };
@@ -180,7 +214,7 @@ pub(crate) fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> std::io
 /// connection is dropped.
 const LINGER: Duration = Duration::from_secs(1);
 
-/// Hangs up on a peer whose request was refused for its size, without
+/// Hangs up on a peer whose request or connection was refused, without
 /// losing the refusal: closing a socket that still has unread input
 /// resets the connection, and a reset discards whatever the peer has
 /// not read yet — the error reply included. So: half-close, discard what
@@ -202,7 +236,8 @@ pub(crate) fn linger_close(stream: &TcpStream) {
 }
 
 /// Per-connection bookkeeping shared with `:stats`: the latest
-/// [`Session::describe`] line of every session this server has seen.
+/// [`Session::describe`] line of every live session. A line leaves the
+/// board when its connection ends, before the socket closes.
 type SessionBoard = Arc<Mutex<BTreeMap<String, String>>>;
 
 /// Starts a server over `kernel` on `addr` (e.g. `127.0.0.1:7583`, or
@@ -215,9 +250,14 @@ pub fn serve(
     addr: &str,
 ) -> std::io::Result<ServerHandle> {
     let board: SessionBoard = Arc::new(Mutex::new(BTreeMap::new()));
-    listen(addr, move |n, stream| {
-        let session = Session::new(Arc::clone(&kernel), options.clone(), format!("client-{n}"));
-        let _ = handle_client(stream, session, Arc::clone(&board));
+    listen(addr, "err too many connections\n.\n", move |n, stream| {
+        let label = format!("client-{n}");
+        let session = Session::new(Arc::clone(&kernel), options.clone(), label.clone());
+        let _ = handle_client(stream, session, &board);
+        board
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&label);
     })
 }
 
@@ -253,11 +293,11 @@ fn one_line(msg: impl std::fmt::Display) -> String {
 }
 
 fn handle_client(
-    stream: TcpStream,
+    stream: &TcpStream,
     mut session: Session,
-    board: SessionBoard,
+    board: &SessionBoard,
 ) -> std::io::Result<()> {
-    let mut out = stream.try_clone()?;
+    let mut out = stream;
     let mut reader = BufReader::new(stream);
     frame(
         &mut out,
@@ -270,7 +310,7 @@ fn handle_client(
             Line::Eof => break,
             Line::TooLong => {
                 frame(&mut out, "err request too long", "")?;
-                linger_close(&out);
+                linger_close(stream);
                 break;
             }
         };
@@ -282,7 +322,7 @@ fn handle_client(
             frame(&mut out, "ok bye", "")?;
             break;
         }
-        let result = run_request(&mut session, &board, line);
+        let result = run_request(&mut session, board, line);
         // Publish this session's line for every client's `:stats`.
         board
             .lock()

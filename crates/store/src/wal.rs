@@ -39,8 +39,9 @@
 //!
 //! Appends go through a [`WalSink`] so the fault harness can inject
 //! crash points (a sink that loses writes after N bytes); production
-//! uses [`FileSink`] — `O_APPEND` writes plus `fsync` per
-//! [`Durability`] mode.
+//! uses [`FileSink`] — `O_APPEND` writes, and under
+//! [`Durability::Commit`] one `fsync` per record before [`Wal::append`]
+//! returns, so every acknowledged commit is on disk.
 
 use crate::dump::crc32;
 use std::collections::BTreeSet;
@@ -57,15 +58,9 @@ pub enum Durability {
     #[default]
     Off,
     /// Append **and fsync** one record per committed mutating query
-    /// before the commit is acknowledged. Strongest guarantee: recovery
-    /// never loses an acknowledged commit.
+    /// before the commit is acknowledged: recovery never loses an
+    /// acknowledged commit.
     Commit,
-    /// Group commit: append per commit, but fsync only every `n`-th
-    /// record (and at checkpoints/shutdown). A commit is *acknowledged
-    /// as durable* only when its group's fsync has run; the unsynced
-    /// tail may be lost to a crash — by design, trading the tail for
-    /// one fsync per `n` commits.
-    Batch(usize),
 }
 
 impl fmt::Display for Durability {
@@ -73,7 +68,6 @@ impl fmt::Display for Durability {
         match self {
             Durability::Off => write!(f, "off"),
             Durability::Commit => write!(f, "commit"),
-            Durability::Batch(n) => write!(f, "batch({n})"),
         }
     }
 }
@@ -461,28 +455,13 @@ impl WalSink for FileSink {
     }
 }
 
-/// The acknowledgement returned by [`Wal::append`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AppendAck {
-    /// The sequence number the record was written under.
-    pub seq: u64,
-    /// Whether the record is fsync-durable. Always true under
-    /// [`Durability::Commit`]; under [`Durability::Batch`] true only on
-    /// the append that filled the group.
-    pub synced: bool,
-    /// How many pending records this append's fsync covered (0 when it
-    /// did not sync). A value ≥ 2 is a group commit.
-    pub grouped: u64,
-}
-
 /// An open write-ahead log: appends framed records through a sink,
-/// fsyncing per its [`Durability`] mode.
+/// fsyncing each one under [`Durability::Commit`].
 pub struct Wal {
     sink: Box<dyn WalSink>,
     gen: u64,
     next_seq: u64,
     durability: Durability,
-    pending: u64,
 }
 
 impl fmt::Debug for Wal {
@@ -491,7 +470,6 @@ impl fmt::Debug for Wal {
             .field("gen", &self.gen)
             .field("next_seq", &self.next_seq)
             .field("durability", &self.durability)
-            .field("pending", &self.pending)
             .finish_non_exhaustive()
     }
 }
@@ -511,13 +489,7 @@ impl Wal {
     ) -> std::io::Result<Wal> {
         sink.append(format!("{}\n", header_line(gen)).as_bytes())?;
         sink.sync()?;
-        Ok(Wal {
-            sink,
-            gen,
-            next_seq: 1,
-            durability,
-            pending: 0,
-        })
+        Ok(Wal::open_with_sink(sink, gen, 1, durability))
     }
 
     /// Re-opens an existing, already-parsed log for appending through
@@ -533,7 +505,6 @@ impl Wal {
             gen,
             next_seq,
             durability,
-            pending: 0,
         }
     }
 
@@ -547,52 +518,25 @@ impl Wal {
         self.next_seq
     }
 
-    /// Records appended but not yet fsynced (nonzero only under
-    /// [`Durability::Batch`]).
-    pub fn pending(&self) -> u64 {
-        self.pending
-    }
-
-    /// Appends one record and applies the durability policy. On `Ok`,
-    /// `synced` says whether the record survived a crash-after-return;
-    /// on `Err` the log must be considered poisoned (the failed write
-    /// may be partially persisted) until the next checkpoint rebuilds
-    /// it.
-    pub fn append(&mut self, payload: &WalPayload) -> std::io::Result<AppendAck> {
+    /// Appends one record and returns its sequence number. Under
+    /// [`Durability::Commit`] the record is fsynced before this returns,
+    /// so an `Ok` survives a crash; under `Off` it is not synced until
+    /// [`Wal::sync`]. On `Err` the log must be considered poisoned (the
+    /// failed write may be partially persisted) until the next
+    /// checkpoint rebuilds it.
+    pub fn append(&mut self, payload: &WalPayload) -> std::io::Result<u64> {
         let seq = self.next_seq;
-        let line = encode_record(seq, payload);
-        self.sink.append(line.as_bytes())?;
+        self.sink.append(encode_record(seq, payload).as_bytes())?;
         self.next_seq += 1;
-        self.pending += 1;
-        let must_sync = match self.durability {
-            // `Off` never constructs a `Wal` in the database layer; as a
-            // standalone object it behaves like an unsynced batch.
-            Durability::Off => false,
-            Durability::Commit => true,
-            Durability::Batch(n) => self.pending >= n.max(1) as u64,
-        };
-        if !must_sync {
-            return Ok(AppendAck {
-                seq,
-                synced: false,
-                grouped: 0,
-            });
+        if self.durability == Durability::Commit {
+            self.sink.sync()?;
         }
-        let grouped = self.flush()?;
-        Ok(AppendAck {
-            seq,
-            synced: true,
-            grouped,
-        })
+        Ok(seq)
     }
 
-    /// Fsyncs any pending records; returns how many the sync covered.
-    pub fn flush(&mut self) -> std::io::Result<u64> {
-        if self.pending == 0 {
-            return Ok(0);
-        }
-        self.sink.sync()?;
-        Ok(std::mem::take(&mut self.pending))
+    /// Makes every record appended so far durable.
+    pub fn sync(&mut self) -> std::io::Result<()> {
+        self.sink.sync()
     }
 }
 
@@ -790,50 +734,56 @@ mod tests {
         assert_eq!(parsed.torn_dropped, 0);
     }
 
-    /// A sink recording into a shared buffer — the in-memory stand-in
-    /// for a file in these unit tests.
-    struct BufSink(Arc<Mutex<Vec<u8>>>);
+    /// A sink recording into a shared buffer and counting its fsyncs —
+    /// the in-memory stand-in for a file in these unit tests.
+    struct BufSink(Arc<Mutex<(Vec<u8>, u64)>>);
 
     impl WalSink for BufSink {
         fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-            self.0.lock().unwrap().extend_from_slice(bytes);
+            self.0.lock().unwrap().0.extend_from_slice(bytes);
             Ok(())
         }
         fn sync(&mut self) -> std::io::Result<()> {
+            self.0.lock().unwrap().1 += 1;
             Ok(())
         }
     }
 
     #[test]
     fn commit_mode_syncs_every_append() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
+        let buf = Arc::new(Mutex::new((Vec::new(), 0)));
         let mut wal =
             Wal::create_with_sink(Box::new(BufSink(buf.clone())), 0, Durability::Commit).unwrap();
-        let a1 = wal.append(&q("x", &[])).unwrap();
-        let a2 = wal.append(&q("y", &[0])).unwrap();
-        assert!(a1.synced && a2.synced);
-        assert_eq!((a1.seq, a2.seq), (1, 2));
-        assert_eq!((a1.grouped, a2.grouped), (1, 1));
-        assert_eq!(wal.pending(), 0);
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        assert_eq!(buf.lock().unwrap().1, 1, "the header is synced");
+        assert_eq!(wal.append(&q("x", &[])).unwrap(), 1);
+        assert_eq!(
+            buf.lock().unwrap().1,
+            2,
+            "record 1 is synced before its ack"
+        );
+        assert_eq!(wal.append(&q("y", &[0])).unwrap(), 2);
+        assert_eq!(
+            buf.lock().unwrap().1,
+            3,
+            "record 2 is synced before its ack"
+        );
+        let text = String::from_utf8(buf.lock().unwrap().0.clone()).unwrap();
         assert_eq!(parse_wal(&text, 0).unwrap().records.len(), 2);
     }
 
+    /// Under `Off` (a log written without acknowledgements, such as a
+    /// checkpoint's preamble) appends are not synced until `sync`.
     #[test]
-    fn batch_mode_group_commits() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
+    fn off_mode_syncs_only_when_asked() {
+        let buf = Arc::new(Mutex::new((Vec::new(), 0)));
         let mut wal =
-            Wal::create_with_sink(Box::new(BufSink(buf.clone())), 0, Durability::Batch(3)).unwrap();
-        assert!(!wal.append(&q("a", &[])).unwrap().synced);
-        assert!(!wal.append(&q("b", &[])).unwrap().synced);
-        let third = wal.append(&q("c", &[])).unwrap();
-        assert!(third.synced);
-        assert_eq!(third.grouped, 3, "the sync covered the whole group");
-        assert_eq!(wal.pending(), 0);
-        assert!(!wal.append(&q("d", &[])).unwrap().synced);
-        assert_eq!(wal.pending(), 1);
-        assert_eq!(wal.flush().unwrap(), 1);
-        assert_eq!(wal.pending(), 0);
+            Wal::create_with_sink(Box::new(BufSink(buf.clone())), 0, Durability::Off).unwrap();
+        assert_eq!(wal.append(&q("a", &[])).unwrap(), 1);
+        assert_eq!(wal.append(&q("b", &[])).unwrap(), 2);
+        assert_eq!(buf.lock().unwrap().1, 1, "only the header was synced");
+        wal.sync().unwrap();
+        assert_eq!(buf.lock().unwrap().1, 2);
+        assert_eq!(wal.next_seq(), 3);
     }
 
     #[test]

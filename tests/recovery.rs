@@ -4,11 +4,12 @@
 //! point — mid-append, mid-fsync, mid-checkpoint — recovery yields a
 //! store oid-bijection-equivalent (`store::equiv_stores`) to the store
 //! after some **prefix** of the committed mutating queries, and that
-//! prefix contains every commit whose acknowledgement had an fsync
-//! behind it. The suite sweeps crash points (byte budgets through
-//! `CrashSink`, sync budgets, hand-built checkpoint wreckage, record
-//! corruption) × choosers × {spec, production} and checks the recovered store
-//! against reference prefixes built on a durability-free database.
+//! prefix contains every acknowledged commit — a commit is acknowledged
+//! only after its record's fsync returned. The suite sweeps crash points
+//! (byte budgets through `CrashSink`, sync budgets, hand-built checkpoint
+//! wreckage, record corruption) × choosers × {spec, production} and
+//! checks the recovered store against reference prefixes built on a
+//! durability-free database.
 
 #![allow(clippy::result_large_err)] // cold-path test helpers return DbError
 
@@ -185,7 +186,6 @@ fn clean_recovery_replays_definitions_and_queries() {
         let status = db.wal_status().unwrap();
         assert_eq!(status.generation, 0);
         assert_eq!(status.appended, MUTATIONS.len() as u64 + 1);
-        assert_eq!(status.pending, 0);
         assert!(!status.poisoned);
         drop(db);
 
@@ -390,56 +390,6 @@ fn fsync_crash_never_loses_an_acked_commit() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn batch_mode_group_commits_and_bounds_tail_loss() {
-    let prefixes = reference_prefixes();
-
-    // Clean Batch(3) run: fsyncs amortise, the tail stays pending until
-    // checkpoint/flush, and at least one real group commit happens.
-    let dir = TempDir::new("batch-clean");
-    let mut db = db_with(Engine::Plan, Durability::Batch(3));
-    db.attach_durable(dir.path()).unwrap();
-    for q in MUTATIONS {
-        db.query(q).unwrap();
-    }
-    assert_eq!(db.metrics().wal_appends.get(), 6);
-    assert_eq!(db.metrics().wal_fsyncs.get(), 2); // records 3 and 6
-    assert!(db.metrics().wal_group_commits.get() >= 2);
-    assert_eq!(db.wal_status().unwrap().pending, 0);
-    drop(db);
-    let (rec, _) = recover(Engine::Plan, Durability::Batch(3), dir.path()).unwrap();
-    assert_eq!(
-        matching_prefix(&rec.store(), &prefixes),
-        Some(MUTATIONS.len())
-    );
-
-    // Sync-crash under Batch(2): commits are *acknowledged* before
-    // their group's fsync, so the unsynced tail is legitimately at
-    // risk — but every commit covered by a successful fsync must
-    // survive.
-    for sync_budget in 0..=2u64 {
-        let dir = TempDir::new("batch-crash");
-        let mut db = db_with(Engine::Plan, Durability::Batch(2));
-        db.attach_durable_with(dir.path(), CrashSink::factory(None, Some(sync_budget)))
-            .unwrap();
-        let mut acked = 0usize;
-        for q in MUTATIONS {
-            if db.query(q).is_ok() {
-                acked += 1;
-            }
-        }
-        let synced = (2 * sync_budget) as usize;
-        drop(db);
-        let (rec, _) = recover(Engine::Plan, Durability::Batch(2), dir.path()).unwrap();
-        let k = matching_prefix(&rec.store(), &prefixes)
-            .unwrap_or_else(|| panic!("batch sync {sync_budget}: no prefix"));
-        assert!(
-            k >= synced && k <= acked.max(synced) + 1,
-            "batch sync {sync_budget}: prefix {k}, synced {synced}, acked {acked}"
-        );
     }
 }
 
@@ -921,119 +871,4 @@ fn failed_load_checkpoint_rolls_back_the_swap() {
         equiv_stores(&rec2.store(), &loaded_ref),
         "recovery after a successful load yields the loaded store"
     );
-}
-
-// ---------------------------------------------------------------------
-// `Batch(n)` acknowledgement boundaries.
-
-/// `Batch(1)` *is* `Commit`: every record's acknowledgement has its own
-/// fsync behind it, so under any crash point the two modes ack the same
-/// prefix, fsync the same number of times, and recover the same store.
-#[test]
-fn batch_of_one_acknowledges_like_commit() {
-    let prefixes = reference_prefixes();
-
-    // Clean runs: identical fsync cadence (one per append), never a
-    // pending record.
-    for mode in [Durability::Commit, Durability::Batch(1)] {
-        let dir = TempDir::new("batch1-clean");
-        let mut db = db_with(Engine::Plan, mode);
-        db.attach_durable(dir.path()).unwrap();
-        for q in MUTATIONS {
-            db.query(q).unwrap();
-            assert_eq!(
-                db.wal_status().unwrap().pending,
-                0,
-                "{mode:?}: no acked record may wait"
-            );
-        }
-        assert_eq!(
-            db.metrics().wal_fsyncs.get(),
-            db.metrics().wal_appends.get()
-        );
-        assert_eq!(
-            db.metrics().wal_group_commits.get(),
-            0,
-            "{mode:?}: groups of one are not group commits"
-        );
-    }
-
-    // Sync-crash sweep: at every crash point both modes acknowledge the
-    // same commits and recover the same prefix — and no acked commit is
-    // ever lost.
-    for sync_budget in 0..=4u64 {
-        let mut per_mode = Vec::new();
-        for mode in [Durability::Commit, Durability::Batch(1)] {
-            let dir = TempDir::new("batch1-crash");
-            let mut db = db_with(Engine::Plan, mode);
-            db.attach_durable_with(dir.path(), CrashSink::factory(None, Some(sync_budget)))
-                .unwrap();
-            let acks: Vec<bool> = MUTATIONS.iter().map(|q| db.query(q).is_ok()).collect();
-            drop(db);
-            let (rec, _) = recover(Engine::Plan, mode, dir.path()).unwrap();
-            let k = matching_prefix(&rec.store(), &prefixes)
-                .unwrap_or_else(|| panic!("{mode:?} sync {sync_budget}: no prefix"));
-            let acked = acks.iter().filter(|a| **a).count();
-            assert!(
-                k >= acked,
-                "{mode:?} sync {sync_budget}: acked commit lost (prefix {k}, acked {acked})"
-            );
-            per_mode.push((acks, k));
-        }
-        assert_eq!(
-            per_mode[0], per_mode[1],
-            "sync {sync_budget}: Batch(1) must ack and recover exactly like Commit"
-        );
-    }
-}
-
-/// Under `Batch(n)` the only records at risk are the acknowledged-but-
-/// unsynced tail, and that tail is always shorter than `n`: a crash may
-/// lose it, but never a record covered by a group fsync.
-#[test]
-fn batch_tail_loss_is_bounded_by_group_size() {
-    let prefixes = reference_prefixes();
-    for n in [2u64, 3] {
-        // Clean partial run: the pending tail is exactly `appends mod n`,
-        // strictly below `n` at every point.
-        let dir = TempDir::new("batch-tail");
-        let mut db = db_with(Engine::Plan, Durability::Batch(n as usize));
-        db.attach_durable(dir.path()).unwrap();
-        for (i, q) in MUTATIONS[..5].iter().enumerate() {
-            db.query(q).unwrap();
-            let pending = db.wal_status().unwrap().pending;
-            assert_eq!(
-                pending,
-                (i as u64 + 1) % n,
-                "Batch({n}) pending after {} appends",
-                i + 1
-            );
-            assert!(
-                pending < n,
-                "the unacked tail must stay below the group size"
-            );
-        }
-
-        // Crash sweep: whatever the crash point, the recovered prefix
-        // drops at most the sub-group tail — strictly fewer than `n`
-        // acknowledged records.
-        for sync_budget in 0..=3u64 {
-            let dir = TempDir::new("batch-tail-crash");
-            let mut db = db_with(Engine::Plan, Durability::Batch(n as usize));
-            db.attach_durable_with(dir.path(), CrashSink::factory(None, Some(sync_budget)))
-                .unwrap();
-            let acked = MUTATIONS.iter().filter(|q| db.query(q).is_ok()).count();
-            drop(db);
-            let (rec, _) =
-                recover(Engine::Plan, Durability::Batch(n as usize), dir.path()).unwrap();
-            let k = matching_prefix(&rec.store(), &prefixes)
-                .unwrap_or_else(|| panic!("Batch({n}) sync {sync_budget}: no prefix"));
-            assert!(
-                k + (n as usize) > acked,
-                "Batch({n}) sync {sync_budget}: lost {} acked records, bound is {}",
-                acked.saturating_sub(k),
-                n - 1
-            );
-        }
-    }
 }

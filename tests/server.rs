@@ -97,19 +97,28 @@ impl Drop for TempDir {
     }
 }
 
-/// A chooser that parks on a shared barrier before its first draw —
-/// the deterministic way to hold several queries *mid-evaluation*
+/// A chooser that parks on shared barriers, in order, before its first
+/// draw — the deterministic way to hold several queries *mid-evaluation*
 /// simultaneously (every participant must reach its first `(ND comp)`
 /// draw before any may proceed).
 struct BarrierChooser {
-    barrier: Arc<Barrier>,
+    barriers: Vec<Arc<Barrier>>,
     waited: bool,
 }
 
 impl BarrierChooser {
     fn new(barrier: Arc<Barrier>) -> BarrierChooser {
         BarrierChooser {
-            barrier,
+            barriers: vec![barrier],
+            waited: false,
+        }
+    }
+
+    /// Parks until `arrived` says it is mid-query, then stays parked
+    /// until `release` lets it go.
+    fn holding(arrived: Arc<Barrier>, release: Arc<Barrier>) -> BarrierChooser {
+        BarrierChooser {
+            barriers: vec![arrived, release],
             waited: false,
         }
     }
@@ -119,7 +128,9 @@ impl Chooser for BarrierChooser {
     fn choose(&mut self, _n: usize) -> usize {
         if !self.waited {
             self.waited = true;
-            self.barrier.wait();
+            for barrier in &self.barriers {
+                barrier.wait();
+            }
         }
         0 // FirstChooser's pick, so results stay canonical
     }
@@ -606,13 +617,13 @@ fn crash_mid_serve_recovers_every_acked_write() {
     );
 }
 
-/// Group commit is the shared ack point: N wire clients write under
-/// `Batch` durability, a checkpoint folds the log, and recovery yields
-/// every acknowledged commit.
+/// Every wire client's write is acknowledged at its own fsync: N
+/// clients write under `Commit`, a checkpoint folds the log, and
+/// recovery yields every acknowledged commit.
 #[test]
-fn multi_client_writes_compose_with_group_commit() {
-    let dir = TempDir::new("batch");
-    let mut db = durable_db(Durability::Batch(4));
+fn multi_client_writes_survive_a_checkpoint_and_recovery() {
+    let dir = TempDir::new("multi");
+    let mut db = durable_db(Durability::Commit);
     db.attach_durable(dir.path()).unwrap();
     let mut server = db.serve("127.0.0.1:0").unwrap();
     let addr = server.addr();
@@ -635,6 +646,7 @@ fn multi_client_writes_compose_with_group_commit() {
     for t in threads {
         t.join().unwrap();
     }
+    assert_eq!(db.metrics().wal_fsyncs.get(), 12, "one fsync per ack");
     // Fold the log through the wire, then stop serving.
     let mut c = Client::connect(addr).unwrap();
     let ck = c.request(":checkpoint").unwrap();
@@ -642,13 +654,9 @@ fn multi_client_writes_compose_with_group_commit() {
     let _ = c.request(":quit");
     server.shutdown();
     assert_eq!(db.extent_len("Persons"), 24);
-    assert!(
-        db.metrics().wal_group_commits.get() > 0,
-        "no group commit fired"
-    );
     drop(db);
 
-    let mut rec = durable_db(Durability::Batch(4));
+    let mut rec = durable_db(Durability::Commit);
     let report = rec.attach_durable(dir.path()).unwrap();
     assert_eq!(report.generation, 1);
     assert!(report.checkpoint_loaded);
@@ -656,8 +664,8 @@ fn multi_client_writes_compose_with_group_commit() {
 }
 
 /// The fsync policy is the log's, fixed at attach: a server whose
-/// sessions were built from other options reports the log's policy and
-/// checkpoints under it, so a `Commit`-acked write after a wire
+/// sessions were built from other options (`Off`) reports the log's
+/// policy and checkpoints under it, so a write after a wire
 /// `:checkpoint` is still fsynced before its ack.
 #[test]
 fn a_checkpoint_keeps_the_logs_fsync_policy() {
@@ -665,7 +673,7 @@ fn a_checkpoint_keeps_the_logs_fsync_policy() {
     let mut db = durable_db(Durability::Commit);
     db.attach_durable(dir.path()).unwrap();
     let wire_opts = DbOptions {
-        durability: Durability::Batch(8),
+        durability: Durability::Off,
         ..opts_with(Engine::Plan)
     };
     let mut server = ioql::serve(Arc::clone(db.kernel()), wire_opts, "127.0.0.1:0").unwrap();
@@ -675,14 +683,165 @@ fn a_checkpoint_keeps_the_logs_fsync_policy() {
     assert_eq!(db.wal_status().unwrap().mode, Durability::Commit);
 
     assert!(c.request(":checkpoint").unwrap().is_ok());
-    db.query(WRITES[0]).unwrap();
+    let fsyncs = db.metrics().wal_fsyncs.get();
+    assert!(c.request(WRITES[0]).unwrap().is_ok());
+    assert_eq!(
+        db.metrics().wal_fsyncs.get(),
+        fsyncs + 1,
+        "the acked write was not fsynced"
+    );
     let status = db.wal_status().unwrap();
-    assert_eq!(status.generation, 1);
-    assert_eq!(status.pending, 0, "a Commit-acked write awaits its fsync");
+    assert_eq!((status.generation, status.appended), (1, 1));
     assert_eq!(status.mode, Durability::Commit);
     assert!(wire_status(&mut c).contains("mode commit"));
     let _ = c.request(":quit");
     server.shutdown();
+}
+
+/// A serialized writer's witness is its own: the atom pair against the
+/// mirror reader of its write set. A reader of another extent parked
+/// mid-query changes neither the `Admitted` stamp nor a byte of the wire
+/// reply. (When the scheduler named the pair against whichever reader
+/// was in flight, a parked `Robots` reader turned this writer's
+/// `(A(Person), R(Person))` into `(A(Robot), R(Robot))`.)
+#[test]
+fn a_writers_witness_does_not_depend_on_a_parked_reader() {
+    const DDL2: &str = "
+        class Person extends Object (extent Persons) { attribute int name; }
+        class Robot extends Object (extent Robots) { attribute int id; }";
+    const WRITE: &str = "(new Person(name: 7)).name + (new Robot(id: 7)).id";
+    let run = |park: bool| {
+        let db = Database::from_ddl_with(DDL2, opts_with(Engine::Plan)).unwrap();
+        db.session("seed")
+            .query("size({ new Robot(id: n) | n <- {1, 2} })")
+            .unwrap();
+        let arrived = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
+        let reader = park.then(|| {
+            let mut s = db.session("robots");
+            let mut chooser = BarrierChooser::holding(Arc::clone(&arrived), Arc::clone(&release));
+            std::thread::spawn(move || {
+                s.query_with("sum({ r.id | r <- Robots })", &mut chooser)
+                    .unwrap()
+            })
+        });
+        if park {
+            arrived.wait();
+            assert_eq!(db.kernel().sched_snapshot().1, 1, "no reader in flight");
+        }
+        let mut server = db.serve("127.0.0.1:0").unwrap();
+        let mut c = Client::connect(server.addr()).unwrap();
+        let reply = c.request(WRITE).unwrap();
+        let admitted = db.session("writer").query(WRITE).unwrap().admitted;
+        if let Some(reader) = reader {
+            release.wait();
+            assert_eq!(reader.join().unwrap().value.to_string(), "3");
+        }
+        let _ = c.request(":quit");
+        server.shutdown();
+        (reply, admitted)
+    };
+    let alone = run(false);
+    assert_eq!(
+        alone.0.lines.last().map(String::as_str),
+        Some("witness: (A(Person), R(Person))")
+    );
+    assert!(matches!(
+        &alone.1,
+        Some(Admitted::Serialized { witness, .. }) if witness.0 == "A(Person)"
+    ));
+    assert_eq!(run(true), alone);
+}
+
+/// `:stats` lists the live sessions only: a session's line leaves the
+/// board when its connection ends, so a long-running server's reply does
+/// not grow with every connection it ever accepted.
+#[test]
+fn stats_lists_only_live_sessions() {
+    let db = db_with(Engine::Plan);
+    let mut server = db.serve("127.0.0.1:0").unwrap();
+    for _ in 0..3 {
+        let mut c = Client::connect(server.addr()).unwrap();
+        assert!(c.request(READS[0]).unwrap().is_ok());
+        assert_eq!(c.request(":quit").unwrap().status, "ok bye");
+        // The server hangs up only once the session has left the board.
+        assert!(c.request(READS[0]).is_err(), "the connection stayed open");
+    }
+    let mut c = Client::connect(server.addr()).unwrap();
+    let stats = c.request(":stats").unwrap();
+    let sessions: Vec<_> = stats
+        .lines
+        .iter()
+        .filter(|l| l.starts_with("session client-"))
+        .collect();
+    assert_eq!(sessions.len(), 1, "{sessions:?}");
+    server.shutdown();
+}
+
+/// Reads one line of a raw connection (`None` once the peer closed).
+fn read_raw_line(reader: &mut impl std::io::BufRead) -> Option<String> {
+    let mut line = String::new();
+    match reader.read_line(&mut line) {
+        Ok(n) if n > 0 => Some(line.trim_end().to_string()),
+        _ => None,
+    }
+}
+
+/// Each listener serves at most 64 live connections (`MAX_CONNECTIONS`
+/// in `server.rs`), each on its own thread. The next one gets its
+/// protocol's refusal and is closed; once a held connection ends, a new
+/// one is served.
+#[test]
+fn connections_beyond_the_cap_are_refused_until_one_closes() {
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+    const CAP: usize = 64;
+    let db = db_with(Engine::Plan);
+
+    // The query port: the refusal takes the greeting's place.
+    let mut server = db.serve("127.0.0.1:0").unwrap();
+    let greeting = |addr| {
+        let stream = TcpStream::connect(addr).unwrap();
+        read_raw_line(&mut BufReader::new(stream)).unwrap()
+    };
+    let mut held: Vec<Client> = (0..CAP)
+        .map(|_| Client::connect(server.addr()).unwrap())
+        .collect();
+    assert_eq!(greeting(server.addr()), "err too many connections");
+    let mut last = held.pop().unwrap();
+    assert_eq!(last.request(":quit").unwrap().status, "ok bye");
+    assert!(
+        last.request(READS[0]).is_err(),
+        "the connection stayed open"
+    );
+    assert!(greeting(server.addr()).starts_with("ok ioql-server"));
+    assert!(held[0].request(READS[0]).unwrap().is_ok());
+    drop(held);
+    server.shutdown();
+
+    // The observability port: `503`, then `200` once a request is done.
+    let mut obs = db.serve_obs("127.0.0.1:0").unwrap();
+    let get = |stream: TcpStream| {
+        (&stream)
+            .write_all(b"GET /healthz HTTP/1.0\r\n\r\n")
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let status = read_raw_line(&mut reader).unwrap();
+        while read_raw_line(&mut reader).is_some() {} // to the close
+        status
+    };
+    let mut held: Vec<TcpStream> = (0..CAP)
+        .map(|_| TcpStream::connect(obs.addr()).unwrap())
+        .collect();
+    let refused = get(TcpStream::connect(obs.addr()).unwrap());
+    assert_eq!(refused, "HTTP/1.0 503 Service Unavailable");
+    assert_eq!(get(held.pop().unwrap()), "HTTP/1.0 200 OK");
+    assert_eq!(
+        get(TcpStream::connect(obs.addr()).unwrap()),
+        "HTTP/1.0 200 OK"
+    );
+    drop(held);
+    obs.shutdown();
 }
 
 /// A peer that never sends a newline cannot make the server buffer its
