@@ -172,23 +172,6 @@ impl MethodDef {
     pub fn looping(name: impl Into<MethodName>, ret: Type) -> Self {
         MethodDef::new(name, [], ret, vec![MStmt::While(MExpr::Bool(true), vec![])])
     }
-
-    /// Whether the body syntactically contains an extended-mode construct
-    /// (attribute update, extent iteration, or object creation). Read-only
-    /// schemas must answer `false`.
-    pub fn uses_extended_features(&self) -> bool {
-        fn stmt_uses(s: &MStmt) -> bool {
-            match s {
-                MStmt::SetAttr(_, _, _) | MStmt::ForExtent(_, _, _) | MStmt::NewLocal(_, _, _) => {
-                    true
-                }
-                MStmt::If(_, t, e) => t.iter().any(stmt_uses) || e.iter().any(stmt_uses),
-                MStmt::While(_, b) => b.iter().any(stmt_uses),
-                MStmt::Local(_, _, _) | MStmt::Assign(_, _) | MStmt::Return(_) => false,
-            }
-        }
-        self.body.iter().any(stmt_uses)
-    }
 }
 
 #[cfg(test)]
@@ -200,40 +183,6 @@ mod tests {
         let m = MethodDef::looping("loop", Type::Int);
         assert_eq!(m.body.len(), 1);
         assert!(matches!(m.body[0], MStmt::While(MExpr::Bool(true), _)));
-        assert!(!m.uses_extended_features());
-    }
-
-    #[test]
-    fn extended_feature_detection() {
-        let m = MethodDef::new(
-            "poke",
-            [],
-            Type::Int,
-            vec![
-                MStmt::SetAttr(MExpr::This, AttrName::new("a"), MExpr::Int(1)),
-                MStmt::Return(MExpr::Int(0)),
-            ],
-        );
-        assert!(m.uses_extended_features());
-
-        let nested = MethodDef::new(
-            "maybe",
-            [],
-            Type::Int,
-            vec![
-                MStmt::If(
-                    MExpr::Bool(true),
-                    vec![MStmt::NewLocal(
-                        VarName::new("x"),
-                        ClassName::new("C"),
-                        vec![],
-                    )],
-                    vec![],
-                ),
-                MStmt::Return(MExpr::Int(0)),
-            ],
-        );
-        assert!(nested.uses_extended_features());
     }
 
     #[test]

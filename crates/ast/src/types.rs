@@ -87,14 +87,6 @@ impl Type {
         }
     }
 
-    /// The class name if this is a class type.
-    pub fn as_class(&self) -> Option<&ClassName> {
-        match self {
-            Type::Class(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Structural size of the type (number of grammar nodes). Used by the
     /// generators in `ioql-testkit` to bound recursion.
     pub fn size(&self) -> usize {

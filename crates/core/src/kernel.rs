@@ -71,7 +71,7 @@ use ioql_effects::{
 use ioql_eval::{
     eval_big, evaluate, Chooser, CountingChooser, DefEnv, EvalConfig, Governor, RecordingChooser,
 };
-use ioql_methods::{check_schema_methods, effect_table, Mode};
+use ioql_methods::{check_schema_methods, Mode};
 use ioql_opt::{AppliedRewrite, Optimizer, Stats};
 use ioql_schema::Schema;
 use ioql_store::{Durability, Store, WalPayload};
@@ -181,11 +181,11 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl DbKernel {
     /// A kernel over `schema` with an empty store: checks the schema's
-    /// methods under `options.method_mode` and builds the method table,
-    /// the telemetry handles and both caches. What it reads of `options`
-    /// is fixed for the kernel's lifetime.
+    /// methods under `options.method_mode`, a walk that also derives the
+    /// method table, and builds the telemetry handles and both caches.
+    /// What it reads of `options` is fixed for the kernel's lifetime.
     pub(crate) fn new(schema: Schema, options: &DbOptions) -> Result<DbKernel, DbError> {
-        check_schema_methods(&schema, options.method_mode)?;
+        let method_effects = check_schema_methods(&schema, options.method_mode)?;
         let metrics = DbMetrics::new(options)?;
         let cache = QueryCache::new(options.cache_capacity).with_metrics(
             metrics.cache_hits.clone(),
@@ -201,7 +201,7 @@ impl DbKernel {
         );
         Ok(DbKernel {
             method_mode: options.method_mode,
-            method_effects: effect_table(&schema),
+            method_effects,
             state: RwLock::new(KernelState {
                 store: DbKernel::empty_store(&schema),
                 catalogue: Arc::default(),

@@ -58,6 +58,23 @@ impl Effect {
         e
     }
 
+    /// The effect of `new C(…)`: `A(C)`, plus — under the ODMG
+    /// `inherited_extents` option — `A` of every superclass whose extent
+    /// also receives the object. Recording the closure here keeps
+    /// `nonint` a plain per-class disjointness test.
+    pub fn creation(schema: &Schema, c: &ClassName) -> Effect {
+        let mut e = Effect::add(c.clone());
+        if schema.options().inherited_extents {
+            e.adds.extend(
+                schema
+                    .proper_superclasses(c)
+                    .into_iter()
+                    .filter(|sup| !sup.is_object()),
+            );
+        }
+        e
+    }
+
     /// Whether this is the empty effect.
     pub fn is_empty(&self) -> bool {
         self.reads.is_empty()

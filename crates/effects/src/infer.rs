@@ -48,20 +48,10 @@ impl EffectAlgebra for EffectRules<'_> {
         Effect::read(c.clone())
     }
 
-    /// (New): `A(C)` for the object's own class, plus — under the ODMG
-    /// `inherited_extents` option — every superclass whose extent also
-    /// receives the object. Recording the closure at *inference* time
-    /// keeps `nonint` a plain per-class disjointness test.
+    /// (New): [`Effect::creation`] — `A(C)` and, under the ODMG
+    /// `inherited_extents` option, every superclass extent's `A`.
     fn on_new(&self, schema: &Schema, c: &ClassName) -> Effect {
-        let mut e = Effect::add(c.clone());
-        if schema.options().inherited_extents {
-            for sup in schema.proper_superclasses(c) {
-                if !sup.is_object() {
-                    e.adds.insert(sup);
-                }
-            }
-        }
-        e
+        Effect::creation(schema, c)
     }
 
     /// Attribute reads add `Ra(C)` — used only by the extended-mode

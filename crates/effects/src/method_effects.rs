@@ -9,17 +9,18 @@
 //!
 //! The query-level effect system therefore consumes method effects as a
 //! *table*: read-only mode supplies the empty table (every lookup is ∅);
-//! §5 extended mode supplies the table computed by `ioql-methods`'s
-//! method-body effect analysis. Keeping the table abstract here avoids a
-//! dependency cycle between the query analysis and the method language.
+//! §5 extended mode supplies the table `ioql-methods`'s type checker
+//! derives while it types each body. Keeping the table abstract here
+//! avoids a dependency cycle between the query analysis and the method
+//! language.
 
 use crate::effect::Effect;
 use ioql_ast::{ClassName, MethodName};
 use ioql_schema::Schema;
 use std::collections::BTreeMap;
 
-/// A table of method effects, keyed by the *declaring* class (overrides
-/// are separate entries under their own class).
+/// A table of method body effects, keyed by the *declaring* class
+/// (overrides are separate entries under their own class).
 #[derive(Clone, Debug, Default)]
 pub struct MethodEffects {
     map: BTreeMap<(ClassName, MethodName), Effect>,
@@ -31,45 +32,34 @@ impl MethodEffects {
         MethodEffects::default()
     }
 
-    /// Records the effect of `C::m` (keyed by declaring class).
+    /// Records the body effect of `C::m` (keyed by declaring class).
     pub fn insert(&mut self, class: ClassName, method: MethodName, effect: Effect) {
         self.map.insert((class, method), effect);
     }
 
-    /// The latent effect of invoking `m` on a receiver whose *static*
-    /// class is `receiver`: resolved through `mbody` to the declaring
-    /// class; absent entries are ∅.
-    ///
-    /// Note a subtlety the table inherits from dynamic dispatch: the
-    /// runtime receiver may be a *subclass* of the static class, running
-    /// an override with a different body. A sound table must therefore
-    /// store, for each `(C, m)`, the union over all overrides of `m`
-    /// declared at or below `C` — `ioql-methods::effect_table` does
-    /// exactly that.
+    /// The latent effect `ε''` of invoking `m` on a receiver whose
+    /// *static* class is `receiver` — the one place dynamic dispatch is
+    /// accounted for. The runtime receiver may be any subclass, running
+    /// an override, so this is the union of the body effect of
+    /// `mbody(receiver, m)` and of every override of `m` declared in a
+    /// proper subclass of `receiver`. Overrides in sibling classes are
+    /// unreachable and left out; absent entries and unknown methods are ∅.
     pub fn effect_of(&self, schema: &Schema, receiver: &ClassName, method: &MethodName) -> Effect {
-        match schema.mbody(receiver, method) {
-            Some((decl, _)) => self
-                .map
-                .get(&(decl, method.clone()))
-                .cloned()
-                .unwrap_or_default(),
-            None => Effect::empty(),
+        let Some((decl, _)) = schema.mbody(receiver, method) else {
+            return Effect::empty();
+        };
+        let mut eff = self.get(&decl, method).cloned().unwrap_or_default();
+        for ((class, m), e) in &self.map {
+            if m == method && schema.extends(class, receiver) {
+                eff.union_with(e);
+            }
         }
+        eff
     }
 
-    /// Raw lookup by declaring class.
+    /// Raw lookup of a body effect by declaring class.
     pub fn get(&self, class: &ClassName, method: &MethodName) -> Option<&Effect> {
         self.map.get(&(class.clone(), method.clone()))
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the table is empty (pure read-only mode).
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -104,5 +94,31 @@ mod tests {
         // Unknown methods are ∅.
         let none = table.effect_of(&schema, &ClassName::new("B"), &MethodName::new("zz"));
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn dispatch_unions_overrides_below_the_receiver_only() {
+        // A declares m; B and its sibling S override it; C overrides it
+        // again below B. Each body's effect reads its own class's extent.
+        let m = || MethodDef::new("m", [], Type::Int, vec![MStmt::Return(MExpr::Int(1))]);
+        let schema = Schema::new(vec![
+            ClassDef::new("A", ClassName::object(), "As", [], [m()]),
+            ClassDef::new("B", "A", "Bs", [], [m()]),
+            ClassDef::new("C", "B", "Cs", [], [m()]),
+            ClassDef::new("S", "A", "Ss", [], [m()]),
+        ])
+        .unwrap();
+        let mut table = MethodEffects::read_only();
+        for c in ["A", "B", "C", "S"] {
+            table.insert(ClassName::new(c), MethodName::new("m"), Effect::read(c));
+        }
+        let reads = |receiver: &str| {
+            let e = table.effect_of(&schema, &ClassName::new(receiver), &MethodName::new("m"));
+            e.reads.iter().map(|c| c.to_string()).collect::<Vec<_>>()
+        };
+        // Through a static B: B's own body or C's override, never S's.
+        assert_eq!(reads("B"), ["B", "C"]);
+        assert_eq!(reads("S"), ["S"]);
+        assert_eq!(reads("A"), ["A", "B", "C", "S"]);
     }
 }

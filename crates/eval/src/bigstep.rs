@@ -503,14 +503,8 @@ impl<'a, 'c> Interp<'a, 'c> {
                 if let Some(gov) = self.cfg.governor {
                     gov.charge_growth(1)?;
                 }
-                self.effect.union_with(&Effect::add(c.clone()));
-                if self.cfg.schema.options().inherited_extents {
-                    for sup in self.cfg.schema.proper_superclasses(c) {
-                        if !sup.is_object() {
-                            self.effect.union_with(&Effect::add(sup));
-                        }
-                    }
-                }
+                self.effect
+                    .union_with(&Effect::creation(self.cfg.schema, c));
                 let o = store
                     .create(Object::new(c.clone(), vals), extents)
                     .map_err(|e| EvalError::Store(e.to_string()))?;

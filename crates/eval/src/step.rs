@@ -453,14 +453,7 @@ fn apply_rule(
             if extents.is_empty() {
                 return stuck(q, format!("class `{c}` has no extent"));
             }
-            let mut effect = Effect::add(c.clone());
-            if cfg.schema.options().inherited_extents {
-                for sup in cfg.schema.proper_superclasses(c) {
-                    if !sup.is_object() {
-                        effect.union_with(&Effect::add(sup));
-                    }
-                }
-            }
+            let effect = Effect::creation(cfg.schema, c);
             if let Some(gov) = cfg.governor {
                 gov.charge_growth(1)?;
             }

@@ -1,14 +1,27 @@
-//! The method-language type checker.
+//! The method-language type checker — the one static pass over a
+//! method body.
 //!
 //! Expression types are restricted to the data-model types φ (paper
 //! Note 1), already enforced on *signatures* by the schema; this module
 //! checks *bodies*: scoping, types, definite return, and — under
 //! [`Mode::ReadOnly`] — the absence of the §5 extended constructs.
+//!
+//! The same walk derives each body's latent effect `ε''`, the "methods
+//! have also been typed using an effects system" the paper's (Method)
+//! rule assumes (§4): every construct adds its atom as it is typed, and
+//! a call adds its callee's latent effect through
+//! [`MethodEffects::effect_of`], which accounts for dynamic dispatch.
+//! [`check_schema_methods`] repeats the walk until the table stops
+//! changing, so (mutually) recursive methods reach a fixpoint. In
+//! read-only mode the extent atoms are unreachable and every entry holds
+//! only `Ra` atoms — the paper's "the value of ε'' will always be ∅" for
+//! the database.
 
 use crate::error::MethodTypeError;
 use ioql_ast::{
     AttrName, ClassName, MBinOp, MExpr, MStmt, MUnOp, MethodDef, MethodName, Type, VarName,
 };
+use ioql_effects::{Effect, MethodEffects};
 use ioql_schema::Schema;
 use std::collections::BTreeMap;
 
@@ -27,20 +40,30 @@ pub enum Mode {
 
 struct Ck<'s> {
     schema: &'s Schema,
+    /// The latent effects derived so far; a call reads its callee's here.
+    table: &'s MethodEffects,
     class: ClassName,
     method: MethodName,
     mode: Mode,
     /// Scope stack of local frames; index 0 holds the parameters.
     scopes: Vec<BTreeMap<VarName, Type>>,
+    /// The body's latent effect, grown as each construct is typed.
+    effect: Effect,
 }
 
-impl<'s> Ck<'s> {
-    fn lookup(&self, x: &VarName) -> Option<&Type> {
-        self.scopes.iter().rev().find_map(|frame| frame.get(x))
+impl Ck<'_> {
+    fn lookup(&self, x: &VarName) -> Result<&Type, MethodTypeError> {
+        self.scopes
+            .iter()
+            .rev()
+            .find_map(|frame| frame.get(x))
+            .ok_or_else(|| {
+                MethodTypeError::Unbound(self.class.clone(), self.method.clone(), x.clone())
+            })
     }
 
     fn declare(&mut self, x: &VarName, t: Type) -> Result<(), MethodTypeError> {
-        if self.lookup(x).is_some() {
+        if self.scopes.iter().any(|frame| frame.contains_key(x)) {
             return Err(MethodTypeError::Shadowing(
                 self.class.clone(),
                 self.method.clone(),
@@ -63,31 +86,53 @@ impl<'s> Ck<'s> {
         }
     }
 
-    fn expr(&self, e: &MExpr) -> Result<Type, MethodTypeError> {
+    /// `got` must be exactly `want` (`int` or `bool`).
+    fn exactly(&self, got: &Type, want: Type) -> Result<Type, MethodTypeError> {
+        if *got != want {
+            return Err(self.mismatch(want.to_string(), got));
+        }
+        Ok(want)
+    }
+
+    /// `got` must be a class type; returns the class.
+    fn object(&self, got: Type) -> Result<ClassName, MethodTypeError> {
+        match got {
+            Type::Class(c) => Ok(c),
+            other => Err(self.mismatch("an object", &other)),
+        }
+    }
+
+    /// Types `e` and requires a subtype of `want`.
+    fn subtype(&mut self, e: &MExpr, want: &Type) -> Result<(), MethodTypeError> {
+        let got = self.expr(e)?;
+        if !self.schema.subtype(&got, want) {
+            return Err(self.mismatch(format!("a subtype of `{want}`"), &got));
+        }
+        Ok(())
+    }
+
+    /// Types `e` and requires a class type: the static receiver class.
+    fn receiver(&mut self, e: &MExpr) -> Result<ClassName, MethodTypeError> {
+        let t = self.expr(e)?;
+        self.object(t)
+    }
+
+    fn expr(&mut self, e: &MExpr) -> Result<Type, MethodTypeError> {
         match e {
             MExpr::Int(_) => Ok(Type::Int),
             MExpr::Bool(_) => Ok(Type::Bool),
             MExpr::This => Ok(Type::Class(self.class.clone())),
-            MExpr::Var(x) => self.lookup(x).cloned().ok_or_else(|| {
-                MethodTypeError::Unbound(self.class.clone(), self.method.clone(), x.clone())
-            }),
+            MExpr::Var(x) => self.lookup(x).cloned(),
             MExpr::Attr(recv, a) => {
-                let tr = self.expr(recv)?;
-                let c = match &tr {
-                    Type::Class(c) => c.clone(),
-                    other => return Err(self.mismatch("an object", other)),
-                };
+                let c = self.receiver(recv)?;
+                self.effect.attr_reads.insert(c.clone());
                 self.schema
                     .atype(&c, a)
                     .cloned()
                     .ok_or_else(|| MethodTypeError::UnknownAttr(c, a.clone()))
             }
             MExpr::Call(recv, m, args) => {
-                let tr = self.expr(recv)?;
-                let c = match &tr {
-                    Type::Class(c) => c.clone(),
-                    other => return Err(self.mismatch("an object", other)),
-                };
+                let c = self.receiver(recv)?;
                 let fnty = self
                     .schema
                     .mtype(&c, m)
@@ -100,70 +145,41 @@ impl<'s> Ck<'s> {
                     });
                 }
                 for (arg, want) in args.iter().zip(&fnty.params) {
-                    let ta = self.expr(arg)?;
-                    if !self.schema.subtype(&ta, want) {
-                        return Err(self.mismatch(format!("a subtype of `{want}`"), &ta));
-                    }
+                    self.subtype(arg, want)?;
                 }
+                self.effect
+                    .union_with(&self.table.effect_of(self.schema, &c, m));
                 Ok(fnty.result)
             }
             MExpr::Bin(op, a, b) => {
-                let ta = self.expr(a)?;
-                let tb = self.expr(b)?;
-                match op {
+                let (ta, tb) = (self.expr(a)?, self.expr(b)?);
+                let operand = match op {
                     MBinOp::Add
                     | MBinOp::Sub
                     | MBinOp::Mul
                     | MBinOp::Lt
                     | MBinOp::Le
-                    | MBinOp::EqInt => {
-                        if ta != Type::Int {
-                            return Err(self.mismatch("int", &ta));
-                        }
-                        if tb != Type::Int {
-                            return Err(self.mismatch("int", &tb));
-                        }
-                        Ok(if op.yields_bool() {
-                            Type::Bool
-                        } else {
-                            Type::Int
-                        })
-                    }
+                    | MBinOp::EqInt => Type::Int,
+                    MBinOp::And | MBinOp::Or => Type::Bool,
                     MBinOp::EqObj => {
-                        if !matches!(ta, Type::Class(_)) {
-                            return Err(self.mismatch("an object", &ta));
-                        }
-                        if !matches!(tb, Type::Class(_)) {
-                            return Err(self.mismatch("an object", &tb));
-                        }
-                        Ok(Type::Bool)
+                        self.object(ta)?;
+                        self.object(tb)?;
+                        return Ok(Type::Bool);
                     }
-                    MBinOp::And | MBinOp::Or => {
-                        if ta != Type::Bool {
-                            return Err(self.mismatch("bool", &ta));
-                        }
-                        if tb != Type::Bool {
-                            return Err(self.mismatch("bool", &tb));
-                        }
-                        Ok(Type::Bool)
-                    }
-                }
+                };
+                self.exactly(&ta, operand.clone())?;
+                self.exactly(&tb, operand)?;
+                Ok(if op.yields_bool() {
+                    Type::Bool
+                } else {
+                    Type::Int
+                })
             }
             MExpr::Un(op, a) => {
                 let ta = self.expr(a)?;
                 match op {
-                    MUnOp::Not => {
-                        if ta != Type::Bool {
-                            return Err(self.mismatch("bool", &ta));
-                        }
-                        Ok(Type::Bool)
-                    }
-                    MUnOp::Neg => {
-                        if ta != Type::Int {
-                            return Err(self.mismatch("int", &ta));
-                        }
-                        Ok(Type::Int)
-                    }
+                    MUnOp::Not => self.exactly(&ta, Type::Bool),
+                    MUnOp::Neg => self.exactly(&ta, Type::Int),
                 }
             }
         }
@@ -179,13 +195,14 @@ impl<'s> Ck<'s> {
         }
     }
 
-    /// Checks a statement sequence; returns whether every control path
-    /// through it returns.
+    /// Checks a statement sequence in a fresh frame; returns whether
+    /// every control path through it returns. A type error abandons the
+    /// whole walk, so frames are popped only on success.
     fn block(&mut self, stmts: &[MStmt], ret: &Type) -> Result<bool, MethodTypeError> {
         self.scopes.push(BTreeMap::new());
-        let result = self.block_inner(stmts, ret);
+        let returns = self.block_inner(stmts, ret)?;
         self.scopes.pop();
-        result
+        Ok(returns)
     }
 
     fn block_inner(&mut self, stmts: &[MStmt], ret: &Type) -> Result<bool, MethodTypeError> {
@@ -193,61 +210,43 @@ impl<'s> Ck<'s> {
         for s in stmts {
             match s {
                 MStmt::Local(x, t, e) => {
-                    let te = self.expr(e)?;
-                    if !self.schema.subtype(&te, t) {
-                        return Err(self.mismatch(format!("a subtype of `{t}`"), &te));
-                    }
+                    self.subtype(e, t)?;
                     if !t.is_data_model_type() {
                         return Err(self.mismatch("a data-model type φ", t));
                     }
                     self.declare(x, t.clone())?;
                 }
                 MStmt::Assign(x, e) => {
-                    let tx = self.lookup(x).cloned().ok_or_else(|| {
-                        MethodTypeError::Unbound(self.class.clone(), self.method.clone(), x.clone())
-                    })?;
-                    let te = self.expr(e)?;
-                    if !self.schema.subtype(&te, &tx) {
-                        return Err(self.mismatch(format!("a subtype of `{tx}`"), &te));
-                    }
+                    let tx = self.lookup(x)?.clone();
+                    self.subtype(e, &tx)?;
                 }
                 MStmt::SetAttr(target, a, e) => {
                     self.extended_only()?;
-                    let tt = self.expr(target)?;
-                    let c = match &tt {
-                        Type::Class(c) => c.clone(),
-                        other => return Err(self.mismatch("an object", other)),
-                    };
+                    let c = self.receiver(target)?;
                     let want = self
                         .schema
                         .atype(&c, a)
                         .cloned()
-                        .ok_or_else(|| MethodTypeError::UnknownAttr(c, a.clone()))?;
-                    let te = self.expr(e)?;
-                    if !self.schema.subtype(&te, &want) {
-                        return Err(self.mismatch(format!("a subtype of `{want}`"), &te));
-                    }
+                        .ok_or_else(|| MethodTypeError::UnknownAttr(c.clone(), a.clone()))?;
+                    self.subtype(e, &want)?;
+                    self.effect.updates.insert(c);
                 }
                 MStmt::If(cond, then, els) => {
                     let tc = self.expr(cond)?;
-                    if tc != Type::Bool {
-                        return Err(self.mismatch("bool", &tc));
-                    }
+                    self.exactly(&tc, Type::Bool)?;
                     let rt = self.block(then, ret)?;
                     let re = self.block(els, ret)?;
                     returns = returns || (rt && re);
                 }
                 MStmt::While(cond, body) => {
                     let tc = self.expr(cond)?;
-                    if tc != Type::Bool {
-                        return Err(self.mismatch("bool", &tc));
-                    }
+                    self.exactly(&tc, Type::Bool)?;
                     // A loop body's return does not make the whole
                     // statement definitely-return (the loop may not run) —
                     // except the idiom `while (true) …`, which never falls
                     // through: treat it as returning (it diverges or
                     // returns from inside).
-                    let _ = self.block(body, ret)?;
+                    self.block(body, ret)?;
                     if matches!(cond, MExpr::Bool(true)) {
                         returns = true;
                     }
@@ -259,13 +258,11 @@ impl<'s> Ck<'s> {
                         .extent_class(e)
                         .cloned()
                         .ok_or_else(|| MethodTypeError::UnknownExtent(e.clone()))?;
+                    self.effect.reads.insert(class.clone());
                     self.scopes.push(BTreeMap::new());
-                    let r = (|| {
-                        self.declare(x, Type::Class(class))?;
-                        self.block_inner(body, ret)
-                    })();
+                    self.declare(x, Type::Class(class))?;
+                    self.block_inner(body, ret)?;
                     self.scopes.pop();
-                    let _ = r?;
                 }
                 MStmt::NewLocal(x, c, attrs) => {
                     self.extended_only()?;
@@ -285,24 +282,49 @@ impl<'s> Ck<'s> {
                         if !seen.insert(a.clone()) {
                             return Err(MethodTypeError::BadNew(c.clone()));
                         }
-                        let te = self.expr(e)?;
-                        if !self.schema.subtype(&te, want) {
-                            return Err(self.mismatch(format!("a subtype of `{want}`"), &te));
-                        }
+                        self.subtype(e, want)?;
                     }
+                    self.effect.union_with(&Effect::creation(self.schema, c));
                     self.declare(x, Type::Class(c.clone()))?;
                 }
                 MStmt::Return(e) => {
-                    let te = self.expr(e)?;
-                    if !self.schema.subtype(&te, ret) {
-                        return Err(self.mismatch(format!("a subtype of `{ret}`"), &te));
-                    }
+                    self.subtype(e, ret)?;
                     returns = true;
                 }
             }
         }
         Ok(returns)
     }
+}
+
+/// Type-checks one method body under `mode`, as declared by `class`, and
+/// derives its latent effect with every callee's read from `table`.
+fn check_body(
+    schema: &Schema,
+    table: &MethodEffects,
+    class: &ClassName,
+    method: &MethodDef,
+    mode: Mode,
+) -> Result<Effect, MethodTypeError> {
+    if method.body.is_empty() {
+        return Err(MethodTypeError::NoBody(class.clone(), method.name.clone()));
+    }
+    let mut ck = Ck {
+        schema,
+        table,
+        class: class.clone(),
+        method: method.name.clone(),
+        mode,
+        scopes: vec![method.params.iter().cloned().collect()],
+        effect: Effect::empty(),
+    };
+    if !ck.block_inner(&method.body, &method.ret)? {
+        return Err(MethodTypeError::MissingReturn(
+            class.clone(),
+            method.name.clone(),
+        ));
+    }
+    Ok(ck.effect)
 }
 
 /// Type-checks one method body under `mode`, as declared by `class`.
@@ -312,38 +334,32 @@ pub fn check_method(
     method: &MethodDef,
     mode: Mode,
 ) -> Result<(), MethodTypeError> {
-    if method.body.is_empty() {
-        return Err(MethodTypeError::NoBody(class.clone(), method.name.clone()));
-    }
-    let mut params = BTreeMap::new();
-    for (x, t) in &method.params {
-        params.insert(x.clone(), t.clone());
-    }
-    let mut ck = Ck {
-        schema,
-        class: class.clone(),
-        method: method.name.clone(),
-        mode,
-        scopes: vec![params],
-    };
-    let returns = ck.block_inner(&method.body, &method.ret)?;
-    if !returns {
-        return Err(MethodTypeError::MissingReturn(
-            class.clone(),
-            method.name.clone(),
-        ));
-    }
-    Ok(())
+    check_body(schema, &MethodEffects::read_only(), class, method, mode).map(drop)
 }
 
-/// Type-checks every method body in the schema.
-pub fn check_schema_methods(schema: &Schema, mode: Mode) -> Result<(), MethodTypeError> {
-    for cd in schema.classes() {
-        for md in &cd.methods {
-            check_method(schema, &cd.name, md, mode)?;
+/// Type-checks every method body in the schema under `mode` and returns
+/// the table of their latent effects, which the query-level (Method)
+/// rule reads through [`MethodEffects::effect_of`].
+///
+/// The bodies are walked in schema order until no entry changes; a call
+/// reads its callee's entry as derived so far, so the table climbs the
+/// finite effect lattice from ∅ to the least fixpoint. Type errors
+/// surface on the first round, the first in schema order.
+pub fn check_schema_methods(schema: &Schema, mode: Mode) -> Result<MethodEffects, MethodTypeError> {
+    let mut table = MethodEffects::read_only();
+    loop {
+        let mut changed = false;
+        for cd in schema.classes() {
+            for md in &cd.methods {
+                let effect = check_body(schema, &table, &cd.name, md, mode)?;
+                changed |= table.get(&cd.name, &md.name) != Some(&effect);
+                table.insert(cd.name.clone(), md.name.clone(), effect);
+            }
+        }
+        if !changed {
+            return Ok(table);
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -488,6 +504,29 @@ mod tests {
             Err(MethodTypeError::ExtendedFeatureInReadOnlyMode(_, _))
         ));
         assert!(check_method(&s, &p(), &upd, Mode::Extended).is_ok());
+        // A construct nested inside a branch is found all the same.
+        let nested = MethodDef::new(
+            "maybe",
+            [],
+            Type::Int,
+            vec![
+                MStmt::If(
+                    MExpr::Bool(true),
+                    vec![MStmt::NewLocal(
+                        VarName::new("x"),
+                        p(),
+                        vec![(AttrName::new("n"), MExpr::Int(1))],
+                    )],
+                    vec![],
+                ),
+                MStmt::Return(MExpr::Int(0)),
+            ],
+        );
+        assert!(matches!(
+            check_method(&s, &p(), &nested, Mode::ReadOnly),
+            Err(MethodTypeError::ExtendedFeatureInReadOnlyMode(_, _))
+        ));
+        assert!(check_method(&s, &p(), &nested, Mode::Extended).is_ok());
     }
 
     #[test]

@@ -1,209 +1,31 @@
-//! Static effect analysis for method bodies — the supplier of the latent
-//! `ε''` effects consumed by the query-level (Method) rule (Figure 3).
+//! The method-effect table on its own — the latent `ε''` effects the
+//! query-level (Method) rule (Figure 3) consumes, for a caller that has
+//! a schema but no database.
 //!
-//! The analysis computes, for every `(declaring class, method)` pair, an
-//! over-approximation of the effect any invocation that *resolves to that
-//! declaration* may perform. Two sources of imprecision are handled
-//! soundly:
-//!
-//! * **Recursion** — methods may call each other (even mutually); the
-//!   analysis iterates to a fixpoint over the finite effect lattice.
-//! * **Dynamic dispatch** — a call through a receiver statically typed
-//!   `C` may run an override declared in any subclass of `C`; the effect
-//!   of a call site is therefore the union over every declaration of the
-//!   method at-or-below the static receiver class.
-//!
-//! In [`Mode::ReadOnly`](crate::Mode), bodies contain no extended
-//! constructs, so every entry in the table is ∅ except for `Ra` atoms
-//! from attribute reads — exactly matching the paper's "the value of ε''
-//! will always be ∅" for the database-mutating effects.
+//! There is no second walk here: the table is what the type checker
+//! ([`check_schema_methods`]) derives while it types each body, and
+//! dynamic dispatch is accounted for when the table is read
+//! ([`MethodEffects::effect_of`]).
 
-use ioql_ast::{ClassName, MExpr, MStmt, MethodName, Type, VarName};
-use ioql_effects::{Effect, MethodEffects};
+use crate::check::{check_schema_methods, Mode};
+use ioql_effects::MethodEffects;
 use ioql_schema::Schema;
-use std::collections::BTreeMap;
 
-/// Computes the method-effect table for a whole schema by fixpoint.
+/// The latent-effect table of `schema`'s methods: [`check_schema_methods`]
+/// under [`Mode::Extended`]. A schema that checks under either mode gets
+/// the table a database over it derives. A schema whose methods do not
+/// type-check, which no database accepts, gets the empty table.
 pub fn effect_table(schema: &Schema) -> MethodEffects {
-    let mut table: BTreeMap<(ClassName, MethodName), Effect> = BTreeMap::new();
-    for cd in schema.classes() {
-        for md in &cd.methods {
-            table.insert((cd.name.clone(), md.name.clone()), Effect::empty());
-        }
-    }
-    loop {
-        let mut changed = false;
-        for cd in schema.classes() {
-            for md in &cd.methods {
-                let mut params = BTreeMap::new();
-                for (x, t) in &md.params {
-                    params.insert(x.clone(), t.clone());
-                }
-                let mut an = Analyzer {
-                    schema,
-                    table: &table,
-                    this: cd.name.clone(),
-                    vars: params,
-                    effect: Effect::empty(),
-                };
-                an.block(&md.body);
-                let eff = an.effect;
-                let key = (cd.name.clone(), md.name.clone());
-                if table[&key] != eff {
-                    table.insert(key, eff);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut out = MethodEffects::read_only();
-    for ((c, m), e) in table {
-        out.insert(c, m, e);
-    }
-    out
-}
-
-struct Analyzer<'a> {
-    schema: &'a Schema,
-    table: &'a BTreeMap<(ClassName, MethodName), Effect>,
-    this: ClassName,
-    vars: BTreeMap<VarName, Type>,
-    effect: Effect,
-}
-
-impl Analyzer<'_> {
-    /// The effect of calling `m` through a receiver statically typed `c`:
-    /// union over `c`'s own resolution and every override below `c`.
-    fn call_effect(&self, c: &ClassName, m: &MethodName) -> Effect {
-        let mut eff = Effect::empty();
-        if let Some((decl, _)) = self.schema.mbody(c, m) {
-            if let Some(e) = self.table.get(&(decl, m.clone())) {
-                eff.union_with(e);
-            }
-        }
-        for cd in self.schema.classes() {
-            if self.schema.extends(&cd.name, c) && cd.method(m).is_some() {
-                if let Some(e) = self.table.get(&(cd.name.clone(), m.clone())) {
-                    eff.union_with(e);
-                }
-            }
-        }
-        eff
-    }
-
-    /// Best-effort static type of an expression; the bodies are assumed
-    /// to have passed `check_method`, so lookups succeed.
-    fn type_of(&self, e: &MExpr) -> Option<Type> {
-        match e {
-            MExpr::Int(_) => Some(Type::Int),
-            MExpr::Bool(_) => Some(Type::Bool),
-            MExpr::This => Some(Type::Class(self.this.clone())),
-            MExpr::Var(x) => self.vars.get(x).cloned(),
-            MExpr::Attr(recv, a) => {
-                let c = self.type_of(recv)?.as_class()?.clone();
-                self.schema.atype(&c, a).cloned()
-            }
-            MExpr::Call(recv, m, _) => {
-                let c = self.type_of(recv)?.as_class()?.clone();
-                self.schema.mtype(&c, m).map(|f| f.result)
-            }
-            MExpr::Bin(op, _, _) => Some(if op.yields_bool() {
-                Type::Bool
-            } else {
-                Type::Int
-            }),
-            MExpr::Un(op, _) => Some(match op {
-                ioql_ast::MUnOp::Not => Type::Bool,
-                ioql_ast::MUnOp::Neg => Type::Int,
-            }),
-        }
-    }
-
-    fn expr(&mut self, e: &MExpr) {
-        match e {
-            MExpr::Int(_) | MExpr::Bool(_) | MExpr::This | MExpr::Var(_) => {}
-            MExpr::Attr(recv, _) => {
-                self.expr(recv);
-                if let Some(Type::Class(c)) = self.type_of(recv) {
-                    self.effect.union_with(&Effect::attr_read(c));
-                }
-            }
-            MExpr::Call(recv, m, args) => {
-                self.expr(recv);
-                for a in args {
-                    self.expr(a);
-                }
-                if let Some(Type::Class(c)) = self.type_of(recv) {
-                    let latent = self.call_effect(&c, m);
-                    self.effect.union_with(&latent);
-                }
-            }
-            MExpr::Bin(_, a, b) => {
-                self.expr(a);
-                self.expr(b);
-            }
-            MExpr::Un(_, a) => self.expr(a),
-        }
-    }
-
-    fn block(&mut self, stmts: &[MStmt]) {
-        for s in stmts {
-            match s {
-                MStmt::Local(x, t, e) => {
-                    self.expr(e);
-                    self.vars.insert(x.clone(), t.clone());
-                }
-                MStmt::Assign(_, e) => self.expr(e),
-                MStmt::SetAttr(target, _, e) => {
-                    self.expr(target);
-                    self.expr(e);
-                    if let Some(Type::Class(c)) = self.type_of(target) {
-                        self.effect.union_with(&Effect::update(c));
-                    }
-                }
-                MStmt::If(c, t, e) => {
-                    self.expr(c);
-                    self.block(t);
-                    self.block(e);
-                }
-                MStmt::While(c, b) => {
-                    self.expr(c);
-                    self.block(b);
-                }
-                MStmt::ForExtent(x, e, body) => {
-                    if let Some(c) = self.schema.extent_class(e) {
-                        self.effect.union_with(&Effect::read(c.clone()));
-                        self.vars.insert(x.clone(), Type::Class(c.clone()));
-                    }
-                    self.block(body);
-                }
-                MStmt::NewLocal(x, c, attrs) => {
-                    for (_, e) in attrs {
-                        self.expr(e);
-                    }
-                    self.effect.union_with(&Effect::add(c.clone()));
-                    if self.schema.options().inherited_extents {
-                        for sup in self.schema.proper_superclasses(c) {
-                            if !sup.is_object() {
-                                self.effect.union_with(&Effect::add(sup));
-                            }
-                        }
-                    }
-                    self.vars.insert(x.clone(), Type::Class(c.clone()));
-                }
-                MStmt::Return(e) => self.expr(e),
-            }
-        }
-    }
+    check_schema_methods(schema, Mode::Extended).unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioql_ast::{AttrDef, ClassDef, ExtentName, MBinOp, MethodDef};
+    use ioql_ast::{
+        AttrDef, ClassDef, ClassName, ExtentName, MBinOp, MExpr, MStmt, MethodDef, MethodName,
+        Type, VarName,
+    };
 
     #[test]
     fn read_only_methods_have_no_db_effects() {
@@ -359,10 +181,9 @@ mod tests {
     #[test]
     fn dynamic_dispatch_unions_overrides() {
         // A::m is pure; B overrides m with an extent scan. A call through
-        // a statically-A receiver may dispatch to B::m, so A's table entry
-        // for a *call site* must include B's effect. We check via
-        // call_effect through the public surface: effect of calling m on A
-        // (computed as the ε'' consumed by the query rule) includes R(B).
+        // a statically-A receiver may dispatch to B::m, so the effect of
+        // calling m on A (the ε'' consumed by the query rule) includes
+        // R(B).
         let schema = Schema::new(vec![
             ClassDef::new(
                 "A",
@@ -409,5 +230,8 @@ mod tests {
             .get(&ClassName::new("B"), &MethodName::new("wrap"))
             .unwrap();
         assert!(wrap.reads.contains(&ClassName::new("B")));
+        // And so must a call through a statically-A receiver.
+        let through_a = table.effect_of(&schema, &ClassName::new("A"), &MethodName::new("m"));
+        assert!(through_a.reads.contains(&ClassName::new("B")));
     }
 }

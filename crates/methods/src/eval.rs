@@ -51,7 +51,6 @@ enum Flow {
 
 struct Ev<'s> {
     schema: &'s Schema,
-    mode: Mode,
     fuel: u64,
     effect: Effect,
 }
@@ -238,14 +237,7 @@ impl<'s> Ev<'s> {
                     for (a, e) in attrs {
                         vals.push((a.clone(), self.expr(store, env, this, e)?));
                     }
-                    self.effect.union_with(&Effect::add(c.clone()));
-                    if self.schema.options().inherited_extents {
-                        for sup in self.schema.proper_superclasses(c) {
-                            if !sup.is_object() {
-                                self.effect.union_with(&Effect::add(sup));
-                            }
-                        }
-                    }
+                    self.effect.union_with(&Effect::creation(self.schema, c));
                     let extents = self.schema.extents_for_new(c);
                     let o = store
                         .create(Object::new(c.clone(), vals), extents)
@@ -280,8 +272,7 @@ impl<'s> Ev<'s> {
         for ((x, _), v) in md.params.iter().zip(args) {
             env.insert(x.clone(), v);
         }
-        let body = md.body.clone();
-        match self.block(store, &mut env, receiver, &body)? {
+        match self.block(store, &mut env, receiver, &md.body)? {
             Flow::Returned(v) => Ok(v),
             Flow::Normal => Err(MethodError::Stuck(
                 "method fell through without return".into(),
@@ -303,19 +294,11 @@ pub fn invoke(
 ) -> Result<MethodResult, MethodError> {
     let mut ev = Ev {
         schema,
-        mode,
         fuel,
         effect: Effect::empty(),
     };
-    #[cfg(debug_assertions)]
-    let snapshot = if matches!(mode, Mode::ReadOnly) {
-        Some(store.clone())
-    } else {
-        None
-    };
+    let snapshot = (cfg!(debug_assertions) && mode == Mode::ReadOnly).then(|| store.clone());
     let value = ev.call(store, call.receiver, &call.method, call.args.clone())?;
-    let _ = ev.mode;
-    #[cfg(debug_assertions)]
     if let Some(snap) = snapshot {
         debug_assert!(
             snap == *store,

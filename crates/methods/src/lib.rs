@@ -8,15 +8,17 @@
 //! * a **type checker** for method bodies ([`check`]), with a
 //!   [`Mode`] switch: [`Mode::ReadOnly`] is the paper's core discipline
 //!   (no attribute updates, no `new`, no extent iteration);
-//!   [`Mode::Extended`] is §5's "read, add to and update" design point;
+//!   [`Mode::Extended`] is §5's "read, add to and update" design point.
+//!   It is the only static pass over a body, and the same walk derives
+//!   each method's latent effect `ε''`, by fixpoint over the (possibly
+//!   mutually recursive) call graph; [`check_schema_methods`] returns the
+//!   table, and [`effect_table`] ([`effects`]) builds it from a schema
+//!   alone. In read-only mode every entry is ∅ on the database —
+//!   matching the paper's remark that "the value of ε'' will always be
+//!   ∅";
 //! * a **big-step evaluator** ([`eval`]) with *fuel* so non-termination
 //!   (the §1 `loop()` example) is a first-class, observable outcome
-//!   rather than a hang;
-//! * a **method effect analysis** ([`effects`]) computing each method's
-//!   latent effect `ε''` by fixpoint over the (possibly mutually
-//!   recursive, dynamically dispatched) call graph. In read-only mode the
-//!   analysis provably returns ∅ for every method — matching the paper's
-//!   remark that "the value of ε'' will always be ∅".
+//!   rather than a hang.
 
 #![forbid(unsafe_code)]
 // Error enums carry rendered context (names, types, positions) by value;

@@ -2,7 +2,7 @@
 //! update the database, with the `(Method)` rule threading `EE`/`OE`
 //! through the call.
 
-use ioql::{Database, DbOptions, Engine, Mode, Value};
+use ioql::{Admitted, Database, DbOptions, Engine, Mode, Value};
 use ioql_eval::{DefEnv, EvalConfig, RandomChooser};
 use ioql_testkit::oracles::{effect_soundness_holds, progress_and_preservation_hold};
 use ioql_types::{check_query, TypeEnv};
@@ -114,34 +114,99 @@ fn extended_method_invocation_is_observably_order_dependent() {
     assert_eq!(ex2.distinct_outcomes().len(), 1);
 }
 
+/// `B::m` overrides a pure `A::m` with one that creates an `A`. A call
+/// through a receiver upcast to `A` may run it.
+const OVERRIDE_DDL: &str = "
+    class A extends Object (extent As) {
+        attribute int n;
+        int m() { return 1; }
+    }
+    class B extends A (extent Bs) {
+        int m() {
+            A fresh = new A(n: 7);
+            return 2;
+        }
+    }";
+
+fn override_db() -> Database {
+    let opts = DbOptions {
+        method_mode: Mode::Extended,
+        ..DbOptions::default()
+    };
+    let mut db = Database::from_ddl_with(OVERRIDE_DDL, opts).unwrap();
+    db.query("new B(n: 1)").unwrap();
+    db
+}
+
 #[test]
 fn soundness_oracles_hold_in_extended_mode() {
-    let db = db();
-    let schema = db.schema().clone();
-    let store = db.store().clone();
-    let tenv = TypeEnv::new(&schema);
-    let eenv = ioql_effects::EffectEnv::new(&schema)
-        .with_method_effects(ioql_methods::effect_table(&schema));
-    let cfg = EvalConfig::new(&schema).with_method_mode(Mode::Extended);
-    let defs = DefEnv::new();
-    let queries = [
-        "{ c.bump() | c <- Counters }",
-        "{ c.spawn(c.n) | c <- Counters }",
-        "{ c.countPeers() + c.bump() | c <- Counters }",
-        "size(Counters) + size({ c.spawn(0) | c <- Counters })",
+    let inputs = [
+        (
+            db(),
+            &[
+                "{ c.bump() | c <- Counters }",
+                "{ c.spawn(c.n) | c <- Counters }",
+                "{ c.countPeers() + c.bump() | c <- Counters }",
+                "size(Counters) + size({ c.spawn(0) | c <- Counters })",
+            ][..],
+        ),
+        // An override reached through an upcast.
+        (
+            override_db(),
+            &[
+                "{ ((A) b).m() | b <- Bs }",
+                "size(As) + size({ ((A) b).m() | b <- Bs })",
+            ][..],
+        ),
     ];
-    for src in queries {
-        let raw = ioql_syntax::parse_query(src).unwrap();
-        let resolved = schema.resolve_query(&raw);
-        let (elab, _) = check_query(&tenv, &resolved).unwrap();
-        for seed in 0..8 {
-            let mut ch = RandomChooser::seeded(seed);
-            progress_and_preservation_hold(&tenv, &cfg, &defs, &store, &elab, &mut ch, 50_000)
-                .unwrap_or_else(|e| panic!("{src}: {e}"));
-            let mut ch2 = RandomChooser::seeded(seed);
-            effect_soundness_holds(&eenv, &cfg, &defs, &store, &elab, &mut ch2, 50_000)
-                .unwrap_or_else(|e| panic!("{src}: {e}"));
+    for (db, queries) in inputs {
+        let schema = db.schema().clone();
+        let store = db.store().clone();
+        let tenv = TypeEnv::new(&schema);
+        let eenv = ioql_effects::EffectEnv::new(&schema)
+            .with_method_effects(ioql_methods::effect_table(&schema));
+        let cfg = EvalConfig::new(&schema).with_method_mode(Mode::Extended);
+        let defs = DefEnv::new();
+        for src in queries {
+            let raw = ioql_syntax::parse_query(src).unwrap();
+            let resolved = schema.resolve_query(&raw);
+            let (elab, _) = check_query(&tenv, &resolved).unwrap();
+            for seed in 0..8 {
+                let mut ch = RandomChooser::seeded(seed);
+                progress_and_preservation_hold(&tenv, &cfg, &defs, &store, &elab, &mut ch, 50_000)
+                    .unwrap_or_else(|e| panic!("{src}: {e}"));
+                let mut ch2 = RandomChooser::seeded(seed);
+                effect_soundness_holds(&eenv, &cfg, &defs, &store, &elab, &mut ch2, 50_000)
+                    .unwrap_or_else(|e| panic!("{src}: {e}"));
+            }
         }
+    }
+}
+
+/// A call's latent effect covers every override below its static
+/// receiver: `((A) b).m()` may run `B::m`, which creates an `A`, so the
+/// query is a writer. It is serialized, never answered from a snapshot
+/// or the cache, and each run adds its `A`.
+#[test]
+fn a_call_through_an_upcast_carries_the_overrides_effect() {
+    let mut db = override_db();
+    let src = "{ ((A) b).m() | b <- Bs }";
+    let a = db.analyze(src).unwrap();
+    assert!(
+        a.effect.adds.contains(&ioql::ast::ClassName::new("A")),
+        "{}",
+        a.effect
+    );
+    assert_eq!(db.extent_len("As"), 0);
+    for runs in 1..=2 {
+        let r = db.query(src).unwrap();
+        assert!(
+            matches!(r.admitted, Some(Admitted::Serialized { .. })),
+            "{:?}",
+            r.admitted
+        );
+        assert!(!r.cached, "run {runs} was served from the cache");
+        assert_eq!(db.extent_len("As"), runs);
     }
 }
 

@@ -6,14 +6,15 @@
 //! that no longer exists, and stay declared (deprecated, read by no
 //! code) only because the harness writes them in struct literals. The
 //! second test holds them to their old contract: no value of theirs
-//! changes an observable. The last test spells the reply and counter
+//! changes an observable. The fourth test spells the reply and counter
 //! types `inproc.rs` and `wire.rs` read off a request — the ones a change
-//! to how results are shared would be tempted to move.
+//! to how results are shared would be tempted to move. The last spells
+//! the method-effect table `ladder.rs` builds from a schema alone.
 
 #![allow(deprecated)] // spelling the four inert fields is the point
 
 use ioql::ast::Program;
-use ioql::effects::{infer_query, EffectEnv};
+use ioql::effects::{infer_query, EffectEnv, MethodEffects};
 use ioql::eval::{DefEnv, EvalConfig};
 use ioql::opt::{OptOptions, Stats};
 use ioql::plan::{execute, execute_with_profile, lower_with, CompileVerdict, ParSpec, Plan};
@@ -189,4 +190,30 @@ fn the_reply_and_counter_types_the_harness_reads() {
         after.evictions - before.evictions,
     );
     assert_eq!((hits, misses, evictions), (1, 1, 0));
+}
+
+/// `benchmark/src/ladder.rs::Ladder::new` builds its method table with
+/// `ioql::methods::effect_table` from the schema alone and hands it to
+/// `EffectEnv::with_method_effects`; the effects it then infers are the
+/// ones the database's own analysis reports.
+#[test]
+fn the_method_table_the_ladder_builds_from_a_schema() {
+    let ddl = "
+        class Employee extends Object (extent Employees) {
+            attribute int GrossSalary;
+            int NetSalary(int TaxRate) { return this.GrossSalary * (100 - TaxRate); }
+        }";
+    let db = Database::from_ddl_with(ddl, bench_options(0)).unwrap();
+    let schema = db.schema().clone();
+    let method_effects: MethodEffects = ioql::methods::effect_table(&schema);
+    let eenv = EffectEnv::new(&schema).with_method_effects(method_effects);
+    let tenv = TypeEnv::new(&schema);
+    let src = "{ e.NetSalary(30) | e <- Employees }";
+    let raw = ioql::syntax::parse_query(src).unwrap();
+    let (elab, _) = check_query(&tenv, &schema.resolve_query(&raw)).unwrap();
+    let (_, effect) = infer_query(&eenv, &elab).unwrap();
+    assert!(effect
+        .attr_reads
+        .contains(&ioql::ast::ClassName::new("Employee")));
+    assert_eq!(effect, db.analyze(src).unwrap().effect);
 }
