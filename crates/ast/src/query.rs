@@ -437,7 +437,7 @@ impl Query {
 
     /// Applies `f` to this node and every descendant query node
     /// (pre-order; a comprehension's qualifiers before its head).
-    pub fn for_each_node(&self, f: &mut impl FnMut(&Query)) {
+    pub fn for_each_node<'q>(&'q self, f: &mut impl FnMut(&'q Query)) {
         f(self);
         self.for_each_child(&(), |_, _, _| {}, |c, _| c.for_each_node(f));
     }
@@ -475,11 +475,11 @@ impl Query {
     /// (rule (Comp2)). `enter` gets a [`Cow`]: it calls `to_mut` only when
     /// it binds something, so a scope is cloned at most once per
     /// comprehension and never elsewhere.
-    pub fn for_each_child<S: ToOwned + ?Sized>(
-        &self,
+    pub fn for_each_child<'q, S: ToOwned + ?Sized>(
+        &'q self,
         scope: &S,
         mut enter: impl FnMut(&mut Cow<'_, S>, &VarName, &Query),
-        mut f: impl FnMut(&Query, &S),
+        mut f: impl FnMut(&'q Query, &S),
     ) {
         match self {
             Query::Lit(_) | Query::Var(_) | Query::Extent(_) => {}

@@ -1,9 +1,9 @@
 //! Static analysis results surfaced by [`Database::analyze`](crate::Database::analyze).
 
-use ioql_ast::{Query, Type, VarName};
-use ioql_effects::{Effect, EffectRules};
-use ioql_types::Judgement;
-use std::collections::BTreeMap;
+use crate::kernel::Prepared;
+use ioql_ast::Type;
+use ioql_effects::{commutable_operands, Discipline, Effect, EffectError, Record};
+use ioql_schema::Schema;
 
 /// The verdict for one commutative set operator in a query: may its
 /// operands be commuted (Theorem 8's guard)?
@@ -41,38 +41,43 @@ pub struct Analysis {
     pub commutations: Vec<CommutationVerdict>,
 }
 
-/// Walks the (elaborated) query collecting a [`CommutationVerdict`] for
-/// every commutative set operator, operands first, with generator
-/// binders in scope (typed as the elements of their sources).
-pub(crate) fn collect_commutations(
-    judgement: &Judgement<'_, EffectRules<'_>>,
-    vars: &BTreeMap<VarName, Type>,
-    q: &Query,
-    out: &mut Vec<CommutationVerdict>,
-) {
-    q.for_each_child(
-        vars,
-        |inner, x, src| {
-            if let Ok((_, t, _)) = judgement.query(inner, src) {
-                if let Some(elem) = t.as_set_elem() {
-                    inner.to_mut().insert(x.clone(), elem.clone());
-                }
-            }
-        },
-        |c, vars| collect_commutations(judgement, vars, c, out),
-    );
-    if let Query::SetBin(op, a, b) = q {
-        if op.is_commutative() {
-            if let (Ok((_, _, ea)), Ok((_, _, eb))) =
-                (judgement.query(vars, a), judgement.query(vars, b))
-            {
-                out.push(CommutationVerdict {
-                    expr: q.to_string(),
-                    safe: ea.noninterfering_with(&eb, judgement.schema),
-                    left: ea,
-                    right: eb,
-                });
-            }
+impl Analysis {
+    /// Reads the analysis off `prepared`'s derivation: the `⊢'` verdict
+    /// is its check over the records, and each commutative (Sop) record,
+    /// in post-order, gives a verdict — `⊢''`'s check on that record.
+    pub(crate) fn of(schema: &Schema, prepared: Prepared) -> Analysis {
+        let determinism_diagnosis = Discipline::deterministic()
+            .check(schema, &prepared.derivation)
+            .err()
+            .map(|e| match e {
+                EffectError::InterferingComprehension { body_effect } => format!(
+                    "comprehension body both reads and adds to an extent: {{{body_effect}}}"
+                ),
+                e => e.to_string(),
+            });
+        let mut nodes = Vec::new();
+        prepared.elab.for_each_node(&mut |q| nodes.push(q));
+        let commutations = prepared
+            .derivation
+            .records()
+            .iter()
+            .filter_map(|(node, r)| match r {
+                Record::Sop(op, left, right) if op.is_commutative() => Some(CommutationVerdict {
+                    expr: nodes[*node].to_string(),
+                    safe: commutable_operands(schema, r).is_ok(),
+                    left: left.clone(),
+                    right: right.clone(),
+                }),
+                _ => None,
+            })
+            .collect();
+        Analysis {
+            ty: prepared.ty,
+            effect: prepared.effect,
+            functional: prepared.thm7.new_free,
+            deterministic: determinism_diagnosis.is_none(),
+            determinism_diagnosis,
+            commutations,
         }
     }
 }

@@ -11,14 +11,14 @@
 //! same live state come from [`Database::session`] (per-client budgets
 //! and counters) and [`Database::serve`] (the TCP server).
 
-use crate::analysis::{collect_commutations, Analysis};
+use crate::analysis::Analysis;
 use crate::cache::CacheStats;
 use crate::error::DbError;
 use crate::kernel::{DbKernel, KernelState, Prepared};
 use crate::sched::{Admitted, SchedMetrics};
 use crate::session::Session;
 use ioql_ast::{Definition, Query, Type, Value};
-use ioql_effects::{Discipline, Effect, EffectError, Thm7};
+use ioql_effects::{Effect, Thm7};
 use ioql_eval::{
     Chooser, EvalMetrics, Exploration, FirstChooser, Governor, GovernorMetrics, Limits,
 };
@@ -32,7 +32,6 @@ use ioql_telemetry::{
     TraceRecord, Tracer,
 };
 use ioql_types::TypeOptions;
-use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, RwLockReadGuard};
 use std::time::Duration;
@@ -680,16 +679,21 @@ impl Database {
     /// running it: the elaborated query, its type, its inferred effect,
     /// and the Theorem 7 verdict every later stage reads.
     pub fn prepare(&self, src: &str) -> Result<Prepared, DbError> {
-        self.prepared(src).map(|(_, prepared)| prepared)
+        self.prepared(&self.options, src)
+            .map(|(_, prepared)| prepared)
     }
 
-    /// [`Database::prepare`], keeping the state read guard the query was
-    /// prepared under for the caller's next step.
-    fn prepared(&self, src: &str) -> Result<(RwLockReadGuard<'_, KernelState>, Prepared), DbError> {
+    /// [`Database::prepare`] under `opts`, keeping the state read guard
+    /// the query was prepared under for the caller's next step.
+    fn prepared(
+        &self,
+        opts: &DbOptions,
+        src: &str,
+    ) -> Result<(RwLockReadGuard<'_, KernelState>, Prepared), DbError> {
         let state = self.kernel.read_state();
-        let prepared =
-            self.kernel
-                .prepare_in(&self.options, &state.catalogue, src, &mut Tracer::off())?;
+        let prepared = self
+            .kernel
+            .prepare_in(opts, &state.catalogue, src, &mut Tracer::off())?;
         Ok((state, prepared))
     }
 
@@ -764,48 +768,21 @@ impl Database {
     }
 
     /// Static analysis of a query: type, effect, functional-ness, the
-    /// `⊢'` determinism verdict, and per-operator commutation verdicts.
+    /// `⊢'` determinism verdict, and per-operator commutation verdicts —
+    /// all read off one derivation, whatever this handle's discipline. A
+    /// Figure 1 error is still an error.
     pub fn analyze(&self, src: &str) -> Result<Analysis, DbError> {
-        let (state, prepared) = self.prepared(src)?;
-        let no_vars = BTreeMap::new();
-        let determinism = self
-            .kernel
-            .judgement(&self.options, Discipline::deterministic(), &state.catalogue)
-            .query(&no_vars, &prepared.elab);
-        let (deterministic, diagnosis) = match determinism {
-            Ok(_) => (true, None),
-            Err(EffectError::InterferingComprehension { body_effect }) => (
-                false,
-                Some(format!(
-                    "comprehension body both reads and adds to an extent: {{{body_effect}}}"
-                )),
-            ),
-            Err(e) => (false, Some(e.to_string())),
-        };
-        let mut commutations = Vec::new();
-        collect_commutations(
-            &self
-                .kernel
-                .judgement(&self.options, Discipline::permissive(), &state.catalogue),
-            &no_vars,
-            &prepared.elab,
-            &mut commutations,
-        );
-        Ok(Analysis {
-            ty: prepared.ty,
-            effect: prepared.effect,
-            functional: prepared.thm7.new_free,
-            deterministic,
-            determinism_diagnosis: diagnosis,
-            commutations,
-        })
+        let mut permissive = self.options.clone();
+        permissive.require_deterministic = false;
+        let prepared = self.prepared(&permissive, src)?.1;
+        Ok(Analysis::of(self.schema(), prepared))
     }
 
     /// Optimizes a query, returning the rewritten query and the applied
     /// rewrites. Statistics are seeded from the *current* extent sizes.
     pub fn optimize(&self, src: &str) -> Result<(Query, Vec<AppliedRewrite>), DbError> {
-        let (state, prepared) = self.prepared(src)?;
-        Ok(self.kernel.optimize_in(&state, &prepared.elab))
+        let (state, prepared) = self.prepared(&self.options, src)?;
+        Ok(self.kernel.optimize_in(&state, &prepared))
     }
 
     /// Renders the physical plan production would execute for a query —
@@ -814,7 +791,7 @@ impl Database {
     /// diagnosis of which condition failed. Respects
     /// [`DbOptions::optimize`], exactly as production does.
     pub fn explain(&self, src: &str) -> Result<String, DbError> {
-        let (state, prepared) = self.prepared(src)?;
+        let (state, prepared) = self.prepared(&self.options, src)?;
         Ok(match self.plan_in(&state, prepared) {
             Ok(plan) => plan.render(),
             Err(refusal) => refusal,
@@ -824,21 +801,16 @@ impl Database {
     /// The plan execution would run for `prepared`, or the refusal
     /// diagnosis `explain` and `explain_analyze` share.
     fn plan_in(&self, state: &KernelState, prepared: Prepared) -> Result<ioql_plan::Plan, String> {
-        let Prepared {
-            mut elab,
-            effect,
-            thm7,
-            ..
-        } = prepared;
+        let mut elab = Arc::clone(&prepared.elab);
         if self.options.optimize {
             // Both rewrites only reorder: the verdict on the text as
             // prepared is the verdict on its rewrite
             // (`tests/optimizer_soundness.rs`).
-            elab = Arc::new(self.kernel.optimize_in(state, &elab).0);
+            elab = Arc::new(self.kernel.optimize_in(state, &prepared).0);
         }
         self.kernel
-            .lower_in(&self.options, state, &elab, &effect)
-            .ok_or_else(|| explain_refusal(&effect, thm7))
+            .lower_in(&self.options, state, &elab, &prepared.effect)
+            .ok_or_else(|| explain_refusal(&prepared.effect, prepared.thm7))
     }
 
     /// As [`Database::explain`], but *runs* the plan — against a clone
@@ -849,7 +821,7 @@ impl Database {
     /// plan-ineligible queries get the same refusal diagnosis as
     /// `explain`.
     pub fn explain_analyze(&self, src: &str) -> Result<String, DbError> {
-        let (state, prepared) = self.prepared(src)?;
+        let (state, prepared) = self.prepared(&self.options, src)?;
         let plan = match self.plan_in(&state, prepared) {
             Ok(plan) => plan,
             Err(refusal) => return Ok(refusal),
@@ -881,7 +853,7 @@ impl Database {
     /// snapshot of the store — the full outcome set of the paper's
     /// non-deterministic relation.
     pub fn explore(&self, src: &str, max_runs: usize) -> Result<Exploration, DbError> {
-        let (state, prepared) = self.prepared(src)?;
+        let (state, prepared) = self.prepared(&self.options, src)?;
         let cfg = self.kernel.eval_config(&self.options);
         Ok(ioql_eval::explore_outcomes(
             &cfg,
@@ -962,7 +934,7 @@ impl Database {
     /// the store (the database itself is unchanged) — every rule
     /// application and effect label, ready for rendering.
     pub fn trace(&self, src: &str) -> Result<ioql_eval::Trace, DbError> {
-        let (state, prepared) = self.prepared(src)?;
+        let (state, prepared) = self.prepared(&self.options, src)?;
         let cfg = self.kernel.eval_config(&self.options);
         let mut store = state.store.clone();
         let catalogue = Arc::clone(&state.catalogue);

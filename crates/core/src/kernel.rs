@@ -26,10 +26,12 @@
 //! parses, resolves, and instantiates the fused Figure 1/3 walker
 //! (`ioql_types::Judgement` over `ioql_effects::EffectRules`), then
 //! decides Theorem 7's guard with `Thm7::decide`. The result is one
-//! immutable [`Prepared`] `{ elab, ty, effect, thm7 }`; admission, the
-//! cache gate and its `ineligible(reason)` note, the WAL gate,
-//! `analyze`, and `explain` read `thm7`'s fields and never re-inspect
-//! the query. None of it reads the store, so the statement cache
+//! immutable [`Prepared`] `{ elab, ty, effect, derivation, thm7 }`;
+//! admission, the cache gate and its `ineligible(reason)` note, the WAL
+//! gate, `analyze`, and `explain` read `thm7`'s fields and never
+//! re-inspect the query, and the `⊢'` check, `analyze` and the
+//! optimizer read premise effects off `derivation` and judge no
+//! subterm. None of it reads the store, so the statement cache
 //! ([`crate::statements`]) keeps the `Arc<Prepared>` per text and every
 //! later request for that text shares it by pointer: its `elab` *is* the
 //! result-cache key. Registered definitions live in one `Arc`-shared
@@ -66,7 +68,7 @@ use crate::sched::{Admitted, Sched};
 use crate::statements::{Statement, StatementCache, StatementKey};
 use ioql_ast::{DefName, Definition, FnType, Query, Type, Value};
 use ioql_effects::{
-    effect_extents, Discipline, Effect, EffectEnv, EffectRules, MethodEffects, Thm7,
+    effect_extents, Derivation, Discipline, Effect, EffectRules, MethodEffects, Thm7,
 };
 use ioql_eval::{
     eval_big, evaluate, Chooser, CountingChooser, DefEnv, EvalConfig, Governor, RecordingChooser,
@@ -125,6 +127,10 @@ pub struct Prepared {
     pub ty: Type,
     /// Its Figure 3 effect.
     pub effect: Effect,
+    /// The derivation's (Comp) and (Sop) records, keyed by pre-order
+    /// index into `elab`: what the `⊢'` check, `analyze` and the
+    /// optimizer read.
+    pub derivation: Arc<Derivation>,
     /// The Theorem 7 verdict admission, the cache, the WAL gate,
     /// `analyze` and `explain` read.
     pub thm7: Thm7,
@@ -149,8 +155,8 @@ pub struct DbKernel {
 }
 
 impl Prepared {
-    /// The judgement as the trace shows it: `σ ! {ε}`.
-    fn judgement(&self) -> String {
+    /// The judgement's conclusion as the trace shows it: `σ ! {ε}`.
+    fn conclusion(&self) -> String {
         format!("{} ! {{{}}}", self.ty, self.effect)
     }
 }
@@ -284,10 +290,9 @@ impl DbKernel {
 
     /// The fused Figure 1/3 judgement under this handle's type options,
     /// its algebra borrowing `D` from `catalogue` (nothing is cloned).
-    pub(crate) fn judgement<'a>(
+    fn judgement<'a>(
         &'a self,
         opts: &DbOptions,
-        discipline: Discipline,
         catalogue: &'a Catalogue,
     ) -> Judgement<'a, EffectRules<'a>> {
         Judgement {
@@ -297,7 +302,6 @@ impl DbKernel {
             algebra: EffectRules {
                 defs: &catalogue.sigs,
                 methods: &self.method_effects,
-                discipline,
             },
         }
     }
@@ -320,11 +324,13 @@ impl DbKernel {
         stats
     }
 
-    /// Parses, resolves, and derives `q : σ ! ε` in one pass, without
-    /// running the query — against a catalogue, not the state: nothing
-    /// here reads the store, so no state lock need be held. The tracer
-    /// gets one span per phase; spans left open by an early error are
-    /// closed when the trace is sealed.
+    /// Parses, resolves, and derives `q : σ ! ε` in one pass, then checks
+    /// the handle's discipline over the derivation's records — so a
+    /// Figure 1 error anywhere in the query comes before any `⊢'`
+    /// rejection. Runs nothing, against a catalogue, not the state:
+    /// nothing here reads the store, so no state lock need be held. The
+    /// tracer gets one span per phase; spans left open by an early error
+    /// are closed when the trace is sealed.
     pub(crate) fn prepare_in(
         &self,
         opts: &DbOptions,
@@ -336,29 +342,22 @@ impl DbKernel {
         let raw = ioql_syntax::parse_query(src)?;
         let resolved = self.schema.resolve_query(&raw);
         tracer.end(sp);
-        let discipline = if opts.require_deterministic {
-            Discipline::deterministic()
-        } else {
-            Discipline::permissive()
-        };
         let sp = tracer.begin(Span::Typecheck, "");
-        let judge = |discipline| {
-            self.judgement(opts, discipline, catalogue)
-                .query(&BTreeMap::new(), &resolved)
-        };
-        // Error path only: a `⊢'` rejection fires mid-walk, so re-derive
-        // under `⊢` — a Figure 1 error anywhere in the query outranks it,
-        // as it did when the type checker ran to completion first.
-        let (elab, ty, effect) = judge(discipline)
-            .map_err(|rejected| judge(Discipline::permissive()).err().unwrap_or(rejected))?;
+        let (elab, ty, effect, derivation) = self
+            .judgement(opts, catalogue)
+            .query(&BTreeMap::new(), &resolved)?;
+        let mut discipline = Discipline::permissive();
+        discipline.deterministic_comprehensions = opts.require_deterministic;
+        discipline.check(&self.schema, &derivation)?;
         let thm7 = Thm7::decide(&elab, &effect, |d| catalogue.env.get(d));
         let prepared = Prepared {
             elab: Arc::new(elab),
             ty,
             effect,
+            derivation: Arc::new(derivation),
             thm7,
         };
-        tracer.end_with(sp, || Some(prepared.judgement()));
+        tracer.end_with(sp, || Some(prepared.conclusion()));
         Ok(prepared)
     }
 
@@ -378,7 +377,7 @@ impl DbKernel {
         let sp = tracer.begin(Span::StatementCache, "");
         let probe = lock(&self.statements).lookup(key, catalogue);
         tracer.end_found(sp, || match &probe {
-            Probe::Hit(prepared) => (prepared.judgement(), "hit".to_string()),
+            Probe::Hit(prepared) => (prepared.conclusion(), "hit".to_string()),
             Probe::Stale => (String::new(), "stale(catalogue)".to_string()),
             Probe::Miss => (String::new(), "miss".to_string()),
         });
@@ -466,17 +465,16 @@ impl DbKernel {
         state
     }
 
+    /// Optimizes a prepared query: the rules read its derivation's
+    /// records and judge nothing.
     pub(crate) fn optimize_in(
         &self,
         state: &KernelState,
-        elab: &Query,
+        prepared: &Prepared,
     ) -> (Query, Vec<AppliedRewrite>) {
-        // `D` is the catalogue's: signatures inferred once, at `define`
-        // time, with the method table's latent effects.
-        let mut env = EffectEnv::new(&self.schema).with_method_effects(self.method_effects.clone());
-        env.defs = state.catalogue.sigs.clone();
         let mut optimizer = Optimizer::new(DbKernel::stats_in(&state.store));
-        let optimized = optimizer.optimize_query(&env, elab);
+        let optimized =
+            optimizer.optimize_query(&self.schema, &prepared.derivation, &prepared.elab);
         (optimized, optimizer.applied().to_vec())
     }
 
@@ -653,6 +651,7 @@ impl DbKernel {
             ty,
             effect: static_effect,
             thm7,
+            ..
         } = prepared;
         // The write-ahead-log gate: only queries the effect system says
         // can write (`A(C)`/`U(C)` non-empty) are logged — Theorem 7
@@ -752,7 +751,7 @@ impl DbKernel {
         let optimized;
         let elab: &Query = if engine == Engine::Plan && opts.optimize {
             let sp = tracer.begin(Span::Optimize, "");
-            let (rewritten, applied) = self.optimize_in(state, elab);
+            let (rewritten, applied) = self.optimize_in(state, prepared);
             tracer.end_with(sp, || Some(format!("{} rewrite(s)", applied.len())));
             optimized = rewritten;
             &optimized
@@ -981,8 +980,8 @@ impl DbKernel {
                 return Err(TypeError::DuplicateDef(def.name).into());
             }
             let resolved = self.schema.resolve_def(&def);
-            let (elab, fnty, effect) = self
-                .judgement(opts, Discipline::permissive(), &next)
+            let (elab, fnty, effect, _) = self
+                .judgement(opts, &next)
                 .definition(&BTreeMap::new(), &resolved)?;
             next.sigs.insert(elab.name.clone(), (fnty, effect));
             next.order.push(elab.name.clone());

@@ -102,14 +102,8 @@ impl<'s> EffectEnv<'s> {
 
     /// A copy with `x : σ` bound.
     pub fn bind(&self, x: VarName, t: Type) -> Self {
-        let mut vars = self.vars.clone();
-        vars.insert(x, t);
-        EffectEnv {
-            schema: self.schema,
-            defs: self.defs.clone(),
-            vars,
-            methods: self.methods.clone(),
-            discipline: self.discipline,
-        }
+        let mut env = self.clone();
+        env.vars.insert(x, t);
+        env
     }
 }

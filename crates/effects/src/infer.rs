@@ -7,6 +7,12 @@
 //! `R(C)`/`A(C)` algebra that annotates each judgement — and the public
 //! entry points that instantiate the walker with it.
 //!
+//! `⊢'` and `⊢''` are `⊢` plus one side condition each, on (Comp2) and
+//! (Sop). Both are predicates over the records one `⊢` pass leaves —
+//! `nonint_bodies` and [`commutable_operands`] — and a [`Discipline`]
+//! checks the ones it enforces after the walk, so a Figure 1 error always
+//! comes first.
+//!
 //! The inference computes the *least* effect of a query; the paper's
 //! (Does) rule — weakening to any supereffect — corresponds to
 //! [`Effect::subeffect`] on the result.
@@ -15,15 +21,19 @@ use crate::effect::Effect;
 use crate::env::{Discipline, EffectEnv};
 use crate::error::EffectError;
 use crate::method_effects::MethodEffects;
-use ioql_ast::{ClassName, DefName, Definition, FnType, MethodName, Program, Query, SetOp, Type};
+use ioql_ast::{ClassName, DefName, Definition, FnType, MethodName, Program, Query, Type};
 use ioql_schema::Schema;
 use ioql_store::Store;
 use ioql_types::{EffectAlgebra, Judgement, TypeError, TypeOptions};
 use std::collections::BTreeMap;
 
+/// The records of a `⊢` derivation over Figure 3's effects.
+pub type Derivation = ioql_types::Derivation<Effect>;
+/// One (Comp) or (Sop) instance of a [`Derivation`].
+pub type Record = ioql_types::Record<Effect>;
+
 /// Figure 3's annotation of the Figure 1 rules: `D` with its latent
-/// effects `σ⃗ →ε σ'`, the method-effect table behind (Method)'s `ε''`,
-/// and which of `⊢` / `⊢'` / `⊢''` is being derived.
+/// effects `σ⃗ →ε σ'`, and the method-effect table behind (Method)'s `ε''`.
 #[derive(Clone, Copy, Debug)]
 pub struct EffectRules<'a> {
     /// Definitions with their types and latent effects.
@@ -31,16 +41,14 @@ pub struct EffectRules<'a> {
     /// Latent effects of methods; the empty table is the paper's
     /// read-only methods, all `∅`.
     pub methods: &'a MethodEffects,
-    /// Which side conditions to enforce.
-    pub discipline: Discipline,
 }
 
 impl EffectAlgebra for EffectRules<'_> {
     type Effect = Effect;
     type Error = EffectError;
 
-    fn union(&self, into: &mut Effect, other: Effect) {
-        into.union_with(&other);
+    fn union(&self, into: &mut Effect, other: &Effect) {
+        into.union_with(other);
     }
 
     /// (Extent): `e : set(C) ! R(C)`.
@@ -69,36 +77,51 @@ impl EffectAlgebra for EffectRules<'_> {
     fn method_latent(&self, schema: &Schema, c: &ClassName, m: &MethodName) -> Effect {
         self.methods.effect_of(schema, c, m)
     }
+}
 
-    /// `⊢'`: a generator's body runs once per element in an unspecified
-    /// order, so its effect must be non-interfering.
-    fn check_comp_body(&self, body: &Effect) -> Result<(), EffectError> {
-        if self.discipline.deterministic_comprehensions && !body.nonint_extended() {
-            return Err(EffectError::InterferingComprehension {
-                body_effect: body.clone(),
-            });
+/// `⊢'` (Comp2)': a generator's body — the head and every qualifier to
+/// its right — runs once per element in an unspecified order, so its
+/// effect must be non-interfering. The generator's own source runs once
+/// and is not part of it. Generators are tried right to left, so the
+/// body reported is the smallest that fails. Holds on a (Sop) record.
+fn nonint_bodies(record: &Record) -> Result<(), EffectError> {
+    let Record::Comp(quals, head) = record else {
+        return Ok(());
+    };
+    let mut body = head.clone();
+    for (is_generator, f) in quals.iter().rev() {
+        if *is_generator && !body.nonint_extended() {
+            return Err(EffectError::InterferingComprehension { body_effect: body });
         }
-        Ok(())
+        body.union_with(f);
     }
+    Ok(())
+}
 
-    /// `⊢''`: the operands of a commutative operator must not interfere.
-    fn check_set_operands(
-        &self,
-        schema: &Schema,
-        op: SetOp,
-        left: &Effect,
-        right: &Effect,
-    ) -> Result<(), EffectError> {
-        if self.discipline.safe_commutation
-            && op.is_commutative()
-            && !left.noninterfering_with(right, schema)
-        {
-            return Err(EffectError::InterferingOperands {
-                left: left.clone(),
-                right: right.clone(),
-            });
+/// `⊢''`: the operands of a commutative set operator must not interfere.
+/// Holds on a (Comp) record.
+pub fn commutable_operands(schema: &Schema, record: &Record) -> Result<(), EffectError> {
+    match record {
+        Record::Sop(op, l, r) if op.is_commutative() && !l.noninterfering_with(r, schema) => {
+            Err(EffectError::InterferingOperands {
+                left: l.clone(),
+                right: r.clone(),
+            })
         }
-        Ok(())
+        _ => Ok(()),
+    }
+}
+
+impl Discipline {
+    /// Checks the side conditions this discipline enforces over a `⊢`
+    /// derivation, record by record: the first failing record, in the
+    /// post-order a walk meets rule conclusions, is the one reported.
+    pub fn check(self, schema: &Schema, derivation: &Derivation) -> Result<(), EffectError> {
+        derivation.records().iter().try_for_each(|(_, r)| match r {
+            Record::Comp(..) if self.deterministic_comprehensions => nonint_bodies(r),
+            Record::Sop(..) if self.safe_commutation => commutable_operands(schema, r),
+            _ => Ok(()),
+        })
     }
 }
 
@@ -116,7 +139,6 @@ impl EffectEnv<'_> {
             algebra: EffectRules {
                 defs: &self.defs,
                 methods: &self.methods,
-                discipline: self.discipline,
             },
         }
     }
@@ -133,10 +155,20 @@ pub struct InferredProgram {
     pub effect: Effect,
 }
 
+/// Derives `E; D; Q ⊢ q : σ ! ε` once and checks `env`'s discipline over
+/// the records: the type, the least effect, and the derivation.
+pub fn derive_query(
+    env: &EffectEnv<'_>,
+    q: &Query,
+) -> Result<(Type, Effect, Derivation), EffectError> {
+    let (_, ty, effect, derivation) = env.judgement(None).query(&env.vars, q)?;
+    env.discipline.check(env.schema, &derivation)?;
+    Ok((ty, effect, derivation))
+}
+
 /// Infers the type and (least) effect of a query: `E; D; Q ⊢ q : σ ! ε`.
 pub fn infer_query(env: &EffectEnv<'_>, q: &Query) -> Result<(Type, Effect), EffectError> {
-    let (_, ty, effect) = env.judgement(None).query(&env.vars, q)?;
-    Ok((ty, effect))
+    derive_query(env, q).map(|(ty, effect, _)| (ty, effect))
 }
 
 /// As [`infer_query`] for runtime states (reduced values typed against a
@@ -146,7 +178,8 @@ pub fn infer_runtime_query(
     store: &Store,
     q: &Query,
 ) -> Result<(Type, Effect), EffectError> {
-    let (_, ty, effect) = env.judgement(Some(store)).query(&env.vars, q)?;
+    let (_, ty, effect, derivation) = env.judgement(Some(store)).query(&env.vars, q)?;
+    env.discipline.check(env.schema, &derivation)?;
     Ok((ty, effect))
 }
 
@@ -155,7 +188,8 @@ pub fn infer_definition(
     env: &EffectEnv<'_>,
     def: &Definition,
 ) -> Result<(FnType, Effect), EffectError> {
-    let (_, fnty, effect) = env.judgement(None).definition(&env.vars, def)?;
+    let (_, fnty, effect, derivation) = env.judgement(None).definition(&env.vars, def)?;
+    env.discipline.check(env.schema, &derivation)?;
     Ok((fnty, effect))
 }
 
@@ -416,6 +450,68 @@ mod tests {
         // Clean queries pass both.
         let ok = Query::extent("Ps").union(Query::extent("Fs"));
         assert!(infer_query(&strict, &ok).is_ok());
+    }
+
+    /// The records are checked in the order the walker met the side
+    /// conditions: an inner rule instance before the one enclosing it,
+    /// and a comprehension's generators right to left — the smallest
+    /// failing body is the one reported.
+    #[test]
+    fn strict_reports_the_first_failure_the_walk_meets() {
+        let s = schema();
+        let strict = env(&s).with_discipline(Discipline::strict());
+        let new_f = || Query::new_obj("F", [("name", Query::int(1)), ("boss", Query::int(2))]);
+        // Reads and adds F, and reads an F's attribute.
+        let clash = || Query::extent("Fs").size_of().add(new_f().attr("name"));
+        let gen = |x: &str, src: Query| Qualifier::Gen(VarName::new(x), src);
+        let rejection = |q: &Query| infer_query(&strict, q).unwrap_err();
+
+        // Both generators' bodies interfere; the right one's is reported,
+        // without the R(P) of the source to its right.
+        let both = Query::comp(
+            clash(),
+            [gen("x", Query::extent("Ps")), gen("y", Query::extent("Ps"))],
+        );
+        let head = Effect::read("F")
+            .union(&Effect::add("F"))
+            .union(&Effect::attr_read("F"));
+        assert_eq!(
+            rejection(&both),
+            EffectError::InterferingComprehension { body_effect: head }
+        );
+
+        // An interfering union inside the source outranks the body.
+        let operands = Query::comp(
+            clash(),
+            [gen(
+                "x",
+                Query::extent("Fs").union(Query::set_lit([new_f()])),
+            )],
+        );
+        assert!(matches!(
+            rejection(&operands),
+            EffectError::InterferingOperands { .. }
+        ));
+
+        // An inner comprehension's body outranks the outer one's.
+        let inner = Query::comp(
+            Query::extent("Ps")
+                .size_of()
+                .add(Query::new_obj("P", [("name", Query::int(1))]).attr("name")),
+            [gen("p", Query::extent("Ps"))],
+        );
+        let nested = Query::comp(clash(), [gen("x", Query::extent("Ps")), gen("y", inner)]);
+        let EffectError::InterferingComprehension { body_effect } = rejection(&nested) else {
+            panic!("expected a ⊢' rejection");
+        };
+        assert!(
+            body_effect.adds.contains(&ClassName::new("P")),
+            "{body_effect}"
+        );
+        assert!(
+            !body_effect.adds.contains(&ClassName::new("F")),
+            "{body_effect}"
+        );
     }
 
     #[test]

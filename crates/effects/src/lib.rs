@@ -22,8 +22,10 @@
 //! (`ioql_types::Judgement`) with [`EffectRules`], the effect algebra.
 //! [`Discipline`] selects between the paper's three systems: `⊢`
 //! (permissive, Figure 3), `⊢'` (non-interfering comprehension bodies —
-//! Theorem 7's determinism), and `⊢''` (non-interfering commutative set
-//! operands — Theorem 8's safe commutation). [`Thm7`] is the one verdict
+//! Theorem 7's determinism, `nonint_bodies`), and `⊢''`
+//! (non-interfering commutative set operands — Theorem 8's safe
+//! commutation, [`commutable_operands`]); both are predicates over the
+//! records of one `⊢` pass ([`derive_query`]). [`Thm7`] is the one verdict
 //! every Theorem 7 consumer (admission, cache, WAL gate, lowering) reads.
 
 #![forbid(unsafe_code)]
@@ -44,7 +46,8 @@ pub use effect::Effect;
 pub use env::{Discipline, EffectEnv};
 pub use error::EffectError;
 pub use infer::{
-    infer_definition, infer_program, infer_query, infer_runtime_query, EffectRules, InferredProgram,
+    commutable_operands, derive_query, infer_definition, infer_program, infer_query,
+    infer_runtime_query, Derivation, EffectRules, InferredProgram, Record,
 };
 pub use method_effects::MethodEffects;
 pub use read_sets::{effect_extents, EffectExtents};

@@ -7,9 +7,10 @@
 //! components of the commutative binary set operators do not interfere,
 //! then it is safe to commute their order." — paper §4.
 //!
-//! The crate has two rewrites, each with an explicit *safety guard* built
-//! from the Figure 3 effect inference, over `D` = the signatures of the
-//! definitions in scope (the catalogue's, computed at `define` time):
+//! The crate has two rewrites, each with an explicit *safety guard* on
+//! the premise effects the query's one Figure 3 derivation recorded for
+//! the node (its `ioql_effects::Record`), under `D` = the signatures of
+//! the definitions in scope (the catalogue's, computed at `define` time):
 //!
 //! | rewrite | why it is kept | guard |
 //! |---|---|---|

@@ -1,14 +1,12 @@
-//! The optimizer driver: a bottom-up, environment-carrying rewriter that
-//! applies the rules of [`crate::rules`] to a fixpoint (with a budget).
+//! The optimizer proper: a bottom-up rewriter that applies the rules of
+//! [`crate::rules`] once per node, reading each node's premise effects off
+//! the query's `⊢` derivation.
 
 use crate::cost::Stats;
 use crate::rules;
 use ioql_ast::{Program, Query};
-use ioql_effects::{infer_definition, infer_query, EffectEnv};
+use ioql_effects::{derive_query, infer_definition, Derivation, EffectEnv, Record};
 use ioql_schema::Schema;
-
-/// Upper bound on rewrites per query (the fixpoint budget).
-const MAX_REWRITES: usize = 10_000;
 
 /// The optimizer's settings: none are left. Kept, with `Default`, so the
 /// entry point's signature is unchanged; braced, so `default()` is the
@@ -29,7 +27,6 @@ pub struct AppliedRewrite {
 pub struct Optimizer {
     stats: Stats,
     applied: Vec<AppliedRewrite>,
-    budget: usize,
 }
 
 impl Optimizer {
@@ -38,7 +35,6 @@ impl Optimizer {
         Optimizer {
             stats,
             applied: Vec::new(),
-            budget: MAX_REWRITES,
         }
     }
 
@@ -47,63 +43,59 @@ impl Optimizer {
         &self.applied
     }
 
-    /// Optimizes a query under `env`, whose `defs` are the signatures of
-    /// the definitions it may call.
-    pub fn optimize_query(&mut self, env: &EffectEnv<'_>, q: &Query) -> Query {
-        self.rewrite(env, q)
+    /// Optimizes `q`, whose `⊢` derivation is `derivation`: a rule fires
+    /// at a node only on that node's record, found by its pre-order
+    /// index in `q`.
+    pub fn optimize_query(&mut self, schema: &Schema, derivation: &Derivation, q: &Query) -> Query {
+        self.rewrite(schema, derivation, q, &mut 0)
     }
 
-    fn note(&mut self, rule: &'static str, before: &Query, after: &Query) {
+    /// Bottom-up rewrite of node `*next` of the pre-order: children
+    /// first, then the rule for this node's record. Both rules only
+    /// permute children, so each child keeps its index and record — and
+    /// a rule's output is already its fixpoint: a promoted comprehension
+    /// has no predicate left to move, a commuted operator is cheapest
+    /// first.
+    fn rewrite(
+        &mut self,
+        schema: &Schema,
+        derivation: &Derivation,
+        q: &Query,
+        next: &mut usize,
+    ) -> Query {
+        let node = *next;
+        *next += 1;
+        let cur = q.map_children(
+            &(),
+            |_, _, _| {},
+            |c, _| self.rewrite(schema, derivation, c, next),
+        );
+        let fired = match derivation.at(node) {
+            Some(Record::Comp(quals, _)) => {
+                rules::promote_predicates(&cur, quals.iter().map(|(_, e)| e))
+                    .map(|n| ("promote-predicates", n))
+            }
+            Some(Record::Sop(_, left, right)) => {
+                rules::commute_by_cost(schema, &self.stats, &cur, left, right)
+                    .map(|n| ("commute-by-cost", n))
+            }
+            None => None,
+        };
+        let Some((rule, next)) = fired else {
+            return cur;
+        };
         self.applied.push(AppliedRewrite {
             rule,
-            note: format!("{before}  ⇒  {after}"),
+            note: format!("{cur}  ⇒  {next}"),
         });
-    }
-
-    /// Bottom-up rewrite: children first (each under its scope: a
-    /// generator whose rewritten source has a set type binds its element
-    /// type for later qualifiers and the head), then local rules to a
-    /// fixpoint. Neither rule changes a child, so the children stay
-    /// rewritten.
-    fn rewrite(&mut self, env: &EffectEnv<'_>, q: &Query) -> Query {
-        let mut cur = q.map_children(
-            env,
-            |inner, x, src| {
-                if let Ok((t, _)) = infer_query(inner, src) {
-                    if let Some(elem) = t.as_set_elem() {
-                        inner.to_mut().vars.insert(x.clone(), elem.clone());
-                    }
-                }
-            },
-            |c, env| self.rewrite(env, c),
-        );
-        while self.budget > 0 {
-            let Some(next) = self.apply_local(env, &cur) else {
-                break;
-            };
-            self.budget -= 1;
-            cur = next;
-        }
-        cur
-    }
-
-    fn apply_local(&mut self, env: &EffectEnv<'_>, q: &Query) -> Option<Query> {
-        let (rule, next) = if let Some(n) = rules::promote_predicates(env, q) {
-            ("promote-predicates", n)
-        } else {
-            (
-                "commute-by-cost",
-                rules::commute_by_cost(env, &self.stats, q)?,
-            )
-        };
-        self.note(rule, q, &next);
-        Some(next)
+        next
     }
 }
 
 /// One-shot convenience: infers each definition's signature once, in
-/// scope order, and optimizes the main query under them. Returns the
-/// program with its definitions unchanged, and the rewrites applied.
+/// scope order, derives the main query once under them, and optimizes
+/// it. Returns the program with its definitions unchanged, and the
+/// rewrites applied; a query `⊢` rejects is returned as it is.
 pub fn optimize(
     schema: &Schema,
     program: &Program,
@@ -116,8 +108,11 @@ pub fn optimize(
             env.defs.insert(def.name.clone(), sig);
         }
     }
+    let derivation = derive_query(&env, &program.query)
+        .map(|(_, _, d)| d)
+        .unwrap_or_default();
     let mut opt = Optimizer::new(stats);
-    let query = opt.optimize_query(&env, &program.query);
+    let query = opt.optimize_query(schema, &derivation, &program.query);
     let program = Program {
         defs: program.defs.clone(),
         query,

@@ -1,14 +1,11 @@
-//! The two rewrite rules and their effect-based safety guards.
+//! The two rewrite rules and their effect-based safety guards. Each rule
+//! takes the effects it guards on — the premise effects of the node's
+//! `⊢` record — as arguments.
 
 use crate::cost::Stats;
 use ioql_ast::{Qualifier, Query};
-use ioql_effects::{infer_query, Effect, EffectEnv};
-
-/// Infers the effect of `q` under `env`; `None` means "could not analyse"
-/// and every guard treats it as unsafe.
-fn effect_of(env: &EffectEnv<'_>, q: &Query) -> Option<Effect> {
-    infer_query(env, q).ok().map(|(_, e)| e)
-}
+use ioql_effects::Effect;
+use ioql_schema::Schema;
 
 /// A subquery of effect `effect` is *duplication/elision-safe* when
 /// evaluating it more or fewer times is unobservable: it performs no adds
@@ -27,17 +24,21 @@ fn repeat_safe(q: &Query, effect: &Effect) -> bool {
 
 /// Theorem 8's safe commutation, used as a cost-based canonicalisation:
 /// put the cheaper operand of a commutative set operator first. Fires
-/// only when the operands' effects do not interfere — the §4
-/// `Persons ∩ Employees`-with-`new` counterexample is *refused*.
-pub fn commute_by_cost(env: &EffectEnv<'_>, stats: &Stats, q: &Query) -> Option<Query> {
+/// only when the operands' effects `left` and `right` do not interfere —
+/// the §4 `Persons ∩ Employees`-with-`new` counterexample is *refused*.
+pub fn commute_by_cost(
+    schema: &Schema,
+    stats: &Stats,
+    q: &Query,
+    left: &Effect,
+    right: &Effect,
+) -> Option<Query> {
     match q {
         Query::SetBin(op, a, b) if op.is_commutative() => {
             if stats.work(b) >= stats.work(a) {
                 return None; // already cheapest-first
             }
-            let ea = effect_of(env, a)?;
-            let eb = effect_of(env, b)?;
-            if !ea.noninterfering_with(&eb, env.schema) {
+            if !left.noninterfering_with(right, schema) {
                 return None;
             }
             Some(Query::SetBin(*op, b.clone(), a.clone()))
@@ -48,24 +49,26 @@ pub fn commute_by_cost(env: &EffectEnv<'_>, stats: &Stats, q: &Query) -> Option<
 
 /// Predicate promotion: moves a predicate leftward past generators that
 /// do not bind a variable it mentions, so filtering happens before later
-/// generators expand the row space. Guards: the moved predicate and every
-/// crossed generator must be repeat-safe (read-only, and free of
-/// invocations, casts and calls) — changing *how many times* each is
-/// evaluated must be unobservable.
-pub fn promote_predicates(env: &EffectEnv<'_>, q: &Query) -> Option<Query> {
+/// generators expand the row space. `effects` are the qualifiers', in
+/// written order, each judged under the binders to its left (reordering
+/// does not change them); one too few or too many refuses. Guards: the
+/// moved predicate and every crossed generator must be repeat-safe
+/// (read-only, and free of invocations, casts and calls) — changing *how
+/// many times* each is evaluated must be unobservable.
+pub fn promote_predicates<'e>(
+    q: &Query,
+    effects: impl IntoIterator<Item = &'e Effect>,
+) -> Option<Query> {
     let Query::Comp(head, quals) = q else {
         return None;
     };
-    // Each qualifier's guard, judged under the binders to its left
-    // (effects do not change by reordering).
-    let mut inner = env.clone();
-    let mut safe = Vec::with_capacity(quals.len());
-    for cq in quals {
-        let (ty, effect) = infer_query(&inner, cq.query()).ok()?;
-        safe.push(repeat_safe(cq.query(), &effect));
-        if let Qualifier::Gen(x, _) = cq {
-            inner = inner.bind(x.clone(), ty.as_set_elem()?.clone());
-        }
+    let mut effects = effects.into_iter();
+    let mut safe: Vec<bool> = quals
+        .iter()
+        .map(|cq| Some(repeat_safe(cq.query(), effects.next()?)))
+        .collect::<Option<_>>()?;
+    if effects.next().is_some() {
+        return None;
     }
     // Bubble each safe predicate one slot left while legal.
     let mut quals = quals.to_vec();

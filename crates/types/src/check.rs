@@ -6,7 +6,9 @@
 //! [`EffectAlgebra`]: it derives `E; D; Q ⊢ q : σ ! ε` with one match arm
 //! per rule, and the algebra says what `ε` is. The unit algebra (`ε = ()`,
 //! implemented by [`TypeEnv`]) is Figure 1; `ioql-effects` supplies the
-//! `R(C)`/`A(C)` algebra with the `⊢'`/`⊢''` disciplines.
+//! `R(C)`/`A(C)` algebra. Every derivation leaves a [`Derivation`]: one
+//! record per rule instance whose premise effects a later reader needs —
+//! the `⊢'`/`⊢''` side conditions and the optimizer's guards.
 
 use crate::env::{TypeEnv, TypeOptions};
 use crate::error::TypeError;
@@ -20,18 +22,16 @@ use ioql_store::Store;
 use std::collections::BTreeMap;
 
 /// What Figure 3 adds to Figure 1: the effect `ε` of a judgement (`∅` is
-/// its `Default`), where the axioms get theirs, how `D` annotates
-/// definitions, and the side conditions of the `⊢'` and `⊢''` refinements
-/// (which hold vacuously unless an algebra says otherwise).
+/// its `Default`), where the axioms get theirs, and how `D` annotates
+/// definitions.
 pub trait EffectAlgebra {
     /// The annotation `ε`.
     type Effect: Default;
-    /// What a rejected judgement reports: a type error, or a refinement's
-    /// side condition failing.
+    /// What a rejected judgement reports.
     type Error: From<TypeError>;
 
     /// Effect union, in place: `into := into ∪ other`.
-    fn union(&self, into: &mut Self::Effect, other: Self::Effect);
+    fn union(&self, into: &mut Self::Effect, other: &Self::Effect);
     /// (Extent): reading the extent of class `c`.
     fn on_extent(&self, c: &ClassName) -> Self::Effect;
     /// (New): creating an object of class `c`.
@@ -43,19 +43,41 @@ pub trait EffectAlgebra {
     /// (Method): the latent effect `ε''` of `m` on a receiver of static
     /// class `c`.
     fn method_latent(&self, schema: &Schema, c: &ClassName, m: &MethodName) -> Self::Effect;
-    /// `⊢'` (Comp2)': the side condition on a generator's body effect.
-    fn check_comp_body(&self, _body: &Self::Effect) -> Result<(), Self::Error> {
-        Ok(())
+}
+
+/// One rule instance of a derivation, with the premise effects a side
+/// condition or a rewrite guard reads.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Record<E> {
+    /// (Comp): `(is_generator, effect)` per qualifier, in written order,
+    /// and the head's effect.
+    Comp(Vec<(bool, E)>, E),
+    /// (Sop): the operator, and its left and right operands' effects.
+    Sop(SetOp, E, E),
+}
+
+/// What one pass of the walker leaves besides `σ ! ε`: a [`Record`] per
+/// (Comp) and (Sop) instance, each keyed by the `Query::for_each_node`
+/// pre-order index of its conclusion, in post-order — a rule's record
+/// follows its premises', as a side condition on it is decided after
+/// them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Derivation<E> {
+    records: Vec<(usize, Record<E>)>,
+    /// Nodes visited so far: the next node's pre-order index.
+    nodes: usize,
+}
+
+impl<E> Derivation<E> {
+    /// The records with their nodes' pre-order indices, in post-order.
+    pub fn records(&self) -> &[(usize, Record<E>)] {
+        &self.records
     }
-    /// `⊢''`: the side condition on a set operator's operand effects.
-    fn check_set_operands(
-        &self,
-        _schema: &Schema,
-        _op: SetOp,
-        _left: &Self::Effect,
-        _right: &Self::Effect,
-    ) -> Result<(), Self::Error> {
-        Ok(())
+
+    /// The record of the rule instance at pre-order index `node`.
+    pub fn at(&self, node: usize) -> Option<&Record<E>> {
+        let (_, record) = self.records.iter().find(|(n, _)| *n == node)?;
+        Some(record)
     }
 }
 
@@ -64,7 +86,7 @@ impl EffectAlgebra for &TypeEnv<'_> {
     type Effect = ();
     type Error = TypeError;
 
-    fn union(&self, _: &mut (), _: ()) {}
+    fn union(&self, _: &mut (), _: &()) {}
     fn on_extent(&self, _: &ClassName) {}
     fn on_new(&self, _: &Schema, _: &ClassName) {}
     fn on_attr(&self, _: &ClassName) {}
@@ -88,7 +110,7 @@ pub struct CheckedProgram {
 /// Types a *source* query (no reduced values): `E; D; Q ⊢ q : σ`.
 /// Returns the elaborated query alongside its type.
 pub fn check_query(env: &TypeEnv<'_>, q: &Query) -> Result<(Query, Type), TypeError> {
-    let (elab, ty, ()) = env.judgement(None).query(&env.vars, q)?;
+    let (elab, ty, (), _) = env.judgement(None).query(&env.vars, q)?;
     Ok((elab, ty))
 }
 
@@ -97,7 +119,7 @@ pub fn check_query(env: &TypeEnv<'_>, q: &Query) -> Result<(Query, Type), TypeEr
 /// correspondence `E, D, Q ⊢ EE, DE, OE, q : σ` used by the soundness
 /// theorems.
 pub fn check_runtime_query(env: &TypeEnv<'_>, store: &Store, q: &Query) -> Result<Type, TypeError> {
-    let (_, ty, ()) = env.judgement(Some(store)).query(&env.vars, q)?;
+    let (_, ty, (), _) = env.judgement(Some(store)).query(&env.vars, q)?;
     Ok(ty)
 }
 
@@ -106,7 +128,7 @@ pub fn check_definition(
     env: &TypeEnv<'_>,
     def: &Definition,
 ) -> Result<(Definition, FnType), TypeError> {
-    let (elab, fnty, ()) = env.judgement(None).definition(&env.vars, def)?;
+    let (elab, fnty, (), _) = env.judgement(None).definition(&env.vars, def)?;
     Ok((elab, fnty))
 }
 
@@ -201,6 +223,10 @@ fn as_class(t: &Type, context: &'static str) -> Result<ClassName, TypeError> {
 /// `Q`: identifiers in scope, with their types.
 type Vars = BTreeMap<VarName, Type>;
 
+/// A derived judgement: the elaborated term, its type and effect, and the
+/// derivation's records.
+pub type Judged<T, S, E> = (T, S, E, Derivation<E>);
+
 /// The judgement form `E; D; Q ⊢ q : σ ! ε`: the schema `E`, the algebra
 /// carrying `D` and `ε`, the design-space options, and — when typing the
 /// reducer's intermediate states — the store their oids live in.
@@ -216,13 +242,21 @@ pub struct Judgement<'a, A> {
 }
 
 impl<A: EffectAlgebra> Judgement<'_, A> {
-    /// Derives `q : σ ! ε` under `Q = vars`. The checker is an elaborating
-    /// one: each `.` projection comes back resolved to record or attribute
-    /// access by its subject's type.
-    pub fn query(&self, vars: &Vars, q: &Query) -> Result<(Query, Type, A::Effect), A::Error> {
+    /// Derives `q : σ ! ε` under `Q = vars`, and the derivation's
+    /// records. The checker is an elaborating one: each `.` projection
+    /// comes back resolved to record or attribute access by its subject's
+    /// type.
+    pub fn query(
+        &self,
+        vars: &Vars,
+        q: &Query,
+    ) -> Result<Judged<Query, Type, A::Effect>, A::Error> {
         let mut elab = q.clone();
-        let (ty, eff) = self.premise(vars, &mut elab)?;
-        Ok((elab, ty, eff))
+        let mut d = Derivation::default();
+        let (ty, eff) = self.premise(vars, &mut elab, &mut d)?;
+        // A retained statement keeps its records: no spare capacity.
+        d.records.shrink_to_fit();
+        Ok((elab, ty, eff, d))
     }
 
     /// Derives `define d(x⃗: σ⃗) as q : σ⃗ →ε σ'`.
@@ -230,7 +264,7 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
         &self,
         vars: &Vars,
         def: &Definition,
-    ) -> Result<(Definition, FnType, A::Effect), A::Error> {
+    ) -> Result<Judged<Definition, FnType, A::Effect>, A::Error> {
         let mut inner = vars.clone();
         for (i, (x, t)) in def.params.iter().enumerate() {
             if def.params[..i].iter().any(|(y, _)| y == x) {
@@ -239,17 +273,22 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
             check_type_wf(self.schema, t)?;
             inner.insert(x.clone(), t.clone());
         }
-        let (body, result, effect) = self.query(&inner, &def.body)?;
+        let (body, result, effect, d) = self.query(&inner, &def.body)?;
         let fnty = FnType::new(def.params.iter().map(|(_, t)| t.clone()).collect(), result);
         let elab = Definition::new(def.name.clone(), def.params.clone(), body);
-        Ok((elab, fnty, effect))
+        Ok((elab, fnty, effect, d))
     }
 
-    /// A premise whose effect a side condition inspects: judged into a
-    /// fresh accumulator instead of the rule's own.
-    fn premise(&self, vars: &Vars, q: &mut Query) -> Result<(Type, A::Effect), A::Error> {
+    /// A premise whose effect a record keeps: judged into a fresh
+    /// accumulator instead of the rule's own.
+    fn premise(
+        &self,
+        vars: &Vars,
+        q: &mut Query,
+        d: &mut Derivation<A::Effect>,
+    ) -> Result<(Type, A::Effect), A::Error> {
         let mut eff = A::Effect::default();
-        let ty = self.judge(vars, q, &mut eff)?;
+        let ty = self.judge(vars, q, &mut eff, d)?;
         Ok((ty, eff))
     }
 
@@ -262,6 +301,7 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
         args: &mut [Query],
         (callee, argument): (&'static str, &'static str),
         eff: &mut A::Effect,
+        d: &mut Derivation<A::Effect>,
     ) -> Result<(), A::Error> {
         if fnty.params.len() != args.len() {
             return Err(TypeError::Arity {
@@ -272,21 +312,31 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
             .into());
         }
         for (arg, want) in args.iter_mut().zip(&fnty.params) {
-            let t = self.judge(vars, arg, eff)?;
+            let t = self.judge(vars, arg, eff, d)?;
             require_subtype(self.schema, &t, want, argument)?;
         }
         Ok(())
     }
 
     /// The rule dispatcher: one arm per Figure 1 / Figure 3 rule,
-    /// elaborating `q` in place (only projections change). A rule's effect
-    /// is the union of its premises' effects and its own, so every arm
-    /// accumulates into the caller's `eff`; the two rules with a side
-    /// condition on a *premise's* effect — (Sop) under `⊢''`, (Comp2)
-    /// under `⊢'` — judge that [`premise`](Self::premise) separately.
-    fn judge(&self, vars: &Vars, q: &mut Query, eff: &mut A::Effect) -> Result<Type, A::Error> {
+    /// elaborating `q` in place (only projections change) and visiting
+    /// the children in `Query::for_each_child` order, so `q` is node
+    /// `d.nodes` of the pre-order. A rule's effect is the union of its
+    /// premises' effects and its own, so every arm accumulates into the
+    /// caller's `eff`; the two rules whose premise effects a side
+    /// condition reads — (Sop) for `⊢''`, (Comp2) for `⊢'` — judge each
+    /// [`premise`](Self::premise) separately and record them.
+    fn judge(
+        &self,
+        vars: &Vars,
+        q: &mut Query,
+        eff: &mut A::Effect,
+        d: &mut Derivation<A::Effect>,
+    ) -> Result<Type, A::Error> {
         let schema = self.schema;
         let alg = &self.algebra;
+        let node = d.nodes;
+        d.nodes += 1;
         match q {
             // (Int), (Bool) — and the runtime-value extension. Values
             // have no effect (Lemma 2.1).
@@ -301,7 +351,7 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
             // (Extent) — E(e) = C gives e : set(C) ! R(C).
             Query::Extent(e) => match schema.extent_class(e) {
                 Some(c) => {
-                    alg.union(eff, alg.on_extent(c));
+                    alg.union(eff, &alg.on_extent(c));
                     Ok(Type::set(Type::Class(c.clone())))
                 }
                 None => Err(TypeError::UnknownExtent(e.clone()).into()),
@@ -311,7 +361,7 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
             Query::SetLit(items) => {
                 let mut elem = Type::Bottom;
                 for item in items {
-                    let t = self.judge(vars, item, eff)?;
+                    let t = self.judge(vars, item, eff, d)?;
                     elem = schema
                         .lub(&elem, &t)
                         .ok_or_else(|| TypeError::NoLub(elem.clone(), t.clone()))?;
@@ -322,23 +372,23 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
             // (Sop) — both operands sets; result element type is the lub.
             // Under ⊢'' the operands' effects must not interfere.
             Query::SetBin(op, a, b) => {
-                let (ta, fa) = self.premise(vars, a)?;
-                let (tb, fb) = self.premise(vars, b)?;
+                let (ta, left) = self.premise(vars, a, d)?;
+                let (tb, right) = self.premise(vars, b, d)?;
                 let elem_a = as_set(&ta, "set operator")?;
                 let elem_b = as_set(&tb, "set operator")?;
                 let elem = schema
                     .lub(&elem_a, &elem_b)
                     .ok_or(TypeError::NoLub(elem_a, elem_b))?;
-                alg.check_set_operands(schema, *op, &fa, &fb)?;
-                alg.union(eff, fa);
-                alg.union(eff, fb);
+                alg.union(eff, &left);
+                alg.union(eff, &right);
+                d.records.push((node, Record::Sop(*op, left, right)));
                 Ok(Type::set(elem))
             }
 
             // (Iop) — int × int → int (comparisons → bool) — and (IntEq).
             Query::IntBin(_, a, b) | Query::IntEq(a, b) => {
-                let ta = self.judge(vars, a, eff)?;
-                let tb = self.judge(vars, b, eff)?;
+                let ta = self.judge(vars, a, eff, d)?;
+                let tb = self.judge(vars, b, eff, d)?;
                 let (context, result) = match q {
                     Query::IntBin(op, ..) if !op.yields_bool() => ("integer operator", Type::Int),
                     Query::IntBin(..) => ("integer operator", Type::Bool),
@@ -351,8 +401,8 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
 
             // (ObjEq) — both operands object-typed (⊥ passes vacuously).
             Query::ObjEq(a, b) => {
-                let ta = self.judge(vars, a, eff)?;
-                let tb = self.judge(vars, b, eff)?;
+                let ta = self.judge(vars, a, eff, d)?;
+                let tb = self.judge(vars, b, eff, d)?;
                 for t in [ta, tb] {
                     if t != Type::Bottom {
                         as_class(&t, "object equality")?;
@@ -368,7 +418,7 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
                     if tys.contains_key(l) {
                         return Err(TypeError::DuplicateLabel(l.clone()).into());
                     }
-                    let t = self.judge(vars, fq, eff)?;
+                    let t = self.judge(vars, fq, eff, d)?;
                     tys.insert(l.clone(), t);
                 }
                 Ok(Type::Record(tys))
@@ -376,32 +426,32 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
 
             // (Field)/(Attr) — a projection, resolved by the subject's type.
             Query::Field(subject, _) | Query::Attr(subject, _) => {
-                let subject_ty = self.judge(vars, subject, eff)?;
+                let subject_ty = self.judge(vars, subject, eff, d)?;
                 self.project(q, subject_ty, eff)
             }
 
             // (Defn) — D(d), call-by-value argument subtyping; the
             // arguments' effects ∪ the definition's latent effect.
-            Query::Call(d, args) => {
+            Query::Call(name, args) => {
                 let (fnty, latent) = alg
-                    .def_sig(d)
-                    .ok_or_else(|| TypeError::UnknownDef(d.clone()))?;
+                    .def_sig(name)
+                    .ok_or_else(|| TypeError::UnknownDef(name.clone()))?;
                 let context = ("definition call", "definition argument");
-                self.apply(vars, fnty, args, context, eff)?;
-                alg.union(eff, latent);
+                self.apply(vars, fnty, args, context, eff, d)?;
+                alg.union(eff, &latent);
                 Ok(fnty.result.clone())
             }
 
             // (Size).
             Query::Size(inner) => {
-                let t = self.judge(vars, inner, eff)?;
+                let t = self.judge(vars, inner, eff, d)?;
                 as_set(&t, "size")?;
                 Ok(Type::Int)
             }
 
             // (Sum) — extension: the operand must be a set of integers.
             Query::Sum(inner) => {
-                let t = self.judge(vars, inner, eff)?;
+                let t = self.judge(vars, inner, eff, d)?;
                 let elem = as_set(&t, "sum")?;
                 require_subtype(schema, &elem, &Type::Int, "sum")?;
                 Ok(Type::Int)
@@ -412,7 +462,7 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
                 if !schema.is_class(c) {
                     return Err(TypeError::UnknownClass(c.clone()).into());
                 }
-                let t = self.judge(vars, inner, eff)?;
+                let t = self.judge(vars, inner, eff, d)?;
                 if t != Type::Bottom {
                     let from = as_class(&t, "cast")?;
                     let upcast = schema.extends(&from, c);
@@ -431,11 +481,11 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
             // (Method) — mtype(C, m) with call-by-value argument
             // subtyping; receiver ∪ arguments ∪ the method's latent ε''.
             Query::Invoke(recv, m, args) => {
-                let tr = self.judge(vars, recv, eff)?;
+                let tr = self.judge(vars, recv, eff, d)?;
                 if tr == Type::Bottom {
                     // Vacuous receiver: type the arguments, result ⊥.
                     for arg in args {
-                        self.judge(vars, arg, eff)?;
+                        self.judge(vars, arg, eff, d)?;
                     }
                     return Ok(Type::Bottom);
                 }
@@ -444,8 +494,8 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
                     .mtype(&c, m)
                     .ok_or_else(|| TypeError::UnknownMethod(c.clone(), m.clone()))?;
                 let context = ("method call", "method argument");
-                self.apply(vars, &fnty, args, context, eff)?;
-                alg.union(eff, alg.method_latent(schema, &c, m));
+                self.apply(vars, &fnty, args, context, eff, d)?;
+                alg.union(eff, &alg.method_latent(schema, &c, m));
                 Ok(fnty.result)
             }
 
@@ -463,57 +513,53 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
                     let want = missing
                         .remove(a)
                         .ok_or_else(|| TypeError::UnexpectedAttr(c.clone(), a.clone()))?;
-                    let t = self.judge(vars, aq, eff)?;
+                    let t = self.judge(vars, aq, eff, d)?;
                     require_subtype(schema, &t, &want, "new attribute")?;
                 }
                 if let Some(a) = missing.into_keys().next() {
                     return Err(TypeError::MissingAttr(c.clone(), a).into());
                 }
-                alg.union(eff, alg.on_new(schema, c));
+                alg.union(eff, &alg.on_new(schema, c));
                 Ok(Type::Class(c.clone()))
             }
 
             // (Cond) — condition bool; branch types joined by lub, which is
             // *partial* (the paper's §1 point about lubs).
             Query::If(cond, then, els) => {
-                let tc = self.judge(vars, cond, eff)?;
+                let tc = self.judge(vars, cond, eff, d)?;
                 require_subtype(schema, &tc, &Type::Bool, "if condition")?;
-                let tt = self.judge(vars, then, eff)?;
-                let te = self.judge(vars, els, eff)?;
+                let tt = self.judge(vars, then, eff, d)?;
+                let te = self.judge(vars, els, eff, d)?;
                 Ok(schema.lub(&tt, &te).ok_or(TypeError::NoLub(tt, te))?)
             }
 
             // (Comp1)/(Comp2)/(Comp3) — qualifiers left-to-right; generators
-            // extend Q; the head is typed under all binders.
+            // extend Q; the head is typed under all binders. Under ⊢' each
+            // generator's body effect — the head's and every qualifier's
+            // to its right — must be non-interfering.
             Query::Comp(head, quals) => {
                 let mut inner = vars.clone();
                 let mut effects = Vec::with_capacity(quals.len());
                 for cq in quals.iter_mut() {
                     match cq {
                         Qualifier::Pred(p) => {
-                            let (t, f) = self.premise(&inner, p)?;
+                            let (t, f) = self.premise(&inner, p, d)?;
                             require_subtype(schema, &t, &Type::Bool, "comprehension predicate")?;
                             effects.push((false, f));
                         }
                         Qualifier::Gen(x, src) => {
-                            let (t, f) = self.premise(&inner, src)?;
+                            let (t, f) = self.premise(&inner, src, d)?;
                             inner.insert(x.clone(), as_set(&t, "comprehension generator")?);
                             effects.push((true, f));
                         }
                     }
                 }
-                let (th, mut body) = self.premise(&inner, head)?;
-                // Right to left, so the ⊢' premise nonint(ε₁) of (Comp2)'
-                // sees exactly each generator's *body* effect — everything
-                // to its right, which runs once per element in an
-                // unspecified order — and not the generator's own source.
-                for (is_generator, f) in effects.into_iter().rev() {
-                    if is_generator {
-                        alg.check_comp_body(&body)?;
-                    }
-                    alg.union(&mut body, f);
+                let (th, head) = self.premise(&inner, head, d)?;
+                for (_, f) in &effects {
+                    alg.union(eff, f);
                 }
-                alg.union(eff, body);
+                alg.union(eff, &head);
+                d.records.push((node, Record::Comp(effects, head)));
                 Ok(Type::set(th))
             }
         }
@@ -544,7 +590,7 @@ impl<A: EffectAlgebra> Judgement<'_, A> {
                 let a = AttrName::new(label.as_str());
                 match self.schema.atype(c, &a) {
                     Some(t) => {
-                        self.algebra.union(eff, self.algebra.on_attr(c));
+                        self.algebra.union(eff, &self.algebra.on_attr(c));
                         (Query::Attr(subject, a), t.clone())
                     }
                     None => return Err(TypeError::UnknownAttr(c.clone(), a).into()),

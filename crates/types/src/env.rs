@@ -37,12 +37,7 @@ pub struct TypeEnv<'s> {
 impl<'s> TypeEnv<'s> {
     /// An environment with no definitions and no variables.
     pub fn new(schema: &'s Schema) -> Self {
-        TypeEnv {
-            schema,
-            defs: BTreeMap::new(),
-            vars: BTreeMap::new(),
-            options: TypeOptions::default(),
-        }
+        TypeEnv::with_options(schema, TypeOptions::default())
     }
 
     /// As [`TypeEnv::new`] with explicit options.
@@ -58,13 +53,8 @@ impl<'s> TypeEnv<'s> {
     /// Returns a copy with `x : σ` added to `Q` (the `(Comp2)` rule's
     /// environment extension).
     pub fn bind(&self, x: VarName, t: Type) -> Self {
-        let mut vars = self.vars.clone();
-        vars.insert(x, t);
-        TypeEnv {
-            schema: self.schema,
-            defs: self.defs.clone(),
-            vars,
-            options: self.options,
-        }
+        let mut env = self.clone();
+        env.vars.insert(x, t);
+        env
     }
 }

@@ -39,8 +39,8 @@ pub mod error;
 pub mod value_type;
 
 pub use check::{
-    check_definition, check_program, check_query, check_runtime_query, CheckedProgram,
-    EffectAlgebra, Judgement,
+    check_definition, check_program, check_query, check_runtime_query, CheckedProgram, Derivation,
+    EffectAlgebra, Judged, Judgement, Record,
 };
 pub use env::{TypeEnv, TypeOptions};
 pub use error::TypeError;

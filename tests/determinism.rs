@@ -153,3 +153,36 @@ fn conservativity_some_rejected_queries_are_harmless() {
         "yet actually deterministic"
     );
 }
+
+/// `analyze` exists to print the `⊢'` diagnosis, so a handle that
+/// requires determinism gets it too: the verdict is read off the one
+/// derivation whatever the handle's discipline. The handle still refuses
+/// to run the query, and a Figure 1 error is still an error.
+#[test]
+fn analyze_diagnoses_under_a_deterministic_handle() {
+    let fx = small();
+    let src = "size({ size(Ps) + (new P(name: 1)).name | p <- Ps })";
+    for require_deterministic in [false, true] {
+        let opts = ioql::DbOptions {
+            require_deterministic,
+            ..Default::default()
+        };
+        let mut db = ioql::Database::from_schema(fx.schema.clone(), opts).unwrap();
+        *db.store_mut() = fx.store.clone();
+        let a = db.analyze(src).unwrap();
+        assert!(!a.deterministic, "{require_deterministic}");
+        let diagnosis = a.determinism_diagnosis.unwrap();
+        assert!(
+            diagnosis.contains("R(P)") && diagnosis.contains("A(P)"),
+            "{diagnosis}"
+        );
+        assert!(matches!(
+            db.analyze("size(Ps) + true"),
+            Err(ioql::DbError::Type(_))
+        ));
+        assert_eq!(
+            matches!(db.query(src), Err(ioql::DbError::Effect(_))),
+            require_deterministic
+        );
+    }
+}

@@ -189,8 +189,28 @@ fn each_rule_alone_preserves_outcome_sets() {
         )
         .map(|q| check_query(&tenv, &q).unwrap().0)
         .collect();
-    let promote = |env: &EffectEnv<'_>, q: &Query| rules::promote_predicates(env, q);
-    let commute = |env: &EffectEnv<'_>, q: &Query| rules::commute_by_cost(env, &stats, q);
+    let promote = |env: &EffectEnv<'_>, q: &Query| {
+        let Query::Comp(_, quals) = q else {
+            return None;
+        };
+        let (mut inner, mut effects) = (env.clone(), Vec::new());
+        for cq in quals {
+            let (t, effect) = infer_query(&inner, cq.query()).ok()?;
+            effects.push(effect);
+            if let Qualifier::Gen(x, _) = cq {
+                inner = inner.bind(x.clone(), t.as_set_elem()?.clone());
+            }
+        }
+        rules::promote_predicates(q, &effects)
+    };
+    let commute = |env: &EffectEnv<'_>, q: &Query| {
+        let Query::SetBin(_, a, b) = q else {
+            return None;
+        };
+        let (_, left) = infer_query(env, a).ok()?;
+        let (_, right) = infer_query(env, b).ok()?;
+        rules::commute_by_cost(env.schema, &stats, q, &left, &right)
+    };
     let survivors: [(&str, Rule); 2] = [
         ("promote-predicates", &promote),
         ("commute-by-cost", &commute),
@@ -227,7 +247,19 @@ fn promotion_guard_failure_matches_actual_divergence() {
         "{ p.name | p <- Ps, (new F(name: 1, pal: p)).name = 1, q <- Ps }",
     ]
     .map(|src| check_query(&tenv, &fx.query(src)).unwrap().0);
-    assert!(rules::promote_predicates(&EffectEnv::new(&fx.schema), &written).is_none());
+    let Query::Comp(_, quals) = &written else {
+        unreachable!()
+    };
+    let scope = ["p", "q"]
+        .iter()
+        .fold(EffectEnv::new(&fx.schema), |env, x| {
+            env.bind(ioql_ast::VarName::new(*x), ioql_ast::Type::class("P"))
+        });
+    let effects: Vec<_> = quals
+        .iter()
+        .map(|cq| infer_query(&scope, cq.query()).unwrap().1)
+        .collect();
+    assert!(rules::promote_predicates(&written, &effects).is_none());
 
     let cfg = EvalConfig::new(&fx.schema);
     let defs = DefEnv::new();

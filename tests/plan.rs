@@ -1256,8 +1256,11 @@ fn the_probe_is_chosen_where_an_extent_is_drained_repeatedly() {
         ),
     ] {
         let prepared = db.prepare(src).unwrap();
-        let optimized = Optimizer::new(stats.clone())
-            .optimize_query(&EffectEnv::new(db.schema()), &prepared.elab);
+        let optimized = Optimizer::new(stats.clone()).optimize_query(
+            db.schema(),
+            &prepared.derivation,
+            &prepared.elab,
+        );
         let plan = lower_with(&optimized, &prepared.effect, &DefEnv::new(), &stats, &spec)
             .unwrap()
             .render();
