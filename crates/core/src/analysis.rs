@@ -1,9 +1,11 @@
-//! Static analysis results surfaced by [`Database::analyze`](crate::Database::analyze).
+//! Static analysis results surfaced by [`Database::analyze`](crate::Database::analyze)
+//! and the `:analyze` command.
 
 use crate::kernel::Prepared;
 use ioql_ast::Type;
 use ioql_effects::{commutable_operands, Discipline, Effect, EffectError, Record};
 use ioql_schema::Schema;
+use std::fmt;
 
 /// The verdict for one commutative set operator in a query: may its
 /// operands be commuted (Theorem 8's guard)?
@@ -79,5 +81,29 @@ impl Analysis {
             determinism_diagnosis,
             commutations,
         }
+    }
+}
+
+/// The verdict table `:analyze` prints, one `label : value` line each.
+impl fmt::Display for Analysis {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "type          : {}", self.ty)?;
+        writeln!(f, "effect        : {{{}}}", self.effect)?;
+        writeln!(f, "functional    : {}", self.functional)?;
+        writeln!(f, "deterministic : {}", self.deterministic)?;
+        if let Some(d) = &self.determinism_diagnosis {
+            writeln!(f, "diagnosis     : {d}")?;
+        }
+        for v in &self.commutations {
+            writeln!(
+                f,
+                "commutable    : {} — {} (left {{{}}}, right {{{}}})",
+                v.expr,
+                if v.safe { "yes" } else { "NO" },
+                v.left,
+                v.right
+            )?;
+        }
+        Ok(())
     }
 }

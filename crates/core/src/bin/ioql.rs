@@ -43,37 +43,12 @@
 
 #![allow(clippy::result_large_err)] // cold-path REPL errors
 
-use ioql::{Database, DbError, DbOptions, Mode};
+use ioql::{Database, DbError, DbOptions, Mode, HELP};
 use std::error::Error;
 use std::io::{BufRead, Write};
 
 const USAGE: &str = "usage: ioql [SCHEMA.odl] [--extended] [--telemetry-jsonl FILE] \
                      [--durable DIR] [--serve ADDR] [--obs ADDR] [--slow-query MS] [-e QUERY]";
-
-const HELP: &str = "\
-commands:
-  <query>            evaluate (type- and effect-checked first)
-  define d(..) as q; register a named query definition
-  :analyze <query>   type, effect, determinism and commutation verdicts
-  :explore <query>   enumerate every (ND comp) order; list outcomes
-  :trace last [n]    last n flight-recorder records (decision span trees)
-  :trace seq <s>     the flight-recorder record with sequence number s
-  :trace <query>     step-by-step derivation with rule names
-  :optimize <query>  show the effect-guided rewrite result
-  :plan <query>      show the physical plan (operators, costs, guard)
-  :plan analyze <query>  run the plan; per-operator est vs actual rows/time
-  :metrics           Prometheus-style dump of the telemetry registry
-  :stats             cache/VM/scheduler counters and per-extent sizes/versions
-  :save <file>       dump the store to a file (atomic write + checksum)
-  :load <file>       load a store dump (replaces current contents)
-  :checkpoint        fold the WAL into a fresh checkpoint (durable mode)
-  :wal status        write-ahead log mode, generation, appends, poison state
-  :serve <addr>      serve this database to TCP clients (admission-scheduled)
-  :obs <addr>        serve /metrics, /healthz, /traces over HTTP
-  :schema            list classes, attributes, methods
-  :extents           list extents and their sizes
-  :help              this text
-  :quit              exit";
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -90,26 +65,18 @@ fn main() {
             "--extended" => extended = true,
             "-e" => one_shot = args.next(),
             "--telemetry-jsonl" => jsonl = args.next(),
-            "--durable" => {
-                durable = args.next();
-                if durable.is_none() {
-                    eprintln!("--durable needs a directory");
-                    std::process::exit(2);
-                }
-            }
+            "--durable" => durable = Some(required(args.next(), "--durable needs a directory")),
             "--serve" => {
-                serve = args.next();
-                if serve.is_none() {
-                    eprintln!("--serve needs an address (e.g. 127.0.0.1:7583)");
-                    std::process::exit(2);
-                }
+                serve = Some(required(
+                    args.next(),
+                    "--serve needs an address (e.g. 127.0.0.1:7583)",
+                ))
             }
             "--obs" => {
-                obs = args.next();
-                if obs.is_none() {
-                    eprintln!("--obs needs an address (e.g. 127.0.0.1:9090)");
-                    std::process::exit(2);
-                }
+                obs = Some(required(
+                    args.next(),
+                    "--obs needs an address (e.g. 127.0.0.1:9090)",
+                ))
             }
             "--slow-query" => {
                 let raw = args.next();
@@ -159,66 +126,35 @@ fn main() {
         opts.durability = ioql::Durability::Commit;
     }
     let ddl = match &ddl_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read `{p}`: {e}");
-                std::process::exit(1);
-            }
-        },
+        Some(p) => or_exit(std::fs::read_to_string(p), &format!("cannot read `{p}`: ")),
         None => String::new(),
     };
-    let mut db = match Database::from_ddl_with(&ddl, opts) {
-        Ok(db) => db,
-        Err(e) => {
-            eprintln!("schema error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let mut db = or_exit(Database::from_ddl_with(&ddl, opts), "schema error: ");
     if let Some(dir) = durable {
-        match db.attach_durable(std::path::Path::new(&dir)) {
-            Ok(report) => println!("durable: {report}"),
-            Err(e) => {
-                eprintln!("--durable {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let report = or_exit(
+            db.attach_durable(std::path::Path::new(&dir)),
+            &format!("--durable {dir}: "),
+        );
+        println!("durable: {report}");
     }
     if let Some(q) = one_shot {
-        if let Err(e) = run_line(&mut db, &q) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
+        or_exit(run_line(&mut db, &q), "");
         return;
     }
     // The observability plane is orthogonal to the serving mode: it
     // reads the same kernel whether queries arrive over TCP or stdin.
     if let Some(addr) = obs {
-        match db.serve_obs(&addr) {
-            Ok(handle) => {
-                println!("observability on http://{}", handle.addr());
-                std::mem::forget(handle); // lives until the process exits
-            }
-            Err(e) => {
-                eprintln!("--obs {addr}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let handle = or_exit(db.serve_obs(&addr), &format!("--obs {addr}: "));
+        println!("observability on http://{}", handle.addr());
+        std::mem::forget(handle); // lives until the process exits
     }
     if let Some(addr) = serve {
         // Foreground server: block until killed. Stdout is line-buffered
         // noise-free so scripts can scrape the bound address.
-        match db.serve(&addr) {
-            Ok(mut handle) => {
-                println!("serving on {}", handle.addr());
-                handle.wait();
-                return;
-            }
-            Err(e) => {
-                eprintln!("--serve {addr}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let mut handle = or_exit(db.serve(&addr), &format!("--serve {addr}: "));
+        println!("serving on {}", handle.addr());
+        handle.wait();
+        return;
     }
 
     println!("ioql — executable semantics of object queries (SIGMOD 2003). :help for commands.");
@@ -248,45 +184,24 @@ fn main() {
     }
 }
 
+/// `result`'s value, or — after printing `context` and the error — exit
+/// status 1.
+fn or_exit<T>(result: Result<T, impl std::fmt::Display>, context: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{context}{e}");
+        std::process::exit(1)
+    })
+}
+
+/// A flag's value, or a usage error (exit 2) saying what it needs.
+fn required(value: Option<String>, need: &str) -> String {
+    value.unwrap_or_else(|| {
+        eprintln!("{need}");
+        std::process::exit(2)
+    })
+}
+
 fn run_line(db: &mut Database, line: &str) -> Result<(), Box<dyn Error>> {
-    // The commands shared with the wire protocol: the kernel interprets
-    // them, the shell prints the text (or, for a silent one, its tag).
-    if let Some(reply) = db.kernel().admin(line) {
-        let (tag, text) = reply?;
-        if text.is_empty() {
-            println!("{tag}.");
-        } else {
-            print!("{text}");
-        }
-        return Ok(());
-    }
-    if line == ":help" {
-        println!("{HELP}");
-        return Ok(());
-    }
-    if line == ":schema" {
-        for cd in db.schema().classes() {
-            println!(
-                "class {} extends {} (extent {})",
-                cd.name, cd.parent, cd.extent
-            );
-            for ad in &cd.attrs {
-                println!("    attribute {} {};", ad.ty, ad.name);
-            }
-            for md in &cd.methods {
-                let params: Vec<String> =
-                    md.params.iter().map(|(x, t)| format!("{t} {x}")).collect();
-                println!("    {} {}({});", md.ret, md.name, params.join(", "));
-            }
-        }
-        return Ok(());
-    }
-    if line == ":extents" {
-        for (e, c) in db.schema().extents() {
-            println!("{e} : set({c}) — {} object(s)", db.extent_len(e.as_str()));
-        }
-        return Ok(());
-    }
     if let Some(rest) = line.strip_prefix(":save ") {
         // Atomic: temp file + fsync + rename, so a crash mid-save never
         // leaves a torn dump behind.
@@ -322,78 +237,17 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), Box<dyn Error>> {
         std::mem::forget(handle);
         return Ok(());
     }
-    if let Some(rest) = line.strip_prefix(":analyze ") {
-        let a = db.analyze(rest)?;
-        println!("type          : {}", a.ty);
-        println!("effect        : {{{}}}", a.effect);
-        println!("functional    : {}", a.functional);
-        println!("deterministic : {}", a.deterministic);
-        if let Some(d) = &a.determinism_diagnosis {
-            println!("diagnosis     : {d}");
-        }
-        for v in &a.commutations {
-            println!(
-                "commutable    : {} — {} (left {{{}}}, right {{{}}})",
-                v.expr,
-                if v.safe { "yes" } else { "NO" },
-                v.left,
-                v.right
-            );
-        }
-        return Ok(());
-    }
-    if let Some(rest) = line.strip_prefix(":explore ") {
-        let ex = db.explore(rest, 20_000)?;
-        let distinct = ex.distinct_outcomes();
-        println!(
-            "{} run(s), {} distinct outcome(s) up to oid bijection{}:",
-            ex.runs.len(),
-            distinct.len(),
-            if ex.truncated { " (truncated)" } else { "" }
-        );
-        for o in distinct {
-            println!("  {}", o.value);
-        }
-        let failures = ex.runs.iter().filter(|r| r.is_err()).count();
-        if failures > 0 {
-            println!("  ({failures} path(s) failed/diverged)");
-        }
-        return Ok(());
-    }
-    if let Some(rest) = line.strip_prefix(":trace ") {
-        let t = db.trace(rest)?;
-        print!("{}", t.render(100));
-        return Ok(());
-    }
-    if let Some(rest) = line.strip_prefix(":optimize ") {
-        let (q, applied) = db.optimize(rest)?;
-        if applied.is_empty() {
-            println!("no rewrites apply");
-        }
-        for r in &applied {
-            println!("{:<28} {}", r.rule, r.note);
-        }
-        println!("result: {q}");
-        return Ok(());
-    }
-    if let Some(rest) = line.strip_prefix(":plan analyze ") {
-        print!("{}", db.explain_analyze(rest)?);
-        return Ok(());
-    }
-    if let Some(rest) = line.strip_prefix(":plan ") {
-        print!("{}", db.explain(rest)?);
+    // Every other `:` line is the kernel's to interpret, as it is on the
+    // wire: the shell prints the text the server would frame.
+    if line.starts_with(':') {
+        let (_, text) = db.kernel().admin(&db.options(), &db.governor(), line)?;
+        print!("{text}");
         return Ok(());
     }
     if line.starts_with("define ") {
         db.define(line)?;
         println!("defined.");
         return Ok(());
-    }
-    // No query starts with `:`, so what is left is a misspelt or removed
-    // command, or one missing its argument.
-    if line.starts_with(':') {
-        let name = line.split_whitespace().next().unwrap_or(line);
-        return Err(format!("unknown command `{name}` — :help lists the commands").into());
     }
     // A plain query.
     let r = db.query(line)?;

@@ -18,7 +18,7 @@ use crate::kernel::{DbKernel, KernelState, Prepared};
 use crate::sched::{Admitted, SchedMetrics};
 use crate::session::Session;
 use ioql_ast::{Definition, Query, Type, Value};
-use ioql_effects::{Effect, Thm7};
+use ioql_effects::Effect;
 use ioql_eval::{
     Chooser, EvalMetrics, Exploration, FirstChooser, Governor, GovernorMetrics, Limits,
 };
@@ -33,7 +33,7 @@ use ioql_telemetry::{
 };
 use ioql_types::TypeOptions;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, RwLockReadGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which of the two configurations runs the query: the specification or
@@ -679,22 +679,7 @@ impl Database {
     /// running it: the elaborated query, its type, its inferred effect,
     /// and the Theorem 7 verdict every later stage reads.
     pub fn prepare(&self, src: &str) -> Result<Prepared, DbError> {
-        self.prepared(&self.options, src)
-            .map(|(_, prepared)| prepared)
-    }
-
-    /// [`Database::prepare`] under `opts`, keeping the state read guard
-    /// the query was prepared under for the caller's next step.
-    fn prepared(
-        &self,
-        opts: &DbOptions,
-        src: &str,
-    ) -> Result<(RwLockReadGuard<'_, KernelState>, Prepared), DbError> {
-        let state = self.kernel.read_state();
-        let prepared = self
-            .kernel
-            .prepare_in(opts, &state.catalogue, src, &mut Tracer::off())?;
-        Ok((state, prepared))
+        Ok(self.kernel.inspected(&self.options, src)?.1)
     }
 
     /// Runs a query end-to-end with the canonical deterministic chooser.
@@ -767,102 +752,46 @@ impl Database {
         self.kernel.statement_stats()
     }
 
-    /// Static analysis of a query: type, effect, functional-ness, the
-    /// `⊢'` determinism verdict, and per-operator commutation verdicts —
-    /// all read off one derivation, whatever this handle's discipline. A
-    /// Figure 1 error is still an error.
+    /// Static analysis of a query (`:analyze`): type, effect,
+    /// functional-ness, the `⊢'` determinism verdict, and per-operator
+    /// commutation verdicts — all read off one derivation, whatever this
+    /// handle's discipline. A Figure 1 error is still an error.
     pub fn analyze(&self, src: &str) -> Result<Analysis, DbError> {
-        let mut permissive = self.options.clone();
-        permissive.require_deterministic = false;
-        let prepared = self.prepared(&permissive, src)?.1;
-        Ok(Analysis::of(self.schema(), prepared))
+        self.kernel.analyze(&self.options, src)
     }
 
-    /// Optimizes a query, returning the rewritten query and the applied
-    /// rewrites. Statistics are seeded from the *current* extent sizes.
+    /// Optimizes a query (`:optimize`), returning the rewritten query and
+    /// the applied rewrites. Statistics are seeded from the *current*
+    /// extent sizes.
     pub fn optimize(&self, src: &str) -> Result<(Query, Vec<AppliedRewrite>), DbError> {
-        let (state, prepared) = self.prepared(&self.options, src)?;
-        Ok(self.kernel.optimize_in(&state, &prepared))
+        self.kernel.optimize(&self.options, src)
     }
 
-    /// Renders the physical plan production would execute for a query —
-    /// the chosen operators with cost estimates and the effect guard
-    /// licensing each choice — or, when the Theorem 7 guard refuses, a
-    /// diagnosis of which condition failed. Respects
-    /// [`DbOptions::optimize`], exactly as production does.
+    /// Renders the physical plan this handle's query would execute
+    /// (`:plan`) — the chosen operators with cost estimates and the
+    /// effect guard licensing each choice — or, when there is none, why:
+    /// the Theorem 7 condition that failed, or the interpreter engine.
     pub fn explain(&self, src: &str) -> Result<String, DbError> {
-        let (state, prepared) = self.prepared(&self.options, src)?;
-        Ok(match self.plan_in(&state, prepared) {
-            Ok(plan) => plan.render(),
-            Err(refusal) => refusal,
-        })
+        self.kernel.explain(&self.options, None, src)
     }
 
-    /// The plan execution would run for `prepared`, or the refusal
-    /// diagnosis `explain` and `explain_analyze` share.
-    fn plan_in(&self, state: &KernelState, prepared: Prepared) -> Result<ioql_plan::Plan, String> {
-        let mut elab = Arc::clone(&prepared.elab);
-        if self.options.optimize {
-            // Both rewrites only reorder: the verdict on the text as
-            // prepared is the verdict on its rewrite
-            // (`tests/optimizer_soundness.rs`).
-            elab = Arc::new(self.kernel.optimize_in(state, &prepared).0);
-        }
-        self.kernel
-            .lower_in(&self.options, state, &elab, &prepared.effect)
-            .ok_or_else(|| explain_refusal(&prepared.effect, prepared.thm7))
-    }
-
-    /// As [`Database::explain`], but *runs* the plan — against a clone
-    /// of the store, under a fresh governor and the canonical
-    /// [`FirstChooser`] — and renders per-operator actual rows, calls,
-    /// and inclusive wall time next to the cost estimates (the
-    /// `:plan analyze` REPL command). The database itself is unchanged;
-    /// plan-ineligible queries get the same refusal diagnosis as
-    /// `explain`.
+    /// As [`Database::explain`], but *runs* the plan (`:plan analyze`) —
+    /// against a clone of the store, under a fresh governor and the
+    /// canonical [`FirstChooser`] — and renders per-operator actual rows,
+    /// calls, and inclusive wall time next to the cost estimates. The
+    /// database itself is unchanged.
     pub fn explain_analyze(&self, src: &str) -> Result<String, DbError> {
-        let (state, prepared) = self.prepared(&self.options, src)?;
-        let plan = match self.plan_in(&state, prepared) {
-            Ok(plan) => plan,
-            Err(refusal) => return Ok(refusal),
-        };
         let governor = self.governor();
-        let cfg = self
-            .kernel
-            .eval_config(&self.options)
-            .with_governor(&governor);
-        let mut store = state.store.clone();
-        let catalogue = Arc::clone(&state.catalogue);
-        drop(state);
-        let (result, profile) = ioql_plan::execute_with_profile(
-            &plan,
-            &cfg,
-            &catalogue.env,
-            &mut store,
-            &mut FirstChooser,
-            self.options.max_steps,
-        )?;
-        let rows = match &result.value {
-            Value::Set(s) => s.len(),
-            _ => 1,
-        };
-        Ok(format!("{}returned {rows} row(s)\n", profile.render()))
+        self.kernel.explain(&self.options, Some(&governor), src)
     }
 
     /// Exhaustively explores every `(ND comp)` order of a query against a
-    /// snapshot of the store — the full outcome set of the paper's
-    /// non-deterministic relation.
+    /// snapshot of the store (`:explore`) — the full outcome set of the
+    /// paper's non-deterministic relation — under a fresh governor. A
+    /// governor trip is the call's error.
     pub fn explore(&self, src: &str, max_runs: usize) -> Result<Exploration, DbError> {
-        let (state, prepared) = self.prepared(&self.options, src)?;
-        let cfg = self.kernel.eval_config(&self.options);
-        Ok(ioql_eval::explore_outcomes(
-            &cfg,
-            &state.catalogue.env,
-            &state.store,
-            &prepared.elab,
-            self.options.max_steps,
-            max_runs,
-        ))
+        self.kernel
+            .explore(&self.options, &self.governor(), src, max_runs)
     }
 
     /// Serialises the current store (see `ioql_store::dump`).
@@ -930,23 +859,13 @@ impl Database {
         Ok(())
     }
 
-    /// Records a full reduction trace of a query against a *snapshot* of
-    /// the store (the database itself is unchanged) — every rule
-    /// application and effect label, ready for rendering.
+    /// Records the reduction trace of a query against a *snapshot* of
+    /// the store (`:trace <query>`; the database itself is unchanged) —
+    /// each rule application and effect label, under a fresh governor,
+    /// at most 1 000 steps, each state cut to the 100 characters the
+    /// shell shows.
     pub fn trace(&self, src: &str) -> Result<ioql_eval::Trace, DbError> {
-        let (state, prepared) = self.prepared(&self.options, src)?;
-        let cfg = self.kernel.eval_config(&self.options);
-        let mut store = state.store.clone();
-        let catalogue = Arc::clone(&state.catalogue);
-        drop(state);
-        Ok(ioql_eval::trace(
-            &cfg,
-            &catalogue.env,
-            &mut store,
-            &prepared.elab,
-            &mut FirstChooser,
-            self.options.max_steps,
-        ))
+        self.kernel.trace(&self.options, &self.governor(), src)
     }
 
     /// Number of objects currently in extent `e` (0 if undeclared).
@@ -957,28 +876,6 @@ impl Database {
             .map(|s| s.len())
             .unwrap_or(0)
     }
-}
-
-/// The shared `explain`/`explain_analyze` diagnosis of why a query has
-/// no physical plan: the Theorem 7 verdict the lowering read, field by
-/// field, and the condition it refused on.
-fn explain_refusal(static_effect: &Effect, thm7: Thm7) -> String {
-    let yes_no = |b: bool| if b { "yes" } else { "no" };
-    format!(
-        "no physical plan — the interpreter executes this query\n  \
-         Thm 7 guard:\n    \
-         effect {{{static_effect}}} read-only: {}\n    \
-         `new`-free: {}\n    \
-         invocation-free: {}\n    \
-         called defs pure: {}\n  \
-         refused: {}\n",
-        yes_no(thm7.write_free),
-        yes_no(thm7.new_free),
-        yes_no(thm7.invoke_free),
-        yes_no(thm7.defs_pure),
-        // `lower` declines exactly when the guard does: there is a reason.
-        thm7.refusal().unwrap_or_default(),
-    )
 }
 
 #[cfg(test)]

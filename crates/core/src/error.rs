@@ -25,6 +25,9 @@ pub enum DbError {
     Wal(ioql_store::WalError),
     /// An I/O operation (saving/loading a dump file) failed.
     Io(String),
+    /// A `:` command line named no command, or its argument was not one
+    /// the command takes (see `DbKernel::admin`).
+    Command(String),
     /// An engine bug: evaluation panicked. The panic is contained by
     /// `Database::query_with` and the store rolled back to its
     /// pre-query snapshot, so the database stays usable.
@@ -43,6 +46,7 @@ impl fmt::Display for DbError {
             DbError::Dump(e) => write!(f, "{e}"),
             DbError::Wal(e) => write!(f, "{e}"),
             DbError::Io(msg) => write!(f, "io error: {msg}"),
+            DbError::Command(msg) => write!(f, "{msg}"),
             DbError::Internal(msg) => write!(f, "internal error (engine bug): {msg}"),
         }
     }

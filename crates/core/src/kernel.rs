@@ -80,7 +80,9 @@ use ioql_store::{Durability, Store, WalPayload};
 use ioql_syntax::parse_definitions;
 use ioql_telemetry::{FlightRecorder, Span, Tracer};
 use ioql_types::{Judgement, TypeError};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
@@ -158,6 +160,41 @@ impl Prepared {
     /// The judgement's conclusion as the trace shows it: `σ ! {ε}`.
     fn conclusion(&self) -> String {
         format!("{} ! {{{}}}", self.ty, self.effect)
+    }
+}
+
+/// Why production runs a prepared query without a physical plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum NoPlan {
+    /// The handle's engine is the spec: the Figure 2 machine runs the
+    /// query as written.
+    Interpreter,
+    /// Theorem 7's guard refused: big-step runs the optimized query.
+    Refused,
+}
+
+impl NoPlan {
+    /// The diagnosis `:plan` and `:plan analyze` print for `prepared`.
+    pub(crate) fn diagnosis(self, prepared: &Prepared) -> String {
+        if self == NoPlan::Interpreter {
+            return "no physical plan — the interpreter engine (SmallStep) runs this query \
+                    as written\n"
+                .to_string();
+        }
+        let Prepared { effect, thm7, .. } = prepared;
+        let mut out =
+            "no physical plan — the interpreter executes this query\n  Thm 7 guard:\n".to_string();
+        for (premise, holds) in [
+            (format!("effect {{{effect}}} read-only"), thm7.write_free),
+            ("`new`-free".into(), thm7.new_free),
+            ("invocation-free".into(), thm7.invoke_free),
+            ("called defs pure".into(), thm7.defs_pure),
+        ] {
+            let _ = writeln!(out, "    {premise}: {}", if holds { "yes" } else { "no" });
+        }
+        // `lower` declines exactly when the guard does: there is a reason.
+        let _ = writeln!(out, "  refused: {}", thm7.refusal().unwrap_or_default());
+        out
     }
 }
 
@@ -478,16 +515,32 @@ impl DbKernel {
         (optimized, optimizer.applied().to_vec())
     }
 
-    /// Lowers a prepared query to a physical plan — shared by execution,
-    /// `explain`, and `explain analyze` so the plan the user sees is the
-    /// plan that runs.
-    pub(crate) fn lower_in(
+    /// What production runs for `prepared` against `state`: the
+    /// optimizer's output (when [`DbOptions::optimize`] is on) and its
+    /// physical plan, or why there is none. The one place that decides
+    /// "optimize, then lower" — for execution, `:plan` and `:plan
+    /// analyze` alike, so the plan shown is the plan that runs. The spec
+    /// engine runs the statement as written: nothing is optimized or
+    /// lowered, and no span opens.
+    pub(crate) fn plan_in<'p>(
         &self,
         opts: &DbOptions,
         state: &KernelState,
-        elab: &Query,
-        static_effect: &Effect,
-    ) -> Option<ioql_plan::Plan> {
+        prepared: &'p Prepared,
+        tracer: &mut Tracer,
+    ) -> (Cow<'p, Query>, Result<ioql_plan::Plan, NoPlan>) {
+        if opts.engine == Engine::SmallStep {
+            return (Cow::Borrowed(&prepared.elab), Err(NoPlan::Interpreter));
+        }
+        let query = if opts.optimize {
+            let sp = tracer.begin(Span::Optimize, "");
+            let (rewritten, applied) = self.optimize_in(state, prepared);
+            tracer.end_with(sp, || Some(format!("{} rewrite(s)", applied.len())));
+            Cow::Owned(rewritten)
+        } else {
+            Cow::Borrowed(&*prepared.elab)
+        };
+        let sp = tracer.begin(Span::Lower, "");
         #[allow(deprecated)] // the three inert fields; see `ParSpec`
         let spec = ioql_plan::ParSpec {
             parallelism: 0,
@@ -495,13 +548,24 @@ impl DbKernel {
             schema: None,
             branch_effect: None,
         };
-        ioql_plan::lower_with(
-            elab,
-            static_effect,
+        let plan = ioql_plan::lower_with(
+            &query,
+            &prepared.effect,
             &state.catalogue.env,
             &DbKernel::stats_in(&state.store),
             &spec,
         )
+        .ok_or(NoPlan::Refused);
+        tracer.end_with(sp, || {
+            Some(match &plan {
+                Ok(_) => "physical plan".to_string(),
+                Err(_) => format!(
+                    "no plan — Thm 7 refused: {}",
+                    prepared.thm7.refusal().unwrap_or_default()
+                ),
+            })
+        });
+        (query, plan)
     }
 
     // ------------------------------------------------------------------
@@ -748,16 +812,9 @@ impl DbKernel {
         let engine = opts.engine;
         // Production runs the optimizer's output, the spec (and WAL
         // replay) the shared AST itself: the statement is never copied.
-        let optimized;
-        let elab: &Query = if engine == Engine::Plan && opts.optimize {
-            let sp = tracer.begin(Span::Optimize, "");
-            let (rewritten, applied) = self.optimize_in(state, prepared);
-            tracer.end_with(sp, || Some(format!("{} rewrite(s)", applied.len())));
-            optimized = rewritten;
-            &optimized
-        } else {
-            elab
-        };
+        // The plan is built before the store is taken mutably (the
+        // lowering reads extent sizes for its cost model).
+        let (elab, plan) = self.plan_in(opts, state, prepared, tracer);
         // Snapshot only when the query can actually mutate the store —
         // the static effect tells us up front (Theorem 5: the runtime
         // trace is covered by it), so read-only queries pay nothing.
@@ -772,30 +829,9 @@ impl DbKernel {
             .with_metrics(&self.metrics.eval);
         let defs = &state.catalogue.env;
         let max_steps = opts.max_steps;
-        // Lower to a physical plan before taking the store mutably (the
-        // lowering reads extent sizes for its cost model). `None` means
-        // the Theorem 7 guard refused (big-step runs the query), or the
-        // engine is the spec.
-        let plan = match engine {
-            Engine::Plan => {
-                let sp = tracer.begin(Span::Lower, "");
-                let plan = self.lower_in(opts, state, elab, static_effect);
-                tracer.end_with(sp, || {
-                    Some(match &plan {
-                        Some(_) => "physical plan".to_string(),
-                        None => format!(
-                            "no plan — Thm 7 refused: {}",
-                            thm7.refusal().unwrap_or_default()
-                        ),
-                    })
-                });
-                plan
-            }
-            Engine::SmallStep => None,
-        };
         // Record compile verdicts once per execution (not per `explain`):
         // write-only, like every other counter.
-        if let Some(p) = &plan {
+        if let Ok(p) = &plan {
             for v in p.compiled.values() {
                 match v {
                     ioql_plan::CompileVerdict::Vm(_) => self.metrics.vm_compiles.inc(),
@@ -808,8 +844,8 @@ impl DbKernel {
         // outcome (the spec engine, no plan, nothing to compile) is
         // itself a verdict with its reason.
         if tracer.is_on() {
-            let (verdicts, no_vm) = match (engine, &plan) {
-                (Engine::Plan, Some(p)) => {
+            let (verdicts, no_vm) = match &plan {
+                Ok(p) => {
                     let none = if opts.compile {
                         "no row expression"
                     } else {
@@ -817,8 +853,8 @@ impl DbKernel {
                     };
                     (p.verdicts(), none)
                 }
-                (Engine::Plan, None) => (Vec::new(), "no physical plan"),
-                (Engine::SmallStep, _) => (Vec::new(), "interpreter engine"),
+                Err(NoPlan::Refused) => (Vec::new(), "no physical plan"),
+                Err(NoPlan::Interpreter) => (Vec::new(), "interpreter engine"),
             };
             for v in &verdicts {
                 tracer.note(Span::Compile, || {
@@ -843,15 +879,13 @@ impl DbKernel {
                 effect,
                 steps: 0,
             };
-            match (engine, &plan) {
-                (Engine::SmallStep, _) => evaluate(&cfg, defs, store, elab, chooser, max_steps),
-                (Engine::Plan, Some(plan)) => {
-                    ioql_plan::execute(plan, &cfg, defs, store, chooser, max_steps)
-                        .map(|r| unstepped(r.value, r.effect))
-                }
+            match &plan {
+                Err(NoPlan::Interpreter) => evaluate(&cfg, defs, store, &elab, chooser, max_steps),
+                Ok(plan) => ioql_plan::execute(plan, &cfg, defs, store, chooser, max_steps)
+                    .map(|r| unstepped(r.value, r.effect)),
                 // Theorem 7 refused: big-step, the interpreter the plan
                 // executor itself delegates to, runs the whole query.
-                (Engine::Plan, None) => eval_big(&cfg, defs, store, elab, chooser, max_steps)
+                Err(NoPlan::Refused) => eval_big(&cfg, defs, store, &elab, chooser, max_steps)
                     .map(|r| unstepped(r.value, r.effect)),
             }
         }));

@@ -67,6 +67,7 @@ pub mod server;
 pub mod session;
 pub mod statements;
 
+pub use admin::HELP;
 pub use analysis::{Analysis, CommutationVerdict};
 pub use cache::CacheStats;
 pub use database::{Database, DbMetrics, DbOptions, Engine, QueryResult, StoreRef, StoreRefMut};

@@ -17,10 +17,20 @@
 //!
 //! * `define …;` — register definitions (serialized, like any write).
 //! * `:stats`, `:metrics`, `:wal status`, `:checkpoint` — admin
-//!   commands, same output as the REPL's.
+//!   commands.
 //! * `:trace last [N]`, `:trace seq <S>` — flight-recorder retrieval
 //!   (requires the server to run with `trace_capacity > 0`).
+//! * `:plan <q>`, `:plan analyze <q>`, `:analyze <q>`, `:optimize <q>`,
+//!   `:explore <q>`, `:trace <q>` — the inspections, under the session's
+//!   options and governor (its budget, when one is set: a trip counts as
+//!   the session's), each on a copy-on-write clone of the state.
+//! * `:schema`, `:extents`, `:help` — the catalogue and the command list.
 //! * `:quit` — close the connection.
+//!
+//! Every `:` command but `:quit` is `DbKernel::admin`'s, so its payload
+//! is the REPL's output for the same line, byte for byte. Any other `:`
+//! line — `:save`, `:load`, `:serve` and `:obs` are the shell's — is
+//! `err unknown command …`.
 //! * anything else — an IOQL query. A query (or `define`) may be
 //!   prefixed with `trace=<id> ` to stamp the client's trace ID into
 //!   the query's flight-recorder record; the ID is echoed back in the
@@ -342,21 +352,20 @@ fn run_request(
     board: &SessionBoard,
     line: &str,
 ) -> Result<(String, String), String> {
-    // Only a `:` line can be an admin command; queries skip the probe.
+    // A `:` line is a command, run under this session's options and
+    // governor; queries skip the probe.
     if line.starts_with(':') {
-        if let Some(reply) = session.kernel().admin(line) {
-            let (tag, mut payload) = reply?;
-            if line == ":stats" {
-                // Every session this server has seen, own line freshest.
-                let mut entries = board.lock().unwrap_or_else(|e| e.into_inner()).clone();
-                entries.insert(session.label().to_string(), session.describe());
-                for line in entries.values() {
-                    payload.push_str(line);
-                    payload.push('\n');
-                }
+        let (tag, mut payload) = session.admin(line).map_err(one_line)?;
+        if line == ":stats" {
+            // Every session this server has seen, own line freshest.
+            let mut entries = board.lock().unwrap_or_else(|e| e.into_inner()).clone();
+            entries.insert(session.label().to_string(), session.describe());
+            for line in entries.values() {
+                payload.push_str(line);
+                payload.push('\n');
             }
-            return Ok((format!("ok {tag}"), payload));
         }
+        return Ok((format!("ok {tag}"), payload));
     }
     // A `trace=<id>` prefix stamps the client's trace ID into the
     // request's flight-recorder record and switches the status line to

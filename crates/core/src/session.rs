@@ -18,7 +18,7 @@
 use crate::database::{DbOptions, QueryResult};
 use crate::error::DbError;
 use crate::kernel::DbKernel;
-use ioql_eval::{Chooser, EvalError, FirstChooser, Governor};
+use ioql_eval::{Chooser, FirstChooser, Governor};
 use std::sync::Arc;
 
 /// One client's handle on a shared kernel. Cheap to create, `Send` —
@@ -155,7 +155,25 @@ impl Session {
         trace_id: Option<&str>,
     ) -> Result<QueryResult, DbError> {
         self.queries += 1;
-        let label = Some(self.label.as_str());
+        self.governed(|kernel, opts, governor, label| {
+            kernel.run_query(opts, src, chooser, governor, trace_id, Some(label))
+        })
+    }
+
+    /// Runs the `:` command `line` ([`DbKernel::admin`]) under this
+    /// session's options and governor — the session budget when one is
+    /// set — so an inspection costs the client what a query would, and a
+    /// trip counts as this session's.
+    pub fn admin(&mut self, line: &str) -> Result<(String, String), DbError> {
+        self.governed(|kernel, opts, governor, _| kernel.admin(opts, governor, line))
+    }
+
+    /// Runs `work` under the session budget, or a fresh governor built
+    /// from [`DbOptions::limits`], counting a governor refusal as a trip.
+    fn governed<T>(
+        &mut self,
+        work: impl FnOnce(&DbKernel, &DbOptions, &Governor, &str) -> Result<T, DbError>,
+    ) -> Result<T, DbError> {
         let fresh;
         let governor = match &self.budget {
             Some(budget) => budget,
@@ -165,12 +183,8 @@ impl Session {
                 &fresh
             }
         };
-        let result = self
-            .kernel
-            .run_query(&self.options, src, chooser, governor, trace_id, label);
-        if let Err(DbError::Eval(EvalError::ResourceExhausted { .. } | EvalError::Cancelled)) =
-            &result
-        {
+        let result = work(&self.kernel, &self.options, governor, &self.label);
+        if matches!(&result, Err(DbError::Eval(e)) if e.is_trip()) {
             self.trips += 1;
         }
         result

@@ -14,12 +14,15 @@
 //! The enumeration is exponential in the number of choice points (as the
 //! relation itself is); callers keep extents small. `max_runs` bounds
 //! runaway exploration and is reported via [`Exploration::truncated`].
+//! A governor in the configuration meters every run, and its trip ends
+//! the enumeration: the tripped run is the last one recorded.
 
 use crate::chooser::ScriptedChooser;
 use crate::machine::{evaluate, DefEnv, EvalConfig, EvalError};
 use ioql_ast::Query;
 use ioql_effects::Effect;
 use ioql_store::{equiv_outcomes, Outcome, Store};
+use std::fmt;
 
 /// The result of exhaustively exploring a query's reduction tree.
 #[derive(Clone, Debug)]
@@ -56,6 +59,29 @@ impl Exploration {
     }
 }
 
+/// The outcome listing `:explore` prints: the run count, each distinct
+/// successful value, and how many paths failed.
+impl fmt::Display for Exploration {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let distinct = self.distinct_outcomes();
+        writeln!(
+            f,
+            "{} run(s), {} distinct outcome(s) up to oid bijection{}:",
+            self.runs.len(),
+            distinct.len(),
+            if self.truncated { " (truncated)" } else { "" }
+        )?;
+        for o in distinct {
+            writeln!(f, "  {}", o.value)?;
+        }
+        let failures = self.runs.iter().filter(|r| r.is_err()).count();
+        if failures > 0 {
+            writeln!(f, "  ({failures} path(s) failed/diverged)")?;
+        }
+        Ok(())
+    }
+}
+
 /// Enumerates every reduction path of `q` from `store` (which is cloned
 /// per run, never mutated).
 pub fn explore_outcomes(
@@ -89,8 +115,13 @@ pub fn explore_outcomes(
                 runs.push(Ok(Outcome::new(st, ev.value)));
             }
             Err(e) => {
+                let trip = e.is_trip();
                 effects.push(Effect::empty());
                 runs.push(Err(e));
+                if trip {
+                    // The budget is spent for every later run too.
+                    break;
+                }
             }
         }
         // Successor script: the arities the run actually encountered.

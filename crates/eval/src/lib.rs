@@ -44,4 +44,4 @@ pub use explore::{all_outcomes_equivalent, explore_outcomes, Exploration};
 pub use governor::{CancelToken, Governor, GovernorMetrics, Limits, ResourceKind};
 pub use machine::{evaluate, run_program, DefEnv, EvalConfig, EvalError, EvalMetrics, Evaluated};
 pub use step::{redex, step, StepOutcome};
-pub use trace::{trace, Trace, TraceStep};
+pub use trace::{trace, trace_clipped, Trace, TraceStep};

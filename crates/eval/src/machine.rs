@@ -206,6 +206,17 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
+impl EvalError {
+    /// Whether the governor refused the run (a budget trip or a
+    /// cancellation) rather than the query going wrong.
+    pub fn is_trip(&self) -> bool {
+        matches!(
+            self,
+            EvalError::ResourceExhausted { .. } | EvalError::Cancelled
+        )
+    }
+}
+
 /// A completed evaluation.
 #[derive(Clone, Debug)]
 pub struct Evaluated {

@@ -20,7 +20,7 @@ use crate::step::StepOutcome;
 use ioql_ast::{Query, Value};
 use ioql_effects::Effect;
 use ioql_store::Store;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One step of a rendered trace.
 #[derive(Clone, Debug)]
@@ -29,7 +29,8 @@ pub struct TraceStep {
     pub rule: &'static str,
     /// The step's effect label ε.
     pub effect: Effect,
-    /// The state `q'` after the step, rendered.
+    /// The state `q'` after the step, rendered (and cut, when the trace
+    /// was recorded by [`trace_clipped`]).
     pub state: String,
 }
 
@@ -48,16 +49,8 @@ impl Trace {
     /// Renders the trace as a numbered derivation. `max_width` truncates
     /// very long intermediate states (0 = no truncation).
     pub fn render(&self, max_width: usize) -> String {
-        let clip = |s: &str| -> String {
-            if max_width > 0 && s.chars().count() > max_width {
-                let prefix: String = s.chars().take(max_width).collect();
-                format!("{prefix}…")
-            } else {
-                s.to_string()
-            }
-        };
         let mut out = String::new();
-        let _ = writeln!(out, "     {}", clip(&self.initial));
+        let _ = writeln!(out, "     {}", clip(&self.initial, max_width));
         for (i, st) in self.steps.iter().enumerate() {
             let eff = if st.effect.is_empty() {
                 String::new()
@@ -65,11 +58,11 @@ impl Trace {
                 format!(" [{}]", st.effect)
             };
             let _ = writeln!(out, "  ─{}{}→", st.rule, eff);
-            let _ = writeln!(out, "{:>4} {}", i + 1, clip(&st.state));
+            let _ = writeln!(out, "{:>4} {}", i + 1, clip(&st.state, max_width));
         }
         match &self.result {
             Ok(v) => {
-                let _ = writeln!(out, "  ⇒ value {}", clip(&v.to_string()));
+                let _ = writeln!(out, "  ⇒ value {}", clip(v, max_width));
             }
             Err(e) => {
                 let _ = writeln!(out, "  ⇒ {e}");
@@ -77,6 +70,46 @@ impl Trace {
         }
         out
     }
+}
+
+/// `x` rendered, cut to its first `width` characters plus `…` when it is
+/// longer (0 = no cut). The writer refuses the first character past the
+/// cut, so the rest of `x` is never rendered: a state's cost is the
+/// width, not its size. Cutting a cut text again changes nothing.
+fn clip(x: &dyn fmt::Display, width: usize) -> String {
+    struct Bounded {
+        out: String,
+        left: usize,
+    }
+    impl fmt::Write for Bounded {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            for c in s.chars() {
+                if self.left == 0 {
+                    return Err(fmt::Error);
+                }
+                self.left -= 1;
+                self.out.push(c);
+            }
+            Ok(())
+        }
+    }
+    if width == 0 {
+        return x.to_string();
+    }
+    let mut w = Bounded {
+        out: String::new(),
+        left: width + 1,
+    };
+    if fmt::write(&mut w, format_args!("{x}")).is_err() || w.left == 0 {
+        let cut = w
+            .out
+            .char_indices()
+            .nth(width)
+            .map_or(w.out.len(), |(i, _)| i);
+        w.out.truncate(cut);
+        w.out.push('…');
+    }
+    w.out
 }
 
 /// Runs `q` to completion (or failure/fuel), recording every step. The
@@ -90,17 +123,32 @@ pub fn trace(
     chooser: &mut dyn Chooser,
     max_steps: u64,
 ) -> Trace {
+    trace_clipped(cfg, defs, store, q, chooser, max_steps, 0)
+}
+
+/// [`trace`], keeping each state already cut to `width` characters as
+/// [`Trace::render`] would show it (0 = whole): a trace costs
+/// `O(steps × width)`, whatever the size of the states it passes.
+pub fn trace_clipped(
+    cfg: &EvalConfig<'_>,
+    defs: &DefEnv,
+    store: &mut Store,
+    q: &Query,
+    chooser: &mut dyn Chooser,
+    max_steps: u64,
+    width: usize,
+) -> Trace {
     let mut steps = Vec::new();
     let mut record = |out: &StepOutcome| {
         steps.push(TraceStep {
             rule: out.rule,
             effect: out.effect.clone(),
-            state: out.query.to_string(),
+            state: clip(&out.query, width),
         })
     };
     let result = evaluate_observed(cfg, defs, store, q, chooser, max_steps, &mut record);
     Trace {
-        initial: q.to_string(),
+        initial: clip(q, width),
         steps,
         result: result.map(|done| done.value),
     }
@@ -238,5 +286,43 @@ mod tests {
         for line in r.lines() {
             assert!(line.chars().count() < 40, "line too long: {line}");
         }
+    }
+
+    /// A trace recorded cut renders exactly as the whole trace rendered
+    /// at the same width, and keeps no state longer than that.
+    #[test]
+    fn a_clipped_trace_renders_as_the_whole_one() {
+        let s = schema();
+        let cfg = EvalConfig::new(&s);
+        let store = Store::new();
+        let q = Query::comp(
+            Query::var("x").add(Query::int(1)),
+            [Qualifier::Gen(
+                VarName::new("x"),
+                Query::set_lit((0..30).map(Query::int)),
+            )],
+        );
+        let run = |width| {
+            let mut store = store.clone();
+            trace_clipped(
+                &cfg,
+                &DefEnv::new(),
+                &mut store,
+                &q,
+                &mut FirstChooser,
+                500,
+                width,
+            )
+        };
+        let (whole, cut) = (run(0), run(24));
+        assert_eq!(cut.render(24), whole.render(24));
+        assert!(whole.steps.iter().any(|st| st.state.chars().count() > 25));
+        for st in &cut.steps {
+            assert!(st.state.chars().count() <= 25, "{}", st.state);
+        }
+        assert_eq!(
+            cut.render(0).lines().count(),
+            whole.render(0).lines().count()
+        );
     }
 }

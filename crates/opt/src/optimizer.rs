@@ -23,6 +23,13 @@ pub struct AppliedRewrite {
     pub note: String,
 }
 
+/// One `:optimize` line: the rule, padded, then its note.
+impl std::fmt::Display for AppliedRewrite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:<28} {}", self.rule, self.note)
+    }
+}
+
 /// The optimizer: statistics plus the rewrites applied so far.
 pub struct Optimizer {
     stats: Stats,

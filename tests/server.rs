@@ -947,3 +947,142 @@ fn a_wire_round_trip_does_not_wait_for_a_delayed_ack() {
     );
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// One command surface: the inspections on the wire.
+
+/// Every `:` command that lacks its argument or is handed a malformed
+/// one answers one `err …` frame, and the session answers the next
+/// query. `:save` is the shell's, so the wire does not know it.
+#[test]
+fn a_misused_command_is_one_err_frame() {
+    let mut db = db_with(Engine::Plan);
+    db.query(WRITES[0]).unwrap();
+    let mut server = db.serve("127.0.0.1:0").unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    for line in [
+        ":plan",
+        ":plan {",
+        ":analyze",
+        ":optimize 1 +",
+        ":explore",
+        ":trace seq x",
+        ":save x",
+    ] {
+        let reply = c.request(line).unwrap();
+        assert!(reply.status.starts_with("err "), "{line}: {reply:?}");
+        assert!(reply.lines.is_empty(), "{line}: {reply:?}");
+        let next = c.request(READS[0]).unwrap();
+        assert_eq!(next.lines[0], "3", "{line}: the session stopped answering");
+    }
+    let save = c.request(":save x").unwrap();
+    assert_eq!(
+        save.status,
+        "err unknown command `:save` — :help lists the commands"
+    );
+    server.shutdown();
+}
+
+/// An inspection costs a wire client what a query would: `:explore` runs
+/// under the session budget, a trip is the command's error, and `:stats`
+/// counts it as that session's.
+#[test]
+fn an_inspection_spends_the_session_budget() {
+    let mut options = opts_with(Engine::Plan);
+    options.session_budget = Some(Limits::none().with_max_cells(10));
+    let mut db = Database::from_ddl_with(DDL, options).unwrap();
+    db.query(WRITES[0]).unwrap();
+    let mut server = db.serve("127.0.0.1:0").unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    // One run of the product draws 3 + 3 × 3 = 12 cells.
+    let explore = c
+        .request(":explore { p.name + q.name | p <- Persons, q <- Persons }")
+        .unwrap();
+    assert!(
+        explore
+            .status
+            .starts_with("err evaluation error: cells budget exhausted"),
+        "{explore:?}"
+    );
+    let stats = c.request(":stats").unwrap().lines.join("\n");
+    assert!(
+        stats.contains("session client-1: 0 queries, 1 governor trip(s)"),
+        "{stats}"
+    );
+    server.shutdown();
+}
+
+/// The shell and the wire run one interpreter: for the same schema, data
+/// and line, a `--serve` process's payload is the REPL's stdout, byte for
+/// byte. (`:plan analyze` prints wall times, so it is left out.)
+#[test]
+fn the_wire_and_the_shell_print_the_same_inspections() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::{Command, Stdio};
+
+    let dir = TempDir::new("surface");
+    let schema = dir.path().join("s.odl");
+    std::fs::write(
+        &schema,
+        "class P extends Object (extent Ps) {
+             attribute int name;
+             int twice() { return this.name * 2; }
+         }
+         class F extends Object (extent Fs) {
+             attribute int name;
+             attribute P pal;
+         }",
+    )
+    .unwrap();
+    let write = "{ new P(name: n) | n <- {1, 2} }";
+    let q = "{ p.name + r.name | p <- Ps, r <- Ps, p.name = 2 }";
+    let lines = [
+        format!(":plan {q}"),
+        format!(":analyze {q}"),
+        format!(":optimize {q}"),
+        format!(":explore {q}"),
+        format!(":trace {q}"),
+        ":schema".to_string(),
+        ":extents".to_string(),
+        ":help".to_string(),
+    ];
+
+    let mut shell = Command::new(env!("CARGO_BIN_EXE_ioql"))
+        .arg(&schema)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let script = format!("{write}\n{}\n:quit\n", lines.join("\n"));
+    let mut stdin = shell.stdin.take().unwrap();
+    stdin.write_all(script.as_bytes()).unwrap();
+    drop(stdin);
+    let out = shell.wait_with_output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    // Banner, the write, one chunk per line, then `:quit`'s empty one.
+    let printed: Vec<&str> = stdout.split("ioql> ").skip(2).collect();
+    assert_eq!(printed.len(), lines.len() + 1, "{stdout}");
+
+    let mut served = Command::new(env!("CARGO_BIN_EXE_ioql"))
+        .arg(&schema)
+        .args(["--serve", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut announced = String::new();
+    BufReader::new(served.stdout.take().unwrap())
+        .read_line(&mut announced)
+        .unwrap();
+    let addr = announced.trim().strip_prefix("serving on ").unwrap();
+    let mut c = Client::connect(addr.parse().unwrap()).unwrap();
+    assert!(c.request(write).unwrap().is_ok());
+    for (line, shown) in lines.iter().zip(&printed) {
+        let reply = c.request(line).unwrap();
+        assert!(reply.is_ok(), "{line}: {reply:?}");
+        assert!(!shown.is_empty(), "{line}");
+        assert_eq!(format!("{}\n", reply.lines.join("\n")), *shown, "{line}");
+    }
+    served.kill().unwrap();
+    served.wait().unwrap();
+}
