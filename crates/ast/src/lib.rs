@@ -42,4 +42,4 @@ pub use oid::Oid;
 pub use program::{Definition, Program};
 pub use query::{IntOp, Qualifier, Query, SetOp};
 pub use types::{FnType, Type};
-pub use value::Value;
+pub use value::{SetVal, Value};

@@ -38,7 +38,7 @@
 //! `contains_*` family) thread none.
 
 use crate::ident::{AttrName, ClassName, DefName, ExtentName, Label, MethodName, VarName};
-use crate::value::Value;
+use crate::value::{SetVal, Value};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -64,7 +64,7 @@ impl SetOp {
     }
 
     /// Applies the operator to two realised sets.
-    pub fn apply(self, a: &BTreeSet<Value>, b: &BTreeSet<Value>) -> BTreeSet<Value> {
+    pub fn apply(self, a: &BTreeSet<Value>, b: &BTreeSet<Value>) -> SetVal {
         match self {
             SetOp::Union => a.union(b).cloned().collect(),
             SetOp::Intersect => a.intersection(b).cloned().collect(),
@@ -377,7 +377,7 @@ impl Query {
             Query::SetLit(items) => items
                 .iter()
                 .map(Query::as_value)
-                .collect::<Option<BTreeSet<_>>>()
+                .collect::<Option<SetVal>>()
                 .map(Value::Set),
             Query::Record(fields) => fields
                 .iter()

@@ -10,11 +10,17 @@
 //! implementation artifact used only for canonical storage and printing;
 //! the semantics never depends on it (the `(ND comp)` rule picks elements
 //! through a `Chooser`, precisely so tests can exercise *every* order).
+//!
+//! A value is immutable once built, so a set's members are shared by
+//! pointer ([`SetVal`]): copying a set value — out of a literal, a
+//! binding or a cached result — is a reference count, not a tree copy.
 
 use crate::ident::Label;
 use crate::oid::Oid;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A fully evaluated IOQL value.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -26,7 +32,7 @@ pub enum Value {
     /// An object identifier.
     Oid(Oid),
     /// A set of values.
-    Set(BTreeSet<Value>),
+    Set(SetVal),
     /// A record value.
     Record(BTreeMap<Label, Value>),
 }
@@ -34,7 +40,7 @@ pub enum Value {
 impl Value {
     /// The empty set value `{}`.
     pub fn empty_set() -> Value {
-        Value::Set(BTreeSet::new())
+        Value::Set(SetVal::default())
     }
 
     /// Builds a set value, collapsing duplicates.
@@ -72,7 +78,7 @@ impl Value {
     }
 
     /// The elements, if this is a set.
-    pub fn as_set(&self) -> Option<&BTreeSet<Value>> {
+    pub fn as_set(&self) -> Option<&SetVal> {
         match self {
             Value::Set(s) => Some(s),
             _ => None,
@@ -139,6 +145,71 @@ impl Value {
             Value::Set(s) => 1 + s.iter().map(Value::size).sum::<usize>(),
             Value::Record(r) => 1 + r.values().map(Value::size).sum::<usize>(),
         }
+    }
+}
+
+/// The members of a set value, shared by pointer.
+///
+/// Every set is built in bulk and never mutated afterwards, so `Clone`
+/// is a reference count and the members are reachable from every holder
+/// through `Deref`. Equality, order, hashing and `Debug` are the
+/// [`BTreeSet`]'s: two sets with the same members are the same value
+/// however they were built and whoever else holds them.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct SetVal(Arc<BTreeSet<Value>>);
+
+impl SetVal {
+    /// Whether `a` and `b` share one member tree (not merely equal ones).
+    pub fn ptr_eq(a: &SetVal, b: &SetVal) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for SetVal {
+    type Target = BTreeSet<Value>;
+
+    fn deref(&self) -> &BTreeSet<Value> {
+        &self.0
+    }
+}
+
+impl From<BTreeSet<Value>> for SetVal {
+    fn from(set: BTreeSet<Value>) -> Self {
+        SetVal(Arc::new(set))
+    }
+}
+
+impl FromIterator<Value> for SetVal {
+    fn from_iter<I: IntoIterator<Item = Value>>(items: I) -> Self {
+        SetVal::from(BTreeSet::from_iter(items))
+    }
+}
+
+/// Consumes the members: moved out when this is the only holder, copied
+/// otherwise, so the other holders keep theirs.
+impl IntoIterator for SetVal {
+    type Item = Value;
+    type IntoIter = btree_set::IntoIter<Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Arc::try_unwrap(self.0)
+            .unwrap_or_else(|shared| BTreeSet::clone(&shared))
+            .into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a SetVal {
+    type Item = &'a Value;
+    type IntoIter = btree_set::Iter<'a, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl fmt::Debug for SetVal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
     }
 }
 
@@ -212,6 +283,44 @@ mod tests {
         let inner = Value::set([Value::Int(1)]);
         let outer = Value::set([inner.clone(), inner]);
         assert_eq!(outer.as_set().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn build_order_is_unobservable() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let items = || (0..50).map(|i| Value::Int(i * 7 % 50));
+        let forward = Value::set(items());
+        let backward = Value::set(items().collect::<Vec<_>>().into_iter().rev());
+        let from_tree = Value::Set(SetVal::from(items().collect::<BTreeSet<_>>()));
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        for other in [&backward, &from_tree] {
+            assert_eq!(&forward, other);
+            assert_eq!(forward.cmp(other), std::cmp::Ordering::Equal);
+            assert_eq!(hasher.hash_one(&forward), hasher.hash_one(other));
+            assert_eq!(forward.to_string(), other.to_string());
+            assert_eq!(format!("{forward:?}"), format!("{other:?}"));
+        }
+        // Order and `Debug` are the members' own.
+        assert!(Value::set([Value::Int(1)]) < Value::set([Value::Int(2)]));
+        assert_eq!(
+            format!("{:?}", Value::set([Value::Int(1)])),
+            "Set({Int(1)})"
+        );
+    }
+
+    #[test]
+    fn consuming_a_shared_set_leaves_the_other_holder_intact() {
+        let a: SetVal = (0..4).map(Value::Int).collect();
+        let b = a.clone();
+        assert!(SetVal::ptr_eq(&a, &b));
+        let drained: Vec<Value> = b.into_iter().collect();
+        assert_eq!(drained, (0..4).map(Value::Int).collect::<Vec<_>>());
+        assert_eq!(a.len(), 4);
+        assert_eq!(Value::Set(a.clone()).to_string(), "{0, 1, 2, 3}");
+        // The sole holder's members move out; borrowing iterates in place.
+        assert_eq!((&a).into_iter().count(), 4);
+        assert_eq!(a.into_iter().next_back(), Some(Value::Int(3)));
     }
 
     #[test]

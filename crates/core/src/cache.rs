@@ -16,7 +16,15 @@
 //! optimizer's output depends on catalogue statistics (extent sizes)
 //! which drift with the store, so post-optimization queries are not
 //! stable keys; elaborated queries are (resolution and typing depend
-//! only on the schema, which is immutable per database).
+//! only on the schema, which is immutable per database). The key is a
+//! [`QueryKey`]: the query and its hash, taken once per statement when
+//! it is prepared, so a probe hashes eight bytes and, on a retained
+//! statement, compares pointers.
+//!
+//! A cached value is immutable — the same theorem makes it a function
+//! of its inputs — so a hit hands it out by pointer: set members are
+//! shared ([`ioql_ast::SetVal`]), and nothing is copied in proportion to
+//! the answer.
 
 use crate::database::DbOptions;
 use ioql_ast::{ExtentName, Query, Value};
@@ -25,12 +33,61 @@ use ioql_store::Store;
 use ioql_telemetry::Counter;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
+/// An elaborated query and its hash: the result cache's key.
+///
+/// The hash is taken once, when the statement is prepared, under the
+/// kernel's own randomly keyed hasher (`DbKernel::prepare_in`); `Hash`
+/// writes it back, so a probe never walks the tree. Keys are equal when
+/// they share the query by pointer — a retained statement — or else hold
+/// equal queries, and equal queries hashed by one kernel hash alike.
+/// Derefs to the query.
+#[derive(Clone, Debug)]
+pub struct QueryKey {
+    hash: u64,
+    query: Arc<Query>,
+}
+
+impl QueryKey {
+    /// Keys `query` under its hash by `hasher`: the kernel's, so that
+    /// equal queries asked of one kernel hash alike.
+    pub(crate) fn new(query: Query, hasher: &impl BuildHasher) -> QueryKey {
+        QueryKey {
+            hash: hasher.hash_one(&query),
+            query: Arc::new(query),
+        }
+    }
+}
+
+impl Deref for QueryKey {
+    type Target = Query;
+
+    fn deref(&self) -> &Query {
+        &self.query
+    }
+}
+
+impl Hash for QueryKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for QueryKey {
+    fn eq(&self, other: &QueryKey) -> bool {
+        Arc::ptr_eq(&self.query, &other.query)
+            || (self.hash == other.hash && self.query == other.query)
+    }
+}
+
+impl Eq for QueryKey {}
+
 /// One memoized result. Shared by pointer: a hit hands out the `Arc`
-/// under the cache mutex and the caller copies what it needs out of it
-/// after the mutex is released.
+/// under the cache mutex, and the caller's result shares the value's
+/// set members with it.
 #[derive(Debug)]
 pub(crate) struct CacheEntry {
     /// The version of every extent in the query's read set at the time
@@ -205,14 +262,14 @@ impl<K: Clone + Eq + Hash, V> Fifo<K, V> {
 }
 
 /// The result cache: elaborated query ↦ [`CacheEntry`]. The key is the
-/// `Arc` the front end's `Prepared` already holds, so a retained
-/// statement and its cached result share one AST.
-pub(crate) type QueryCache = Fifo<Arc<Query>, Arc<CacheEntry>>;
+/// one the front end's `Prepared` already holds, so a retained statement
+/// and its cached result share one AST.
+pub(crate) type QueryCache = Fifo<QueryKey, Arc<CacheEntry>>;
 
 impl QueryCache {
     /// Looks up `key`, validating the recorded version vector against
     /// `store`. A stale entry is removed and counted as a miss.
-    pub fn lookup(&mut self, key: &Arc<Query>, store: &Store) -> Option<Arc<CacheEntry>> {
+    pub fn lookup(&mut self, key: &QueryKey, store: &Store) -> Option<Arc<CacheEntry>> {
         self.probe(key, |entry| {
             let fresh = |(e, v): (&ExtentName, &u64)| store.extent_version(e) == *v;
             entry.versions.iter().all(fresh).then(|| Arc::clone(entry))
@@ -238,9 +295,12 @@ pub(crate) fn cache_refusal(opts: &DbOptions, thm7: &Thm7) -> Option<&'static st
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::BuildHasherDefault;
 
-    fn key(n: i64) -> Arc<Query> {
-        Arc::new(Query::Lit(Value::Int(n)))
+    fn key(n: i64) -> QueryKey {
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        QueryKey::new(Query::Lit(Value::Int(n)), &hasher)
     }
 
     fn entry(versions: &[(&str, u64)]) -> Arc<CacheEntry> {

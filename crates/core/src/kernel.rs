@@ -26,7 +26,7 @@
 //! parses, resolves, and instantiates the fused Figure 1/3 walker
 //! (`ioql_types::Judgement` over `ioql_effects::EffectRules`), then
 //! decides Theorem 7's guard with `Thm7::decide`. The result is one
-//! immutable [`Prepared`] `{ elab, ty, effect, derivation, thm7 }`;
+//! immutable [`Prepared`] `{ elab, ty, effect, reads, derivation, thm7 }`;
 //! admission, the cache gate and its `ineligible(reason)` note, the WAL
 //! gate, `analyze`, and `explain` read `thm7`'s fields and never
 //! re-inspect the query, and the `⊢'` check, `analyze` and the
@@ -34,10 +34,12 @@
 //! subterm. None of it reads the store, so the statement cache
 //! ([`crate::statements`]) keeps the `Arc<Prepared>` per text and every
 //! later request for that text shares it by pointer: its `elab` *is* the
-//! result-cache key. Registered definitions live in one `Arc`-shared
-//! `Catalogue` built at `define` time — a snapshot clones the pointer,
-//! no request rebuilds an environment from it, and a retained statement
-//! is valid exactly while that pointer is the one it was judged under.
+//! result-cache key, hashed here and nowhere else, and `reads` the
+//! extents the result's fingerprint records. Registered definitions live
+//! in one `Arc`-shared `Catalogue` built at `define` time — a snapshot
+//! clones the pointer, no request rebuilds an environment from it, and a
+//! retained statement is valid exactly while that pointer is the one it
+//! was judged under.
 //!
 //! A cold text on the admission path is judged with **no state lock
 //! held**: the request clones the catalogue `Arc` under a brief read
@@ -60,13 +62,13 @@
 //! snapshot while writers proceed by path-copying only the chunks they
 //! touch.
 
-use crate::cache::{cache_refusal, CacheEntry, CacheStats, Probe, QueryCache};
+use crate::cache::{cache_refusal, CacheEntry, CacheStats, Probe, QueryCache, QueryKey};
 use crate::database::{DbMetrics, DbOptions, Engine, QueryResult};
 use crate::durable::Durable;
 use crate::error::DbError;
 use crate::sched::{Admitted, Sched};
 use crate::statements::{Statement, StatementCache, StatementKey};
-use ioql_ast::{DefName, Definition, FnType, Query, Type, Value};
+use ioql_ast::{DefName, Definition, ExtentName, FnType, Query, Type, Value};
 use ioql_effects::{
     effect_extents, Derivation, Discipline, Effect, EffectRules, MethodEffects, Thm7,
 };
@@ -81,7 +83,8 @@ use ioql_syntax::parse_definitions;
 use ioql_telemetry::{FlightRecorder, Span, Tracer};
 use ioql_types::{Judgement, TypeError};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
@@ -122,13 +125,16 @@ pub(crate) struct KernelState {
 /// text and shared by pointer (see the module docs).
 #[derive(Clone, Debug)]
 pub struct Prepared {
-    /// The elaborated query (projections resolved by subject type) —
-    /// also, by pointer, the result-cache key.
-    pub elab: Arc<Query>,
+    /// The elaborated query (projections resolved by subject type),
+    /// hashed once: the result-cache key. Derefs to the query.
+    pub elab: QueryKey,
     /// Its Figure 1 type.
     pub ty: Type,
     /// Its Figure 3 effect.
     pub effect: Effect,
+    /// The extents `effect` reads (`effect_extents`): the read set whose
+    /// versions a cached result of this query records.
+    pub reads: BTreeSet<ExtentName>,
     /// The derivation's (Comp) and (Sop) records, keyed by pre-order
     /// index into `elab`: what the `⊢'` check, `analyze` and the
     /// optimizer read.
@@ -149,6 +155,9 @@ pub struct DbKernel {
     pub(crate) state: RwLock<KernelState>,
     pub(crate) statements: Mutex<StatementCache>,
     pub(crate) cache: Mutex<QueryCache>,
+    /// The randomly keyed hasher every result-cache key is hashed with,
+    /// once per statement, in `prepare_in`.
+    key_hasher: RandomState,
     pub(crate) metrics: DbMetrics,
     /// The attached log and its fsync policy, set once by
     /// `attach_durable_with`.
@@ -251,6 +260,7 @@ impl DbKernel {
             }),
             statements: Mutex::new(statements),
             cache: Mutex::new(cache),
+            key_hasher: RandomState::new(),
             metrics,
             durable: OnceLock::new(),
             sched: Sched::new(),
@@ -388,8 +398,9 @@ impl DbKernel {
         discipline.check(&self.schema, &derivation)?;
         let thm7 = Thm7::decide(&elab, &effect, |d| catalogue.env.get(d));
         let prepared = Prepared {
-            elab: Arc::new(elab),
+            elab: QueryKey::new(elab, &self.key_hasher),
             ty,
+            reads: effect_extents(&self.schema, &effect).reads,
             effect,
             derivation: Arc::new(derivation),
             thm7,
@@ -714,6 +725,7 @@ impl DbKernel {
             elab,
             ty,
             effect: static_effect,
+            reads,
             thm7,
             ..
         } = prepared;
@@ -738,9 +750,9 @@ impl DbKernel {
         // extension, no `U(C)`) are deterministic, hence memoizable.
         // Key on the *pre-optimization* elaborated query: the optimizer's
         // output drifts with catalogue statistics, the elaborated form
-        // does not. The key is the statement's own `Arc`: nothing is
-        // copied to probe, and a hit on a retained statement compares
-        // pointers.
+        // does not. The key is the statement's own, hashed when it was
+        // prepared: the probe under the mutex hashes eight bytes, and a
+        // hit on a retained statement compares pointers.
         let cache_key = match cache_refusal(opts, thm7) {
             None => Some(elab),
             Some(reason) => {
@@ -764,8 +776,8 @@ impl DbKernel {
             tracer.end_with(probe_sp, || {
                 Some(if hit.is_some() { "hit" } else { "miss" }.to_string())
             });
-            // The entry is shared: the mutex is already released, and
-            // the copy into the caller's result happens out here.
+            // The entry is shared, and so is its value: the result below
+            // bumps reference counts, and copies no set member.
             if let Some(entry) = hit {
                 // A hit still passes through the governor, so the
                 // resource-limit contract is engine-identical.
@@ -799,13 +811,9 @@ impl DbKernel {
         // Fingerprint the read set *before* evaluation; the Theorem 7
         // guard means evaluation cannot move these counters.
         let read_versions = cache_key.map(|_| {
-            effect_extents(&self.schema, static_effect)
-                .reads
-                .into_iter()
-                .map(|e| {
-                    let v = state.store.extent_version(&e);
-                    (e, v)
-                })
+            reads
+                .iter()
+                .map(|e| (e.clone(), state.store.extent_version(e)))
                 .collect::<BTreeMap<_, _>>()
         });
         let cells_before = governor.cells_spent();
@@ -950,7 +958,7 @@ impl DbKernel {
                 runtime_effect: out.effect.clone(),
                 cells: governor.cells_spent().saturating_sub(cells_before),
             });
-            lock(&self.cache).insert(Arc::clone(key), entry);
+            lock(&self.cache).insert(key.clone(), entry);
         }
         // A committed mutation takes the next slot in the kernel's total
         // write order; the caller still holds the write lock, so stamps

@@ -34,11 +34,11 @@
 
 use crate::chooser::{bad_pick, Chooser};
 use crate::machine::{DefEnv, EvalConfig, EvalError};
-use ioql_ast::{AttrName, ExtentName, Oid, Qualifier, Query, SetOp, Value, VarName};
+use ioql_ast::{AttrName, ExtentName, Oid, Qualifier, Query, SetOp, SetVal, Value, VarName};
 use ioql_effects::Effect;
 use ioql_methods::{invoke, MethodCall};
 use ioql_store::{MemberSet, Object, Store, StoreError};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// The result of a big-step evaluation.
 #[derive(Clone, Debug)]
@@ -87,8 +87,8 @@ impl SetBuilder {
     }
 
     /// The finished set.
-    pub fn finish(self) -> BTreeSet<Value> {
-        BTreeSet::from_iter(self.buf)
+    pub fn finish(self) -> SetVal {
+        SetVal::from_iter(self.buf)
     }
 }
 
@@ -222,12 +222,7 @@ impl<'a, 'c> Interp<'a, 'c> {
     }
 
     /// A set operator's result, observed.
-    pub fn set_op(
-        &self,
-        op: SetOp,
-        a: &BTreeSet<Value>,
-        b: &BTreeSet<Value>,
-    ) -> Result<Value, EvalError> {
+    pub fn set_op(&self, op: SetOp, a: &SetVal, b: &SetVal) -> Result<Value, EvalError> {
         let result = op.apply(a, b);
         self.observe_card(result.len())?;
         Ok(Value::Set(result))
@@ -235,7 +230,7 @@ impl<'a, 'c> Interp<'a, 'c> {
 
     /// The wrapping `sum` of a finished set; `q` is the `sum(…)` node a
     /// non-integer element sticks at.
-    pub fn sum(&self, q: &Query, set: &BTreeSet<Value>) -> Result<Value, EvalError> {
+    pub fn sum(&self, q: &Query, set: &SetVal) -> Result<Value, EvalError> {
         let mut total = 0i64;
         for v in set {
             match v {
@@ -347,7 +342,7 @@ impl<'a, 'c> Interp<'a, 'c> {
         }
     }
 
-    fn set(&mut self, store: &mut Store, q: &Query) -> Result<BTreeSet<Value>, EvalError> {
+    fn set(&mut self, store: &mut Store, q: &Query) -> Result<SetVal, EvalError> {
         match self.eval(store, q)? {
             Value::Set(s) => Ok(s),
             _ => self.stuck(q, "expected a set"),
@@ -579,6 +574,7 @@ mod tests {
     use crate::chooser::FirstChooser;
     use ioql_ast::{AttrDef, ClassDef, ClassName, VarName};
     use ioql_schema::Schema;
+    use std::collections::BTreeSet;
 
     fn setup() -> (Schema, Store) {
         let schema = Schema::new(vec![ClassDef::plain(
@@ -825,7 +821,7 @@ mod tests {
             for v in &values {
                 b.push(v.clone());
             }
-            assert_eq!(b.finish(), BTreeSet::from_iter(values), "round {round}");
+            assert_eq!(*b.finish(), BTreeSet::from_iter(values), "round {round}");
         }
     }
 
@@ -837,7 +833,7 @@ mod tests {
             assert!(b.buf.len() <= SetBuilder::FLOOR, "{} buffered", b.buf.len());
         }
         let want: BTreeSet<Value> = (0..3).map(Value::Int).collect();
-        assert_eq!(b.finish(), want);
+        assert_eq!(*b.finish(), want);
     }
 
     #[test]

@@ -18,11 +18,10 @@
 
 use crate::chooser::{bad_pick, Chooser};
 use crate::machine::{DefEnv, EvalConfig, EvalError};
-use ioql_ast::{Qualifier, Query, Value};
+use ioql_ast::{Qualifier, Query, SetVal, Value};
 use ioql_effects::Effect;
 use ioql_methods::{invoke, MethodCall};
 use ioql_store::{Object, Store};
-use std::collections::BTreeSet;
 
 /// The result of one reduction step.
 #[derive(Clone, Debug)]
@@ -43,7 +42,7 @@ fn stuck<T>(q: &Query, reason: impl Into<String>) -> Result<T, EvalError> {
     })
 }
 
-fn want_set(q: &Query) -> Result<BTreeSet<Value>, EvalError> {
+fn want_set(q: &Query) -> Result<SetVal, EvalError> {
     match q.as_value() {
         Some(Value::Set(s)) => Ok(s),
         _ => stuck(q, "expected a set value"),
@@ -513,7 +512,7 @@ fn apply_rule(
                     Some(v) => v.clone(),
                     None => return Err(bad_pick(x, i, elems.len())),
                 };
-                let rest_set: BTreeSet<Value> = elems
+                let rest_set: SetVal = elems
                     .into_iter()
                     .enumerate()
                     .filter_map(|(j, v)| (j != i).then_some(v))

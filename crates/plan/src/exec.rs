@@ -40,11 +40,11 @@ use crate::bytecode::{CompileVerdict, Program, VmCtx};
 use crate::ir::{
     AggKind, EqKind, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, Plan, Stage, StageKind,
 };
-use ioql_ast::{ExtentName, Query, SetOp, Value, VarName};
+use ioql_ast::{ExtentName, Query, SetOp, SetVal, Value, VarName};
 use ioql_effects::Effect;
 use ioql_eval::{Chooser, DefEnv, EvalConfig, EvalError, Interp, SetBuilder};
 use ioql_store::Store;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -522,7 +522,7 @@ impl<'a> Exec<'a, '_> {
         self.interp.set_op(op, &va, &vb)
     }
 
-    fn op_set(&mut self, store: &mut Store, op: &Op) -> Result<BTreeSet<Value>, EvalError> {
+    fn op_set(&mut self, store: &mut Store, op: &Op) -> Result<SetVal, EvalError> {
         match self.eval_op(store, op)? {
             Value::Set(s) => Ok(s),
             _ => match &op.kind {

@@ -474,8 +474,7 @@ impl ExtentEnv {
     }
 }
 
-/// The paper's value type builds sets as `BTreeSet<Value>`; a member
-/// set renders the same way.
+/// A member set renders as the set value of its oids does.
 impl fmt::Display for MemberSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;

@@ -342,3 +342,50 @@ fn values_round_trip_losslessly_through_the_cache() {
         v => panic!("expected a set, got {v}"),
     }
 }
+
+/// A hit hands the cached answer out by pointer: two hits on a
+/// 2 000-element set share one member tree with each other and with the
+/// cold run that filled the entry, so a warm read copies nothing in
+/// proportion to its answer.
+#[test]
+fn hits_share_the_cached_set_by_pointer() {
+    use ioql::ast::SetVal;
+    let mut db = db_with(Engine::Plan, 64);
+    let digits = |n: i64| (0..n).map(|d| d.to_string()).collect::<Vec<_>>().join(", ");
+    db.query(&format!(
+        "{{ new Person(name: t * 100 + u, age: 0) | t <- {{{}}}, u <- {{{}}} }}",
+        digits(20),
+        digits(100)
+    ))
+    .unwrap();
+    let scan = "{ p.name | p <- Persons }";
+    let cold = db.query(scan).unwrap();
+    let (a, b) = (db.query(scan).unwrap(), db.query(scan).unwrap());
+    assert!(!cold.cached && a.cached && b.cached);
+    let (Value::Set(cold), Value::Set(a), Value::Set(b)) = (&cold.value, &a.value, &b.value) else {
+        panic!("expected three sets")
+    };
+    assert_eq!(a.len(), 2000);
+    assert!(SetVal::ptr_eq(a, b), "two hits copied the cached set");
+    assert!(SetVal::ptr_eq(cold, a), "the entry copied the cold answer");
+}
+
+/// The result-cache key carries the hash taken when its statement was
+/// prepared, so two texts that elaborate to one query — two statements,
+/// two separately hashed keys — must still meet in one result entry.
+#[test]
+fn texts_that_elaborate_alike_share_one_result_entry() {
+    let mut db = db_with(Engine::Plan, 64);
+    let cold = db.query("{ p.age | p <- Persons }").unwrap();
+    let hot = db.query("{p.age|p<-Persons}").unwrap();
+    let spaced = db.query("{  p.age  |  p  <-  Persons  }").unwrap();
+    assert!(!cold.cached);
+    assert!(hot.cached && spaced.cached, "a respaced text missed");
+    assert_eq!(hot.value, cold.value);
+    assert_eq!(
+        db.statement_stats().entries,
+        3,
+        "three texts, three statements"
+    );
+    assert_eq!(db.cache_stats().entries, 1, "one query, one result");
+}
