@@ -4,11 +4,11 @@
 //! ioql schema.odl              # load a schema, start the REPL
 //! ioql schema.odl --extended   # §5 extended methods
 //! ioql schema.odl -e '{ p.name | p <- Ps }'   # one-shot query
-//! ioql schema.odl --telemetry-jsonl events.jsonl   # structured event log
+//! ioql schema.odl --telemetry-jsonl traces.jsonl   # one trace record per request
 //! ioql schema.odl --durable state/  # crash-safe: WAL + checkpoints, recovery on start
 //! ioql schema.odl --serve 127.0.0.1:7583   # multi-client TCP server (line protocol)
 //! ioql schema.odl --serve 127.0.0.1:7583 --obs 127.0.0.1:9090   # + HTTP observability
-//! ioql schema.odl --slow-query 50 --telemetry-jsonl events.jsonl  # slow-query log
+//! ioql schema.odl --slow-query 50 --telemetry-jsonl slow.jsonl  # only requests ≥ 50 ms
 //! ```
 //!
 //! REPL commands (same list as `:help`):

@@ -28,8 +28,7 @@ use ioql_schema::Schema;
 use ioql_store::{Durability, Store};
 use ioql_syntax::parse_schema;
 use ioql_telemetry::{
-    Counter, EventSink, FlightRecorder, Histogram, MetricsRegistry, Span, SpanHistograms,
-    TraceRecord, Tracer,
+    Counter, EventSink, FlightRecorder, Histogram, MetricsRegistry, Span, SpanHistograms, Tracer,
 };
 use ioql_types::TypeOptions;
 use std::ops::{Deref, DerefMut};
@@ -117,10 +116,13 @@ pub struct DbOptions {
     /// Telemetry is **semantics-transparent** either way — nothing
     /// recorded feeds back into evaluation (see `tests/telemetry.rs`).
     pub telemetry: bool,
-    /// Write structured JSONL events (query span begin/end + counter
-    /// snapshots) to this path; the sink is opened once, at
-    /// construction. Implies nothing about `telemetry`; the
-    /// counter snapshots are only non-zero when it is on.
+    /// Append each request's
+    /// [`TraceRecord`](ioql_telemetry::TraceRecord) to this path as one
+    /// JSON line, in the form `GET /traces` serves (every request, or
+    /// only the slow ones — see [`DbOptions::slow_query_ms`]). The file
+    /// is created once, at construction. Implies nothing about
+    /// `telemetry` or `trace_capacity`: the records are built for the
+    /// sink alone when no recorder keeps them, and then carry `seq` 0.
     pub telemetry_jsonl: Option<std::path::PathBuf>,
     /// Ignored. This sized the plan engine's worker pool, which is
     /// gone (EXPERIMENTS.md B10); its contract was "no observable
@@ -165,27 +167,25 @@ pub struct DbOptions {
     /// Capacity of the query flight recorder's in-memory ring, read
     /// once, at construction: when
     /// non-zero, every query run through the kernel captures a structured
-    /// [`TraceRecord`] — a span tree over
+    /// [`TraceRecord`](ioql_telemetry::TraceRecord) — a span tree over
     /// parse → typecheck → optimize → lower → execute
     /// plus scheduler wait, lock acquisition, cache probe, and WAL
     /// append, each span carrying the decision it witnessed (cache
     /// hit/miss with reason, admission mode with serialization witness,
     /// per-node compile verdicts, governor charges). The last
     /// `trace_capacity` records are retrievable via
-    /// [`Database::traces_last`], the `:trace last`/`:trace seq` wire
+    /// [`Database::flight_recorder`], the `:trace last`/`:trace seq`
     /// commands, and `GET /traces` on the observability listener.
     /// `0` (the default) disables recording entirely. The recording
     /// contract matches telemetry's: **no observable changes** — results,
     /// stores, effects, meters, and draw totals are byte-identical to
     /// `trace_capacity = 0` (see `tests/flight_recorder.rs`).
     pub trace_capacity: usize,
-    /// Slow-query threshold: when set together with
-    /// [`DbOptions::telemetry_jsonl`], any query whose wall-clock
-    /// `elapsed` (scheduler wait included) reaches this many
-    /// milliseconds has its full [`TraceRecord`] emitted to the JSONL
-    /// sink as a `slow_query` event. Requires `trace_capacity > 0`
-    /// (the record must exist to be logged). `None` (the default)
-    /// disables the slow-query log.
+    /// Slow-query threshold for the JSONL sink
+    /// ([`DbOptions::telemetry_jsonl`]): when set, only requests whose
+    /// wall-clock `elapsed` (scheduler wait included) reaches this many
+    /// milliseconds are written. `None` (the default) writes every
+    /// request. Without a sink it does nothing.
     pub slow_query_ms: Option<u64>,
 }
 
@@ -276,14 +276,12 @@ pub struct DbMetrics {
     /// shared with a live snapshot (`Arc::make_mut` path copies).
     pub snapshot_chunks_copied: Counter,
     /// WAL records appended (one per committed mutating query or logged
-    /// definition).
+    /// definition). Each is fsynced before it is acknowledged, so this
+    /// also counts the log's fsyncs.
     pub wal_appends: Counter,
     /// Queries that skipped the WAL because their inferred effect is
     /// write-free — the Theorem 7 guard acting as a durability filter.
     pub wal_skipped_effect: Counter,
-    /// `fsync`s issued for acknowledged records: one per append, since
-    /// the log appends only under `Commit`.
-    pub wal_fsyncs: Counter,
     /// Checkpoints taken (`:checkpoint` and load-triggered).
     pub wal_checkpoints: Counter,
     /// Records replayed by startup recovery.
@@ -301,8 +299,7 @@ impl DbMetrics {
         let registry = Arc::new(MetricsRegistry::new(options.telemetry));
         let sink = match &options.telemetry_jsonl {
             Some(path) => Some(Arc::new(
-                EventSink::create(path, Arc::clone(&registry))
-                    .map_err(|e| DbError::Io(e.to_string()))?,
+                EventSink::create(path).map_err(|e| DbError::Io(e.to_string()))?,
             )),
             None => None,
         };
@@ -410,10 +407,6 @@ impl DbMetrics {
                     "ioql_sched_serialized_total",
                     "Writing queries serialized into the kernel's commit order.",
                 ),
-                witnesses: c(
-                    "ioql_sched_witnesses_total",
-                    "Interference witnesses recorded at serialization.",
-                ),
             },
             snapshot_chunks_shared: c(
                 "ioql_snapshot_chunks_shared_total",
@@ -431,7 +424,6 @@ impl DbMetrics {
                 "ioql_wal_skipped_effect_total",
                 "Commits skipped by the WAL because the effect proved them write-free.",
             ),
-            wal_fsyncs: c("ioql_wal_fsyncs_total", "WAL fsync calls."),
             wal_checkpoints: c(
                 "ioql_wal_checkpoints_total",
                 "Durable checkpoints (baseline rebuilds).",
@@ -724,21 +716,6 @@ impl Database {
     /// listener — share this recorder.
     pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.kernel.recorder()
-    }
-
-    /// The last `n` flight-recorder trace records, oldest first. Empty
-    /// when recording is off ([`DbOptions::trace_capacity`] = 0).
-    pub fn traces_last(&self, n: usize) -> Vec<TraceRecord> {
-        self.kernel
-            .recorder()
-            .map(|r| r.last(n))
-            .unwrap_or_default()
-    }
-
-    /// The flight-recorder record with the given sequence number, if it
-    /// is still in the ring.
-    pub fn trace_by_seq(&self, seq: u64) -> Option<TraceRecord> {
-        self.kernel.recorder().and_then(|r| r.by_seq(seq))
     }
 
     /// Hit/miss/occupancy counters of the query-result cache.

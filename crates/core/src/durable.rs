@@ -437,7 +437,6 @@ impl DbKernel {
             .map_err(|e| io_wal(format!("wal append failed: {e}")))?;
         log.poisoned = false;
         self.metrics().wal_appends.inc();
-        self.metrics().wal_fsyncs.inc();
         Ok(seq)
     }
 }

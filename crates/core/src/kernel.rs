@@ -670,7 +670,6 @@ impl DbKernel {
             // the write lock in arrival order.
             let witness = self.sched.writer_witness(&prepared.effect, &self.schema);
             self.metrics.sched.serialized.inc();
-            self.metrics.sched.witnesses.inc();
             let lock_sp = tracer.begin(Span::LockAcquire, "state-write");
             let mut state = self.write_state();
             tracer.end(lock_sp);

@@ -26,8 +26,9 @@
 //!   interfering atom pair against the mirror reader of the query's own
 //!   write set — a writer never waits on a reader, so no in-flight
 //!   reader has a say, and the witness is fixed by the query alone —
-//!   and carries it into telemetry (`ioql_sched_witnesses_total`,
-//!   `:stats`, the wire reply's `witness:` line).
+//!   and carries it into telemetry (the `sched-wait` span's verdict,
+//!   `:stats`, the wire reply's `witness:` line). Every serialization
+//!   names one, so `ioql_sched_serialized_total` counts witnesses too.
 //!
 //! The correctness contract (pinned by `tests/server.rs`): concurrent
 //! execution is observably equivalent to the serialized replay in which
@@ -55,12 +56,9 @@ pub struct SchedMetrics {
     /// Queries admitted concurrently against a snapshot
     /// (`ioql_sched_admitted_total`).
     pub admitted: Counter,
-    /// Queries serialized onto the write path
-    /// (`ioql_sched_serialized_total`).
+    /// Queries serialized onto the write path, each with its
+    /// interference witness (`ioql_sched_serialized_total`).
     pub serialized: Counter,
-    /// Interference witnesses recorded — one per serialization
-    /// (`ioql_sched_witnesses_total`).
-    pub witnesses: Counter,
 }
 
 /// How the admission controller scheduled a query — stamped onto every

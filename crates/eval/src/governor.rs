@@ -191,17 +191,16 @@ impl GovernorMetrics {
 /// session-wide budget is a single long-lived instance and a
 /// per-query budget is a fresh one.
 ///
-/// # Thread-safe charging facade
+/// # Thread-safe charging
 ///
 /// Every meter is an atomic (`cells`/`growth` are `AtomicU64`, the
 /// cancel flag an `Arc<AtomicBool>`, the metrics handles atomic
-/// counters) and every charging method takes `&self`, so a single
-/// `&Governor` may be shared across the plan layer's scoped worker
-/// threads: workers charge the *same* cell meter with the same
-/// per-draw granularity, trip semantics are unchanged (a charge that
-/// pushes `spent` past the limit fails in whichever worker lands it),
-/// and the deadline/cancellation checkpoint is taken per chunk element
-/// exactly as the sequential engines take it per draw.
+/// counters) and every charging method takes `&self`, so one
+/// `&Governor` may be shared across threads: handles that run their
+/// queries under it draw on one budget (a charge that pushes `spent`
+/// past the limit fails on whichever thread lands it), and another
+/// thread may cancel a running query through its [`CancelToken`],
+/// which the engines observe at their next checkpoint.
 #[derive(Debug)]
 pub struct Governor {
     limits: Limits,

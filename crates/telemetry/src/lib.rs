@@ -2,8 +2,8 @@
 //!
 //! The paper's instrumented semantics (§4, Figure 4) traces *effects*
 //! alongside evaluation; this crate extends the same idea to execution
-//! telemetry — counters, latency histograms, and a structured event
-//! stream — under one hard rule, the **transparency guard**: nothing in
+//! telemetry — counters, latency histograms, and one trace record per
+//! request — under one hard rule, the **transparency guard**: nothing in
 //! here is ever *read* by evaluation. Handles are write-only from the
 //! engines' point of view (`inc`/`add`/`observe`), every read surface
 //! (`get`, [`MetricsRegistry::render_prometheus`], the JSONL sink) is
@@ -20,8 +20,8 @@
 //! * the span's [`Histogram`] in the [`MetricsRegistry`] (the [`Span`]
 //!   table says which family — `docs/TELEMETRY.md` prints it),
 //! * the [`TraceRecord`] span tree kept by the [`FlightRecorder`], and
-//! * the [`EventSink`]'s JSONL lines (`span_begin`/`span_end` around
-//!   the whole request, a counter snapshot, the slow-query record).
+//! * the [`EventSink`], which appends that same record as one JSONL
+//!   line (every request, or only the slow ones).
 //!
 //! Underneath: [`Counter`] / [`Histogram`] are lock-free atomic
 //! handles, cheap to clone (an `Arc` each), no-ops when obtained from a
@@ -254,16 +254,6 @@ impl MetricsRegistry {
             .map(|(_, c)| c.load(Ordering::Relaxed))
     }
 
-    /// A snapshot of every registered counter, name-sorted.
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
-        self.counters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(k, (_, v))| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect()
-    }
-
     /// Renders every series as Prometheus text exposition: `# HELP`
     /// and `# TYPE` lines per metric family, counters as `name value`,
     /// histograms as cumulative `_bucket{le=…}` series ending in `+Inf` plus
@@ -358,105 +348,37 @@ fn help_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-/// A structured JSONL event sink: one JSON object per line.
+/// The JSONL sink: one finished [`TraceRecord`] per line, in exactly
+/// the form `GET /traces` serves ([`TraceRecord::to_json`]; schema in
+/// `docs/TELEMETRY.md`). The [`Tracer`] appends a request's record when
+/// it finishes — every request, or only those at or over the slow-query
+/// threshold when one is set.
 ///
-/// Written by the [`Tracer`] — the sink keeps no clock of its own beyond
-/// the creation instant every `t_ns` is relative to. Event schema (`span`
-/// numbers pair a `span_begin` with its `span_end`; `trace` carries the
-/// caller's correlation ID when one was propagated — full schema in
-/// `docs/TELEMETRY.md`):
-///
-/// ```text
-/// {"event":"span_begin","span":1,"t_ns":..,"name":"query","detail":"size(Ps)","trace":"req-7"}
-/// {"event":"span_end","span":1,"t_ns":..,"name":"query","ok":true}
-/// {"event":"counters","t_ns":..,"counters":{"ioql_cache_hits_total":0,..}}
-/// {"event":"slow_query","t_ns":..,"threshold_ms":250,"record":{..TraceRecord..}}
-/// ```
-///
-/// Every event is flushed as it is written, so the stream survives
-/// `std::process::exit` (which skips destructors).
+/// Each line is written with one `write` call and no buffering, so the
+/// log survives `std::process::exit` (which skips destructors).
 #[derive(Debug)]
 pub struct EventSink {
-    out: Mutex<std::io::BufWriter<std::fs::File>>,
+    out: Mutex<std::fs::File>,
+    /// What a record no recorder kept stamps its `t_ns` from.
     epoch: Instant,
-    next_span: AtomicU64,
-    registry: Arc<MetricsRegistry>,
 }
 
 impl EventSink {
-    /// Creates (truncating) the sink file at `path`. `registry` is what
-    /// the `counters` events snapshot.
-    pub fn create(
-        path: &std::path::Path,
-        registry: Arc<MetricsRegistry>,
-    ) -> std::io::Result<EventSink> {
-        let file = std::fs::File::create(path)?;
+    /// Creates (truncating) the sink file at `path`.
+    pub fn create(path: &std::path::Path) -> std::io::Result<EventSink> {
         Ok(EventSink {
-            out: Mutex::new(std::io::BufWriter::new(file)),
+            out: Mutex::new(std::fs::File::create(path)?),
             epoch: Instant::now(),
-            next_span: AtomicU64::new(1),
-            registry,
         })
     }
 
-    fn emit(&self, event: JsonObject) {
-        if let Ok(mut w) = self.out.lock() {
-            let _ = writeln!(w, "{}", event.finish());
-            let _ = w.flush();
+    /// Appends `record` as one line.
+    pub(crate) fn append(&self, record: &TraceRecord) {
+        let mut line = record.to_json();
+        line.push('\n');
+        if let Ok(mut out) = self.out.lock() {
+            let _ = out.write_all(line.as_bytes());
         }
-    }
-
-    /// Opens the `query` span of a request that started at `at`; returns
-    /// the span id and the begin `t_ns` for [`EventSink::span_end`].
-    pub(crate) fn span_begin(&self, at: Instant, detail: &str, trace: Option<&str>) -> (u64, u64) {
-        let span = self.next_span.fetch_add(1, Ordering::Relaxed);
-        let t_ns = saturating_ns(at.saturating_duration_since(self.epoch));
-        let mut event = JsonObject::new()
-            .string("event", "span_begin")
-            .number("span", span)
-            .number("t_ns", t_ns)
-            .string("name", "query")
-            .string("detail", detail);
-        if let Some(id) = trace {
-            event = event.string("trace", id);
-        }
-        self.emit(event);
-        (span, t_ns)
-    }
-
-    /// Closes span `span`, then snapshots every counter.
-    pub(crate) fn span_end(&self, span: u64, t_ns: u64, ok: bool) {
-        self.emit(
-            JsonObject::new()
-                .string("event", "span_end")
-                .number("span", span)
-                .number("t_ns", t_ns)
-                .string("name", "query")
-                .boolean("ok", ok),
-        );
-        let counters = self
-            .registry
-            .counter_values()
-            .into_iter()
-            .fold(JsonObject::new(), |o, (name, v)| o.number(&name, v));
-        self.emit(
-            JsonObject::new()
-                .string("event", "counters")
-                .number("t_ns", t_ns)
-                .raw("counters", &counters.finish()),
-        );
-    }
-
-    /// Emits the full record of a query whose total time crossed the
-    /// slow-query threshold (`DbOptions::slow_query_ms`).
-    pub(crate) fn slow_query(&self, t_ns: u64, threshold_ms: u64, record: &TraceRecord) {
-        self.emit(
-            JsonObject::new()
-                .string("event", "slow_query")
-                .number("t_ns", t_ns)
-                .number("threshold_ms", threshold_ms)
-                .raw("record", &record.to_json()),
-        );
     }
 }
 
@@ -605,11 +527,9 @@ lat_ns_count{phase=\"parse\"} 2
                 .unwrap()
                 .as_nanos()
         ));
-        let reg = Arc::new(MetricsRegistry::new(true));
-        reg.counter("q_total", "Queries.").inc();
+        let rec = FlightRecorder::new(2);
         {
-            let sink = EventSink::create(&path, Arc::clone(&reg)).unwrap();
-            let rec = FlightRecorder::new(1);
+            let sink = EventSink::create(&path).unwrap();
             let run = |query, trace, recorder, error: Option<&dyn std::fmt::Display>, slow| {
                 Tracer::start(query, trace, None, None, recorder, Some(&sink)).finish(error, slow)
             };
@@ -621,36 +541,27 @@ lat_ns_count{phase=\"parse\"} 2
                 Some(&"boom"),
                 Some(0),
             );
+            // Under the threshold: recorded, not logged.
+            run("size(Rs)", None, Some(&rec), None, Some(u64::MAX));
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 7, "{text}");
+        assert_eq!(lines.len(), 2, "{text}");
+        // A record no recorder kept has no sequence number.
         assert!(
-            lines[0].contains("\"event\":\"span_begin\"") && lines[0].contains("\\\"quoted\\\"")
-        );
-        assert!(
-            !lines[0].contains("\"trace\""),
-            "untraced span: {}",
+            lines[0].starts_with("{\"seq\":0,\"trace_id\":null,")
+                && lines[0].contains("\\\"quoted\\\"")
+                && lines[0].contains("\"ok\":true"),
+            "{}",
             lines[0]
         );
-        assert!(lines[1].contains("\"event\":\"span_end\"") && lines[1].contains("\"ok\":true"));
-        assert!(lines[2].contains("\"counters\":{\"q_total\":1}"));
-        assert!(lines[3].contains("\"trace\":\"req-42\""), "{}", lines[3]);
-        assert!(lines[4].contains("\"ok\":false"), "{}", lines[4]);
+        assert_eq!(lines[1], rec.by_seq(1).unwrap().to_json());
         assert!(
-            lines[6].contains("\"event\":\"slow_query\"")
-                && lines[6].contains("\"threshold_ms\":0")
-                && lines[6].contains("\"seq\":1")
-                && lines[6].contains("\"trace_id\":\"req-42\"")
-                && lines[6].contains("\"error\":\"boom\""),
+            lines[1].contains("\"trace_id\":\"req-42\"") && lines[1].contains("\"error\":\"boom\""),
             "{}",
-            lines[6]
+            lines[1]
         );
-        // Span ids keep increasing.
-        assert!(lines[3].contains("\"span\":2"), "{}", lines[3]);
-        for l in &lines {
-            assert!(l.starts_with('{') && l.ends_with('}'), "not an object: {l}");
-        }
+        assert_eq!(rec.recorded(), 2);
     }
 }

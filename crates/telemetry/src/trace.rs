@@ -14,12 +14,13 @@
 //! Records land in a [`FlightRecorder`] — a fixed-capacity in-memory
 //! ring, oldest evicted first — and are queryable by recency
 //! (`:trace last [N]`, `GET /traces?n=K`) or by sequence number
-//! (`:trace seq S`).
+//! (`:trace seq S`). The JSONL [`EventSink`] appends the same records,
+//! one per line.
 //!
-//! The transparency guard extends to recording: with no recorder and a
-//! disabled registry every [`Tracer`] span call is a single branch (no
-//! clock read, no allocation — verdicts are built by closures that
-//! never run), and the differential suites hold recording to the same
+//! The transparency guard extends to recording: with no recorder, no
+//! sink and a disabled registry every [`Tracer`] span call is a single
+//! branch (no clock read, no allocation — verdicts are built by closures
+//! that never run), and the differential suites hold recording to the same
 //! byte-identical off-vs-on contract as the metrics (see
 //! `tests/flight_recorder.rs`).
 
@@ -171,7 +172,8 @@ pub struct TraceSpan {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TraceRecord {
     /// Recorder-assigned sequence number (1-based, monotonic across the
-    /// kernel's lifetime; assigned on insertion).
+    /// kernel's lifetime; assigned on insertion). 0 on a record no
+    /// recorder kept (one only the JSONL sink wrote).
     pub seq: u64,
     /// The caller-supplied correlation ID (wire clients send
     /// `trace=ID`; embedded callers may pass one programmatically).
@@ -184,8 +186,9 @@ pub struct TraceRecord {
     pub ok: bool,
     /// The rendered error, for failed queries.
     pub error: Option<String>,
-    /// Monotonic nanoseconds since the recorder's epoch at which the
-    /// record was inserted (ordering across records; not wall time).
+    /// Monotonic nanoseconds since the recorder's epoch (the sink's,
+    /// for a record no recorder kept) at which the request finished
+    /// (ordering across records; not wall time).
     pub t_ns: u64,
     /// Total wall-clock nanoseconds, submission to completion
     /// (covers scheduler wait — see `QueryResult::elapsed`).
@@ -278,14 +281,14 @@ impl TraceRecord {
 /// The one instrument the request path holds. It owns the request's
 /// clock — [`Tracer::finish`] reports `elapsed` and `wait` off it — and
 /// every span it closes is measured once: the same `dur_ns` goes to the
-/// span's histogram and to the record's span tree, and the JSONL sink's
-/// lines are stamped from the same epoch.
+/// span's histogram and to the record's span tree, and the record is
+/// what the recorder keeps and the JSONL sink appends.
 ///
-/// Span timing is live when the registry or a flight recorder is on.
-/// With both off every span call is one branch — no clock read, no
-/// allocation, verdict closures never run — and the only clock reads
-/// left are the unconditional ones every request makes: the epoch,
-/// [`Tracer::end_wait`], and [`Tracer::finish`].
+/// Span timing is live when the registry, a flight recorder or a sink
+/// is on. With all three off every span call is one branch — no clock
+/// read, no allocation, verdict closures never run — and the only clock
+/// reads left are the unconditional ones every request makes: the
+/// epoch, [`Tracer::end_wait`], and [`Tracer::finish`].
 #[derive(Debug)]
 pub struct Tracer<'a> {
     epoch: Instant,
@@ -295,8 +298,7 @@ pub struct Tracer<'a> {
     session: Option<&'a str>,
     histograms: Option<&'a SpanHistograms>,
     recorder: Option<&'a FlightRecorder>,
-    /// The sink with this request's span id and begin `t_ns`.
-    sink: Option<(&'a EventSink, u64, u64)>,
+    sink: Option<&'a EventSink>,
     spans: Vec<(Span, TraceSpan)>,
     open: Vec<usize>,
 }
@@ -318,33 +320,30 @@ impl<'a> Tracer<'a> {
         recorder: Option<&'a FlightRecorder>,
         sink: Option<&'a EventSink>,
     ) -> Tracer<'a> {
-        let epoch = Instant::now();
         Tracer {
-            epoch,
+            epoch: Instant::now(),
             wait_ns: 0,
             query,
             trace_id,
             session,
             histograms,
             recorder,
-            sink: sink.map(|s| {
-                let (span, t_ns) = s.span_begin(epoch, query, trace_id);
-                (s, span, t_ns)
-            }),
+            sink,
             spans: Vec::new(),
             open: Vec::new(),
         }
     }
 
-    /// Whether a flight recorder will keep this request's span tree —
-    /// verdict and annotation closures only run when it will.
+    /// Whether a flight recorder or a sink will consume this request's
+    /// span tree — verdict and annotation closures only run when one
+    /// will.
     pub fn is_on(&self) -> bool {
-        self.recorder.is_some()
+        self.recorder.is_some() || self.sink.is_some()
     }
 
     /// Whether span timings have a consumer.
     fn timed(&self) -> bool {
-        self.histograms.is_some() || self.recorder.is_some()
+        self.histograms.is_some() || self.is_on()
     }
 
     fn now_ns(&self) -> u64 {
@@ -458,10 +457,11 @@ impl<'a> Tracer<'a> {
     }
 
     /// Ends the request: reads the clock once, closes spans an error
-    /// left open, and delivers the measurement — `span_end` + counter
-    /// snapshot to the sink, the sealed [`TraceRecord`] to the recorder
-    /// (and to the sink as `slow_query` when the total reached
-    /// `slow_query_ms`). Returns `(elapsed, wait)` off the same clock.
+    /// left open, and seals the [`TraceRecord`] — into the recorder,
+    /// which assigns its `seq`, and onto the sink when the total reached
+    /// `slow_query_ms` (always, when that is `None`). A record only the
+    /// sink sees keeps `seq` 0. Returns `(elapsed, wait)` off the same
+    /// clock.
     pub fn finish(
         mut self,
         error: Option<&dyn std::fmt::Display>,
@@ -471,10 +471,10 @@ impl<'a> Tracer<'a> {
         while let Some(idx) = self.open.pop() {
             self.close(idx, total_ns);
         }
-        if let Some((sink, span, begin_ns)) = self.sink {
-            sink.span_end(span, begin_ns + total_ns, error.is_none());
-        }
-        if let Some(recorder) = self.recorder {
+        let slow_ns = slow_query_ms.map_or(0, |ms| ms.saturating_mul(1_000_000));
+        let sink = self.sink.filter(|_| total_ns >= slow_ns);
+        let epoch = self.recorder.map(|r| r.epoch).or(sink.map(|s| s.epoch));
+        if let Some(epoch) = epoch {
             let record = TraceRecord {
                 seq: 0, // assigned on insertion
                 trace_id: self.trace_id.map(String::from),
@@ -482,18 +482,20 @@ impl<'a> Tracer<'a> {
                 query: self.query.to_string(),
                 ok: error.is_none(),
                 error: error.map(|e| e.to_string()),
-                t_ns: saturating_ns(self.epoch.saturating_duration_since(recorder.epoch))
-                    + total_ns,
+                t_ns: saturating_ns(self.epoch.saturating_duration_since(epoch)) + total_ns,
                 total_ns,
                 wait_ns: self.wait_ns,
                 spans: self.spans.into_iter().map(|(_, tree)| tree).collect(),
             };
-            let slow = slow_query_ms.filter(|ms| total_ns >= ms.saturating_mul(1_000_000));
-            recorder.insert(record, |sealed| {
-                if let (Some(ms), Some((sink, _, begin_ns))) = (slow, self.sink) {
-                    sink.slow_query(begin_ns + total_ns, ms, sealed);
+            let log = |sealed: &TraceRecord| {
+                if let Some(sink) = sink {
+                    sink.append(sealed);
                 }
-            });
+            };
+            match self.recorder {
+                Some(recorder) => recorder.insert(record, log),
+                None => log(&record),
+            }
         }
         (
             Duration::from_nanos(total_ns),

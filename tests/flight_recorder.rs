@@ -190,7 +190,7 @@ fn cache_hit_and_miss_verdicts_are_recorded() {
         .unwrap();
     db.query("size(Persons)").unwrap();
     db.query("size(Persons)").unwrap();
-    let records = db.traces_last(2);
+    let records = db.flight_recorder().unwrap().last(2);
     assert_eq!(records.len(), 2);
     assert_eq!(records[0].verdict_of("cache-probe"), Some("miss"));
     assert_eq!(records[1].verdict_of("cache-probe"), Some("hit"));
@@ -207,7 +207,7 @@ fn cache_hit_and_miss_verdicts_are_recorded() {
 fn the_front_end_is_one_typecheck_span() {
     let mut db = Database::from_ddl_with(DDL, opts_with(8)).unwrap();
     db.query("{ p.age | p <- Persons }").unwrap();
-    let record = &db.traces_last(1)[0];
+    let record = &db.flight_recorder().unwrap().last(1)[0];
     assert_eq!(
         record.verdict_of("typecheck"),
         Some("set(int) ! {R(Person), Ra(Person)}")
@@ -225,12 +225,12 @@ fn ring_keeps_only_the_newest_records() {
     for i in 0..5 {
         db.query(&format!("{i} + {i}")).unwrap();
     }
-    let records = db.traces_last(10);
+    let records = db.flight_recorder().unwrap().last(10);
     assert_eq!(records.len(), 2);
     assert_eq!(records[0].seq, 4);
     assert_eq!(records[1].seq, 5);
-    assert!(db.trace_by_seq(1).is_none());
-    assert!(db.trace_by_seq(5).is_some());
+    assert!(db.flight_recorder().unwrap().by_seq(1).is_none());
+    assert!(db.flight_recorder().unwrap().by_seq(5).is_some());
     assert_eq!(db.flight_recorder().unwrap().capacity(), 2);
 }
 
@@ -238,7 +238,7 @@ fn ring_keeps_only_the_newest_records() {
 fn failed_queries_are_recorded_with_their_error() {
     let mut db = Database::from_ddl_with(DDL, opts_with(8)).unwrap();
     assert!(db.query("{ p.nope | p <- Persons }").is_err());
-    let records = db.traces_last(1);
+    let records = db.flight_recorder().unwrap().last(1);
     assert_eq!(records.len(), 1);
     assert!(!records[0].ok);
     assert!(records[0].error.is_some());
@@ -264,7 +264,7 @@ fn elapsed_covers_the_scheduler_wait() {
     let mut db2 = Database::from_ddl_with(DDL, opts_with(8)).unwrap();
     let r2 = db2.query("size(Persons)").unwrap();
     assert!(r2.elapsed >= r2.wait);
-    let record = db2.traces_last(1).pop().unwrap();
+    let record = db2.flight_recorder().unwrap().last(1).pop().unwrap();
     let first = &record.spans[0];
     assert_eq!(first.name, "sched-wait", "spans: {:?}", record.spans);
     let verdict = first.verdict.as_deref().unwrap_or_default();
@@ -275,24 +275,18 @@ fn elapsed_covers_the_scheduler_wait() {
 #[test]
 fn slow_query_log_emits_the_full_record() {
     let path = std::env::temp_dir().join(format!("ioql-fr-slow-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    {
-        let mut opts = opts_with(8);
-        opts.telemetry_jsonl = Some(path.clone());
-        opts.slow_query_ms = Some(0); // every query is "slow"
-        let mut db = Database::from_ddl_with(DDL, opts).unwrap();
-        db.query("size(Persons)").unwrap();
-    }
+    let mut opts = opts_with(8);
+    opts.telemetry_jsonl = Some(path.clone());
+    opts.slow_query_ms = Some(0); // every query is "slow"
+    let mut db = Database::from_ddl_with(DDL, opts).unwrap();
+    db.query("size(Persons)").unwrap();
     let log = std::fs::read_to_string(&path).unwrap();
-    let slow: Vec<&str> = log
-        .lines()
-        .filter(|l| l.contains("\"event\":\"slow_query\""))
-        .collect();
-    assert_eq!(slow.len(), 1, "log: {log}");
-    assert!(slow[0].contains("\"threshold_ms\":0"));
-    assert!(slow[0].contains("\"query\":\"size(Persons)\""));
-    assert!(slow[0].contains("\"name\":\"cache-probe\""));
     let _ = std::fs::remove_file(&path);
+    // The log line is the record `:trace seq 1` and `/traces` serve.
+    let record = db.flight_recorder().unwrap().by_seq(1).unwrap();
+    assert_eq!(log, format!("{}\n", record.to_json()));
+    assert!(log.contains("\"query\":\"size(Persons)\""));
+    assert!(log.contains("\"name\":\"cache-probe\""));
 }
 
 // ---------------------------------------------------------------------

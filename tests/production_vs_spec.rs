@@ -388,7 +388,7 @@ fn the_spec_configuration_runs_none_of_the_production_path() {
         registry.counter_value("ioql_vm_dispatches_total").unwrap()
     };
     let spans = |db: &Database| -> Vec<String> {
-        let record = &db.traces_last(1)[0];
+        let record = &db.flight_recorder().unwrap().last(1)[0];
         record.spans.iter().map(|s| s.name.clone()).collect()
     };
     let src = "{ p.age + 1 | p <- Persons, p.name < 3 }";
@@ -404,7 +404,7 @@ fn the_spec_configuration_runs_none_of_the_production_path() {
     );
     assert_eq!(dispatches(&spec), 0);
     assert_eq!(
-        spec.traces_last(1)[0].verdict_of("execute"),
+        spec.flight_recorder().unwrap().last(1)[0].verdict_of("execute"),
         Some("SmallStep")
     );
 

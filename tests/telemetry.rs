@@ -1,7 +1,7 @@
 //! Telemetry tests: the **transparency guard** (telemetry on/off is
 //! observationally invisible — same values, stores, effect traces, and
 //! governor meters) plus coverage of the metrics series, the JSONL
-//! event sink, `explain_analyze`, and the `elapsed` field.
+//! sink, `explain_analyze`, and the `elapsed` field.
 //!
 //! The transparency runs deliberately use cell/cardinality limits and
 //! never wall-clock deadlines: a deadline verdict depends on timing
@@ -214,7 +214,7 @@ fn a_text_is_parsed_and_judged_once() {
     // "Why was this statement (not) reused" from the record alone: a
     // warm request's tree has the lookup — carrying the judgement a cold
     // request's `typecheck` span shows — and no front-end spans.
-    let warm = &db.traces_last(1)[0];
+    let warm = &db.flight_recorder().unwrap().last(1)[0];
     let names: Vec<&str> = warm.spans.iter().map(|s| s.name.as_str()).collect();
     assert!(
         !names.contains(&"parse") && !names.contains(&"typecheck"),
@@ -229,7 +229,7 @@ fn a_text_is_parsed_and_judged_once() {
     assert_eq!(lookup.detail, "set(int) ! {R(P), Ra(P)}");
     // Cold and cacheable: a miss, then the front end.
     session.query("{ x.name | x <- Ps, x.name < 3 }").unwrap();
-    let cold = &db.traces_last(1)[0];
+    let cold = &db.flight_recorder().unwrap().last(1)[0];
     assert_eq!(cold.verdict_of("statement-cache"), Some("miss"));
     assert_eq!(
         cold.verdict_of("typecheck"),
@@ -237,7 +237,7 @@ fn a_text_is_parsed_and_judged_once() {
     );
     // A write is judged every time, and says why.
     session.query("(new P(name: 99)).name").unwrap();
-    let write = &db.traces_last(1)[0];
+    let write = &db.flight_recorder().unwrap().last(1)[0];
     let verdicts: Vec<&str> = write
         .spans
         .iter()
@@ -249,7 +249,7 @@ fn a_text_is_parsed_and_judged_once() {
     session.define("define one() as 1;").unwrap();
     session.query(&texts[0]).unwrap();
     assert_eq!(
-        db.traces_last(1)[0].verdict_of("statement-cache"),
+        db.flight_recorder().unwrap().last(1)[0].verdict_of("statement-cache"),
         Some("stale(catalogue)")
     );
     // `:stats` says the same in one line.
@@ -338,29 +338,92 @@ fn assert_jsonish(line: &str) {
     assert!(!in_str, "unterminated string in {line}");
 }
 
+/// The sink writes the flight recorder's record, byte for byte: one
+/// line per request — a cache miss, a cache hit, a write and a parse
+/// error — each the `to_json` that `:trace seq` and `GET /traces` serve
+/// for that `seq`.
 #[test]
-fn jsonl_sink_writes_spans_and_counter_snapshots() {
-    let path = temp_path("sink");
+fn jsonl_sink_line_is_the_recorders_record() {
+    let path = temp_path("one-format");
     let opts = DbOptions {
         telemetry: true,
+        trace_capacity: 8,
         telemetry_jsonl: Some(path.clone()),
         ..DbOptions::default()
     };
     let mut db = db_with(opts, 6, 5);
-    db.query("{ x.name | x <- Ps }").unwrap();
-    assert!(db.query("{ x.name | }").is_err()); // parse error: span ends ok=false
+    assert!(!db.query("{ x.name | x <- Ps }").unwrap().cached);
+    assert!(db.query("{ x.name | x <- Ps }").unwrap().cached);
+    db.query("(new P(name: 99)).name").unwrap();
+    assert!(db.query("{ x.name | }").is_err());
     let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
     let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() >= 6, "{text}");
+    assert_eq!(lines.len(), 4, "{text}");
+    let recorder = db.flight_recorder().unwrap();
+    for (seq, line) in (1..).zip(&lines) {
+        assert_jsonish(line);
+        assert_eq!(*line, recorder.by_seq(seq).unwrap().to_json());
+    }
+    let record = |seq| recorder.by_seq(seq).unwrap();
+    assert_eq!(record(1).verdict_of("cache-probe"), Some("miss"));
+    assert_eq!(record(2).verdict_of("cache-probe"), Some("hit"));
+    assert!(record(3).query.contains("new P"));
+    assert!(!record(4).ok && record(4).error.is_some());
+}
+
+/// A sink needs no recorder: with `trace_capacity: 0`, telemetry off and
+/// a threshold every request reaches, each request still writes its
+/// whole record — with `seq` 0, since no ring holds it for `:trace seq`
+/// to find.
+#[test]
+fn jsonl_sink_writes_records_without_a_recorder() {
+    let path = temp_path("no-recorder");
+    let opts = DbOptions {
+        trace_capacity: 0,
+        telemetry_jsonl: Some(path.clone()),
+        slow_query_ms: Some(0),
+        ..DbOptions::default()
+    };
+    let mut db = db_with(opts, 6, 5);
+    assert!(db.flight_recorder().is_none());
+    db.query("{ x.name | x <- Ps }").unwrap();
+    assert!(db.query("{ x.name | x <- Ps }").unwrap().cached);
+    db.query("(new P(name: 99)).name").unwrap();
+    assert!(db.query("{ x.name | }").is_err());
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "{text}");
     for line in &lines {
         assert_jsonish(line);
+        assert!(line.starts_with("{\"seq\":0,"), "{line}");
+        assert!(line.contains("\"name\":\"sched-wait\""), "{line}");
     }
-    assert!(text.contains("\"event\":\"span_begin\""), "{text}");
-    assert!(text.contains("\"event\":\"span_end\""), "{text}");
-    assert!(text.contains("\"event\":\"counters\""), "{text}");
-    assert!(text.contains("\"ok\":false"), "{text}");
-    assert!(text.contains("ioql_queries_total"), "{text}");
+    assert!(lines[0].contains("\"verdict\":\"miss\""), "{}", lines[0]);
+    assert!(lines[1].contains("\"verdict\":\"hit\""), "{}", lines[1]);
+    assert!(lines[3].contains("\"ok\":false"), "{}", lines[3]);
+}
+
+/// The threshold filters the sink, not the recorder: a threshold no
+/// request reaches writes nothing, and every record is still kept.
+#[test]
+fn a_threshold_no_request_reaches_writes_nothing() {
+    let path = temp_path("threshold");
+    let opts = DbOptions {
+        trace_capacity: 8,
+        telemetry_jsonl: Some(path.clone()),
+        slow_query_ms: Some(3_600_000), // an hour
+        ..DbOptions::default()
+    };
+    let mut db = db_with(opts, 6, 5);
+    db.query("{ x.name | x <- Ps }").unwrap();
+    db.query("(new P(name: 99)).name").unwrap();
+    assert!(db.query("{ x.name | }").is_err());
+    let text = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_file(&path);
+    assert_eq!(text, "");
+    assert_eq!(db.flight_recorder().unwrap().recorded(), 3);
 }
 
 #[test]
@@ -439,7 +502,7 @@ fn histograms_and_span_trees_are_views_of_one_measurement() {
     ] {
         session.query(q).unwrap();
     }
-    let records = db.traces_last(8);
+    let records = db.flight_recorder().unwrap().last(8);
     assert_eq!(records.len(), 6);
     let mut timed = 0;
     for span in Span::ALL {
@@ -463,7 +526,7 @@ fn histograms_and_span_trees_are_views_of_one_measurement() {
     // The same clock stamps the result: `wait` is the reading that closed
     // the sched-wait span, `elapsed` the one that sealed the record.
     let r = session.query("size(Ps)").unwrap();
-    let record = &db.traces_last(1)[0];
+    let record = &db.flight_recorder().unwrap().last(1)[0];
     assert_eq!(r.elapsed.as_nanos(), record.total_ns as u128);
     assert_eq!(r.wait.as_nanos(), record.wait_ns as u128);
     let wait = &record.spans[0];
