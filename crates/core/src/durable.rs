@@ -45,7 +45,7 @@ use crate::error::DbError;
 use crate::kernel::{lock, DbKernel};
 use ioql_eval::{Governor, Limits, ScriptedChooser};
 use ioql_store::wal::{checkpoint_path, parse_wal, scan_generations, wal_path, Wal, WalSink};
-use ioql_store::{Durability, WalError, WalErrorKind, WalPayload};
+use ioql_store::{Appended, Durability, WalError, WalErrorKind, WalPayload};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -409,12 +409,12 @@ impl DbKernel {
     }
 
     /// Appends one committed payload to the log under the poison
-    /// protocol and returns its sequence number. Called by the query
+    /// protocol and returns what the append did. Called by the query
     /// path (for mutating queries) and by `define`, only while the log
     /// is active — under `Commit`, so the record is fsynced before this
     /// returns — and in both cases while the state write lock is held:
     /// the state → durable order.
-    pub(crate) fn wal_append(&self, payload: &WalPayload) -> Result<u64, DbError> {
+    pub(crate) fn wal_append(&self, payload: &WalPayload) -> Result<Appended, DbError> {
         let Some(durable) = self.durable.get() else {
             return Err(io_wal("no durable directory attached").into());
         };
@@ -431,12 +431,12 @@ impl DbKernel {
         // nothing after it can be trusted to append cleanly. Fail every
         // later mutation fast until a checkpoint rebuilds.
         log.poisoned = true;
-        let seq = log
+        let appended = log
             .wal
             .append(payload)
             .map_err(|e| io_wal(format!("wal append failed: {e}")))?;
         log.poisoned = false;
         self.metrics().wal_appends.inc();
-        Ok(seq)
+        Ok(appended)
     }
 }

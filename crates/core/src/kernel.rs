@@ -67,7 +67,7 @@ use crate::database::{DbMetrics, DbOptions, Engine, QueryResult};
 use crate::durable::Durable;
 use crate::error::DbError;
 use crate::sched::{Admitted, Sched};
-use crate::statements::{Statement, StatementCache, StatementKey};
+use crate::statements::{Statement, StatementCache, StatementProbe};
 use ioql_ast::{DefName, Definition, ExtentName, FnType, Query, Type, Value};
 use ioql_effects::{
     effect_extents, Derivation, Discipline, Effect, EffectRules, MethodEffects, Thm7,
@@ -418,7 +418,7 @@ impl DbKernel {
     /// the judgement a cold request's `typecheck` span shows.
     fn retained_statement(
         &self,
-        key: &StatementKey,
+        key: &StatementProbe<'_>,
         catalogue: &Arc<Catalogue>,
         tracer: &mut Tracer,
     ) -> Option<Arc<Prepared>> {
@@ -434,12 +434,12 @@ impl DbKernel {
 
     /// Judges `src` under `catalogue` and retains the statement where
     /// the result cache would retain its result (see
-    /// [`crate::statements`]). Takes no lock but the statements mutex,
-    /// and that only for the insertion.
+    /// [`crate::statements`]), copying the key's text only then. Takes
+    /// no lock but the statements mutex, and that only for the insertion.
     fn judge_statement(
         &self,
         opts: &DbOptions,
-        key: StatementKey,
+        key: StatementProbe<'_>,
         catalogue: &Arc<Catalogue>,
         src: &str,
         tracer: &mut Tracer,
@@ -447,7 +447,7 @@ impl DbKernel {
         let prepared = Arc::new(self.prepare_in(opts, catalogue, src, tracer)?);
         match cache_refusal(opts, &prepared.thm7) {
             None => lock(&self.statements).insert(
-                key,
+                key.to_key(),
                 Statement {
                     catalogue: Arc::clone(catalogue),
                     prepared: Arc::clone(&prepared),
@@ -466,7 +466,7 @@ impl DbKernel {
     fn statement_in(
         &self,
         opts: &DbOptions,
-        key: StatementKey,
+        key: StatementProbe<'_>,
         catalogue: &Arc<Catalogue>,
         src: &str,
         tracer: &mut Tracer,
@@ -488,14 +488,14 @@ impl DbKernel {
         src: &str,
         tracer: &mut Tracer,
     ) -> Result<(RwLockReadGuard<'_, KernelState>, Arc<Prepared>), DbError> {
-        let key = StatementKey::new(opts, src);
+        let key = StatementProbe::new(opts, src);
         let state = self.read_state_traced(tracer);
         if let Some(prepared) = self.retained_statement(&key, &state.catalogue, tracer) {
             return Ok((state, prepared));
         }
         let seen = Arc::clone(&state.catalogue);
         drop(state);
-        let prepared = self.judge_statement(opts, key.clone(), &seen, src, tracer)?;
+        let prepared = self.judge_statement(opts, key, &seen, src, tracer)?;
         let state = self.read_state_traced(tracer);
         if Arc::ptr_eq(&state.catalogue, &seen) {
             return Ok((state, prepared));
@@ -685,7 +685,7 @@ impl DbKernel {
             // redefinition is rejected at `define` time — so the witness
             // above stands.)
             if !Arc::ptr_eq(&state.catalogue, &seen) {
-                let key = StatementKey::new(opts, src);
+                let key = StatementProbe::new(opts, src);
                 prepared = self.statement_in(opts, key, &state.catalogue, src, tracer)?;
             }
             let (mut r, seq) =
@@ -942,7 +942,7 @@ impl DbKernel {
             };
             let wal_sp = tracer.begin(Span::WalAppend, "");
             match self.wal_append(&payload) {
-                Ok(_) => tracer.end_with(wal_sp, || Some("appended fsync=true".to_string())),
+                Ok(appended) => tracer.end_with(wal_sp, || Some(appended.to_string())),
                 Err(e) => {
                     tracer.end_with(wal_sp, || Some("append failed — rolled back".to_string()));
                     self.roll_back(&mut state.store, rollback);

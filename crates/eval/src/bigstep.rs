@@ -34,7 +34,9 @@
 
 use crate::chooser::{bad_pick, Chooser};
 use crate::machine::{DefEnv, EvalConfig, EvalError};
-use ioql_ast::{AttrName, ExtentName, Oid, Qualifier, Query, SetOp, SetVal, Value, VarName};
+use ioql_ast::{
+    AttrName, ClassName, ExtentName, Oid, Qualifier, Query, SetOp, SetVal, Value, VarName,
+};
 use ioql_effects::Effect;
 use ioql_methods::{invoke, MethodCall};
 use ioql_store::{MemberSet, Object, Store, StoreError};
@@ -113,6 +115,13 @@ pub struct Interp<'a, 'c> {
     /// Where the current definition frame starts; lookups and rendering
     /// see `binds[frame..]` only.
     frame: usize,
+    /// The `OE` chunk the last attribute read found its object in — the
+    /// hint [`ObjectEnv::get_near`](ioql_store::ObjectEnv::get_near)
+    /// starts from. The execution's own, so the shared store stays
+    /// immutable under reads.
+    near: usize,
+    /// The class the last attribute read noted `Ra` for.
+    noted: Option<ClassName>,
 }
 
 /// Evaluates `q` to a value in one recursive descent:
@@ -148,6 +157,8 @@ impl<'a, 'c> Interp<'a, 'c> {
             max_steps,
             binds: Vec::new(),
             frame: 0,
+            near: 0,
+            noted: None,
         }
     }
 
@@ -314,9 +325,16 @@ impl<'a, 'c> Interp<'a, 'c> {
     }
 
     /// The (Attribute) rule's read of `o.a`: notes `Ra(C)` for `o`'s class
-    /// `C` (allocating only the first time `C` is read) and returns the
-    /// attribute. The interpreter, the VM's `LoadAttr` and the plan's
-    /// index build all read attributes here.
+    /// `C` and returns the attribute. The interpreter, the VM's attribute
+    /// instructions and the plan's index build all read attributes here.
+    ///
+    /// A scan reads its objects in oid order, so `OE` is searched from
+    /// the chunk the last read found ([`ObjectEnv::get_near`]), and the
+    /// `Ra` set is probed only when `C` differs from the class the last
+    /// read noted: `effect.attr_reads` only grows within one execution,
+    /// so a class noted once is still there.
+    ///
+    /// [`ObjectEnv::get_near`]: ioql_store::ObjectEnv::get_near
     pub fn read_attr<'s>(
         &mut self,
         store: &'s Store,
@@ -326,11 +344,15 @@ impl<'a, 'c> Interp<'a, 'c> {
         let err = |e: StoreError| EvalError::Store(e.to_string());
         let obj = store
             .objects
-            .get(o)
+            .get_near(o, &mut self.near)
             .ok_or_else(|| err(StoreError::UnknownOid(o)))?;
-        if !self.effect.attr_reads.contains(&obj.class) {
-            self.effect.attr_reads.insert(obj.class.clone());
+        if self.noted.as_ref() != Some(&obj.class) {
+            if !self.effect.attr_reads.contains(&obj.class) {
+                self.effect.attr_reads.insert(obj.class.clone());
+            }
+            self.noted = Some(obj.class.clone());
         }
+        debug_assert!(self.effect.attr_reads.contains(&obj.class));
         obj.attr(a)
             .ok_or_else(|| err(StoreError::UnknownAttr(o, a.clone())))
     }

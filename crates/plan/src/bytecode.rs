@@ -86,6 +86,17 @@ pub enum Instr {
     /// Pop an oid (already checked), read the attribute through
     /// [`Interp::read_attr`] (`Ra` for its dynamic class), push it.
     LoadAttr(AttrName),
+    /// `x.a` for a binder `x`: `Load(slot); CheckOid(src); LoadAttr(attr)`
+    /// fused — the slot's oid is read in place, never pushed, and a
+    /// non-oid sticks as `CheckOid` would.
+    SlotAttr {
+        /// The binder's row slot.
+        slot: u8,
+        /// Source index of `x`, for the "expected an object" message.
+        src: u16,
+        /// The attribute read.
+        attr: AttrName,
+    },
     /// Pop two ints (already checked), push the operator's result.
     Arith(IntOp),
     /// Pop two ints (already checked), push their equality.
@@ -214,22 +225,30 @@ impl Emitter<'_> {
                 self.code.push(Instr::Const(i));
             }
             Query::Var(x) => {
-                // Last binding wins, matching the innermost-first
-                // substitution order of the interpreted path.
-                let slot = self
-                    .binders
-                    .iter()
-                    .rposition(|b| b == x)
-                    .ok_or_else(|| format!("free variable `{x}`"))?;
-                if slot > u8::MAX as usize {
-                    return Err("too many binders".into());
+                let slot = self.slot(x)?;
+                self.code.push(Instr::Load(slot));
+            }
+            Query::Attr(subject, a) => match &**subject {
+                // The scan's row read: the subject's entry burn is
+                // flushed with the node's, as `operand` would, and one
+                // instruction does what its `Load; CheckOid; LoadAttr`
+                // would.
+                Query::Var(x) => {
+                    let slot = self.slot(x)?;
+                    self.pending += 1;
+                    self.flush();
+                    let src = self.src_idx(subject)?;
+                    self.code.push(Instr::SlotAttr {
+                        slot,
+                        src,
+                        attr: a.clone(),
+                    });
                 }
-                self.code.push(Instr::Load(slot as u8));
-            }
-            Query::Attr(subject, a) => {
-                self.operand(subject, Instr::CheckOid)?;
-                self.code.push(Instr::LoadAttr(a.clone()));
-            }
+                _ => {
+                    self.operand(subject, Instr::CheckOid)?;
+                    self.code.push(Instr::LoadAttr(a.clone()));
+                }
+            },
             Query::IntBin(op, a, b) => {
                 self.operand(a, Instr::CheckInt)?;
                 self.operand(b, Instr::CheckInt)?;
@@ -288,6 +307,17 @@ impl Emitter<'_> {
             return Err("program too large".into());
         }
         Ok(())
+    }
+
+    /// The row slot binder `x` reads. Last binding wins, matching the
+    /// innermost-first substitution order of the interpreted path.
+    fn slot(&self, x: &VarName) -> Result<u8, String> {
+        let slot = self
+            .binders
+            .iter()
+            .rposition(|b| b == x)
+            .ok_or_else(|| format!("free variable `{x}`"))?;
+        u8::try_from(slot).map_err(|_| "too many binders".into())
     }
 
     fn patch(&mut self, at: usize, target: usize) -> Result<(), String> {
@@ -359,6 +389,12 @@ impl Program {
                         unreachable!("CheckOid precedes LoadAttr")
                     };
                     stack.push(interp.read_attr(store, o, a)?.clone());
+                }
+                Instr::SlotAttr { slot, src, attr } => {
+                    let Value::Oid(o) = interp.binds[*slot as usize].1 else {
+                        return stuck(interp, *src, "expected an object");
+                    };
+                    stack.push(interp.read_attr(store, o, attr)?.clone());
                 }
                 Instr::Arith(op) => {
                     let (Some(Value::Int(b)), Some(Value::Int(a))) = (stack.pop(), stack.pop())

@@ -248,7 +248,6 @@ fn execute_inner<'a>(
         compiled: &plan.compiled,
         vm_ctx: VmCtx::default(),
         vm_rows: 0,
-        extent_cache: HashMap::new(),
         indexes: HashMap::new(),
     };
     let value = ex.eval_op(store, &plan.root);
@@ -335,18 +334,11 @@ struct Exec<'a, 'c> {
     /// Rows dispatched through the VM, recorded into `cfg.metrics` once
     /// when the execution ends.
     vm_rows: u64,
-    /// Per-execution snapshot cache of extent element vectors, in
-    /// canonical (sorted) order. Licensed by the Theorem 7 guard: the
-    /// plan is read-only, so an extent cannot change between two scans
-    /// of the same execution. Only the element *vector* is cached — the
-    /// per-scan observables (`R(C)` effect atom, cardinality
-    /// observation) still fire on every scan, exactly as uncached.
-    extent_cache: HashMap<ExtentName, Rc<Vec<Value>>>,
     /// Per-execution index table of the probes over extents, keyed by the
     /// probe stage: built at the first drain that reaches it and read by
-    /// every later one, "abandoned" verdicts included. Licensed like
-    /// `extent_cache`: the extent and its elements' attributes cannot
-    /// change during a read-only execution.
+    /// every later one, "abandoned" verdicts included. Licensed by the
+    /// Theorem 7 guard: the plan is read-only, so an extent and its
+    /// elements' attributes cannot change during the execution.
     indexes: HashMap<NodeId, Index>,
 }
 
@@ -482,32 +474,25 @@ impl<'a> Exec<'a, '_> {
         }
     }
 
-    /// Reads one extent as a shared vector in canonical (sorted) order,
-    /// memoized per execution. A nested generator re-scans its extent
-    /// once per outer row; under the Theorem 7 guard the store is frozen,
-    /// so only the first scan builds the vector — but the per-scan
-    /// *observables* are [`Interp::read_extent`]'s on every
-    /// call, keeping the hit path byte-identical to the miss path.
-    fn scan_extent_elems(
+    /// Reads one extent as a draw pool in canonical (sorted) order: the
+    /// observables of [`Interp::read_extent`], then the members copied
+    /// straight from their chunks. Chunks are sorted by oid across the
+    /// spine and `Value::Oid` ordering follows oid ordering, so this is
+    /// the sequence a `Value::Set` of the members would iterate, without
+    /// building it. Every drain consumes a pool of its own, so a nested
+    /// generator's re-scan copies the chunks again: a cached copy would
+    /// only be copied once more, and would double a scan's footprint.
+    fn scan_extent(
         &mut self,
         store: &Store,
         extent: &ExtentName,
-    ) -> Result<Rc<Vec<Value>>, EvalError> {
+    ) -> Result<VecDeque<Value>, EvalError> {
         let members = self.interp.read_extent(store, extent)?;
-        if let Some(cached) = self.extent_cache.get(extent) {
-            return Ok(Rc::clone(cached));
-        }
-        // Member chunks are globally sorted by oid and `Value::Oid`
-        // ordering follows oid ordering, so draining the chunk spine is
-        // exactly the sequence a `Value::Set` of the members would
-        // iterate — without building the intermediate `BTreeSet`.
-        let mut vec = Vec::with_capacity(members.len());
+        let mut pool = VecDeque::with_capacity(members.len());
         for chunk in members.chunks() {
-            vec.extend(chunk.iter().map(|o| Value::Oid(*o)));
+            pool.extend(chunk.iter().map(|o| Value::Oid(*o)));
         }
-        let vec = Rc::new(vec);
-        self.extent_cache.insert(extent.clone(), Rc::clone(&vec));
-        Ok(vec)
+        Ok(pool)
     }
 
     fn set_bin(
@@ -558,9 +543,8 @@ impl<'a> Exec<'a, '_> {
             }
             StageKind::ExtentScan { var, extent, .. } => {
                 let t = self.ptimer();
-                let elems = self.scan_extent_elems(store, extent)?;
+                let elems = self.scan_extent(store, extent)?;
                 self.precord(st.id, t, elems.len() as u64);
-                let elems = elems.iter().cloned().collect();
                 self.drive_gen(store, var, elems, rest, head, out, true)
             }
             StageKind::Scan { var, source, .. } => {

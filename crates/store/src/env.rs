@@ -253,6 +253,35 @@ impl<T: Slot> Spine<T> {
         self.find(o).map(|(idx, at)| &self.chunks[idx][at])
     }
 
+    /// `o`'s slot, looked for first in chunk `*hint` and the one after
+    /// it, and only then routed; `*hint` is left at the chunk that covers
+    /// `o`. A scan reads its rows in oid order, so its next oid is
+    /// almost always in the chunk of the last one or the next, and
+    /// chunks of fresh oids are dense: inside a chunk, `o`'s position is
+    /// first guessed as its distance from the chunk's first oid. Any
+    /// hint is safe — a stale or out-of-range one costs one route.
+    fn slot_near(&self, o: Oid, hint: &mut usize) -> Option<&T> {
+        let covers = |idx: usize| {
+            self.chunks.get(idx).is_some_and(|c| {
+                c.first().is_some_and(|s| s.oid() <= o) && c.last().is_some_and(|s| o <= s.oid())
+            })
+        };
+        let idx = [*hint, hint.wrapping_add(1)]
+            .into_iter()
+            .find(|&idx| covers(idx))
+            .or_else(|| self.route(o))?;
+        *hint = idx;
+        let chunk = &self.chunks[idx];
+        let dense = usize::try_from(o.raw().saturating_sub(chunk[0].oid().raw())).ok();
+        match dense.and_then(|at| chunk.get(at)) {
+            Some(s) if s.oid() == o => Some(s),
+            _ => chunk
+                .binary_search_by_key(&o, T::oid)
+                .ok()
+                .map(|at| &chunk[at]),
+        }
+    }
+
     /// Marks chunk `idx` for mutation: counts a copy if it is currently
     /// shared with a snapshot, then returns unique access to it. The
     /// spine is un-shared *first*: a snapshot holds the spine, not the
@@ -339,6 +368,13 @@ impl ObjectEnv {
     /// `OE(o)`.
     pub fn get(&self, o: Oid) -> Option<&Object> {
         self.slot(o).map(|(_, obj)| obj)
+    }
+
+    /// `OE(o)`, as [`get`](ObjectEnv::get), starting from the chunk
+    /// `hint` names and leaving it at `o`'s — the lookup a scan's
+    /// attribute reads make, one hint per execution.
+    pub fn get_near(&self, o: Oid, hint: &mut usize) -> Option<&Object> {
+        self.slot_near(o, hint).map(|(_, obj)| obj)
     }
 
     /// Mutable access to an object, for the §5 extended (update) mode.
@@ -611,6 +647,61 @@ mod tests {
         for i in 0..n {
             assert!(oe.contains(Oid::from_raw(i)), "missing oid {i}");
         }
+    }
+
+    /// `get_near` is `get` whatever the hint: from every starting chunk
+    /// (and past the end), for every present and absent oid, on a spine
+    /// of sparse oids inserted out of order, then after a write copied a
+    /// chunk a snapshot shares and more inserts split chunks — on both
+    /// the writer and the snapshot. A hit leaves the hint at the chunk
+    /// holding the oid.
+    #[test]
+    fn a_hinted_lookup_agrees_with_get_from_every_hint() {
+        let obj = |i: u64| Object::new("P", [("a", Value::Int(i as i64))]);
+        let mut oe = ObjectEnv::new();
+        // Every oid below 900 but those ≡ 1 (mod 3), in a shuffled
+        // order, then a dense run: gaps inside chunks and between them.
+        for i in 0..900u64 {
+            let o = (i * 7919) % 900;
+            if o % 3 != 1 {
+                oe.insert(Oid::from_raw(o), obj(o));
+            }
+        }
+        for o in 2000..2300u64 {
+            oe.insert(Oid::from_raw(o), obj(o));
+        }
+        let agree = |oe: &ObjectEnv| {
+            assert!(oe.chunk_count() > 3);
+            let starts = (0..oe.chunks.len() + 2).chain([usize::MAX]);
+            for start in starts {
+                for o in 0..2310u64 {
+                    let o = Oid::from_raw(o);
+                    let mut hint = start;
+                    let got = oe.get_near(o, &mut hint);
+                    assert_eq!(got, oe.get(o), "oid {o} from hint {start}");
+                    if got.is_some() {
+                        assert_eq!(oe.route(o), Some(hint), "oid {o} from hint {start}");
+                    }
+                }
+            }
+        };
+        agree(&oe);
+        let snap = oe.clone();
+        let copied = oe.cow_copied_chunks();
+        *oe.get_mut(Oid::from_raw(0))
+            .unwrap()
+            .attrs
+            .get_mut("a")
+            .unwrap() = Value::Int(-1);
+        assert_eq!(oe.cow_copied_chunks(), copied + 1);
+        let chunks = oe.chunk_count();
+        for o in (901..1900u64).step_by(2) {
+            oe.insert(Oid::from_raw(o), obj(o));
+        }
+        assert!(oe.chunk_count() > chunks + 2);
+        agree(&oe);
+        agree(&snap);
+        assert_ne!(oe, snap);
     }
 
     /// Re-inserting an existing oid replaces the object in place.

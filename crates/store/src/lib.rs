@@ -28,4 +28,4 @@ pub use dump::{
 pub use env::{Attrs, ExtentEnv, MemberSet, Object, ObjectEnv};
 pub use equiv::{equiv_outcomes, equiv_stores, Outcome};
 pub use store::{Store, StoreError};
-pub use wal::{Durability, Wal, WalError, WalErrorKind, WalPayload, WalRecord, WalSink};
+pub use wal::{Appended, Durability, Wal, WalError, WalErrorKind, WalPayload, WalRecord, WalSink};

@@ -455,6 +455,23 @@ impl WalSink for FileSink {
     }
 }
 
+/// What one [`Wal::append`] did: the record's sequence number, and
+/// whether the sink was fsynced before the call returned. Displays as
+/// the `wal-append` span's verdict, `appended fsync=<synced>`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Appended {
+    /// The record's sequence number.
+    pub seq: u64,
+    /// Whether the record was fsynced before the append returned.
+    pub synced: bool,
+}
+
+impl fmt::Display for Appended {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "appended fsync={}", self.synced)
+    }
+}
+
 /// An open write-ahead log: appends framed records through a sink,
 /// fsyncing each one under [`Durability::Commit`].
 pub struct Wal {
@@ -518,20 +535,21 @@ impl Wal {
         self.next_seq
     }
 
-    /// Appends one record and returns its sequence number. Under
-    /// [`Durability::Commit`] the record is fsynced before this returns,
-    /// so an `Ok` survives a crash; under `Off` it is not synced until
-    /// [`Wal::sync`]. On `Err` the log must be considered poisoned (the
-    /// failed write may be partially persisted) until the next
-    /// checkpoint rebuilds it.
-    pub fn append(&mut self, payload: &WalPayload) -> std::io::Result<u64> {
+    /// Appends one record and returns its sequence number and whether
+    /// it was synced. Under [`Durability::Commit`] the record is fsynced
+    /// before this returns, so an `Ok` survives a crash; under `Off` it
+    /// is not synced until [`Wal::sync`]. On `Err` the log must be
+    /// considered poisoned (the failed write may be partially persisted)
+    /// until the next checkpoint rebuilds it.
+    pub fn append(&mut self, payload: &WalPayload) -> std::io::Result<Appended> {
         let seq = self.next_seq;
         self.sink.append(encode_record(seq, payload).as_bytes())?;
         self.next_seq += 1;
-        if self.durability == Durability::Commit {
+        let synced = self.durability == Durability::Commit;
+        if synced {
             self.sink.sync()?;
         }
-        Ok(seq)
+        Ok(Appended { seq, synced })
     }
 
     /// Makes every record appended so far durable.
@@ -755,13 +773,15 @@ mod tests {
         let mut wal =
             Wal::create_with_sink(Box::new(BufSink(buf.clone())), 0, Durability::Commit).unwrap();
         assert_eq!(buf.lock().unwrap().1, 1, "the header is synced");
-        assert_eq!(wal.append(&q("x", &[])).unwrap(), 1);
+        let appended = wal.append(&q("x", &[])).unwrap();
+        assert_eq!((appended.seq, appended.synced), (1, true));
+        assert_eq!(appended.to_string(), "appended fsync=true");
         assert_eq!(
             buf.lock().unwrap().1,
             2,
             "record 1 is synced before its ack"
         );
-        assert_eq!(wal.append(&q("y", &[0])).unwrap(), 2);
+        assert_eq!(wal.append(&q("y", &[0])).unwrap().seq, 2);
         assert_eq!(
             buf.lock().unwrap().1,
             3,
@@ -772,14 +792,18 @@ mod tests {
     }
 
     /// Under `Off` (a log written without acknowledgements, such as a
-    /// checkpoint's preamble) appends are not synced until `sync`.
+    /// checkpoint's preamble) appends are not synced until `sync`, and
+    /// each says so: its verdict reads `fsync=false`.
     #[test]
     fn off_mode_syncs_only_when_asked() {
         let buf = Arc::new(Mutex::new((Vec::new(), 0)));
         let mut wal =
             Wal::create_with_sink(Box::new(BufSink(buf.clone())), 0, Durability::Off).unwrap();
-        assert_eq!(wal.append(&q("a", &[])).unwrap(), 1);
-        assert_eq!(wal.append(&q("b", &[])).unwrap(), 2);
+        for (seq, text) in [(1, "a"), (2, "b")] {
+            let appended = wal.append(&q(text, &[])).unwrap();
+            assert_eq!(appended, Appended { seq, synced: false });
+            assert_eq!(appended.to_string(), "appended fsync=false");
+        }
         assert_eq!(buf.lock().unwrap().1, 1, "only the header was synced");
         wal.sync().unwrap();
         assert_eq!(buf.lock().unwrap().1, 2);

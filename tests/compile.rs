@@ -21,7 +21,7 @@ use ioql_eval::{
 };
 use ioql_opt::Stats;
 use ioql_telemetry::MetricsRegistry;
-use ioql_testkit::fixtures::{jack_jill, Fixture};
+use ioql_testkit::fixtures::{jack_jill, persons_employees, Fixture};
 use ioql_testkit::{ChaosChooser, FaultPlan};
 use ioql_types::{check_query, TypeEnv};
 
@@ -267,6 +267,115 @@ fn dangling_oid_stuck_message_is_identical_compiled() {
             "stuck reason names the dangling oid: {msg}"
         );
     }
+}
+
+/// The scan's row read, `x.a` over a generator binder, is one fused VM
+/// instruction. Over rows that alternate between two classes — so each
+/// row notes a class other than the last one's — the compiled run's
+/// observables equal the interpreted plan's and big-step's, and both
+/// `Ra` atoms are noted; a binder holding a non-object sticks with the
+/// interpreter's text.
+#[test]
+fn a_fused_attribute_read_over_alternating_classes_matches_the_interpreter() {
+    let mut fx = persons_employees();
+    for n in 0..6 {
+        let class = if n % 2 == 0 { "Person" } else { "Employee" };
+        let attrs = vec![
+            ("name", ioql_ast::Value::Int(n)),
+            ("address", ioql_ast::Value::Int(n * 10)),
+        ];
+        fx.create(class, attrs, None);
+    }
+    let tenv = TypeEnv::new(&fx.schema);
+    type Mk = fn() -> Box<dyn Chooser>;
+    let mks: [Mk; 3] = [
+        || Box::new(FirstChooser),
+        || Box::new(LastChooser),
+        || Box::new(RandomChooser::seeded(5)),
+    ];
+    for src in [
+        "{ p.name + p.address | p <- Persons union Employees }",
+        "{ p | p <- Persons union Employees, p.address < 30 }",
+    ] {
+        let (q, _) = check_query(&tenv, &fx.query(src)).unwrap();
+        let compiled = lower_c(&fx, &q, true).unwrap();
+        assert!(compiled.render().contains("[vm]"), "{src} must compile");
+        let interpreted = lower_c(&fx, &q, false).unwrap();
+        for mk in mks {
+            let got = observe(&fx, &compiled, &mk, Limits::none(), 1_000_000);
+            let want = observe(&fx, &interpreted, &mk, Limits::none(), 1_000_000);
+            assert_eq!(got, want, "{src}: compiled vs interpreted plan");
+            let cfg = EvalConfig::new(&fx.schema);
+            let big = eval_big(
+                &cfg,
+                &DefEnv::new(),
+                &mut fx.store.clone(),
+                &q,
+                &mut *mk(),
+                1_000_000,
+            )
+            .map(|r| (r.value.to_string(), r.effect.to_string()));
+            assert_eq!(got.outcome, big, "{src}: compiled plan vs big-step");
+            let (_, effect) = got.outcome.unwrap();
+            assert!(
+                effect.contains("Ra(Employee)") && effect.contains("Ra(Person)"),
+                "{src}: {effect}"
+            );
+        }
+    }
+
+    // `{ x.name + 1 | x <- {1, 2} }` with `x.name` an attribute read
+    // (elaboration would refuse it), lowered under its empty effect.
+    let q = Query::comp(
+        Query::var("x").attr("name").add(Query::int(1)),
+        [ioql_ast::Qualifier::Gen(
+            "x".into(),
+            Query::set_lit([Query::int(1), Query::int(2)]),
+        )],
+    );
+    let run = |compile: bool| {
+        let spec = ParSpec {
+            compile,
+            ..ParSpec::off()
+        };
+        let plan = lower_with(
+            &q,
+            &ioql_effects::Effect::empty(),
+            &DefEnv::new(),
+            &Stats::new(),
+            &spec,
+        )
+        .expect("a pure query lowers");
+        assert_eq!(plan.render().contains("[vm]"), compile);
+        let cfg = EvalConfig::new(&fx.schema);
+        let mut store = fx.store.clone();
+        execute(
+            &plan,
+            &cfg,
+            &DefEnv::new(),
+            &mut store,
+            &mut FirstChooser,
+            1_000_000,
+        )
+        .map(|r| (r.value, r.effect))
+    };
+    let cfg = EvalConfig::new(&fx.schema);
+    let big = eval_big(
+        &cfg,
+        &DefEnv::new(),
+        &mut fx.store.clone(),
+        &q,
+        &mut FirstChooser,
+        1_000_000,
+    )
+    .map(|r| (r.value, r.effect));
+    let stuck = EvalError::Stuck {
+        query: "1".into(),
+        reason: "expected an object".into(),
+    };
+    assert_eq!(big.clone().unwrap_err(), stuck);
+    assert_eq!(run(true), big, "compiled plan");
+    assert_eq!(run(false), big, "interpreted plan");
 }
 
 /// `:plan` transparency: compiled nodes render `[vm]`, fallbacks render

@@ -564,3 +564,58 @@ fn a_hot_text_stays_correct_while_definitions_arrive() {
     assert!(s.entries <= 1, "{s:?}");
     assert_eq!(db.definitions().len(), 3 + 60);
 }
+
+/// This binary's allocator: the system's, counting the bytes each
+/// thread asks for.
+struct Counting;
+
+thread_local! {
+    static ALLOCATED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator,
+// which upholds `GlobalAlloc`'s contract; the count is a thread-local
+// `Cell` with a `const` initializer and no destructor, so bumping it
+// never allocates or reenters the allocator.
+unsafe impl std::alloc::GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size() as u64));
+        std::alloc::System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        std::alloc::System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// A warm statement is found by the request's own text: a hit copies
+/// no key. Both texts below are retained and hit; the padded one is
+/// 4 KiB longer, and its hit allocates no more than the bare one's —
+/// when the probe built an owned key, the padded hit paid 4 KiB more.
+#[test]
+fn a_statement_hit_copies_no_text() {
+    let fx = jack_jill();
+    let mut db = database(&fx, "", DbOptions::default());
+    let bare = "{ p.name | p <- Ps, p.name = 2 }";
+    let padded = format!("{bare}{}", " ".repeat(4096));
+    let hit_bytes = |db: &mut Database, src: &str| {
+        let before = db.statement_stats();
+        let allocated = ALLOCATED.with(|n| n.get());
+        db.query(src).unwrap();
+        let spent = ALLOCATED.with(|n| n.get()) - allocated;
+        assert_eq!(statement_delta(db, before), (1, 0, 0), "{src:?} is warm");
+        spent
+    };
+    for src in [bare, &padded] {
+        db.query(src).unwrap();
+    }
+    let bare_bytes = hit_bytes(&mut db, bare);
+    let padded_bytes = hit_bytes(&mut db, &padded);
+    assert!(
+        padded_bytes < bare_bytes + 1024,
+        "a hit on a 4 KiB longer text allocated {padded_bytes} bytes against {bare_bytes}"
+    );
+}

@@ -663,15 +663,56 @@ fn multi_client_writes_survive_a_checkpoint_and_recovery() {
     assert_eq!(rec.extent_len("Persons"), 24);
 }
 
+/// A sink over the real log file that counts the fsyncs it makes, for
+/// every sink its factory builds (each checkpoint generation gets one):
+/// what a test reads to see a sync happen, not just the policy.
+struct CountedSink(ioql::store::wal::FileSink, Arc<AtomicU64>);
+
+impl ioql::store::WalSink for CountedSink {
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.0.append(bytes)
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.1.fetch_add(1, Ordering::SeqCst);
+        self.0.sync()
+    }
+}
+
+/// Attaches `db` to `dir` through [`CountedSink`]s; the counter is
+/// every fsync any generation's sink makes.
+fn attach_counted(db: &mut Database, dir: &Path) -> Arc<AtomicU64> {
+    let syncs = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&syncs);
+    db.attach_durable_with(
+        dir,
+        Arc::new(move |path: &Path| {
+            let file = ioql::store::wal::FileSink::open_append(path)?;
+            Ok(Box::new(CountedSink(file, Arc::clone(&counter))) as Box<dyn ioql::store::WalSink>)
+        }),
+    )
+    .unwrap();
+    syncs
+}
+
 /// The fsync policy is the log's, fixed at attach: a server whose
 /// sessions were built from other options (`Off`) reports the log's
 /// policy and checkpoints under it, so a write after a wire
-/// `:checkpoint` is still fsynced before its ack.
+/// `:checkpoint` is fsynced before its ack — one sync the sink saw, and
+/// the write's `wal-append` verdict says so.
 #[test]
 fn a_checkpoint_keeps_the_logs_fsync_policy() {
     let dir = TempDir::new("policy");
-    let mut db = durable_db(Durability::Commit);
-    db.attach_durable(dir.path()).unwrap();
+    let mut db = Database::from_ddl_with(
+        DDL,
+        DbOptions {
+            durability: Durability::Commit,
+            trace_capacity: 16,
+            ..opts_with(Engine::Plan)
+        },
+    )
+    .unwrap();
+    let syncs = attach_counted(&mut db, dir.path());
     let wire_opts = DbOptions {
         durability: Durability::Off,
         ..opts_with(Engine::Plan)
@@ -683,6 +724,11 @@ fn a_checkpoint_keeps_the_logs_fsync_policy() {
     assert_eq!(db.wal_status().unwrap().mode, Durability::Commit);
 
     assert!(c.request(":checkpoint").unwrap().is_ok());
+    let before = syncs.load(Ordering::SeqCst);
+    assert!(
+        before > 0,
+        "the checkpoint syncs the next generation's header"
+    );
     let appends = db.metrics().wal_appends.get();
     assert!(c.request(WRITES[0]).unwrap().is_ok());
     assert_eq!(
@@ -690,10 +736,46 @@ fn a_checkpoint_keeps_the_logs_fsync_policy() {
         appends + 1,
         "the acked write was not logged"
     );
+    assert_eq!(
+        syncs.load(Ordering::SeqCst),
+        before + 1,
+        "the acked write was not fsynced exactly once"
+    );
+    let trace = c.request(":trace last 1").unwrap().lines.join("\n");
+    assert!(trace.contains("appended fsync=true"), "record: {trace}");
     let status = db.wal_status().unwrap();
     assert_eq!((status.generation, status.appended), (1, 1));
     assert_eq!(status.mode, Durability::Commit);
     assert!(wire_status(&mut c).contains("mode commit"));
+    let _ = c.request(":quit");
+    server.shutdown();
+}
+
+/// A log attached under `Off` logs nothing: its writes are acked with
+/// no fsync and no `wal-append` verdict claims one. (What such a log
+/// does append, a checkpoint's preamble, reads `fsync=false` —
+/// `ioql_store::wal`'s `off_mode_syncs_only_when_asked`.)
+#[test]
+fn an_off_log_claims_no_fsync() {
+    let dir = TempDir::new("off");
+    let mut db = Database::from_ddl_with(
+        DDL,
+        DbOptions {
+            durability: Durability::Off,
+            trace_capacity: 16,
+            ..opts_with(Engine::Plan)
+        },
+    )
+    .unwrap();
+    let syncs = attach_counted(&mut db, dir.path());
+    let mut server = db.serve("127.0.0.1:0").unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    assert!(c.request(WRITES[0]).unwrap().is_ok());
+    let trace = c.request(":trace last 1").unwrap().lines.join("\n");
+    assert!(!trace.contains("fsync=true"), "record: {trace}");
+    assert!(!trace.contains("wal-append"), "record: {trace}");
+    assert_eq!(syncs.load(Ordering::SeqCst), 0);
+    assert_eq!(db.wal_status().unwrap().appended, 0);
     let _ = c.request(":quit");
     server.shutdown();
 }
