@@ -72,6 +72,11 @@ impl DbKernel {
     /// a one-word tag (the wire status is `ok <tag>`) and the text both
     /// front ends show. A line that names no command here — a query, a
     /// shell-only command, a command without its argument — is an error.
+    ///
+    /// A governor trip during `:plan analyze` or `:explore` is this
+    /// call's error. During `:trace <query>` it is the trace's result,
+    /// rendered as its last line: the call succeeds, so the caller's
+    /// handle counts no trip, though `governor` keeps what was charged.
     pub fn admin(
         &self,
         opts: &DbOptions,

@@ -240,7 +240,7 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), Box<dyn Error>> {
     // Every other `:` line is the kernel's to interpret, as it is on the
     // wire: the shell prints the text the server would frame.
     if line.starts_with(':') {
-        let (_, text) = db.kernel().admin(&db.options(), &db.governor(), line)?;
+        let (_, text) = db.admin(line)?;
         print!("{text}");
         return Ok(());
     }

@@ -4,19 +4,19 @@
 //! optimize → lower → execute (or, as the spec, the Figure 2 machine on
 //! the query as written).
 //!
-//! [`Database`] is the embedded handle. Its queries go through the same
-//! effect-scheduled admission as every other caller's (see
-//! [`crate::sched`]): a write-free query runs against a snapshot, a
-//! writer serializes on the state write lock. Further handles on the
-//! same live state come from [`Database::session`] (per-client budgets
-//! and counters) and [`Database::serve`] (the TCP server).
+//! [`Database`] is the only handle type. Its queries go through
+//! effect-scheduled admission (see [`crate::sched`]): a write-free query
+//! runs against a snapshot, a writer serializes on the state write lock.
+//! Further handles on the same live state come from
+//! [`Database::session`] (a label, a budget when
+//! [`DbOptions::session_budget`] is set, query and trip counters) and
+//! [`Database::serve`] (the TCP server, one session per connection).
 
 use crate::analysis::Analysis;
 use crate::cache::CacheStats;
 use crate::error::DbError;
 use crate::kernel::{DbKernel, KernelState, Prepared};
 use crate::sched::{Admitted, SchedMetrics};
-use crate::session::Session;
 use ioql_ast::{Definition, Query, Type, Value};
 use ioql_effects::Effect;
 use ioql_eval::{
@@ -31,7 +31,7 @@ use ioql_telemetry::{
     Counter, EventSink, FlightRecorder, Histogram, MetricsRegistry, Span, SpanHistograms, Tracer,
 };
 use ioql_types::TypeOptions;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -153,16 +153,16 @@ pub struct DbOptions {
     /// the log entirely under every mode — the effect system proves
     /// they have nothing to persist.
     pub durability: Durability,
-    /// Cumulative resource budget for one [`Session`], read once, when
-    /// the session is created: when set, every
-    /// session built from these options meters **all** of its queries
-    /// against a single long-lived [`Governor`] constructed from these
-    /// limits, so one greedy client exhausts its own budget instead of
-    /// starving the others. `None` (the default) gives sessions the
-    /// per-query [`DbOptions::limits`] behaviour. Trips are surfaced
-    /// per-session (see [`Session::describe`]) and in the shared
-    /// governor trip counters. The embedded [`Database`] handle ignores
-    /// this field.
+    /// Cumulative resource budget for one session, read once, by
+    /// [`Database::session`]: when set, every session built from these
+    /// options meters **all** of its queries and inspections against a
+    /// single long-lived [`Governor`] constructed from these limits, so
+    /// one greedy client exhausts its own budget instead of starving the
+    /// others. `None` (the default) gives sessions the per-query
+    /// [`DbOptions::limits`] behaviour. Trips are surfaced per handle
+    /// (see [`Database::describe`]) and in the shared governor trip
+    /// counters. A handle built by `from_ddl*`/`from_schema` has no
+    /// budget, whatever this field says.
     pub session_budget: Option<Limits>,
     /// Capacity of the query flight recorder's in-memory ring, read
     /// once, at construction: when
@@ -533,34 +533,33 @@ impl Deref for StoreRef<'_> {
     }
 }
 
-/// Mutable access to the shared store: a lock guard dereferencing to
-/// [`Store`]. Dropping it releases the kernel's state write lock — do
-/// not hold one across a `query`/`define` call on the same database.
-pub struct StoreRefMut<'a> {
-    pub(crate) guard: std::sync::RwLockWriteGuard<'a, KernelState>,
-}
-
-impl Deref for StoreRefMut<'_> {
-    type Target = Store;
-    fn deref(&self) -> &Store {
-        &self.guard.store
-    }
-}
-
-impl DerefMut for StoreRefMut<'_> {
-    fn deref_mut(&mut self) -> &mut Store {
-        &mut self.guard.store
-    }
-}
-
-/// An IOQL database: the embedded handle over a (possibly shared)
-/// [`DbKernel`] — schema + store + named query definitions. Its queries
-/// are admitted like a [`Session`]'s, each under its own governor.
+/// An IOQL database handle over a (possibly shared) [`DbKernel`] —
+/// schema + store + named query definitions — with its own options.
+///
+/// A handle from `from_ddl*`/`from_schema` is a root: no label, no
+/// budget, so each query runs under a fresh governor built from
+/// [`DbOptions::limits`] and its trace records carry `session: null`.
+/// [`Database::session`] makes a labelled handle on the same kernel,
+/// metered by one long-lived budget governor when
+/// [`DbOptions::session_budget`] is set. Every handle counts its queries
+/// and its governor trips.
 #[derive(Debug)]
 pub struct Database {
     kernel: Arc<DbKernel>,
     options: DbOptions,
+    /// The telemetry label; `None` on a root handle.
+    label: Option<String>,
+    /// The budget governor, when this is a session made under
+    /// [`DbOptions::session_budget`]: its meters accumulate across
+    /// queries and its trips are this handle's trips.
+    budget: Option<Governor>,
+    queries: u64,
+    trips: u64,
 }
+
+/// The name the benchmark harness spells for a session handle
+/// (DESIGN.md §6): a session is a [`Database`] with a label.
+pub type Session = Database;
 
 impl Database {
     /// Builds a database from ODL text with default options.
@@ -577,23 +576,80 @@ impl Database {
 
     /// Builds a database from a validated schema.
     pub fn from_schema(schema: Schema, options: DbOptions) -> Result<Database, DbError> {
-        Ok(Database {
-            kernel: Arc::new(DbKernel::new(schema, &options)?),
-            options,
-        })
+        let kernel = Arc::new(DbKernel::new(schema, &options)?);
+        Ok(Database::handle(kernel, options, None))
     }
 
-    /// The shared kernel this handle runs against. Clone the `Arc` to
-    /// build [`Session`]s (or whole servers) over the same live state.
+    /// A handle on `kernel`; a labelled one gets the budget
+    /// [`DbOptions::session_budget`] asks for.
+    pub(crate) fn handle(
+        kernel: Arc<DbKernel>,
+        options: DbOptions,
+        label: Option<String>,
+    ) -> Database {
+        let budget = label
+            .as_ref()
+            .and(options.session_budget)
+            .map(|limits| Governor::new(limits).with_metrics(kernel.metrics().governor.clone()));
+        Database {
+            kernel,
+            options,
+            label,
+            budget,
+            queries: 0,
+            trips: 0,
+        }
+    }
+
+    /// The shared kernel this handle runs against.
     pub fn kernel(&self) -> &Arc<DbKernel> {
         &self.kernel
     }
 
-    /// A new admission-scheduled [`Session`] over this database's
-    /// kernel, labelled for telemetry. The session starts from this
-    /// handle's current options (including [`DbOptions::session_budget`]).
-    pub fn session(&self, label: impl Into<String>) -> Session {
-        Session::new(Arc::clone(&self.kernel), self.options.clone(), label.into())
+    /// A new session over this database's kernel, labelled for
+    /// telemetry. It starts from this handle's current options, and its
+    /// budget is fixed here, from [`DbOptions::session_budget`].
+    pub fn session(&self, label: impl Into<String>) -> Database {
+        let (kernel, options) = (Arc::clone(&self.kernel), self.options.clone());
+        Database::handle(kernel, options, Some(label.into()))
+    }
+
+    /// The telemetry label (`None` on a root handle).
+    pub fn label(&self) -> Option<&str> {
+        self.label.as_deref()
+    }
+
+    /// Queries this handle has submitted.
+    pub fn queries(&self) -> u64 {
+        self.queries
+    }
+
+    /// Queries and inspections refused by this handle's resource governor
+    /// (budget trips and cancellations).
+    pub fn trips(&self) -> u64 {
+        self.trips
+    }
+
+    /// Cells spent against the session budget, when one is set — the
+    /// axis most useful for a starvation diagnosis.
+    pub fn budget_spent(&self) -> Option<u64> {
+        self.budget.as_ref().map(|g| g.cells_spent())
+    }
+
+    /// One-line summary for the server's `:stats` frame.
+    pub fn describe(&self) -> String {
+        let budget = match self.budget_spent() {
+            Some(spent) => format!(", budget cells spent {spent}"),
+            None => String::new(),
+        };
+        format!(
+            "session {}: {} quer{}, {} governor trip(s){}",
+            self.label().unwrap_or("-"),
+            self.queries,
+            if self.queries == 1 { "y" } else { "ies" },
+            self.trips,
+            budget,
+        )
     }
 
     /// The schema.
@@ -608,14 +664,6 @@ impl Database {
         }
     }
 
-    /// The store (mutable access, for direct population in
-    /// tests/benches; behind the kernel's state write lock).
-    pub fn store_mut(&mut self) -> StoreRefMut<'_> {
-        StoreRefMut {
-            guard: self.kernel.write_state(),
-        }
-    }
-
     /// The options.
     pub fn options(&self) -> DbOptions {
         self.options.clone()
@@ -623,9 +671,11 @@ impl Database {
 
     /// Replaces the options wholesale; takes effect on the next query.
     /// Only the fields a request reads change anything: what the kernel
-    /// fixed at construction, and the durability policy a log was
-    /// attached under, stay as they were. Options are per-handle:
-    /// sessions and other handles on the same kernel keep their own.
+    /// fixed at construction, the durability policy a log was attached
+    /// under, and a session's budget (fixed when the session was made,
+    /// otherwise a client could reset its own quota) stay as they were.
+    /// Options are per-handle: other handles on the same kernel keep
+    /// their own.
     pub fn set_options(&mut self, options: DbOptions) {
         self.options = options;
     }
@@ -652,10 +702,9 @@ impl Database {
     }
 
     /// A fresh [`Governor`] built from [`DbOptions::limits`], wired to
-    /// this database's telemetry. Every internally created governor
-    /// comes from here, so charges and trips always land in the
-    /// registry; callers wanting session-wide budgets can take one and
-    /// pass it to [`Database::query_governed`].
+    /// this database's telemetry, so its charges and trips land in the
+    /// registry. Take one to pass to [`Database::query_governed`] and
+    /// keep its cancellation token.
     pub fn governor(&self) -> Governor {
         Governor::new(self.options.limits).with_metrics(self.metrics().governor.clone())
     }
@@ -663,8 +712,10 @@ impl Database {
     /// Registers `define …;` forms. Each definition is type-checked,
     /// elaborated, and effect-annotated before being added to scope; a
     /// call is all or nothing — if any form fails, none is registered.
-    pub fn define(&mut self, src: &str) -> Result<(), DbError> {
-        self.kernel.define(&self.options, src).map(|_| ())
+    /// Returns the commit sequence stamp when at least one definition
+    /// registered.
+    pub fn define(&mut self, src: &str) -> Result<Option<u64>, DbError> {
+        self.kernel.define(&self.options, src)
     }
 
     /// Parses, resolves, and type-and-effect-checks a query without
@@ -676,24 +727,42 @@ impl Database {
 
     /// Runs a query end-to-end with the canonical deterministic chooser.
     pub fn query(&mut self, src: &str) -> Result<QueryResult, DbError> {
-        self.query_with(src, &mut FirstChooser)
+        self.query_traced(src, None)
+    }
+
+    /// Like [`Database::query`], stamping the client-supplied trace ID
+    /// into the query's flight-recorder record (when the kernel has a
+    /// recorder). This is what the server calls for wire queries that
+    /// carried a `trace=ID` token.
+    pub fn query_traced(
+        &mut self,
+        src: &str,
+        trace_id: Option<&str>,
+    ) -> Result<QueryResult, DbError> {
+        self.queries += 1;
+        self.governed(|kernel, opts, governor, label| {
+            kernel.run_query(opts, src, &mut FirstChooser, governor, trace_id, label)
+        })
     }
 
     /// Runs a query end-to-end with an explicit `(ND comp)` strategy,
-    /// under a fresh per-query [`Governor`] built from
-    /// [`DbOptions::limits`].
+    /// under the session budget when one is set, otherwise a fresh
+    /// per-query [`Governor`] built from [`DbOptions::limits`].
     pub fn query_with(
         &mut self,
         src: &str,
         chooser: &mut dyn Chooser,
     ) -> Result<QueryResult, DbError> {
-        let governor = self.governor();
-        self.query_governed(src, chooser, &governor)
+        self.queries += 1;
+        self.governed(|kernel, opts, governor, label| {
+            kernel.run_query(opts, src, chooser, governor, None, label)
+        })
     }
 
     /// Runs a query under a caller-supplied [`Governor`] — the caller
-    /// keeps the [`CancelToken`](ioql_eval::CancelToken) and can meter a
-    /// whole session with one budget.
+    /// keeps the [`CancelToken`](ioql_eval::CancelToken) and can meter
+    /// many calls with one budget. The handle's budget and counters are
+    /// not consulted.
     ///
     /// Failure atomicity: if evaluation fails (or panics) after the
     /// query started mutating the store via `new`, the store is rolled
@@ -706,8 +775,38 @@ impl Database {
         chooser: &mut dyn Chooser,
         governor: &Governor,
     ) -> Result<QueryResult, DbError> {
+        let label = self.label.as_deref();
         self.kernel
-            .run_query(&self.options, src, chooser, governor, None, None)
+            .run_query(&self.options, src, chooser, governor, None, label)
+    }
+
+    /// Runs the `:` command `line` ([`DbKernel::admin`]) under this
+    /// handle's options and governor — the session budget when one is
+    /// set — so an inspection costs the client what a query would, and a
+    /// trip counts as this handle's.
+    pub fn admin(&mut self, line: &str) -> Result<(String, String), DbError> {
+        self.governed(|kernel, opts, governor, _| kernel.admin(opts, governor, line))
+    }
+
+    /// Runs `work` under the session budget, or a fresh governor built
+    /// from [`DbOptions::limits`], counting a governor refusal as a trip.
+    fn governed<T>(
+        &mut self,
+        work: impl FnOnce(&DbKernel, &DbOptions, &Governor, Option<&str>) -> Result<T, DbError>,
+    ) -> Result<T, DbError> {
+        let fresh;
+        let governor = match &self.budget {
+            Some(budget) => budget,
+            None => {
+                fresh = self.governor();
+                &fresh
+            }
+        };
+        let result = work(&self.kernel, &self.options, governor, self.label.as_deref());
+        if matches!(&result, Err(DbError::Eval(e)) if e.is_trip()) {
+            self.trips += 1;
+        }
+        result
     }
 
     /// The query flight recorder, when one is attached
@@ -777,20 +876,13 @@ impl Database {
     }
 
     /// Replaces the current store with one loaded from a dump, validated
-    /// against this database's schema. On any error — truncated, corrupt,
-    /// or schema-mismatched dump — the in-memory store is untouched.
-    ///
-    /// With a durable directory attached, a successful load is followed
-    /// by an immediate [`Database::checkpoint`]: the loaded dump becomes
-    /// the new on-disk baseline (the old log described the *replaced*
-    /// store and is folded away).
+    /// against this database's schema, and [installs](Database::install)
+    /// it. On any error — truncated, corrupt, or schema-mismatched dump,
+    /// or a failed checkpoint — the in-memory store is untouched.
     pub fn load(&mut self, text: &str) -> Result<(), DbError> {
-        let mut loaded = ioql_store::load_store(self.schema(), text)?;
-        // A freshly parsed store starts all version counters at 0, which
-        // could collide with fingerprints cached against the outgoing
-        // store; move every counter strictly past both histories.
-        loaded.bump_versions_from(&self.store());
-        self.install_loaded(loaded)
+        self.install(ioql_store::load_store(self.schema(), text)?)?;
+        self.metrics().store_loads.inc();
+        Ok(())
     }
 
     /// Atomically saves the current store to `path` (temp file + fsync +
@@ -805,34 +897,40 @@ impl Database {
     /// with [`Database::load`], a failed load leaves the store untouched
     /// and a durable database checkpoints the loaded state.
     pub fn load_from(&mut self, path: &std::path::Path) -> Result<(), DbError> {
-        let mut loaded = ioql_store::load_store_file(self.schema(), path)?;
-        loaded.bump_versions_from(&self.store());
-        self.install_loaded(loaded)
+        self.install(ioql_store::load_store_file(self.schema(), path)?)?;
+        self.metrics().store_loads.inc();
+        Ok(())
     }
 
-    /// Swaps in a loaded store, checkpointing first when durable — and
-    /// **rolling the swap back** if the checkpoint fails. Without the
-    /// rollback, a failed checkpoint (full disk, yanked directory)
-    /// would leave memory ahead of the durable baseline: the session
-    /// keeps answering from the loaded store while a crash recovers the
-    /// *replaced* one — the worst kind of silent desync. Erroring with
-    /// the old store intact keeps the documented contract: on any load
-    /// error, the in-memory store is untouched.
+    /// Replaces the whole store with `store` — the one way a store
+    /// enters other than through queries. Every extent version of the
+    /// installed store moves strictly past the outgoing store's, so no
+    /// result cached against the old store is served again.
     ///
-    /// Loads are administrative: run them before handing out sessions,
-    /// not concurrently with them.
-    fn install_loaded(&mut self, loaded: Store) -> Result<(), DbError> {
-        let prev = {
+    /// With a durable directory attached, the swap is followed by an
+    /// immediate [`Database::checkpoint`] — the installed store becomes
+    /// the new on-disk baseline (the old log described the *replaced*
+    /// store) — and the swap is **rolled back** if the checkpoint fails.
+    /// Otherwise memory would run ahead of the durable baseline: the
+    /// handle answering from the installed store while a crash recovers
+    /// the replaced one.
+    ///
+    /// Installs are administrative: run them before handing out
+    /// sessions, not concurrently with them.
+    pub fn install(&mut self, mut store: Store) -> Result<(), DbError> {
+        let mut prev = {
             let mut state = self.kernel.write_state();
-            std::mem::replace(&mut state.store, loaded)
+            store.bump_versions_from(&state.store);
+            std::mem::replace(&mut state.store, store)
         };
         if self.kernel.durable.get().is_some() {
             if let Err(e) = self.checkpoint() {
-                self.kernel.write_state().store = prev;
+                let mut state = self.kernel.write_state();
+                prev.bump_versions_from(&state.store);
+                state.store = prev;
                 return Err(e);
             }
         }
-        self.metrics().store_loads.inc();
         Ok(())
     }
 

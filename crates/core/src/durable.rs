@@ -209,9 +209,7 @@ impl Database {
             // rename was atomic, so a crash cannot leave it half-written.
             self.load_from(&ckpt)?;
         } else {
-            let mut fresh = DbKernel::empty_store(self.schema());
-            fresh.bump_versions_from(&self.store());
-            *self.store_mut() = fresh;
+            self.install(DbKernel::empty_store(self.schema()))?;
         }
 
         // 2. Replay the log suffix.

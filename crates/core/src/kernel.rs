@@ -6,9 +6,9 @@
 //! tentpole of the split: **`DbKernel`** owns all of that state behind
 //! interior sharing (an `RwLock` over the mutable `KernelState`, a
 //! `Mutex` over the query cache, the durable log once attached), so one kernel
-//! can be shared by the embedded [`Database`](crate::Database) facade,
-//! any number of [`Session`](crate::Session) handles, and the TCP
-//! server ([`crate::server`]) — all at once.
+//! can be shared by any number of [`Database`](crate::Database) handles
+//! — the root one and its sessions — and the TCP server
+//! ([`crate::server`]), all at once.
 //!
 //! Every query enters through `DbKernel::run_query`, whichever handle
 //! sent it, and is scheduled by the admission controller

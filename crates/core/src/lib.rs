@@ -64,20 +64,18 @@ pub mod kernel;
 pub mod obs;
 pub mod sched;
 pub mod server;
-pub mod session;
 pub mod statements;
 
 pub use admin::HELP;
 pub use analysis::{Analysis, CommutationVerdict};
 pub use cache::CacheStats;
-pub use database::{Database, DbMetrics, DbOptions, Engine, QueryResult, StoreRef, StoreRefMut};
+pub use database::{Database, DbMetrics, DbOptions, Engine, QueryResult, Session, StoreRef};
 pub use durable::{RecoveryReport, SinkFactory, WalStatus};
 pub use error::DbError;
 pub use kernel::{DbKernel, Prepared};
-pub use obs::{serve_obs, ObsHandle};
+pub use obs::ObsHandle;
 pub use sched::{Admitted, SchedMetrics};
-pub use server::{serve, Client, Frame, ServerHandle};
-pub use session::Session;
+pub use server::{Client, Frame, ServerHandle};
 
 // Re-export the subsystem crates under stable names so downstream users
 // need only one dependency.

@@ -50,22 +50,18 @@ const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// …and this many header lines.
 const MAX_HEADERS: usize = 64;
 
-/// Starts the observability listener over `kernel` on `addr` (e.g.
-/// `127.0.0.1:9090`, or port `0` to pick a free one — read it back from
-/// [`ObsHandle::addr`]).
-pub fn serve_obs(kernel: Arc<DbKernel>, addr: &str) -> std::io::Result<ObsHandle> {
-    let refusal =
-        "HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
-    listen(addr, refusal, move |_, stream| {
-        let _ = handle_request(stream, &kernel);
-    })
-}
-
 impl Database {
-    /// Serves this database's kernel on `addr` as a read-only HTTP
-    /// observability plane — see [`crate::obs`].
+    /// Serves this database's kernel on `addr` (e.g. `127.0.0.1:9090`,
+    /// or port `0` to pick a free one — read it back from
+    /// [`ObsHandle::addr`]) as a read-only HTTP observability plane —
+    /// see [`crate::obs`].
     pub fn serve_obs(&self, addr: &str) -> std::io::Result<ObsHandle> {
-        serve_obs(Arc::clone(self.kernel()), addr)
+        let kernel = Arc::clone(self.kernel());
+        let refusal =
+            "HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
+        listen(addr, refusal, move |_, stream| {
+            let _ = handle_request(stream, &kernel);
+        })
     }
 }
 

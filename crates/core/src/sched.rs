@@ -3,8 +3,8 @@
 //! The paper's effect system proves when two computations cannot
 //! interfere (`Effect::interference_witness`, Theorems 7/8). This
 //! module uses that licence **between whole queries**: every query —
-//! embedded ([`Database`](crate::Database)), session
-//! ([`Session`](crate::Session)) or wire ([`crate::server`]) — is
+//! from a [`Database`](crate::Database) handle, root or session, or
+//! from the wire ([`crate::server`]) — is
 //! type-and-effect checked in one pass, and the Theorem 7 verdict on
 //! its effect (`Thm7::snapshot_admissible`) decides its admission
 //! class:

@@ -1,9 +1,9 @@
 //! A multi-client TCP query server over one shared kernel.
 //!
 //! Hand-rolled on `std::net` — no dependencies, no async runtime: one
-//! accept loop, one thread and one [`Session`] per connection, the
-//! admission controller ([`crate::sched`]) doing the actual
-//! multiplexing. Write-free queries from different clients run
+//! accept loop, one thread and one session ([`Database::session`]) per
+//! connection, the admission controller ([`crate::sched`]) doing the
+//! actual multiplexing. Write-free queries from different clients run
 //! genuinely in parallel against version-stamped snapshots; writers
 //! serialize in arrival order; with `--durable`, each client's mutation
 //! is acknowledged only after its own WAL record's fsync. At most 64
@@ -23,7 +23,9 @@
 //! * `:plan <q>`, `:plan analyze <q>`, `:analyze <q>`, `:optimize <q>`,
 //!   `:explore <q>`, `:trace <q>` — the inspections, under the session's
 //!   options and governor (its budget, when one is set: a trip counts as
-//!   the session's), each on a copy-on-write clone of the state.
+//!   the session's), each on a copy-on-write clone of the state. A trip
+//!   during `:trace <q>` is the trace's result, the frame's last line,
+//!   and not a trip of the session's, though the budget pays for it.
 //! * `:schema`, `:extents`, `:help` — the catalogue and the command list.
 //! * `:quit` — close the connection.
 //!
@@ -61,10 +63,8 @@
 //! The greeting on connect is a frame too:
 //! `ok ioql-server proto=1 session=<label>`.
 
-use crate::database::{Database, DbOptions};
-use crate::kernel::DbKernel;
+use crate::database::Database;
 use crate::sched::Admitted;
-use crate::session::Session;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -246,37 +246,29 @@ pub(crate) fn linger_close(stream: &TcpStream) {
 }
 
 /// Per-connection bookkeeping shared with `:stats`: the latest
-/// [`Session::describe`] line of every live session. A line leaves the
+/// [`Database::describe`] line of every live session. A line leaves the
 /// board when its connection ends, before the socket closes.
 type SessionBoard = Arc<Mutex<BTreeMap<String, String>>>;
 
-/// Starts a server over `kernel` on `addr` (e.g. `127.0.0.1:7583`, or
-/// port `0` to pick a free one — read it back from
-/// [`ServerHandle::addr`]). Each connection gets a [`Session`] built
-/// from `options`, labelled `client-N`.
-pub fn serve(
-    kernel: Arc<DbKernel>,
-    options: DbOptions,
-    addr: &str,
-) -> std::io::Result<ServerHandle> {
-    let board: SessionBoard = Arc::new(Mutex::new(BTreeMap::new()));
-    listen(addr, "err too many connections\n.\n", move |n, stream| {
-        let label = format!("client-{n}");
-        let session = Session::new(Arc::clone(&kernel), options.clone(), label.clone());
-        let _ = handle_client(stream, session, &board);
-        board
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&label);
-    })
-}
-
 impl Database {
-    /// Serves this database's kernel on `addr` — see [`crate::server`].
-    /// Sessions start from this handle's current options (engine,
-    /// [`DbOptions::session_budget`], …).
+    /// Serves this database's kernel on `addr` (e.g. `127.0.0.1:7583`,
+    /// or port `0` to pick a free one — read it back from
+    /// [`ServerHandle::addr`]) — see [`crate::server`]. Each connection
+    /// gets a session labelled `client-N`, made from this handle's
+    /// current options (engine, [`DbOptions::session_budget`], …).
+    ///
+    /// [`DbOptions::session_budget`]: crate::DbOptions::session_budget
     pub fn serve(&self, addr: &str) -> std::io::Result<ServerHandle> {
-        serve(Arc::clone(self.kernel()), self.options(), addr)
+        let root = Database::handle(Arc::clone(self.kernel()), self.options(), None);
+        let board: SessionBoard = Arc::new(Mutex::new(BTreeMap::new()));
+        listen(addr, "err too many connections\n.\n", move |n, stream| {
+            let label = format!("client-{n}");
+            let _ = handle_client(stream, root.session(label.clone()), &label, &board);
+            board
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .remove(&label);
+        })
     }
 }
 
@@ -304,14 +296,15 @@ fn one_line(msg: impl std::fmt::Display) -> String {
 
 fn handle_client(
     stream: &TcpStream,
-    mut session: Session,
+    mut session: Database,
+    label: &str,
     board: &SessionBoard,
 ) -> std::io::Result<()> {
     let mut out = stream;
     let mut reader = BufReader::new(stream);
     frame(
         &mut out,
-        &format!("ok ioql-server proto=1 session={}", session.label()),
+        &format!("ok ioql-server proto=1 session={label}"),
         "",
     )?;
     loop {
@@ -332,12 +325,12 @@ fn handle_client(
             frame(&mut out, "ok bye", "")?;
             break;
         }
-        let result = run_request(&mut session, board, line);
+        let result = run_request(&mut session, label, board, line);
         // Publish this session's line for every client's `:stats`.
         board
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(session.label().to_string(), session.describe());
+            .insert(label.to_string(), session.describe());
         match result {
             Ok((status, payload)) => frame(&mut out, &status, &payload)?,
             Err(msg) => frame(&mut out, &format!("err {}", one_line(msg)), "")?,
@@ -348,7 +341,8 @@ fn handle_client(
 
 /// Runs one request line; returns `(status line, payload)`.
 fn run_request(
-    session: &mut Session,
+    session: &mut Database,
+    label: &str,
     board: &SessionBoard,
     line: &str,
 ) -> Result<(String, String), String> {
@@ -359,7 +353,7 @@ fn run_request(
         if line == ":stats" {
             // Every session this server has seen, own line freshest.
             let mut entries = board.lock().unwrap_or_else(|e| e.into_inner()).clone();
-            entries.insert(session.label().to_string(), session.describe());
+            entries.insert(label.to_string(), session.describe());
             for line in entries.values() {
                 payload.push_str(line);
                 payload.push('\n');

@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // exactly the paper's setup, with names encoded as ints.
     let fx = jack_jill();
     let mut db = Database::from_schema(fx.schema.clone(), DbOptions::default())?;
-    *db.store_mut() = fx.store.clone();
+    db.install(fx.store.clone())?;
 
     let query = jack_jill_query();
     println!("query:\n  {query}\n");
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let fx2 = jack_jill();
     let mut db2 = Database::from_schema(fx2.schema.clone(), DbOptions::default())?;
-    *db2.store_mut() = fx2.store.clone();
+    db2.install(fx2.store.clone())?;
     let second = db2.query_with(query, &mut LastChooser)?; // Jill first
     println!("visiting Jill first : {}", second.value);
     println!("(0 = Peter, 1 = Jack, 2 = Jill)\n");
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Enumerate EVERY order the semantics admits ---------------------
     let fresh = jack_jill();
     let mut db3 = Database::from_schema(fresh.schema.clone(), DbOptions::default())?;
-    *db3.store_mut() = fresh.store.clone();
+    db3.install(fresh.store.clone())?;
     let exploration = db3.explore(query, 10_000)?;
     let distinct = exploration.distinct_outcomes();
     println!(
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let fx4 = jack_jill();
     let mut db4 = Database::from_schema(fx4.schema.clone(), opts.clone())?;
-    *db4.store_mut() = fx4.store.clone();
+    db4.install(fx4.store.clone())?;
     println!("loop variant:\n  {}\n", jack_jill_loop_query());
     match db4.query(jack_jill_loop_query()) {
         Err(e) => println!("visiting Jack first : {e}"),
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let fx5 = jack_jill();
     let mut db5 = Database::from_schema(fx5.schema.clone(), opts)?;
-    *db5.store_mut() = fx5.store.clone();
+    db5.install(fx5.store.clone())?;
     match db5.query_with(jack_jill_loop_query(), &mut LastChooser) {
         Err(e) => println!("visiting Jill first : {e}"),
         Ok(r) => println!("visiting Jill first : {}", r.value),

@@ -12,7 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ----- Part 1: the paper's counterexample ---------------------------
     let fx = persons_employees();
     let mut db = Database::from_schema(fx.schema.clone(), DbOptions::default())?;
-    *db.store_mut() = fx.store.clone();
+    db.install(fx.store.clone())?;
 
     let q = commute_counterexample_query();
     println!("§4 counterexample:\n  {q}\n");
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let commuted = "{ (new Person(name: 1, address: 1)).name } intersect { size(Persons) }";
     let fx2 = persons_employees();
     let mut db2 = Database::from_schema(fx2.schema.clone(), DbOptions::default())?;
-    *db2.store_mut() = fx2.store.clone();
+    db2.install(fx2.store.clone())?;
     let swapped = db2.query(commuted)?;
     println!("naively commuted    : {}  ← different!", swapped.value);
 

@@ -48,11 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // First manager can't reference an existing one — bootstrap with a
     // self-managed seed written directly:
     if boss.is_err() || db.extent_len("Managers") == 0 {
-        // There is no manager yet, so create the seed via the store API.
+        // There is no manager yet, so build the seed on a copy of the
+        // store with the store API, then install the copy.
         use ioql::ast::{AttrName, Value};
         use ioql::store::Object;
-        let schema = db.schema().clone();
-        let mut store = db.store_mut();
+        let mut store = db.store().clone();
         let o = store.fresh_oid();
         store.objects.insert(
             o,
@@ -67,9 +67,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ],
             ),
         );
-        for e in schema.extents_for_new(&ioql::ast::ClassName::new("Manager")) {
+        for e in db
+            .schema()
+            .extents_for_new(&ioql::ast::ClassName::new("Manager"))
+        {
             store.extents.add(&e, o);
         }
+        db.install(store)?;
     }
 
     // Reports, created through the query language (each picks the boss

@@ -112,6 +112,30 @@ fn load_invalidates_even_when_versions_restart() {
     }
 }
 
+/// A whole store handed in through `install` is one more way versions
+/// could restart: the other database's store has its own counters, and
+/// its Persons extent is at the same version as this one's. Installing
+/// it must still kill the entry cached against the replaced store.
+#[test]
+fn install_invalidates_a_store_with_its_own_versions() {
+    const NAMES: &str = "{ p.name | p <- Persons }";
+    let opts = DbOptions::default();
+    let mut a = Database::from_ddl_with(DDL, opts.clone()).unwrap();
+    a.query("{ new Person(name: n, age: n) | n <- {1, 2} }")
+        .unwrap();
+    let mut b = Database::from_ddl_with(DDL, opts).unwrap();
+    b.query("{ new Person(name: n, age: n) | n <- {7, 8} }")
+        .unwrap();
+    a.query(NAMES).unwrap();
+    assert!(a.query(NAMES).unwrap().cached);
+
+    a.install(b.store().clone()).unwrap();
+    let r = a.query(NAMES).unwrap();
+    assert_eq!(r.value, Value::set([Value::Int(7), Value::Int(8)]));
+    assert!(!r.cached, "the entry cached against a's store must die");
+    assert_eq!(r.value, b.query(NAMES).unwrap().value);
+}
+
 #[test]
 fn governor_rollback_invalidates() {
     for engine in [Engine::SmallStep, Engine::Plan] {

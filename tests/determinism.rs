@@ -168,7 +168,7 @@ fn analyze_diagnoses_under_a_deterministic_handle() {
             ..Default::default()
         };
         let mut db = ioql::Database::from_schema(fx.schema.clone(), opts).unwrap();
-        *db.store_mut() = fx.store.clone();
+        db.install(fx.store.clone()).unwrap();
         let a = db.analyze(src).unwrap();
         assert!(!a.deterministic, "{require_deterministic}");
         let diagnosis = a.determinism_diagnosis.unwrap();

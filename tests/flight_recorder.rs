@@ -289,6 +289,38 @@ fn slow_query_log_emits_the_full_record() {
     assert!(log.contains("\"name\":\"cache-probe\""));
 }
 
+/// A root handle has no label, so its records say `"session":null`; a
+/// session made from it stamps its label — in the recorder and in the
+/// JSONL sink alike, one record per request.
+#[test]
+fn records_carry_the_session_label_and_null_for_the_root() {
+    let path = std::env::temp_dir().join(format!("ioql-fr-label-{}.jsonl", std::process::id()));
+    let mut opts = opts_with(8);
+    opts.telemetry_jsonl = Some(path.clone());
+    let mut db = Database::from_ddl_with(DDL, opts).unwrap();
+    db.query("size(Persons)").unwrap();
+    db.admin(":trace { p.name | p <- Persons }").unwrap();
+    let mut session = db.session("labelled");
+    session.query("1 + 1").unwrap();
+    let log = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+
+    let records = db.flight_recorder().unwrap().last(8);
+    let sessions: Vec<_> = records.iter().map(|r| r.session.as_deref()).collect();
+    assert_eq!(sessions, [None, Some("labelled")]);
+    let lines: Vec<_> = log.lines().collect();
+    assert_eq!(lines.len(), 2, "{log}");
+    assert!(lines[0].contains("\"session\":null"), "{}", lines[0]);
+    assert!(
+        lines[1].contains("\"session\":\"labelled\""),
+        "{}",
+        lines[1]
+    );
+    for (line, record) in lines.iter().zip(&records) {
+        assert_eq!(*line, record.to_json());
+    }
+}
+
 // ---------------------------------------------------------------------
 // The HTTP observability plane.
 

@@ -16,7 +16,7 @@ use ioql_testkit::fixtures::{
 
 fn db_from(fx: &fixtures::Fixture) -> Database {
     let mut db = Database::from_schema(fx.schema.clone(), DbOptions::default()).unwrap();
-    *db.store_mut() = fx.store.clone();
+    db.install(fx.store.clone()).unwrap();
     db
 }
 
@@ -100,7 +100,7 @@ fn x2_termination_depends_on_visit_order() {
     };
     let fx = jack_jill();
     let mut db = Database::from_schema(fx.schema.clone(), opts.clone()).unwrap();
-    *db.store_mut() = fx.store.clone();
+    db.install(fx.store.clone()).unwrap();
 
     // Jack (name = 1) first: hits `p.loop()` — diverges.
     let r = db.query_with(jack_jill_loop_query(), &mut FirstChooser);
@@ -117,7 +117,7 @@ fn x2_termination_depends_on_visit_order() {
     // Jill first: an F is created before Jack is reached — terminates.
     let fx2 = jack_jill();
     let mut db2 = Database::from_schema(fx2.schema.clone(), opts.clone()).unwrap();
-    *db2.store_mut() = fx2.store.clone();
+    db2.install(fx2.store.clone()).unwrap();
     let r2 = db2
         .query_with(jack_jill_loop_query(), &mut LastChooser)
         .unwrap();
@@ -132,7 +132,7 @@ fn x2_exploration_sees_both_fates() {
     };
     let fx = jack_jill();
     let mut db = Database::from_schema(fx.schema.clone(), opts).unwrap();
-    *db.store_mut() = fx.store.clone();
+    db.install(fx.store.clone()).unwrap();
     let ex = db.explore(jack_jill_loop_query(), 10_000).unwrap();
     let diverged = ex
         .runs

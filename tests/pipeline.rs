@@ -371,7 +371,7 @@ fn engines_agree_through_the_facade() {
         };
         let mut spec = {
             let mut d = Database::from_ddl_with(DDL, opts).unwrap();
-            *d.store_mut() = production.store().clone();
+            d.install(production.store().clone()).unwrap();
             d
         };
         let a = spec.query(src).unwrap();

@@ -53,7 +53,7 @@ fn generated(fx: &Fixture, cfg: GenConfig, seed: u64) -> String {
 
 fn database(fx: &Fixture, defs: &str, opts: DbOptions) -> Database {
     let mut db = Database::from_schema(fx.schema.clone(), opts).unwrap();
-    *db.store_mut() = fx.store.clone();
+    db.install(fx.store.clone()).unwrap();
     db.define(defs).unwrap();
     db
 }

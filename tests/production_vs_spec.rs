@@ -55,7 +55,7 @@ fn open(engine: Engine, schema: &Schema, store: &Store, defines: &[&str]) -> Dat
     for d in defines {
         db.define(d).unwrap();
     }
-    *db.store_mut() = store.clone();
+    db.install(store.clone()).unwrap();
     db
 }
 

@@ -316,7 +316,7 @@ fn generated_stores_roundtrip_through_dump_and_file() {
     ));
     for seed in 0..25u64 {
         let mut db = Database::from_schema(fx.schema.clone(), ioql::DbOptions::default()).unwrap();
-        *db.store_mut() = fx.store.clone();
+        db.install(fx.store.clone()).unwrap();
         // Grow a seed-specific store: run a handful of generated
         // queries, keeping whichever commit (mutators included —
         // `allow_new` defaults on).

@@ -370,18 +370,65 @@ fn session_budget_trips_one_client_not_its_neighbours() {
         modest.query(READS[0]).unwrap();
     }
     assert_eq!(modest.trips(), 0);
-    // Sessions without a budget fall back to per-query limits.
-    let mut unbounded = db.session("unbounded");
-    unbounded.set_options(DbOptions {
+    // A budget is fixed when the session is made: clearing the option
+    // on the session leaves it metered…
+    greedy.set_options(DbOptions {
         session_budget: None,
-        ..unbounded.options()
+        ..greedy.options()
     });
-    for _ in 0..5 {
+    assert!(greedy.budget_spent().is_some());
+    // …and a session made from options without one falls back to
+    // per-query limits, however many queries it runs.
+    db.set_options(DbOptions {
+        session_budget: None,
+        ..db.options()
+    });
+    let mut unbounded = db.session("unbounded");
+    assert_eq!(unbounded.budget_spent(), None);
+    for _ in 0..50 {
         unbounded
             .query("sum({ p.age * p.age | p <- Persons })")
             .unwrap();
     }
 }
+
+/// The root handle has no budget, whatever `session_budget` says: each
+/// of its queries runs under a fresh governor, so it never trips
+/// cumulatively. A session made from it meters every query against one
+/// budget, cache hits included (a hit re-charges the original run's
+/// cells), and trips.
+#[test]
+fn the_root_handle_never_trips_cumulatively_but_its_session_does() {
+    const Q: &str = "sum({ p.age * p.age | p <- Persons })";
+    let mut options = opts_with(Engine::Plan);
+    options.session_budget = Some(Limits::none().with_max_cells(40));
+    let mut db = Database::from_ddl_with(DDL, options).unwrap();
+    db.query(WRITES[0]).unwrap();
+    for _ in 0..50 {
+        db.query(Q).unwrap();
+    }
+    assert_eq!((db.queries(), db.trips(), db.budget_spent()), (51, 0, None));
+    assert!(db.label().is_none());
+
+    let mut session = db.session("metered");
+    let refused = (0..50).find_map(|_| session.query(Q).err());
+    assert!(
+        matches!(
+            refused,
+            Some(DbError::Eval(EvalError::ResourceExhausted { .. }))
+        ),
+        "{refused:?}"
+    );
+    assert_eq!((session.label(), session.trips()), (Some("metered"), 1));
+    assert!(session.budget_spent().unwrap() >= 40);
+}
+
+/// The harness moves sessions into threads and shares `&Database` across
+/// them: a handle stays `Send + Sync`.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Database>();
+};
 
 // ---------------------------------------------------------------------
 // The wire protocol.
@@ -713,11 +760,12 @@ fn a_checkpoint_keeps_the_logs_fsync_policy() {
     )
     .unwrap();
     let syncs = attach_counted(&mut db, dir.path());
-    let wire_opts = DbOptions {
+    let mut wire = db.session("wire");
+    wire.set_options(DbOptions {
         durability: Durability::Off,
         ..opts_with(Engine::Plan)
-    };
-    let mut server = ioql::serve(Arc::clone(db.kernel()), wire_opts, "127.0.0.1:0").unwrap();
+    });
+    let mut server = wire.serve("127.0.0.1:0").unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     let wire_status = |c: &mut Client| c.request(":wal status").unwrap().lines.join("\n");
     assert!(wire_status(&mut c).contains("mode commit"));
@@ -1092,6 +1140,18 @@ fn an_inspection_spends_the_session_budget() {
         "{stats}"
     );
     server.shutdown();
+    // A trip during `:trace <q>` is the trace's result, not the call's
+    // error: the session counts no trip, though its budget pays.
+    let mut session = db.session("tracer");
+    let (trips, spent) = (session.trips(), session.budget_spent().unwrap());
+    let (tag, text) = session
+        .admin(":trace { p.name + q.name | p <- Persons, q <- Persons }")
+        .unwrap();
+    assert_eq!(tag, "trace");
+    let last = text.lines().last().unwrap_or_default();
+    assert!(last.contains("cells budget exhausted"), "{text}");
+    assert_eq!(session.trips(), trips);
+    assert!(session.budget_spent().unwrap() > spent);
 }
 
 /// The shell and the wire run one interpreter: for the same schema, data

@@ -252,7 +252,7 @@ fn dump_v2_round_trip_body() {
     // The loaded store answers like the original.
     let before = db.query(READER).unwrap().value.to_string();
     let mut reloaded = Database::from_ddl_with(DDL, opts(Engine::Plan)).unwrap();
-    *reloaded.store_mut() = loaded;
+    reloaded.install(loaded).unwrap();
     let after = reloaded.query(READER).unwrap().value.to_string();
     assert_eq!(before, after);
 }

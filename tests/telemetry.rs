@@ -24,7 +24,7 @@ fn temp_path(name: &str) -> PathBuf {
 fn db_with(opts: DbOptions, n: usize, seed: u64) -> Database {
     let fx = workloads::p_store(n, seed);
     let mut db = Database::from_schema(fx.schema.clone(), opts).unwrap();
-    *db.store_mut() = fx.store.clone();
+    db.install(fx.store.clone()).unwrap();
     db
 }
 
