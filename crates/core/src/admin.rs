@@ -432,7 +432,7 @@ mod tests {
             engine: Engine::SmallStep,
             ..DbOptions::default()
         };
-        let db = db_with(spec, 3);
+        let mut db = db_with(spec, 3);
         let q = "{ p.name | p <- Persons, p.name = 2 }";
         for shown in [db.explain(q).unwrap(), db.explain_analyze(q).unwrap()] {
             assert!(shown.starts_with("no physical plan"), "{shown}");
@@ -446,7 +446,7 @@ mod tests {
     /// `…` that marks the cut.
     #[test]
     fn a_trace_over_a_large_extent_is_bounded() {
-        let db = db_with(DbOptions::default(), 2_000);
+        let mut db = db_with(DbOptions::default(), 2_000);
         let t = db.trace("{ p.name | p <- Persons }").unwrap();
         assert_eq!(t.steps.len() as u64, TRACE_STEPS);
         assert_eq!(t.result, Err(EvalError::FuelExhausted));

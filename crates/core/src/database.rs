@@ -385,10 +385,6 @@ impl DbMetrics {
                     "ioql_vm_dispatches_total",
                     "Rows dispatched through the bytecode VM.",
                 ),
-                dispatch_ns: registry.histogram(
-                    "ioql_vm_dispatch_ns",
-                    "Wall time of batched VM dispatch loops.",
-                ),
             },
             vm_compiles: c(
                 "ioql_vm_compiles_total",
@@ -852,22 +848,21 @@ impl Database {
     }
 
     /// As [`Database::explain`], but *runs* the plan (`:plan analyze`) —
-    /// against a clone of the store, under a fresh governor and the
-    /// canonical [`FirstChooser`] — and renders per-operator actual rows,
-    /// calls, and inclusive wall time next to the cost estimates. The
-    /// database itself is unchanged.
-    pub fn explain_analyze(&self, src: &str) -> Result<String, DbError> {
-        let governor = self.governor();
-        self.kernel.explain(&self.options, Some(&governor), src)
+    /// against a clone of the store, under this handle's governor (as
+    /// [`Database::admin`] runs an inspection) and the canonical
+    /// [`FirstChooser`] — and renders per-operator actual rows, calls,
+    /// and inclusive wall time next to the cost estimates. The database
+    /// itself is unchanged.
+    pub fn explain_analyze(&mut self, src: &str) -> Result<String, DbError> {
+        self.governed(|kernel, opts, governor, _| kernel.explain(opts, Some(governor), src))
     }
 
     /// Exhaustively explores every `(ND comp)` order of a query against a
     /// snapshot of the store (`:explore`) — the full outcome set of the
-    /// paper's non-deterministic relation — under a fresh governor. A
-    /// governor trip is the call's error.
-    pub fn explore(&self, src: &str, max_runs: usize) -> Result<Exploration, DbError> {
-        self.kernel
-            .explore(&self.options, &self.governor(), src, max_runs)
+    /// paper's non-deterministic relation — under this handle's governor.
+    /// A governor trip is the call's error, and the handle's trip.
+    pub fn explore(&mut self, src: &str, max_runs: usize) -> Result<Exploration, DbError> {
+        self.governed(|kernel, opts, governor, _| kernel.explore(opts, governor, src, max_runs))
     }
 
     /// Serialises the current store (see `ioql_store::dump`).
@@ -936,11 +931,11 @@ impl Database {
 
     /// Records the reduction trace of a query against a *snapshot* of
     /// the store (`:trace <query>`; the database itself is unchanged) —
-    /// each rule application and effect label, under a fresh governor,
-    /// at most 1 000 steps, each state cut to the 100 characters the
-    /// shell shows.
-    pub fn trace(&self, src: &str) -> Result<ioql_eval::Trace, DbError> {
-        self.kernel.trace(&self.options, &self.governor(), src)
+    /// each rule application and effect label, under this handle's
+    /// governor, at most 1 000 steps, each state cut to the 100
+    /// characters the shell shows. A trip ends the trace as its result.
+    pub fn trace(&mut self, src: &str) -> Result<ioql_eval::Trace, DbError> {
+        self.governed(|kernel, opts, governor, _| kernel.trace(opts, governor, src))
     }
 
     /// Number of objects currently in extent `e` (0 if undeclared).
@@ -1083,10 +1078,31 @@ mod tests {
 
     #[test]
     fn explore_integration() {
-        let db = db();
+        let mut db = db();
         let ex = db.explore("{ p.name | p <- Persons }", 10_000).unwrap();
         assert_eq!(ex.runs.len(), 6); // 3! orders
         assert_eq!(ex.distinct_outcomes().len(), 1);
+    }
+
+    /// An inspection is charged like a query: it spends the session's
+    /// budget, and its trip is the session's.
+    #[test]
+    fn inspections_spend_the_session_budget() {
+        let root = db_with(DbOptions {
+            session_budget: Some(Limits::none().with_max_cells(10)),
+            ..DbOptions::default()
+        });
+        let mut session = root.session("inspector");
+        let q = "{ p.name + q.name | p <- Persons, q <- Persons }";
+        let tripped = |r: Result<_, DbError>| matches!(r, Err(DbError::Eval(e)) if e.is_trip());
+        assert!(tripped(session.explore(q, 50).map(|_| ())));
+        assert_eq!(session.trips(), 1);
+        assert!(session.budget_spent().unwrap() > 0);
+        assert!(tripped(session.explain_analyze(q).map(|_| ())));
+        assert_eq!(session.trips(), 2);
+        // The trace ends on the spent budget.
+        let trace = session.trace(q).unwrap();
+        assert!(matches!(trace.result, Err(e) if e.is_trip()));
     }
 
     #[test]
@@ -1109,7 +1125,7 @@ mod tests {
 
     #[test]
     fn explain_renders_plans_and_diagnoses_refusals() {
-        let db = db();
+        let mut db = db();
         // A compiled Filter costs less per row than an index build +
         // probe, so the cost model keeps the scan.
         let plan = db.explain("{ p | p <- Persons, p.name = 2 }").unwrap();

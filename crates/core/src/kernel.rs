@@ -196,8 +196,6 @@ impl NoPlan {
         for (premise, holds) in [
             (format!("effect {{{effect}}} read-only"), thm7.write_free),
             ("`new`-free".into(), thm7.new_free),
-            ("invocation-free".into(), thm7.invoke_free),
-            ("called defs pure".into(), thm7.defs_pure),
         ] {
             let _ = writeln!(out, "    {premise}: {}", if holds { "yes" } else { "no" });
         }
@@ -396,11 +394,11 @@ impl DbKernel {
         let mut discipline = Discipline::permissive();
         discipline.deterministic_comprehensions = opts.require_deterministic;
         discipline.check(&self.schema, &derivation)?;
-        let thm7 = Thm7::decide(&elab, &effect, |d| catalogue.env.get(d));
+        let thm7 = Thm7::decide(&elab, &effect);
         let prepared = Prepared {
             elab: QueryKey::new(elab, &self.key_hasher),
             ty,
-            reads: effect_extents(&self.schema, &effect).reads,
+            reads: effect_extents(&self.schema, &effect),
             effect,
             derivation: Arc::new(derivation),
             thm7,

@@ -50,5 +50,5 @@ pub use infer::{
     infer_runtime_query, Derivation, EffectRules, InferredProgram, Record,
 };
 pub use method_effects::MethodEffects;
-pub use read_sets::{effect_extents, EffectExtents};
+pub use read_sets::effect_extents;
 pub use thm7::Thm7;

@@ -9,15 +9,17 @@
 //! next to the effect it is a property of.
 
 use crate::effect::Effect;
-use ioql_ast::{DefName, Definition, Query};
-use std::collections::BTreeSet;
+use ioql_ast::Query;
 
 /// The Theorem 7 verdict for one query under its inferred effect.
 ///
-/// `write_free` and `new_free` are read off the *effect*, so they are
-/// transitive through definitions (latent effects) and §5 methods (the
-/// method-effect table) by construction. `invoke_free` and `defs_pure`
-/// are the extra, syntactic conditions the physical-plan layer needs.
+/// Both fields are read off the *effect*, so they are transitive through
+/// definitions (latent effects) and §5 methods (the method-effect table)
+/// by construction: a method or a definition that writes makes the query
+/// not write-free. Nothing else is asked of an invocation. The plan
+/// executor runs each one on the interpreter big-step uses, at the draw
+/// position big-step reaches it, so a method's divergence, fuel and
+/// stuck states are observed exactly as big-step observes them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Thm7 {
     /// No `A(C)` and no `U(C)` atom: the query cannot change the store.
@@ -27,42 +29,14 @@ pub struct Thm7 {
     /// for `new`, so a caller handing in an effect that was not inferred
     /// for this query cannot talk the guard into accepting it.
     pub new_free: bool,
-    /// No method invocation in the query itself.
-    pub invoke_free: bool,
-    /// Every definition reachable through calls exists and is itself
-    /// `new`-free and invocation-free.
-    pub defs_pure: bool,
 }
 
 impl Thm7 {
-    /// Decides the guard for `q`, whose inferred effect is `effect`;
-    /// `defs` is `DE`, consulted for the bodies of called definitions.
-    pub fn decide<'d>(
-        q: &Query,
-        effect: &Effect,
-        defs: impl Fn(&DefName) -> Option<&'d Definition>,
-    ) -> Thm7 {
-        let mut defs_pure = true;
-        let mut seen = BTreeSet::new();
-        let mut pending: Vec<DefName> = q.called_defs().into_iter().collect();
-        while let Some(d) = pending.pop() {
-            match defs(&d) {
-                Some(def) if !def.body.contains_new() && !def.body.contains_invoke() => {
-                    if seen.insert(d) {
-                        pending.extend(def.body.called_defs());
-                    }
-                }
-                _ => {
-                    defs_pure = false;
-                    break;
-                }
-            }
-        }
+    /// Decides the guard for `q`, whose inferred effect is `effect`.
+    pub fn decide(q: &Query, effect: &Effect) -> Thm7 {
         Thm7 {
             write_free: effect.is_read_only(),
             new_free: effect.adds.is_empty() && !q.contains_new(),
-            invoke_free: !q.contains_invoke(),
-            defs_pure,
         }
     }
 
@@ -80,7 +54,9 @@ impl Thm7 {
 
     /// May be lowered to a physical plan: the operators' deviations from
     /// naive interpretation (ahead-of-draw index builds, independent set
-    /// operands) are unobservable.
+    /// operands) are unobservable. Nothing moved ahead of naive order
+    /// invokes: a plan's probe side and an optimizer-promoted predicate
+    /// are invocation-free by their own tests.
     pub fn lowerable(&self) -> bool {
         self.refusal().is_none()
     }
@@ -93,10 +69,6 @@ impl Thm7 {
             Some("effect not read-only")
         } else if !self.new_free {
             Some("query contains `new`")
-        } else if !self.invoke_free {
-            Some("query invokes a method")
-        } else if !self.defs_pure {
-            Some("a called definition is unknown, creates objects, or invokes a method")
         } else {
             None
         }
@@ -106,16 +78,10 @@ impl Thm7 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-
-    fn decide(q: &Query, effect: &Effect, defs: &[Definition]) -> Thm7 {
-        let map: BTreeMap<_, _> = defs.iter().map(|d| (d.name.clone(), d)).collect();
-        Thm7::decide(q, effect, |d| map.get(d).copied())
-    }
 
     #[test]
     fn a_pure_read_passes_every_condition() {
-        let t = decide(&Query::extent("Ps"), &Effect::read("P"), &[]);
+        let t = Thm7::decide(&Query::extent("Ps"), &Effect::read("P"));
         assert!(t.snapshot_admissible() && t.cacheable() && t.lowerable());
         assert_eq!(t.refusal(), None);
     }
@@ -123,28 +89,28 @@ mod tests {
     #[test]
     fn write_freedom_is_read_off_the_effect() {
         // The text is clean; the latent effect of whatever it calls is not.
-        let t = decide(&Query::extent("Ps"), &Effect::add("P"), &[]);
+        let t = Thm7::decide(&Query::extent("Ps"), &Effect::add("P"));
         assert!(!t.write_free && !t.new_free && !t.cacheable() && !t.snapshot_admissible());
         assert_eq!(t.refusal(), Some("effect not read-only"));
-        let t = decide(&Query::extent("Ps"), &Effect::update("P"), &[]);
+        let t = Thm7::decide(&Query::extent("Ps"), &Effect::update("P"));
         assert!(!t.write_free && t.new_free);
     }
 
     #[test]
     fn a_mismatched_effect_cannot_hide_a_new() {
         let q = Query::new_obj("P", [("name", Query::int(1))]);
-        let t = decide(&q, &Effect::empty(), &[]);
+        let t = Thm7::decide(&q, &Effect::empty());
         assert!(!t.new_free && !t.lowerable());
     }
 
+    /// An invocation, or a call of a definition whose body invokes, is
+    /// refused only by a write in its effect.
     #[test]
-    fn definition_purity_is_transitive() {
-        let inner = Definition::new("inner", [], Query::var("p").invoke("m", []));
-        let outer = Definition::new("outer", [], Query::call("inner", []));
-        let q = Query::call("outer", []);
-        let t = decide(&q, &Effect::empty(), &[inner, outer.clone()]);
-        assert!(t.write_free && t.invoke_free && !t.defs_pure && !t.lowerable());
-        // An unknown callee is not pure either.
-        assert!(!decide(&q, &Effect::empty(), &[outer]).defs_pure);
+    fn invocations_and_called_definitions_refuse_only_by_their_effect() {
+        for q in [Query::var("p").invoke("m", []), Query::call("outer", [])] {
+            assert!(Thm7::decide(&q, &Effect::attr_read("P")).lowerable());
+            let t = Thm7::decide(&q, &Effect::update("P"));
+            assert_eq!(t.refusal(), Some("effect not read-only"));
+        }
     }
 }

@@ -74,10 +74,6 @@ pub struct EvalMetrics {
     pub recursions: ioql_telemetry::Counter,
     /// Rows the plan executor dispatched through its bytecode VM.
     pub dispatches: ioql_telemetry::Counter,
-    /// Wall time of the VM's batched row loops, one observation per
-    /// driven generator (not per row — the hot loop stays clock-free
-    /// when telemetry is off).
-    pub dispatch_ns: ioql_telemetry::Histogram,
 }
 
 /// Evaluator configuration: the schema plus the §5 method design point.

@@ -586,13 +586,6 @@ impl<'a> Exec<'a, '_> {
             return Ok(());
         }
         let (probe, body) = split_probe(var, rest);
-        // `ioql_vm_dispatch_ns` times the drains whose every row is one
-        // VM dispatch of the head: one clock read per drain, none per
-        // row, none when telemetry is off.
-        let timer = match (self.interp.cfg.metrics, head.prog) {
-            (Some(m), Some(_)) if probe.is_none() && body.is_empty() => m.dispatch_ns.start_timer(),
-            _ => None,
-        };
         let slot = self.interp.binds.len();
         // Placeholder value, overwritten before anything reads the slot
         // (`probe_shape` keeps `var` out of the probe side, the one
@@ -660,9 +653,6 @@ impl<'a> Exec<'a, '_> {
             Ok(())
         })();
         self.interp.binds.truncate(slot);
-        if let Some(m) = self.interp.cfg.metrics {
-            m.dispatch_ns.observe_timer(timer);
-        }
         r
     }
 

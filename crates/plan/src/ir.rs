@@ -343,9 +343,8 @@ impl Stage {
 /// The effect evidence licensing a plan — the Theorem 7 guard.
 ///
 /// A plan is only emitted when the query's inferred Figure-3 effect is
-/// read-only (no `A(C)`, no `U(C)`), the elaborated query contains no
-/// `new` and no method invocation, and every called definition is
-/// `new`-free and invocation-free. Under those conditions Theorem 7
+/// read-only (no `A(C)`, no `U(C)`) and the elaborated query contains no
+/// `new`. Under those conditions Theorem 7
 /// guarantees evaluation order cannot be observed, which is exactly the
 /// freedom the physical operators exploit (index builds scan ahead of
 /// the chooser's draw order and serve every drain of the execution; set
@@ -358,11 +357,7 @@ pub struct Guard {
 
 impl fmt::Display for Guard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Thm 7: effect {} is read-only; new-free; invocation-free defs",
-            self.effect
-        )
+        write!(f, "Thm 7: effect {} is read-only; new-free", self.effect)
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The pass is *guarded*: [`lower`] returns `None` exactly when the
 //! Theorem 7 conditions fail for the whole query ([`Thm7::lowerable`]:
-//! write-free effect, invocation-free, called definitions pure), and the
-//! caller runs such a query on the big-step interpreter. Under the guard
+//! a write-free effect, no `new` in the text), and the caller runs such a
+//! query on the big-step interpreter. Under the guard
 //! it is total: a shape with no physical operator of its own (a scalar, a
 //! record, an `if`, a call with computed arguments) becomes an
 //! [`OpKind::Eval`] node, at the root as under a set operator. Within an
@@ -69,13 +69,12 @@ impl ParSpec<'static> {
 ///
 /// The guard is [`Thm7::lowerable`], decided on the query handed in: the
 /// statically inferred `static_effect` must be write-free (no `A(C)`, no
-/// `U(C)`), the query must contain no method invocation, and every
-/// definition it reaches must exist and be `new`-free and
-/// invocation-free. Under those conditions the paper's Theorem 7 makes
-/// evaluation-order choices unobservable, which licenses the physical
-/// operators' deviations from naive qualifier-at-a-time interpretation
-/// (ahead-of-draw index builds shared by every drain of the execution,
-/// independent set operands).
+/// `U(C)`) and the text must contain no `new`. Under those conditions the
+/// paper's Theorem 7 makes evaluation-order choices unobservable, which
+/// licenses the physical operators' deviations from naive
+/// qualifier-at-a-time interpretation (ahead-of-draw index builds shared
+/// by every drain of the execution, independent set operands). A method
+/// invocation runs on the interpreter, where big-step would run it.
 pub fn lower(q: &Query, static_effect: &Effect, defs: &DefEnv, stats: &Stats) -> Option<Plan> {
     lower_with(q, static_effect, defs, stats, &ParSpec::off())
 }
@@ -88,7 +87,7 @@ pub fn lower_with(
     stats: &Stats,
     spec: &ParSpec<'_>,
 ) -> Option<Plan> {
-    if !Thm7::decide(q, static_effect, |d| defs.get(d)).lowerable() {
+    if !Thm7::decide(q, static_effect).lowerable() {
         return None;
     }
     let mut lowering = Lowering {
@@ -328,8 +327,9 @@ fn inlined(defs: &DefEnv, d: &DefName, args: &[Query]) -> Option<Query> {
 /// indistinguishable from per-row re-evaluation: no comprehension (so no
 /// chooser draws or cell charges) and no definition calls (so no hidden
 /// recursion). `new`/`invoke`-freedom here is a per-expression purity
-/// test, not the Theorem 7 guard: it keeps this function safe in
-/// isolation.
+/// test, not the Theorem 7 guard, which admits invocations: it is what
+/// keeps a method call from running ahead of the draw big-step would
+/// run it at.
 fn probe_shape(
     x: &VarName,
     pred: &Query,

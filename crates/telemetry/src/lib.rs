@@ -119,15 +119,15 @@ impl HistogramInner {
     }
 }
 
-/// A fixed-bucket latency histogram (nanoseconds).
-///
-/// The intended pattern keeps the clock out of disabled runs entirely:
+/// A fixed-bucket latency histogram (nanoseconds). It reads no clock:
+/// the request's [`Tracer`] measures, and feeds each span's duration
+/// here.
 ///
 /// ```
-/// # let h = ioql_telemetry::Histogram::disabled();
-/// let t = h.start_timer();      // None when disabled — no clock read
-/// // ... the work being measured ...
-/// h.observe_timer(t);
+/// let registry = ioql_telemetry::MetricsRegistry::new(true);
+/// let h = registry.histogram("parse_ns", "Parse time.");
+/// h.observe_ns(1_500);
+/// assert_eq!((h.count(), h.sum_ns()), (1, 1_500));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Histogram(Option<Arc<HistogramInner>>);
@@ -147,20 +147,6 @@ impl Histogram {
     pub fn observe_ns(&self, ns: u64) {
         if let Some(h) = &self.0 {
             h.observe_ns(ns);
-        }
-    }
-
-    /// Reads the clock — only if enabled — for a later
-    /// [`observe_timer`](Histogram::observe_timer).
-    pub fn start_timer(&self) -> Option<Instant> {
-        self.0.as_ref().map(|_| Instant::now())
-    }
-
-    /// Records the time since `start_timer`. A `None` start (disabled
-    /// handle) records nothing.
-    pub fn observe_timer(&self, started: Option<Instant>) {
-        if let (Some(h), Some(t)) = (&self.0, started) {
-            h.observe_ns(saturating_ns(t.elapsed()));
         }
     }
 
@@ -401,8 +387,6 @@ mod tests {
         assert!(!c.is_enabled() && !h.is_enabled());
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
-        // No clock read when disabled.
-        assert!(h.start_timer().is_none());
         assert_eq!(reg.counter_value("x_total"), None);
         assert!(reg.render_prometheus().is_empty());
     }

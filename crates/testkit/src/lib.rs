@@ -1,4 +1,4 @@
-//! Test and benchmark harness for the IOQL reproduction.
+//! Test harness for the IOQL reproduction.
 //!
 //! * [`fixtures`] — the paper's schemas and stores (the §1 Jack/Jill
 //!   classes `P`/`F`, the §2 `Employee` payroll schema, the §4
@@ -8,8 +8,7 @@
 //! * [`oracles`] — executable statements of the paper's theorems
 //!   (subject reduction, progress, effect consistency, system agreement),
 //!   applied per reduction step.
-//! * [`workloads`] — parameterised stores and queries for the Criterion
-//!   benchmarks.
+//! * [`workloads`] — parameterised stores of a requested size.
 //! * [`faults`] — seed-driven fault injection (deadline/budget/cancel
 //!   plans, a chaos chooser, dump corruption) for the robustness suite.
 

@@ -97,7 +97,7 @@ fn extended_method_invocation_is_observably_order_dependent() {
     // returns the *running count*, so which counter bumps first is
     // observable when counters share state... here state is per-object,
     // so bump order is NOT observable — but countPeers after spawn is.
-    let db = db();
+    let mut db = db();
     let ex = db
         .explore("{ c.spawn(c.countPeers()) | c <- Counters }", 10_000)
         .unwrap();

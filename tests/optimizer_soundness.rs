@@ -417,8 +417,8 @@ fn the_optimizer_preserves_the_theorem_7_verdict() {
             OptOptions::default(),
         );
         let (_, after_effect) = infer_query(&env, &optimized.query).unwrap();
-        let before = Thm7::decide(&elab, &effect, |_| None);
-        let after = Thm7::decide(&optimized.query, &after_effect, |_| None);
+        let before = Thm7::decide(&elab, &effect);
+        let after = Thm7::decide(&optimized.query, &after_effect);
         assert_eq!(
             before, after,
             "verdict moved\noriginal:  {elab}\nrewritten: {}",

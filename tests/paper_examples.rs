@@ -29,7 +29,7 @@ fn int_set(xs: &[i64]) -> Value {
 #[test]
 fn x1_both_outcomes_exist_and_no_others() {
     let fx = jack_jill();
-    let db = db_from(&fx);
+    let mut db = db_from(&fx);
     let ex = db.explore(jack_jill_query(), 10_000).unwrap();
     assert!(!ex.truncated);
     assert!(!ex.any_failure());
@@ -82,7 +82,7 @@ fn x1_static_analysis_flags_the_interference() {
 fn x1_runtime_effects_within_static_bound() {
     // Theorem 5 on the flagship query, every exploration path.
     let fx = jack_jill();
-    let db = db_from(&fx);
+    let mut db = db_from(&fx);
     let a = db.analyze(jack_jill_query()).unwrap();
     let ex = db.explore(jack_jill_query(), 10_000).unwrap();
     for eff in &ex.effects {

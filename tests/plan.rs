@@ -10,7 +10,7 @@
 #![allow(clippy::result_large_err)]
 
 use ioql::plan::{execute, lower, lower_with, ParSpec, Plan};
-use ioql::{Database, DbOptions, Engine};
+use ioql::{Database, DbOptions, Engine, Mode};
 use ioql_effects::{infer_query, EffectEnv};
 use ioql_eval::{
     eval_big, evaluate, Chooser, DefEnv, EvalConfig, EvalError, FirstChooser, Governor,
@@ -184,31 +184,40 @@ fn plan_agrees_on_generated_queries() {
     );
 }
 
+/// Over generated payroll queries, method invocations included, a query
+/// lowers exactly when its effect is read-only and its text holds no
+/// `new`: a mutating query never lowers, and every other one — an
+/// invoking one too — lowers and agrees with both interpreters.
 #[test]
-fn invoking_and_mutating_generated_queries_never_lower() {
+fn mutating_generated_queries_never_lower_and_invoking_ones_agree() {
     let fx = ioql_testkit::fixtures::payroll();
     let tenv = TypeEnv::new(&fx.schema);
+    let eenv = EffectEnv::new(&fx.schema);
     let cfg = GenConfig {
         allow_invoke: true,
         max_depth: 4,
         ..Default::default()
     };
+    let (mut invoking, mut mutating) = (0, 0);
     for seed in 0..150u64 {
         let mut g = QueryGen::new(&fx.schema, seed, cfg);
         let target = g.target_type();
         let (elab, _) = check_query(&tenv, &g.query(&target)).unwrap();
+        let (_, effect) = infer_query(&eenv, &elab).unwrap();
+        let readable = effect.is_read_only() && !elab.contains_new();
         for real_stats in [true, false] {
-            if let Some(plan) = lower_for(&fx, &elab, real_stats) {
-                // Eligible ones must still agree…
-                plan_agrees(&fx, &elab, &plan, seed, &format!("payroll seed {seed}"));
-                // …and must not have slipped past the guard.
-                assert!(
-                    !elab.contains_new() && !elab.contains_invoke(),
-                    "guard leak on {elab}"
-                );
+            let plan = lower_for(&fx, &elab, real_stats);
+            assert_eq!(plan.is_some(), readable, "seed {seed} on {elab}");
+            match plan {
+                Some(plan) => {
+                    plan_agrees(&fx, &elab, &plan, seed, &format!("payroll seed {seed}"));
+                    invoking += usize::from(elab.contains_invoke());
+                }
+                None => mutating += 1,
             }
         }
     }
+    assert!(invoking > 0 && mutating > 0, "{invoking} / {mutating}");
 }
 
 /// `lower_with` declines for one reason: it returns `None` exactly when
@@ -231,7 +240,7 @@ fn lowering_declines_exactly_when_theorem_7_refuses() {
             let target = g.target_type();
             let (elab, _) = check_query(&tenv, &g.query(&target)).unwrap();
             let (_, effect) = infer_query(&eenv, &elab).unwrap();
-            let lowerable = ioql::Thm7::decide(&elab, &effect, |d| defs.get(d)).lowerable();
+            let lowerable = ioql::Thm7::decide(&elab, &effect).lowerable();
             for compile in [false, true] {
                 let spec = ParSpec {
                     compile,
@@ -248,6 +257,256 @@ fn lowering_declines_exactly_when_theorem_7_refuses() {
         }
     }
     assert!(lowered >= 100 && refused >= 100, "{lowered} / {refused}");
+}
+
+/// A store, the definitions in scope and the method design point, as a
+/// `Database` judged them: what the invoking-query tests lower and run
+/// the executors under.
+struct Bed {
+    db: Database,
+    defs: DefEnv,
+    mode: Mode,
+}
+
+impl Bed {
+    /// `fx`'s schema and store under `mode`, with `defines` registered.
+    fn of(fx: &Fixture, mode: Mode, defines: &str) -> Bed {
+        let opts = DbOptions {
+            method_mode: mode,
+            ..DbOptions::default()
+        };
+        let mut db = Database::from_schema(fx.schema.clone(), opts).unwrap();
+        db.install(fx.store.clone()).unwrap();
+        Bed::with_defines(db, mode, defines)
+    }
+
+    fn with_defines(mut db: Database, mode: Mode, defines: &str) -> Bed {
+        if !defines.is_empty() {
+            db.define(defines).unwrap();
+        }
+        let mut defs = DefEnv::new();
+        for d in db.definitions() {
+            defs.insert(d);
+        }
+        Bed { db, defs, mode }
+    }
+
+    /// The elaborated query and its inferred effect.
+    fn judge(&self, src: &str) -> (ioql_ast::Query, ioql_effects::Effect) {
+        let prepared = self.db.prepare(src).unwrap();
+        ((*prepared.elab).clone(), prepared.effect)
+    }
+
+    /// `src` judged and lowered with the compile pass `compile`, under
+    /// the store's own statistics or the defaults.
+    fn lower(&self, src: &str, compile: bool, real_stats: bool) -> Option<Plan> {
+        let (q, effect) = self.judge(src);
+        let mut stats = Stats::new();
+        if real_stats {
+            for (e, _, members) in self.db.store().extents.iter() {
+                stats.set(e.clone(), members.len());
+            }
+        }
+        let spec = ParSpec {
+            compile,
+            ..ParSpec::off()
+        };
+        lower_with(&q, &effect, &self.defs, &stats, &spec)
+    }
+
+    /// One run at the default step budget: the observables, and the store
+    /// it leaves.
+    fn run(
+        &self,
+        exec: &Exec<'_>,
+        mk: fn() -> Box<dyn Chooser>,
+        limits: Limits,
+        method_fuel: u64,
+    ) -> (Observed, ioql_store::Store) {
+        let cfg = EvalConfig::new(self.db.schema())
+            .with_method_mode(self.mode)
+            .with_method_fuel(method_fuel);
+        let store = self.db.store();
+        observe_in(cfg, &self.defs, &store, exec, mk, limits, 10_000_000)
+    }
+
+    /// Asserts that every text in `zoo` lowers — with the compile pass on
+    /// and off, under real and default statistics — and that each plan
+    /// equals big-step on value, store, effect, exact error, cells and
+    /// draws under four choosers, four cell budgets and three method
+    /// fuels, while big-step's value and effect equal the small-step
+    /// machine's. Returns how many unlimited runs answered and how many
+    /// failed, so a zoo that never answers, or never diverges, shows.
+    fn plans_agree(&self, zoo: &[&str]) -> (usize, usize) {
+        let mks: [fn() -> Box<dyn Chooser>; 4] = [
+            || Box::new(FirstChooser),
+            || Box::new(LastChooser),
+            || Box::new(RandomChooser::seeded(0x1A7)),
+            || Box::new(ChaosChooser::new(0x1A7, None)),
+        ];
+        let (mut answered, mut failed) = (0, 0);
+        for src in zoo {
+            let (q, effect) = self.judge(src);
+            assert!(effect.is_read_only(), "{src}: {{{effect}}}");
+            let mut plans = Vec::new();
+            for compile in [false, true] {
+                for real_stats in [true, false] {
+                    let plan = self.lower(src, compile, real_stats);
+                    plans.push(plan.unwrap_or_else(|| panic!("{src} must lower")));
+                }
+            }
+            for mk in mks {
+                for method_fuel in [1, 40, 5_000] {
+                    let (want, want_store) =
+                        self.run(&Exec::BigStep(&q), mk, Limits::none(), method_fuel);
+                    let (spec, _) = self.run(&Exec::SmallStep(&q), mk, Limits::none(), method_fuel);
+                    match (&want.0, &spec.0) {
+                        (Ok(b), Ok(s)) => assert_eq!(b, s, "{src}: big-step vs machine"),
+                        (Err(b), Err(s)) => {
+                            assert_eq!(class(b), class(s), "{src}: {b} vs machine {s}")
+                        }
+                        (b, s) => panic!("{src}: big-step {b:?} vs machine {s:?}"),
+                    }
+                    answered += usize::from(want.0.is_ok());
+                    failed += usize::from(want.0.is_err());
+                    for cap in [None, Some(0), Some(1), Some(want.1 / 2)] {
+                        let limits =
+                            cap.map_or(Limits::none(), |c| Limits::none().with_max_cells(c));
+                        let want = self.run(&Exec::BigStep(&q), mk, limits, method_fuel);
+                        for plan in &plans {
+                            let got = self.run(&Exec::Plan(plan), mk, limits, method_fuel);
+                            assert_eq!(
+                                got, want,
+                                "{src}: plan vs big-step, cells {cap:?}, method fuel {method_fuel}"
+                            );
+                        }
+                    }
+                    assert_eq!(want_store, *self.db.store(), "{src}: a read wrote");
+                }
+            }
+        }
+        (answered, failed)
+    }
+}
+
+/// Invocations on the plan, over the divergent `P.loop()`: in the head,
+/// in a filter, after a probe (hit and missed), in a semi-join, in
+/// either union branch and on a path receiver.
+const LOOP_ZOO: [&str; 8] = [
+    "{ p.loop() | p <- Ps }",
+    "{ p.name | p <- Ps, p.loop() = 0 }",
+    "{ p.name | p <- Ps, p.name = 3, p.loop() = 0 }",
+    "{ p.name | p <- Ps, p.name = 5, p.loop() = 0 }",
+    "{ f.name + p.loop() | f <- Fs, p <- Ps, p == f.pal }",
+    "{ p.loop() | p <- Ps, p.name = 3 } union { p.name | p <- Ps }",
+    "{ p.name | p <- Ps, p.name < 2 } union { p.loop() | p <- Ps, p.name = 6 }",
+    "{ if f.name = 2 then f.pal.loop() else f.name | f <- Fs }",
+];
+
+/// …and over the terminating `NetSalary`, which runs out of method fuel
+/// at the smallest budget: the same places, plus an aggregate and a
+/// probe-shaped equality whose probe side invokes (it stays a filter).
+const PAYROLL_ZOO: [&str; 8] = [
+    "{ e.NetSalary(10) | e <- Employees }",
+    "{ e.name | e <- Employees, 500000 < e.NetSalary(10) }",
+    "{ e.name | e <- Employees, e.EmpID = 2, e.NetSalary(e.EmpID) < 1000000 }",
+    "{ e.UniqueManager.NetSalary(5) | e <- Employees }",
+    "{ e.NetSalary(1) | e <- Employees } union { m.NetSalary(2) | m <- Managers }",
+    "sum({ e.NetSalary(e.EmpID) | e <- Employees })",
+    "{ e.NetSalary(m.EmpID) | m <- Managers, e <- Employees, e.UniqueManager == m }",
+    "{ e.name | m <- Managers, e <- Employees, e.GrossSalary = m.NetSalary(0) }",
+];
+
+#[test]
+fn invoking_queries_lower_and_agree_on_every_meter() {
+    let loops = Bed::of(&join_fixture(4, 3), Mode::ReadOnly, "");
+    let payroll = Bed::of(&ioql_testkit::payroll(), Mode::ReadOnly, "");
+    for (bed, zoo) in [(&loops, LOOP_ZOO), (&payroll, PAYROLL_ZOO)] {
+        let (answered, failed) = bed.plans_agree(&zoo);
+        assert!(
+            answered > 0 && failed > 0,
+            "{answered} answered, {failed} failed"
+        );
+    }
+    // Production lowers them too.
+    for (bed, zoo) in [(&loops, LOOP_ZOO), (&payroll, PAYROLL_ZOO)] {
+        for src in zoo {
+            let shown = bed.db.explain(src).unwrap();
+            assert!(shown.starts_with("Plan  [guard: Thm 7"), "{src}: {shown}");
+        }
+    }
+}
+
+/// What an invocation alone no longer keeps off the plan: a §5 method
+/// whose latent effect only reads (it iterates an extent), and a
+/// definition whose body invokes — called with literal arguments (the
+/// plan inlines it) and with computed ones (the interpreter runs the
+/// call). A method or a definition that writes is still refused, by its
+/// effect.
+#[test]
+fn read_only_methods_and_invoking_definitions_lower_and_agree() {
+    let opts = DbOptions {
+        method_mode: Mode::Extended,
+        ..DbOptions::default()
+    };
+    let mut db = Database::from_ddl_with(
+        "class Counter extends Object (extent Counters) {
+            attribute int n;
+            int countPeers() {
+                int c = 0;
+                for (x in Counters) { c = c + x.n; }
+                return c;
+            }
+            int bump() {
+                this.n = this.n + 1;
+                return this.n;
+            }
+        }",
+        opts,
+    )
+    .unwrap();
+    db.query("{ new Counter(n: i) | i <- {10, 20, 30} }")
+        .unwrap();
+    let counters = Bed::with_defines(
+        db,
+        Mode::Extended,
+        "define peers(c: Counter) as c.countPeers(); \
+         define total() as sum({ c.countPeers() | c <- Counters });",
+    );
+    let (counted, _) = counters.plans_agree(&[
+        "{ c.n + c.countPeers() | c <- Counters }",
+        "{ c.n | c <- Counters, c.countPeers() = 60 }",
+        "sum({ c.countPeers() | c <- Counters, c.n = 10 })",
+        "{ peers(c) | c <- Counters }",
+        "total()",
+    ]);
+    let payroll = Bed::of(
+        &ioql_testkit::payroll(),
+        Mode::ReadOnly,
+        "define net(e: Employee, rate: int) as e.NetSalary(rate); \
+         define bill(rate: int) as sum({ e.NetSalary(rate) | e <- Employees });",
+    );
+    let (billed, _) = payroll.plans_agree(&[
+        "{ net(e, 10) | e <- Employees }",
+        "{ e.name | e <- Employees, 500000 < net(e, e.EmpID) }",
+        "bill(10)",
+        "{ bill(e.EmpID) | e <- Employees }",
+    ]);
+    assert!(counted > 0 && billed > 0, "{counted} / {billed} answered");
+    // `bill(10)`'s body is the plan's own operators, not an `Eval`.
+    let rendered = payroll.lower("bill(10)", true, true).unwrap().render();
+    assert!(rendered.contains("InlineDef"), "{rendered}");
+    for src in [
+        "{ c.bump() | c <- Counters }",
+        "{ peers(c) + c.bump() | c <- Counters }",
+    ] {
+        assert!(counters.lower(src, true, true).is_none(), "{src} lowered");
+        let shown = counters.db.explain(src).unwrap();
+        assert!(
+            shown.contains("refused: effect not read-only"),
+            "{src}: {shown}"
+        );
+    }
 }
 
 /// Tight budgets and injected faults: verdicts (pass/fail *and* error
@@ -878,24 +1137,38 @@ fn observe(
     limits: Limits,
     fuel: u64,
 ) -> Observed {
+    let cfg = EvalConfig::new(&fx.schema);
+    observe_in(cfg, &DefEnv::new(), &fx.store, exec, mk, limits, fuel).0
+}
+
+/// [`observe`] under the caller's configuration, definitions and store;
+/// also returns the store the run leaves.
+fn observe_in(
+    cfg: EvalConfig<'_>,
+    defs: &DefEnv,
+    store: &ioql_store::Store,
+    exec: &Exec<'_>,
+    mk: fn() -> Box<dyn Chooser>,
+    limits: Limits,
+    fuel: u64,
+) -> (Observed, ioql_store::Store) {
     use ioql_eval::CountingChooser;
     let draws = ioql_telemetry::MetricsRegistry::new(true).counter("draws", "Chooser draws.");
     let governor = Governor::new(limits);
-    let cfg = EvalConfig::new(&fx.schema).with_governor(&governor);
-    let defs = DefEnv::new();
-    let mut store = fx.store.clone();
+    let cfg = cfg.with_governor(&governor);
+    let mut store = store.clone();
     let mut inner = mk();
     let ch = &mut CountingChooser::new(&mut *inner, draws.clone());
     let r = match exec {
-        Exec::Plan(p) => execute(p, &cfg, &defs, &mut store, ch, fuel).map(|r| (r.value, r.effect)),
+        Exec::Plan(p) => execute(p, &cfg, defs, &mut store, ch, fuel).map(|r| (r.value, r.effect)),
         Exec::BigStep(q) => {
-            eval_big(&cfg, &defs, &mut store, q, ch, fuel).map(|r| (r.value, r.effect))
+            eval_big(&cfg, defs, &mut store, q, ch, fuel).map(|r| (r.value, r.effect))
         }
         Exec::SmallStep(q) => {
-            evaluate(&cfg, &defs, &mut store, q, ch, fuel).map(|r| (r.value, r.effect))
+            evaluate(&cfg, defs, &mut store, q, ch, fuel).map(|r| (r.value, r.effect))
         }
     };
-    (r, governor.cells_spent(), draws.get())
+    ((r, governor.cells_spent(), draws.get()), store)
 }
 
 /// The production lowering: the compile pass on, the store's own

@@ -115,7 +115,7 @@ fn check(
         return Decided::Deterministic;
     }
     // A fresh spec handle: the one above has run the query.
-    let fresh = open(Engine::SmallStep, schema, store, defines);
+    let mut fresh = open(Engine::SmallStep, schema, store, defines);
     let explored = fresh.explore(src, 3_000).unwrap();
     if explored.truncated {
         return Decided::Truncated;

@@ -214,7 +214,7 @@ fn persistence_roundtrip_preserves_query_results() {
 
 #[test]
 fn trace_of_a_real_query_names_the_rules() {
-    let d = db();
+    let mut d = db();
     let t = d.trace("sum({ dd.budget | dd <- Depts })").unwrap();
     let rules: Vec<&str> = t.steps.iter().map(|s| s.rule).collect();
     assert!(rules.contains(&"(Extent)"));
