@@ -54,6 +54,10 @@ commands:
 /// What every flight-recorder surface answers when there is no recorder.
 pub(crate) const RECORDER_OFF: &str = "flight recorder off (trace_capacity is 0)";
 
+/// What `:plan` says on the spec engine, the one handle with no plan.
+const SPEC_RUNS_AS_WRITTEN: &str =
+    "no physical plan — the interpreter engine (SmallStep) runs this query as written\n";
+
 /// The most runs `:explore` enumerates: the outcome tree is exponential
 /// in the draws.
 const EXPLORE_RUNS: usize = 20_000;
@@ -172,10 +176,11 @@ impl DbKernel {
         Ok(self.optimize_in(&state, &prepared))
     }
 
-    /// `:plan`: the plan execution would run, or why there is none. With
-    /// a governor, `:plan analyze`: runs that plan on the clone under it
-    /// and the canonical [`FirstChooser`], and renders per-operator actual
-    /// rows, calls and inclusive wall time beside the estimates.
+    /// `:plan`: the plan execution would run — every query has one, except
+    /// on the spec engine. With a governor, `:plan analyze`: runs that
+    /// plan on the clone under it and the canonical [`FirstChooser`], and
+    /// renders per-operator actual rows, calls and inclusive wall time
+    /// beside the estimates. A writer's run writes only the clone.
     pub(crate) fn explain(
         &self,
         opts: &DbOptions,
@@ -183,9 +188,8 @@ impl DbKernel {
         src: &str,
     ) -> Result<String, DbError> {
         let (mut state, prepared) = self.inspected(opts, src)?;
-        let plan = match self.plan_in(opts, &state, &prepared, &mut Tracer::off()).1 {
-            Ok(plan) => plan,
-            Err(none) => return Ok(none.diagnosis(&prepared)),
+        let Some(plan) = self.plan_in(opts, &state, &prepared, &mut Tracer::off()).1 else {
+            return Ok(SPEC_RUNS_AS_WRITTEN.to_string());
         };
         let Some(governor) = run else {
             return Ok(plan.render());
@@ -288,9 +292,12 @@ impl DbKernel {
     }
 
     /// `:stats`: cache, statement, VM, scheduler and snapshot counters,
-    /// then every extent's size and version.
+    /// then every extent's size and version. The VM, admission and
+    /// snapshot counters are the registry's, printed only when it is on:
+    /// off, it counts nothing, and a note says so.
     fn stats(&self) -> String {
         let m = self.metrics();
+        let kept = m.registry().is_enabled();
         let s = self.cache_stats();
         let mut out = format!(
             "cache: {} hit(s), {} miss(es), {} eviction(s), {} live entr{}\n",
@@ -305,30 +312,40 @@ impl DbKernel {
             "statements: {} hit(s), {} miss(es), {} eviction(s), {} live\n",
             s.hits, s.misses, s.evictions, s.entries
         ));
-        out.push_str(&format!(
-            "vm: {} node(s) compiled, {} interpreted, {} row(s) dispatched\n",
-            m.vm_compiles.get(),
-            m.vm_fallbacks.get(),
-            m.eval.dispatches.get()
-        ));
+        if kept {
+            out.push_str(&format!(
+                "vm: {} node(s) compiled, {} interpreted, {} row(s) dispatched\n",
+                m.vm_compiles.get(),
+                m.vm_fallbacks.get(),
+                m.eval.dispatches.get()
+            ));
+        }
         let (commits, inflight, max_inflight, witnesses) = self.sched_snapshot();
+        let (admitted, serialized) = (m.sched.admitted.get(), m.sched.serialized.get());
         out.push_str(&format!(
             "sched: {commits} committed writer(s), {inflight} in-flight reader(s), \
-             max concurrent {max_inflight}, admitted {}, serialized {}\n",
-            m.sched.admitted.get(),
-            m.sched.serialized.get(),
+             max concurrent {max_inflight}{}\n",
+            if kept {
+                format!(", admitted {admitted}, serialized {serialized}")
+            } else {
+                String::new()
+            }
         ));
         if !witnesses.is_empty() {
             out.push_str(&format!("recent witnesses: {}\n", witnesses.join(" ")));
         }
         let snapshot = m.span(Span::SnapshotAcquire);
-        out.push_str(&format!(
-            "snapshot: {} acquire(s) in {} ns, chunks shared {}, copied {}\n",
-            snapshot.count(),
-            snapshot.sum_ns(),
-            m.snapshot_chunks_shared.get(),
-            m.snapshot_chunks_copied.get(),
-        ));
+        out.push_str(&if kept {
+            format!(
+                "snapshot: {} acquire(s) in {} ns, chunks shared {}, copied {}\n",
+                snapshot.count(),
+                snapshot.sum_ns(),
+                m.snapshot_chunks_shared.get(),
+                m.snapshot_chunks_copied.get(),
+            )
+        } else {
+            "vm, admission and snapshot counters: not kept (telemetry off)\n".to_string()
+        });
         let state = self.read_state();
         for (e, _) in self.schema.extents() {
             out.push_str(&format!(
@@ -441,6 +458,25 @@ mod tests {
         }
     }
 
+    /// A writer's `:plan analyze` runs its plan on the inspection's
+    /// copy-on-write clone: the profile counts the rows it created, and
+    /// the shared store, its extent versions and later queries see none.
+    #[test]
+    fn a_writers_plan_analyze_writes_only_the_inspections_clone() {
+        let mut db = db_with(DbOptions::default(), 4);
+        let persons = ioql_ast::ExtentName::new("Persons");
+        let (before, version) = (db.store().clone(), db.store().extent_version(&persons));
+        let line = ":plan analyze { new Person(name: n) | n <- {7, 8} }";
+        let (tag, text) = db.admin(line).unwrap();
+        assert_eq!(tag, "plan");
+        let guard = "Plan analyze  [guard: Thm 7 refused: effect not read-only; no index probes]\n";
+        assert!(text.starts_with(guard), "{text}");
+        assert!(text.ends_with("returned 2 row(s)\n"), "{text}");
+        assert!(*db.store() == before);
+        assert_eq!(db.store().extent_version(&persons), version);
+        assert_eq!(db.query("size(Persons)").unwrap().value, Value::Int(4));
+    }
+
     /// `:trace` is bounded whatever the state: at most `TRACE_STEPS`
     /// steps, each state kept cut to `TRACE_WIDTH` characters plus the
     /// `…` that marks the cut.
@@ -462,6 +498,34 @@ mod tests {
         let line = ":trace { p.name | p <- Persons }";
         let (tag, text) = db.kernel().admin(&opts, &governor, line).unwrap();
         assert_eq!((tag.as_str(), text), ("trace", t.render(TRACE_WIDTH)));
+    }
+
+    /// With telemetry off the registry counts nothing, so `:stats` prints
+    /// none of its counters as zeros: the VM, admission and snapshot
+    /// fields are left out and a note says why. With it on, they count.
+    #[test]
+    fn stats_print_no_counter_the_registry_does_not_keep() {
+        let on = DbOptions {
+            telemetry: true,
+            ..DbOptions::default()
+        };
+        for (options, kept) in [(DbOptions::default(), false), (on, true)] {
+            let mut db = db_with(options, 3);
+            for _ in 0..6 {
+                db.query("{ p.name + 1 | p <- Persons }").unwrap();
+            }
+            let (_, text) = db.admin(":stats").unwrap();
+            let sched = "sched: 1 committed writer(s), 0 in-flight reader(s), max concurrent 1";
+            assert!(text.contains(sched), "{text}");
+            for field in ["vm: ", "admitted ", "snapshot: "] {
+                assert_eq!(text.contains(field), kept, "{field}: {text}");
+            }
+            assert_eq!(text.contains("not kept (telemetry off)"), !kept, "{text}");
+            if kept {
+                assert!(text.contains("admitted 6, serialized 1"), "{text}");
+                assert!(text.contains("row(s) dispatched"), "{text}");
+            }
+        }
     }
 
     /// Every other `:` line is the one `unknown command` error, shell-only

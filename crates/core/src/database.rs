@@ -47,12 +47,12 @@ pub enum Engine {
     /// evaluation context per step); reports a step count.
     SmallStep,
     /// Production: the effect-guided optimizer, then the physical-plan
-    /// executor (`ioql-plan`) — every Theorem-7-eligible query is lowered
-    /// to a costed operator pipeline (scans, hash index probes, set
-    /// operators, the bytecode VM for row expressions) and executed
-    /// there. A query the guard refuses (it mutates or invokes) runs on
-    /// the big-step interpreter `ioql_eval::eval_big`, the same one the
-    /// executor delegates uncompiled expressions to. On one query text
+    /// executor (`ioql-plan`) — every query is lowered to a costed
+    /// operator pipeline (scans, set operators, the bytecode VM for row
+    /// expressions, and hash index probes where Theorem 7 licenses them)
+    /// and executed there. What no operator covers runs on big-step's
+    /// interpreter, `ioql_eval::Interp`, which the executor holds as
+    /// its own state. On one query text
     /// the executors are observationally identical — same chooser draws,
     /// governor charges, and effects — see `tests/plan.rs`. Step counts
     /// are not reported (0).
@@ -621,7 +621,10 @@ impl Database {
     }
 
     /// Queries and inspections refused by this handle's resource governor
-    /// (budget trips and cancellations).
+    /// (budget trips and cancellations). A `:trace <query>` that trips is
+    /// not refused — the trip is the trace's last state and the call
+    /// succeeds — so it is not counted here, though the budget pays for
+    /// the cells it spent.
     pub fn trips(&self) -> u64 {
         self.trips
     }
@@ -841,8 +844,9 @@ impl Database {
 
     /// Renders the physical plan this handle's query would execute
     /// (`:plan`) — the chosen operators with cost estimates and the
-    /// effect guard licensing each choice — or, when there is none, why:
-    /// the Theorem 7 condition that failed, or the interpreter engine.
+    /// Theorem 7 guard line (a refused guard names the clause that failed
+    /// and says the plan holds no index probes) — or, on the spec engine,
+    /// that the interpreter runs the query as written.
     pub fn explain(&self, src: &str) -> Result<String, DbError> {
         self.kernel.explain(&self.options, None, src)
     }
@@ -1112,7 +1116,7 @@ mod tests {
             ..DbOptions::default()
         };
         let mut db = Database::from_ddl_with(DDL, opts).unwrap();
-        // A mutating query is refused by the guard: big-step runs it.
+        // A mutating query runs on its plan too, with no index probe.
         db.query("{ new Person(name: n, age: n + 20) | n <- {1, 2, 3} }")
             .unwrap();
         assert_eq!(db.extent_len("Persons"), 3);
@@ -1132,11 +1136,16 @@ mod tests {
         assert!(plan.contains("Filter  p.name = 2  [vm]"), "{plan}");
         assert!(plan.contains("ExtentScan"), "{plan}");
         assert!(plan.contains("Thm 7"), "{plan}");
+        // A writer lowers too; its guard line says why it holds no probe.
         let refused = db
             .explain("{ (new Person(name: 9, age: 9)).age | n <- {1} }")
             .unwrap();
-        assert!(refused.contains("no physical plan"), "{refused}");
-        assert!(refused.contains("`new`-free: no"), "{refused}");
+        let guard = "Plan  [guard: Thm 7 refused: effect not read-only; no index probes]\n";
+        assert!(refused.starts_with(guard), "{refused}");
+        assert!(
+            refused.contains("[interp(object construction)]"),
+            "{refused}"
+        );
         // A root with no operator of its own passes the guard like any
         // other and is one `Eval` node.
         let scalar = db.explain("1 + 2").unwrap();

@@ -73,7 +73,7 @@ use ioql_effects::{
     effect_extents, Derivation, Discipline, Effect, EffectRules, MethodEffects, Thm7,
 };
 use ioql_eval::{
-    eval_big, evaluate, Chooser, CountingChooser, DefEnv, EvalConfig, Governor, RecordingChooser,
+    evaluate, Chooser, CountingChooser, DefEnv, EvalConfig, Governor, RecordingChooser,
 };
 use ioql_methods::{check_schema_methods, Mode};
 use ioql_opt::{AppliedRewrite, Optimizer, Stats};
@@ -85,7 +85,6 @@ use ioql_types::{Judgement, TypeError};
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
@@ -169,39 +168,6 @@ impl Prepared {
     /// The judgement's conclusion as the trace shows it: `σ ! {ε}`.
     fn conclusion(&self) -> String {
         format!("{} ! {{{}}}", self.ty, self.effect)
-    }
-}
-
-/// Why production runs a prepared query without a physical plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum NoPlan {
-    /// The handle's engine is the spec: the Figure 2 machine runs the
-    /// query as written.
-    Interpreter,
-    /// Theorem 7's guard refused: big-step runs the optimized query.
-    Refused,
-}
-
-impl NoPlan {
-    /// The diagnosis `:plan` and `:plan analyze` print for `prepared`.
-    pub(crate) fn diagnosis(self, prepared: &Prepared) -> String {
-        if self == NoPlan::Interpreter {
-            return "no physical plan — the interpreter engine (SmallStep) runs this query \
-                    as written\n"
-                .to_string();
-        }
-        let Prepared { effect, thm7, .. } = prepared;
-        let mut out =
-            "no physical plan — the interpreter executes this query\n  Thm 7 guard:\n".to_string();
-        for (premise, holds) in [
-            (format!("effect {{{effect}}} read-only"), thm7.write_free),
-            ("`new`-free".into(), thm7.new_free),
-        ] {
-            let _ = writeln!(out, "    {premise}: {}", if holds { "yes" } else { "no" });
-        }
-        // `lower` declines exactly when the guard does: there is a reason.
-        let _ = writeln!(out, "  refused: {}", thm7.refusal().unwrap_or_default());
-        out
     }
 }
 
@@ -526,20 +492,20 @@ impl DbKernel {
 
     /// What production runs for `prepared` against `state`: the
     /// optimizer's output (when [`DbOptions::optimize`] is on) and its
-    /// physical plan, or why there is none. The one place that decides
-    /// "optimize, then lower" — for execution, `:plan` and `:plan
-    /// analyze` alike, so the plan shown is the plan that runs. The spec
-    /// engine runs the statement as written: nothing is optimized or
-    /// lowered, and no span opens.
+    /// physical plan. The one place that decides "optimize, then lower"
+    /// — for execution, `:plan` and `:plan analyze` alike, so the plan
+    /// shown is the plan that runs. Lowering is total, so the plan is
+    /// `None` only on the spec engine, which runs the statement as
+    /// written: nothing is optimized or lowered, and no span opens.
     pub(crate) fn plan_in<'p>(
         &self,
         opts: &DbOptions,
         state: &KernelState,
         prepared: &'p Prepared,
         tracer: &mut Tracer,
-    ) -> (Cow<'p, Query>, Result<ioql_plan::Plan, NoPlan>) {
+    ) -> (Cow<'p, Query>, Option<ioql_plan::Plan>) {
         if opts.engine == Engine::SmallStep {
-            return (Cow::Borrowed(&prepared.elab), Err(NoPlan::Interpreter));
+            return (Cow::Borrowed(&prepared.elab), None);
         }
         let query = if opts.optimize {
             let sp = tracer.begin(Span::Optimize, "");
@@ -550,12 +516,9 @@ impl DbKernel {
             Cow::Borrowed(&*prepared.elab)
         };
         let sp = tracer.begin(Span::Lower, "");
-        #[allow(deprecated)] // the three inert fields; see `ParSpec`
         let spec = ioql_plan::ParSpec {
-            parallelism: 0,
             compile: opts.compile,
-            schema: None,
-            branch_effect: None,
+            ..ioql_plan::ParSpec::off()
         };
         let plan = ioql_plan::lower_with(
             &query,
@@ -563,15 +526,11 @@ impl DbKernel {
             &state.catalogue.env,
             &DbKernel::stats_in(&state.store),
             &spec,
-        )
-        .ok_or(NoPlan::Refused);
+        );
         tracer.end_with(sp, || {
-            Some(match &plan {
-                Ok(_) => "physical plan".to_string(),
-                Err(_) => format!(
-                    "no plan — Thm 7 refused: {}",
-                    prepared.thm7.refusal().unwrap_or_default()
-                ),
+            Some(match plan.as_ref().filter(|p| !p.guard.thm7.indexable()) {
+                Some(p) => format!("physical plan; {}", p.guard),
+                None => "physical plan".to_string(),
             })
         });
         (query, plan)
@@ -836,7 +795,7 @@ impl DbKernel {
         let max_steps = opts.max_steps;
         // Record compile verdicts once per execution (not per `explain`):
         // write-only, like every other counter.
-        if let Ok(p) = &plan {
+        if let Some(p) = &plan {
             for v in p.compiled.values() {
                 match v {
                     ioql_plan::CompileVerdict::Vm(_) => self.metrics.vm_compiles.inc(),
@@ -846,11 +805,11 @@ impl DbKernel {
         }
         // The verdict bridge: per-node compile decisions into the trace.
         // Every traced query gets a compile verdict — a node-less
-        // outcome (the spec engine, no plan, nothing to compile) is
-        // itself a verdict with its reason.
+        // outcome (the spec engine, nothing to compile) is itself a
+        // verdict with its reason.
         if tracer.is_on() {
             let (verdicts, no_vm) = match &plan {
-                Ok(p) => {
+                Some(p) => {
                     let none = if opts.compile {
                         "no row expression"
                     } else {
@@ -858,8 +817,7 @@ impl DbKernel {
                     };
                     (p.verdicts(), none)
                 }
-                Err(NoPlan::Refused) => (Vec::new(), "no physical plan"),
-                Err(NoPlan::Interpreter) => (Vec::new(), "interpreter engine"),
+                None => (Vec::new(), "interpreter engine"),
             };
             for v in &verdicts {
                 tracer.note(Span::Compile, || {
@@ -878,20 +836,16 @@ impl DbKernel {
         // tear down the caller. `AssertUnwindSafe` is justified because
         // on `Err` the only witness of the broken invariants — the
         // store — is discarded and replaced by the snapshot below.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let unstepped = |value, effect| ioql_eval::Evaluated {
-                value,
-                effect,
-                steps: 0,
-            };
-            match &plan {
-                Err(NoPlan::Interpreter) => evaluate(&cfg, defs, store, &elab, chooser, max_steps),
-                Ok(plan) => ioql_plan::execute(plan, &cfg, defs, store, chooser, max_steps)
-                    .map(|r| unstepped(r.value, r.effect)),
-                // Theorem 7 refused: big-step, the interpreter the plan
-                // executor itself delegates to, runs the whole query.
-                Err(NoPlan::Refused) => eval_big(&cfg, defs, store, &elab, chooser, max_steps)
-                    .map(|r| unstepped(r.value, r.effect)),
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &plan {
+            None => evaluate(&cfg, defs, store, &elab, chooser, max_steps),
+            Some(plan) => {
+                ioql_plan::execute(plan, &cfg, defs, store, chooser, max_steps).map(|r| {
+                    ioql_eval::Evaluated {
+                        value: r.value,
+                        effect: r.effect,
+                        steps: 0,
+                    }
+                })
             }
         }));
         tracer.end_with(exec_sp, || Some(format!("{engine:?}")));

@@ -3,10 +3,11 @@
 //! Theorem 7 makes evaluation-order choices unobservable for queries whose
 //! effect does not interfere with itself. The system leans on that in
 //! several places — concurrent admission on a snapshot, result caching,
-//! skipping the write-ahead log, lowering to physical operators that
-//! deviate from qualifier-at-a-time interpretation — and every one of
-//! them reads its licence from the single [`Thm7`] verdict computed here,
-//! next to the effect it is a property of.
+//! skipping the write-ahead log, planning a hash-index probe (the one
+//! physical operator that deviates from qualifier-at-a-time
+//! interpretation) — and every one of them reads its licence from the
+//! single [`Thm7`] verdict computed here, next to the effect it is a
+//! property of.
 
 use crate::effect::Effect;
 use ioql_ast::Query;
@@ -52,17 +53,18 @@ impl Thm7 {
         self.write_free
     }
 
-    /// May be lowered to a physical plan: the operators' deviations from
-    /// naive interpretation (ahead-of-draw index builds, independent set
-    /// operands) are unobservable. Nothing moved ahead of naive order
-    /// invokes: a plan's probe side and an optimizer-promoted predicate
-    /// are invocation-free by their own tests.
-    pub fn lowerable(&self) -> bool {
+    /// May plan a hash-index probe: the probe's index is built over an
+    /// extent ahead of the chooser's draws and reused by every later
+    /// drain of the execution, which is unobservable only while nothing
+    /// the query does can change an extent or an attribute. Every other
+    /// physical operator runs in qualifier-at-a-time order, so every
+    /// query lowers; this verdict gates only the probe.
+    pub fn indexable(&self) -> bool {
         self.refusal().is_none()
     }
 
     /// Why the guard refuses, naming the first condition that fails;
-    /// `None` exactly when [`Thm7::lowerable`]. A query that is not
+    /// `None` exactly when [`Thm7::indexable`]. A query that is not
     /// write-free always reports that first.
     pub fn refusal(&self) -> Option<&'static str> {
         if !self.write_free {
@@ -82,7 +84,7 @@ mod tests {
     #[test]
     fn a_pure_read_passes_every_condition() {
         let t = Thm7::decide(&Query::extent("Ps"), &Effect::read("P"));
-        assert!(t.snapshot_admissible() && t.cacheable() && t.lowerable());
+        assert!(t.snapshot_admissible() && t.cacheable() && t.indexable());
         assert_eq!(t.refusal(), None);
     }
 
@@ -100,7 +102,7 @@ mod tests {
     fn a_mismatched_effect_cannot_hide_a_new() {
         let q = Query::new_obj("P", [("name", Query::int(1))]);
         let t = Thm7::decide(&q, &Effect::empty());
-        assert!(!t.new_free && !t.lowerable());
+        assert!(!t.new_free && !t.indexable());
     }
 
     /// An invocation, or a call of a definition whose body invokes, is
@@ -108,7 +110,7 @@ mod tests {
     #[test]
     fn invocations_and_called_definitions_refuse_only_by_their_effect() {
         for q in [Query::var("p").invoke("m", []), Query::call("outer", [])] {
-            assert!(Thm7::decide(&q, &Effect::attr_read("P")).lowerable());
+            assert!(Thm7::decide(&q, &Effect::attr_read("P")).indexable());
             let t = Thm7::decide(&q, &Effect::update("P"));
             assert_eq!(t.refusal(), Some("effect not read-only"));
         }

@@ -30,11 +30,12 @@
 //! The one deviation — the hash-index build scanning elements ahead of
 //! the chooser's draw order, once per execution for a probe over an
 //! extent and reused by every later drain — is licensed by the plan's
-//! Theorem 7 guard (a write-free plan freezes every extent and attribute
-//! for the execution) and remains fully *speculative*: the probe side is
-//! still evaluated per drain, and any anomaly abandons the index and
-//! reverts to per-row predicate evaluation, reproducing the naive
-//! engines' exact error at the exact position.
+//! Theorem 7 guard (only a write-free plan holds a probe, and it freezes
+//! every extent and attribute for the execution) and remains fully
+//! *speculative*: the probe side is still evaluated per drain, and any
+//! anomaly abandons the index and reverts to per-row predicate
+//! evaluation, reproducing the naive engines' exact error at the exact
+//! position. Without a probe, a plan — a writer's — is big-step's schedule.
 
 use crate::bytecode::{CompileVerdict, Program, VmCtx};
 use crate::ir::{
@@ -337,8 +338,8 @@ struct Exec<'a, 'c> {
     /// Per-execution index table of the probes over extents, keyed by the
     /// probe stage: built at the first drain that reaches it and read by
     /// every later one, "abandoned" verdicts included. Licensed by the
-    /// Theorem 7 guard: the plan is read-only, so an extent and its
-    /// elements' attributes cannot change during the execution.
+    /// Theorem 7 guard: only a read-only plan holds a probe, so an extent
+    /// and its elements' attributes cannot change during the execution.
     indexes: HashMap<NodeId, Index>,
 }
 

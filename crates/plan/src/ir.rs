@@ -21,7 +21,7 @@
 
 use crate::bytecode::CompileVerdict;
 use ioql_ast::{AttrName, DefName, ExtentName, Query, VarName};
-use ioql_effects::Effect;
+use ioql_effects::{Effect, Thm7};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -340,34 +340,46 @@ impl Stage {
     }
 }
 
-/// The effect evidence licensing a plan — the Theorem 7 guard.
-///
-/// A plan is only emitted when the query's inferred Figure-3 effect is
-/// read-only (no `A(C)`, no `U(C)`) and the elaborated query contains no
-/// `new`. Under those conditions Theorem 7
-/// guarantees evaluation order cannot be observed, which is exactly the
-/// freedom the physical operators exploit (index builds scan ahead of
-/// the chooser's draw order and serve every drain of the execution; set
-/// operands evaluate independently).
+/// The Theorem 7 verdict a plan was lowered under. When the query's
+/// Figure-3 effect is read-only (no `A(C)`, no `U(C)`) and its text holds
+/// no `new`, evaluation order cannot be observed, which is the freedom a
+/// [`StageKind::HashIndexProbe`] exploits: its index scans ahead of the
+/// chooser's draws and serves every drain of the execution. Without the
+/// verdict the plan holds no probe.
 #[derive(Clone, Debug)]
 pub struct Guard {
     /// The statically inferred effect of the whole query.
     pub effect: Effect,
+    /// The Theorem 7 verdict on the query under `effect`.
+    pub thm7: Thm7,
+}
+
+impl Guard {
+    /// The guard of `q`, whose inferred effect is `effect`.
+    pub fn new(q: &Query, effect: &Effect) -> Guard {
+        Guard {
+            effect: effect.clone(),
+            thm7: Thm7::decide(q, effect),
+        }
+    }
 }
 
 impl fmt::Display for Guard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Thm 7: effect {} is read-only; new-free", self.effect)
+        match self.thm7.refusal() {
+            None => write!(f, "Thm 7: effect {} is read-only; new-free", self.effect),
+            Some(why) => write!(f, "Thm 7 refused: {why}; no index probes"),
+        }
     }
 }
 
-/// A complete physical plan: the operator tree, the effect guard that
-/// licensed it, and the compile tier's verdicts.
+/// A complete physical plan: the operator tree, the Theorem 7 guard it
+/// was lowered under, and the compile tier's verdicts.
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// The root operator.
     pub root: Op,
-    /// The licensing guard.
+    /// The Theorem 7 guard: whether index probes are licensed.
     pub guard: Guard,
     /// The compile tier's verdict per expression-bearing node (the
     /// `head` of a `MapProject`, the `pred` of a `Filter`), keyed by

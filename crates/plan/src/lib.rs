@@ -13,10 +13,10 @@
 //!   `SetDiff`, `Distinct`, `InlineDef`, `Aggregate` (a `sum`/`size`
 //!   over any of those) and `Eval` (any other expression, interpreted
 //!   whole) — with a renderer for `explain` / `:plan` output;
-//! * a **guarded lowering** ([`lower()`]) consuming the elaborated
-//!   query *and its inferred Figure-3 effect*, emitting a plan for every
-//!   Theorem-7-eligible query and choosing scan vs index cost-based
-//!   via [`ioql_opt::Stats`];
+//! * a **total lowering** ([`lower()`]) consuming the elaborated query
+//!   *and its inferred Figure-3 effect*, emitting a plan for every query
+//!   and, where the Theorem 7 verdict licenses an index, choosing scan vs
+//!   index cost-based via [`ioql_opt::Stats`];
 //! * a **pull-based executor** ([`execute()`]) that keeps observational
 //!   parity with the naive engines — one `(ND comp)` loop with the same
 //!   [`Chooser`](ioql_eval::Chooser) draw protocol, the same governor
@@ -27,10 +27,10 @@
 //!   so the differential suites can hold it to the same standard as the
 //!   two interpreters.
 //!
-//! [`lower()`] returns `None` for exactly the queries the guard refuses
-//! (mutating or invoking); the production engine runs those on
-//! [`ioql_eval::eval_big`], the interpreter `Eval` nodes and uncompiled
-//! row expressions already use.
+//! A query the guard refuses (one that writes) still lowers, to a plan
+//! with no [`StageKind::HashIndexProbe`]: its `new`s, invocations and
+//! updates run on the [`ioql_eval::Interp`] big-step uses, at big-step's
+//! draw position, so production has one executor.
 
 #![forbid(unsafe_code)]
 // Error enums carry rendered context (names, types, positions) by value;
@@ -134,22 +134,55 @@ mod tests {
         assert!(!rendered.contains("HashIndexProbe"), "{rendered}");
     }
 
+    /// A writer lowers like any query, but its plan holds no probe: the
+    /// equality `selective_eq` probes stays a `Filter`, and the plan runs
+    /// to big-step's value, effect and store.
     #[test]
-    fn mutating_and_invoking_queries_refuse_to_lower() {
-        let defs = DefEnv::new();
-        let stats = Stats::new();
-        let newq = Query::comp(
-            Query::New(
-                ClassName::new("P"),
-                vec![(ioql_ast::AttrName::new("n"), Query::var("x"))],
-            ),
-            [Qualifier::Gen(VarName::new("x"), Query::extent("Ps"))],
+    fn mutating_queries_lower_without_probes() {
+        let (schema, store) = setup();
+        let (defs, stats) = (DefEnv::new(), stats_for(&store));
+        let Query::Comp(_, quals) = selective_eq() else {
+            unreachable!()
+        };
+        let new_p = Query::New(
+            ClassName::new("P"),
+            vec![(ioql_ast::AttrName::new("n"), Query::var("x").attr("n"))],
         );
-        assert!(lower(&newq, &Effect::add("P"), &defs, &stats).is_none());
-        // Even with a (wrongly) clean effect the syntactic guard holds.
-        assert!(lower(&newq, &Effect::empty(), &defs, &stats).is_none());
-        // A read-only query whose *effect* says otherwise is refused.
-        assert!(lower(&Query::extent("Ps"), &Effect::add("P"), &defs, &stats).is_none());
+        let writer = Query::comp(new_p, quals);
+        let reads = Effect::read("P").union(&Effect::attr_read("P"));
+        for (q, effect) in [
+            (&writer, Effect::add("P").union(&reads)),
+            // Even with a (wrongly) clean effect the text's `new` refuses.
+            (&writer, reads.clone()),
+            // A read whose *effect* says otherwise is refused.
+            (&selective_eq(), Effect::add("P").union(&reads)),
+        ] {
+            let plan = lower(q, &effect, &defs, &stats).expect("lowering is total");
+            let rendered = plan.render();
+            assert!(!rendered.contains("HashIndexProbe"), "{rendered}");
+            assert!(rendered.contains("Filter  x.n = 2"), "{rendered}");
+            assert!(rendered.contains("[guard: Thm 7 refused: "), "{rendered}");
+            assert!(rendered.contains("; no index probes]"), "{rendered}");
+        }
+        let plan = lower(&writer, &Effect::add("P").union(&reads), &defs, &stats).unwrap();
+        let cfg = EvalConfig::new(&schema);
+        for first in [true, false] {
+            let (mut s1, mut s2) = (store.clone(), store.clone());
+            let (p, b) = if first {
+                (
+                    execute(&plan, &cfg, &defs, &mut s1, &mut FirstChooser, 100_000),
+                    eval_big(&cfg, &defs, &mut s2, &writer, &mut FirstChooser, 100_000),
+                )
+            } else {
+                (
+                    execute(&plan, &cfg, &defs, &mut s1, &mut LastChooser, 100_000),
+                    eval_big(&cfg, &defs, &mut s2, &writer, &mut LastChooser, 100_000),
+                )
+            };
+            let (p, b) = (p.unwrap(), b.unwrap());
+            assert_eq!((p.value, p.effect), (b.value, b.effect));
+            assert!(s1 == s2 && s1.objects.len() == 21);
+        }
     }
 
     #[test]
@@ -399,9 +432,7 @@ mod tests {
                     })),
                 })),
             }),
-            guard: Guard {
-                effect: Effect::empty(),
-            },
+            guard: Guard::new(&q, &Effect::empty()),
             compiled: Default::default(),
         };
         plan.number();

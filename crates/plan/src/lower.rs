@@ -1,21 +1,19 @@
 //! Lowering: elaborated query + inferred effect → physical plan.
 //!
-//! The pass is *guarded*: [`lower`] returns `None` exactly when the
-//! Theorem 7 conditions fail for the whole query ([`Thm7::lowerable`]:
-//! a write-free effect, no `new` in the text), and the caller runs such a
-//! query on the big-step interpreter. Under the guard
-//! it is total: a shape with no physical operator of its own (a scalar, a
-//! record, an `if`, a call with computed arguments) becomes an
-//! [`OpKind::Eval`] node, at the root as under a set operator. Within an
-//! eligible query, scan-vs-index selection is cost-based via [`Stats`];
-//! the cost formulas are documented at the decision site.
+//! The pass is *total*: a shape with no physical operator of its own (a
+//! scalar, a record, an `if`, a `new`, a call with computed arguments)
+//! becomes an [`OpKind::Eval`] node, at the root as under a set operator.
+//! Only the hash-index probe departs from qualifier-at-a-time order, so
+//! only it needs the plan [`Guard`]'s Theorem 7 verdict; where that holds,
+//! scan-vs-index selection is cost-based via [`Stats`], with the cost
+//! formulas documented at the decision site.
 
 use crate::bytecode::{self, CompileVerdict};
 use crate::ir::{
     AggKind, EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, Op, OpKind, Plan, Stage, StageKind,
 };
 use ioql_ast::{DefName, Qualifier, Query, VarName};
-use ioql_effects::{Effect, Thm7};
+use ioql_effects::Effect;
 use ioql_eval::DefEnv;
 use ioql_opt::Stats;
 use ioql_schema::Schema;
@@ -63,18 +61,15 @@ impl ParSpec<'static> {
     }
 }
 
-/// Lowers an elaborated query to a physical plan, or `None` when — and
-/// only when — the Theorem 7 guard refuses. Equivalent to [`lower_with`]
-/// under [`ParSpec::off`].
+/// Lowers an elaborated query to a physical plan. Equivalent to
+/// [`lower_with`] under [`ParSpec::off`].
 ///
-/// The guard is [`Thm7::lowerable`], decided on the query handed in: the
-/// statically inferred `static_effect` must be write-free (no `A(C)`, no
-/// `U(C)`) and the text must contain no `new`. Under those conditions the
-/// paper's Theorem 7 makes evaluation-order choices unobservable, which
-/// licenses the physical operators' deviations from naive
-/// qualifier-at-a-time interpretation (ahead-of-draw index builds shared
-/// by every drain of the execution, independent set operands). A method
-/// invocation runs on the interpreter, where big-step would run it.
+/// Always `Some` (the benchmark harness spells the `Option`, DESIGN.md
+/// §6). [`Thm7::indexable`](ioql_effects::Thm7::indexable), decided on
+/// the query and `static_effect` handed in, licenses the probe, whose
+/// index is built ahead of the draws for every drain; without it every
+/// predicate stays a `Filter`, and a `new`, an invocation or an update
+/// runs on the interpreter where big-step would run it.
 pub fn lower(q: &Query, static_effect: &Effect, defs: &DefEnv, stats: &Stats) -> Option<Plan> {
     lower_with(q, static_effect, defs, stats, &ParSpec::off())
 }
@@ -87,20 +82,17 @@ pub fn lower_with(
     stats: &Stats,
     spec: &ParSpec<'_>,
 ) -> Option<Plan> {
-    if !Thm7::decide(q, static_effect).lowerable() {
-        return None;
-    }
+    let guard = Guard::new(q, static_effect);
     let mut lowering = Lowering {
         defs,
         stats,
+        indexable: guard.thm7.indexable(),
         compile: spec.compile,
         verdicts: Vec::new(),
     };
     let mut plan = Plan {
         root: lowering.op(q),
-        guard: Guard {
-            effect: static_effect.clone(),
-        },
+        guard,
         compiled: BTreeMap::new(),
     };
     plan.number();
@@ -121,6 +113,8 @@ pub fn lower_with(
 struct Lowering<'a> {
     defs: &'a DefEnv,
     stats: &'a Stats,
+    /// Whether Theorem 7 licenses index probes.
+    indexable: bool,
     /// Whether the compile pass is on.
     compile: bool,
     /// The compile pass's output: one [`CompileVerdict`] per
@@ -145,12 +139,10 @@ impl Lowering<'_> {
         })
     }
 
-    /// Lowers a query that passed the guard — the root, a set operand, an
-    /// aggregate's input, an inlined body. Structured shapes get real
-    /// operators; anything else is an [`OpKind::Eval`], interpreted
-    /// wholesale where the naive engines would evaluate it (the guard
-    /// already established the whole query is pure, and operands stay
-    /// left first).
+    /// Lowers a query — the root, a set operand, an aggregate's input, an
+    /// inlined body. Structured shapes get real operators; anything else
+    /// is an [`OpKind::Eval`], interpreted wholesale where the naive
+    /// engines would evaluate it (operands stay left first).
     fn op(&mut self, q: &Query) -> Op {
         let mut aggregate = |kind, inner: &Query| OpKind::Aggregate {
             kind,
@@ -201,7 +193,8 @@ impl Lowering<'_> {
     /// Lowers a qualifier list to pipeline stages (returned with the
     /// generator binders, outermost first), fusing an eligible equality
     /// predicate immediately following a generator into a
-    /// [`StageKind::HashIndexProbe`] when the cost model favors it. This
+    /// [`StageKind::HashIndexProbe`] when Theorem 7 licenses it and the
+    /// cost model favors it. This
     /// is the one place that tracks the binder stack, so it is also where
     /// each predicate is compiled — once.
     fn quals(&mut self, quals: &[Qualifier]) -> (Vec<Stage>, Vec<VarName>) {
@@ -241,6 +234,10 @@ impl Lowering<'_> {
             }));
             let enclosing = binders.len();
             binders.push(x.clone());
+            // An index built ahead of the draws needs Theorem 7's licence.
+            if !self.indexable {
+                continue;
+            }
             let Some(Qualifier::Pred(p)) = quals.peek() else {
                 continue;
             };
@@ -327,7 +324,7 @@ fn inlined(defs: &DefEnv, d: &DefName, args: &[Query]) -> Option<Query> {
 /// indistinguishable from per-row re-evaluation: no comprehension (so no
 /// chooser draws or cell charges) and no definition calls (so no hidden
 /// recursion). `new`/`invoke`-freedom here is a per-expression purity
-/// test, not the Theorem 7 guard, which admits invocations: it is what
+/// test, not the Theorem 7 verdict, which admits invocations: it is what
 /// keeps a method call from running ahead of the draw big-step would
 /// run it at.
 fn probe_shape(

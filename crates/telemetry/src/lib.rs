@@ -42,7 +42,7 @@ pub use trace::{FlightRecorder, Span, SpanHistograms, TraceRecord, TraceSpan, Tr
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// A monotonically increasing counter.
@@ -358,12 +358,23 @@ impl EventSink {
         })
     }
 
-    /// Appends `record` as one line.
-    pub(crate) fn append(&self, record: &TraceRecord) {
+    /// Takes the file's lock, which [`EventSink::write`] appends under;
+    /// `None` once a panicking writer poisoned it.
+    pub(crate) fn lock(&self) -> Option<MutexGuard<'_, std::fs::File>> {
+        self.out.lock().ok()
+    }
+
+    /// Appends `record` as one line through the held file lock `out`.
+    pub(crate) fn write(out: &mut std::fs::File, record: &TraceRecord) {
         let mut line = record.to_json();
         line.push('\n');
-        if let Ok(mut out) = self.out.lock() {
-            let _ = out.write_all(line.as_bytes());
+        let _ = out.write_all(line.as_bytes());
+    }
+
+    /// Appends `record` as one line.
+    pub(crate) fn append(&self, record: &TraceRecord) {
+        if let Some(mut out) = self.lock() {
+            EventSink::write(&mut out, record);
         }
     }
 }

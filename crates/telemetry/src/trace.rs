@@ -28,7 +28,7 @@ use crate::json::{json_array, JsonObject};
 use crate::{saturating_ns, EventSink, Histogram, MetricsRegistry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The spans a request can open — the vocabulary the kernel, the trace
@@ -487,14 +487,10 @@ impl<'a> Tracer<'a> {
                 wait_ns: self.wait_ns,
                 spans: self.spans.into_iter().map(|(_, tree)| tree).collect(),
             };
-            let log = |sealed: &TraceRecord| {
-                if let Some(sink) = sink {
-                    sink.append(sealed);
-                }
-            };
-            match self.recorder {
-                Some(recorder) => recorder.insert(record, log),
-                None => log(&record),
+            match (self.recorder, sink) {
+                (Some(recorder), sink) => recorder.insert(record, sink),
+                (None, Some(sink)) => sink.append(&record),
+                (None, None) => {}
             }
         }
         (
@@ -513,7 +509,7 @@ pub struct FlightRecorder {
     capacity: usize,
     epoch: Instant,
     next_seq: AtomicU64,
-    ring: Mutex<VecDeque<TraceRecord>>,
+    ring: Mutex<VecDeque<Arc<TraceRecord>>>,
 }
 
 impl FlightRecorder {
@@ -540,27 +536,40 @@ impl FlightRecorder {
 
     /// Inserts a record, assigning its sequence number under the ring
     /// lock (so ring order is sequence order) and evicting the oldest
-    /// when full. `sealed` sees the record as stored.
-    fn insert(&self, mut record: TraceRecord, sealed: impl FnOnce(&TraceRecord)) {
+    /// when full, then appends it to `sink`. The sink's file lock is
+    /// taken before the ring lock is released, so file order is `seq`
+    /// order, but the line is serialized and written after it: no other
+    /// insert and no reader waits on the file.
+    fn insert(&self, mut record: TraceRecord, sink: Option<&EventSink>) {
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         record.seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        sealed(&record);
+        let record = Arc::new(record);
         if ring.len() == self.capacity {
             ring.pop_front();
         }
-        ring.push_back(record);
+        ring.push_back(Arc::clone(&record));
+        let out = sink.and_then(EventSink::lock);
+        drop(ring);
+        if let Some(mut out) = out {
+            EventSink::write(&mut out, &record);
+        }
     }
 
     /// The most recent `n` records, oldest first.
     pub fn last(&self, n: usize) -> Vec<TraceRecord> {
         let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        ring.iter().rev().take(n).rev().cloned().collect()
+        ring.iter()
+            .rev()
+            .take(n)
+            .rev()
+            .map(|r| (**r).clone())
+            .collect()
     }
 
     /// The record with sequence number `seq`, if still in the ring.
     pub fn by_seq(&self, seq: u64) -> Option<TraceRecord> {
         let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        ring.iter().find(|r| r.seq == seq).cloned()
+        ring.iter().find(|r| r.seq == seq).map(|r| (**r).clone())
     }
 
     /// Renders the most recent `n` records as a JSON array, oldest
@@ -710,5 +719,48 @@ mod tests {
         assert_eq!(r.verdict_of("cache-probe"), Some("miss"));
         assert_eq!(r.verdict_of("parse"), None);
         assert_eq!(r.verdict_of("missing"), None);
+    }
+
+    /// Four threads finishing 50 requests each through one recorder and
+    /// one sink write 200 lines whose `seq`s run 1..=200 in file order,
+    /// though each line is written after the ring lock is released.
+    #[test]
+    fn sink_lines_keep_seq_order_under_concurrent_inserts() {
+        let path =
+            std::env::temp_dir().join(format!("ioql-sink-order-{}.jsonl", std::process::id()));
+        let sink = EventSink::create(&path).unwrap();
+        let rec = FlightRecorder::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (rec, sink) = (&rec, &sink);
+                scope.spawn(move || {
+                    let session = format!("t{t}");
+                    for _ in 0..50 {
+                        let mut tracer = Tracer::start(
+                            "size(Ps)",
+                            None,
+                            Some(&session),
+                            None,
+                            Some(rec),
+                            Some(sink),
+                        );
+                        let parse = tracer.begin(Span::Parse, "");
+                        tracer.end(parse);
+                        tracer.finish(None, None);
+                    }
+                });
+            }
+        });
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let seqs: Vec<u64> = text
+            .lines()
+            .map(|line| {
+                let rest = line.strip_prefix("{\"seq\":").unwrap();
+                rest[..rest.find(',').unwrap()].parse().unwrap()
+            })
+            .collect();
+        assert_eq!(seqs, (1..=200).collect::<Vec<u64>>());
+        assert_eq!(rec.recorded(), 200);
     }
 }

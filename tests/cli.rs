@@ -187,9 +187,15 @@ fn plan_command_renders_operators_and_costs() {
     assert!(stdout.contains("ExtentScan p <- Ps"), "{stdout}");
     assert!(stdout.contains("Thm 7"), "{stdout}");
     assert!(stdout.contains("cost:"), "{stdout}");
-    // The mutating query is refused with a guard diagnosis.
-    assert!(stdout.contains("no physical plan"), "{stdout}");
-    assert!(stdout.contains("`new`-free: no"), "{stdout}");
+    // The mutating query is planned too, under the refused guard line.
+    assert!(
+        stdout.contains("Plan  [guard: Thm 7 refused: effect not read-only; no index probes]"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("head = new P(name: 1)  [interp(object construction)]"),
+        "{stdout}"
+    );
     // There is one configuration: no tier to toggle.
     assert!(stdout.contains("unknown command `:compile`"), "{stdout}");
 }

@@ -184,12 +184,11 @@ fn plan_agrees_on_generated_queries() {
     );
 }
 
-/// Over generated payroll queries, method invocations included, a query
-/// lowers exactly when its effect is read-only and its text holds no
-/// `new`: a mutating query never lowers, and every other one — an
-/// invoking one too — lowers and agrees with both interpreters.
+/// Over generated payroll queries, method invocations included, every
+/// query lowers, and agrees with both interpreters: a mutating query too,
+/// to a plan that holds no probe.
 #[test]
-fn mutating_generated_queries_never_lower_and_invoking_ones_agree() {
+fn mutating_generated_queries_lower_without_probes_and_agree() {
     let fx = ioql_testkit::fixtures::payroll();
     let tenv = TypeEnv::new(&fx.schema);
     let eenv = EffectEnv::new(&fx.schema);
@@ -206,26 +205,58 @@ fn mutating_generated_queries_never_lower_and_invoking_ones_agree() {
         let (_, effect) = infer_query(&eenv, &elab).unwrap();
         let readable = effect.is_read_only() && !elab.contains_new();
         for real_stats in [true, false] {
-            let plan = lower_for(&fx, &elab, real_stats);
-            assert_eq!(plan.is_some(), readable, "seed {seed} on {elab}");
-            match plan {
-                Some(plan) => {
-                    plan_agrees(&fx, &elab, &plan, seed, &format!("payroll seed {seed}"));
-                    invoking += usize::from(elab.contains_invoke());
-                }
-                None => mutating += 1,
+            let plan = lower_for(&fx, &elab, real_stats)
+                .unwrap_or_else(|| panic!("seed {seed}: {elab} must lower"));
+            if !readable {
+                assert!(!has_probe(&plan), "seed {seed}: {}", plan.render());
+                mutating += 1;
             }
+            plan_agrees(&fx, &elab, &plan, seed, &format!("payroll seed {seed}"));
+            invoking += usize::from(elab.contains_invoke());
         }
     }
     assert!(invoking > 0 && mutating > 0, "{invoking} / {mutating}");
 }
 
-/// `lower_with` declines for one reason: it returns `None` exactly when
-/// `Thm7::decide` refuses the query — whatever the root's shape, with the
-/// compile pass on or off.
+/// Whether a plan holds a hash-index probe.
+fn has_probe(plan: &Plan) -> bool {
+    plan.render().contains("HashIndexProbe")
+}
+
+/// `lower_with` is total, and plans a probe only where `Thm7::decide`
+/// licenses one — whatever the root's shape, with the compile pass on or
+/// off, under the probe-friendly default statistics. A refused plan says
+/// why on its guard line. Each read below probes, and its writing twin —
+/// the same qualifiers under a head that creates — keeps the equality a
+/// `Filter`.
 #[test]
-fn lowering_declines_exactly_when_theorem_7_refuses() {
-    let (mut lowered, mut refused) = (0, 0);
+fn lowering_is_total_and_probes_only_under_theorem_7() {
+    const TWINS: [(&str, &str); 3] = [
+        (
+            "{ p | p <- Ps, p.name = 2 }",
+            "{ new F(name: p.name, pal: p) | p <- Ps, p.name = 2 }",
+        ),
+        (
+            "{ f.name | f <- Fs, p <- Ps, f.pal == p }",
+            "{ (new F(name: f.name, pal: p)).name | f <- Fs, p <- Ps, f.pal == p }",
+        ),
+        (
+            "{ p.name + q.name | p <- Ps, q <- Ps, q.name = p.name }",
+            "{ (new P(name: p.name + q.name)).name | p <- Ps, q <- Ps, q.name = p.name }",
+        ),
+    ];
+    let fx = jack_jill();
+    let tenv = TypeEnv::new(&fx.schema);
+    for (read, write) in TWINS {
+        let [read, write] = [read, write].map(|src| {
+            let q = check_query(&tenv, &fx.query(src)).unwrap().0;
+            lower_for(&fx, &q, false).unwrap()
+        });
+        assert!(has_probe(&read), "{}", read.render());
+        assert!(!has_probe(&write), "{}", write.render());
+        assert!(write.render().contains("  Filter  "), "{}", write.render());
+    }
+    let mut refused = 0;
     for (fx, allow_invoke) in [(jack_jill(), false), (ioql_testkit::payroll(), true)] {
         let tenv = TypeEnv::new(&fx.schema);
         let eenv = EffectEnv::new(&fx.schema);
@@ -240,23 +271,28 @@ fn lowering_declines_exactly_when_theorem_7_refuses() {
             let target = g.target_type();
             let (elab, _) = check_query(&tenv, &g.query(&target)).unwrap();
             let (_, effect) = infer_query(&eenv, &elab).unwrap();
-            let lowerable = ioql::Thm7::decide(&elab, &effect).lowerable();
+            let thm7 = ioql::Thm7::decide(&elab, &effect);
             for compile in [false, true] {
                 let spec = ParSpec {
                     compile,
                     ..ParSpec::off()
                 };
-                let plan = lower_with(&elab, &effect, &defs, &Stats::new(), &spec);
-                assert_eq!(plan.is_some(), lowerable, "seed {seed} on {elab}");
+                let plan = lower_with(&elab, &effect, &defs, &Stats::new(), &spec)
+                    .unwrap_or_else(|| panic!("seed {seed}: {elab} must lower"));
+                assert_eq!(plan.guard.thm7, thm7, "seed {seed} on {elab}");
+                match thm7.refusal() {
+                    Some(why) => {
+                        assert!(!has_probe(&plan), "seed {seed}: {}", plan.render());
+                        let line = format!("Thm 7 refused: {why}; no index probes");
+                        assert_eq!(plan.guard.to_string(), line, "seed {seed}");
+                    }
+                    None => assert!(plan.guard.to_string().ends_with("; new-free")),
+                }
             }
-            *(if lowerable {
-                &mut lowered
-            } else {
-                &mut refused
-            }) += 1;
+            refused += usize::from(!thm7.indexable());
         }
     }
-    assert!(lowered >= 100 && refused >= 100, "{lowered} / {refused}");
+    assert!(refused >= 100, "{refused} refused");
 }
 
 /// A store, the definitions in scope and the method design point, as a
@@ -335,8 +371,9 @@ impl Bed {
     /// equals big-step on value, store, effect, exact error, cells and
     /// draws under four choosers, four cell budgets and three method
     /// fuels, while big-step's value and effect equal the small-step
-    /// machine's. Returns how many unlimited runs answered and how many
-    /// failed, so a zoo that never answers, or never diverges, shows.
+    /// machine's, and a read leaves the store as it found it. Returns how
+    /// many unlimited runs answered and how many failed, so a zoo that
+    /// never answers, or never diverges, shows.
     fn plans_agree(&self, zoo: &[&str]) -> (usize, usize) {
         let mks: [fn() -> Box<dyn Chooser>; 4] = [
             || Box::new(FirstChooser),
@@ -347,7 +384,6 @@ impl Bed {
         let (mut answered, mut failed) = (0, 0);
         for src in zoo {
             let (q, effect) = self.judge(src);
-            assert!(effect.is_read_only(), "{src}: {{{effect}}}");
             let mut plans = Vec::new();
             for compile in [false, true] {
                 for real_stats in [true, false] {
@@ -381,7 +417,9 @@ impl Bed {
                             );
                         }
                     }
-                    assert_eq!(want_store, *self.db.store(), "{src}: a read wrote");
+                    if effect.is_read_only() {
+                        assert_eq!(want_store, *self.db.store(), "{src}: a read wrote");
+                    }
                 }
             }
         }
@@ -437,12 +475,12 @@ fn invoking_queries_lower_and_agree_on_every_meter() {
     }
 }
 
-/// What an invocation alone no longer keeps off the plan: a §5 method
-/// whose latent effect only reads (it iterates an extent), and a
-/// definition whose body invokes — called with literal arguments (the
-/// plan inlines it) and with computed ones (the interpreter runs the
-/// call). A method or a definition that writes is still refused, by its
-/// effect.
+/// Invocations on the plan: a §5 method whose latent effect only reads
+/// (it iterates an extent), and a definition whose body invokes — called
+/// with literal arguments (the plan inlines it) and with computed ones
+/// (the interpreter runs the call). A method or a definition that writes
+/// lowers too, and agrees on every meter, but its guard is refused and its
+/// plan holds no probe.
 #[test]
 fn read_only_methods_and_invoking_definitions_lower_and_agree() {
     let opts = DbOptions {
@@ -496,17 +534,158 @@ fn read_only_methods_and_invoking_definitions_lower_and_agree() {
     // `bill(10)`'s body is the plan's own operators, not an `Eval`.
     let rendered = payroll.lower("bill(10)", true, true).unwrap().render();
     assert!(rendered.contains("InlineDef"), "{rendered}");
-    for src in [
+    const BUMPS: [&str; 3] = [
         "{ c.bump() | c <- Counters }",
         "{ peers(c) + c.bump() | c <- Counters }",
-    ] {
-        assert!(counters.lower(src, true, true).is_none(), "{src} lowered");
+        "{ c.bump() | c <- Counters, c.n = 20 }",
+    ];
+    let (bumped, _) = counters.plans_agree(&BUMPS);
+    assert!(bumped > 0, "no bump answered");
+    for src in BUMPS {
+        for real_stats in [true, false] {
+            let plan = counters.lower(src, true, real_stats).unwrap();
+            assert!(!has_probe(&plan), "{src}: {}", plan.render());
+        }
         let shown = counters.db.explain(src).unwrap();
         assert!(
-            shown.contains("refused: effect not read-only"),
+            shown
+                .starts_with("Plan  [guard: Thm 7 refused: effect not read-only; no index probes]"),
             "{src}: {shown}"
         );
     }
+}
+
+/// `payroll` with a §5 method that updates (`U(Employee)`), for
+/// `Mode::Extended`: the store is payroll's own.
+fn payroll_with_raise() -> Fixture {
+    let mut fx = ioql_testkit::payroll();
+    let ddl = "
+        class Person extends Object (extent Persons) {
+            attribute int name;
+        }
+        class Employee extends Person (extent Employees) {
+            attribute int EmpID;
+            attribute int GrossSalary;
+            attribute Manager UniqueManager;
+            int NetSalary(int TaxRate) {
+                return this.GrossSalary * (100 - TaxRate);
+            }
+            int Raise(int amount) {
+                this.GrossSalary = this.GrossSalary + amount;
+                return this.GrossSalary;
+            }
+        }
+        class Manager extends Employee (extent Managers) {
+        }";
+    let classes = ioql::syntax::parse_schema(ddl).unwrap();
+    fx.schema = ioql_schema::Schema::new(classes).unwrap();
+    fx
+}
+
+/// Payroll writers that raise a salary through the updating `Raise`
+/// (`U(Employee)`): in a head, in a filter, after a probe-shaped equality
+/// and in a semi-join (both would probe in a read), inside a `new`, and
+/// in the left operand of a set operator whose right operand reads what
+/// it wrote.
+const RAISE_ZOO: [&str; 7] = [
+    "{ e.Raise(10) | e <- Employees }",
+    "{ e.name | e <- Employees, 5005 < e.Raise(e.EmpID) }",
+    "{ e.Raise(1) | e <- Employees, e.EmpID = 2 }",
+    "{ m.Raise(e.EmpID) | m <- Managers, e <- Employees, e.UniqueManager == m }",
+    "sum({ e.Raise(1) + e.NetSalary(10) | e <- Employees })",
+    "{ (new Employee(name: e.name, EmpID: e.EmpID + 10, GrossSalary: e.Raise(5), \
+       UniqueManager: e.UniqueManager)).GrossSalary | e <- Employees }",
+    "{ e.Raise(1) | e <- Employees } union { e.GrossSalary | e <- Employees }",
+];
+
+/// Writers run on the plan with big-step's every meter. Generated
+/// `jack_jill` writers, generated payroll writers that may invoke the
+/// updating `Raise` under `Mode::Extended`, and [`RAISE_ZOO`] are lowered
+/// as production lowers them — the store's statistics, the compile pass
+/// on and off — and hold no probe. Under the first and last choosers and
+/// cell caps none, 0, 3 and 10, each plan's value, post-run store,
+/// runtime effect, exact error, cells and chooser draws equal big-step's.
+#[test]
+fn writers_run_on_the_plan_with_big_steps_every_meter() {
+    use ioql::methods::check_schema_methods;
+    let invoking = GenConfig {
+        allow_invoke: true,
+        max_depth: 4,
+        ..GenConfig::default()
+    };
+    let beds = [
+        (
+            jack_jill(),
+            Mode::ReadOnly,
+            GenConfig::default(),
+            0..300u64,
+            &[][..],
+        ),
+        (
+            payroll_with_raise(),
+            Mode::Extended,
+            invoking,
+            0..100,
+            &RAISE_ZOO[..],
+        ),
+    ];
+    let mks: [fn() -> Box<dyn Chooser>; 2] = [|| Box::new(FirstChooser), || Box::new(LastChooser)];
+    let (mut writers, mut raises, mut runs, mut errors) = (0, 0, 0, 0);
+    for (fx, mode, gen, seeds, zoo) in beds {
+        let tenv = TypeEnv::new(&fx.schema);
+        let methods = check_schema_methods(&fx.schema, mode).unwrap();
+        let eenv = EffectEnv::new(&fx.schema).with_method_effects(methods);
+        let mut stats = Stats::new();
+        for (e, _, members) in fx.store.extents.iter() {
+            stats.set(e.clone(), members.len());
+        }
+        let defs = DefEnv::new();
+        let generated = seeds.map(|seed| {
+            let mut g = QueryGen::new(&fx.schema, seed, gen);
+            let target = g.target_type();
+            g.query(&target)
+        });
+        for q in generated.chain(zoo.iter().map(|src| fx.query(src))) {
+            let (elab, _) = check_query(&tenv, &q).unwrap();
+            let (_, effect) = infer_query(&eenv, &elab).unwrap();
+            if effect.is_read_only() {
+                continue;
+            }
+            writers += 1;
+            raises += usize::from(!effect.updates.is_empty());
+            for compile in [false, true] {
+                let spec = ParSpec {
+                    compile,
+                    ..ParSpec::off()
+                };
+                let plan = lower_with(&elab, &effect, &defs, &stats, &spec)
+                    .unwrap_or_else(|| panic!("{elab} must lower"));
+                assert!(!has_probe(&plan), "{elab}: {}", plan.render());
+                for mk in mks {
+                    for cap in [None, Some(0), Some(3), Some(10)] {
+                        let limits =
+                            cap.map_or(Limits::none(), |c| Limits::none().with_max_cells(c));
+                        let run = |exec: &Exec<'_>| {
+                            let cfg = EvalConfig::new(&fx.schema).with_method_mode(mode);
+                            observe_in(cfg, &defs, &fx.store, exec, mk, limits, 1_000_000)
+                        };
+                        let want = run(&Exec::BigStep(&elab));
+                        assert_eq!(
+                            run(&Exec::Plan(&plan)),
+                            want,
+                            "compile {compile}, cells {cap:?}: plan vs big-step on {elab}"
+                        );
+                        runs += 1;
+                        errors += usize::from(want.0 .0.is_err());
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        writers >= 150 && raises >= RAISE_ZOO.len() && errors > 0 && errors < runs,
+        "{writers} writers, {raises} raising, {errors} of {runs} runs failed"
+    );
 }
 
 /// Tight budgets and injected faults: verdicts (pass/fail *and* error
@@ -915,9 +1094,7 @@ fn profile_zoo() -> (
                 })),
             })),
         }),
-        guard: Guard {
-            effect: ioql_effects::Effect::empty(),
-        },
+        guard: Guard::new(&Query::var("x"), &ioql_effects::Effect::empty()),
         compiled: Default::default(),
     };
     abandoned.number();
@@ -1434,9 +1611,7 @@ fn an_abandoned_index_falls_back_on_every_drain() {
                 })),
             })),
         }),
-        guard: Guard {
-            effect: ioql_effects::Effect::empty(),
-        },
+        guard: Guard::new(&q, &ioql_effects::Effect::empty()),
         compiled: Default::default(),
     };
     plan.number();

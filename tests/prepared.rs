@@ -99,8 +99,8 @@ impl<'s> Composition<'s> {
     }
 }
 
-/// (i) `Prepared` is the composition; (ii) the lowering and `explain`
-/// follow `thm7`.
+/// (i) `Prepared` is the composition; (ii) every text lowers, and the
+/// plan's guard and `explain` follow `thm7`.
 #[test]
 fn prepared_is_the_public_composition_and_lowering_reads_it() {
     let mut refused = 0usize;
@@ -153,19 +153,17 @@ fn prepared_is_the_public_composition_and_lowering_reads_it() {
                         &prepared.effect,
                         &composed.def_env,
                         &Stats::new(),
-                    );
-                    if plan.is_some() {
-                        assert!(thm7.lowerable(), "guard leak on {src}");
-                        lowered += 1;
-                    }
+                    )
+                    .unwrap_or_else(|| panic!("{src} must lower"));
+                    assert_eq!(plan.guard.thm7, thm7, "{src}");
+                    lowered += 1;
                     let explained = db.explain(&src).unwrap();
                     match thm7.refusal() {
                         Some(reason) => {
-                            assert!(plan.is_none(), "{src}");
-                            assert!(
-                                explained.contains(&format!("refused: {reason}\n")),
-                                "{src}: {explained}"
-                            );
+                            assert!(!plan.render().contains("HashIndexProbe"), "{src}");
+                            let line =
+                                format!("[guard: Thm 7 refused: {reason}; no index probes]\n");
+                            assert!(explained.contains(&line), "{src}: {explained}");
                             refused += 1;
                         }
                         None => assert!(!explained.contains("refused:"), "{src}: {explained}"),

@@ -441,9 +441,15 @@ fn explain_analyze_prints_estimates_and_actuals() {
     // Diagnostic run leaves the database untouched and works with
     // telemetry fully off.
     assert_eq!(db.extent_len("Ps"), 15);
-    // A refused query gets the explain diagnosis, not an error.
+    // A writer runs its plan on the inspection's clone: the profile
+    // shows the refused guard and the write reaches no shared extent.
     let refused = db.explain_analyze("{ new P(name: 1) | x <- {1} }").unwrap();
-    assert!(refused.contains("no physical plan"), "{refused}");
+    assert!(
+        refused.contains("Thm 7 refused: effect not read-only"),
+        "{refused}"
+    );
+    assert!(refused.ends_with("returned 1 row(s)\n"), "{refused}");
+    assert_eq!(db.extent_len("Ps"), 15);
     // The analyzed query still runs normally afterwards.
     let r = db.query("{ x.name | x <- Ps, x.name = 3 }").unwrap();
     assert_eq!(r.value, Value::set([Value::Int(3)]));
