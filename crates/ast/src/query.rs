@@ -64,11 +64,11 @@ impl SetOp {
     }
 
     /// Applies the operator to two realised sets.
-    pub fn apply(self, a: &BTreeSet<Value>, b: &BTreeSet<Value>) -> SetVal {
+    pub fn apply(self, a: &SetVal, b: &SetVal) -> SetVal {
         match self {
-            SetOp::Union => a.union(b).cloned().collect(),
-            SetOp::Intersect => a.intersection(b).cloned().collect(),
-            SetOp::Diff => a.difference(b).cloned().collect(),
+            SetOp::Union => a.union(b),
+            SetOp::Intersect => a.intersection(b),
+            SetOp::Diff => a.difference(b),
         }
     }
 }
@@ -680,8 +680,8 @@ mod tests {
 
     #[test]
     fn set_op_apply() {
-        let a: BTreeSet<_> = [Value::Int(1), Value::Int(2)].into_iter().collect();
-        let b: BTreeSet<_> = [Value::Int(2), Value::Int(3)].into_iter().collect();
+        let a: SetVal = [Value::Int(1), Value::Int(2)].into_iter().collect();
+        let b: SetVal = [Value::Int(2), Value::Int(3)].into_iter().collect();
         assert_eq!(SetOp::Union.apply(&a, &b).len(), 3);
         assert_eq!(SetOp::Intersect.apply(&a, &b).len(), 1);
         assert_eq!(SetOp::Diff.apply(&a, &b).len(), 1);

@@ -5,19 +5,23 @@
 //! ```
 //!
 //! Sets are *mathematical* sets: `{1, 1}` and `{1}` are the same value, and
-//! element order is unobservable. We realise this with a
-//! [`BTreeSet`] over a derived total order — the order is an
-//! implementation artifact used only for canonical storage and printing;
-//! the semantics never depends on it (the `(ND comp)` rule picks elements
-//! through a `Chooser`, precisely so tests can exercise *every* order).
+//! element order is unobservable. We realise this with one sorted,
+//! deduplicated slice per set ([`SetVal`]) under a derived total order —
+//! the order is an implementation artifact used only for canonical storage
+//! and printing; the semantics never depends on it (the `(ND comp)` rule
+//! picks elements through a `Chooser`, precisely so tests can exercise
+//! *every* order).
 //!
 //! A value is immutable once built, so a set's members are shared by
-//! pointer ([`SetVal`]): copying a set value — out of a literal, a
-//! binding or a cached result — is a reference count, not a tree copy.
-
+//! pointer: copying a set value — out of a literal, a binding or a cached
+//! result — is a reference count, not a copy. A set is built once, in
+//! bulk (one sort and deduplication, skipped when the members arrive in
+//! order), membership is a binary search, and the set operators are
+//! merges of two sorted slices.
 use crate::ident::Label;
 use crate::oid::Oid;
-use std::collections::{btree_set, BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -97,12 +101,12 @@ impl Value {
     /// order with duplicates removed. Used by the bijection matcher.
     pub fn oids(&self) -> Vec<Oid> {
         let mut out = Vec::new();
-        let mut seen = BTreeSet::new();
+        let mut seen = HashSet::new();
         self.collect_oids(&mut out, &mut seen);
         out
     }
 
-    fn collect_oids(&self, out: &mut Vec<Oid>, seen: &mut BTreeSet<Oid>) {
+    fn collect_oids(&self, out: &mut Vec<Oid>, seen: &mut HashSet<Oid>) {
         match self {
             Value::Int(_) | Value::Bool(_) => {}
             Value::Oid(o) => {
@@ -148,59 +152,190 @@ impl Value {
     }
 }
 
-/// The members of a set value, shared by pointer.
+/// The members of a set value: sorted, without duplicates, shared by
+/// pointer.
 ///
 /// Every set is built in bulk and never mutated afterwards, so `Clone`
 /// is a reference count and the members are reachable from every holder
-/// through `Deref`. Equality, order, hashing and `Debug` are the
-/// [`BTreeSet`]'s: two sets with the same members are the same value
+/// as a slice through `Deref`. Equality, order and hashing are the
+/// slice's, which are the ones an ordered tree set of the same members
+/// has: members compared in order, and the hash of the length followed
+/// by each member. Two sets with the same members are the same value
 /// however they were built and whoever else holds them.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SetVal(Arc<BTreeSet<Value>>);
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SetVal(Arc<[Value]>);
 
 impl SetVal {
-    /// Whether `a` and `b` share one member tree (not merely equal ones).
+    /// A set of members already sorted and without duplicates.
+    fn sorted(members: Vec<Value>) -> SetVal {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
+        SetVal(Arc::from(members))
+    }
+
+    /// The set of `members`, in any order and with any duplicates: one
+    /// sort and deduplication, skipped when they arrive strictly
+    /// ascending.
+    pub fn from_vec(mut members: Vec<Value>) -> SetVal {
+        if !members.windows(2).all(|w| w[0] < w[1]) {
+            members.sort_unstable();
+            members.dedup();
+        }
+        SetVal::sorted(members)
+    }
+
+    /// Whether `a` and `b` share one member block (not merely equal ones).
     pub fn ptr_eq(a: &SetVal, b: &SetVal) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// Whether `v` is a member (a binary search).
+    pub fn contains(&self, v: &Value) -> bool {
+        self.0.binary_search(v).is_ok()
+    }
+
+    /// `self ∪ other`, by one merge.
+    pub fn union(&self, other: &SetVal) -> SetVal {
+        if other.is_empty() {
+            return self.clone();
+        }
+        if self.is_empty() {
+            return other.clone();
+        }
+        self.merge(other, true, true, true)
+    }
+
+    /// `self ∩ other`, by one merge.
+    pub fn intersection(&self, other: &SetVal) -> SetVal {
+        self.merge(other, false, true, false)
+    }
+
+    /// `self \ other`, by one merge.
+    pub fn difference(&self, other: &SetVal) -> SetVal {
+        if other.is_empty() {
+            return self.clone();
+        }
+        self.merge(other, true, false, false)
+    }
+
+    /// Walks both sorted member lists once, keeping the members found
+    /// only in `self`, in both, or only in `other` as the flags say.
+    fn merge(&self, other: &SetVal, only_a: bool, both: bool, only_b: bool) -> SetVal {
+        let (a, b): (&[Value], &[Value]) = (self, other);
+        let mut out = Vec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => {
+                    if only_a {
+                        out.push(a[i].clone());
+                    }
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    if only_b {
+                        out.push(b[j].clone());
+                    }
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    if both {
+                        out.push(a[i].clone());
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        if only_a {
+            out.extend_from_slice(&a[i..]);
+        }
+        if only_b {
+            out.extend_from_slice(&b[j..]);
+        }
+        SetVal::sorted(out)
+    }
+}
+
+impl Default for SetVal {
+    fn default() -> Self {
+        SetVal::sorted(Vec::new())
     }
 }
 
 impl Deref for SetVal {
-    type Target = BTreeSet<Value>;
+    type Target = [Value];
 
-    fn deref(&self) -> &BTreeSet<Value> {
+    fn deref(&self) -> &[Value] {
         &self.0
-    }
-}
-
-impl From<BTreeSet<Value>> for SetVal {
-    fn from(set: BTreeSet<Value>) -> Self {
-        SetVal(Arc::new(set))
     }
 }
 
 impl FromIterator<Value> for SetVal {
     fn from_iter<I: IntoIterator<Item = Value>>(items: I) -> Self {
-        SetVal::from(BTreeSet::from_iter(items))
+        SetVal::from_vec(items.into_iter().collect())
     }
 }
 
-/// Consumes the members: moved out when this is the only holder, copied
-/// otherwise, so the other holders keep theirs.
+/// The members, by value, in order: each is cloned out as it is reached,
+/// so the other holders keep theirs and nothing is copied up front.
 impl IntoIterator for SetVal {
     type Item = Value;
-    type IntoIter = btree_set::IntoIter<Value>;
+    type IntoIter = IntoIter;
 
-    fn into_iter(self) -> Self::IntoIter {
-        Arc::try_unwrap(self.0)
-            .unwrap_or_else(|shared| BTreeSet::clone(&shared))
-            .into_iter()
+    fn into_iter(self) -> IntoIter {
+        let back = self.len();
+        IntoIter {
+            set: self,
+            front: 0,
+            back,
+        }
     }
 }
+
+/// The owning iterator of a [`SetVal`]: the set and the bounds of the
+/// members not yet taken.
+#[derive(Clone, Debug)]
+pub struct IntoIter {
+    set: SetVal,
+    front: usize,
+    back: usize,
+}
+
+impl IntoIter {
+    /// The members not yet taken, in order.
+    fn left(&self) -> &[Value] {
+        &self.set[self.front..self.back]
+    }
+}
+
+impl Iterator for IntoIter {
+    type Item = Value;
+
+    fn next(&mut self) -> Option<Value> {
+        let v = self.left().first()?.clone();
+        self.front += 1;
+        Some(v)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.back - self.front;
+        (n, Some(n))
+    }
+}
+
+impl DoubleEndedIterator for IntoIter {
+    fn next_back(&mut self) -> Option<Value> {
+        let v = self.left().last()?.clone();
+        self.back -= 1;
+        Some(v)
+    }
+}
+
+impl ExactSizeIterator for IntoIter {}
 
 impl<'a> IntoIterator for &'a SetVal {
     type Item = &'a Value;
-    type IntoIter = btree_set::Iter<'a, Value>;
+    type IntoIter = std::slice::Iter<'a, Value>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.0.iter()
@@ -209,7 +344,7 @@ impl<'a> IntoIterator for &'a SetVal {
 
 impl fmt::Debug for SetVal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -292,21 +427,102 @@ mod tests {
         let items = || (0..50).map(|i| Value::Int(i * 7 % 50));
         let forward = Value::set(items());
         let backward = Value::set(items().collect::<Vec<_>>().into_iter().rev());
-        let from_tree = Value::Set(SetVal::from(items().collect::<BTreeSet<_>>()));
         let hasher = BuildHasherDefault::<DefaultHasher>::default();
-        for other in [&backward, &from_tree] {
-            assert_eq!(&forward, other);
-            assert_eq!(forward.cmp(other), std::cmp::Ordering::Equal);
-            assert_eq!(hasher.hash_one(&forward), hasher.hash_one(other));
-            assert_eq!(forward.to_string(), other.to_string());
-            assert_eq!(format!("{forward:?}"), format!("{other:?}"));
-        }
+        assert_eq!(forward, backward);
+        assert_eq!(forward.cmp(&backward), std::cmp::Ordering::Equal);
+        assert_eq!(hasher.hash_one(&forward), hasher.hash_one(&backward));
+        assert_eq!(forward.to_string(), backward.to_string());
+        assert_eq!(format!("{forward:?}"), format!("{backward:?}"));
         // Order and `Debug` are the members' own.
         assert!(Value::set([Value::Int(1)]) < Value::set([Value::Int(2)]));
         assert_eq!(
             format!("{:?}", Value::set([Value::Int(1)])),
             "Set({Int(1)})"
         );
+    }
+
+    /// A value with small leaves, so duplicates are common, and with
+    /// nested sets and records.
+    fn arbitrary(rng: &mut ioql_rng::SmallRng, depth: usize) -> Value {
+        match rng.gen_range(0..if depth == 0 { 3 } else { 5 }) {
+            0 => Value::Int(rng.gen_range(-3..4)),
+            1 => Value::Bool(rng.gen_bool(0.5)),
+            2 => Value::Oid(Oid::from_raw(rng.gen_range(0..4))),
+            3 => Value::set(members(rng, depth - 1)),
+            _ => Value::record(
+                ["a", "b"]
+                    .into_iter()
+                    .take(rng.gen_range(0..3))
+                    .map(|l| (l, arbitrary(rng, depth - 1))),
+            ),
+        }
+    }
+
+    /// Up to eight members, duplicates likely, in no particular order.
+    fn members(rng: &mut ioql_rng::SmallRng, depth: usize) -> Vec<Value> {
+        (0..rng.gen_range(0..9))
+            .map(|_| arbitrary(rng, depth))
+            .collect()
+    }
+
+    /// A set built in any order agrees with a `BTreeSet` of the same
+    /// members — the representation it replaced — on its members, `==`,
+    /// `cmp`, hash, `Display` and `Debug`, and under `union`, `intersect`
+    /// and `except`.
+    #[test]
+    fn sets_agree_with_a_btree_reference() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::collections::BTreeSet;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        let shown = |r: &BTreeSet<Value>| {
+            let items: Vec<String> = r.iter().map(Value::to_string).collect();
+            format!("{{{}}}", items.join(", "))
+        };
+        let mut rng = ioql_rng::SmallRng::seed_from_u64(0x5E7A1);
+        for round in 0..400 {
+            let (xs, ys) = (members(&mut rng, 2), members(&mut rng, 2));
+            let (ra, rb): (BTreeSet<Value>, BTreeSet<Value>) =
+                (xs.iter().cloned().collect(), ys.iter().cloned().collect());
+            let a: SetVal = xs.iter().cloned().collect();
+            let b: SetVal = ys.iter().cloned().collect();
+            // Any build order gives the same value.
+            let mut shuffled = xs.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..i + 1));
+            }
+            for other in [
+                xs.iter().rev().cloned().collect(),
+                SetVal::from_vec(shuffled),
+            ] {
+                assert_eq!(a, other, "round {round}");
+                assert!(SetVal::ptr_eq(&other, &other.clone()));
+            }
+            for (set, reference) in [(&a, &ra), (&b, &rb)] {
+                assert!(set.iter().eq(reference), "round {round}");
+                assert_eq!(set.len(), reference.len());
+                assert_eq!(hasher.hash_one(set), hasher.hash_one(reference));
+                assert_eq!(format!("{set:?}"), format!("{reference:?}"));
+                assert_eq!(Value::Set(set.clone()).to_string(), shown(reference));
+                for probe in xs.iter().chain(&ys) {
+                    assert_eq!(set.contains(probe), reference.contains(probe));
+                }
+            }
+            assert_eq!(a == b, ra == rb, "round {round}");
+            assert_eq!(a.cmp(&b), ra.cmp(&rb), "round {round}");
+            assert_eq!(a.partial_cmp(&b), ra.partial_cmp(&rb), "round {round}");
+            for (op, got, want) in [
+                ("union", a.union(&b), ra.union(&rb).collect::<Vec<_>>()),
+                (
+                    "intersect",
+                    a.intersection(&b),
+                    ra.intersection(&rb).collect(),
+                ),
+                ("except", a.difference(&b), ra.difference(&rb).collect()),
+            ] {
+                assert!(got.iter().eq(want), "round {round}: {op}");
+            }
+        }
     }
 
     #[test]

@@ -112,7 +112,8 @@ impl Catalogue {
 /// The mutable half of the kernel: everything a committed query or
 /// definition can change. Guarded by one `RwLock`; cloned wholesale to
 /// give a concurrently-admitted reader its snapshot — pointer clones:
-/// one per chunk spine of the store, and the catalogue `Arc`.
+/// one per environment of the store (the object spine, the extent map,
+/// the version map), and the catalogue `Arc`.
 #[derive(Clone, Debug)]
 pub(crate) struct KernelState {
     pub(crate) store: Store,
@@ -593,10 +594,10 @@ impl DbKernel {
             // holding the read lock: no writer can commit between the
             // stamp and the clone, so the snapshot reflects exactly
             // `snapshot_seq` commits. The store's environments are
-            // chunked copy-on-write structures behind shared spines, so
-            // the clone is one pointer per environment — admission cost
-            // is O(extents), not O(chunks) — and everything stays shared
-            // until a writer path-copies it. The admission is a guard:
+            // copy-on-write structures behind shared pointers, so the
+            // clone is one pointer per environment — admission cost is
+            // O(1), not O(extents) or O(chunks) — and everything stays
+            // shared until a writer path-copies it. The admission is a guard:
             // however this request ends, the in-flight count drops.
             let snap_sp = tracer.begin(Span::SnapshotAcquire, "");
             let reader = self.sched.admit_reader();

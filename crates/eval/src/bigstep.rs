@@ -34,13 +34,13 @@
 
 use crate::chooser::{bad_pick, Chooser};
 use crate::machine::{DefEnv, EvalConfig, EvalError};
+use crate::pool::Pool;
 use ioql_ast::{
     AttrName, ClassName, ExtentName, Oid, Qualifier, Query, SetOp, SetVal, Value, VarName,
 };
 use ioql_effects::Effect;
 use ioql_methods::{invoke, MethodCall};
 use ioql_store::{MemberSet, Object, Store, StoreError};
-use std::collections::VecDeque;
 
 /// The result of a big-step evaluation.
 #[derive(Clone, Debug)]
@@ -54,14 +54,16 @@ pub struct BigStepResult {
 
 /// A comprehension's result set under construction: produced values are
 /// appended to a buffer and the set is built once, at completion, instead
-/// of one B-tree insert per row (set order is unobservable — §3.3).
+/// of one insert per row (set order is unobservable — §3.3).
 ///
 /// When the buffer reaches twice its last compacted length (floor 4 096)
 /// it is sorted and deduplicated in place, so a duplicate-heavy
 /// comprehension holds at most about 2 × max(distinct, 4 096) values.
-/// [`finish`](SetBuilder::finish) is a bulk build over the buffer; the
-/// cardinality is still observed by the caller, once, on the finished
-/// set, and a failed run drops the buffer.
+/// [`finish`](SetBuilder::finish) sorts and deduplicates the buffer once
+/// ([`SetVal::from_vec`]; a buffer that arrived in order skips the sort)
+/// and the set takes it as its member slice; the cardinality is still
+/// observed by the caller, once, on the finished set, and a failed run
+/// drops the buffer.
 #[derive(Debug, Default)]
 pub struct SetBuilder {
     buf: Vec<Value>,
@@ -90,7 +92,7 @@ impl SetBuilder {
 
     /// The finished set.
     pub fn finish(self) -> SetVal {
-        SetVal::from_iter(self.buf)
+        SetVal::from_vec(self.buf)
     }
 }
 
@@ -261,37 +263,27 @@ impl<'a, 'c> Interp<'a, 'c> {
     }
 
     /// A generator source's elements, in canonical order, ready to draw
-    /// from.
-    pub fn source(&mut self, store: &mut Store, src: &Query) -> Result<VecDeque<Value>, EvalError> {
+    /// from: a cursor over the set value's members, not a copy of them.
+    pub fn source(&mut self, store: &mut Store, src: &Query) -> Result<Pool, EvalError> {
         match self.eval(store, src)? {
-            Value::Set(s) => Ok(s.into_iter().collect()),
+            Value::Set(s) => Ok(Pool::of_set(s)),
             _ => self.stuck(src, "generator over a non-set"),
         }
     }
 
     /// One `(ND comp)` draw for generator `x`: ask the chooser, charge
     /// one cell, take the element out of the pool. Endpoint picks — the
-    /// only picks the deterministic choosers make — are O(1); interior
-    /// picks (random/scripted choosers) shift the shorter side. A pick
-    /// that breaks the chooser's `i < n` contract is a stuck state.
-    pub fn draw(
-        &mut self,
-        x: &VarName,
-        remaining: &mut VecDeque<Value>,
-    ) -> Result<Value, EvalError> {
+    /// only picks the deterministic choosers make — move the pool's
+    /// cursor; the first interior pick (random/scripted choosers) copies
+    /// what is left ([`Pool::take`]). A pick that breaks the chooser's
+    /// `i < n` contract is a stuck state.
+    pub fn draw(&mut self, x: &VarName, remaining: &mut Pool) -> Result<Value, EvalError> {
         let n = remaining.len();
         let i = self.chooser.choose(n);
         if let Some(gov) = self.cfg.governor {
             gov.charge_cells(1)?;
         }
-        let picked = if i == 0 {
-            remaining.pop_front()
-        } else if i + 1 == n {
-            remaining.pop_back()
-        } else {
-            remaining.remove(i)
-        };
-        picked.ok_or_else(|| bad_pick(x, i, n))
+        remaining.take(i).ok_or_else(|| bad_pick(x, i, n))
     }
 
     /// A run of `k` draws that would each take the front of `remaining`,
@@ -305,7 +297,7 @@ impl<'a, 'c> Interp<'a, 'c> {
     /// declines or when the run would cross the cell limit or the fuel
     /// left; the caller then draws one element at a time, so every trip
     /// keeps its per-draw `spent`, error class and cell meter.
-    pub fn skip(&mut self, remaining: &mut VecDeque<Value>, k: usize) -> Result<bool, EvalError> {
+    pub fn skip(&mut self, remaining: &mut Pool, k: usize) -> Result<bool, EvalError> {
         let n = remaining.len();
         let run = k as u64;
         let cells_left = self.cfg.governor.and_then(|gov| gov.cells_remaining());
@@ -319,7 +311,7 @@ impl<'a, 'c> Interp<'a, 'c> {
         if let Some(gov) = self.cfg.governor {
             gov.charge_cells(run)?;
         }
-        remaining.drain(..k);
+        remaining.skip(k);
         self.burn(run)?;
         Ok(true)
     }
@@ -827,8 +819,8 @@ mod tests {
         assert_eq!(s0, s2);
     }
 
-    /// A built set is the B-tree of the pushed values, whatever their
-    /// multiplicity and order — across compactions too.
+    /// A built set has the members a `BTreeSet` of the pushed values has,
+    /// whatever their multiplicity and order — across compactions too.
     #[test]
     fn set_builder_finishes_as_from_iter() {
         use ioql_rng::SmallRng;
@@ -843,7 +835,8 @@ mod tests {
             for v in &values {
                 b.push(v.clone());
             }
-            assert_eq!(*b.finish(), BTreeSet::from_iter(values), "round {round}");
+            let want = BTreeSet::from_iter(values);
+            assert!(b.finish().iter().eq(&want), "round {round}");
         }
     }
 
@@ -855,7 +848,7 @@ mod tests {
             assert!(b.buf.len() <= SetBuilder::FLOOR, "{} buffered", b.buf.len());
         }
         let want: BTreeSet<Value> = (0..3).map(Value::Int).collect();
-        assert_eq!(*b.finish(), want);
+        assert!(b.finish().iter().eq(&want));
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod chooser;
 pub mod explore;
 pub mod governor;
 pub mod machine;
+pub mod pool;
 pub mod step;
 pub mod trace;
 
@@ -43,5 +44,6 @@ pub use chooser::{
 pub use explore::{all_outcomes_equivalent, explore_outcomes, Exploration};
 pub use governor::{CancelToken, Governor, GovernorMetrics, Limits, ResourceKind};
 pub use machine::{evaluate, run_program, DefEnv, EvalConfig, EvalError, EvalMetrics, Evaluated};
+pub use pool::Pool;
 pub use step::{redex, step, StepOutcome};
 pub use trace::{trace, trace_clipped, Trace, TraceStep};

@@ -500,7 +500,6 @@ fn apply_rule(
                 //   ({q | cq⃗}[x := vᵢ]) ∪ {q | x ← v_rest, cq⃗}
                 // Left-to-right union evaluation means vᵢ really is
                 // processed first.
-                let elems: Vec<Value> = elems.into_iter().collect();
                 let i = chooser.choose(elems.len());
                 // One comprehension cell per drawn element — charged
                 // right after the chooser call so both engines' meters
@@ -512,11 +511,7 @@ fn apply_rule(
                     Some(v) => v.clone(),
                     None => return Err(bad_pick(x, i, elems.len())),
                 };
-                let rest_set: SetVal = elems
-                    .into_iter()
-                    .enumerate()
-                    .filter_map(|(j, v)| (j != i).then_some(v))
-                    .collect();
+                let rest_set: SetVal = elems[..i].iter().chain(&elems[i + 1..]).cloned().collect();
                 let body = Query::Comp(head.clone(), rest.to_vec()).subst(x, &picked);
                 let remaining = {
                     let mut qs = Vec::with_capacity(rest.len() + 1);

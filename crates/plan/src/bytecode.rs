@@ -48,7 +48,7 @@
 //!   An attribute load is the interpreter's own read
 //!   ([`Interp::read_attr`]), store errors and `Ra` atom included.
 
-use ioql_ast::{AttrName, IntOp, Query, Value, VarName};
+use ioql_ast::{AttrName, IntOp, Oid, Query, Value, VarName};
 use ioql_eval::{EvalError, Interp};
 use ioql_store::Store;
 use std::sync::Arc;
@@ -97,12 +97,14 @@ pub enum Instr {
         /// The attribute read.
         attr: AttrName,
     },
-    /// Pop two ints (already checked), push the operator's result.
+    /// Pop an int and overwrite the int beneath it (both already
+    /// checked) with the operator's result.
     Arith(IntOp),
-    /// Pop two ints (already checked), push their equality.
+    /// Pop an int and overwrite the int beneath it (both already
+    /// checked) with their equality.
     IntEq,
-    /// Pop two oids (already checked), check both are live, push their
-    /// identity.
+    /// Pop an oid and, once both are checked live, overwrite the oid
+    /// beneath it (both already checked) with their identity.
     ObjEq(u16),
     /// Pop a set (already checked), push the wrapping sum of its
     /// integer elements.
@@ -359,10 +361,11 @@ impl Program {
         };
         let stack = &mut ctx.stack;
         stack.clear();
-        // Stack discipline, which every `unreachable!` below names its
-        // half of: `Emitter::operand` emits an operand's `Check*` right
-        // after its code and the check leaves the value in place, so an
-        // operator pops exactly the shapes that were checked.
+        // Stack discipline, which every `unreachable!` below and in the
+        // operand readers names its half of: `Emitter::operand` emits an
+        // operand's `Check*` right after its code and the check leaves
+        // the value in place, so an operator reads exactly the shapes
+        // that were checked.
         let mut pc = 0usize;
         loop {
             match &self.code[pc] {
@@ -397,28 +400,19 @@ impl Program {
                     stack.push(interp.read_attr(store, o, attr)?.clone());
                 }
                 Instr::Arith(op) => {
-                    let (Some(Value::Int(b)), Some(Value::Int(a))) = (stack.pop(), stack.pop())
-                    else {
-                        unreachable!("CheckInt precedes Arith")
-                    };
-                    stack.push(op.apply(a, b));
+                    let (a, b, top) = operands(stack, int);
+                    *top = op.apply(a, b);
                 }
                 Instr::IntEq => {
-                    let (Some(Value::Int(b)), Some(Value::Int(a))) = (stack.pop(), stack.pop())
-                    else {
-                        unreachable!("CheckInt precedes IntEq")
-                    };
-                    stack.push(Value::Bool(a == b));
+                    let (a, b, top) = operands(stack, int);
+                    *top = Value::Bool(a == b);
                 }
                 Instr::ObjEq(s) => {
-                    let (Some(Value::Oid(b)), Some(Value::Oid(a))) = (stack.pop(), stack.pop())
-                    else {
-                        unreachable!("CheckOid precedes ObjEq")
-                    };
+                    let (a, b, top) = operands(stack, oid);
                     if !store.objects.contains(a) || !store.objects.contains(b) {
                         return stuck(interp, *s, "dangling oid");
                     }
-                    stack.push(Value::Bool(a == b));
+                    *top = Value::Bool(a == b);
                 }
                 Instr::Sum(s) => {
                     let Some(Value::Set(set)) = stack.pop() else {
@@ -450,6 +444,33 @@ impl Program {
             }
             pc += 1;
         }
+    }
+}
+
+/// A binary operator's operands, in place: pops `b`, reads `a` beneath
+/// it, and returns both with `a`'s slot, which the operator overwrites
+/// with its result — one pop and no push per operator. `shape` reads an
+/// operand its `Check*` instruction already checked.
+fn operands<T>(stack: &mut Vec<Value>, shape: fn(&Value) -> T) -> (T, T, &mut Value) {
+    let b = shape(stack.last().expect("an operator has two operands"));
+    stack.pop();
+    let top = stack.last_mut().expect("an operator has two operands");
+    (shape(top), b, top)
+}
+
+/// A checked integer operand.
+fn int(v: &Value) -> i64 {
+    match v {
+        Value::Int(i) => *i,
+        _ => unreachable!("CheckInt precedes an integer operator"),
+    }
+}
+
+/// A checked object operand.
+fn oid(v: &Value) -> Oid {
+    match v {
+        Value::Oid(o) => *o,
+        _ => unreachable!("CheckOid precedes ObjEq"),
     }
 }
 

@@ -43,9 +43,9 @@ use crate::ir::{
 };
 use ioql_ast::{ExtentName, Query, SetOp, SetVal, Value, VarName};
 use ioql_effects::Effect;
-use ioql_eval::{Chooser, DefEnv, EvalConfig, EvalError, Interp, SetBuilder};
+use ioql_eval::{Chooser, DefEnv, EvalConfig, EvalError, Interp, Pool, SetBuilder};
 use ioql_store::Store;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -243,10 +243,20 @@ fn execute_inner<'a>(
     max_steps: u64,
     prof: Option<&mut Profiler>,
 ) -> Result<PlanResult, EvalError> {
+    let mut progs = Vec::new();
+    for (id, verdict) in &plan.compiled {
+        if let CompileVerdict::Vm(prog) = verdict {
+            let at = id.0 as usize;
+            if progs.len() <= at {
+                progs.resize(at + 1, None);
+            }
+            progs[at] = Some(&**prog);
+        }
+    }
     let mut ex = Exec {
         interp: Interp::new(cfg, defs, chooser, max_steps),
         prof,
-        compiled: &plan.compiled,
+        progs,
         vm_ctx: VmCtx::default(),
         vm_rows: 0,
         indexes: HashMap::new(),
@@ -295,11 +305,11 @@ type Index = Option<HashMap<Value, Rc<[Value]>>>;
 /// How many elements at the front of `remaining` are not in `hits` — the
 /// run of misses before the next hit. Both are in canonical order: a
 /// drain's pool starts sorted and loses elements, never reorders.
-fn leading_misses(hits: &[Value], remaining: &VecDeque<Value>) -> usize {
+fn leading_misses(hits: &[Value], remaining: &Pool) -> usize {
     let Some(front) = remaining.front() else {
         return 0;
     };
-    match hits.get(hits.partition_point(|h| h < front)) {
+    match hits.get(hits.partition_point(|h| *h < *front)) {
         Some(next) => remaining.partition_point(|v| v < next),
         None => remaining.len(),
     }
@@ -325,10 +335,12 @@ struct Exec<'a, 'c> {
     /// Per-node runtime stats, only in [`execute_with_profile`] runs.
     /// `None` in production execution — no clock reads, no recording.
     prof: Option<&'c mut Profiler>,
-    /// The plan's compile verdicts (empty when lowered without the
-    /// compile pass). Read-only: the executor *uses* programs, it never
-    /// decides to compile.
-    compiled: &'a BTreeMap<NodeId, CompileVerdict>,
+    /// The plan's compiled programs, indexed by [`NodeId`]: its compile
+    /// verdicts (none when lowered without the compile pass) resolved
+    /// once per execution, so a row finds its program by index.
+    /// Read-only: the executor *uses* programs, it never decides to
+    /// compile.
+    progs: Vec<Option<&'a Program>>,
     /// Reusable VM scratch (the value stack) — one allocation per
     /// executor, not per row.
     vm_ctx: VmCtx,
@@ -373,10 +385,7 @@ impl<'a> Exec<'a, '_> {
     /// The compiled program for a plan node, when the compile pass
     /// accepted its expression.
     fn vm_prog(&self, id: NodeId) -> Option<&'a Program> {
-        match self.compiled.get(&id) {
-            Some(CompileVerdict::Vm(p)) => Some(p),
-            _ => None,
-        }
+        self.progs.get(id.0 as usize).copied().flatten()
     }
 
     /// Evaluates a row-level expression for the current row: its compiled
@@ -476,24 +485,16 @@ impl<'a> Exec<'a, '_> {
     }
 
     /// Reads one extent as a draw pool in canonical (sorted) order: the
-    /// observables of [`Interp::read_extent`], then the members copied
-    /// straight from their chunks. Chunks are sorted by oid across the
-    /// spine and `Value::Oid` ordering follows oid ordering, so this is
-    /// the sequence a `Value::Set` of the members would iterate, without
-    /// building it. Every drain consumes a pool of its own, so a nested
-    /// generator's re-scan copies the chunks again: a cached copy would
-    /// only be copied once more, and would double a scan's footprint.
-    fn scan_extent(
-        &mut self,
-        store: &Store,
-        extent: &ExtentName,
-    ) -> Result<VecDeque<Value>, EvalError> {
+    /// observables of [`Interp::read_extent`], then a cursor over a clone
+    /// of the members' spine ([`Pool::of_extent`]) — one reference
+    /// count, not a copy. Chunks are sorted by oid across the spine and
+    /// `Value::Oid` ordering follows oid ordering, so the pool yields the
+    /// sequence a `Value::Set` of the members would iterate, without
+    /// building it, and a write during the drain copies around the clone
+    /// instead of moving what the drain sees.
+    fn scan_extent(&mut self, store: &Store, extent: &ExtentName) -> Result<Pool, EvalError> {
         let members = self.interp.read_extent(store, extent)?;
-        let mut pool = VecDeque::with_capacity(members.len());
-        for chunk in members.chunks() {
-            pool.extend(chunk.iter().map(|o| Value::Oid(*o)));
-        }
-        Ok(pool)
+        Ok(Pool::of_extent(members))
     }
 
     fn set_bin(
@@ -577,7 +578,7 @@ impl<'a> Exec<'a, '_> {
         &mut self,
         store: &mut Store,
         var: &VarName,
-        mut remaining: VecDeque<Value>,
+        mut remaining: Pool,
         rest: &[Stage],
         head: Head<'_>,
         out: &mut SetBuilder,
@@ -618,7 +619,7 @@ impl<'a> Exec<'a, '_> {
                     // naive's first would.
                     None => {
                         let t = self.ptimer();
-                        let elems = std::iter::once(&picked).chain(remaining.iter());
+                        let elems = std::iter::once(picked.clone()).chain(remaining.iter());
                         let hits = self.probe_drain(store, (pkey, build, probe_q), frozen, elems);
                         self.ptime(pkey, t);
                         verdict.insert(hits)
@@ -666,12 +667,12 @@ impl<'a> Exec<'a, '_> {
     /// index comes from the per-execution table (built here by the first
     /// drain that gets this far); over a computed one, which may read the
     /// outer binders, it is built for this drain alone.
-    fn probe_drain<'v>(
+    fn probe_drain(
         &mut self,
         store: &mut Store,
         (id, build, probe): (NodeId, &HashIndexBuild, &Query),
         frozen: bool,
-        elements: impl Iterator<Item = &'v Value>,
+        elements: impl Iterator<Item = Value>,
     ) -> Option<Rc<[Value]>> {
         // Speculative: a failed evaluation is discarded, its fuel with it
         // (the per-row fallback pays for the one that reports the error).
@@ -701,11 +702,11 @@ impl<'a> Exec<'a, '_> {
     /// not the shape the equality demands. Reading a key attribute records
     /// `Ra` for every *scanned* element, as the naive engines do for every
     /// drawn one whether or not its predicate passes.
-    fn build_index<'v>(
+    fn build_index(
         &mut self,
         store: &Store,
         build: &HashIndexBuild,
-        elements: impl Iterator<Item = &'v Value>,
+        elements: impl Iterator<Item = Value>,
     ) -> Index {
         let mut index: HashMap<Value, Vec<Value>> = HashMap::new();
         for elem in elements {
@@ -713,13 +714,13 @@ impl<'a> Exec<'a, '_> {
                 KeyAccess::Bare => elem.clone(),
                 KeyAccess::Attr(a) => {
                     let Value::Oid(o) = elem else { return None };
-                    self.interp.read_attr(store, *o, a).ok()?.clone()
+                    self.interp.read_attr(store, o, a).ok()?.clone()
                 }
             };
             if !well_formed(store, build.eq, &key) {
                 return None;
             }
-            index.entry(key).or_default().push(elem.clone());
+            index.entry(key).or_default().push(elem);
         }
         let sorted = |mut elems: Vec<Value>| {
             elems.sort_unstable();

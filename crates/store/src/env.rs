@@ -14,6 +14,9 @@
 //! This is what makes a kernel snapshot — and a rollback snapshot —
 //! cheap enough to take on every admission: the Theorem-7 scheduler can
 //! stamp and clone under the read lock without paying for store size.
+//! [`ExtentEnv`]'s name map is shared the same way, behind one pointer
+//! that the first declaration or insertion after a clone un-shares, so
+//! a snapshot does not pay for the number of extents either.
 //!
 //! Routing, splitting and copy counting are decided once, in [`Spine`],
 //! for both environments. The layout is invisible to the semantics:
@@ -441,7 +444,9 @@ impl<'a> IntoIterator for &'a MemberSet {
 /// The extent environment `EE`: extent name ↦ (class, set of member oids).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ExtentEnv {
-    map: BTreeMap<ExtentName, (ClassName, MemberSet)>,
+    /// Shared with every clone until one of them declares or adds: a
+    /// snapshot of `EE` is one reference count, not a map copy.
+    map: Arc<BTreeMap<ExtentName, (ClassName, MemberSet)>>,
 }
 
 impl ExtentEnv {
@@ -453,7 +458,7 @@ impl ExtentEnv {
     /// Declares an (initially empty) extent for a class. Overwrites any
     /// previous declaration of the same name.
     pub fn declare(&mut self, e: impl Into<ExtentName>, class: impl Into<ClassName>) {
-        self.map.insert(e.into(), (class.into(), MemberSet::new()));
+        Arc::make_mut(&mut self.map).insert(e.into(), (class.into(), MemberSet::new()));
     }
 
     /// `EE(e)`: the class and current members of extent `e`.
@@ -469,13 +474,14 @@ impl ExtentEnv {
     /// Adds an oid to extent `e`. Returns `false` if the extent is
     /// undeclared.
     pub fn add(&mut self, e: &ExtentName, o: Oid) -> bool {
-        match self.map.get_mut(e) {
-            Some((_, s)) => {
-                s.insert(o);
-                true
-            }
-            None => false,
+        // Checked first, so an undeclared extent un-shares nothing.
+        if !self.map.contains_key(e) {
+            return false;
         }
+        if let Some((_, s)) = Arc::make_mut(&mut self.map).get_mut(e) {
+            s.insert(o);
+        }
+        true
     }
 
     /// Whether `e` is declared.

@@ -4,6 +4,7 @@ use crate::env::{ExtentEnv, Object, ObjectEnv};
 use ioql_ast::{AttrName, ClassName, ExtentName, Oid, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised by direct store manipulation (population helpers). Query
 /// evaluation proper cannot hit these on well-typed programs — that is the
@@ -57,7 +58,8 @@ pub struct Store {
     /// The object environment `OE`.
     pub objects: ObjectEnv,
     next_oid: u64,
-    versions: BTreeMap<ExtentName, u64>,
+    /// Shared with every clone until one of them writes.
+    versions: Arc<BTreeMap<ExtentName, u64>>,
 }
 
 /// Semantic equality: extents, objects, and the oid allocator. Version
@@ -101,7 +103,9 @@ impl Store {
 
     /// Marks extent `e` as changed (its version moves forward).
     pub fn bump_version(&mut self, e: &ExtentName) {
-        *self.versions.entry(e.clone()).or_insert(0) += 1;
+        *Arc::make_mut(&mut self.versions)
+            .entry(e.clone())
+            .or_insert(0) += 1;
     }
 
     /// After replacing store *data* wholesale (a dump load installing a
@@ -118,7 +122,7 @@ impl Store {
         names.extend(prev.extents.iter().map(|(e, _, _)| e.clone()));
         for e in names {
             let v = self.extent_version(&e).max(prev.extent_version(&e));
-            self.versions.insert(e, v + 1);
+            Arc::make_mut(&mut self.versions).insert(e, v + 1);
         }
     }
 

@@ -59,6 +59,8 @@ pub struct QueryGen<'s> {
     /// attributes from literals and other constructible classes.
     constructible: BTreeMap<ClassName, usize>,
     fresh: usize,
+    /// The binders in scope that draw from an extent, innermost last.
+    extent_binders: Vec<VarName>,
 }
 
 impl<'s> QueryGen<'s> {
@@ -92,6 +94,7 @@ impl<'s> QueryGen<'s> {
             methods,
             constructible,
             fresh: 0,
+            extent_binders: Vec::new(),
         }
     }
 
@@ -394,6 +397,39 @@ impl<'s> QueryGen<'s> {
             return None;
         }
         let (c, m, params) = options[self.rng.gen_range(0..options.len())].clone();
+        // The receiver is drawn from what a run really reaches: a binder
+        // over a fitting extent, else (for an `int` method) each member
+        // of a fitting extent, the calls summed. A receiver generated
+        // like any other object is mostly a `new` or an element of `{}`,
+        // and would leave the population almost without a `U(C)` writer.
+        let binders: Vec<VarName> = scope
+            .iter()
+            .filter(|(x, t)| {
+                self.extent_binders.contains(x)
+                    && matches!(t, Type::Class(k) if self.schema.extends(k, &c))
+            })
+            .map(|(x, _)| x.clone())
+            .collect();
+        if !binders.is_empty() && self.rng.gen_bool(0.75) {
+            let x = binders[self.rng.gen_range(0..binders.len())].clone();
+            let args: Vec<Query> = params.iter().map(|t| self.gen(scope, t, d)).collect();
+            return Some(Query::Invoke(Box::new(Query::Var(x)), m, args));
+        }
+        let extents: Vec<(ExtentName, ClassName)> = self
+            .schema
+            .extents()
+            .filter(|(_, k)| self.schema.extends(k, &c))
+            .map(|(e, k)| (e.clone(), k.clone()))
+            .collect();
+        if *want == Type::Int && !extents.is_empty() && self.rng.gen_bool(0.75) {
+            let (e, k) = extents[self.rng.gen_range(0..extents.len())].clone();
+            let x = self.fresh_var();
+            scope.push((x.clone(), Type::Class(k)));
+            let args: Vec<Query> = params.iter().map(|t| self.gen(scope, t, d)).collect();
+            scope.pop();
+            let call = Query::Invoke(Box::new(Query::Var(x.clone())), m, args);
+            return Some(Query::comp(call, [Qualifier::Gen(x, Query::Extent(e))]).sum_of());
+        }
         let recv = self.gen(scope, &Type::Class(c), d);
         let args: Vec<Query> = params.iter().map(|t| self.gen(scope, t, d)).collect();
         Some(Query::Invoke(Box::new(recv), m, args))
@@ -420,12 +456,19 @@ impl<'s> QueryGen<'s> {
         let src = self.gen(scope, &Type::set(src_elem.clone()), d);
         let x = self.fresh_var();
         scope.push((x.clone(), src_elem));
+        let over_extent = matches!(src, Query::Extent(_));
+        if over_extent {
+            self.extent_binders.push(x.clone());
+        }
         let mut quals = vec![Qualifier::Gen(x, src)];
         if self.rng.gen_bool(0.5) {
             let p = self.gen(scope, &Type::Bool, d);
             quals.push(Qualifier::Pred(p));
         }
         let head = self.gen(scope, elem, d);
+        if over_extent {
+            self.extent_binders.pop();
+        }
         scope.pop();
         Some(Query::Comp(Box::new(head), quals))
     }

@@ -625,12 +625,13 @@ fn writers_run_on_the_plan_with_big_steps_every_meter() {
             payroll_with_raise(),
             Mode::Extended,
             invoking,
-            0..100,
+            0..300,
             &RAISE_ZOO[..],
         ),
     ];
     let mks: [fn() -> Box<dyn Chooser>; 2] = [|| Box::new(FirstChooser), || Box::new(LastChooser)];
     let (mut writers, mut raises, mut runs, mut errors) = (0, 0, 0, 0);
+    let mut generated_raises = 0;
     for (fx, mode, gen, seeds, zoo) in beds {
         let tenv = TypeEnv::new(&fx.schema);
         let methods = check_schema_methods(&fx.schema, mode).unwrap();
@@ -643,16 +644,19 @@ fn writers_run_on_the_plan_with_big_steps_every_meter() {
         let generated = seeds.map(|seed| {
             let mut g = QueryGen::new(&fx.schema, seed, gen);
             let target = g.target_type();
-            g.query(&target)
+            (g.query(&target), true)
         });
-        for q in generated.chain(zoo.iter().map(|src| fx.query(src))) {
+        let written = zoo.iter().map(|src| (fx.query(src), false));
+        for (q, is_generated) in generated.chain(written) {
             let (elab, _) = check_query(&tenv, &q).unwrap();
             let (_, effect) = infer_query(&eenv, &elab).unwrap();
             if effect.is_read_only() {
                 continue;
             }
             writers += 1;
-            raises += usize::from(!effect.updates.is_empty());
+            let raising = !effect.updates.is_empty();
+            raises += usize::from(raising);
+            generated_raises += usize::from(raising && is_generated);
             for compile in [false, true] {
                 let spec = ParSpec {
                     compile,
@@ -685,6 +689,11 @@ fn writers_run_on_the_plan_with_big_steps_every_meter() {
     assert!(
         writers >= 150 && raises >= RAISE_ZOO.len() && errors > 0 && errors < runs,
         "{writers} writers, {raises} raising, {errors} of {runs} runs failed"
+    );
+    // The generator reaches `U(C)` writers of its own, not only the zoo.
+    assert!(
+        generated_raises >= 3,
+        "{generated_raises} generated writers raise"
     );
 }
 
@@ -1742,4 +1751,192 @@ fn a_computed_source_is_indexed_per_drain() {
         let got = observe(&fx, &Exec::Plan(&plan), mk, Limits::none(), 1_000_000);
         assert_eq!(got, want, "plan vs big-step on {src}");
     }
+}
+
+/// `jack_jill` with `n` more `P`s named 100, 101, …: past 1 024 members,
+/// `Ps` spans more than one member chunk (the first edge falls after its
+/// 512th member, the `P` named 610).
+fn long_fixture(n: i64) -> Fixture {
+    let mut fx = jack_jill();
+    for i in 0..n {
+        fx.create("P", vec![("name", ioql_ast::Value::Int(100 + i))], None);
+    }
+    fx
+}
+
+/// An elaborated fixture query and its production plan.
+fn production(fx: &Fixture, src: &str) -> (ioql_ast::Query, Plan) {
+    let q = check_query(&TypeEnv::new(&fx.schema), &fx.query(src))
+        .unwrap()
+        .0;
+    let plan = lower_production(fx, &q);
+    (q, plan)
+}
+
+/// One production run under `chooser` with an enabled fuel meter: what
+/// [`observe_in`] observes, the fuel spent and the store left behind.
+fn metered(
+    fx: &Fixture,
+    plan: &Plan,
+    chooser: &mut dyn Chooser,
+    limits: Limits,
+) -> (Observed, u64, ioql_store::Store) {
+    use ioql_eval::{CountingChooser, EvalMetrics};
+    let registry = ioql_telemetry::MetricsRegistry::new(true);
+    let metrics = EvalMetrics {
+        steps: registry.counter("steps", "Steps."),
+        recursions: registry.counter("fuel", "Fuel spent."),
+        dispatches: registry.counter("dispatches", "VM rows."),
+    };
+    let draws = registry.counter("draws", "Chooser draws.");
+    let governor = Governor::new(limits);
+    let cfg = EvalConfig::new(&fx.schema)
+        .with_governor(&governor)
+        .with_metrics(&metrics);
+    let mut store = fx.store.clone();
+    let ch = &mut CountingChooser::new(chooser, draws.clone());
+    let r = execute(plan, &cfg, &DefEnv::new(), &mut store, ch, 10_000_000);
+    let observed = (
+        r.map(|r| (r.value, r.effect)),
+        governor.cells_spent(),
+        draws.get(),
+    );
+    (observed, metrics.recursions.get(), store)
+}
+
+/// The `name`s of the objects of class `class`, in oid order — for the
+/// objects a writer created, the order its draws reached their sources.
+fn names_in_oid_order(store: &ioql_store::Store, class: &str) -> Vec<i64> {
+    store
+        .objects
+        .iter()
+        .filter(|(_, obj)| obj.class.as_str() == class)
+        .map(|(_, obj)| obj.attr(&"name".into()).and_then(|v| v.as_int()).unwrap())
+        .collect()
+}
+
+/// A writer that creates objects in the extent it scans draws exactly
+/// the members that were there when the scan read it — taken from the
+/// front, from the back or at random — as big-step, which draws from
+/// the extent's set value, does: the pool is a cursor over the members'
+/// spine as the scan read it, and the writes copy around it.
+#[test]
+fn a_scan_draws_the_members_it_read() {
+    let fx = long_fixture(1100);
+    let read = fx.extent_len("Ps");
+    let (q, plan) = production(&fx, "{ (new P(name: p.name + 5000)).name | p <- Ps }");
+    let mks: [fn() -> Box<dyn Chooser>; 3] = [
+        || Box::new(FirstChooser),
+        || Box::new(LastChooser),
+        || Box::new(RandomChooser::seeded(0xC0_5A)),
+    ];
+    let cfg = EvalConfig::new(&fx.schema);
+    for mk in mks {
+        let run = |exec: &Exec<'_>| {
+            observe_in(
+                cfg,
+                &DefEnv::new(),
+                &fx.store,
+                exec,
+                mk,
+                Limits::none(),
+                10_000_000,
+            )
+        };
+        let (got, store) = run(&Exec::Plan(&plan));
+        assert_eq!(got, run(&Exec::BigStep(&q)).0);
+        let Ok((ioql_ast::Value::Set(made), _)) = &got.0 else {
+            panic!("{:?}", got.0)
+        };
+        assert_eq!((made.len(), got.1, got.2), (read, read as u64, read as u64));
+        assert_eq!(store.extents.members(&"Ps".into()).unwrap().len(), 2 * read);
+        let mut drawn = names_in_oid_order(&store, "P")[read..].to_vec();
+        drawn.sort_unstable();
+        let mut was = names_in_oid_order(&fx.store, "P");
+        was.iter_mut().for_each(|n| *n += 5000);
+        was.sort_unstable();
+        assert_eq!(
+            drawn, was,
+            "each member read is drawn once, and nothing else"
+        );
+    }
+}
+
+/// Under a scripted chooser, the first interior pick — after 510 front
+/// picks, so what is left spans the chunk edge — copies what is left,
+/// and every pick after it is taken from the copy: the draws reach the
+/// members in the order a copied pool reaches them, and the picks,
+/// cells, draws and fuel are the ones a pool copied at the scan gives.
+#[test]
+fn an_interior_pick_after_front_picks_takes_what_a_copy_would() {
+    use ioql_eval::ScriptedChooser;
+    let fx = long_fixture(1100);
+    let (_, plan) = production(&fx, "{ (new F(name: p.name, pal: p)).name | p <- Ps }");
+    let mut script = vec![0; 510];
+    script.extend([5, 0, 1, 700, 3, 900, 0, 2]);
+    // A copied pool: the members' names in oid order, one removal a pick.
+    let mut left: std::collections::VecDeque<i64> = names_in_oid_order(&fx.store, "P").into();
+    let n = left.len();
+    let mut want = Vec::new();
+    for k in 0..n {
+        let pick = script.get(k).copied().unwrap_or(0).min(left.len() - 1);
+        want.push(left.remove(pick).unwrap());
+    }
+    let mut chooser = ScriptedChooser::new(script);
+    let (observed, fuel, store) = metered(&fx, &plan, &mut chooser, Limits::none());
+    assert!(observed.0.is_ok(), "{:?}", observed.0);
+    assert_eq!(names_in_oid_order(&store, "F"), want);
+    assert_eq!(chooser.arities, (1..=n).rev().collect::<Vec<_>>());
+    assert_eq!((observed.1, observed.2), (n as u64, n as u64));
+    assert_eq!(fuel, 6_613, "the fuel a pool copied at the scan spends");
+}
+
+/// A probe's skipped run of misses crosses the chunk edge: the drain for
+/// the `F` named 611 draws `jack`, then skips the 512 members up to its
+/// hit, the last 510 of chunk 0 and the first two of chunk 1. Every
+/// meter is big-step's, with and without a cell cap that trips inside
+/// that run (the run is then refused and drawn one by one), and the fuel
+/// is the one a pool copied at the scan spends.
+#[test]
+fn a_skipped_probe_run_crosses_a_chunk_edge() {
+    let mut fx = long_fixture(1100);
+    let jack = ioql_ast::Value::Oid(fx.oid("jack"));
+    for name in [101, 600, 611, 1150] {
+        let attrs = vec![("name", ioql_ast::Value::Int(name)), ("pal", jack.clone())];
+        fx.create("F", attrs, None);
+    }
+    let (q, plan) = production(
+        &fx,
+        "{ f.name + p.name | f <- Fs, p <- Ps, p.name = f.name }",
+    );
+    assert!(
+        plan.render().contains("HashIndexProbe"),
+        "{}",
+        plan.render()
+    );
+    let mks: [fn() -> Box<dyn Chooser>; 2] = [|| Box::new(FirstChooser), || Box::new(LastChooser)];
+    let mut fuels = Vec::new();
+    for mk in mks {
+        for limits in [Limits::none(), Limits::none().with_max_cells(2_500)] {
+            let want = observe(&fx, &Exec::BigStep(&q), mk, limits, 10_000_000);
+            let (got, fuel, _) = metered(&fx, &plan, &mut *mk(), limits);
+            assert_eq!(got, want, "{limits:?}");
+            if limits.max_cells.is_none() {
+                let Ok((ioql_ast::Value::Set(sums), _)) = &got.0 else {
+                    panic!("{:?}", got.0)
+                };
+                assert_eq!(sums.len(), 4);
+                fuels.push(fuel);
+            } else {
+                assert!(got.0.is_err(), "the cap trips");
+            }
+        }
+    }
+    // The first chooser's runs are skipped, the last chooser's drawn one
+    // by one: a skipped run burns a unit a pick, like the picks it is.
+    assert_eq!(
+        fuels,
+        [4_441, 4_441],
+        "the fuel a pool copied at the scan spends"
+    );
 }
